@@ -22,10 +22,12 @@ import (
 func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	c.requests.Add(1)
 	c.batchRequests.Add(1)
-	body, ok := c.readBody(w, r)
+	buf, ok := c.readBody(w, r)
 	if !ok {
 		return
 	}
+	defer service.ReleaseBody(buf)
+	body := buf.Bytes()
 	req, err := service.DecodeBatchRequest(bytes.NewReader(body))
 	if err != nil {
 		c.reject(w, http.StatusBadRequest, err)

@@ -1,0 +1,63 @@
+package coord
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"testing"
+
+	"ftsched/internal/service"
+	"ftsched/internal/workload"
+)
+
+// BenchmarkDoorSchedule times a paper-sized /schedule through the door and
+// two in-process shards: a byte-identical repeat (no decode anywhere) and a
+// never-seen seed (one decode, at the door).
+func BenchmarkDoorSchedule(b *testing.B) {
+	inst, err := workload.NewInstance(rand.New(rand.NewSource(5)), workload.DefaultPaperConfig(1.0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(&service.ScheduleRequest{
+		Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs, Scheduler: "ftsa", Epsilon: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	deploy := func(b *testing.B) *Coordinator {
+		shards := make([]http.Handler, 2)
+		for i := range shards {
+			s := service.New(service.Config{})
+			b.Cleanup(s.Close)
+			shards[i] = s
+		}
+		return New(shards, Options{})
+	}
+	post := func(c *Coordinator, body []byte, want string) {
+		rec := do(c, http.MethodPost, "/schedule", body)
+		if got := rec.Header().Get(service.CacheStatusHeader); rec.Code != http.StatusOK || got != want {
+			b.Fatalf("status %d cache %q, want 200 %q", rec.Code, got, want)
+		}
+	}
+	b.Run("repeat", func(b *testing.B) {
+		c := deploy(b)
+		post(c, body, "miss")
+		post(c, body, "hit")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(c, body, "hit")
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := deploy(b)
+		head := bytes.TrimSuffix(body, []byte("}"))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(c, fmt.Appendf(nil, `%s,"seed":%d}`, head, i+1), "miss")
+		}
+	})
+}

@@ -34,7 +34,10 @@ type Options struct {
 // Coordinator fronts N worker shards. Each POST body is decoded and
 // validated once at the door (malformed input 400s without touching a
 // shard), fingerprinted with the same canonical fingerprint the shards' own
-// caches key on, and forwarded verbatim to the shard RouteFingerprint picks.
+// caches key on, and served by the shard RouteFingerprint picks: an
+// in-process service.Server takes the door's decoded request over, any other
+// shard is forwarded the bytes. A body the door has already seen served as a
+// hit is not decoded at all — its digest still names the fingerprint.
 // Responses stream straight from the shard to the client, headers included,
 // so a routed response is byte-identical to what the shard alone would have
 // served.
@@ -42,6 +45,11 @@ type Coordinator struct {
 	shards []http.Handler
 	opts   Options
 	mux    *http.ServeMux
+	// front is the door's body-digest index: digest → routing fingerprint of
+	// the bodies that came back from a shard as cache hits. A body's
+	// fingerprint never changes, so an alias is never wrong and is dropped
+	// only to make room.
+	front *service.BodyIndex[service.Fingerprint]
 
 	// Door counters: requests received, and the ones terminated at the door
 	// (malformed or over-limit, all 4xx). Routed requests are counted by the
@@ -50,7 +58,14 @@ type Coordinator struct {
 	requests      atomic.Uint64
 	rejected      atomic.Uint64
 	batchRequests atomic.Uint64
+	// bodyHits counts the requests routed from the front index, without a
+	// door decode.
+	bodyHits atomic.Uint64
 }
+
+// doorAliasesPerShard bounds the door's front index per shard behind it: as
+// many bodies as a shard's response cache holds entries by default.
+const doorAliasesPerShard = 4096
 
 // New creates a Coordinator over the given shard handlers (in-process
 // service.Servers, Proxy handlers for remote workers, or a mix). It panics
@@ -66,12 +81,15 @@ func New(shards []http.Handler, opts Options) *Coordinator {
 	if opts.MaxBatchItems <= 0 {
 		opts.MaxBatchItems = 256
 	}
-	c := &Coordinator{shards: shards, opts: opts, mux: http.NewServeMux()}
-	c.mux.HandleFunc("POST /schedule", c.routed(decodeScheduleFP))
+	c := &Coordinator{
+		shards: shards, opts: opts, mux: http.NewServeMux(),
+		front: service.NewBodyIndex[service.Fingerprint](doorAliasesPerShard*len(shards), 16),
+	}
+	for _, ep := range service.CachedEndpoints() {
+		c.mux.HandleFunc("POST "+ep.Path(), c.cached(ep))
+	}
 	c.mux.HandleFunc("POST /schedule/batch", c.handleBatch)
-	c.mux.HandleFunc("POST /evaluate", c.routed(decodeEvaluateFP))
-	c.mux.HandleFunc("POST /tune", c.routed(decodeTuneFP))
-	c.mux.HandleFunc("POST /missions", c.routed(decodeMissionFP))
+	c.mux.HandleFunc("POST /missions", c.handleMissionCreate)
 	c.mux.HandleFunc("GET /missions/{id}", c.missionByID)
 	c.mux.HandleFunc("GET /missions/{id}/events", c.missionByID)
 	// /scenarios is generated from the process-global scenario-kind registry,
@@ -94,46 +112,6 @@ func (c *Coordinator) Route(fp service.Fingerprint) int {
 	return RouteFingerprint(fp, len(c.shards))
 }
 
-// decode*FP validate one body and derive the routing fingerprint; they are
-// the per-endpoint plugs for the shared routed prologue. The number of tasks
-// is returned for the door's MaxTasks guard.
-func decodeScheduleFP(body []byte) (service.Fingerprint, int, error) {
-	// The door decodes every request once just to route it; pooling the
-	// request keeps that decode from re-allocating the graph arena on the
-	// coordinator's hot path. The fingerprint is a value, so nothing escapes
-	// the pooled request.
-	req := service.AcquireScheduleRequest()
-	defer service.ReleaseScheduleRequest(req)
-	if err := service.DecodeScheduleRequestInto(req, bytes.NewReader(body)); err != nil {
-		return service.Fingerprint{}, 0, err
-	}
-	return service.RequestFingerprint(req), req.Graph.NumTasks(), nil
-}
-
-func decodeEvaluateFP(body []byte) (service.Fingerprint, int, error) {
-	req, err := service.DecodeEvaluateRequest(bytes.NewReader(body))
-	if err != nil {
-		return service.Fingerprint{}, 0, err
-	}
-	return service.EvaluateFingerprint(req), req.Graph.NumTasks(), nil
-}
-
-func decodeTuneFP(body []byte) (service.Fingerprint, int, error) {
-	req, err := service.DecodeTuneRequest(bytes.NewReader(body))
-	if err != nil {
-		return service.Fingerprint{}, 0, err
-	}
-	return service.TuneFingerprint(req), req.Graph.NumTasks(), nil
-}
-
-func decodeMissionFP(body []byte) (service.Fingerprint, int, error) {
-	req, err := service.DecodeMissionRequest(bytes.NewReader(body))
-	if err != nil {
-		return service.Fingerprint{}, 0, err
-	}
-	return service.MissionFingerprint(req), req.Graph.NumTasks(), nil
-}
-
 // missionByID routes the mission read endpoints. A mission id IS the hex of
 // its routing fingerprint, so the owner of an id is recomputed from the id
 // alone — no shared state, and the GET lands on the same shard the POST
@@ -149,48 +127,100 @@ func (c *Coordinator) missionByID(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(service.ErrorResponse{Error: err.Error()})
 		return
 	}
-	shard := c.Route(fp)
-	if c.opts.Log != nil {
-		c.opts.Log.Printf("%s %s fp=%x shard=%d/%d", r.RemoteAddr, r.URL.Path, fp[:4], shard, len(c.shards))
-	}
-	c.forward(w, r, shard, nil)
+	c.forward(w, r, c.route(r, fp), nil)
 }
 
-// routed builds the handler for one single-fingerprint endpoint: buffer the
-// body, decode → fingerprint at the door, and hand the original bytes to
-// the owning shard. The shard decodes again — that duplicate decode is the
-// price of the door guarantee that no malformed (or unroutable) body ever
-// occupies a worker, and it is cheap next to any scheduling computation.
-func (c *Coordinator) routed(decode func([]byte) (service.Fingerprint, int, error)) http.HandlerFunc {
+// cached builds the door handler of one fingerprint-cached endpoint. A body
+// whose digest the front index knows is routed by the fingerprint stored
+// there and forwarded as bytes — the shard's own front index answers it, so
+// a repeat costs no decode anywhere. Any other body is decoded, validated
+// and fingerprinted here, so that nothing malformed or unroutable ever
+// occupies a worker; an in-process shard then takes the decoded request over
+// (one decode per deployment), while a Proxy is sent the bytes and decodes
+// them again, because a remote server must not trust a forwarded
+// fingerprint.
+func (c *Coordinator) cached(ep *service.Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.requests.Add(1)
-		body, ok := c.readBody(w, r)
+		buf, ok := c.readBody(w, r)
 		if !ok {
 			return
 		}
-		fp, tasks, err := decode(body)
+		defer service.ReleaseBody(buf)
+		body := buf.Bytes()
+		digest := ep.Digest(body)
+		if fp, ok := c.front.Get(digest); ok {
+			c.bodyHits.Add(1)
+			c.forward(w, r, c.route(r, fp), body)
+			return
+		}
+		d, err := ep.Decode(bytes.NewReader(body))
 		if err != nil {
 			c.reject(w, http.StatusBadRequest, err)
 			return
 		}
-		if c.opts.MaxTasks > 0 && tasks > c.opts.MaxTasks {
+		if c.opts.MaxTasks > 0 && d.Tasks() > c.opts.MaxTasks {
+			d.Release()
 			c.reject(w, http.StatusBadRequest,
-				fmt.Errorf("instance has %d tasks, this deployment accepts at most %d", tasks, c.opts.MaxTasks))
+				fmt.Errorf("instance has %d tasks, this deployment accepts at most %d", d.Tasks(), c.opts.MaxTasks))
 			return
 		}
-		shard := c.Route(fp)
-		if c.opts.Log != nil {
-			c.opts.Log.Printf("%s %s fp=%x shard=%d/%d", r.RemoteAddr, r.URL.Path, fp[:4], shard, len(c.shards))
+		fp := d.Fingerprint()
+		shard := c.route(r, fp)
+		if local, ok := c.shards[shard].(*service.Server); ok {
+			local.ServeDecoded(w, r, d, digest)
+		} else {
+			d.Release()
+			c.forward(w, r, shard, body)
 		}
-		c.forward(w, r, shard, body)
+		// Admit on the second sighting only — the response came back a hit —
+		// so traffic that never repeats leaves the index empty.
+		if w.Header().Get(service.CacheStatusHeader) == "hit" {
+			c.front.Put(digest, fp)
+		}
 	}
 }
 
-// readBody buffers the request body under the door limit. ok is false when
-// an error response was written (413 past the limit, 400 otherwise).
-func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, c.opts.MaxBodyBytes))
+// handleMissionCreate routes POST /missions: decode → fingerprint at the
+// door, then hand the original bytes to the owning shard, which decodes
+// them again (missions are created once, not replayed like cached requests).
+func (c *Coordinator) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
+	c.requests.Add(1)
+	buf, ok := c.readBody(w, r)
+	if !ok {
+		return
+	}
+	defer service.ReleaseBody(buf)
+	req, err := service.DecodeMissionRequest(bytes.NewReader(buf.Bytes()))
 	if err != nil {
+		c.reject(w, http.StatusBadRequest, err)
+		return
+	}
+	if tasks := req.Graph.NumTasks(); c.opts.MaxTasks > 0 && tasks > c.opts.MaxTasks {
+		c.reject(w, http.StatusBadRequest,
+			fmt.Errorf("instance has %d tasks, this deployment accepts at most %d", tasks, c.opts.MaxTasks))
+		return
+	}
+	c.forward(w, r, c.route(r, service.MissionFingerprint(req)), buf.Bytes())
+}
+
+// route picks the shard for a fingerprint and writes the verbose log's
+// routing line.
+func (c *Coordinator) route(r *http.Request, fp service.Fingerprint) int {
+	shard := c.Route(fp)
+	if c.opts.Log != nil {
+		c.opts.Log.Printf("%s %s fp=%x shard=%d/%d", r.RemoteAddr, r.URL.Path, fp[:4], shard, len(c.shards))
+	}
+	return shard
+}
+
+// readBody buffers the request body under the door limit in a pooled buffer
+// the caller returns with service.ReleaseBody. ok is false when an error
+// response was written (413 past the limit, 400 otherwise).
+func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf, err := service.AcquireBody(http.MaxBytesReader(w, r.Body, c.opts.MaxBodyBytes), r.ContentLength)
+	if err != nil {
+		service.ReleaseBody(buf)
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -199,7 +229,7 @@ func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 		c.reject(w, status, fmt.Errorf("reading request body: %w", err))
 		return nil, false
 	}
-	return body, true
+	return buf, true
 }
 
 // reject terminates a request at the door with the service's uniform error

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,8 +117,11 @@ func coordStats(t *testing.T, c *Coordinator) Stats {
 
 // TestRoutedPassthroughByteIdentical is the core sharding guarantee: for
 // every POST endpoint, a sharded deployment serves byte-for-byte the
-// responses a single server serves, and the repeat request is a cache hit on
-// both — the shard that owns a fingerprint owns it forever.
+// responses a single server serves, and every repeat is a cache hit on both
+// — the shard that owns a fingerprint owns it forever. The first sighting is
+// decoded at the door and handed to the shard, the second likewise (and
+// admitted to both front indexes when it comes back a hit), the third and
+// fourth are routed and answered from the front indexes without a decode.
 func TestRoutedPassthroughByteIdentical(t *testing.T) {
 	single := service.New(service.Config{})
 	t.Cleanup(single.Close)
@@ -133,7 +138,7 @@ func TestRoutedPassthroughByteIdentical(t *testing.T) {
 		{"/tune", tuneBody(24)},
 	}
 	for _, rq := range requests {
-		for round, wantCache := range []string{"miss", "hit"} {
+		for round, wantCache := range []string{"miss", "hit", "hit", "hit"} {
 			sRec := do(single, http.MethodPost, rq.path, rq.body)
 			cRec := do(c, http.MethodPost, rq.path, rq.body)
 			if sRec.Code != http.StatusOK || cRec.Code != http.StatusOK {
@@ -148,7 +153,53 @@ func TestRoutedPassthroughByteIdentical(t *testing.T) {
 					t.Fatalf("%s round %d: cache status %q, want %q", rq.path, round, got, wantCache)
 				}
 			}
+			if !reflect.DeepEqual(sRec.Header(), cRec.Header()) {
+				t.Fatalf("%s round %d: sharded headers %v, single server %v", rq.path, round, cRec.Header(), sRec.Header())
+			}
 		}
+	}
+	var sSt service.Stats
+	if err := json.Unmarshal(do(single, http.MethodGet, "/stats", nil).Body.Bytes(), &sSt); err != nil {
+		t.Fatal(err)
+	}
+	cSt := coordStats(t, c)
+	want := uint64(2 * len(requests))
+	if sSt.BodyHits != want || cSt.Merged.BodyHits != want || cSt.Door.BodyHits != want {
+		t.Fatalf("body_hits: single %d, merged %d, door %d, want %d each",
+			sSt.BodyHits, cSt.Merged.BodyHits, cSt.Door.BodyHits, want)
+	}
+	// The decoded hand-off leaves the shards' counters where forwarded bytes
+	// would have: the deployment's ledger is the single server's.
+	if !reflect.DeepEqual(cSt.Merged.SchedulerRequests, sSt.SchedulerRequests) ||
+		cSt.Merged.Requests != sSt.Requests || cSt.Merged.CacheHits != sSt.CacheHits ||
+		cSt.Merged.CacheMisses != sSt.CacheMisses || cSt.Merged.EvaluateRequests != sSt.EvaluateRequests ||
+		cSt.Merged.TuneRequests != sSt.TuneRequests || cSt.Merged.LatencyMs.Count != sSt.LatencyMs.Count {
+		t.Fatalf("merged counters diverge from the single server:\nmerged: %+v\nsingle: %+v", cSt.Merged, sSt)
+	}
+}
+
+// TestDoorGuardsStillApplyToHandoff: the shard's own limits are enforced on a
+// request the door decoded for it, with the shard's message and counters.
+func TestDoorGuardsStillApplyToHandoff(t *testing.T) {
+	single := service.New(service.Config{MaxTrials: 10, MaxTasks: 100})
+	t.Cleanup(single.Close)
+	c, _ := newDeployment(t, 2, service.Config{MaxTrials: 10, MaxTasks: 100})
+	for _, rq := range []struct {
+		path string
+		body []byte
+	}{{"/evaluate", evaluateBody(0, 40)}, {"/tune", tuneBody(24)}} {
+		for round := 0; round < 3; round++ {
+			sRec, cRec := do(single, http.MethodPost, rq.path, rq.body), do(c, http.MethodPost, rq.path, rq.body)
+			if cRec.Code != http.StatusBadRequest || !bytes.Equal(sRec.Body.Bytes(), cRec.Body.Bytes()) {
+				t.Fatalf("%s round %d: %d %s, single server: %d %s", rq.path, round,
+					cRec.Code, cRec.Body.String(), sRec.Code, sRec.Body.String())
+			}
+		}
+	}
+	st := coordStats(t, c)
+	if st.Merged.ClientErrors != 6 || st.Merged.Requests != 6 || st.Door.Rejected != 0 || st.Door.BodyHits != 0 {
+		t.Fatalf("merged requests=%d client_errors=%d, door rejected=%d body_hits=%d; want 6/6/0/0",
+			st.Merged.Requests, st.Merged.ClientErrors, st.Door.Rejected, st.Door.BodyHits)
 	}
 }
 
@@ -486,5 +537,83 @@ func TestProxyPassthrough(t *testing.T) {
 	st := coordStats(t, c)
 	if st.Merged.Requests != 2 || st.Merged.CacheHits != 1 || st.Merged.CacheMisses != 1 {
 		t.Fatalf("proxied stats: %+v", st.Merged)
+	}
+}
+
+// TestMixedDeployment runs one in-process shard beside one behind a Proxy:
+// the local shard is handed the door's decoded request, the remote one is
+// sent the bytes and decodes them itself, and a client cannot tell — every
+// response is the bare server's, repeats are hits, both front-index layers
+// engage, and the merged ledger conserves.
+func TestMixedDeployment(t *testing.T) {
+	single := service.New(service.Config{})
+	t.Cleanup(single.Close)
+	local := service.New(service.Config{Shard: "0"})
+	t.Cleanup(local.Close)
+	remote := service.New(service.Config{Shard: "1"})
+	t.Cleanup(remote.Close)
+	ts := httptest.NewServer(remote)
+	t.Cleanup(ts.Close)
+	c := New([]http.Handler{local, &Proxy{Base: ts.URL}}, Options{})
+
+	var bodies [][]byte
+	for seed := int64(1); seed <= 12; seed++ {
+		bodies = append(bodies, scheduleBody("ftsa", 1, seed))
+	}
+	for _, body := range bodies {
+		for round, wantCache := range []string{"miss", "hit", "hit", "hit"} {
+			sRec, cRec := do(single, http.MethodPost, "/schedule", body), do(c, http.MethodPost, "/schedule", body)
+			if cRec.Code != http.StatusOK || !bytes.Equal(sRec.Body.Bytes(), cRec.Body.Bytes()) {
+				t.Fatalf("round %d: %d %s, single server: %s", round, cRec.Code, cRec.Body.String(), sRec.Body.String())
+			}
+			if got := cRec.Header().Get(service.CacheStatusHeader); got != wantCache {
+				t.Fatalf("round %d: cache status %q, want %q", round, got, wantCache)
+			}
+		}
+	}
+	st := coordStats(t, c)
+	for i, s := range st.PerShard {
+		if s.Requests == 0 || s.Requests%4 != 0 {
+			t.Fatalf("shard %d served %d requests; every body's four rounds belong to one shard and both shards must own some", i, s.Requests)
+		}
+		if s.BodyHits != s.Requests/2 {
+			t.Fatalf("shard %d answered %d of %d requests from its front index, want half", i, s.BodyHits, s.Requests)
+		}
+	}
+	want := uint64(2 * len(bodies))
+	if st.Door.BodyHits != want || st.Merged.BodyHits != want {
+		t.Fatalf("body_hits: door %d, merged %d, want %d", st.Door.BodyHits, st.Merged.BodyHits, want)
+	}
+	m := st.Merged
+	if m.Requests != uint64(4*len(bodies)) || m.Requests != m.CacheHits+m.CacheMisses+m.ClientErrors+m.InternalErrors+m.CancelledRequests {
+		t.Fatalf("merged ledger does not conserve: %+v", m)
+	}
+}
+
+// TestProxySendsContentLength: a forwarded body goes upstream with its
+// length declared, not re-chunked.
+func TestProxySendsContentLength(t *testing.T) {
+	body := scheduleBody("ftsa", 1, 0)
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		want := []byte{} // a GET carries no body and must stay that way
+		if r.Method == http.MethodPost {
+			want = body
+		}
+		if r.ContentLength != int64(len(want)) || len(r.TransferEncoding) != 0 {
+			t.Errorf("upstream %s: Content-Length %d, Transfer-Encoding %v; want %d and none",
+				r.Method, r.ContentLength, r.TransferEncoding, len(want))
+		}
+		if got, _ := io.ReadAll(r.Body); !bytes.Equal(got, want) {
+			t.Errorf("upstream %s body differs from the forwarded one", r.Method)
+		}
+		w.Write([]byte("{}\n"))
+	}))
+	t.Cleanup(worker.Close)
+	c := New([]http.Handler{&Proxy{Base: worker.URL}}, Options{})
+	if rec := do(c, http.MethodPost, "/schedule", body); rec.Code != http.StatusOK {
+		t.Fatalf("proxied POST: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := do(c, http.MethodGet, "/missions/0123456789abcdef0123456789abcdef", nil); rec.Code != http.StatusOK {
+		t.Fatalf("proxied GET: %d %s", rec.Code, rec.Body.String())
 	}
 }

@@ -11,6 +11,12 @@
 // same 400/413 contract as a standalone server — a request that cannot be
 // fingerprinted never reaches a shard.
 //
+// A request is decoded at most once per deployment: the door's decode is
+// handed to an in-process shard as a service.Decoded (a Proxy shard gets the
+// bytes and decodes them itself — a remote server must not trust a forwarded
+// fingerprint), and a byte-identical repeat of a body that came back as a
+// hit is routed from the door's body-digest index without any decode.
+//
 // POST /schedule/batch is split per item fingerprint into per-shard
 // sub-batches, fanned out concurrently, and the per-item results are merged
 // back in request order; GET /stats aggregates the per-shard counters into a

@@ -12,13 +12,15 @@ type endpoint struct {
 	method, path, behavior string
 }
 
+const cachedBehavior = "digest the body: a known repeat is routed without a decode; otherwise decode + fingerprint at the door and hand the decoded request to the owning shard (a remote shard is forwarded the bytes)"
+
 // endpoints lists the coordinator routes in documentation order. Keep it in
 // sync with the mux registrations in New.
 var endpoints = []endpoint{
-	{"POST", "/schedule", "decode + fingerprint at the door, forward verbatim to the owning shard"},
+	{"POST", "/schedule", cachedBehavior},
 	{"POST", "/schedule/batch", "decode once, split per item fingerprint, fan out sub-batches, merge items in request order"},
-	{"POST", "/evaluate", "decode + fingerprint at the door, forward verbatim to the owning shard"},
-	{"POST", "/tune", "decode + fingerprint at the door, forward verbatim to the owning shard"},
+	{"POST", "/evaluate", cachedBehavior},
+	{"POST", "/tune", cachedBehavior},
 	{"POST", "/missions", "decode + fingerprint at the door, forward verbatim to the owning shard (the mission id is the fingerprint, so reads route themselves)"},
 	{"GET", "/missions/{id}", "parse the id as a fingerprint, forward to the shard that owns the mission"},
 	{"GET", "/missions/{id}/events", "parse the id as a fingerprint, forward to the shard that owns the mission"},

@@ -2,8 +2,10 @@ package coord
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,14 +14,28 @@ import (
 
 // countingShard is a fake worker that records how often it was hit. The fuzz
 // target cares about the door, not about scheduling, so the shard just
-// acknowledges whatever reaches it.
+// acknowledges whatever reaches it — as a miss the first time it sees a body
+// and as a hit from then on, which is all the door's front index looks at.
 type countingShard struct {
 	calls atomic.Uint64
+	mu    sync.Mutex
+	seen  map[string]bool
 }
 
 func (s *countingShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.calls.Add(1)
+	body, _ := io.ReadAll(r.Body)
+	s.mu.Lock()
+	status := "miss"
+	if s.seen[r.URL.Path+string(body)] {
+		status = "hit"
+	} else if s.seen == nil {
+		s.seen = make(map[string]bool)
+	}
+	s.seen[r.URL.Path+string(body)] = true
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(service.CacheStatusHeader, status)
 	w.Write([]byte("{}\n"))
 }
 
@@ -33,7 +49,9 @@ var fuzzPaths = []string{"/schedule", "/evaluate", "/tune", "/schedule/batch"}
 //  2. a body the service decoders reject is refused at the door with a 400
 //     and reaches NO shard — malformed input must never occupy a worker;
 //  3. a body that decodes is forwarded, and for the single-fingerprint
-//     endpoints it reaches exactly the shard RouteFingerprint owns.
+//     endpoints it reaches exactly the shard RouteFingerprint owns;
+//  4. a repeat of such a body reaches the same shard every time, and from
+//     the third sighting on the door routes it without decoding it.
 func FuzzRouteRequest(f *testing.F) {
 	for i := range fuzzPaths {
 		f.Add(byte(i), []byte(nil))
@@ -86,6 +104,9 @@ func FuzzRouteRequest(f *testing.F) {
 			if reached != 0 {
 				t.Fatalf("%s: undecodable body reached %d shard calls; the door must stop it", path, reached)
 			}
+			if again := do(c, http.MethodPost, path, body); again.Code != rec.Code || !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+				t.Fatalf("%s: a rejected body was answered differently on a repeat: %d %s", path, again.Code, again.Body.String())
+			}
 			return
 		}
 		if rec.Code == http.StatusBadRequest {
@@ -97,15 +118,34 @@ func FuzzRouteRequest(f *testing.F) {
 		if reached != 1 {
 			t.Fatalf("%s: decodable body made %d shard calls, want exactly 1", path, reached)
 		}
-		fp, _, err := map[string]func([]byte) (service.Fingerprint, int, error){
-			"/schedule": decodeScheduleFP, "/evaluate": decodeEvaluateFP, "/tune": decodeTuneFP,
-		}[path](body)
-		if err != nil {
-			t.Fatal(err)
+		var fp service.Fingerprint
+		for _, ep := range service.CachedEndpoints() {
+			if ep.Path() == path {
+				d, err := ep.Decode(bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp = d.Fingerprint()
+				d.Release()
+			}
 		}
 		want := RouteFingerprint(fp, len(shards))
 		if shards[want].calls.Load() != 1 {
 			t.Fatalf("%s: request did not land on the owning shard %d", path, want)
+		}
+		// The second sighting comes back a hit and is admitted; the third and
+		// fourth are routed from the front index.
+		for range 3 {
+			if rec := do(c, http.MethodPost, path, body); rec.Code != http.StatusOK {
+				t.Fatalf("%s: repeat got %d: %s", path, rec.Code, rec.Body.String())
+			}
+		}
+		if got := shards[want].calls.Load(); got != 4 {
+			t.Fatalf("%s: owning shard %d served %d of 4 sightings", path, want, got)
+		}
+		if st := coordStats(t, c); st.Door.BodyHits != 2 || st.Door.Requests != 4 || st.Door.Rejected != 0 {
+			t.Fatalf("%s: door counted %d body hits of %d requests (%d rejected), want 2 of 4 (0)",
+				path, st.Door.BodyHits, st.Door.Requests, st.Door.Rejected)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 )
 
 // Proxy adapts a remote worker (a standalone ftserved reachable over HTTP)
@@ -19,6 +20,21 @@ type Proxy struct {
 	Client *http.Client
 }
 
+// closeSignal tells when the transport has closed a request body. A
+// RoundTripper may still be reading the body after the response has
+// arrived, and an http.Handler must be done with r.Body when it returns —
+// the coordinator recycles the buffer behind it.
+type closeSignal struct {
+	io.Reader
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (b *closeSignal) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return nil
+}
+
 // ServeHTTP implements http.Handler.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	client := p.Client
@@ -26,12 +42,18 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		client = http.DefaultClient
 	}
 	url := strings.TrimSuffix(p.Base, "/") + r.URL.Path
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, r.Body)
+	body := &closeSignal{Reader: r.Body, closed: make(chan struct{})}
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, body)
 	if err != nil {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadGateway)
 		return
 	}
+	// NewRequest cannot size a body of a type it does not know, and an
+	// unsized body goes out chunked.
+	req.ContentLength = r.ContentLength
 	req.Header = r.Header.Clone()
+	// The client closes the body on every path, errors included.
+	defer func() { <-body.closed }()
 	resp, err := client.Do(req)
 	if err != nil {
 		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusBadGateway)

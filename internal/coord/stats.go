@@ -21,6 +21,10 @@ type DoorStats struct {
 	// merged view's batch_requests instead counts the per-shard sub-batch
 	// envelopes the split produced.
 	BatchRequests uint64 `json:"batch_requests"`
+	// BodyHits counts the requests the door routed from its body-digest
+	// front index, without decoding them. It is the door's own count; the
+	// merged view's body_hits sums what the shards answered from theirs.
+	BodyHits uint64 `json:"body_hits"`
 }
 
 // Stats is the body of the coordinator's GET /stats: the door's own
@@ -57,6 +61,7 @@ func MergeShardStats(per []service.Stats) service.Stats {
 		m.CacheHits += s.CacheHits
 		m.CacheMisses += s.CacheMisses
 		m.SingleflightShared += s.SingleflightShared
+		m.BodyHits += s.BodyHits
 		m.CacheEntries += s.CacheEntries
 		m.Rejected += s.Rejected
 		m.ClientErrors += s.ClientErrors
@@ -115,6 +120,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Requests:      c.requests.Load(),
 			Rejected:      c.rejected.Load(),
 			BatchRequests: c.batchRequests.Load(),
+			BodyHits:      c.bodyHits.Load(),
 		},
 		PerShard: make([]service.Stats, len(c.shards)),
 	}

@@ -321,6 +321,22 @@ func TestJSONRejectsBadGraphs(t *testing.T) {
 	}
 }
 
+// TestJSONForgetsPreviousPayload: the decode scratch is recycled, and an edge
+// that omits a field must read the field as zero, not as what an earlier
+// graph left at the same index.
+func TestJSONForgetsPreviousPayload(t *testing.T) {
+	var warm, g Graph
+	if err := json.Unmarshal([]byte(`{"name":"w","tasks":4,"edges":[{"src":2,"dst":3,"volume":7}]}`), &warm); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(`{"name":"x","tasks":4,"edges":[{"dst":1}]}`), &g); err != nil {
+		t.Fatal(err)
+	}
+	if ss := g.SortedSuccs(0); len(ss) != 1 || ss[0].To != 1 || ss[0].Volume != 0 || g.NumEdges() != 1 {
+		t.Fatalf("edge {dst:1} decoded as %v (%d edges), want 0→1 volume 0", ss, g.NumEdges())
+	}
+}
+
 func TestSortedSuccs(t *testing.T) {
 	g := NewWithTasks("s", 4)
 	g.MustAddEdge(0, 3, 1)

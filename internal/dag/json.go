@@ -46,6 +46,10 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 		in.Name, in.Tasks, in.Edges = "", 0, in.Edges[:0]
 		graphScratchPool.Put(in)
 	}()
+	// encoding/json reuses the slice elements within capacity as they are:
+	// zero them, or an edge that omits a field (or is null) would keep what
+	// the previous payload left at its index.
+	clear(in.Edges[:cap(in.Edges)])
 	in.Name, in.Tasks, in.Edges = "", 0, in.Edges[:0]
 	if err := json.Unmarshal(data, in); err != nil {
 		return fmt.Errorf("dag: decoding graph: %w", err)

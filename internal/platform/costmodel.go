@@ -202,7 +202,7 @@ func (cm *CostModel) MarshalJSON() ([]byte, error) {
 func (cm *CostModel) UnmarshalJSON(data []byte) error {
 	in := struct {
 		Cost [][]float64 `json:"cost"`
-	}{Cost: cm.cost[:0]}
+	}{Cost: recycleRows(cm.cost)}
 	cm.cost = nil
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("platform: decoding cost model: %w", err)

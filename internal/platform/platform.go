@@ -193,7 +193,7 @@ func (p *Platform) MarshalJSON() ([]byte, error) {
 // capacities suffice), so a pooled platform decoding same-sized payloads back
 // to back stops allocating. On any error the receiver is left empty.
 func (p *Platform) UnmarshalJSON(data []byte) error {
-	in := platformJSON{Delay: p.delay[:0]}
+	in := platformJSON{Delay: recycleRows(p.delay)}
 	p.m, p.delay = 0, nil
 	if err := json.Unmarshal(data, &in); err != nil {
 		return fmt.Errorf("platform: decoding: %w", err)
@@ -220,6 +220,20 @@ func (p *Platform) UnmarshalJSON(data []byte) error {
 	}
 	p.m, p.delay = m, in.Delay
 	return nil
+}
+
+// recycleRows empties a matrix for json.Unmarshal to decode into.
+// encoding/json reuses the slice elements within capacity as they are, so
+// without this a null row or a null entry would keep the value the previous
+// payload left there, and one body could decode to two different matrices.
+func recycleRows(rows [][]float64) [][]float64 {
+	rows = rows[:cap(rows)]
+	for i, row := range rows {
+		row = row[:cap(row)]
+		clear(row)
+		rows[i] = row[:0]
+	}
+	return rows[:0]
 }
 
 // WriteTo serializes p as indented JSON.

@@ -150,13 +150,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The envelope is now len(items) logical requests.
 	s.requests.Add(uint64(len(items)))
 	s.batchItems.Add(uint64(len(items)))
-	seen := make(map[string]bool)
+	var scheds schedSet
 	for _, it := range items {
-		if name := it.canonicalScheduler(); !seen[name] {
-			seen[name] = true
-			s.countScheduler(name)
-		}
+		scheds |= s.schedBit(it.canonicalScheduler())
 	}
+	s.countSchedulers(scheds)
 
 	// Serve phase 1: resolve what the cache already holds. Misses are
 	// collected per distinct fingerprint so repeated items cost one

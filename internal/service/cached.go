@@ -1,0 +1,306 @@
+package service
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"sync/atomic"
+	"time"
+)
+
+// Endpoint is one of the fingerprint-cached POST endpoints (/schedule,
+// /evaluate, /tune). They differ only in how a body decodes and what it
+// computes; everything around that — body buffering, the body-digest front
+// index, guards, counters, cache, singleflight, pool — is one path, which
+// the server mounts once per Endpoint and the coordinator's door joins
+// through ServeDecoded.
+type Endpoint struct {
+	path string
+	// opName names the computation in a 500 body ("scheduling failed: …").
+	opName string
+	// counter picks the endpoint's share of Stats.Requests; nil for
+	// /schedule, which has no counter of its own.
+	counter func(*Server) *atomic.Uint64
+	decode  func(io.Reader) (*Decoded, error)
+}
+
+var cachedEndpoints = []*Endpoint{
+	{path: "/schedule", opName: "scheduling", decode: decodeSchedule},
+	{path: "/evaluate", opName: "evaluation", decode: decodeEvaluate,
+		counter: func(s *Server) *atomic.Uint64 { return &s.evaluateRequests }},
+	{path: "/tune", opName: "tuning", decode: decodeTune,
+		counter: func(s *Server) *atomic.Uint64 { return &s.tuneRequests }},
+}
+
+// CachedEndpoints lists the fingerprint-cached POST endpoints in
+// documentation order.
+func CachedEndpoints() []*Endpoint { return cachedEndpoints }
+
+// Path is the endpoint's route, e.g. "/schedule".
+func (e *Endpoint) Path() string { return e.path }
+
+// Digest takes the body digest the endpoint's front index is keyed by.
+func (e *Endpoint) Digest(body []byte) BodyDigest { return digestBody(e.path, body) }
+
+// Decode reads, validates and fingerprints one request body. The error is
+// safe to echo to the client. A successful result owns pooled storage: pass
+// it to a Server's ServeDecoded, or call Release.
+func (e *Endpoint) Decode(body io.Reader) (*Decoded, error) {
+	d, err := e.decode(body)
+	if err != nil {
+		return nil, err
+	}
+	d.ep = e
+	return d, nil
+}
+
+// Decoded is a decoded, validated and fingerprinted request of one cached
+// endpoint: everything a server needs to guard, count and serve it without
+// seeing the body again.
+type Decoded struct {
+	ep    *Endpoint
+	fp    Fingerprint
+	tasks int
+	// schedulers are the canonical registry names the request counts toward
+	// in Stats.SchedulerRequests; repeats are harmless.
+	schedulers []string
+	// guard applies the serving server's per-endpoint limits; nil when the
+	// endpoint has none beyond MaxTasks.
+	guard   func(*Config) error
+	compute func(*Server) ([]byte, error)
+	// release returns pooled request storage; nil when nothing is pooled.
+	release func()
+	// describe renders the verbose log's request summary. It reads the
+	// request, so it must run before release.
+	describe func() string
+}
+
+// Fingerprint is the request's canonical cache key and routing input.
+func (d *Decoded) Fingerprint() Fingerprint { return d.fp }
+
+// Tasks is the instance's task count, for a MaxTasks guard.
+func (d *Decoded) Tasks() int { return d.tasks }
+
+// Release returns the request's pooled storage. Call it only for a Decoded
+// that is not handed to ServeDecoded, which takes the ownership over.
+func (d *Decoded) Release() {
+	if d.release != nil {
+		d.release()
+	}
+}
+
+func decodeSchedule(body io.Reader) (*Decoded, error) {
+	// Decode into a pooled request: the graph lands in a recycled adjacency
+	// arena, so the warm decode path allocates nothing proportional to the
+	// instance. Nothing built from the request outlives its compute (the
+	// response cache stores bytes, the bottom-level memo float slices), but
+	// the compute itself may outlive the handler when the client disconnects
+	// — serveCached owns the release via its cleanup hook.
+	req := AcquireScheduleRequest()
+	if err := DecodeScheduleRequestInto(req, body); err != nil {
+		ReleaseScheduleRequest(req)
+		return nil, err
+	}
+	return &Decoded{
+		fp:         RequestFingerprint(req),
+		tasks:      req.Graph.NumTasks(),
+		schedulers: []string{req.canonicalScheduler()},
+		compute:    func(s *Server) ([]byte, error) { return s.schedule(req) },
+		release:    func() { ReleaseScheduleRequest(req) },
+		describe:   req.describe,
+	}, nil
+}
+
+func decodeEvaluate(body io.Reader) (*Decoded, error) {
+	req, err := DecodeEvaluateRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	return &Decoded{
+		fp:         EvaluateFingerprint(req),
+		tasks:      req.Graph.NumTasks(),
+		schedulers: []string{req.canonicalScheduler()},
+		guard: func(cfg *Config) error {
+			if req.Trials > cfg.MaxTrials {
+				return fmt.Errorf("request asks for %d trials, this server accepts at most %d", req.Trials, cfg.MaxTrials)
+			}
+			return nil
+		},
+		compute:  func(s *Server) ([]byte, error) { return s.evaluate(req) },
+		describe: req.describe,
+	}, nil
+}
+
+func decodeTune(body io.Reader) (*Decoded, error) {
+	req, err := DecodeTuneRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	// A tune request sweeps the registry: attribute it to every scheduler in
+	// its grid, so the /stats table shows which schedulers the search
+	// traffic exercises.
+	cands := req.candidates()
+	schedulers := make([]string, len(cands))
+	for i, c := range cands {
+		schedulers[i] = c.Scheduler
+	}
+	return &Decoded{
+		fp:         TuneFingerprint(req),
+		tasks:      req.Graph.NumTasks(),
+		schedulers: schedulers,
+		guard: func(cfg *Config) error {
+			if req.Trials > cfg.MaxTrials {
+				return fmt.Errorf("request asks for %d trials per candidate, this server accepts at most %d",
+					req.Trials, cfg.MaxTrials)
+			}
+			if len(cands) > cfg.MaxCandidates {
+				return fmt.Errorf("request derives %d candidates, this server accepts at most %d",
+					len(cands), cfg.MaxCandidates)
+			}
+			return nil
+		},
+		compute: func(s *Server) ([]byte, error) { return s.tuneFn(req) },
+		describe: func() string {
+			return fmt.Sprintf("candidates=%d trials=%d tasks=%d procs=%d",
+				len(cands), req.Trials, req.Graph.NumTasks(), req.Platform.NumProcs())
+		},
+	}, nil
+}
+
+// bodyAlias is what the front index retains per admitted body: the
+// canonical cache key the body decoded to, and the per-scheduler counters a
+// decoded request would bump — enough to replay a hit without the request.
+type bodyAlias struct {
+	fp     Fingerprint
+	scheds schedSet
+}
+
+// errReader fails every Read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// handleCached mounts one cached endpoint: buffer the body, try the front
+// index, otherwise decode and join serveDecoded.
+func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.countRequest(ep)
+		start := time.Now()
+		buf, readErr := AcquireBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+		defer ReleaseBody(buf)
+		var (
+			body   io.Reader = bytes.NewReader(buf.Bytes())
+			digest BodyDigest
+		)
+		if readErr == nil {
+			digest = ep.Digest(buf.Bytes())
+			if s.serveFront(w, r, ep, digest, start) {
+				return
+			}
+		} else {
+			// The decoder sees what it would have seen reading the
+			// connection itself — the bytes, then the error — so a truncated
+			// or oversized body keeps its status and message.
+			body = io.MultiReader(body, errReader{readErr})
+		}
+		d, err := ep.Decode(body)
+		if err != nil {
+			s.writeError(w, decodeErrorStatus(err), err)
+			return
+		}
+		s.serveDecoded(w, r, d, digest, readErr == nil, start)
+	}
+}
+
+// serveFront answers a byte-identical repeat from the front index: if the
+// body's digest aliases a canonical fingerprint whose entry is still cached,
+// replay exactly what the decoded hit path does — counters, LRU promotion,
+// bytes, header, latency sample — without decoding or fingerprinting. It
+// reports false, having written nothing, when the request must take the
+// decode path.
+func (s *Server) serveFront(w http.ResponseWriter, r *http.Request, ep *Endpoint, digest BodyDigest, start time.Time) bool {
+	alias, ok := s.front.Get(digest)
+	if !ok {
+		return false
+	}
+	v, hit := s.cache.Get(alias.fp)
+	if !hit {
+		// The entry was evicted; the alias is dead weight until the body is
+		// decoded, recomputed and seen again.
+		s.front.Delete(digest)
+		return false
+	}
+	s.countSchedulers(alias.scheds)
+	s.hits.Add(1)
+	s.bodyHits.Add(1)
+	s.writeCachedResponse(w, v.([]byte), "hit")
+	s.observeLatency(start)
+	if s.cfg.Log != nil {
+		s.logRequest(r, ep.path, fmt.Sprintf("fp=%x", alias.fp[:4]), "hit", start)
+	}
+	return true
+}
+
+// ServeDecoded serves a request another layer of this process has already
+// decoded — the coordinator's door, which decodes to route and would
+// otherwise make the shard decode the same bytes again. It counts and
+// serves the request exactly as if the server had decoded it itself, and
+// takes ownership of d's pooled storage. digest is the body's digest under
+// d's endpoint, so that a repeat reaching the server as raw bytes finds the
+// alias this call admits.
+//
+// Only pass a Decoded this process produced: a fingerprint is trusted as the
+// cache key, which is why a remote shard behind a Proxy is sent the bytes
+// and decodes them itself.
+func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest) {
+	s.countRequest(d.ep)
+	s.serveDecoded(w, r, d, digest, true, time.Now())
+}
+
+// serveDecoded is the part of a cached request after the decode: guards,
+// per-scheduler counters, then the cache → singleflight → pool flow. A body
+// is admitted to the front index only here and only once it has been served
+// as a hit, so every alias has passed every guard and never-repeating
+// traffic stores nothing. hashed is false when no digest of the whole body
+// exists (the read failed after a complete JSON document).
+func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest, hashed bool, start time.Time) {
+	var err error
+	if s.cfg.MaxTasks > 0 && d.tasks > s.cfg.MaxTasks {
+		err = fmt.Errorf("instance has %d tasks, this server accepts at most %d", d.tasks, s.cfg.MaxTasks)
+	} else if d.guard != nil {
+		err = d.guard(&s.cfg)
+	}
+	if err != nil {
+		d.Release()
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	var scheds schedSet
+	for _, name := range d.schedulers {
+		scheds |= s.schedBit(name)
+	}
+	s.countSchedulers(scheds)
+	desc := ""
+	if s.cfg.Log != nil {
+		desc = d.describe() // before serveCached: the cleanup hook may release the request
+	}
+
+	cacheStatus, ok := s.serveCached(w, r, d.fp, d.ep.opName,
+		func() ([]byte, error) { return d.compute(s) }, d.release)
+	if !ok {
+		return
+	}
+	if hashed && cacheStatus == "hit" {
+		s.front.Put(digest, bodyAlias{fp: d.fp, scheds: scheds})
+	}
+	s.observeLatency(start)
+	s.logRequest(r, d.ep.path, desc, cacheStatus, start)
+}
+
+func (s *Server) countRequest(ep *Endpoint) {
+	s.requests.Add(1)
+	if ep.counter != nil {
+		ep.counter(s).Add(1)
+	}
+}

@@ -30,7 +30,7 @@
 //   - GET /stats reports cache hit rate, per-endpoint and per-scheduler
 //     counters, queue depth and p50/p99 latency.
 //
-// Three mechanisms make the service production-shaped:
+// Four mechanisms make the service production-shaped:
 //
 //   - A bounded worker pool (Pool): one scheduling goroutine per core by
 //     default, with a bounded queue in front. When the queue is full the
@@ -43,6 +43,19 @@
 //     hit returns the exact bytes a fresh run would produce; repeated
 //     requests — the common case under heavy traffic — skip scheduling
 //     entirely.
+//   - A body-digest front index (BodyIndex) in front of that cache. Decoding
+//     a paper-sized body costs several times an FTSA solve, and a cache hit
+//     would pay it just to find its key; so the handlers of the cached
+//     endpoints (Endpoint) read the body once into a pooled buffer, take a
+//     128-bit process-keyed digest of the raw bytes (BodyDigest) and, when
+//     the index maps it to a fingerprint whose entry is still cached, replay
+//     the hit — same bytes, header and counters — without decoding. A body
+//     is admitted only after it decoded, passed every guard and was served
+//     as a hit, so every alias points at a canonical entry and traffic that
+//     never repeats stores nothing. The coordinator's door keeps the same
+//     index for routing and hands the requests it does decode to in-process
+//     shards through Server.ServeDecoded, so a sharded request is decoded
+//     at most once.
 //   - A second, instance-keyed cache of static bottom levels bℓ(t). The
 //     criticalness priority depends only on (graph, costs, platform), so two
 //     cache-miss requests that differ merely in scheduler, ε or seed share
@@ -53,4 +66,16 @@
 // deterministic task-ID order or the request's explicit seed, and the seed
 // participates in the fingerprint. That purity is what makes byte-exact
 // caching sound.
+//
+// # Threat model of the cache
+//
+// The canonical fingerprint — cache key, routing input, mission id — is an
+// unkeyed 128-bit FNV-1a, and a hit is served unverified: the bytes under the
+// key are the response. FNV-1a does not resist a deliberate collision search,
+// so the service assumes clients that do not attack each other; mutually
+// distrusting tenants must not share a server or its cache. The front index
+// does not widen that: its digest is keyed with seeds drawn per process and
+// never exposed, it is never a cache key, a route or an id, and an entry is
+// only ever created for a body that was itself decoded and validated, and
+// only ever points at the canonical entry that body's own fingerprint names.
 package service

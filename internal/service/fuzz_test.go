@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"net/http"
 	"strings"
 	"testing"
 )
@@ -80,12 +81,34 @@ var fuzzSeedBodies = []string{
 // FuzzDecodePayload proves malformed input never panics either endpoint's
 // decoder: every outcome must be a clean (request, nil) or (nil, error), and
 // an accepted request must survive fingerprinting (the next thing the
-// handler does with it).
+// handler does with it). Through a live server it also proves the front
+// index changes no answer: a body gets the same status and bytes however
+// often it is sent, and one that was ever refused is never admitted.
 func FuzzDecodePayload(f *testing.F) {
 	for _, seed := range fuzzSeedBodies {
 		f.Add([]byte(seed))
 	}
+	// Tight guards keep a mutated request from buying a long computation.
+	srv := New(Config{MaxTasks: 64, MaxTrials: 64, MaxCandidates: 32})
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ep := range cachedEndpoints {
+			first := doServer(srv, http.MethodPost, ep.path, body)
+			frontHits := srv.bodyHits.Load()
+			for k := 2; k <= 3; k++ {
+				rec := doServer(srv, http.MethodPost, ep.path, body)
+				if rec.Code != first.Code || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+					t.Fatalf("%s POST %d: %d %q, first POST: %d %q",
+						ep.path, k, rec.Code, rec.Body.String(), first.Code, first.Body.String())
+				}
+			}
+			if first.Code == http.StatusOK {
+				continue
+			}
+			if _, admitted := srv.front.Get(ep.Digest(body)); admitted || srv.bodyHits.Load() != frontHits {
+				t.Fatalf("%s: a body answered %d reached the front index", ep.path, first.Code)
+			}
+		}
 		if req, err := DecodeScheduleRequest(bytes.NewReader(body)); err == nil {
 			if req == nil {
 				t.Fatal("DecodeScheduleRequest returned nil, nil")

@@ -209,7 +209,7 @@ func (s *Server) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.countScheduler(req.canonicalScheduler())
+	s.countSchedulers(s.schedBit(req.canonicalScheduler()))
 	id := MissionID(MissionFingerprint(req))
 
 	s.missionMu.Lock()

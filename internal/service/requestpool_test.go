@@ -46,6 +46,24 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 		mutate(func(b map[string]any) { b["epsilon"] = -1 }),
 		string(valid), // valid again after a parade of rejects
 	}
+	// Omitted and null pieces must read as zero values, not as what the
+	// previous payload left in the recycled storage at the same index.
+	respell := func(old, new string) string {
+		if !strings.Contains(string(valid), old) {
+			t.Fatalf("test body no longer contains %q", old)
+		}
+		return strings.Replace(string(valid), old, new, 1)
+	}
+	for _, body := range []string{
+		respell(`{"src":1,"dst":3,"volume":1}`, `{"dst":3,"volume":1}`),
+		respell(`{"src":1,"dst":3,"volume":1}`, `null`),
+		respell(`[0.5,0,0.5]`, `[null,0,0.5]`),
+		respell(`"delay":[[0,0.5,0.5],`, `"delay":[null,`),
+		respell(`"cost":[[`, `"cost":[[null,`),
+		respell(`"cost":[[`, `"cost":[null,[`),
+	} {
+		bodies = append(bodies, body, string(valid))
+	}
 	req := AcquireScheduleRequest()
 	defer ReleaseScheduleRequest(req)
 	for i, body := range bodies {

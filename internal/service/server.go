@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/bits"
 	"math/rand"
 	"net/http"
 	"sync"
@@ -84,6 +85,11 @@ type Server struct {
 	pool    *Pool
 	cache   *Cache // Fingerprint → []byte (serialized response)
 	blCache *Cache // instance Fingerprint → []float64 (static bottom levels)
+	// front aliases the digests of bodies already served as hits to their
+	// entries in cache, so a byte-identical repeat is answered without a
+	// decode. Bounded by cfg.CacheEntries: an alias is only useful while its
+	// entry is cached.
+	front *BodyIndex[bodyAlias]
 
 	// schedule, evaluate and tuneFn compute the response bytes for a
 	// validated request of the respective endpoint. They are fields so tests
@@ -102,6 +108,7 @@ type Server struct {
 	hits               atomic.Uint64
 	misses             atomic.Uint64
 	singleflightShared atomic.Uint64
+	bodyHits           atomic.Uint64
 	rejected           atomic.Uint64
 	clientErrors       atomic.Uint64
 	internalErrors     atomic.Uint64
@@ -123,11 +130,14 @@ type Server struct {
 	flightMu sync.Mutex
 	flights  map[Fingerprint]*flight
 
-	// schedMu guards schedReqs, the per-scheduler request counts reported
-	// by GET /stats (keyed by canonical registry name; every well-formed
-	// /schedule request counts, hits and misses alike).
-	schedMu   sync.Mutex
-	schedReqs map[string]uint64
+	// schedReqs are the per-scheduler request counts reported by GET /stats
+	// (every well-formed request counts, hits and misses alike), one counter
+	// per canonical registry name: schedNames[i] ↔ schedReqs[i], schedIndex
+	// the inverse. The registry is closed once init has run, so the table is
+	// built once in New and read without a lock.
+	schedNames []string
+	schedIndex map[string]int
+	schedReqs  []atomic.Uint64
 
 	latMu sync.Mutex
 	lat   *stats.Window
@@ -162,24 +172,36 @@ func New(cfg Config) *Server {
 	if cfg.MaxMissions <= 0 {
 		cfg.MaxMissions = 1024
 	}
+	names := sched.Names()
+	if len(names) > 64 {
+		// Like a name collision in sched.Register, this is a property of the
+		// binary, not of any input: widen schedSet before registering more.
+		panic(fmt.Sprintf("service.New: %d registered schedulers, schedSet holds 64", len(names)))
+	}
 	s := &Server{
-		cfg:       cfg,
-		mux:       http.NewServeMux(),
-		pool:      NewPool(cfg.Workers, cfg.Queue),
-		cache:     NewCache(cfg.CacheEntries, cfg.CacheShards),
-		blCache:   NewCache(cfg.BottomLevelEntries, 4),
-		flights:   make(map[Fingerprint]*flight),
-		missions:  make(map[string]*missionState),
-		schedReqs: make(map[string]uint64),
-		lat:       stats.NewWindow(cfg.LatencyWindow),
+		cfg:        cfg,
+		mux:        http.NewServeMux(),
+		pool:       NewPool(cfg.Workers, cfg.Queue),
+		cache:      NewCache(cfg.CacheEntries, cfg.CacheShards),
+		blCache:    NewCache(cfg.BottomLevelEntries, 4),
+		front:      NewBodyIndex[bodyAlias](cfg.CacheEntries, cfg.CacheShards),
+		flights:    make(map[Fingerprint]*flight),
+		missions:   make(map[string]*missionState),
+		schedNames: names,
+		schedIndex: make(map[string]int, len(names)),
+		schedReqs:  make([]atomic.Uint64, len(names)),
+		lat:        stats.NewWindow(cfg.LatencyWindow),
+	}
+	for i, name := range names {
+		s.schedIndex[name] = i
 	}
 	s.schedule = s.runSchedule
 	s.evaluate = s.runEvaluate
 	s.tuneFn = s.runTune
-	s.mux.HandleFunc("POST /schedule", s.handleSchedule)
+	for _, ep := range cachedEndpoints {
+		s.mux.HandleFunc("POST "+ep.path, s.handleCached(ep))
+	}
 	s.mux.HandleFunc("POST /schedule/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /evaluate", s.handleEvaluate)
-	s.mux.HandleFunc("POST /tune", s.handleTune)
 	s.mux.HandleFunc("POST /missions", s.handleMissionCreate)
 	s.mux.HandleFunc("GET /missions/{id}", s.handleMissionGet)
 	s.mux.HandleFunc("GET /missions/{id}/events", s.handleMissionEvents)
@@ -224,21 +246,26 @@ func writeErrorBody(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// decodeRequest is the request prologue every POST endpoint shares: bound
-// the body, decode (400 on malformed input, 413 past the body limit) and
-// apply the instance-size guard. ok is false when an error response was
-// written.
+// decodeErrorStatus is the status of a body that did not decode: 413 when
+// the decoder ran into the body limit, 400 for everything else.
+func decodeErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// decodeRequest is the request prologue of the POST endpoints that are not
+// an Endpoint (/schedule/batch, /missions): bound the body, decode (400 on
+// malformed input, 413 past the body limit) and apply the instance-size
+// guard. ok is false when an error response was written.
 func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request,
 	decode func(io.Reader) (T, error), tasks func(T) int) (req T, ok bool) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	req, err := decode(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, status, err)
+		s.writeError(w, decodeErrorStatus(err), err)
 		return req, false
 	}
 	if n := tasks(req); s.cfg.MaxTasks > 0 && n > s.cfg.MaxTasks {
@@ -247,115 +274,6 @@ func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request,
 		return req, false
 	}
 	return req, true
-}
-
-func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	start := time.Now()
-	// Decode into a pooled request: the graph lands in a recycled adjacency
-	// arena, so the warm decode path allocates nothing proportional to the
-	// instance. Nothing built from the request outlives its compute (the
-	// response cache stores bytes, the bottom-level memo float slices), but
-	// the compute itself may outlive this handler when the client
-	// disconnects — serveCached owns the release via its cleanup hook once
-	// decoding has succeeded.
-	req := AcquireScheduleRequest()
-	req, ok := decodeRequest(s, w, r,
-		func(body io.Reader) (*ScheduleRequest, error) {
-			if err := DecodeScheduleRequestInto(req, body); err != nil {
-				return nil, err
-			}
-			return req, nil
-		},
-		func(req *ScheduleRequest) int { return req.Graph.NumTasks() })
-	if !ok {
-		ReleaseScheduleRequest(req)
-		return
-	}
-	s.countScheduler(req.canonicalScheduler())
-	desc := ""
-	if s.cfg.Log != nil {
-		desc = req.describe() // before serveCached: the cleanup hook may release req
-	}
-
-	cacheStatus, ok := s.serveCached(w, r, RequestFingerprint(req), "scheduling",
-		func() ([]byte, error) { return s.schedule(req) },
-		func() { ReleaseScheduleRequest(req) })
-	if !ok {
-		return
-	}
-	s.observeLatency(start)
-	s.logRequest(r, "/schedule", desc, cacheStatus, start)
-}
-
-func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.evaluateRequests.Add(1)
-	start := time.Now()
-	req, ok := decodeRequest(s, w, r, DecodeEvaluateRequest,
-		func(req *EvaluateRequest) int { return req.Graph.NumTasks() })
-	if !ok {
-		return
-	}
-	if req.Trials > s.cfg.MaxTrials {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("request asks for %d trials, this server accepts at most %d", req.Trials, s.cfg.MaxTrials))
-		return
-	}
-	s.countScheduler(req.canonicalScheduler())
-
-	cacheStatus, ok := s.serveCached(w, r, EvaluateFingerprint(req), "evaluation",
-		func() ([]byte, error) { return s.evaluate(req) }, nil)
-	if !ok {
-		return
-	}
-	s.observeLatency(start)
-	s.logRequest(r, "/evaluate", req.describe(), cacheStatus, start)
-}
-
-func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.tuneRequests.Add(1)
-	start := time.Now()
-	req, ok := decodeRequest(s, w, r, DecodeTuneRequest,
-		func(req *TuneRequest) int { return req.Graph.NumTasks() })
-	if !ok {
-		return
-	}
-	if req.Trials > s.cfg.MaxTrials {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("request asks for %d trials per candidate, this server accepts at most %d",
-				req.Trials, s.cfg.MaxTrials))
-		return
-	}
-	cands := req.candidates()
-	if len(cands) > s.cfg.MaxCandidates {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("request derives %d candidates, this server accepts at most %d",
-				len(cands), s.cfg.MaxCandidates))
-		return
-	}
-	// A tune request sweeps the registry: attribute it to every scheduler
-	// in its grid, so the /stats table shows which schedulers the search
-	// traffic exercises.
-	seen := make(map[string]bool)
-	for _, c := range cands {
-		if !seen[c.Scheduler] {
-			seen[c.Scheduler] = true
-			s.countScheduler(c.Scheduler)
-		}
-	}
-
-	cacheStatus, ok := s.serveCached(w, r, TuneFingerprint(req), "tuning",
-		func() ([]byte, error) { return s.tuneFn(req) }, nil)
-	if !ok {
-		return
-	}
-	s.observeLatency(start)
-	s.logRequest(r, "/tune",
-		fmt.Sprintf("candidates=%d trials=%d tasks=%d procs=%d",
-			len(cands), req.Trials, req.Graph.NumTasks(), req.Platform.NumProcs()),
-		cacheStatus, start)
 }
 
 // flight is one in-flight cache-miss computation. The first request for a
@@ -559,11 +477,25 @@ func (s *Server) logRequest(r *http.Request, path, detail, cacheStatus string, s
 		time.Since(start).Round(time.Microsecond))
 }
 
-// countScheduler bumps the per-scheduler request counter under its mutex.
-func (s *Server) countScheduler(name string) {
-	s.schedMu.Lock()
-	s.schedReqs[name]++
-	s.schedMu.Unlock()
+// schedSet is a set of schedulers, as a bit mask over Server.schedNames: the
+// form in which a front-index alias carries the counters to replay.
+type schedSet uint64
+
+// schedBit is the singleton set of a canonical registry name (empty for a
+// name the registry does not know, which validation rules out).
+func (s *Server) schedBit(name string) schedSet {
+	i, ok := s.schedIndex[name]
+	if !ok {
+		return 0
+	}
+	return 1 << i
+}
+
+// countSchedulers bumps the request counter of every scheduler in the set.
+func (s *Server) countSchedulers(set schedSet) {
+	for ; set != 0; set &= set - 1 {
+		s.schedReqs[bits.TrailingZeros64(uint64(set))].Add(1)
+	}
 }
 
 // bottomLevels resolves the instance's static bottom levels through the
@@ -800,10 +732,13 @@ type Stats struct {
 	// response is served. SingleflightShared is the subset of CacheHits that
 	// were served by attaching to an in-flight identical computation
 	// (concurrent duplicates collapsed to one pool job, or repeated items
-	// inside one batch).
+	// inside one batch). BodyHits is the subset of CacheHits answered from
+	// the body-digest front index: byte-identical repeats of a body already
+	// served as a hit, which were neither decoded nor fingerprinted.
 	CacheHits          uint64  `json:"cache_hits"`
 	CacheMisses        uint64  `json:"cache_misses"`
 	SingleflightShared uint64  `json:"singleflight_shared"`
+	BodyHits           uint64  `json:"body_hits"`
 	HitRate            float64 `json:"hit_rate"`
 	// CacheEntries is the current response-cache population.
 	CacheEntries int `json:"cache_entries"`
@@ -850,12 +785,12 @@ type LatencyStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.hits.Load(), s.misses.Load()
-	s.schedMu.Lock()
-	bySched := make(map[string]uint64, len(s.schedReqs))
-	for name, n := range s.schedReqs {
-		bySched[name] = n
+	bySched := make(map[string]uint64, len(s.schedNames))
+	for i, name := range s.schedNames {
+		if n := s.schedReqs[i].Load(); n > 0 {
+			bySched[name] = n
+		}
 	}
-	s.schedMu.Unlock()
 	s.missionMu.Lock()
 	missionCount := len(s.missions)
 	s.missionMu.Unlock()
@@ -870,6 +805,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits:          hits,
 		CacheMisses:        misses,
 		SingleflightShared: s.singleflightShared.Load(),
+		BodyHits:           s.bodyHits.Load(),
 		CacheEntries:       s.cache.Len(),
 		SchedulerRequests:  bySched,
 		Rejected:           s.rejected.Load(),
