@@ -94,18 +94,23 @@ func BenchmarkFigure4Point(b *testing.B) {
 	}
 }
 
-// BenchmarkFigureHarness runs the full experiment harness on a reduced
-// configuration, covering the exact code path of `ftexp -fig 1`.
+// BenchmarkFigureHarness runs the Figure 1 campaign preset and its panel
+// projection on a reduced configuration, covering the exact code path of
+// `ftexp -fig 1`.
 func BenchmarkFigureHarness(b *testing.B) {
-	cfg, err := expt.FigureConfig(1)
+	c, err := expt.FigureCampaign(1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg.Granularities = []float64{1.0}
-	cfg.GraphsPerPoint = 2
+	c.Granularities = []float64{1.0}
+	c.Instances = 2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.Run(cfg); err != nil {
+		res, err := expt.RunCampaign(c, expt.EngineOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := expt.FigurePanels(1, res); err != nil {
 			b.Fatal(err)
 		}
 	}

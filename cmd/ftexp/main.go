@@ -1,10 +1,10 @@
 // Command ftexp runs the experiment layer: parallel campaigns over the
-// (scheduler, ε, granularity, family, instance) grid, plus the legacy
-// paper-figure and table modes.
+// (scheduler, ε, granularity, family, instance) grid — the paper's figures
+// are presets of it — plus three studies that measure what a cell does not
+// carry.
 //
-// Campaign mode (the primary interface — a sharded worker pool with
-// deterministic per-cell seeding, so any -parallel value yields identical
-// aggregates):
+// Campaign mode (a sharded worker pool with deterministic per-cell seeding,
+// so any -parallel value yields identical aggregates):
 //
 //	ftexp -campaign paper                      # Figure 1-3 sweeps in one run
 //	ftexp -campaign paper -parallel 8          # same output, 8 workers
@@ -14,6 +14,7 @@
 //	ftexp -campaign custom -schedulers FTSA,MC-FTSA -eps 1,2 \
 //	      -gran 0.2:2:0.2 -families random,fft -instances 30
 //	ftexp -campaign custom -schedulers ftsa,ftsa-ins -eps 1 -instances 10
+//	ftexp -campaign families                   # X5: the structured families
 //	ftexp -list-schedulers                     # registry names usable above
 //
 // The -evaluate flag adds a failure-scenario dimension to a custom campaign:
@@ -43,24 +44,36 @@
 //	ftexp -campaign tune -gran 1 -eps 1,2 -evaluate exp:0.0002 \
 //	      -worst-case 1 -robust
 //
-// Legacy paper modes:
+// The paper's figures are campaign presets projected onto the paper's panels
+// and legends, so they take -parallel, -checkpoint/-resume and -progress
+// like any campaign; every preset honours -instances, -gran and -seed:
 //
 //	ftexp -fig 1                 # Figure 1 (ε=1, m=20): bounds, crash, overhead panels
-//	ftexp -fig 3 -graphs 20      # Figure 3 with a reduced batch for quick runs
+//	ftexp -fig 3 -instances 20   # Figure 3 with a reduced batch for quick runs
 //	ftexp -fig 2 -format csv     # CSV instead of the ASCII tables
+//	ftexp -fig 4 -format svg -out plots   # figure4a.svg, figure4b.svg
+//
+// Studies (single-threaded; wall time, strict-matched starvation and
+// comm-model replay are not per-cell metrics):
+//
 //	ftexp -table 1               # Table 1 running-time comparison
 //	ftexp -table 1 -maxtasks 2000
+//	ftexp -x4 -instances 10      # X4: MC-FTSA strict starvation
+//	ftexp -x6 -format csv        # X6: one-port / multi-port replay
 //
 // Output goes to stdout; each panel is prefixed with a '#' title line, so the
 // whole output is valid gnuplot/CSV input after splitting on blank lines.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,206 +85,227 @@ import (
 	"ftsched/internal/tune"
 )
 
-func main() {
-	var (
-		campaign   = flag.String("campaign", "", "run a campaign: 'paper' (Figure 1-3 sweeps) or 'custom' (grid from flags)")
-		parallel   = flag.Int("parallel", 0, "campaign worker count (0 = GOMAXPROCS)")
-		checkpoint = flag.String("checkpoint", "", "campaign JSONL checkpoint file")
-		resume     = flag.Bool("resume", false, "resume the campaign from -checkpoint")
-		progress   = flag.Bool("progress", false, "report campaign progress on stderr")
-		schedulers = flag.String("schedulers", "FTSA,MC-FTSA,FTBAR", "campaign scheduler list (registry names or aliases; see -list-schedulers)")
-		listScheds = flag.Bool("list-schedulers", false, "list the registered schedulers (one per line, with aliases) and exit")
-		epsList    = flag.String("eps", "1,2,5", "campaign ε list")
-		granRange  = flag.String("gran", "0.2:2:0.2", "campaign granularities: 'lo:hi:step' or comma list")
-		families   = flag.String("families", "random", "campaign families (see -campaign custom -families help)")
-		instances  = flag.Int("instances", 60, "campaign instances per grid point")
-		procs      = flag.Int("procs", 20, "campaign platform size")
-		tasks      = flag.String("tasks", "100:150", "campaign random-family task range 'min:max'")
-		evaluate   = flag.String("evaluate", "", "campaign scenario dimension: comma list of specs (uniform:N, exp:LAMBDA, weibull:SHAPE:SCALE, group:SIZE:LAMBDA, burst:N:LAMBDA[:SPREAD], staggered:N:HORIZON, trace:FILE[:xSCALE][:resample]); exactly one spec in -campaign tune")
-		trials     = flag.Int("trials", 0, "fault-injection trials per cell/candidate (requires -evaluate; default 1000)")
-		target     = flag.Float64("target", 0.99, "success-probability target of the -campaign tune recommendation")
-		worstCase  = flag.Int("worst-case", -1, "-campaign tune: adversarial worst-case column, searching the most damaging K-crash pattern per candidate (-1: off)")
-		robust     = flag.Bool("robust", false, "-campaign tune: recommend by adversarial worst case instead of the Monte-Carlo mean (requires -worst-case)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		fig      = flag.Int("fig", 0, "paper figure to regenerate (1-4)")
-		table    = flag.Int("table", 0, "paper table to regenerate (1)")
-		x4       = flag.Bool("x4", false, "run experiment X4 (MC-FTSA strict starvation, finding F1)")
-		x5       = flag.Bool("x5", false, "run experiment X5 (structured-family comparison)")
-		x6       = flag.Bool("x6", false, "run experiment X6 (one-port/multi-port comm models, §7 conjecture)")
-		graphs   = flag.Int("graphs", 0, "override graphs/instances per point (campaigns, figures, -x4, -x6; paper: 60)")
-		seed     = flag.Int64("seed", 1, "master seed; campaign cells derive deterministic per-cell seeds from it")
-		format   = flag.String("format", "ascii", "output format: ascii; csv (campaign, figures, -x4, -x6); json (campaign); svg (campaign, figures)")
-		out      = flag.String("out", ".", "output directory (only used by -format svg)")
-		maxTasks = flag.Int("maxtasks", 5000, "skip -table 1 rows above this task count")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if err := prof.Start(*cpuProf, *memProf); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "ftexp:", err)
+// options is one parsed command line plus the streams it writes to.
+type options struct {
+	campaign              string
+	parallel              int
+	checkpoint            string
+	resume, progress      bool
+	schedulers, eps, gran string
+	families              string
+	instances, procs      int
+	tasks, evaluate       string
+	trials                int
+	target                float64
+	worstCase             int
+	robust                bool
+	fig, table            int
+	x4, x6                bool
+	seed                  int64
+	format, out           string
+	maxTasks              int
+
+	fs             *flag.FlagSet
+	stdout, stderr io.Writer
+}
+
+// errUsage means no mode was selected: print the flag summary, exit 2.
+var errUsage = errors.New("no mode selected")
+
+// run is the whole program behind main, kept re-entrant so tests can drive
+// the binary's exact code path and compare transcripts. It returns the exit
+// status: 0 on success, 1 on a failed or rejected run, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ftexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{fs: fs, stdout: stdout, stderr: stderr}
+	fs.StringVar(&o.campaign, "campaign", "", "run a campaign: 'paper' (Figure 1-3 sweeps), 'families' (X5: structured families), 'custom' (grid from flags) or 'tune'")
+	fs.IntVar(&o.parallel, "parallel", 0, "campaign worker count (0 = GOMAXPROCS)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "campaign JSONL checkpoint file")
+	fs.BoolVar(&o.resume, "resume", false, "resume the campaign from -checkpoint")
+	fs.BoolVar(&o.progress, "progress", false, "report campaign progress on stderr")
+	fs.StringVar(&o.schedulers, "schedulers", "FTSA,MC-FTSA,FTBAR", "campaign scheduler list (registry names or aliases; see -list-schedulers)")
+	listScheds := fs.Bool("list-schedulers", false, "list the registered schedulers (one per line, with aliases) and exit")
+	fs.StringVar(&o.eps, "eps", "1,2,5", "campaign ε list")
+	fs.StringVar(&o.gran, "gran", "0.2:2:0.2", "granularities: 'lo:hi:step' or comma list (presets and figures: the paper's sweep unless set)")
+	fs.StringVar(&o.families, "families", "random", "campaign families (see -campaign custom -families help)")
+	fs.IntVar(&o.instances, "instances", 60, "instances (graphs) per grid point; presets, figures, -x4 and -x6 keep their own default unless set")
+	fs.IntVar(&o.procs, "procs", 20, "campaign platform size")
+	fs.StringVar(&o.tasks, "tasks", "100:150", "campaign random-family task range 'min:max'")
+	fs.StringVar(&o.evaluate, "evaluate", "", "campaign scenario dimension: comma list of specs (uniform:N, exp:LAMBDA, weibull:SHAPE:SCALE, group:SIZE:LAMBDA, burst:N:LAMBDA[:SPREAD], staggered:N:HORIZON, trace:FILE[:xSCALE][:resample]); exactly one spec in -campaign tune")
+	fs.IntVar(&o.trials, "trials", 0, "fault-injection trials per cell/candidate (requires -evaluate; default 1000)")
+	fs.Float64Var(&o.target, "target", 0.99, "success-probability target of the -campaign tune recommendation")
+	fs.IntVar(&o.worstCase, "worst-case", -1, "-campaign tune: adversarial worst-case column, searching the most damaging K-crash pattern per candidate (-1: off)")
+	fs.BoolVar(&o.robust, "robust", false, "-campaign tune: recommend by adversarial worst case instead of the Monte-Carlo mean (requires -worst-case)")
+
+	fs.IntVar(&o.fig, "fig", 0, "paper figure to regenerate (1-4), as a campaign preset")
+	fs.IntVar(&o.table, "table", 0, "paper table to regenerate (1)")
+	fs.BoolVar(&o.x4, "x4", false, "run experiment X4 (MC-FTSA strict starvation, finding F1)")
+	fs.BoolVar(&o.x6, "x6", false, "run experiment X6 (one-port/multi-port comm models, §7 conjecture)")
+	fs.Int64Var(&o.seed, "seed", 1, "master seed; campaign cells derive deterministic per-cell seeds from it")
+	fs.StringVar(&o.format, "format", "ascii", "output format: ascii; csv (campaigns, figures, -x4, -x6); json (campaigns); svg (campaigns, figures)")
+	fs.StringVar(&o.out, "out", ".", "output directory (only used by -format svg)")
+	fs.IntVar(&o.maxTasks, "maxtasks", 5000, "skip -table 1 rows above this task count")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	}()
+		return 2
+	}
 	if *listScheds {
-		sched.WriteSchedulerList(os.Stdout)
-		return
+		sched.WriteSchedulerList(stdout)
+		return 0
 	}
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	if *campaign == "" {
-		// Campaign-only flags are meaningless in the legacy modes; reject
-		// them instead of silently ignoring a sweep the user thinks ran.
-		for _, name := range []string{"parallel", "checkpoint", "resume", "progress",
-			"schedulers", "eps", "gran", "families", "instances", "procs", "tasks",
-			"evaluate", "trials", "target", "worst-case", "robust"} {
-			if setFlags[name] {
-				fatal(fmt.Errorf("-%s only applies to -campaign mode", name))
-			}
+	err := prof.Start(*cpuProf, *memProf)
+	if err == nil {
+		err = o.dispatch()
+		if perr := prof.Stop(); err == nil {
+			err = perr
 		}
 	}
-
 	switch {
-	case *campaign != "":
-		for _, conflict := range []string{"fig", "table", "x4", "x5", "x6"} {
-			if setFlags[conflict] {
-				fatal(fmt.Errorf("-campaign and -%s are separate modes; pass one or the other", conflict))
-			}
+	case errors.Is(err, errUsage):
+		fs.Usage()
+		return 2
+	case err != nil:
+		fmt.Fprintln(stderr, "ftexp:", err)
+		return 1
+	}
+	return 0
+}
+
+// dispatch selects the mode. Each mode lists the flags it reads (only), so
+// passing two modes at once is rejected by whichever comes first here.
+func (o *options) dispatch() error {
+	switch {
+	case o.campaign == "tune":
+		return o.runTuneCampaign()
+	case o.campaign != "" || o.isSet("fig"):
+		return o.runCampaign()
+	case o.isSet("table"):
+		return o.runTable1()
+	case o.x4:
+		cfg := expt.DefaultStarvationConfig()
+		cfg.Seed = o.seed
+		if o.isSet("instances") {
+			cfg.GraphsPerPoint = o.instances
 		}
-		cfg := campaignFlags{
-			preset: *campaign, schedulers: *schedulers, eps: *epsList,
-			gran: *granRange, families: *families, instances: *instances,
-			procs: *procs, tasks: *tasks, seed: *seed, graphs: *graphs,
-			evaluate: *evaluate, trials: *trials,
-			set: setFlags,
-		}
-		if *campaign == "tune" {
-			var adv *sim.AdversarySpec
-			if *worstCase >= 0 {
-				adv = &sim.AdversarySpec{Crashes: *worstCase}
-			} else if *robust {
-				fatal(fmt.Errorf("-robust requires -worst-case"))
-			}
-			if err := runTuneCampaign(cfg, *target, *parallel, *format, adv, *robust); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		for _, name := range []string{"target", "worst-case", "robust"} {
-			if setFlags[name] {
-				fatal(fmt.Errorf("-%s only applies to -campaign tune", name))
-			}
-		}
-		eng := expt.EngineOptions{
-			Workers:    *parallel,
-			Checkpoint: *checkpoint,
-			Resume:     *resume,
-		}
-		if *progress {
-			eng.Progress = func(done, total int) {
-				fmt.Fprintf(os.Stderr, "\rftexp: %d/%d cells", done, total)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
-		if err := runCampaign(cfg, eng, *format, *out); err != nil {
-			fatal(err)
-		}
-	case *fig >= 1 && *fig <= 4:
-		if err := runFigure(*fig, *graphs, *seed, *format, *out); err != nil {
-			fatal(err)
-		}
-	case *table == 1:
-		if *format != "ascii" {
-			fatal(fmt.Errorf("-table 1 only supports -format ascii, got %q", *format))
-		}
-		if setFlags["graphs"] {
-			fatal(fmt.Errorf("-graphs is ignored by -table 1; remove it"))
-		}
-		if err := runTable1(*seed, *maxTasks); err != nil {
-			fatal(err)
-		}
-	case *x4:
-		if err := runX4(*seed, *graphs, *format); err != nil {
-			fatal(err)
-		}
-	case *x5:
-		if *format != "ascii" {
-			fatal(fmt.Errorf("-x5 only supports -format ascii, got %q", *format))
-		}
-		if setFlags["graphs"] {
-			fatal(fmt.Errorf("-graphs is ignored by -x5; remove it"))
-		}
-		cfg := expt.DefaultFamiliesConfig()
-		cfg.Seed = *seed
-		rows, err := expt.RunFamilies(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# X5: structured families, ε=%d, m=%d, normalized latency\n", cfg.Epsilon, cfg.Procs)
-		if err := expt.WriteFamilies(os.Stdout, rows); err != nil {
-			fatal(err)
-		}
-	case *x6:
-		emit, err := figureEmitter(*format)
-		if err != nil {
-			fatal(err)
-		}
+		return o.runStudy("-x4", func() (*expt.Figure, error) { return expt.RunStarvation(cfg) })
+	case o.x6:
 		cfg := expt.DefaultCommModelsConfig()
-		cfg.Seed = *seed
-		if *graphs > 0 {
-			cfg.GraphsPerPoint = *graphs
+		cfg.Seed = o.seed
+		if o.isSet("instances") {
+			cfg.GraphsPerPoint = o.instances
 		}
-		f, err := expt.RunCommModels(cfg)
+		return o.runStudy("-x6", func() (*expt.Figure, error) { return expt.RunCommModels(cfg) })
+	}
+	return errUsage
+}
+
+func (o *options) isSet(name string) bool {
+	set := false
+	o.fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// Flag groups the modes read, for only.
+var (
+	commonFlags = []string{"seed", "format", "out", "cpuprofile", "memprofile"}
+	engineFlags = []string{"parallel", "checkpoint", "resume", "progress"}
+	gridFlags   = []string{"eps", "gran", "families", "procs", "tasks", "evaluate", "trials"}
+)
+
+// only rejects every flag passed on the command line that the selected mode
+// ("-fig 2", "-campaign tune", ...) does not read — its own flag, the common
+// ones and reads — instead of silently ignoring a sweep the user thinks ran.
+func (o *options) only(mode string, reads ...string) error {
+	own := strings.TrimPrefix(strings.Fields(mode)[0], "-")
+	var err error
+	o.fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != own && !slices.Contains(commonFlags, f.Name) && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s does not apply to %s", f.Name, mode)
+		}
+	})
+	return err
+}
+
+// pickWriter resolves -format among the writers a mode has, before anything
+// runs: a bad format fails in milliseconds, not after hours of compute.
+func pickWriter[W any](o *options, mode string, writers map[string]W) (W, error) {
+	w, ok := writers[o.format]
+	if !ok {
+		return w, fmt.Errorf("%s supports -format %s, got %q", mode,
+			strings.Join(slices.Sorted(maps.Keys(writers)), ", "), o.format)
+	}
+	return w, nil
+}
+
+type figureWriter = func(io.Writer, *expt.Figure) error
+
+var figureWriters = map[string]figureWriter{"ascii": expt.WriteASCII, "csv": expt.WriteCSV}
+
+// runStudy is -x4 and -x6: one single-threaded study emitted as a figure.
+func (o *options) runStudy(mode string, study func() (*expt.Figure, error)) error {
+	if err := o.only(mode, "instances"); err != nil {
+		return err
+	}
+	write, err := pickWriter(o, mode, figureWriters)
+	if err != nil {
+		return err
+	}
+	f, err := study()
+	if err != nil {
+		return err
+	}
+	return write(o.stdout, f)
+}
+
+func (o *options) runTable1() error {
+	if o.table != 1 {
+		return fmt.Errorf("-table %d: the paper has one table, -table 1", o.table)
+	}
+	if err := o.only("-table 1", "maxtasks"); err != nil {
+		return err
+	}
+	if _, err := pickWriter(o, "-table 1", map[string]bool{"ascii": true}); err != nil {
+		return err
+	}
+	cfg := expt.DefaultTable1Config()
+	cfg.Seed = o.seed
+	cfg.TaskCounts = slices.DeleteFunc(cfg.TaskCounts, func(v int) bool { return v > o.maxTasks })
+	rows, err := expt.RunTable1(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(o.stdout, "# Table 1: running times in seconds (this host)")
+	return expt.WriteTable1(o.stdout, rows)
+}
+
+// splitList splits a comma list, trimming blanks and dropping empty entries.
+func splitList(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func parseEpsilons(s string) ([]int, error) {
+	var out []int
+	for _, e := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(e))
 		if err != nil {
-			fatal(err)
+			return nil, fmt.Errorf("bad -eps entry %q: %w", e, err)
 		}
-		if err := emit(os.Stdout, f); err != nil {
-			fatal(err)
-		}
-	default:
-		flag.Usage()
-		os.Exit(2)
+		out = append(out, v)
 	}
-}
-
-func runX4(seed int64, graphs int, format string) error {
-	cfg := expt.DefaultStarvationConfig()
-	cfg.Seed = seed
-	if graphs > 0 {
-		cfg.GraphsPerPoint = graphs
-	}
-	emit, err := figureEmitter(format)
-	if err != nil {
-		return err
-	}
-	f, err := expt.RunStarvation(cfg)
-	if err != nil {
-		return err
-	}
-	return emit(os.Stdout, f)
-}
-
-// figureEmitter maps -format to a legacy figure writer, rejecting formats
-// those modes cannot produce instead of silently falling back to ASCII.
-func figureEmitter(format string) (func(io.Writer, *expt.Figure) error, error) {
-	switch format {
-	case "ascii":
-		return expt.WriteASCII, nil
-	case "csv":
-		return expt.WriteCSV, nil
-	default:
-		return nil, fmt.Errorf("this mode supports -format ascii or csv, got %q", format)
-	}
-}
-
-func fatal(err error) {
-	prof.Stop() // flush any profiles before the hard exit
-	fmt.Fprintln(os.Stderr, "ftexp:", err)
-	os.Exit(1)
+	return out, nil
 }
 
 // runTuneCampaign is the -campaign tune mode: for every (family,
@@ -279,63 +313,57 @@ func fatal(err error) {
 // (expt.BuildInstance, index 0) and runs the auto-tuner over the registry ×
 // -eps × policy grid, emitting one frontier section per point. The -eps list
 // doubles as the tuner's ε ladder and -evaluate carries the single scoring
-// scenario; -parallel sets the tuner's candidate-level worker pool. A
-// non-nil worstCase adds the adversarial column, and robust flips the
-// recommendation to optimize it.
-func runTuneCampaign(cfg campaignFlags, target float64, workers int, format string,
-	worstCase *sim.AdversarySpec, robust bool) error {
-	for _, name := range []string{"schedulers", "instances", "checkpoint", "resume", "progress", "graphs"} {
-		if cfg.set[name] {
-			return fmt.Errorf("-%s does not apply to -campaign tune (the candidate grid comes from the scheduler registry)", name)
-		}
+// scenario; -parallel sets the tuner's candidate-level worker pool.
+// -worst-case adds the adversarial column, and -robust flips the
+// recommendation to optimize it. The candidate grid comes from the scheduler
+// registry, so the flags shaping a campaign's own grid do not apply.
+func (o *options) runTuneCampaign() error {
+	const mode = "-campaign tune"
+	if err := o.only(mode, slices.Concat(gridFlags,
+		[]string{"parallel", "target", "worst-case", "robust"})...); err != nil {
+		return err
 	}
-	var write func(io.Writer, *tune.Result) error
-	switch format {
-	case "ascii":
-		write = tune.WriteASCII
-	case "csv":
-		write = tune.WriteCSV
-	default:
-		return fmt.Errorf("-campaign tune supports -format ascii or csv, got %q", format)
+	write, err := pickWriter(o, mode, map[string]func(io.Writer, *tune.Result) error{
+		"ascii": tune.WriteASCII, "csv": tune.WriteCSV})
+	if err != nil {
+		return err
 	}
-	if cfg.evaluate == "" {
+	var worstCase *sim.AdversarySpec
+	if o.worstCase >= 0 {
+		worstCase = &sim.AdversarySpec{Crashes: o.worstCase}
+	} else if o.robust {
+		return fmt.Errorf("-robust requires -worst-case")
+	}
+	if o.evaluate == "" {
 		return fmt.Errorf("-campaign tune needs -evaluate SPEC (the scenario candidates are scored under)")
 	}
-	if strings.Contains(cfg.evaluate, ",") {
+	if strings.Contains(o.evaluate, ",") {
 		return fmt.Errorf("-campaign tune scores every candidate under one scenario; pass exactly one -evaluate spec")
 	}
-	sp, err := sim.ParseScenarioSpec(cfg.evaluate)
+	sp, err := sim.ParseScenarioSpec(o.evaluate)
 	if err != nil {
 		return err
 	}
-	var ladder []int
-	for _, e := range strings.Split(cfg.eps, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(e))
-		if err != nil {
-			return fmt.Errorf("bad -eps entry %q: %w", e, err)
-		}
-		ladder = append(ladder, v)
-	}
-	gran, err := parseGranularities(cfg.gran)
+	ladder, err := parseEpsilons(o.eps)
 	if err != nil {
 		return err
 	}
-	tasksMin, tasksMax, err := parseRange(cfg.tasks)
+	gran, err := parseGranularities(o.gran)
+	if err != nil {
+		return err
+	}
+	tasksMin, tasksMax, err := parseRange(o.tasks)
 	if err != nil {
 		return fmt.Errorf("bad -tasks: %w", err)
 	}
-	trials := cfg.trials
-	if !cfg.set["trials"] {
+	trials := o.trials
+	if !o.isSet("trials") {
 		trials = 1000
 	}
 	first := true
-	for _, fam := range strings.Split(cfg.families, ",") {
-		fam = strings.TrimSpace(fam)
-		if fam == "" {
-			continue
-		}
+	for _, fam := range splitList(o.families) {
 		for _, g := range gran {
-			inst, err := expt.BuildInstance(fam, g, cfg.procs, tasksMin, tasksMax, 0, cfg.seed)
+			inst, err := expt.BuildInstance(fam, g, o.procs, tasksMin, tasksMax, 0, o.seed)
 			if err != nil {
 				return err
 			}
@@ -346,22 +374,22 @@ func runTuneCampaign(cfg campaignFlags, target float64, workers int, format stri
 				Epsilons:  ladder,
 				Scenario:  sp,
 				Trials:    trials,
-				Target:    target,
-				Seed:      cfg.seed,
-				Workers:   workers,
+				Target:    o.target,
+				Seed:      o.seed,
+				Workers:   o.parallel,
 				WorstCase: worstCase,
-				Robust:    robust,
+				Robust:    o.robust,
 			})
 			if err != nil {
 				return fmt.Errorf("tune family=%s gran=%g: %w", fam, g, err)
 			}
 			if !first {
-				fmt.Println()
+				fmt.Fprintln(o.stdout)
 			}
 			first = false
-			fmt.Printf("# tune family=%s gran=%g procs=%d tasks=%d scenario=%s\n",
-				fam, g, cfg.procs, inst.Graph.NumTasks(), res.Scenario)
-			if err := write(os.Stdout, res); err != nil {
+			fmt.Fprintf(o.stdout, "# tune family=%s gran=%g procs=%d tasks=%d scenario=%s\n",
+				fam, g, o.procs, inst.Graph.NumTasks(), res.Scenario)
+			if err := write(o.stdout, res); err != nil {
 				return err
 			}
 		}
@@ -369,96 +397,69 @@ func runTuneCampaign(cfg campaignFlags, target float64, workers int, format stri
 	return nil
 }
 
-// campaignFlags carries the raw -campaign grid flags before parsing.
-type campaignFlags struct {
-	preset     string
-	schedulers string
-	eps        string
-	gran       string
-	families   string
-	instances  int
-	procs      int
-	tasks      string
-	seed       int64
-	graphs     int
-	evaluate   string
-	trials     int
-	set        map[string]bool // flags explicitly passed on the command line
+// buildCampaign turns the flags into a Campaign spec. A preset — "paper",
+// "families" or a figure — fixes its grid, so its aggregate stays comparable
+// across hosts: only -instances, -gran and -seed move it, and any other grid
+// flag alongside it is rejected rather than silently ignored. "custom"
+// builds the whole grid from flags.
+func (o *options) buildCampaign(mode string) (expt.Campaign, error) {
+	var c expt.Campaign
+	var err error
+	switch {
+	case o.campaign == "custom":
+		return o.customCampaign(mode)
+	case o.campaign == "paper":
+		c = expt.PaperCampaign()
+	case o.campaign == "families":
+		c = expt.FamiliesCampaign()
+	case o.campaign == "":
+		if c, err = expt.FigureCampaign(o.fig); err != nil {
+			return c, fmt.Errorf("-fig %d: %w", o.fig, err)
+		}
+	default:
+		return c, fmt.Errorf("unknown -campaign %q (want paper, families, custom or tune)", o.campaign)
+	}
+	if err := o.only(mode, slices.Concat(engineFlags, []string{"instances", "gran"})...); err != nil {
+		return c, err
+	}
+	c.Seed = o.seed
+	if o.isSet("instances") {
+		c.Instances = o.instances
+	}
+	if o.isSet("gran") {
+		c.Granularities, err = parseGranularities(o.gran)
+	}
+	return c, err
 }
 
-// buildCampaign turns the flags into a Campaign spec. The "paper" preset
-// starts from the Figure 1-3 sweep and only honors -graphs and -seed
-// overrides, so its aggregate stays comparable across hosts; passing any
-// other grid flag alongside it is rejected rather than silently ignored.
-// "custom" builds the whole grid from flags.
-func buildCampaign(cfg campaignFlags) (expt.Campaign, error) {
-	if cfg.preset == "paper" {
-		for _, name := range []string{"schedulers", "eps", "gran", "families", "instances", "procs", "tasks", "evaluate", "trials"} {
-			if cfg.set[name] {
-				return expt.Campaign{}, fmt.Errorf(
-					"-campaign paper fixes the grid; -%s only applies to -campaign custom (use -graphs to shrink the batch)", name)
-			}
-		}
-		c := expt.PaperCampaign()
-		c.Seed = cfg.seed
-		if cfg.graphs > 0 {
-			c.Instances = cfg.graphs
-		}
-		return c, nil
-	}
-	if cfg.preset != "custom" {
-		return expt.Campaign{}, fmt.Errorf("unknown campaign %q (want 'paper' or 'custom')", cfg.preset)
-	}
-	var c expt.Campaign
-	c.Name = "custom"
-	for _, s := range strings.Split(cfg.schedulers, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			c.Schedulers = append(c.Schedulers, expt.SchedulerID(s))
-		}
-	}
-	for _, e := range strings.Split(cfg.eps, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(e))
-		if err != nil {
-			return c, fmt.Errorf("bad -eps entry %q: %w", e, err)
-		}
-		c.Epsilons = append(c.Epsilons, v)
-	}
-	gran, err := parseGranularities(cfg.gran)
+func (o *options) customCampaign(mode string) (expt.Campaign, error) {
+	c := expt.Campaign{Name: "custom", Instances: o.instances, Procs: o.procs, Seed: o.seed}
+	err := o.only(mode, slices.Concat(engineFlags, gridFlags, []string{"schedulers", "instances"})...)
 	if err != nil {
 		return c, err
 	}
-	c.Granularities = gran
-	for _, f := range strings.Split(cfg.families, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			c.Families = append(c.Families, f)
-		}
+	for _, s := range splitList(o.schedulers) {
+		c.Schedulers = append(c.Schedulers, expt.SchedulerID(s))
 	}
-	if cfg.set["graphs"] && cfg.set["instances"] {
-		return c, fmt.Errorf("-graphs and -instances both set the batch size; pass only one")
+	if c.Epsilons, err = parseEpsilons(o.eps); err != nil {
+		return c, err
 	}
-	c.Instances = cfg.instances
-	if cfg.graphs > 0 {
-		c.Instances = cfg.graphs
+	if c.Granularities, err = parseGranularities(o.gran); err != nil {
+		return c, err
 	}
-	c.Procs = cfg.procs
-	c.TasksMin, c.TasksMax, err = parseRange(cfg.tasks)
-	if err != nil {
+	c.Families = splitList(o.families)
+	if c.TasksMin, c.TasksMax, err = parseRange(o.tasks); err != nil {
 		return c, fmt.Errorf("bad -tasks: %w", err)
 	}
-	c.Seed = cfg.seed
-	if cfg.set["trials"] && cfg.evaluate == "" {
+	if o.isSet("trials") && o.evaluate == "" {
 		return c, fmt.Errorf("-trials only applies with -evaluate; pass a scenario list as well")
 	}
-	if cfg.evaluate != "" {
-		for _, s := range strings.Split(cfg.evaluate, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				c.Scenarios = append(c.Scenarios, s)
-			}
-		}
+	if o.evaluate != "" {
+		c.Scenarios = splitList(o.evaluate)
 		// Default only when -trials was not passed: an explicit bad value
 		// must reach Validate's error, not silently become 1000.
-		c.EvalTrials = cfg.trials
-		if !cfg.set["trials"] {
+		c.EvalTrials = o.trials
+		if !o.isSet("trials") {
 			c.EvalTrials = 1000
 		}
 	}
@@ -521,146 +522,114 @@ func parseRange(s string) (int, int, error) {
 	return lo, hi, nil
 }
 
-func runCampaign(cfg campaignFlags, eng expt.EngineOptions, format, outDir string) error {
-	// Resolve the writer before the campaign runs, so a bad format fails
-	// in milliseconds rather than after hours of compute. SVG is the one
-	// mode that writes files instead of stdout, marked by a nil writer.
-	var write func(io.Writer, *expt.CampaignResult) error
-	switch format {
-	case "ascii":
-		write = expt.WriteCampaignASCII
-	case "csv":
-		write = expt.WriteCampaignCSV
-	case "json":
-		write = expt.WriteCampaignJSON
-	case "svg":
-	default:
-		return fmt.Errorf("unknown campaign format %q (want ascii, csv, json or svg)", format)
+// runCampaign runs a campaign — a preset, a custom grid or a paper figure —
+// on the engine and emits it.
+func (o *options) runCampaign() error {
+	mode, emitter := "-campaign "+o.campaign, o.campaignEmitter
+	if o.campaign == "" {
+		mode, emitter = fmt.Sprintf("-fig %d", o.fig), o.figureEmitter
 	}
-	c, err := buildCampaign(cfg)
+	c, err := o.buildCampaign(mode)
 	if err != nil {
 		return err
+	}
+	emit, err := emitter(mode)
+	if err != nil {
+		return err
+	}
+	eng := expt.EngineOptions{Workers: o.parallel, Checkpoint: o.checkpoint, Resume: o.resume}
+	if o.progress {
+		eng.Progress = func(done, total int) {
+			fmt.Fprintf(o.stderr, "\rftexp: %d/%d cells", done, total)
+			if done == total {
+				fmt.Fprintln(o.stderr)
+			}
+		}
 	}
 	res, err := expt.RunCampaign(c, eng)
 	if err != nil {
 		return err
 	}
-	if write != nil {
-		return write(os.Stdout, res)
-	}
-	for _, fam := range c.Families {
-		for _, eps := range c.Epsilons {
-			for _, metric := range []expt.CampaignMetric{expt.MetricLower, expt.MetricCrash, expt.MetricOverhead} {
-				f, err := expt.CampaignFigure(res, fam, eps, metric)
-				if err != nil {
-					return err
-				}
-				path := filepath.Join(outDir, fmt.Sprintf("campaign-%s-eps%d-%s.svg", fam, eps, metric))
-				out, err := os.Create(path)
-				if err != nil {
-					return err
-				}
-				if err := expt.WriteSVG(out, f); err != nil {
-					out.Close()
-					return err
-				}
-				if err := out.Close(); err != nil {
-					return err
-				}
-				fmt.Println("wrote", path)
-			}
-		}
-	}
-	return nil
+	return emit(res)
 }
 
-func runFigure(fig, graphs int, seed int64, format, outDir string) error {
-	cfg, err := expt.FigureConfig(fig)
+// campaignEmitter writes a campaign as its aggregate table; SVG is the one
+// format that writes files instead of stdout (one per family × ε × metric),
+// marked by a nil writer.
+func (o *options) campaignEmitter(mode string) (func(*expt.CampaignResult) error, error) {
+	write, err := pickWriter(o, mode, map[string]func(io.Writer, *expt.CampaignResult) error{
+		"ascii": expt.WriteCampaignASCII, "csv": expt.WriteCampaignCSV, "json": expt.WriteCampaignJSON, "svg": nil})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cfg.Seed = seed
-	if graphs > 0 {
-		cfg.GraphsPerPoint = graphs
-	}
-	var set *expt.FigureSet
-	if fig == 4 {
-		set, err = expt.RunFigure4(cfg)
-	} else {
-		set, err = expt.Run(cfg)
-	}
-	if err != nil {
-		return err
-	}
-	panels := []struct {
-		name, suffix string
-		f            *expt.Figure
-	}{
-		{fmt.Sprintf("Figure %d(a)", fig), "a", set.Bounds},
-		{fmt.Sprintf("Figure %d(b)", fig), "b", set.Crash},
-		{fmt.Sprintf("Figure %d(c)", fig), "c", set.Overhead},
-	}
-	if fig == 4 {
-		panels = panels[1:]
-		panels[0].name, panels[0].suffix = "Figure 4(a)", "a"
-		panels[1].name, panels[1].suffix = "Figure 4(b)", "b"
-	}
-	if format == "svg" {
-		for _, p := range panels {
-			if p.f == nil {
-				continue
+	return func(res *expt.CampaignResult) error {
+		if write != nil {
+			return write(o.stdout, res)
+		}
+		for _, fam := range res.Campaign.Families {
+			for _, eps := range res.Campaign.Epsilons {
+				for _, metric := range []expt.CampaignMetric{expt.MetricLower, expt.MetricCrash, expt.MetricOverhead} {
+					f, err := expt.CampaignFigure(res, fam, eps, metric)
+					if err != nil {
+						return err
+					}
+					if err := o.writeSVG(fmt.Sprintf("campaign-%s-eps%d-%s.svg", fam, eps, metric), f); err != nil {
+						return err
+					}
+				}
 			}
-			path := filepath.Join(outDir, fmt.Sprintf("figure%d%s.svg", fig, p.suffix))
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := expt.WriteSVG(f, p.f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Println("wrote", path)
 		}
 		return nil
-	}
-	emit, err := figureEmitter(format)
-	if err != nil {
-		return err
-	}
-	first := true
-	for _, p := range panels {
-		if p.f == nil {
-			continue
-		}
-		if !first {
-			fmt.Println()
-		}
-		first = false
-		fmt.Printf("# %s\n", p.name)
-		if err := emit(os.Stdout, p.f); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, nil
 }
 
-func runTable1(seed int64, maxTasks int) error {
-	cfg := expt.DefaultTable1Config()
-	cfg.Seed = seed
-	var counts []int
-	for _, v := range cfg.TaskCounts {
-		if v <= maxTasks {
-			counts = append(counts, v)
-		}
+// figureEmitter writes a figure campaign as the paper's panels: "# Figure
+// N(a)" sections on stdout, or figureNa.svg, figureNb.svg, ... under -out.
+func (o *options) figureEmitter(mode string) (func(*expt.CampaignResult) error, error) {
+	write, err := pickWriter(o, mode, map[string]figureWriter{
+		"ascii": expt.WriteASCII, "csv": expt.WriteCSV, "svg": nil})
+	if err != nil {
+		return nil, err
 	}
-	cfg.TaskCounts = counts
-	rows, err := expt.RunTable1(cfg)
+	return func(res *expt.CampaignResult) error {
+		panels, err := expt.FigurePanels(o.fig, res)
+		if err != nil {
+			return err
+		}
+		for i, p := range panels {
+			letter := string(rune('a' + i))
+			if write == nil {
+				if err := o.writeSVG(fmt.Sprintf("figure%d%s.svg", o.fig, letter), p); err != nil {
+					return err
+				}
+				continue
+			}
+			if i > 0 {
+				fmt.Fprintln(o.stdout)
+			}
+			fmt.Fprintf(o.stdout, "# Figure %d(%s)\n", o.fig, letter)
+			if err := write(o.stdout, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, nil
+}
+
+// writeSVG renders one figure into a file under -out and reports the path.
+func (o *options) writeSVG(name string, f *expt.Figure) error {
+	path := filepath.Join(o.out, name)
+	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Println("# Table 1: running times in seconds (this host)")
-	return expt.WriteTable1(os.Stdout, rows)
+	if err := expt.WriteSVG(out, f); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintln(o.stdout, "wrote", path)
+	return nil
 }

@@ -309,8 +309,9 @@ func (m CampaignMetric) pick(row *AggRow) (*stats.Accumulator, error) {
 }
 
 // CampaignFigure projects one (family, ε, metric) slice of the campaign
-// into a Figure — one series per scheduler over the granularity sweep — so
-// campaign output feeds the existing ASCII/CSV/SVG figure writers.
+// into a Figure — one series per scheduler over the granularity sweep, per
+// (scheduler, scenario) in evaluation campaigns — so campaign output feeds
+// the existing ASCII/CSV/SVG figure writers.
 func CampaignFigure(r *CampaignResult, family string, epsilon int, metric CampaignMetric) (*Figure, error) {
 	ylabel := "Normalized Latency"
 	if metric == MetricOverhead {
@@ -320,7 +321,11 @@ func CampaignFigure(r *CampaignResult, family string, epsilon int, metric Campai
 		Title:  fmt.Sprintf("%s %s, ε=%d, m=%d", family, metric, epsilon, r.Campaign.Procs),
 		XLabel: "Granularity", YLabel: ylabel,
 	}
-	series := make(map[SchedulerID]*stats.Series)
+	type curve struct {
+		scheduler SchedulerID
+		scenario  string
+	}
+	series := make(map[curve]*stats.Series)
 	for _, row := range r.Rows() {
 		if row.Family != family || row.Epsilon != epsilon {
 			continue
@@ -329,10 +334,15 @@ func CampaignFigure(r *CampaignResult, family string, epsilon int, metric Campai
 		if err != nil {
 			return nil, err
 		}
-		s, ok := series[row.Scheduler]
+		k := curve{row.Scheduler, row.Scenario}
+		s, ok := series[k]
 		if !ok {
-			s = stats.NewSeries(fmt.Sprintf("%s-%s", row.Scheduler, metric))
-			series[row.Scheduler] = s
+			name := fmt.Sprintf("%s-%s", row.Scheduler, metric)
+			if row.Scenario != "" {
+				name += " " + row.Scenario
+			}
+			s = stats.NewSeries(name)
+			series[k] = s
 			f.Series = append(f.Series, s)
 		}
 		// Re-accumulate the already aggregated mean so the series point

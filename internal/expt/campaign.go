@@ -171,6 +171,21 @@ func PaperCampaign() Campaign {
 	}
 }
 
+// FamiliesCampaign returns the preset of experiment X5 (ours): the three
+// schedulers on every structured task-graph family — one instance each at
+// granularity 1, ε = 2 on 16 processors — complementing the paper's purely
+// random workloads.
+func FamiliesCampaign() Campaign {
+	c := PaperCampaign()
+	c.Name = "families"
+	c.Epsilons = []int{2}
+	c.Granularities = []float64{1}
+	c.Families = CampaignFamilies()[1:]
+	c.Instances = 1
+	c.Procs = 16
+	return c
+}
+
 // Validate checks the campaign spec. Duplicate dimension values are
 // rejected: duplicated cells would accumulate the identical sample twice
 // and silently deflate the confidence intervals.
@@ -369,21 +384,21 @@ func (c Campaign) evalSeed(cell Cell) int64 {
 		strconv.Itoa(cell.Instance), strconv.Itoa(cell.Epsilon), cell.Scenario)
 }
 
+// paperWorkload is the one workload definition of the experiment layer: the
+// paper's random-instance parameters (workload.DefaultPaperConfig) at the
+// given granularity, platform size and task-count range.
+func paperWorkload(granularity float64, procs, tasksMin, tasksMax int) workload.PaperConfig {
+	cfg := workload.DefaultPaperConfig(granularity)
+	cfg.Procs = procs
+	cfg.DAG.MinTasks, cfg.DAG.MaxTasks = tasksMin, tasksMax
+	return cfg
+}
+
 // instance materializes the cell's problem instance from its deterministic
 // seed.
 func (c Campaign) instance(cell Cell) (*workload.Instance, error) {
 	rng := rand.New(rand.NewSource(c.instanceSeed(cell)))
-	wcfg := workload.PaperConfig{
-		DAG: workload.RandomDAGConfig{
-			MinTasks: c.TasksMin, MaxTasks: c.TasksMax,
-			MinVolume: 50, MaxVolume: 150,
-			ShapeFactor: 1.0, EdgeDensity: 0.25,
-		},
-		Procs:    c.Procs,
-		MinDelay: 0.5, MaxDelay: 1.0,
-		MinCost: 10, MaxCost: 100,
-		Granularity: cell.Granularity,
-	}
+	wcfg := paperWorkload(cell.Granularity, c.Procs, c.TasksMin, c.TasksMax)
 	if cell.Family == "random" {
 		return workload.NewInstance(rng, wcfg)
 	}

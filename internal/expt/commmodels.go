@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ftsched/internal/core"
-	"ftsched/internal/ftbar"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/stats"
@@ -75,34 +73,19 @@ func RunCommModels(cfg CommModelsConfig) (*Figure, error) {
 	}
 	for _, g := range cfg.Granularities {
 		for i := 0; i < cfg.GraphsPerPoint; i++ {
-			wcfg := workload.PaperConfig{
-				DAG: workload.RandomDAGConfig{
-					MinTasks: cfg.TasksMin, MaxTasks: cfg.TasksMax,
-					MinVolume: 50, MaxVolume: 150,
-					ShapeFactor: 1.0, EdgeDensity: 0.25,
-				},
-				Procs:    cfg.Procs,
-				MinDelay: 0.5, MaxDelay: 1.0,
-				MinCost: 10, MaxCost: 100,
-				Granularity: g,
-			}
-			inst, err := workload.NewInstance(rng, wcfg)
+			inst, err := workload.NewInstance(rng, paperWorkload(g, cfg.Procs, cfg.TasksMin, cfg.TasksMax))
 			if err != nil {
 				return nil, err
 			}
 			norm := normalizer(inst)
-			ftsaS, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: cfg.Epsilon, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			mcS, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-				core.MCFTSAOptions{Options: core.Options{Epsilon: cfg.Epsilon, Rng: rng}})
-			if err != nil {
-				return nil, err
-			}
-			barS, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: cfg.Epsilon, Rng: rng})
-			if err != nil {
-				return nil, err
+			algos := AllSchedulers()
+			schedules := make([]*sched.Schedule, len(algos))
+			for k, a := range algos {
+				schedules[k], err = sched.Run(string(a), inst.Graph, inst.Platform, inst.Costs,
+					sched.RunOptions{Epsilon: cfg.Epsilon, Rng: rng})
+				if err != nil {
+					return nil, err
+				}
 			}
 			multi, err := sim.NewBoundedMultiPort(cfg.Procs, cfg.Ports)
 			if err != nil {
@@ -116,22 +99,14 @@ func RunCommModels(cfg CommModelsConfig) (*Figure, error) {
 				{"1-port", sim.NewOnePort(cfg.Procs)},
 				{fmt.Sprintf("%d-port", cfg.Ports), multi},
 			}
-			algos := []struct {
-				tag string
-				s   *sched.Schedule
-			}{
-				{"FTSA", ftsaS},
-				{"MC-FTSA", mcS},
-				{"FTBAR", barS},
-			}
 			for _, mm := range models {
-				for _, a := range algos {
+				for k, a := range algos {
 					mm.model.Reset(cfg.Procs)
-					res, err := sim.Run(a.s, sim.NoFailures(cfg.Procs), mm.model)
+					res, err := sim.Run(schedules[k], sim.NoFailures(cfg.Procs), mm.model)
 					if err != nil {
-						return nil, fmt.Errorf("expt: %s under %s: %w", a.tag, mm.tag, err)
+						return nil, fmt.Errorf("expt: %s under %s: %w", a, mm.tag, err)
 					}
-					get(fmt.Sprintf("%s (%s)", a.tag, mm.tag)).At(g).Add(res.Latency / norm)
+					get(fmt.Sprintf("%s (%s)", a, mm.tag)).At(g).Add(res.Latency / norm)
 				}
 			}
 		}

@@ -38,17 +38,29 @@
 //
 // Results feed WriteCampaignCSV/JSON/ASCII directly, or project through
 // CampaignFigure into the Figure writers (WriteASCII, WriteCSV, WriteSVG)
-// for plotting one (family, ε, metric) slice.
+// for plotting one (family, ε, metric) slice, one curve per scheduler (and
+// per scenario in evaluation campaigns).
 //
-// # Paper figures and tables
+// # Paper figures, tables and studies
 //
-// The legacy single-threaded drivers reproduce the paper's exact panels:
-// Figures 1-3 (bounds, crash latencies and overheads for ε = 1, 2, 5 on 20
-// processors), Figure 4 (5 processors, ε = 2) and Table 1 (running times
-// for v up to 5000 tasks on 50 processors). Each figure point averages the
-// metric over a batch of random task graphs (60 in the paper), with
-// granularity swept from 0.2 to 2.0. PaperCampaign is the campaign-engine
-// equivalent of the Figure 1-3 sweeps.
+// The paper's panels are campaign presets, not separate drivers:
+// FigureCampaign(n) is PaperCampaign with ε ∈ {0, ε}, one uniform:k scenario
+// per plotted crash count and a single trial per cell (the paper's one crash
+// draw per graph) — Figures 1-3 for ε = 1, 2, 5 on 20 processors, Figure 4
+// for FTSA alone on 5 processors with ε = 2 — and FigurePanels projects its
+// result onto the paper's (a) bounds, (b) crash-latency and (c) overhead
+// panels under the paper's legend names. Each point averages a batch of
+// random task graphs (60 in the paper) over the granularity sweep 0.2..2.0.
+// PaperCampaign covers the Figure 1-3 sweeps as one aggregate table, and
+// FamiliesCampaign is experiment X5: the same schedulers on the structured
+// task-graph families.
+//
+// Three studies measure what a cell does not carry and stay single-threaded
+// functions: RunTable1 (wall-clock running times for v up to 5000 tasks on
+// 50 processors), RunStarvation (X4: every single crash replayed under
+// strict matched-only communication) and RunCommModels (X6: one-port and
+// multi-port replay). They build instances from the same workload definition
+// and reach schedulers through the same registry dispatch as a cell.
 //
 // Latencies are reported normalized by a per-instance constant (see
 // normalizer); the paper plots "normalized latency" without defining the

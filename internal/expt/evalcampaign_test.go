@@ -133,6 +133,41 @@ func TestEvalSeedSharedAcrossSchedulers(t *testing.T) {
 	}
 }
 
+// A scenario is a curve of its own: CampaignFigure must plot one series per
+// (scheduler, scenario), never the average of the scenarios' rows.
+func TestCampaignFigureSplitsScenarios(t *testing.T) {
+	c := evalCampaign()
+	c.Granularities = []float64{0.5, 1.0}
+	c.Scenarios = []string{"uniform:1", "uniform:2"}
+	c.EvalTrials = 3
+	res, err := RunCampaign(c, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := CampaignFigure(res, "random", c.Epsilons[0], MetricCrash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(f.Series), len(c.Scenarios)*len(c.Schedulers); got != want {
+		t.Fatalf("figure has %d series, want %d (scenarios x schedulers)", got, want)
+	}
+	names := map[string]bool{}
+	for _, s := range f.Series {
+		names[s.Name] = true
+		if s.Len() != len(c.Granularities) {
+			t.Errorf("series %q has %d points, want %d", s.Name, s.Len(), len(c.Granularities))
+		}
+		for _, p := range s.Points {
+			if p.N() != 1 {
+				t.Errorf("series %q folds %d rows into one point", s.Name, p.N())
+			}
+		}
+	}
+	if len(names) != len(f.Series) || !names["FTSA-crash uniform:2"] {
+		t.Errorf("series names do not tell the scenarios apart: %v", names)
+	}
+}
+
 // Adding the (omitempty) scenario fields must not disturb the fingerprints
 // of classic campaigns — their checkpoints predate the dimension.
 func TestClassicCampaignFingerprintStable(t *testing.T) {

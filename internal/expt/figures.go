@@ -2,34 +2,18 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 
-	"ftsched/internal/core"
-	"ftsched/internal/ftbar"
-	"ftsched/internal/sim"
 	"ftsched/internal/stats"
 	"ftsched/internal/workload"
 )
 
-// Config parameterizes one figure-style experiment.
-type Config struct {
-	// Epsilon is ε, the number of tolerated failures (1, 2, 5 in Figures
-	// 1-3; 2 in Figure 4).
-	Epsilon int
-	// Procs is the platform size (20 in Figures 1-3, 5 in Figure 4).
-	Procs int
-	// Granularities lists the x-axis sweep; the paper uses 0.2..2.0 in 0.2
-	// steps.
-	Granularities []float64
-	// GraphsPerPoint is the batch size per granularity (60 in the paper).
-	GraphsPerPoint int
-	// TasksMin and TasksMax bound the task count ([100,150] in the paper).
-	TasksMin, TasksMax int
-	// Seed makes the experiment reproducible.
-	Seed int64
-	// ExtraCrashCounts adds "FTSA with k crash" series beyond the headline
-	// k = ε one (Figure 2 adds k=1, Figure 3 adds k=2).
-	ExtraCrashCounts []int
+// Figure is the output of one sub-figure: named series over the granularity
+// sweep.
+type Figure struct {
+	Title  string
+	XLabel string
+	YLabel string
+	Series []*stats.Series
 }
 
 // normalizer returns the latency normalization constant for an instance: the
@@ -56,310 +40,119 @@ func PaperGranularities() []float64 {
 	return out
 }
 
-// FigureConfig returns the configuration of paper Figure 1, 2 or 3 (ε = 1,
-// 2, 5 on 20 processors) or Figure 4 (5 processors, ε = 2).
-func FigureConfig(figure int) (Config, error) {
-	base := Config{
-		Procs:          20,
-		Granularities:  PaperGranularities(),
-		GraphsPerPoint: 60,
-		TasksMin:       100,
-		TasksMax:       150,
-		Seed:           1,
-	}
-	switch figure {
-	case 1:
-		base.Epsilon = 1
-	case 2:
-		base.Epsilon = 2
-		base.ExtraCrashCounts = []int{1}
-	case 3:
-		base.Epsilon = 5
-		base.ExtraCrashCounts = []int{2}
-	case 4:
-		base.Epsilon = 2
-		base.Procs = 5
-		base.ExtraCrashCounts = []int{1}
-	default:
-		return Config{}, fmt.Errorf("expt: no figure %d in the paper", figure)
-	}
-	return base, nil
+// paperFigures holds what distinguishes the paper's four figures: ε, the
+// platform size and the crash counts replayed against the ε-tolerant
+// schedules (the last one is ε itself). Figure 4 plots FTSA alone.
+var paperFigures = map[int]struct {
+	eps, procs int
+	crashes    []int
+	ftsaOnly   bool
+}{
+	1: {eps: 1, procs: 20, crashes: []int{1}},
+	2: {eps: 2, procs: 20, crashes: []int{1, 2}},
+	3: {eps: 5, procs: 20, crashes: []int{2, 5}},
+	4: {eps: 2, procs: 5, crashes: []int{0, 1, 2}, ftsaOnly: true},
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Epsilon < 0 || c.Epsilon+1 > c.Procs {
-		return fmt.Errorf("expt: ε=%d needs more processors than %d", c.Epsilon, c.Procs)
+func crashScenario(k int) string { return fmt.Sprintf("uniform:%d", k) }
+
+// FigureCampaign returns the campaign behind paper Figure 1, 2 or 3 (ε = 1,
+// 2, 5 on 20 processors) or Figure 4 (FTSA on 5 processors, ε = 2): the
+// paper's sweep with ε ∈ {0, ε} — the ε = 0 cells carry the fault-free
+// FTBAR curve — and one uniform:k scenario per plotted crash count, a single
+// trial each (the paper draws one crash set per graph). FigurePanels turns
+// its result into the figure's panels.
+func FigureCampaign(fig int) (Campaign, error) {
+	spec, ok := paperFigures[fig]
+	if !ok {
+		return Campaign{}, fmt.Errorf("expt: no figure %d in the paper", fig)
 	}
-	if len(c.Granularities) == 0 {
-		return fmt.Errorf("expt: empty granularity sweep")
+	c := PaperCampaign()
+	c.Name = fmt.Sprintf("paper-figure-%d", fig)
+	c.Epsilons = []int{0, spec.eps}
+	c.Procs = spec.procs
+	c.EvalTrials = 1
+	for _, k := range spec.crashes {
+		c.Scenarios = append(c.Scenarios, crashScenario(k))
 	}
-	if c.GraphsPerPoint < 1 {
-		return fmt.Errorf("expt: need at least one graph per point")
+	if spec.ftsaOnly {
+		c.Schedulers = []SchedulerID{SchedFTSA}
+		c.Epsilons = []int{spec.eps}
 	}
-	if c.TasksMin < 1 || c.TasksMax < c.TasksMin {
-		return fmt.Errorf("expt: invalid task range [%d,%d]", c.TasksMin, c.TasksMax)
-	}
-	for _, k := range c.ExtraCrashCounts {
-		if k < 0 || k > c.Epsilon {
-			return fmt.Errorf("expt: crash count %d outside [0,ε=%d]", k, c.Epsilon)
-		}
-	}
-	return nil
+	return c, nil
 }
 
-// Figure is the output of one sub-figure: named series over the granularity
-// sweep.
-type Figure struct {
-	Title  string
-	XLabel string
-	YLabel string
-	Series []*stats.Series
-}
-
-// FigureSet bundles the (a) bounds, (b) crash and (c) overhead sub-figures
-// the paper presents for each ε.
-type FigureSet struct {
-	Bounds   *Figure
-	Crash    *Figure
-	Overhead *Figure
-}
-
-// series names, matching the paper's legends.
-const (
-	serFTSALower   = "FTSA-LowerBound"
-	serFTSAUpper   = "FTSA-UpperBound"
-	serFTBARLower  = "FTBAR-LowerBound"
-	serFTBARUpper  = "FTBAR-UpperBound"
-	serMCLower     = "MC-FTSA-LowerBound"
-	serMCUpper     = "MC-FTSA-UpperBound"
-	serFFFTSA      = "FaultFree-FTSA"
-	serFFFTBAR     = "FaultFree-FTBAR"
-	serFaultFree   = "Fault Free FTSA"
-	serFTSA0Crash  = "FTSA with 0 Crash"
-	crashFmt       = "FTSA with %d Crash"
-	serMCCrashFmt  = "MC-FTSA with %d Crash"
-	serBARCrashFmt = "FTBAR with %d Crash"
-)
-
-// Run executes the full experiment for one configuration, producing all
-// three sub-figures in a single pass over the instances (the paper's (a),
-// (b) and (c) panels share their workloads).
-func Run(cfg Config) (*FigureSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// FigurePanels projects the result of a FigureCampaign run onto the paper's
+// panels, under the paper's legend names: (a) bounds, (b) crash latencies
+// and (c) overheads for Figures 1-3, (a) crash latencies and (b) overheads
+// for Figure 4. Every point accumulates the campaign's per-instance samples,
+// so a point's mean is the batch average the paper plots.
+func FigurePanels(fig int, r *CampaignResult) ([]*Figure, error) {
+	spec, ok := paperFigures[fig]
+	if !ok {
+		return nil, fmt.Errorf("expt: no figure %d in the paper", fig)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	eps := cfg.Epsilon
-
-	bounds := &Figure{
-		Title:  fmt.Sprintf("Bounds, ε=%d, m=%d", eps, cfg.Procs),
-		XLabel: "Granularity", YLabel: "Normalized Latency",
-	}
-	crash := &Figure{
-		Title:  fmt.Sprintf("Crash latencies, ε=%d, m=%d", eps, cfg.Procs),
-		XLabel: "Granularity", YLabel: "Normalized Latency",
-	}
-	overhead := &Figure{
-		Title:  fmt.Sprintf("Overhead, ε=%d, m=%d", eps, cfg.Procs),
-		XLabel: "Granularity", YLabel: "Average OverHead (%)",
-	}
-	get := func(f *Figure, name string) *stats.Series {
-		for _, s := range f.Series {
-			if s.Name == name {
-				return s
-			}
-		}
-		s := stats.NewSeries(name)
-		f.Series = append(f.Series, s)
-		return s
-	}
-
-	for _, g := range cfg.Granularities {
-		for i := 0; i < cfg.GraphsPerPoint; i++ {
-			wcfg := workload.PaperConfig{
-				DAG: workload.RandomDAGConfig{
-					MinTasks: cfg.TasksMin, MaxTasks: cfg.TasksMax,
-					MinVolume: 50, MaxVolume: 150,
-					ShapeFactor: 1.0, EdgeDensity: 0.25,
-				},
-				Procs:    cfg.Procs,
-				MinDelay: 0.5, MaxDelay: 1.0,
-				MinCost: 10, MaxCost: 100,
-				Granularity: g,
-			}
-			inst, err := workload.NewInstance(rng, wcfg)
-			if err != nil {
-				return nil, err
-			}
-			norm := normalizer(inst)
-			if norm <= 0 {
-				return nil, fmt.Errorf("expt: degenerate instance with zero normalizer")
-			}
-
-			ftsaS, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			mcS, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-				core.MCFTSAOptions{Options: core.Options{Epsilon: eps, Rng: rng}})
-			if err != nil {
-				return nil, err
-			}
-			barS, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: eps, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			ffFTSA, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 0, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			ffBAR, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: 0, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-
-			// (a) bounds.
-			get(bounds, serFTSALower).At(g).Add(ftsaS.LowerBound() / norm)
-			get(bounds, serFTSAUpper).At(g).Add(ftsaS.UpperBound() / norm)
-			get(bounds, serFTBARLower).At(g).Add(barS.LowerBound() / norm)
-			get(bounds, serFTBARUpper).At(g).Add(barS.UpperBound() / norm)
-			get(bounds, serMCLower).At(g).Add(mcS.LowerBound() / norm)
-			get(bounds, serMCUpper).At(g).Add(mcS.UpperBound() / norm)
-			get(bounds, serFFFTSA).At(g).Add(ffFTSA.LowerBound() / norm)
-			get(bounds, serFFFTBAR).At(g).Add(ffBAR.LowerBound() / norm)
-
-			// (b) crash latencies: one uniformly drawn crash set of size ε
-			// per instance, shared by all algorithms for a fair comparison.
-			scenario, err := sim.UniformCrashes(rng, cfg.Procs, eps)
-			if err != nil {
-				return nil, err
-			}
-			ffLatency := ffFTSA.LowerBound()
-			ftsaCrash, err := sim.Run(ftsaS, scenario, nil)
-			if err != nil {
-				return nil, fmt.Errorf("expt: FTSA crash run: %w", err)
-			}
-			mcCrash, err := sim.Run(mcS, scenario, nil)
-			if err != nil {
-				return nil, fmt.Errorf("expt: MC-FTSA crash run: %w", err)
-			}
-			barCrash, err := sim.Run(barS, scenario, nil)
-			if err != nil {
-				return nil, fmt.Errorf("expt: FTBAR crash run: %w", err)
-			}
-			name := fmt.Sprintf(crashFmt, eps)
-			get(crash, name).At(g).Add(ftsaCrash.Latency / norm)
-			get(crash, fmt.Sprintf(serMCCrashFmt, eps)).At(g).Add(mcCrash.Latency / norm)
-			get(crash, fmt.Sprintf(serBARCrashFmt, eps)).At(g).Add(barCrash.Latency / norm)
-			get(crash, serFTSA0Crash).At(g).Add(ftsaS.LowerBound() / norm)
-			get(crash, serFaultFree).At(g).Add(ffLatency / norm)
-			for _, k := range cfg.ExtraCrashCounts {
-				sck, err := sim.UniformCrashes(rng, cfg.Procs, k)
-				if err != nil {
-					return nil, err
-				}
-				resK, err := sim.Run(ftsaS, sck, nil)
-				if err != nil {
-					return nil, fmt.Errorf("expt: FTSA %d-crash run: %w", k, err)
-				}
-				get(crash, fmt.Sprintf(crashFmt, k)).At(g).Add(resK.Latency / norm)
-			}
-
-			// (c) overheads, relative to the fault-free FTSA latency
-			// (the paper's FTSA* denominator).
-			ovh := func(x float64) float64 { return 100 * (x - ffLatency) / ffLatency }
-			get(overhead, name).At(g).Add(ovh(ftsaCrash.Latency))
-			get(overhead, fmt.Sprintf(serMCCrashFmt, eps)).At(g).Add(ovh(mcCrash.Latency))
-			get(overhead, fmt.Sprintf(serBARCrashFmt, eps)).At(g).Add(ovh(barCrash.Latency))
-			get(overhead, serFTSA0Crash).At(g).Add(ovh(ftsaS.LowerBound()))
-			for _, k := range cfg.ExtraCrashCounts {
-				// Reuse the headline scenario machinery: a fresh uniform
-				// draw with k crashes.
-				sck, err := sim.UniformCrashes(rng, cfg.Procs, k)
-				if err != nil {
-					return nil, err
-				}
-				resK, err := sim.Run(ftsaS, sck, nil)
-				if err != nil {
-					return nil, err
-				}
-				get(overhead, fmt.Sprintf(crashFmt, k)).At(g).Add(ovh(resK.Latency))
-			}
+	eps, first := spec.eps, crashScenario(spec.crashes[0])
+	for i := range r.Cells {
+		// Theorem 4.1: an ε-tolerant schedule survives any k <= ε crashes. A
+		// lost cell would otherwise enter the crash curves as a zero.
+		if c := &r.Cells[i]; c.Epsilon == eps && c.SuccessRate == 0 {
+			return nil, fmt.Errorf("expt: cell %d: %s schedule with ε=%d did not survive %s",
+				c.Index, c.Scheduler, eps, c.Scenario)
 		}
 	}
-	return &FigureSet{Bounds: bounds, Crash: crash, Overhead: overhead}, nil
-}
+	series := func(name string, s SchedulerID, e int, scenario string, val func(*CellResult) float64) *stats.Series {
+		out := stats.NewSeries(name)
+		for i := range r.Cells {
+			if c := &r.Cells[i]; c.Scheduler == s && c.Epsilon == e && c.Scenario == scenario {
+				out.At(c.Granularity).Add(val(c))
+			}
+		}
+		return out
+	}
+	lower := func(c *CellResult) float64 { return c.Lower }
+	faultFree := func(c *CellResult) float64 { return c.FaultFree }
 
-// RunFigure4 reproduces Figure 4: FTSA only, on 5 processors with ε=2,
-// comparing 0, 1 and 2 crashes (panel a: normalized latency; panel b:
-// overhead).
-func RunFigure4(cfg Config) (*FigureSet, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	setup := fmt.Sprintf(", ε=%d, m=%d", eps, r.Campaign.Procs)
+	crash := &Figure{Title: "Crash latencies" + setup, XLabel: "Granularity", YLabel: "Normalized Latency"}
+	overhead := &Figure{Title: "Overhead" + setup, XLabel: "Granularity", YLabel: "Average OverHead (%)"}
+	crashed := func(s SchedulerID, k int) {
+		name := fmt.Sprintf("%s with %d Crash", s, k)
+		crash.Series = append(crash.Series, series(name, s, eps, crashScenario(k),
+			func(c *CellResult) float64 { return c.Crash }))
+		overhead.Series = append(overhead.Series, series(name, s, eps, crashScenario(k),
+			func(c *CellResult) float64 { return c.Overhead }))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	eps := cfg.Epsilon
-	crash := &Figure{
-		Title:  fmt.Sprintf("FTSA crash latencies, ε=%d, m=%d", eps, cfg.Procs),
-		XLabel: "Granularity", YLabel: "Normalized Latency",
-	}
-	overhead := &Figure{
-		Title:  fmt.Sprintf("FTSA overhead, ε=%d, m=%d", eps, cfg.Procs),
-		XLabel: "Granularity", YLabel: "Average OverHead (%)",
-	}
-	get := func(f *Figure, name string) *stats.Series {
-		for _, s := range f.Series {
-			if s.Name == name {
-				return s
-			}
+	ffFTSA := series("Fault Free FTSA", SchedFTSA, eps, first, faultFree)
+	if spec.ftsaOnly {
+		for _, k := range spec.crashes {
+			crashed(SchedFTSA, k)
 		}
-		s := stats.NewSeries(name)
-		f.Series = append(f.Series, s)
-		return s
+		crash.Series = append(crash.Series, ffFTSA)
+		crash.Title, overhead.Title = "FTSA crash latencies"+setup, "FTSA overhead"+setup
+		return []*Figure{crash, overhead}, nil
 	}
-	for _, g := range cfg.Granularities {
-		for i := 0; i < cfg.GraphsPerPoint; i++ {
-			wcfg := workload.PaperConfig{
-				DAG: workload.RandomDAGConfig{
-					MinTasks: cfg.TasksMin, MaxTasks: cfg.TasksMax,
-					MinVolume: 50, MaxVolume: 150,
-					ShapeFactor: 1.0, EdgeDensity: 0.25,
-				},
-				Procs:    cfg.Procs,
-				MinDelay: 0.5, MaxDelay: 1.0,
-				MinCost: 10, MaxCost: 100,
-				Granularity: g,
-			}
-			inst, err := workload.NewInstance(rng, wcfg)
-			if err != nil {
-				return nil, err
-			}
-			norm := normalizer(inst)
-			s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			ff, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 0, Rng: rng})
-			if err != nil {
-				return nil, err
-			}
-			ffLatency := ff.LowerBound()
-			ovh := func(x float64) float64 { return 100 * (x - ffLatency) / ffLatency }
-			for k := 0; k <= eps; k++ {
-				sc, err := sim.UniformCrashes(rng, cfg.Procs, k)
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.Run(s, sc, nil)
-				if err != nil {
-					return nil, err
-				}
-				get(crash, fmt.Sprintf(crashFmt, k)).At(g).Add(res.Latency / norm)
-				get(overhead, fmt.Sprintf(crashFmt, k)).At(g).Add(ovh(res.Latency))
-			}
-			get(crash, serFaultFree).At(g).Add(ffLatency / norm)
-		}
+
+	bounds := &Figure{Title: "Bounds" + setup, XLabel: "Granularity", YLabel: "Normalized Latency"}
+	for _, s := range []SchedulerID{SchedFTSA, SchedFTBAR, SchedMCFTSA} {
+		bounds.Series = append(bounds.Series,
+			series(string(s)+"-LowerBound", s, eps, first, lower),
+			series(string(s)+"-UpperBound", s, eps, first, func(c *CellResult) float64 { return c.Upper }))
 	}
-	return &FigureSet{Crash: crash, Overhead: overhead}, nil
+	bounds.Series = append(bounds.Series,
+		series("FaultFree-FTSA", SchedFTSA, eps, first, faultFree),
+		series("FaultFree-FTBAR", SchedFTBAR, 0, first, lower))
+
+	for _, s := range AllSchedulers() {
+		crashed(s, eps)
+	}
+	// Without a crash every replica runs, which is the lower bound M*.
+	const noCrash = "FTSA with 0 Crash"
+	crash.Series = append(crash.Series, series(noCrash, SchedFTSA, eps, first, lower), ffFTSA)
+	overhead.Series = append(overhead.Series, series(noCrash, SchedFTSA, eps, first,
+		func(c *CellResult) float64 { return 100 * (c.Lower - c.FaultFree) / c.FaultFree }))
+	for _, k := range spec.crashes[:len(spec.crashes)-1] {
+		crashed(SchedFTSA, k)
+	}
+	return []*Figure{bounds, crash, overhead}, nil
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"ftsched/internal/core"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/stats"
 	"ftsched/internal/workload"
@@ -64,28 +64,16 @@ func RunStarvation(cfg StarvationConfig) (*Figure, error) {
 
 	for _, v := range cfg.TaskCounts {
 		for i := 0; i < cfg.GraphsPerPoint; i++ {
-			wcfg := workload.PaperConfig{
-				DAG: workload.RandomDAGConfig{
-					MinTasks: v, MaxTasks: v,
-					MinVolume: 50, MaxVolume: 150,
-					ShapeFactor: 1.0, EdgeDensity: 0.25,
-				},
-				Procs:    cfg.Procs,
-				MinDelay: 0.5, MaxDelay: 1.0,
-				MinCost: 10, MaxCost: 100,
-				Granularity: 1.0,
-			}
-			inst, err := workload.NewInstance(rng, wcfg)
+			inst, err := workload.NewInstance(rng, paperWorkload(1, cfg.Procs, v, v))
 			if err != nil {
 				return nil, err
 			}
-			mc, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-				core.MCFTSAOptions{Options: core.Options{Epsilon: cfg.Epsilon, Rng: rng}})
+			opt := sched.RunOptions{Epsilon: cfg.Epsilon, Rng: rng}
+			mc, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, opt)
 			if err != nil {
 				return nil, err
 			}
-			ftsa, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs,
-				core.Options{Epsilon: cfg.Epsilon, Rng: rng})
+			ftsa, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, opt)
 			if err != nil {
 				return nil, err
 			}

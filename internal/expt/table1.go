@@ -5,8 +5,7 @@ import (
 	"math/rand"
 	"time"
 
-	"ftsched/internal/core"
-	"ftsched/internal/ftbar"
+	"ftsched/internal/sched"
 	"ftsched/internal/workload"
 )
 
@@ -50,42 +49,22 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	rows := make([]Table1Row, 0, len(cfg.TaskCounts))
 	for _, v := range cfg.TaskCounts {
-		wcfg := workload.PaperConfig{
-			DAG: workload.RandomDAGConfig{
-				MinTasks: v, MaxTasks: v,
-				MinVolume: 50, MaxVolume: 150,
-				ShapeFactor: 1.0, EdgeDensity: 0.25,
-			},
-			Procs:    cfg.Procs,
-			MinDelay: 0.5, MaxDelay: 1.0,
-			MinCost: 10, MaxCost: 100,
-			Granularity: 1.0,
-		}
-		inst, err := workload.NewInstance(rng, wcfg)
+		inst, err := workload.NewInstance(rng, paperWorkload(1, cfg.Procs, v, v))
 		if err != nil {
 			return nil, err
 		}
 		row := Table1Row{Tasks: v}
-
-		start := time.Now()
-		if _, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: cfg.Epsilon}); err != nil {
-			return nil, err
+		for _, t := range []struct {
+			name    string
+			seconds *float64
+		}{{"ftsa", &row.FTSA}, {"mcftsa", &row.MCFTSA}, {"ftbar", &row.FTBAR}} {
+			start := time.Now()
+			if _, err := sched.Run(t.name, inst.Graph, inst.Platform, inst.Costs,
+				sched.RunOptions{Epsilon: cfg.Epsilon}); err != nil {
+				return nil, err
+			}
+			*t.seconds = time.Since(start).Seconds()
 		}
-		row.FTSA = time.Since(start).Seconds()
-
-		start = time.Now()
-		if _, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-			core.MCFTSAOptions{Options: core.Options{Epsilon: cfg.Epsilon}}); err != nil {
-			return nil, err
-		}
-		row.MCFTSA = time.Since(start).Seconds()
-
-		start = time.Now()
-		if _, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: cfg.Epsilon}); err != nil {
-			return nil, err
-		}
-		row.FTBAR = time.Since(start).Seconds()
-
 		if row.FTSA > 0 {
 			row.RatioBF = row.FTBAR / row.FTSA
 		}
