@@ -28,7 +28,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer service.ReleaseBody(buf)
 	body := buf.Bytes()
-	req, err := service.DecodeBatchRequest(bytes.NewReader(body))
+	req, err := service.ParseBatchRequest(body)
 	if err != nil {
 		c.reject(w, http.StatusBadRequest, err)
 		return

@@ -154,7 +154,7 @@ func (c *Coordinator) cached(ep *service.Endpoint) http.HandlerFunc {
 			c.forward(w, r, c.route(r, fp), body)
 			return
 		}
-		d, err := ep.Decode(bytes.NewReader(body))
+		d, err := ep.Decode(body)
 		if err != nil {
 			c.reject(w, http.StatusBadRequest, err)
 			return
@@ -191,7 +191,7 @@ func (c *Coordinator) handleMissionCreate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	defer service.ReleaseBody(buf)
-	req, err := service.DecodeMissionRequest(bytes.NewReader(buf.Bytes()))
+	req, err := service.ParseMissionRequest(buf.Bytes())
 	if err != nil {
 		c.reject(w, http.StatusBadRequest, err)
 		return

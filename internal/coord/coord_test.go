@@ -248,6 +248,46 @@ func TestDoorRejectsMalformed(t *testing.T) {
 	_ = shards
 }
 
+// TestDoorRefusesTrailingData: a valid request followed by anything but
+// whitespace dies at the door with a 400 on every POST endpoint — the ']'
+// and '}' tails were a 200 before the one decoder checked for the end of
+// input — and neither a shard nor the door's front index ever sees it.
+func TestDoorRefusesTrailingData(t *testing.T) {
+	c, _ := newDeployment(t, 2, service.Config{})
+	bodies := map[string][]byte{
+		"/schedule":       scheduleBody("ftsa", 1, 0),
+		"/evaluate":       evaluateBody(1, 8),
+		"/tune":           tuneBody(8),
+		"/schedule/batch": batchBody(`{"scheduler": "ftsa", "epsilon": 1}`),
+		"/missions":       missionBody("ftsa", 1, ""),
+	}
+	refused := uint64(0)
+	for path, body := range bodies {
+		for _, tail := range []string{"]", "}", " ]garbage"} {
+			for range 3 {
+				rec := do(c, http.MethodPost, path, append(append([]byte(nil), body...), tail...))
+				if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unexpected data after the JSON body") {
+					t.Fatalf("%s with tail %q: %d %s", path, tail, rec.Code, rec.Body.String())
+				}
+				refused++
+			}
+		}
+	}
+	st := coordStats(t, c)
+	if st.Door.Rejected != refused || st.Door.Requests != refused || st.Door.BodyHits != 0 || c.front.Len() != 0 {
+		t.Fatalf("door requests=%d rejected=%d body_hits=%d aliases=%d, want %d/%d/0/0",
+			st.Door.Requests, st.Door.Rejected, st.Door.BodyHits, c.front.Len(), refused, refused)
+	}
+	if st.Merged.Requests != refused || st.Merged.ClientErrors != refused {
+		t.Fatalf("merged requests=%d client_errors=%d, want %d/%d", st.Merged.Requests, st.Merged.ClientErrors, refused, refused)
+	}
+	for i, s := range st.PerShard {
+		if s.Requests != 0 {
+			t.Fatalf("shard %d saw %d requests; trailing data must die at the door", i, s.Requests)
+		}
+	}
+}
+
 // TestDoorBodyLimit: a body past the coordinator's limit 413s at the door.
 func TestDoorBodyLimit(t *testing.T) {
 	srv := service.New(service.Config{})

@@ -121,7 +121,7 @@ func FuzzRouteRequest(f *testing.F) {
 		var fp service.Fingerprint
 		for _, ep := range service.CachedEndpoints() {
 			if ep.Path() == path {
-				d, err := ep.Decode(bytes.NewReader(body))
+				d, err := ep.Decode(body)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -141,7 +141,7 @@ func (g *Graph) rebuild(name string, tasks int, edges []edgeJSON) error {
 	return nil
 }
 
-// graphScratchPool recycles the intermediate wire structure of a graph
-// decode; json.Unmarshal appends into the pooled Edges backing instead of
-// growing a fresh slice per request.
-var graphScratchPool = sync.Pool{New: func() any { return new(graphJSON) }}
+// edgeStagePool recycles the edge list a graph decode stages between the
+// wire and rebuild's two passes, so a decode into a fresh Graph does not
+// grow a new one per request.
+var edgeStagePool = sync.Pool{New: func() any { return new([]edgeJSON) }}

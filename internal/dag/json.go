@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+
+	"ftsched/internal/wire"
 )
 
-// graphJSON is the on-disk representation: a task count plus an edge list.
-// Task labels are implicit (dense IDs), matching the paper's anonymous random
-// graphs.
+// graphJSON is the on-disk representation MarshalJSON writes: a task count
+// plus an edge list. Task labels are implicit (dense IDs), matching the
+// paper's anonymous random graphs.
 type graphJSON struct {
 	Name  string     `json:"name"`
 	Tasks int        `json:"tasks"`
@@ -32,29 +35,72 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON implements json.Unmarshaler and validates the decoded graph
-// (dense endpoints, no self loops or duplicate edges, non-negative volumes,
-// acyclic — the same invariants AddEdge + Validate enforce).
+// UnmarshalJSON implements json.Unmarshaler through ScanJSON, so a graph
+// file, a schedule's embedded graph and an HTTP body share one decoder.
+func (g *Graph) UnmarshalJSON(data []byte) error { return wire.Unmarshal(data, g.ScanJSON) }
+
+var (
+	graphFields = wire.Fields{"name", "tasks", "edges"}
+	edgeFields  = wire.Fields{"src", "dst", "volume"}
+)
+
+// ScanJSON decodes the graph value under s's cursor and validates it (dense
+// endpoints, no self loops or duplicate edges, non-negative volumes, acyclic
+// — the same invariants AddEdge + Validate enforce). Unknown members are
+// skipped; null stands for the empty graph, a null edge for the zero edge
+// (which rebuild refuses as a self loop).
 //
 // Decoding reuses the receiver's arena storage: a pooled request object that
 // is decoded into repeatedly (the serving layer's door) performs no
-// graph-shaped heap allocations once warm. On error the receiver is reset to
-// the empty graph; its previous contents are not preserved.
-func (g *Graph) UnmarshalJSON(data []byte) error {
-	in := graphScratchPool.Get().(*graphJSON)
-	defer func() {
-		in.Name, in.Tasks, in.Edges = "", 0, in.Edges[:0]
-		graphScratchPool.Put(in)
-	}()
-	// encoding/json reuses the slice elements within capacity as they are:
-	// zero them, or an edge that omits a field (or is null) would keep what
-	// the previous payload left at its index.
-	clear(in.Edges[:cap(in.Edges)])
-	in.Name, in.Tasks, in.Edges = "", 0, in.Edges[:0]
-	if err := json.Unmarshal(data, in); err != nil {
+// graph-shaped heap allocations once warm. On a validation error the
+// receiver is reset to the empty graph; its previous contents are not
+// preserved.
+func (g *Graph) ScanJSON(s *wire.Scanner) error { return g.ScanJSONMax(s, math.MaxInt) }
+
+// ScanJSONMax is ScanJSON for a graph whose document must carry data per
+// task besides it (a request's cost rows): a task count above maxTasks — more
+// than that document has room for — is refused before rebuild allocates by
+// it. A task count is the one size a graph declares rather than spells out,
+// so without the bound a 30-byte body could ask for terabytes.
+func (g *Graph) ScanJSONMax(s *wire.Scanner, maxTasks int) error {
+	stage := edgeStagePool.Get().(*[]edgeJSON)
+	defer edgeStagePool.Put(stage)
+	name, tasks, edges := "", 0, (*stage)[:0]
+	scanEdge := func() error {
+		edges = append(edges, edgeJSON{})
+		e := &edges[len(edges)-1]
+		return s.Object(func(key []byte) error {
+			switch edgeFields.Index(key) {
+			case 0:
+				return s.Int((*int)(&e.Src))
+			case 1:
+				return s.Int((*int)(&e.Dst))
+			case 2:
+				return s.Float(&e.Volume)
+			}
+			return s.Skip()
+		})
+	}
+	err := s.Object(func(key []byte) error {
+		switch graphFields.Index(key) {
+		case 0:
+			return s.String(&name)
+		case 1:
+			return s.Int(&tasks)
+		case 2:
+			edges = edges[:0] // a repeated key starts over; nothing is merged
+			return s.Array(scanEdge)
+		}
+		return s.Skip()
+	})
+	*stage = edges // keep what the staging slice grew to
+	if err != nil {
 		return fmt.Errorf("dag: decoding graph: %w", err)
 	}
-	return g.rebuild(in.Name, in.Tasks, in.Edges)
+	if tasks > maxTasks {
+		return fmt.Errorf("dag: %d tasks declared, the document has room for at most %d", tasks, maxTasks)
+	}
+	return g.rebuild(name, tasks, edges)
 }
 
 // WriteTo serializes g as indented JSON.

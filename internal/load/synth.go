@@ -86,30 +86,24 @@ func requestSeed(base int64, index uint64) int64 {
 	return int64(h &^ (1 << 63))
 }
 
-// Wire shapes of the request bodies. The instance fields are raw pre-
-// marshaled JSON from the corpus; the rest mirrors the service's decode
-// structs field by field, so struct-order marshaling produces bodies the
-// strict decoders (DisallowUnknownFields) accept.
-type scheduleBody struct {
-	Graph     json.RawMessage `json:"graph"`
-	Platform  json.RawMessage `json:"platform"`
-	Costs     json.RawMessage `json:"costs"`
-	Scheduler string          `json:"scheduler"`
-	Epsilon   int             `json:"epsilon"`
-	Seed      int64           `json:"seed,omitempty"`
+// Wire shapes of the request parameters — everything in a body but the
+// instance. They mirror the service's decode structs field by field, in
+// struct order, so a body passes the strict decoders (unknown fields
+// refused).
+type scheduleParams struct {
+	Scheduler string `json:"scheduler"`
+	Epsilon   int    `json:"epsilon"`
+	Seed      int64  `json:"seed,omitempty"`
 }
 
-type evaluateBody struct {
-	scheduleBody
+type evaluateParams struct {
+	scheduleParams
 	Trials   int              `json:"trials"`
 	Scenario sim.ScenarioSpec `json:"scenario"`
 	EvalSeed int64            `json:"eval_seed,omitempty"`
 }
 
-type tuneBody struct {
-	Graph    json.RawMessage  `json:"graph"`
-	Platform json.RawMessage  `json:"platform"`
-	Costs    json.RawMessage  `json:"costs"`
+type tuneParams struct {
 	Scenario sim.ScenarioSpec `json:"scenario"`
 	Trials   int              `json:"trials"`
 	Target   float64          `json:"target"`
@@ -126,26 +120,22 @@ func (sy *Synthesizer) Request(index uint64) (*Request, error) {
 	p := &sy.profile
 
 	req := &Request{Index: index, Rank: rank}
-	var body any
+	var params any
 	switch {
 	case u < sy.wSchedule:
 		req.Endpoint, req.Path = "schedule", "/schedule"
-		body = sy.scheduleParams(item, rng)
+		params = sy.drawSchedule(rng)
 	case u < sy.wEvaluate:
 		req.Endpoint, req.Path = "evaluate", "/evaluate"
-		sb := sy.scheduleParams(item, rng)
-		body = &evaluateBody{
-			scheduleBody: *sb,
-			Trials:       p.EvalTrials[rng.Intn(len(p.EvalTrials))],
-			Scenario:     sy.scenarios[rng.Intn(len(sy.scenarios))],
-			EvalSeed:     p.EvalSeeds[rng.Intn(len(p.EvalSeeds))],
+		params = &evaluateParams{
+			scheduleParams: *sy.drawSchedule(rng),
+			Trials:         p.EvalTrials[rng.Intn(len(p.EvalTrials))],
+			Scenario:       sy.scenarios[rng.Intn(len(sy.scenarios))],
+			EvalSeed:       p.EvalSeeds[rng.Intn(len(p.EvalSeeds))],
 		}
 	default:
 		req.Endpoint, req.Path = "tune", "/tune"
-		body = &tuneBody{
-			Graph:    item.graph,
-			Platform: item.platform,
-			Costs:    item.costs,
+		params = &tuneParams{
 			Scenario: sy.scenarios[rng.Intn(len(sy.scenarios))],
 			Trials:   p.TuneTrials,
 			Target:   p.TuneTarget,
@@ -153,31 +143,37 @@ func (sy *Synthesizer) Request(index uint64) (*Request, error) {
 			EvalSeed: p.EvalSeeds[rng.Intn(len(p.EvalSeeds))],
 		}
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	// The instance is 99 % of a body and already compact JSON: splice it in
+	// front of the encoded parameters rather than push it through the
+	// encoder, which would re-validate and re-compact all of it per request.
+	// The bytes are what encoding the whole body as one struct gives.
+	var tail bytes.Buffer
+	enc := json.NewEncoder(&tail)
 	enc.SetEscapeHTML(false)
-	if err := enc.Encode(body); err != nil {
+	if err := enc.Encode(params); err != nil {
 		return nil, fmt.Errorf("load: marshaling request %d: %w", index, err)
 	}
-	req.Body = buf.Bytes()
+	body := make([]byte, 0, len(item.graph)+len(item.platform)+len(item.costs)+tail.Len()+32)
+	body = append(append(body, `{"graph":`...), item.graph...)
+	body = append(append(body, `,"platform":`...), item.platform...)
+	body = append(append(body, `,"costs":`...), item.costs...)
+	body = append(append(body, ','), tail.Bytes()[1:]...) // the parameters' members, minus their '{'
+	req.Body = body
 	return req, nil
 }
 
-// scheduleParams draws the scheduling-parameter block shared by /schedule
+// drawSchedule draws the scheduling-parameter block shared by /schedule
 // and /evaluate bodies. Schedulers the registry marks non-fault-tolerant
 // must carry ε = 0; the profile encodes that as the "heft" special case so
 // the synthesizer needs no registry import.
-func (sy *Synthesizer) scheduleParams(item *corpusItem, rng *rand.Rand) *scheduleBody {
+func (sy *Synthesizer) drawSchedule(rng *rand.Rand) *scheduleParams {
 	p := &sy.profile
 	scheduler := p.Schedulers[rng.Intn(len(p.Schedulers))]
 	eps := p.Epsilons[rng.Intn(len(p.Epsilons))]
 	if scheduler == "heft" {
 		eps = 0
 	}
-	return &scheduleBody{
-		Graph:     item.graph,
-		Platform:  item.platform,
-		Costs:     item.costs,
+	return &scheduleParams{
 		Scheduler: scheduler,
 		Epsilon:   eps,
 		Seed:      p.Seeds[rng.Intn(len(p.Seeds))],

@@ -8,12 +8,14 @@ import (
 	"sort"
 
 	"ftsched/internal/dag"
+	"ftsched/internal/wire"
 )
 
 // CostModel is the computational-heterogeneity function E: V × P → R+ of the
 // paper: cost[t][k] is the execution time of task t on processor Pk.
 type CostModel struct {
 	cost [][]float64 // [task][proc]
+	flat []float64   // backing of a decoded matrix, kept for the next decode
 }
 
 // NewCostModel allocates a v-tasks × m-procs cost matrix initialized to zero.
@@ -195,36 +197,48 @@ func (cm *CostModel) MarshalJSON() ([]byte, error) {
 	}{Cost: cm.cost})
 }
 
-// UnmarshalJSON implements json.Unmarshaler with validation. Like
-// Platform.UnmarshalJSON it decodes into the receiver's existing matrix
-// storage, so a pooled model decoding same-shaped payloads allocates nothing;
+// UnmarshalJSON implements json.Unmarshaler through ScanJSON.
+func (cm *CostModel) UnmarshalJSON(data []byte) error { return wire.Unmarshal(data, cm.ScanJSON) }
+
+var costFields = wire.Fields{"cost"}
+
+// ScanJSON decodes and validates the cost-model value under s's cursor.
+// Like Platform.ScanJSON it decodes into the receiver's existing matrix
+// storage (capacity only — a document without a cost member has an empty
+// matrix), so a pooled model decoding same-shaped payloads allocates nothing;
 // on any error the receiver is left empty.
-func (cm *CostModel) UnmarshalJSON(data []byte) error {
-	in := struct {
-		Cost [][]float64 `json:"cost"`
-	}{Cost: recycleRows(cm.cost)}
+func (cm *CostModel) ScanJSON(s *wire.Scanner) error {
+	cost := cm.cost[:0]
 	cm.cost = nil
-	if err := json.Unmarshal(data, &in); err != nil {
+	err := s.Object(func(key []byte) error {
+		if costFields.Index(key) != 0 {
+			return s.Skip()
+		}
+		var err error
+		cost, cm.flat, err = scanMatrix(s, cost, cm.flat)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("platform: decoding cost model: %w", err)
 	}
-	if len(in.Cost) == 0 {
+	if len(cost) == 0 {
 		return fmt.Errorf("platform: empty cost matrix")
 	}
-	m := len(in.Cost[0])
+	m := len(cost[0])
 	if m == 0 {
 		return fmt.Errorf("platform: cost matrix has no processors")
 	}
-	for t := range in.Cost {
-		if len(in.Cost[t]) != m {
-			return fmt.Errorf("%w: cost row %d has %d entries, want %d", ErrDimension, t, len(in.Cost[t]), m)
+	for t := range cost {
+		if len(cost[t]) != m {
+			return fmt.Errorf("%w: cost row %d has %d entries, want %d", ErrDimension, t, len(cost[t]), m)
 		}
-		for k, c := range in.Cost[t] {
+		for k, c := range cost[t] {
 			if c < 0 {
 				return fmt.Errorf("platform: negative cost E(%d,P%d)=%g", t, k, c)
 			}
 		}
 	}
-	cm.cost = in.Cost
+	cm.cost = cost
 	return nil
 }
 

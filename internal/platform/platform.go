@@ -7,6 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+
+	"ftsched/internal/wire"
 )
 
 // ProcID identifies a processor, a dense integer in [0, NumProcs).
@@ -17,6 +19,7 @@ type ProcID int
 type Platform struct {
 	m     int
 	delay [][]float64 // delay[k][h] = d(Pk,Ph); delay[k][k] = 0
+	flat  []float64   // backing of a decoded delay matrix, kept for the next decode
 }
 
 // Common platform errors.
@@ -188,25 +191,43 @@ func (p *Platform) MarshalJSON() ([]byte, error) {
 	return json.Marshal(platformJSON{Procs: p.m, Delay: p.delay})
 }
 
-// UnmarshalJSON implements json.Unmarshaler with validation. It decodes into
-// the receiver's existing matrix storage (rows and backing are reused when
-// capacities suffice), so a pooled platform decoding same-sized payloads back
-// to back stops allocating. On any error the receiver is left empty.
-func (p *Platform) UnmarshalJSON(data []byte) error {
-	in := platformJSON{Delay: recycleRows(p.delay)}
+// UnmarshalJSON implements json.Unmarshaler through ScanJSON.
+func (p *Platform) UnmarshalJSON(data []byte) error { return wire.Unmarshal(data, p.ScanJSON) }
+
+var platformFields = wire.Fields{"procs", "delay"}
+
+// ScanJSON decodes and validates the platform value under s's cursor.
+// Unknown members are skipped and null stands for the empty object. It
+// decodes into the receiver's existing matrix storage, so a pooled platform
+// decoding same-sized payloads back to back stops allocating. That storage is
+// capacity only: a document without a delay member has an empty matrix, never
+// the previous one. On any error the receiver is left empty.
+func (p *Platform) ScanJSON(s *wire.Scanner) error {
+	procs, delay := 0, p.delay[:0]
 	p.m, p.delay = 0, nil
-	if err := json.Unmarshal(data, &in); err != nil {
+	err := s.Object(func(key []byte) error {
+		switch platformFields.Index(key) {
+		case 0:
+			return s.Int(&procs)
+		case 1:
+			var err error
+			delay, p.flat, err = scanMatrix(s, delay, p.flat)
+			return err
+		}
+		return s.Skip()
+	})
+	if err != nil {
 		return fmt.Errorf("platform: decoding: %w", err)
 	}
-	m := len(in.Delay)
+	m := len(delay)
 	if m == 0 {
 		return ErrBadSize
 	}
-	for k := range in.Delay {
-		if len(in.Delay[k]) != m {
-			return fmt.Errorf("%w: row %d has %d entries, want %d", ErrDimension, k, len(in.Delay[k]), m)
+	for k := range delay {
+		if len(delay[k]) != m {
+			return fmt.Errorf("%w: row %d has %d entries, want %d", ErrDimension, k, len(delay[k]), m)
 		}
-		for h, d := range in.Delay[k] {
+		for h, d := range delay[k] {
 			if d < 0 {
 				return fmt.Errorf("%w: d(P%d,P%d)=%g", ErrBadDelay, k, h, d)
 			}
@@ -215,25 +236,37 @@ func (p *Platform) UnmarshalJSON(data []byte) error {
 			}
 		}
 	}
-	if in.Procs != m {
-		return fmt.Errorf("%w: procs=%d but delay matrix is %dx%d", ErrDimension, in.Procs, m, m)
+	if procs != m {
+		return fmt.Errorf("%w: procs=%d but delay matrix is %dx%d", ErrDimension, procs, m, m)
 	}
-	p.m, p.delay = m, in.Delay
+	p.m, p.delay = m, delay
 	return nil
 }
 
-// recycleRows empties a matrix for json.Unmarshal to decode into.
-// encoding/json reuses the slice elements within capacity as they are, so
-// without this a null row or a null entry would keep the value the previous
-// payload left there, and one body could decode to two different matrices.
-func recycleRows(rows [][]float64) [][]float64 {
-	rows = rows[:cap(rows)]
+// scanMatrix reads an array of float rows (a delay or cost matrix) into the
+// storage of a previous decode: every entry is appended to one flat block
+// and the rows are carved out of it afterwards, so a matrix costs a handful
+// of allocations when the storage is new and none when it is warm. A null
+// matrix or row is empty, a null entry 0. Each call starts from nothing, so
+// a repeated key is decoded afresh, never merged.
+func scanMatrix(s *wire.Scanner, rows [][]float64, flat []float64) ([][]float64, []float64, error) {
+	rows, flat = rows[:0], flat[:0]
+	err := s.Array(func() error {
+		start := len(flat)
+		err := s.Array(func() error {
+			flat = append(flat, 0)
+			return s.Float(&flat[len(flat)-1])
+		})
+		// flat may still move; only this row's length is final.
+		rows = append(rows, flat[start:])
+		return err
+	})
+	off := 0
 	for i, row := range rows {
-		row = row[:cap(row)]
-		clear(row)
-		rows[i] = row[:0]
+		rows[i] = flat[off : off+len(row) : off+len(row)]
+		off += len(row)
 	}
-	return rows[:0]
+	return rows, flat, err
 }
 
 // WriteTo serializes p as indented JSON.

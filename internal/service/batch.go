@@ -65,19 +65,13 @@ type BatchItemResult struct {
 // rejected). On success every item has passed full /schedule validation and
 // Items returns the expansion.
 func DecodeBatchRequest(r io.Reader) (*BatchRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding request: unexpected data after the JSON body")
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return readNew[BatchRequest](r)
+}
+
+// ParseBatchRequest is DecodeBatchRequest for a body already in memory (the
+// coordinator door's).
+func ParseBatchRequest(body []byte) (*BatchRequest, error) {
+	return decodeNew[BatchRequest](body)
 }
 
 // Validate cross-checks the envelope and expands each item into a full
@@ -132,8 +126,7 @@ func (req *BatchRequest) Items() []*ScheduleRequest { return req.items }
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchRequests.Add(1)
 	start := time.Now()
-	req, ok := decodeRequest(s, w, r, DecodeBatchRequest,
-		func(req *BatchRequest) int { return req.NumTasks() })
+	req, ok := decodeRequest(s, w, r, (*BatchRequest).NumTasks)
 	if !ok {
 		s.requests.Add(1)
 		return

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -22,7 +20,7 @@ type Endpoint struct {
 	// counter picks the endpoint's share of Stats.Requests; nil for
 	// /schedule, which has no counter of its own.
 	counter func(*Server) *atomic.Uint64
-	decode  func(io.Reader) (*Decoded, error)
+	decode  func(body []byte) (*Decoded, error)
 }
 
 var cachedEndpoints = []*Endpoint{
@@ -46,7 +44,7 @@ func (e *Endpoint) Digest(body []byte) BodyDigest { return digestBody(e.path, bo
 // Decode reads, validates and fingerprints one request body. The error is
 // safe to echo to the client. A successful result owns pooled storage: pass
 // it to a Server's ServeDecoded, or call Release.
-func (e *Endpoint) Decode(body io.Reader) (*Decoded, error) {
+func (e *Endpoint) Decode(body []byte) (*Decoded, error) {
 	d, err := e.decode(body)
 	if err != nil {
 		return nil, err
@@ -90,7 +88,7 @@ func (d *Decoded) Release() {
 	}
 }
 
-func decodeSchedule(body io.Reader) (*Decoded, error) {
+func decodeSchedule(body []byte) (*Decoded, error) {
 	// Decode into a pooled request: the graph lands in a recycled adjacency
 	// arena, so the warm decode path allocates nothing proportional to the
 	// instance. Nothing built from the request outlives its compute (the
@@ -98,7 +96,7 @@ func decodeSchedule(body io.Reader) (*Decoded, error) {
 	// the compute itself may outlive the handler when the client disconnects
 	// — serveCached owns the release via its cleanup hook.
 	req := AcquireScheduleRequest()
-	if err := DecodeScheduleRequestInto(req, body); err != nil {
+	if err := decodeScheduleInto(req, body); err != nil {
 		ReleaseScheduleRequest(req)
 		return nil, err
 	}
@@ -112,8 +110,8 @@ func decodeSchedule(body io.Reader) (*Decoded, error) {
 	}, nil
 }
 
-func decodeEvaluate(body io.Reader) (*Decoded, error) {
-	req, err := DecodeEvaluateRequest(body)
+func decodeEvaluate(body []byte) (*Decoded, error) {
+	req, err := decodeNew[EvaluateRequest](body)
 	if err != nil {
 		return nil, err
 	}
@@ -132,8 +130,8 @@ func decodeEvaluate(body io.Reader) (*Decoded, error) {
 	}, nil
 }
 
-func decodeTune(body io.Reader) (*Decoded, error) {
-	req, err := DecodeTuneRequest(body)
+func decodeTune(body []byte) (*Decoded, error) {
+	req, err := decodeNew[TuneRequest](body)
 	if err != nil {
 		return nil, err
 	}
@@ -176,40 +174,27 @@ type bodyAlias struct {
 	scheds schedSet
 }
 
-// errReader fails every Read with err.
-type errReader struct{ err error }
-
-func (r errReader) Read([]byte) (int, error) { return 0, r.err }
-
 // handleCached mounts one cached endpoint: buffer the body, try the front
 // index, otherwise decode and join serveDecoded.
 func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.countRequest(ep)
 		start := time.Now()
-		buf, readErr := AcquireBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
-		defer ReleaseBody(buf)
-		var (
-			body   io.Reader = bytes.NewReader(buf.Bytes())
-			digest BodyDigest
-		)
-		if readErr == nil {
-			digest = ep.Digest(buf.Bytes())
-			if s.serveFront(w, r, ep, digest, start) {
-				return
-			}
-		} else {
-			// The decoder sees what it would have seen reading the
-			// connection itself — the bytes, then the error — so a truncated
-			// or oversized body keeps its status and message.
-			body = io.MultiReader(body, errReader{readErr})
-		}
-		d, err := ep.Decode(body)
-		if err != nil {
-			s.writeError(w, decodeErrorStatus(err), err)
+		buf, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
-		s.serveDecoded(w, r, d, digest, readErr == nil, start)
+		defer ReleaseBody(buf)
+		digest := ep.Digest(buf.Bytes())
+		if s.serveFront(w, r, ep, digest, start) {
+			return
+		}
+		d, err := ep.Decode(buf.Bytes())
+		if err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.serveDecoded(w, r, d, digest, start)
 	}
 }
 
@@ -255,16 +240,15 @@ func (s *Server) serveFront(w http.ResponseWriter, r *http.Request, ep *Endpoint
 // and decodes them itself.
 func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest) {
 	s.countRequest(d.ep)
-	s.serveDecoded(w, r, d, digest, true, time.Now())
+	s.serveDecoded(w, r, d, digest, time.Now())
 }
 
 // serveDecoded is the part of a cached request after the decode: guards,
 // per-scheduler counters, then the cache → singleflight → pool flow. A body
 // is admitted to the front index only here and only once it has been served
 // as a hit, so every alias has passed every guard and never-repeating
-// traffic stores nothing. hashed is false when no digest of the whole body
-// exists (the read failed after a complete JSON document).
-func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest, hashed bool, start time.Time) {
+// traffic stores nothing.
+func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest, start time.Time) {
 	var err error
 	if s.cfg.MaxTasks > 0 && d.tasks > s.cfg.MaxTasks {
 		err = fmt.Errorf("instance has %d tasks, this server accepts at most %d", d.tasks, s.cfg.MaxTasks)
@@ -291,7 +275,7 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded
 	if !ok {
 		return
 	}
-	if hashed && cacheStatus == "hit" {
+	if cacheStatus == "hit" {
 		s.front.Put(digest, bodyAlias{fp: d.fp, scheds: scheds})
 	}
 	s.observeLatency(start)

@@ -1,0 +1,140 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+
+	"ftsched/internal/dag"
+	"ftsched/internal/platform"
+	"ftsched/internal/wire"
+)
+
+// request is what the bodies of the five POST endpoints have in common: an
+// instance — graph, platform, costs, 99.8 % of the bytes — next to a few
+// endpoint-specific parameters, and a cross-check of the two.
+type request interface {
+	// instance returns where the body's graph, platform and costs go.
+	instance() (**dag.Graph, **platform.Platform, **platform.CostModel)
+	Validate() error
+}
+
+func (req *ScheduleRequest) instance() (**dag.Graph, **platform.Platform, **platform.CostModel) {
+	return &req.Graph, &req.Platform, &req.Costs
+}
+
+func (req *TuneRequest) instance() (**dag.Graph, **platform.Platform, **platform.CostModel) {
+	return &req.Graph, &req.Platform, &req.Costs
+}
+
+func (req *BatchRequest) instance() (**dag.Graph, **platform.Platform, **platform.CostModel) {
+	return &req.Graph, &req.Platform, &req.Costs
+}
+
+var instanceFields = wire.Fields{"graph", "platform", "costs"}
+
+// decodeBody is the one decoder of every request body. It walks the
+// top-level object once: the instance members go through the wire scanner
+// straight into the graph arena and the matrix rows, and every other member
+// — a few hundred bytes of scalars, scenario specs and grids — is spliced
+// into a residual object that encoding/json decodes into req with unknown
+// fields refused, so the parameter types and their rules are the struct's.
+// A body must be one JSON document with nothing but whitespace after it.
+// The error is safe to echo to the client.
+//
+// Whatever req's instance pointers hold on entry is storage to decode into
+// (a pooled request's arena and rows), never data: a member the body omits
+// or nulls ends nil, which Validate reports as missing. A repeated instance
+// member is decoded again from nothing; the last one stands. A refused body
+// hands the storage back — req then holds capacity for the next decode and
+// nothing to read.
+func decodeBody(body []byte, req request) error {
+	g, p, cm := req.instance()
+	gs, ps, cs := *g, *p, *cm
+	*g, *p, *cm = nil, nil, nil
+
+	s := wire.NewScanner(body)
+	rest := body // a body that is not an object is encoding/json's to refuse
+	var err error
+	if s.Peek() == '{' {
+		rest = append(make([]byte, 0, 256), '{')
+		err = s.Object(func(key []byte) error {
+			switch instanceFields.Index(key) {
+			case 0:
+				// Every task needs a cost row, "[0]," at the least, in this
+				// same body.
+				return scanMember(s, g, &gs, func(g *dag.Graph) error { return g.ScanJSONMax(s, len(body)/4) })
+			case 1:
+				return scanMember(s, p, &ps, func(p *platform.Platform) error { return p.ScanJSON(s) })
+			case 2:
+				return scanMember(s, cm, &cs, func(cm *platform.CostModel) error { return cm.ScanJSON(s) })
+			}
+			value, err := s.Raw()
+			if len(rest) > 1 {
+				rest = append(rest, ',')
+			}
+			rest = append(append(append(rest, key...), ':'), value...)
+			return err
+		})
+		rest = append(rest, '}')
+	} else {
+		err = s.Skip()
+	}
+	if err == nil {
+		err = s.End()
+	}
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(rest))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(req)
+	}
+	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else {
+		err = req.Validate()
+	}
+	if err != nil {
+		*g, *p, *cm = gs, ps, cs
+	}
+	return err
+}
+
+// scanMember decodes one instance member into *storage, allocating it when
+// the request brought none, and points *dst at it; null leaves *dst nil.
+func scanMember[T any](s *wire.Scanner, dst, storage **T, scan func(*T) error) error {
+	if *dst = nil; s.Null() {
+		return nil
+	}
+	if *storage == nil {
+		*storage = new(T)
+	}
+	*dst = *storage
+	return scan(*dst)
+}
+
+// requestPtr is a request type T by its pointer, which has the methods.
+type requestPtr[T any] interface {
+	*T
+	request
+}
+
+// decodeNew decodes body into a new request.
+func decodeNew[T any, P requestPtr[T]](body []byte) (P, error) {
+	req := P(new(T))
+	if err := decodeBody(body, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// readNew is decodeNew for a body still to be read. The exported
+// Decode*Request functions are it, one per request type.
+func readNew[T any, P requestPtr[T]](r io.Reader) (P, error) {
+	buf, err := AcquireBody(r, 0)
+	defer ReleaseBody(buf)
+	if err != nil {
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return decodeNew[T, P](buf.Bytes())
+}

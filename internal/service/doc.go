@@ -30,7 +30,7 @@
 //   - GET /stats reports cache hit rate, per-endpoint and per-scheduler
 //     counters, queue depth and p50/p99 latency.
 //
-// Four mechanisms make the service production-shaped:
+// Five mechanisms make the service production-shaped:
 //
 //   - A bounded worker pool (Pool): one scheduling goroutine per core by
 //     default, with a bounded queue in front. When the queue is full the
@@ -43,19 +43,30 @@
 //     hit returns the exact bytes a fresh run would produce; repeated
 //     requests — the common case under heavy traffic — skip scheduling
 //     entirely.
-//   - A body-digest front index (BodyIndex) in front of that cache. Decoding
-//     a paper-sized body costs several times an FTSA solve, and a cache hit
-//     would pay it just to find its key; so the handlers of the cached
-//     endpoints (Endpoint) read the body once into a pooled buffer, take a
-//     128-bit process-keyed digest of the raw bytes (BodyDigest) and, when
-//     the index maps it to a fingerprint whose entry is still cached, replay
-//     the hit — same bytes, header and counters — without decoding. A body
-//     is admitted only after it decoded, passed every guard and was served
-//     as a hit, so every alias points at a canonical entry and traffic that
-//     never repeats stores nothing. The coordinator's door keeps the same
-//     index for routing and hands the requests it does decode to in-process
-//     shards through Server.ServeDecoded, so a sharded request is decoded
-//     at most once.
+//   - A body-digest front index (BodyIndex) in front of that cache. Even
+//     single-pass, decoding a paper-sized body costs as much as an FTSA
+//     solve, and a cache hit would pay it just to find its key; so the
+//     handlers of the cached endpoints (Endpoint) read the body once into a
+//     pooled buffer, take a 128-bit process-keyed digest of the raw bytes
+//     (BodyDigest) and, when the index maps it to a fingerprint whose entry
+//     is still cached, replay the hit — same bytes, header and counters —
+//     without decoding. A body is admitted only after it decoded, passed
+//     every guard and was served as a hit, so every alias points at a
+//     canonical entry and traffic that never repeats stores nothing. The
+//     coordinator's door keeps the same index for routing and hands the
+//     requests it does decode to in-process shards through
+//     Server.ServeDecoded, so a sharded request is decoded at most once.
+//   - One request decoder (decodeBody) behind all five POST endpoints and
+//     the door: buffer → digest → front index → decodeBody → fingerprint.
+//     It walks the buffered body once; the instance members (graph,
+//     platform, costs — 99.8 % of the bytes) are parsed by internal/wire's
+//     scanner straight into the graph arena and the matrix blocks, the
+//     remaining members are spliced into a residual object that
+//     encoding/json decodes into the endpoint's struct with unknown fields
+//     refused, and nothing but whitespace may follow. 0.37 ms for a
+//     paper-sized body where encoding/json alone took 1.33 ms; a /schedule
+//     miss is 0.96 ms where it was 2.09 ms. The exported Decode*Request
+//     functions are this decoder behind an io.Reader.
 //   - A second, instance-keyed cache of static bottom levels bℓ(t). The
 //     criticalness priority depends only on (graph, costs, platform), so two
 //     cache-miss requests that differ merely in scheduler, ε or seed share

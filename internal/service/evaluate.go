@@ -76,19 +76,7 @@ type EvaluateResponse struct {
 // the same strictness as DecodeScheduleRequest (unknown fields rejected, one
 // JSON document only).
 func DecodeEvaluateRequest(r io.Reader) (*EvaluateRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req EvaluateRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding request: unexpected data after the JSON body")
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return readNew[EvaluateRequest](r)
 }
 
 // Validate cross-checks the decoded request: the scheduling part first, then

@@ -317,10 +317,9 @@ func TestFrontIndexEviction(t *testing.T) {
 	conserves(t, srv)
 }
 
-// TestFrontIndexOversizedBody pins the read-then-decode order to the
-// streaming decoder's outcomes: past the limit a well-formed prefix is 413,
-// but a body whose syntax error comes before the limit is still the 400 it
-// always was.
+// TestFrontIndexOversizedBody pins what a body past the limit is answered
+// with: the read error alone, 413, whatever the bytes before the limit were
+// — a syntax error in the part that was read is never looked at.
 func TestFrontIndexOversizedBody(t *testing.T) {
 	srv := New(Config{MaxBodyBytes: 64})
 	t.Cleanup(srv.Close)
@@ -330,8 +329,8 @@ func TestFrontIndexOversizedBody(t *testing.T) {
 		t.Fatalf("oversized body: %d %s", rec.Code, rec.Body.String())
 	}
 	broken := append([]byte(`{"graph": nope, `), valid...)
-	if rec := doServer(srv, http.MethodPost, "/schedule", broken); rec.Code != http.StatusBadRequest ||
-		!strings.Contains(rec.Body.String(), "invalid character") {
+	if rec := doServer(srv, http.MethodPost, "/schedule", broken); rec.Code != http.StatusRequestEntityTooLarge ||
+		!strings.Contains(rec.Body.String(), "request body too large") {
 		t.Fatalf("oversized body with an early syntax error: %d %s", rec.Code, rec.Body.String())
 	}
 	if st := conserves(t, srv); st.ClientErrors != 2 {
@@ -407,7 +406,7 @@ func TestServeDecodedMatchesServeHTTP(t *testing.T) {
 	for pi, p := range probes {
 		for round := 0; round < 2; round++ {
 			want := doServer(raw, http.MethodPost, p.ep.path, p.body)
-			d, err := p.ep.Decode(bytes.NewReader(p.body))
+			d, err := p.ep.Decode(p.body)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,19 +36,13 @@ type MissionRequest struct {
 // the same strictness as DecodeScheduleRequest (unknown fields rejected,
 // one JSON document only).
 func DecodeMissionRequest(r io.Reader) (*MissionRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req MissionRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding request: unexpected data after the JSON body")
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return readNew[MissionRequest](r)
+}
+
+// ParseMissionRequest is DecodeMissionRequest for a body already in memory
+// (the coordinator door's).
+func ParseMissionRequest(body []byte) (*MissionRequest, error) {
+	return decodeNew[MissionRequest](body)
 }
 
 // Validate cross-checks the decoded request: the scheduling part first, then
@@ -204,8 +198,7 @@ func missionAcceptedBody(id string) []byte {
 func (s *Server) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.missionRequests.Add(1)
-	req, ok := decodeRequest(s, w, r, DecodeMissionRequest,
-		func(req *MissionRequest) int { return req.Graph.NumTasks() })
+	req, ok := decodeRequest(s, w, r, func(req *MissionRequest) int { return req.Graph.NumTasks() })
 	if !ok {
 		return
 	}

@@ -126,26 +126,12 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// DecodeScheduleRequest reads and validates one request body. Unknown
-// top-level fields are rejected so typos ("epsilom") fail loudly instead of
-// silently scheduling with defaults. The returned error is safe to echo to
-// the client.
+// DecodeScheduleRequest reads and validates one request body (decodeBody).
+// Unknown top-level fields are rejected so typos ("epsilom") fail loudly
+// instead of silently scheduling with defaults. The returned error is safe
+// to echo to the client.
 func DecodeScheduleRequest(r io.Reader) (*ScheduleRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req ScheduleRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	// A second document in the body is a malformed request, not trailing
-	// garbage to ignore.
-	if dec.More() {
-		return nil, fmt.Errorf("decoding request: unexpected data after the JSON body")
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return readNew[ScheduleRequest](r)
 }
 
 // Validate cross-checks the decoded request. The individual graph, platform

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -11,9 +10,9 @@ import (
 )
 
 // The decode pool recycles the request struct together with its payload
-// storage: the graph's adjacency arena (dag.Graph.UnmarshalJSON rebuilds in
-// place) and the platform and cost-model matrices (their UnmarshalJSON
-// decodes into existing rows). A warm decode of a same-shaped request
+// storage: the graph's adjacency arena (dag.Graph.ScanJSON rebuilds in
+// place) and the platform and cost-model matrices (their ScanJSON decodes
+// into the previous backing block). A warm decode of a same-shaped request
 // performs no payload-sized allocations.
 var scheduleRequestPool = sync.Pool{New: func() any { return new(ScheduleRequest) }}
 
@@ -47,95 +46,21 @@ func ReleaseScheduleRequest(req *ScheduleRequest) {
 	scheduleRequestPool.Put(req)
 }
 
-// presentField decodes a JSON value into a caller-supplied destination while
-// distinguishing "present" from "absent or null". json.Unmarshal leaves
-// absent fields untouched and writes nil through pointer fields on null; with
-// recycled destinations both cases must surface as a nil pointer (Validate's
-// "missing field" error), never as the previous request's data.
-type presentField[T any] struct {
-	v   *T
-	set bool
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *presentField[T]) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		f.set = false
-		return nil
-	}
-	f.set = true
-	// The outer decoder has already syntax-checked b, so a destination with
-	// its own UnmarshalJSON can take the bytes directly; going through
-	// json.Unmarshal would scan the value a second time just to rediscover
-	// the Unmarshaler.
-	if u, ok := any(f.v).(json.Unmarshaler); ok {
-		return u.UnmarshalJSON(b)
-	}
-	return json.Unmarshal(b, f.v)
-}
-
-// scheduleWire mirrors ScheduleRequest field for field on the wire; it exists
-// so DisallowUnknownFields sees the exact same field set while the instance
-// payloads decode into recycled storage with presence tracking.
-type scheduleWire struct {
-	Graph           presentField[dag.Graph]          `json:"graph"`
-	Platform        presentField[platform.Platform]  `json:"platform"`
-	Costs           presentField[platform.CostModel] `json:"costs"`
-	Scheduler       string                           `json:"scheduler"`
-	Epsilon         int                              `json:"epsilon"`
-	Policy          string                           `json:"policy,omitempty"`
-	Seed            int64                            `json:"seed,omitempty"`
-	Lambda          float64                          `json:"lambda,omitempty"`
-	IncludeGantt    bool                             `json:"include_gantt,omitempty"`
-	IncludeSchedule bool                             `json:"include_schedule,omitempty"`
-}
-
 // DecodeScheduleRequestInto is DecodeScheduleRequest decoding into req's
 // existing graph, platform and cost-model storage — with a request from
 // AcquireScheduleRequest, the graph decodes through its adjacency arena and
-// the warm path stops allocating for adjacency. Accepts and rejects exactly
-// the bodies DecodeScheduleRequest does.
+// the matrices into their previous rows, so the warm path allocates nothing
+// proportional to the instance. Whatever req held before is overwritten.
 func DecodeScheduleRequestInto(req *ScheduleRequest, r io.Reader) error {
-	if req.Graph == nil {
-		req.Graph = new(dag.Graph)
-	}
-	if req.Platform == nil {
-		req.Platform = new(platform.Platform)
-	}
-	if req.Costs == nil {
-		req.Costs = new(platform.CostModel)
-	}
-	w := scheduleWire{
-		Graph:    presentField[dag.Graph]{v: req.Graph},
-		Platform: presentField[platform.Platform]{v: req.Platform},
-		Costs:    presentField[platform.CostModel]{v: req.Costs},
-	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
+	buf, err := AcquireBody(r, 0)
+	defer ReleaseBody(buf)
+	if err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
-	if dec.More() {
-		return fmt.Errorf("decoding request: unexpected data after the JSON body")
-	}
-	g, p, cm := req.Graph, req.Platform, req.Costs
-	*req = ScheduleRequest{
-		Scheduler:       w.Scheduler,
-		Epsilon:         w.Epsilon,
-		Policy:          w.Policy,
-		Seed:            w.Seed,
-		Lambda:          w.Lambda,
-		IncludeGantt:    w.IncludeGantt,
-		IncludeSchedule: w.IncludeSchedule,
-	}
-	if w.Graph.set {
-		req.Graph = g
-	}
-	if w.Platform.set {
-		req.Platform = p
-	}
-	if w.Costs.set {
-		req.Costs = cm
-	}
-	return req.Validate()
+	return decodeScheduleInto(req, buf.Bytes())
+}
+
+func decodeScheduleInto(req *ScheduleRequest, body []byte) error {
+	*req = ScheduleRequest{Graph: req.Graph, Platform: req.Platform, Costs: req.Costs}
+	return decodeBody(body, req)
 }

@@ -3,10 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
 
@@ -107,22 +109,75 @@ func TestReleaseScheduleRequestZeroes(t *testing.T) {
 	}
 }
 
+// TestPooledReuseAcrossSizes drives one pooled request through a big body, a
+// small one with a null matrix row and a null entry, and the big one again:
+// whatever the recycled arena and matrix blocks held, every decode equals a
+// decode into fresh storage. That includes bodies whose platform or costs
+// carry no matrix at all: right after the big body they are refused, not
+// served the big body's matrix.
+func TestPooledReuseAcrossSizes(t *testing.T) {
+	big := benchBody(t)
+	var parts map[string]json.RawMessage
+	if err := json.Unmarshal(big, &parts); err != nil {
+		t.Fatal(err)
+	}
+	bigWith := func(platform, costs string) string {
+		return fmt.Sprintf(`{"graph":%s,"platform":%s,"costs":%s,"scheduler":"ftsa","epsilon":1}`, parts["graph"], platform, costs)
+	}
+	noDelay := bigWith(fmt.Sprintf(`{"procs":%d}`, benchRequest(t).Platform.NumProcs()), string(parts["costs"]))
+	noCost := bigWith(string(parts["platform"]), `{}`)
+	small := `{"graph":{"name":"s","tasks":3,"edges":[{"src":0,"dst":2,"volume":1},null]},` +
+		`"platform":{"procs":2,"delay":[[null,1],[1,0]]},"costs":{"cost":[[1,2],null,[1,1]]},"scheduler":"ftsa","epsilon":1}`
+	nullEntry := strings.Replace(strings.Replace(small, `},null]`, `}]`, 1), `[[1,2],null,`, `[[1,2],[null,3],`, 1)
+	req := AcquireScheduleRequest()
+	defer ReleaseScheduleRequest(req)
+	for i, body := range []string{string(big), small, string(big), nullEntry, string(big), "{", string(big), noDelay, string(big), noCost, string(big)} {
+		want, wantErr := DecodeScheduleRequest(strings.NewReader(body))
+		gotErr := DecodeScheduleRequestInto(req, strings.NewReader(body))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("body %d: pooled decode error %v, fresh decode error %v", i, gotErr, wantErr)
+		}
+		if (body == noDelay || body == noCost) && wantErr == nil {
+			t.Fatalf("body %d: a request without a matrix was accepted", i)
+		}
+		if wantErr != nil {
+			if i == 1 && !strings.Contains(wantErr.Error(), "self loop") {
+				t.Fatalf("body %d: a null edge must read as the zero edge, got %v", i, wantErr)
+			}
+			if req.Graph == nil || req.Platform == nil || req.Costs == nil {
+				t.Fatalf("body %d: a refused body took the pooled storage with it", i)
+			}
+			continue
+		}
+		if RequestFingerprint(req) != RequestFingerprint(want) {
+			t.Fatalf("body %d: pooled decode changed the request fingerprint", i)
+		}
+		if err := sameInstance(req, want); err != nil {
+			t.Fatalf("body %d: pooled decode differs from a fresh one: %v", i, err)
+		}
+	}
+}
+
 // benchBody builds a paper-sized request body once for the decode benchmarks.
-func benchBody(b *testing.B) []byte {
+func benchBody(b testing.TB) []byte {
+	b.Helper()
+	data, err := json.Marshal(benchRequest(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return data
+}
+
+func benchRequest(b testing.TB) *ScheduleRequest {
 	b.Helper()
 	inst, err := workload.NewInstance(rand.New(rand.NewSource(5)), workload.DefaultPaperConfig(1.0))
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := &ScheduleRequest{
+	return &ScheduleRequest{
 		Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs,
 		Scheduler: "ftsa", Epsilon: 1,
 	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return data
 }
 
 // BenchmarkDecodeSchedule contrasts the per-request decode the service ran
@@ -149,4 +204,31 @@ func BenchmarkDecodeSchedule(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDecodeEvaluate and BenchmarkDecodeTune decode benchBody's
+// instance as the two endpoints that decode into a fresh request per body.
+func BenchmarkDecodeEvaluate(b *testing.B) {
+	benchDecodeNew[EvaluateRequest](b, &EvaluateRequest{ScheduleRequest: *benchRequest(b),
+		Trials: 50, Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, EvalSeed: 7})
+}
+
+func BenchmarkDecodeTune(b *testing.B) {
+	inst := benchRequest(b)
+	benchDecodeNew[TuneRequest](b, &TuneRequest{Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs,
+		Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, Trials: 40, Target: 0.9, EvalSeed: 7})
+}
+
+func benchDecodeNew[T any, P requestPtr[T]](b *testing.B, req P) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := readNew[T, P](bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

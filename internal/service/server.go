@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math/bits"
 	"math/rand"
@@ -246,32 +245,44 @@ func writeErrorBody(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-// decodeErrorStatus is the status of a body that did not decode: 413 when
-// the decoder ran into the body limit, 400 for everything else.
-func decodeErrorStatus(err error) int {
+// readBody buffers the request body, bounded by MaxBodyBytes, in a pooled
+// buffer the caller returns with ReleaseBody. A body that cannot be read
+// whole is answered from the read error alone — 413 past the limit, 400
+// otherwise — whatever the bytes before the error were; ok is then false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (buf *bytes.Buffer, ok bool) {
+	buf, err := AcquireBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err == nil {
+		return buf, true
+	}
+	ReleaseBody(buf)
+	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
+		status = http.StatusRequestEntityTooLarge
 	}
-	return http.StatusBadRequest
+	s.writeError(w, status, fmt.Errorf("decoding request: %w", err))
+	return nil, false
 }
 
 // decodeRequest is the request prologue of the POST endpoints that are not
-// an Endpoint (/schedule/batch, /missions): bound the body, decode (400 on
-// malformed input, 413 past the body limit) and apply the instance-size
-// guard. ok is false when an error response was written.
-func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request,
-	decode func(io.Reader) (T, error), tasks func(T) int) (req T, ok bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	req, err := decode(r.Body)
+// an Endpoint (/schedule/batch, /missions): buffer the body, decode it (400
+// on malformed input) and apply the instance-size guard. ok is false when
+// an error response was written.
+func decodeRequest[T any, P requestPtr[T]](s *Server, w http.ResponseWriter, r *http.Request, tasks func(P) int) (req P, ok bool) {
+	buf, ok := s.readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	req, err := decodeNew[T, P](buf.Bytes())
+	ReleaseBody(buf)
 	if err != nil {
-		s.writeError(w, decodeErrorStatus(err), err)
-		return req, false
+		s.writeError(w, http.StatusBadRequest, err)
+		return nil, false
 	}
 	if n := tasks(req); s.cfg.MaxTasks > 0 && n > s.cfg.MaxTasks {
 		s.writeError(w, http.StatusBadRequest,
 			fmt.Errorf("instance has %d tasks, this server accepts at most %d", n, s.cfg.MaxTasks))
-		return req, false
+		return nil, false
 	}
 	return req, true
 }

@@ -71,19 +71,7 @@ type TuneResponse struct {
 // strictness as the other endpoints (unknown fields rejected, one JSON
 // document only).
 func DecodeTuneRequest(r io.Reader) (*TuneRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req TuneRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("decoding request: unexpected data after the JSON body")
-	}
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return readNew[TuneRequest](r)
 }
 
 // Validate cross-checks the decoded request; tune.Run re-validates the

@@ -1,0 +1,386 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strconv"
+	"strings"
+)
+
+// maxDepth is the container nesting encoding/json accepts.
+const maxDepth = 10000
+
+// SyntaxError reports input that is not the JSON the caller asked for — not
+// JSON at all, or a well-formed value of the wrong type or out of range —
+// and the byte offset it was detected at.
+type SyntaxError struct {
+	Msg    string
+	Offset int
+}
+
+func (e *SyntaxError) Error() string { return fmt.Sprintf("%s at offset %d", e.Msg, e.Offset) }
+
+// Scanner is a cursor over one JSON document. Every method skips leading
+// whitespace, consumes exactly one value (or none, on error) and leaves the
+// cursor behind it. null reads as json.Unmarshal reads it: the scalar
+// readers take a destination and leave it untouched, Object and Array see an
+// empty container.
+type Scanner struct {
+	buf   []byte
+	pos   int
+	depth int
+}
+
+// NewScanner returns a scanner at the start of data.
+func NewScanner(data []byte) *Scanner { return &Scanner{buf: data} }
+
+// Unmarshal runs scan over data as one complete document: the value scan
+// consumes, then nothing but whitespace.
+func Unmarshal(data []byte, scan func(*Scanner) error) error {
+	s := NewScanner(data)
+	if err := scan(s); err != nil {
+		return err
+	}
+	return s.End()
+}
+
+func errAt(offset int, format string, args ...any) error {
+	return &SyntaxError{Msg: fmt.Sprintf(format, args...), Offset: offset}
+}
+
+// unexpected reports the byte under the cursor, or the end of input, where
+// want was required.
+func (s *Scanner) unexpected(want string) error {
+	if s.pos >= len(s.buf) {
+		return errAt(s.pos, "unexpected end of JSON input, want %s", want)
+	}
+	return errAt(s.pos, "invalid character %q, want %s", rune(s.buf[s.pos]), want)
+}
+
+func (s *Scanner) space() {
+	for s.pos < len(s.buf) {
+		switch s.buf[s.pos] {
+		case ' ', '\t', '\r', '\n':
+			s.pos++
+		default:
+			return
+		}
+	}
+}
+
+// Peek returns the first byte of the next value without consuming it, or 0
+// at the end of input.
+func (s *Scanner) Peek() byte {
+	s.space()
+	if s.pos < len(s.buf) {
+		return s.buf[s.pos]
+	}
+	return 0
+}
+
+// End requires that only whitespace remains.
+func (s *Scanner) End() error {
+	if s.space(); s.pos < len(s.buf) {
+		return errAt(s.pos, "unexpected data after the JSON body")
+	}
+	return nil
+}
+
+// Null consumes a null literal if one is next and reports whether it did.
+func (s *Scanner) Null() bool {
+	if s.space(); len(s.buf)-s.pos < 4 || string(s.buf[s.pos:s.pos+4]) != "null" {
+		return false
+	}
+	s.pos += 4
+	return true
+}
+
+// literal consumes word, whose first byte is known to be under the cursor.
+func (s *Scanner) literal(word string) error {
+	for i := 1; i < len(word); i++ {
+		if s.pos+i >= len(s.buf) || s.buf[s.pos+i] != word[i] {
+			s.pos += i
+			return s.unexpected("literal " + word)
+		}
+	}
+	s.pos += len(word)
+	return nil
+}
+
+// open consumes the bracket that starts a container and reports whether a
+// first member or element follows. A null opens nothing: it stands for the
+// empty container, as it does when encoding/json reads one into a struct or
+// a slice.
+func (s *Scanner) open(bracket, closing byte, want string) (more bool, err error) {
+	if s.Null() {
+		return false, nil
+	}
+	if s.Peek() != bracket {
+		return false, s.unexpected(want)
+	}
+	if s.depth++; s.depth > maxDepth {
+		return false, errAt(s.pos, "exceeded max depth")
+	}
+	s.pos++
+	if s.Peek() == closing {
+		s.pos++
+		s.depth--
+		return false, nil
+	}
+	return true, nil
+}
+
+// next consumes the separator after a member or element and reports whether
+// the container goes on.
+func (s *Scanner) next(closing byte, want string) (more bool, err error) {
+	switch s.Peek() {
+	case ',':
+		s.pos++
+		return true, nil
+	case closing:
+		s.pos++
+		s.depth--
+		return false, nil
+	}
+	return false, s.unexpected(want)
+}
+
+// Object consumes an object (or null, the empty object), calling member once
+// per key with the cursor on that key's value; member must consume it. key
+// is the key's string token, quotes and escapes included (Fields.Index
+// resolves it), and aliases the input. Keys are not checked for duplicates.
+func (s *Scanner) Object(member func(key []byte) error) error {
+	more, err := s.open('{', '}', "an object")
+	for more && err == nil {
+		var key []byte
+		if key, err = s.str("an object key"); err != nil {
+			break
+		}
+		if s.Peek() != ':' {
+			return s.unexpected("':' after the object key")
+		}
+		s.pos++
+		if err = member(key); err == nil {
+			more, err = s.next('}', "',' or '}'")
+		}
+	}
+	return err
+}
+
+// Array consumes an array (or null, the empty array), calling elem once per
+// element with the cursor on it; elem must consume it.
+func (s *Scanner) Array(elem func() error) error {
+	more, err := s.open('[', ']', "an array")
+	for more && err == nil {
+		if err = elem(); err == nil {
+			more, err = s.next(']', "',' or ']'")
+		}
+	}
+	return err
+}
+
+// Skip consumes one value of any type, checking its syntax.
+func (s *Scanner) Skip() error {
+	switch c := s.Peek(); {
+	case c == '{':
+		return s.Object(func([]byte) error { return s.Skip() })
+	case c == '[':
+		return s.Array(s.Skip)
+	case c == '"':
+		_, err := s.str("a string")
+		return err
+	case c == '-' || isDigit(c):
+		_, err := s.number()
+		return err
+	case c == 't':
+		return s.literal("true")
+	case c == 'f':
+		return s.literal("false")
+	case c == 'n':
+		return s.literal("null")
+	}
+	return s.unexpected("a value")
+}
+
+// Raw consumes one value like Skip and returns its bytes, which alias the
+// input.
+func (s *Scanner) Raw() ([]byte, error) {
+	s.space()
+	start := s.pos
+	err := s.Skip()
+	return s.buf[start:s.pos], err
+}
+
+// Float reads a number into dst, refusing one float64 cannot hold.
+func (s *Scanner) Float(dst *float64) error {
+	if s.Null() {
+		return nil
+	}
+	tok, err := s.number()
+	if err != nil {
+		return err
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	if err != nil {
+		return errAt(s.pos-len(tok), "number out of range for a float")
+	}
+	*dst = f
+	return nil
+}
+
+// Int reads a number into dst, refusing a fraction, an exponent or a value
+// an int cannot hold.
+func (s *Scanner) Int(dst *int) error {
+	if s.Null() {
+		return nil
+	}
+	tok, err := s.number()
+	if err != nil {
+		return err
+	}
+	// ParseInt knows no fraction and no exponent, so it refuses both.
+	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	if err != nil {
+		return errAt(s.pos-len(tok), "number is not an integer in range")
+	}
+	*dst = int(n)
+	return nil
+}
+
+// String reads a string into dst.
+func (s *Scanner) String(dst *string) error {
+	if s.Null() {
+		return nil
+	}
+	tok, err := s.str("a string")
+	if err != nil {
+		return err
+	}
+	*dst = string(unquote(tok))
+	return nil
+}
+
+// unquote decodes a string token str accepted; the result aliases the token
+// unless it carries an escape or a byte outside ASCII. Such a token goes
+// through json.Unmarshal, which is the definition of what escapes, invalid
+// UTF-8 and lone surrogates turn into; it cannot fail on a token str has
+// checked.
+func unquote(tok []byte) []byte {
+	text := tok[1 : len(tok)-1]
+	for _, c := range text {
+		if c == '\\' || c >= 0x80 {
+			var out string
+			_ = json.Unmarshal(tok, &out)
+			return []byte(out)
+		}
+	}
+	return text
+}
+
+// number consumes one number token.
+func (s *Scanner) number() ([]byte, error) {
+	s.space()
+	b, i := s.buf, s.pos
+	fail := func(at int, want string) ([]byte, error) {
+		s.pos = at
+		return nil, s.unexpected(want)
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if end := digits(b, i); end > i {
+		i = end
+	} else {
+		return fail(i, "a number")
+	}
+	if i < len(b) && b[i] == '.' {
+		end := digits(b, i+1)
+		if end == i+1 {
+			return fail(end, "a digit after the decimal point")
+		}
+		i = end
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		end := digits(b, i)
+		if end == i {
+			return fail(end, "a digit in the exponent")
+		}
+		i = end
+	}
+	tok := b[s.pos:i]
+	s.pos = i
+	return tok, nil
+}
+
+// digits returns the end of the run of decimal digits that starts at b[i].
+func digits(b []byte, i int) int {
+	for i < len(b) && isDigit(b[i]) {
+		i++
+	}
+	return i
+}
+
+// str consumes one string token and returns it, quotes included.
+func (s *Scanner) str(want string) ([]byte, error) {
+	if s.Peek() != '"' {
+		return nil, s.unexpected(want)
+	}
+	b, start := s.buf, s.pos
+	for s.pos++; s.pos < len(b); s.pos++ {
+		switch c := b[s.pos]; {
+		case c == '"':
+			s.pos++
+			return b[start:s.pos], nil
+		case c == '\\':
+			s.pos++
+			if s.pos < len(b) && b[s.pos] == 'u' {
+				for k := 0; k < 4; k++ {
+					if s.pos++; s.pos >= len(b) || !isHex(b[s.pos]) {
+						return nil, s.unexpected(`four hexadecimal digits after \u`)
+					}
+				}
+			} else if s.pos >= len(b) || strings.IndexByte(`"\/bfnrt`, b[s.pos]) < 0 {
+				return nil, s.unexpected("a string escape code")
+			}
+		case c < 0x20:
+			return nil, s.unexpected("no control character in a string")
+		}
+	}
+	return nil, s.unexpected("the closing quote")
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func isHex(c byte) bool {
+	return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// Fields names the members a decoder reads from an object.
+type Fields []string
+
+// Index returns which field the key token Object passed names, or -1 for a
+// key the decoder ignores. It matches as encoding/json matches a struct
+// field: exactly, or failing that under Unicode case folding
+// (bytes.EqualFold).
+func (f Fields) Index(key []byte) int {
+	text := key[1 : len(key)-1]
+	for i, name := range f {
+		if string(text) == name {
+			return i
+		}
+	}
+	text = unquote(key)
+	for i, name := range f {
+		if bytes.EqualFold(text, []byte(name)) {
+			return i
+		}
+	}
+	return -1
+}
