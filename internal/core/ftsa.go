@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"ftsched/internal/bipartite"
@@ -117,15 +116,10 @@ type state struct {
 	maxFrom []float64
 
 	// scratch buffers reused across steps to keep the loop allocation-free.
-	cands []candidate
+	cands []kernel.Choice
 	reps  []sched.Replica
 
 	ws *scratch // pooled backing storage for the slices above
-}
-
-type candidate struct {
-	proc platform.ProcID
-	fMin float64
 }
 
 // scratch is the pooled backing storage of one scheduling run. A campaign
@@ -136,7 +130,7 @@ type scratch struct {
 	tl           []float64
 	unschedPreds []int
 	maxFrom      []float64
-	cands        []candidate
+	cands        []kernel.Choice
 	reps         []sched.Replica
 
 	// MC-FTSA matching scratch: the per-task processor→copy index, the
@@ -244,26 +238,18 @@ func (st *state) pop() dag.TaskID {
 // placeBestEFT; commit (via sched.Place) copies it into the schedule.
 func (st *state) placeBestEFT(t dag.TaskID) ([]sched.Replica, error) {
 	st.board.Arrivals(st.f, st.p, st.s, t)
-	st.cands = st.cands[:0]
+	k := st.opt.Epsilon + 1
+	cands := st.cands[:0]
 	for j := 0; j < st.p.NumProcs(); j++ {
 		pj := platform.ProcID(j)
 		e := st.cm.Cost(t, pj)
 		sMin := st.board.StartMin(j, st.board.ArrMin[j], e)
-		st.cands = append(st.cands, candidate{proc: pj, fMin: sMin + e})
+		cands = kernel.KeepSmallest(cands, k, kernel.Choice{Proc: pj, Value: sMin + e})
 	}
-	slices.SortFunc(st.cands, func(a, b candidate) int {
-		switch {
-		case a.fMin < b.fMin:
-			return -1
-		case a.fMin > b.fMin:
-			return 1
-		}
-		return int(a.proc) - int(b.proc)
-	})
-	k := st.opt.Epsilon + 1
+	st.cands = cands
 	reps := st.reps[:0]
 	for i := 0; i < k; i++ {
-		pj := st.cands[i].proc
+		pj := cands[i].Proc
 		e := st.cm.Cost(t, pj)
 		sMin := st.board.StartMin(int(pj), st.board.ArrMin[pj], e)
 		sMax := st.board.StartMax(int(pj), st.board.ArrMax[pj])

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"sync"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/kernel"
@@ -34,6 +34,23 @@ type Options struct {
 // Schedule runs FTBAR and returns a fault-tolerant schedule with the full
 // communication pattern.
 func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
+	st, err := newState(g, p, cm, opt)
+	if err != nil {
+		return nil, err
+	}
+	defer st.release()
+	for st.free.Len() > 0 {
+		if err := st.step(); err != nil {
+			return nil, err
+		}
+	}
+	if !st.s.Complete() {
+		return nil, dag.ErrCycle
+	}
+	return st.s, nil
+}
+
+func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*state, error) {
 	m := p.NumProcs()
 	if opt.Npf < 0 || opt.Npf+1 > m {
 		return nil, fmt.Errorf("ftbar: Npf=%d needs %d processors, platform has %d", opt.Npf, opt.Npf+1, m)
@@ -53,28 +70,31 @@ func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	if err != nil {
 		return nil, err
 	}
+	v := g.NumTasks()
+	ws := scratchPool.Get().(*scratch)
+	ws.unsched = kernel.Grow(ws.unsched, v)
+	ws.arr = kernel.Grow(ws.arr, v*m)
+	ws.current = kernel.GrowZero(ws.current, v)
 	st := &state{
 		f: f, p: p, cm: cm, opt: opt, s: s,
 		bl:      bl,
 		board:   kernel.NewBoard(m, false),
-		unsched: make([]int, g.NumTasks()),
+		scratch: ws,
 	}
-	defer st.board.Release()
-	for t := 0; t < g.NumTasks(); t++ {
+	for t := 0; t < v; t++ {
 		st.unsched[t] = f.InDegree(dag.TaskID(t))
 		if st.unsched[t] == 0 {
 			st.free.Add(dag.TaskID(t))
 		}
 	}
-	for st.free.Len() > 0 {
-		if err := st.step(); err != nil {
-			return nil, err
-		}
-	}
-	if !s.Complete() {
-		return nil, dag.ErrCycle
-	}
-	return s, nil
+	return st, nil
+}
+
+// release returns the run's board and scratch to their pools; the schedule
+// never aliases them (sched.Place copies replicas).
+func (st *state) release() {
+	st.board.Release()
+	scratchPool.Put(st.scratch)
 }
 
 type state struct {
@@ -89,75 +109,86 @@ type state struct {
 	// scratch (kernel); the Minimize-Start-Time duplication advances its
 	// ready times directly.
 	board    *kernel.Board
-	unsched  []int
 	free     kernel.Set
 	makespan float64 // R(n−1)
+
+	*scratch
 }
 
-// procChoice is one candidate (processor, pressure) pair for a task.
-type procChoice struct {
-	proc     platform.ProcID
-	pressure float64
+// scratch is the pooled backing storage of one run (see core's): a campaign
+// schedules thousands of instances back to back on the same buffers.
+type scratch struct {
+	unsched []int
+	// arr memoises the earliest-arrival row of every free task: once
+	// current[t] is set, arr[t·m : (t+1)·m] is Board.ArrMin for t. The row
+	// depends only on the replicas of t's predecessors, all placed before t
+	// became free, so it stays valid across steps; the one later mutation
+	// is a Minimize-Start-Time duplicate of a predecessor, and reduceArrival
+	// clears current for the duplicated task's successors.
+	arr     []float64
+	current []bool
+	// cand and best are two (Npf+1)-slot selection buffers: the task being
+	// scanned and the most urgent one so far.
+	cand, best []kernel.Choice
+	reps       []sched.Replica
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// arrivalRow returns the memoised earliest arrival of t's inputs on every
+// processor, filling it through the board when it is missing or stale.
+func (st *state) arrivalRow(t dag.TaskID) []float64 {
+	m := st.p.NumProcs()
+	row := st.arr[int(t)*m : (int(t)+1)*m]
+	if !st.current[t] {
+		st.board.Arrivals(st.f, st.p, st.s, t)
+		copy(row, st.board.ArrMin)
+		st.current[t] = true
+	}
+	return row
 }
 
 // step performs one FTBAR iteration: global pressure scan, most-urgent pair
-// selection, optional duplication, placement.
+// selection, optional duplication, placement. The scan still visits every
+// free task on every processor — σ depends on the ready times r(p) and on
+// R(n−1), which move each step — but takes arrivals from the memo, so it
+// costs m comparisons per free task instead of an arrival-window fold.
 func (st *state) step() error {
-	type taskEval struct {
-		task    dag.TaskID
-		chosen  []procChoice // Npf+1 minimum-pressure processors
-		urgency float64      // max pressure within chosen
-	}
 	k := st.opt.Npf + 1
-	m := st.p.NumProcs()
-	evals := make([]taskEval, 0, st.free.Len())
-	for _, t := range st.free.Tasks() {
-		st.board.Arrivals(st.f, st.p, st.s, t)
-		choices := make([]procChoice, 0, m)
-		for j := 0; j < m; j++ {
-			pj := platform.ProcID(j)
-			est := st.board.StartMin(j, st.board.ArrMin[j], 0)
-			choices = append(choices, procChoice{proc: pj, pressure: est + st.bl[t] - st.makespan})
-		}
-		sort.Slice(choices, func(a, b int) bool {
-			if choices[a].pressure != choices[b].pressure {
-				return choices[a].pressure < choices[b].pressure
+	// Most urgent pair: maximum, over the free tasks, of the largest pressure
+	// within the task's Npf+1 minimum-pressure processors.
+	t, urgency := dag.TaskID(-1), 0.0
+	cand, best := st.cand, st.best
+	ready := st.board.ReadyMin
+	for _, ft := range st.free.Tasks() {
+		cand = cand[:0]
+		s, r := st.bl[ft], st.makespan
+		for j, est := range st.arrivalRow(ft) {
+			if ready[j] > est {
+				est = ready[j] // S(n)(t,p) = max(arrival, r(p))
 			}
-			return choices[a].proc < choices[b].proc
-		})
-		chosen := choices[:k]
-		urg := chosen[0].pressure
-		for _, c := range chosen[1:] {
-			if c.pressure > urg {
-				urg = c.pressure
-			}
+			cand = kernel.KeepSmallest(cand, k, kernel.Choice{Proc: platform.ProcID(j), Value: est + s - r})
 		}
-		evals = append(evals, taskEval{task: t, chosen: append([]procChoice(nil), chosen...), urgency: urg})
-	}
-	// Most urgent pair: maximum pressure among the per-task best sets.
-	best := 0
-	for i := 1; i < len(evals); i++ {
-		switch {
-		case evals[i].urgency > evals[best].urgency:
-			best = i
-		case evals[i].urgency == evals[best].urgency && st.opt.Rng != nil && st.opt.Rng.Intn(2) == 0:
-			best = i
+		urg := cand[k-1].Value
+		if t < 0 || urg > urgency ||
+			(urg == urgency && st.opt.Rng != nil && st.opt.Rng.Intn(2) == 0) {
+			t, urgency = ft, urg
+			cand, best = best, cand
 		}
 	}
-	sel := evals[best]
-	t := sel.task
+	st.cand, st.best = cand, best
 
 	if !st.opt.DisableDuplication {
-		for _, c := range sel.chosen {
-			st.minimizeStartTime(t, c.proc)
+		for _, c := range best {
+			st.minimizeStartTime(t, c.Proc)
 		}
 	}
 
 	// Recompute arrivals after any duplication and place the replicas.
 	st.board.Arrivals(st.f, st.p, st.s, t)
-	reps := make([]sched.Replica, 0, k)
-	for i, c := range sel.chosen {
-		pj := c.proc
+	reps := st.reps[:0]
+	for i, c := range best {
+		pj := c.Proc
 		e := st.cm.Cost(t, pj)
 		sMin := st.board.StartMin(int(pj), st.board.ArrMin[pj], e)
 		sMax := st.board.StartMax(int(pj), st.board.ArrMax[pj])
@@ -167,6 +198,7 @@ func (st *state) step() error {
 			StartMax: sMax, FinishMax: sMax + e,
 		})
 	}
+	st.reps = reps
 	if err := st.s.Place(t, reps); err != nil {
 		return err
 	}
@@ -267,6 +299,10 @@ func (st *state) reduceArrival(t dag.TaskID, proc platform.ProcID, depth int) {
 			StartMax: dupStartMax, FinishMax: dupStartMax + e,
 		}); err != nil {
 			return
+		}
+		// critical's successors now have one more source to hear from.
+		for _, se := range st.f.SuccIDs(critical) {
+			st.current[se] = false
 		}
 		st.board.ReadyMin[proc] = dupFinishMin
 		st.board.ReadyMax[proc] = dupStartMax + e

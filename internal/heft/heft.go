@@ -1,8 +1,9 @@
 package heft
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/kernel"
@@ -44,11 +45,11 @@ func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	for i := range order {
 		order[i] = dag.TaskID(i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if rank[order[a]] != rank[order[b]] {
-			return rank[order[a]] > rank[order[b]]
+	slices.SortStableFunc(order, func(a, b dag.TaskID) int {
+		if rank[a] != rank[b] {
+			return cmp.Compare(rank[b], rank[a])
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 
 	m := p.NumProcs()

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"sync"
 
 	"ftsched/internal/dag"
@@ -12,7 +13,8 @@ import (
 //
 //   - ReadyMin/ReadyMax are r(Pj), the optimistic and pessimistic times at
 //     which each processor next becomes free (the append-only view);
-//   - ArrMin/ArrMax are the arrival-window scratch filled by Arrivals;
+//   - ArrMin/ArrMax are the arrival-window scratch filled by Arrivals
+//     (predMin/predMax hold one predecessor's window while it is folded in);
 //   - Lines, present only when the board was created with insertion enabled,
 //     holds one busy Timeline per processor for gap-aware slot search.
 //
@@ -24,6 +26,7 @@ import (
 type Board struct {
 	ReadyMin, ReadyMax []float64
 	ArrMin, ArrMax     []float64
+	predMin, predMax   []float64
 	// Lines holds one busy timeline per processor. It is always backed by
 	// pooled storage (so a mixed sweep interleaving append-only and
 	// insertion runs on one pool never regrows the slot slices), but it is
@@ -45,6 +48,8 @@ func NewBoard(m int, insertion bool) *Board {
 	b.ReadyMax = GrowZero(b.ReadyMax, m)
 	b.ArrMin = GrowZero(b.ArrMin, m)
 	b.ArrMax = GrowZero(b.ArrMax, m)
+	b.predMin = Grow(b.predMin, m)
+	b.predMax = Grow(b.predMax, m)
 	b.insertion = insertion
 	b.Lines = Grow(b.Lines, m)
 	for j := range b.Lines {
@@ -67,22 +72,45 @@ func (b *Board) Release() {
 // t can be available on Pj, given the replicas already placed in s. It walks
 // the frozen CSR ranges — the innermost loop of every list scheduler — so
 // the caller freezes the graph once per run and shares the view.
+//
+// Per predecessor it makes one pass per replica over the contiguous delay row
+// of the replica's processor, folding FinishMin + V·d (min over replicas) and
+// FinishMax + V·d (max over replicas) into predMin/predMax, then folds those
+// into ArrMin/ArrMax. These are the additions and comparisons of
+// sched.ArrivalWindow per (predecessor, processor) in another loop order, and
+// min and max do not depend on order: the result is bit-equal to that fold.
 func (b *Board) Arrivals(f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID) {
-	for j := range b.ArrMin {
-		b.ArrMin[j], b.ArrMax[j] = 0, 0
-	}
-	m := p.NumProcs()
-	preds := f.PredIDs(t)
+	// All five slices are resliced to one length so the loops below run
+	// without bounds checks.
+	arrMin, arrMax := b.ArrMin, b.ArrMax[:len(b.ArrMin)]
+	predMin, predMax := b.predMin[:len(arrMin)], b.predMax[:len(arrMin)]
+	clear(arrMin)
+	clear(arrMax)
 	vols := f.PredVolumes(t)
-	for i, pt := range preds {
+	for i, pt := range f.PredIDs(t) {
+		v := vols[i]
+		for j := range predMin {
+			predMin[j], predMax[j] = math.Inf(1), 0
+		}
 		srcReps := s.Replicas(dag.TaskID(pt))
-		for j := 0; j < m; j++ {
-			eMin, eMax := sched.ArrivalWindow(p, srcReps, vols[i], platform.ProcID(j))
-			if eMin > b.ArrMin[j] {
-				b.ArrMin[j] = eMin
+		for c := range srcReps {
+			sr := &srcReps[c]
+			row := p.DelayRow(sr.Proc)[:len(predMin)]
+			for j, d := range row {
+				if a := sr.FinishMin + v*d; a < predMin[j] {
+					predMin[j] = a
+				}
+				if a := sr.FinishMax + v*d; a > predMax[j] {
+					predMax[j] = a
+				}
 			}
-			if eMax > b.ArrMax[j] {
-				b.ArrMax[j] = eMax
+		}
+		for j, eMin := range predMin {
+			if eMin > arrMin[j] {
+				arrMin[j] = eMin
+			}
+			if eMax := predMax[j]; eMax > arrMax[j] {
+				arrMax[j] = eMax
 			}
 		}
 	}

@@ -5,7 +5,7 @@
 // task comes next?" — and before this package existed each scheduler carried
 // its own copy of the answers.
 //
-// The kernel factors them into three pieces:
+// The kernel factors them into four pieces:
 //
 //   - Board: per-processor placement state for one scheduling run —
 //     optimistic and pessimistic ready times, arrival-window scratch filled
@@ -13,6 +13,13 @@
 //     enabled, one busy Timeline per processor. Boards are pooled via
 //     sync.Pool, so a campaign scheduling thousands of instances back to
 //     back allocates per-processor state once per worker, not once per run.
+//     Arrivals works row-wise: for each replica of each predecessor it makes
+//     one pass over the delay row of the replica's processor
+//     (platform.DelayRow, contiguous) and folds finish + V·d into
+//     per-processor min/max scratch, instead of asking sched.ArrivalWindow
+//     once per (predecessor, processor) with a doubly indexed delay lookup
+//     inside. Same additions, same comparisons, another loop order — the
+//     windows are bit-equal to that fold (pinned by test).
 //
 //   - Timeline: one processor's busy intervals, kept sorted by start time,
 //     with insertion-based earliest-slot search (EarliestFit scans the gaps
@@ -26,11 +33,19 @@
 //     the insertion-ordered free-task set for schedulers that re-evaluate
 //     every free task each step (FTBAR's most-urgent-pair scan).
 //
-// The kernel is deliberately policy-free: processor selection (minimum
-// finish time, minimum pressure, top-(ε+1)) stays in the schedulers. What
-// the kernel guarantees is that the shared arithmetic — arrival windows,
-// ready-time advancement, slot search — is computed once, the same way, with
-// pooled storage, for every scheduler in the registry.
+//   - KeepSmallest: the k smallest of the m (value, processor) choices a
+//     scheduler offers, by insertion into a k-slot buffer. FTSA's ε+1
+//     minimum-finish-time processors and FTBAR's Npf+1 minimum-pressure ones
+//     both come from it, ordered exactly as sorting all m by (value,
+//     processor) and truncating would order them, without sorting the m−k
+//     that are dropped.
+//
+// The kernel is deliberately policy-free: what value a processor is ranked
+// by (finish time, pressure) and how many are kept stays in the schedulers.
+// What the kernel guarantees is that the shared arithmetic — arrival
+// windows, ready-time advancement, slot search, ranked selection — is
+// computed once, the same way, with pooled storage, for every scheduler in
+// the registry.
 //
 // Board.Arrivals walks the frozen CSR view (dag.Flat): callers freeze the
 // graph once per run and every per-task step indexes flat int32/float64

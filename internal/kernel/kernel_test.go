@@ -3,6 +3,8 @@ package kernel
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"ftsched/internal/dag"
@@ -11,75 +13,143 @@ import (
 	"ftsched/internal/workload"
 )
 
-func testInstance(t testing.TB, seed int64) *workload.Instance {
+func testInstance(t testing.TB, seed int64, m int) *workload.Instance {
 	t.Helper()
-	inst, err := workload.NewInstance(rand.New(rand.NewSource(seed)), workload.DefaultPaperConfig(1.0))
+	cfg := workload.DefaultPaperConfig(0)
+	cfg.Procs = m
+	cfg.DAG.MinTasks, cfg.DAG.MaxTasks = 30, 60
+	inst, err := workload.NewInstance(rand.New(rand.NewSource(seed)), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return inst
 }
 
-// TestBoardArrivalsMatchesDirect cross-checks Board.Arrivals against a naive
-// recomputation from sched.ArrivalWindow on a schedule with a few placed
-// replicas.
+// TestBoardArrivalsMatchesDirect builds a schedule task by task and requires
+// Board.Arrivals to equal, bit for bit, the fold of sched.ArrivalWindow over
+// every (predecessor, processor) pair it replaced: with one and with several
+// replicas per predecessor, with duplicates appended to placed predecessors
+// (FTBAR's Minimize-Start-Time), on a single processor, and with zero-volume
+// edges. Entry tasks must read zero everywhere.
 func TestBoardArrivalsMatchesDirect(t *testing.T) {
-	inst := testInstance(t, 3)
-	g, p, cm := inst.Graph, inst.Platform, inst.Costs
-	s, err := sched.New(g, p, cm, 0, sched.PatternAll, "test")
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name                string
+		m, replicas         int
+		duplicates, zeroVol bool
+	}{
+		{name: "one replica", m: 20, replicas: 1},
+		{name: "three replicas", m: 20, replicas: 3},
+		{name: "duplicated predecessors", m: 8, replicas: 2, duplicates: true},
+		{name: "single processor", m: 1, replicas: 1},
+		{name: "zero-volume edges", m: 5, replicas: 2, zeroVol: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst := testInstance(t, 3, tc.m)
+			g, p, cm := inst.Graph, inst.Platform, inst.Costs
+			if tc.zeroVol {
+				if err := g.ScaleVolumes(0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, err := sched.New(g, p, cm, tc.replicas-1, sched.PatternAll, "test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewBoard(tc.m, false)
+			defer b.Release()
+			f, err := g.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, err := g.TopologicalOrder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// replicaOn is where the board can run task on processor j, given
+			// the arrivals it has just computed for task.
+			replicaOn := func(task dag.TaskID, j int) sched.Replica {
+				e := cm.Cost(task, platform.ProcID(j))
+				sMin := b.StartMin(j, b.ArrMin[j], e)
+				sMax := b.StartMax(j, b.ArrMax[j])
+				return sched.Replica{
+					Task: task, Proc: platform.ProcID(j),
+					StartMin: sMin, FinishMin: sMin + e,
+					StartMax: sMax, FinishMax: sMax + e,
+				}
+			}
+			for n, task := range order {
+				b.Arrivals(f, p, s, task)
+				for j := 0; j < tc.m; j++ {
+					wantMin, wantMax := 0.0, 0.0
+					for _, pe := range g.Preds(task) {
+						eMin, eMax := sched.ArrivalWindow(p, s.Replicas(pe.To), pe.Volume, platform.ProcID(j))
+						wantMin = math.Max(wantMin, eMin)
+						wantMax = math.Max(wantMax, eMax)
+					}
+					if b.ArrMin[j] != wantMin || b.ArrMax[j] != wantMax {
+						t.Fatalf("task %d proc %d: board (%g,%g), direct (%g,%g)",
+							task, j, b.ArrMin[j], b.ArrMax[j], wantMin, wantMax)
+					}
+					if len(g.Preds(task)) == 0 && (b.ArrMin[j] != 0 || b.ArrMax[j] != 0) {
+						t.Fatalf("entry task %d proc %d: arrivals (%g,%g), want 0", task, j, b.ArrMin[j], b.ArrMax[j])
+					}
+				}
+				// Replicas on consecutive processors, rotating with the task.
+				reps := make([]sched.Replica, tc.replicas)
+				for c := range reps {
+					reps[c] = replicaOn(task, (n+c)%tc.m)
+					reps[c].Copy = c
+				}
+				if err := s.Place(task, reps); err != nil {
+					t.Fatal(err)
+				}
+				b.Commit(reps)
+				if tc.duplicates && n%2 == 0 {
+					dup := replicaOn(task, (n+tc.replicas)%tc.m)
+					if err := s.AddDuplicate(task, dup); err != nil {
+						t.Fatal(err)
+					}
+					b.Commit([]sched.Replica{dup})
+				}
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("board schedule invalid: %v", err)
+			}
+		})
 	}
-	b := NewBoard(p.NumProcs(), false)
-	defer b.Release()
+}
 
-	// Place every task greedily on the processor with minimum finish time,
-	// checking the board's arrival windows against the direct computation as
-	// we go.
-	f, err := g.Freeze()
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range order {
-		b.Arrivals(f, p, s, task)
-		for j := 0; j < p.NumProcs(); j++ {
-			wantMin, wantMax := 0.0, 0.0
-			for _, pe := range g.Preds(task) {
-				eMin, eMax := sched.ArrivalWindow(p, s.Replicas(pe.To), pe.Volume, platform.ProcID(j))
-				wantMin = math.Max(wantMin, eMin)
-				wantMax = math.Max(wantMax, eMax)
+// TestKeepSmallestMatchesSort offers every processor to KeepSmallest and
+// requires what sorting all of them by (value, processor) and truncating to
+// k leaves — with values drawn from a handful of levels so that ties are the
+// rule, for every k up to and including m.
+func TestKeepSmallestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		m := 1 + rng.Intn(20)
+		all := make([]Choice, m)
+		for j := range all {
+			all[j] = Choice{Proc: platform.ProcID(j), Value: float64(rng.Intn(4))}
+		}
+		want := slices.Clone(all)
+		sort.Slice(want, func(a, b int) bool {
+			if want[a].Value != want[b].Value {
+				return want[a].Value < want[b].Value
 			}
-			if b.ArrMin[j] != wantMin || b.ArrMax[j] != wantMax {
-				t.Fatalf("task %d proc %d: board (%g,%g), direct (%g,%g)",
-					task, j, b.ArrMin[j], b.ArrMax[j], wantMin, wantMax)
+			return want[a].Proc < want[b].Proc
+		})
+		for k := 1; k <= m; k++ {
+			if round%2 == 1 { // the schedulers offer in processor order; any order must do
+				rng.Shuffle(m, func(a, b int) { all[a], all[b] = all[b], all[a] })
+			}
+			var top []Choice
+			for _, c := range all {
+				top = KeepSmallest(top, k, c)
+			}
+			if !slices.Equal(top, want[:k]) {
+				t.Fatalf("m=%d k=%d offered %v:\n got  %v\n want %v", m, k, all, top, want[:k])
 			}
 		}
-		best, bestF := 0, math.Inf(1)
-		for j := 0; j < p.NumProcs(); j++ {
-			f := b.StartMin(j, b.ArrMin[j], 0) + cm.Cost(task, platform.ProcID(j))
-			if f < bestF {
-				best, bestF = j, f
-			}
-		}
-		e := cm.Cost(task, platform.ProcID(best))
-		sMin := b.StartMin(best, b.ArrMin[best], e)
-		sMax := b.StartMax(best, b.ArrMax[best])
-		reps := []sched.Replica{{
-			Task: task, Copy: 0, Proc: platform.ProcID(best),
-			StartMin: sMin, FinishMin: sMin + e,
-			StartMax: sMax, FinishMax: sMax + e,
-		}}
-		if err := s.Place(task, reps); err != nil {
-			t.Fatal(err)
-		}
-		b.Commit(reps)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("greedy board schedule invalid: %v", err)
 	}
 }
 

@@ -57,8 +57,8 @@ type Spec struct {
 	// Policy defaults to PolicyReschedule when empty.
 	Policy Policy
 	// BottomLevels optionally supplies the instance's precomputed
-	// sched.AvgBottomLevels (the serving layer shares its per-instance
-	// memo); nil computes them.
+	// sched.AvgBottomLevels (the batch evaluator shares one slice across
+	// policies and trials); nil computes them.
 	BottomLevels []float64
 	// TaskEvents adds one event per task completion to the log. Off by
 	// default: the batch evaluator runs thousands of missions and only the

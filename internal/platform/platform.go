@@ -110,6 +110,10 @@ func (p *Platform) Valid(k ProcID) bool { return k >= 0 && int(k) < p.m }
 // It is 0 when k == h.
 func (p *Platform) Delay(k, h ProcID) float64 { return p.delay[k][h] }
 
+// DelayRow returns d(Pk,·), the delays from Pk to every processor, indexed by
+// destination. The slice is the platform's own storage: read-only.
+func (p *Platform) DelayRow(k ProcID) []float64 { return p.delay[k] }
+
 // MaxDelayFrom returns max over h of d(Pk,Ph) — the worst-case outgoing
 // delay used by the dynamic top level (Section 4.1).
 func (p *Platform) MaxDelayFrom(k ProcID) float64 {

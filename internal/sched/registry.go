@@ -30,8 +30,8 @@ type RunOptions struct {
 	// levels bℓ(t) (as returned by AvgBottomLevels) instead of recomputing
 	// them. Every registered scheduler derives its task priorities from the
 	// same bottom levels, so callers scheduling one instance repeatedly —
-	// the campaign engine, the serving layer's per-instance memo — compute
-	// them once and share the slice (read-only to the schedulers).
+	// the campaign engine, the tuner, the mission evaluator — compute them
+	// once and share the slice (read-only to the schedulers).
 	BottomLevels []float64
 	// Policy selects a scheduler-specific placement policy by name (e.g.
 	// MC-FTSA's "greedy" or "bottleneck" matching, HEFT's "noinsertion"

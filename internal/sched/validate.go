@@ -1,12 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"ftsched/internal/dag"
-	"ftsched/internal/platform"
 )
 
 // timeEps absorbs float rounding when comparing schedule times.
@@ -104,8 +103,8 @@ func (s *Schedule) validateArrivals(t dag.TaskID) error {
 		switch s.CommPattern {
 		case PatternAll:
 			for _, dr := range s.replicas[t] {
-				earliest, _ := arrivalRange(srcReps, pe.Volume, s, dr.Proc)
-				_, latest := arrivalRange(baseReps, pe.Volume, s, dr.Proc)
+				earliest, _ := ArrivalWindow(s.Platform, srcReps, pe.Volume, dr.Proc)
+				_, latest := ArrivalWindow(s.Platform, baseReps, pe.Volume, dr.Proc)
 				if dr.StartMin < earliest-timeEps {
 					return fmt.Errorf("%w: task %d copy %d starts at %g before earliest arrival %g from pred %d",
 						ErrPrecedence, t, dr.Copy, dr.StartMin, earliest, pe.To)
@@ -157,41 +156,41 @@ func (s *Schedule) validateArrivals(t dag.TaskID) error {
 	return nil
 }
 
-// arrivalRange returns the earliest (min over copies, optimistic times) and
-// latest (max over copies, pessimistic times) arrival of pred data on proc.
-func arrivalRange(srcReps []Replica, volume float64, s *Schedule, proc platform.ProcID) (earliest, latest float64) {
-	earliest = math.Inf(1)
-	for _, sr := range srcReps {
-		d := s.Platform.Delay(sr.Proc, proc)
-		if a := sr.FinishMin + volume*d; a < earliest {
-			earliest = a
-		}
-		if a := sr.FinishMax + volume*d; a > latest {
-			latest = a
-		}
-	}
-	return earliest, latest
-}
-
 func (s *Schedule) validateTimelines() error {
 	type span struct {
 		start, finish float64
 		task          dag.TaskID
 		copy          int
 	}
+	// One flat buffer bucketed by processor, filled once per window in
+	// (task, copy) order: spans[lo[p]:lo[p+1]] is what runs on Pp.
 	m := s.Platform.NumProcs()
-	minSpans := make([][]span, m)
-	maxSpans := make([][]span, m)
+	lo := make([]int, m+1)
 	for t := range s.replicas {
 		for _, r := range s.replicas[t] {
-			minSpans[r.Proc] = append(minSpans[r.Proc], span{r.StartMin, r.FinishMin, dag.TaskID(t), r.Copy})
-			maxSpans[r.Proc] = append(maxSpans[r.Proc], span{r.StartMax, r.FinishMax, dag.TaskID(t), r.Copy})
+			lo[r.Proc+1]++
 		}
 	}
-	check := func(spans [][]span, kind string) error {
-		for p := range spans {
-			ss := spans[p]
-			sort.Slice(ss, func(i, j int) bool { return ss[i].start < ss[j].start })
+	for p := 0; p < m; p++ {
+		lo[p+1] += lo[p]
+	}
+	spans := make([]span, lo[m])
+	next := make([]int, m)
+	for pass, kind := range [...]string{"Min", "Max"} {
+		copy(next, lo)
+		for t := range s.replicas {
+			for _, r := range s.replicas[t] {
+				sp := span{r.StartMin, r.FinishMin, dag.TaskID(t), r.Copy}
+				if pass == 1 {
+					sp.start, sp.finish = r.StartMax, r.FinishMax
+				}
+				spans[next[r.Proc]] = sp
+				next[r.Proc]++
+			}
+		}
+		for p := 0; p < m; p++ {
+			ss := spans[lo[p]:lo[p+1]]
+			slices.SortFunc(ss, func(a, b span) int { return cmp.Compare(a.start, b.start) })
 			for i := 1; i < len(ss); i++ {
 				if ss[i].start < ss[i-1].finish-timeEps {
 					return fmt.Errorf("%w: P%d %s window: task %d copy %d [%g,%g) overlaps task %d copy %d [%g,%g)",
@@ -201,10 +200,6 @@ func (s *Schedule) validateTimelines() error {
 				}
 			}
 		}
-		return nil
 	}
-	if err := check(minSpans, "Min"); err != nil {
-		return err
-	}
-	return check(maxSpans, "Max")
+	return nil
 }

@@ -16,7 +16,7 @@ import (
 // platform, costs — the same wire shapes as /schedule) scheduled under many
 // parameter sets. The instance is decoded and validated once, and every
 // cache-missing item is computed inside a single worker job, so the whole
-// batch shares one admission slot and one bottom-level memo entry.
+// batch shares one admission slot.
 type BatchRequest struct {
 	Graph    *dag.Graph          `json:"graph"`
 	Platform *platform.Platform  `json:"platform"`
@@ -165,10 +165,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Serve phase 2: compute every distinct missing fingerprint in ONE pool
-	// job — the batch holds one admission slot, and because all items share
-	// one instance, the whole job shares one bottom-level memo entry. The
-	// counters for the batch's requests are committed only on a terminal
-	// outcome, never partially.
+	// job — the batch holds one admission slot. The counters for the batch's
+	// requests are committed only on a terminal outcome, never partially.
 	computed := make(map[Fingerprint][]byte, needed)
 	if needed > 0 {
 		done := make(chan error, 1)

@@ -11,8 +11,8 @@ import (
 // fingerprint is an FNV digest — uniformly distributed — so its first byte
 // is already a good shard selector.
 //
-// Values are opaque (the service stores serialized response bytes and
-// bottom-level slices); callers must treat stored values as immutable, since
+// Values are opaque (the service stores serialized response bytes); callers
+// must treat stored values as immutable, since
 // a value handed out by Get is shared with every other hit on the same key.
 type Cache struct {
 	shards []cacheShard

@@ -92,9 +92,9 @@ func decodeSchedule(body []byte) (*Decoded, error) {
 	// Decode into a pooled request: the graph lands in a recycled adjacency
 	// arena, so the warm decode path allocates nothing proportional to the
 	// instance. Nothing built from the request outlives its compute (the
-	// response cache stores bytes, the bottom-level memo float slices), but
-	// the compute itself may outlive the handler when the client disconnects
-	// — serveCached owns the release via its cleanup hook.
+	// response cache stores bytes), but the compute itself may outlive the
+	// handler when the client disconnects — serveCached owns the release via
+	// its cleanup hook.
 	req := AcquireScheduleRequest()
 	if err := decodeScheduleInto(req, body); err != nil {
 		ReleaseScheduleRequest(req)

@@ -30,7 +30,7 @@
 //   - GET /stats reports cache hit rate, per-endpoint and per-scheduler
 //     counters, queue depth and p50/p99 latency.
 //
-// Five mechanisms make the service production-shaped:
+// Four mechanisms make the service production-shaped:
 //
 //   - A bounded worker pool (Pool): one scheduling goroutine per core by
 //     default, with a bounded queue in front. When the queue is full the
@@ -67,11 +67,6 @@
 //     paper-sized body where encoding/json alone took 1.33 ms; a /schedule
 //     miss is 0.96 ms where it was 2.09 ms. The exported Decode*Request
 //     functions are this decoder behind an io.Reader.
-//   - A second, instance-keyed cache of static bottom levels bℓ(t). The
-//     criticalness priority depends only on (graph, costs, platform), so two
-//     cache-miss requests that differ merely in scheduler, ε or seed share
-//     the O(V+E) bottom-level computation via core.Options.BottomLevels —
-//     the same memoization the campaign engine uses within one cell.
 //
 // Responses are pure functions of the request: tie-breaking uses either the
 // deterministic task-ID order or the request's explicit seed, and the seed

@@ -83,15 +83,6 @@ func (f *fingerprinter) instance(g *dag.Graph, p *platform.Platform, cm *platfor
 	}
 }
 
-// InstanceFingerprint digests only the problem instance — the key of the
-// bottom-level memo, shared by requests that differ in scheduler, ε, seed
-// or response options.
-func InstanceFingerprint(g *dag.Graph, p *platform.Platform, cm *platform.CostModel) Fingerprint {
-	f := newFingerprinter()
-	f.instance(g, p, cm)
-	return f.sum()
-}
-
 // RequestFingerprint digests everything the response depends on: the
 // instance plus scheduler, ε, matching policy, tie-break seed, failure rate
 // and the response-shaping options. Two requests with equal fingerprints

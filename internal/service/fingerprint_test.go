@@ -113,21 +113,10 @@ func TestRequestFingerprintCanonicalization(t *testing.T) {
 
 // The graph's display name affects no response field, so renaming an
 // instance must hit the same cache entries.
-func TestInstanceFingerprintIgnoresName(t *testing.T) {
-	g1, p, cm := testInstance(t, "alpha")
-	g2, _, _ := testInstance(t, "beta")
-	if InstanceFingerprint(g1, p, cm) != InstanceFingerprint(g2, p, cm) {
-		t.Fatal("graph name changed the instance fingerprint")
-	}
-}
-
-func TestInstanceFingerprintSharedAcrossParams(t *testing.T) {
+func TestRequestFingerprintIgnoresName(t *testing.T) {
 	a, b := testRequest(t), testRequest(t)
-	b.Epsilon = 2
-	b.Scheduler = "mcftsa"
-	fa := InstanceFingerprint(a.Graph, a.Platform, a.Costs)
-	fb := InstanceFingerprint(b.Graph, b.Platform, b.Costs)
-	if fa != fb {
-		t.Fatal("scheduling parameters leaked into the instance fingerprint")
+	b.Graph, _, _ = testInstance(t, "beta")
+	if RequestFingerprint(a) != RequestFingerprint(b) {
+		t.Fatal("graph name changed the request fingerprint")
 	}
 }

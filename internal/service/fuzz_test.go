@@ -114,7 +114,6 @@ func FuzzDecodePayload(f *testing.F) {
 				t.Fatal("DecodeScheduleRequest returned nil, nil")
 			}
 			_ = RequestFingerprint(req)
-			_ = InstanceFingerprint(req.Graph, req.Platform, req.Costs)
 		}
 		if req, err := DecodeEvaluateRequest(bytes.NewReader(body)); err == nil {
 			if req == nil {

@@ -321,21 +321,16 @@ func (s *Server) executeMission(req *MissionRequest, pol mission.Policy, st *mis
 	if err := gen.FillScenario(rng, &sc, &scratch); err != nil {
 		return mission.Outcome{}, nil, err
 	}
-	bl, err := s.bottomLevels(req.Graph, req.Platform, req.Costs)
-	if err != nil {
-		return mission.Outcome{}, nil, err
-	}
 	ctl, err := mission.NewController(mission.Spec{
-		Graph:        req.Graph,
-		Platform:     req.Platform,
-		Costs:        req.Costs,
-		Scheduler:    req.Scheduler,
-		Epsilon:      req.Epsilon,
-		SchedPolicy:  req.Policy,
-		Seed:         req.Seed,
-		Policy:       pol,
-		BottomLevels: bl,
-		TaskEvents:   req.TaskEvents,
+		Graph:       req.Graph,
+		Platform:    req.Platform,
+		Costs:       req.Costs,
+		Scheduler:   req.Scheduler,
+		Epsilon:     req.Epsilon,
+		SchedPolicy: req.Policy,
+		Seed:        req.Seed,
+		Policy:      pol,
+		TaskEvents:  req.TaskEvents,
 	})
 	if err != nil {
 		return mission.Outcome{}, nil, err

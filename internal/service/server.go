@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ftsched/internal/dag"
 	"ftsched/internal/mission"
 	"ftsched/internal/platform"
 	"ftsched/internal/reliability"
@@ -42,9 +41,6 @@ type Config struct {
 	CacheEntries int
 	// CacheShards is the response-cache shard count (0: 16).
 	CacheShards int
-	// BottomLevelEntries bounds the per-instance bottom-level memo
-	// (0: 256 entries).
-	BottomLevelEntries int
 	// MaxBodyBytes limits a request body (0: 32 MiB). Larger bodies get 413.
 	MaxBodyBytes int64
 	// MaxTasks rejects instances with more tasks (0: unlimited); a cheap
@@ -79,11 +75,10 @@ type Config struct {
 // Server handles the ftserved HTTP API. Create one with New, mount it as an
 // http.Handler, and Close it on shutdown to drain the worker pool.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	pool    *Pool
-	cache   *Cache // Fingerprint → []byte (serialized response)
-	blCache *Cache // instance Fingerprint → []float64 (static bottom levels)
+	cfg   Config
+	mux   *http.ServeMux
+	pool  *Pool
+	cache *Cache // Fingerprint → []byte (serialized response)
 	// front aliases the digests of bodies already served as hits to their
 	// entries in cache, so a byte-identical repeat is answered without a
 	// decode. Bounded by cfg.CacheEntries: an alias is only useful while its
@@ -150,9 +145,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheShards <= 0 {
 		cfg.CacheShards = 16
 	}
-	if cfg.BottomLevelEntries <= 0 {
-		cfg.BottomLevelEntries = 256
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
 	}
@@ -182,7 +174,6 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		pool:       NewPool(cfg.Workers, cfg.Queue),
 		cache:      NewCache(cfg.CacheEntries, cfg.CacheShards),
-		blCache:    NewCache(cfg.BottomLevelEntries, 4),
 		front:      NewBodyIndex[bodyAlias](cfg.CacheEntries, cfg.CacheShards),
 		flights:    make(map[Fingerprint]*flight),
 		missions:   make(map[string]*missionState),
@@ -509,43 +500,18 @@ func (s *Server) countSchedulers(set schedSet) {
 	}
 }
 
-// bottomLevels resolves the instance's static bottom levels through the
-// instance-keyed memo. They depend only on (graph, costs, platform), and
-// every registered scheduler derives its priorities from them, so cache-miss
-// requests for the same DAG under different ε, seed, scheduler — or a whole
-// /tune sweep — share one computation (the slice is read-only to the
-// schedulers, which is what makes sharing race-free).
-func (s *Server) bottomLevels(g *dag.Graph, p *platform.Platform, cm *platform.CostModel) ([]float64, error) {
-	ifp := InstanceFingerprint(g, p, cm)
-	if v, ok := s.blCache.Get(ifp); ok {
-		return v.([]float64), nil
-	}
-	bl, err := sched.AvgBottomLevels(g, cm, p)
-	if err != nil {
-		return nil, err
-	}
-	s.blCache.Put(ifp, bl)
-	return bl, nil
-}
-
-// solve runs the scheduling part shared by /schedule and /evaluate: resolve
-// bottom levels from the instance memo, run the requested heuristic through
-// the scheduler registry, and validate the result.
+// solve runs the scheduling part shared by /schedule and /evaluate: run the
+// requested heuristic through the scheduler registry and validate the result.
 func (s *Server) solve(req *ScheduleRequest) (*sched.Schedule, error) {
 	g, p, cm := req.Graph, req.Platform, req.Costs
 	var rng *rand.Rand
 	if req.Seed != 0 {
 		rng = rand.New(rand.NewSource(req.Seed))
 	}
-	bl, err := s.bottomLevels(g, p, cm)
-	if err != nil {
-		return nil, err
-	}
 	schedule, err := sched.Run(req.Scheduler, g, p, cm, sched.RunOptions{
-		Epsilon:      req.Epsilon,
-		Rng:          rng,
-		BottomLevels: bl,
-		Policy:       req.Policy,
+		Epsilon: req.Epsilon,
+		Rng:     rng,
+		Policy:  req.Policy,
 	})
 	if err != nil {
 		return nil, err
@@ -601,7 +567,7 @@ func (s *Server) runEvaluate(req *EvaluateRequest) ([]byte, error) {
 	// draws (same generator, same per-trial seeds), so static and
 	// re-scheduling are compared trial for trial.
 	if len(req.Policies) > 0 {
-		bl, err := s.bottomLevels(req.Graph, req.Platform, req.Costs)
+		bl, err := sched.AvgBottomLevels(req.Graph, req.Costs, req.Platform)
 		if err != nil {
 			return nil, err
 		}

@@ -493,19 +493,21 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// The bottom-level memo must be populated by the first core-scheduler miss
-// and shared by subsequent misses on the same instance.
-func TestBottomLevelMemo(t *testing.T) {
-	srv, ts := startServer(t, Config{})
+// Nothing computed for one miss is kept for the next: a miss on an instance
+// the server has already scheduled under other parameters is answered with
+// the bytes a server that never saw that instance answers.
+func TestSameInstanceMissesIndependent(t *testing.T) {
+	_, seen := startServer(t, Config{})
+	_, fresh := startServer(t, Config{})
 	reqA := testRequest(t) // ftsa eps=1
 	reqB := testRequest(t)
 	reqB.Epsilon = 2 // distinct response fingerprint, same instance
-	postSchedule(t, ts.URL, marshalRequest(t, reqA))
-	if srv.blCache.Len() != 1 {
-		t.Fatalf("bottom-level memo has %d entries after one miss, want 1", srv.blCache.Len())
+	postSchedule(t, seen.URL, marshalRequest(t, reqA))
+	resp, got := postSchedule(t, seen.URL, marshalRequest(t, reqB))
+	if status := resp.Header.Get(CacheStatusHeader); resp.StatusCode != http.StatusOK || status != "miss" {
+		t.Fatalf("same-instance request under another ε: %d, cache %q, want 200 miss", resp.StatusCode, status)
 	}
-	postSchedule(t, ts.URL, marshalRequest(t, reqB))
-	if srv.blCache.Len() != 1 {
-		t.Fatalf("bottom-level memo has %d entries after same-instance miss, want 1", srv.blCache.Len())
+	if _, want := postSchedule(t, fresh.URL, marshalRequest(t, reqB)); !bytes.Equal(got, want) {
+		t.Fatalf("same-instance miss differs from a fresh server's:\nseen:  %s\nfresh: %s", got, want)
 	}
 }

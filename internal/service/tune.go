@@ -177,16 +177,11 @@ func TuneFingerprint(req *TuneRequest) Fingerprint {
 	return f.sum()
 }
 
-// runTune is the /tune cache-miss path: resolve the shared bottom levels
-// from the instance memo, run the search, serialize. Like /evaluate, the
-// search runs single-worker inside the job — request-level parallelism is
-// the serving layer's pool — and the result is worker-count independent by
-// construction either way.
+// runTune is the /tune cache-miss path: run the search, serialize. Like
+// /evaluate, the search runs single-worker inside the job — request-level
+// parallelism is the serving layer's pool — and the result is worker-count
+// independent by construction either way.
 func (s *Server) runTune(req *TuneRequest) ([]byte, error) {
-	bl, err := s.bottomLevels(req.Graph, req.Platform, req.Costs)
-	if err != nil {
-		return nil, err
-	}
 	res, err := tune.Run(tune.Spec{
 		Graph:        req.Graph,
 		Platform:     req.Platform,
@@ -198,7 +193,6 @@ func (s *Server) runTune(req *TuneRequest) ([]byte, error) {
 		Target:       req.Target,
 		Seed:         req.EvalSeed,
 		Workers:      1,
-		BottomLevels: bl,
 		WorstCase:    req.WorstCase,
 		Robust:       req.Robust,
 	})

@@ -63,9 +63,8 @@ type Spec struct {
 	// GOMAXPROCS). The aggregated result is byte-identical for every value.
 	Workers int
 	// BottomLevels, when non-nil, supplies the workload's precomputed static
-	// bottom levels (sched.AvgBottomLevels) — the serving layer passes its
-	// instance memo. Nil computes them once per Run; either way all
-	// candidates share one slice.
+	// bottom levels (sched.AvgBottomLevels). Nil computes them once per
+	// Run; either way all candidates share one slice.
 	BottomLevels []float64
 	// WorstCase, when non-nil, additionally runs a budgeted adversarial
 	// search (sim.WorstCase) on every candidate that survives to the full
