@@ -19,7 +19,7 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 		}
 	}
 	for t := 0; t < g.NumTasks(); t++ {
-		for _, a := range g.SortedSuccs(TaskID(t)) {
+		for _, a := range g.sortedSuccs(TaskID(t)) {
 			if _, err := fmt.Fprintf(w, "  t%d -> t%d [label=\"%g\"];\n", t, a.To, a.Volume); err != nil {
 				return err
 			}
@@ -106,7 +106,7 @@ func (g *Graph) Subgraph(tasks []TaskID) (*Graph, []TaskID, error) {
 	}
 	sub := NewWithTasks(g.name+"-sub", len(picked))
 	for _, t := range picked {
-		for _, a := range g.SortedSuccs(t) {
+		for _, a := range g.sortedSuccs(t) {
 			if dst, ok := newID[a.To]; ok {
 				sub.MustAddEdge(newID[t], dst, a.Volume)
 			}

@@ -273,9 +273,9 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("dag %q: %d tasks, %d edges", g.name, g.NumTasks(), g.NumEdges())
 }
 
-// SortedSuccs returns Γ+(t) sorted by target ID. It allocates; intended for
+// sortedSuccs returns Γ+(t) sorted by target ID. It allocates; intended for
 // deterministic output paths (serialization, printing), not hot loops.
-func (g *Graph) SortedSuccs(t TaskID) []Adj {
+func (g *Graph) sortedSuccs(t TaskID) []Adj {
 	out := append([]Adj(nil), g.succs[t]...)
 	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
 	return out

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -321,6 +324,39 @@ func TestJSONRejectsBadGraphs(t *testing.T) {
 	}
 }
 
+// TestReadBoundsDeclaredTasks: a task count is declared, not spelled out, so
+// a graph file can name any number in a few bytes. Read refuses a count its
+// document has no room for before allocating anything by it, with the rule
+// (and the message) request bodies meet in ScanJSONMax.
+func TestReadBoundsDeclaredTasks(t *testing.T) {
+	huge := `{"name":"x","tasks":1000000000,"edges":[]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(strings.NewReader(huge))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "1000000000 tasks declared") {
+		t.Fatalf("Read of a graph declaring 10⁹ tasks: %v, want the declared-count error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("Read allocated %d bytes before refusing 10⁹ declared tasks", grew)
+	}
+	// Tasks without edges take no bytes: any document may declare minTaskBound
+	// of them, and a longer one a task per byte.
+	for doc, ok := range map[string]bool{
+		fmt.Sprintf(`{"tasks":%d}`, minTaskBound):                                                true,
+		fmt.Sprintf(`{"tasks":%d}`, minTaskBound+1):                                              false,
+		fmt.Sprintf(`{"tasks":%d,"name":%q}`, minTaskBound+1, strings.Repeat("n", minTaskBound)): true,
+	} {
+		g, err := Read(strings.NewReader(doc))
+		if (err == nil) != ok {
+			t.Errorf("%.40s… (%d bytes): err = %v, want accepted = %v", doc, len(doc), err, ok)
+		}
+		if ok && err == nil && g.NumTasks() < minTaskBound {
+			t.Errorf("%.40s…: decoded %d tasks", doc, g.NumTasks())
+		}
+	}
+}
+
 // TestJSONForgetsPreviousPayload: the decode scratch is recycled, and an edge
 // that omits a field must read the field as zero, not as what an earlier
 // graph left at the same index.
@@ -332,7 +368,7 @@ func TestJSONForgetsPreviousPayload(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"name":"x","tasks":4,"edges":[{"dst":1}]}`), &g); err != nil {
 		t.Fatal(err)
 	}
-	if ss := g.SortedSuccs(0); len(ss) != 1 || ss[0].To != 1 || ss[0].Volume != 0 || g.NumEdges() != 1 {
+	if ss := g.sortedSuccs(0); len(ss) != 1 || ss[0].To != 1 || ss[0].Volume != 0 || g.NumEdges() != 1 {
 		t.Fatalf("edge {dst:1} decoded as %v (%d edges), want 0→1 volume 0", ss, g.NumEdges())
 	}
 }
@@ -342,7 +378,7 @@ func TestSortedSuccs(t *testing.T) {
 	g.MustAddEdge(0, 3, 1)
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(0, 2, 1)
-	ss := g.SortedSuccs(0)
+	ss := g.sortedSuccs(0)
 	for i := 1; i < len(ss); i++ {
 		if ss[i-1].To >= ss[i].To {
 			t.Fatalf("not sorted: %v", ss)

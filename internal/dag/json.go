@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"ftsched/internal/wire"
 )
@@ -28,7 +27,7 @@ type edgeJSON struct {
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	out := graphJSON{Name: g.name, Tasks: g.NumTasks(), Edges: make([]edgeJSON, 0, g.e)}
 	for t := 0; t < g.NumTasks(); t++ {
-		for _, a := range g.SortedSuccs(TaskID(t)) {
+		for _, a := range g.sortedSuccs(TaskID(t)) {
 			out.Edges = append(out.Edges, edgeJSON{Src: TaskID(t), Dst: a.To, Volume: a.Volume})
 		}
 	}
@@ -55,13 +54,22 @@ var (
 // graph-shaped heap allocations once warm. On a validation error the
 // receiver is reset to the empty graph; its previous contents are not
 // preserved.
-func (g *Graph) ScanJSON(s *wire.Scanner) error { return g.ScanJSONMax(s, math.MaxInt) }
+func (g *Graph) ScanJSON(s *wire.Scanner) error {
+	return g.ScanJSONMax(s, max(minTaskBound, s.Len()))
+}
 
-// ScanJSONMax is ScanJSON for a graph whose document must carry data per
-// task besides it (a request's cost rows): a task count above maxTasks — more
-// than that document has room for — is refused before rebuild allocates by
-// it. A task count is the one size a graph declares rather than spells out,
-// so without the bound a 30-byte body could ask for terabytes.
+// minTaskBound is the task count any document may declare, whatever its
+// size: tasks without edges take no bytes, and rebuild's bookkeeping for this
+// many is 4 MB. Past it ScanJSON allows one task per byte of the document.
+const minTaskBound = 1 << 16
+
+// ScanJSONMax is ScanJSON for a caller that knows better than ScanJSON's own
+// bound how many tasks its document has room for — a request, which must
+// carry a cost row per task besides the graph: a task count above maxTasks
+// is refused before rebuild allocates by it. A task count is the one size a
+// graph declares rather than spells out, so without a bound a 30-byte
+// document could ask for terabytes; graph files, embedded graphs and request
+// bodies all meet theirs here.
 func (g *Graph) ScanJSONMax(s *wire.Scanner, maxTasks int) error {
 	stage := edgeStagePool.Get().(*[]edgeJSON)
 	defer edgeStagePool.Put(stage)

@@ -102,7 +102,7 @@ func (g *Graph) CriticalPath(node NodeCost, edge EdgeCost) ([]TaskID, float64, e
 	for len(g.succs[cur]) > 0 {
 		var next TaskID = -1
 		bestNext := -1.0
-		for _, a := range g.SortedSuccs(cur) {
+		for _, a := range g.sortedSuccs(cur) {
 			v := edge(cur, a.To, a.Volume) + bl[a.To]
 			if v > bestNext {
 				bestNext = v

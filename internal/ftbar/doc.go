@@ -36,7 +36,20 @@
 // gives every successor of c a new, possibly earlier, source — the task being
 // placed and any other free task that shares c — so a successful duplication
 // marks all of c's successors stale and their rows are refilled on the next
-// scan. The selected task's window is recomputed in full after its
+// scan.
+//
+// Minimize-Start-Time and placement ask the transposed question — what
+// reaches one processor from wherever the copies of a few predecessors sit —
+// so they fold down a column of the delay matrix (scratch.delayTo, d
+// transposed once per run) instead of through sched.ArrivalWindow's row
+// lookups, and lean on the memo where it already holds the answer. While t's
+// row is current its entry for the processor is the latest of the
+// predecessors' earliest arrivals, so the search for the critical predecessor
+// stops at the first one that attains it (criticalPred); and the row of the
+// critical predecessor is when a duplicate of it could have its own inputs
+// there, so that second fold is skipped outright and the pessimistic side is
+// only computed for a duplicate that is actually made. The selected task's
+// window is then computed for its Npf+1 chosen processors only, after its
 // duplications, since placement also needs the pessimistic side.
 //
 // σ itself is evaluated exactly as written, est + s(t) − R with R left in

@@ -75,6 +75,12 @@ func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	ws.unsched = kernel.Grow(ws.unsched, v)
 	ws.arr = kernel.Grow(ws.arr, v*m)
 	ws.current = kernel.GrowZero(ws.current, v)
+	ws.delayTo = kernel.Grow(ws.delayTo, m*m)
+	for k := 0; k < m; k++ {
+		for h, d := range p.DelayRow(platform.ProcID(k)) {
+			ws.delayTo[h*m+k] = d
+		}
+	}
 	st := &state{
 		f: f, p: p, cm: cm, opt: opt, s: s,
 		bl:      bl,
@@ -127,6 +133,10 @@ type scratch struct {
 	// clears current for the duplicated task's successors.
 	arr     []float64
 	current []bool
+	// delayTo is the delay matrix transposed, delayTo[h·m+k] = d(Pk,Ph):
+	// Minimize-Start-Time asks what reaches one processor from wherever a
+	// predecessor's copies sit, which is a walk down a column of d.
+	delayTo []float64
 	// cand and best are two (Npf+1)-slot selection buffers: the task being
 	// scanned and the most urgent one so far.
 	cand, best []kernel.Choice
@@ -184,14 +194,15 @@ func (st *state) step() error {
 		}
 	}
 
-	// Recompute arrivals after any duplication and place the replicas.
-	st.board.Arrivals(st.f, st.p, st.s, t)
+	// Place the replicas where the inputs land after any duplication: the
+	// Npf+1 chosen columns of the arrival matrix, not its m-wide rows.
 	reps := st.reps[:0]
 	for i, c := range best {
 		pj := c.Proc
 		e := st.cm.Cost(t, pj)
-		sMin := st.board.StartMin(int(pj), st.board.ArrMin[pj], e)
-		sMax := st.board.StartMax(int(pj), st.board.ArrMax[pj])
+		arrMin, arrMax := st.windowOn(t, st.delaysTo(pj))
+		sMin := st.board.StartMin(int(pj), arrMin, e)
+		sMax := st.board.StartMax(int(pj), arrMax)
 		reps = append(reps, sched.Replica{
 			Task: t, Copy: i, Proc: pj,
 			StartMin: sMin, FinishMin: sMin + e,
@@ -238,24 +249,79 @@ func (st *state) minimizeStartTime(t dag.TaskID, proc platform.ProcID) {
 	st.reduceArrival(t, proc, mstDepth)
 }
 
+// delaysTo returns proc's row of scratch.delayTo: d(Pk, proc) by k.
+func (st *state) delaysTo(proc platform.ProcID) []float64 {
+	m := st.p.NumProcs()
+	return st.delayTo[int(proc)*m : (int(proc)+1)*m]
+}
+
+// arrivalsFrom is sched.ArrivalWindow for one destination, to being that
+// processor's delaysTo. Same sums, same comparisons, so the same bits.
+func arrivalsFrom(to []float64, srcReps []sched.Replica, volume float64) (earliest, latest float64) {
+	earliest = math.Inf(1)
+	for i := range srcReps {
+		sr := &srcReps[i]
+		d := to[sr.Proc]
+		if a := sr.FinishMin + volume*d; a < earliest {
+			earliest = a
+		}
+		if a := sr.FinishMax + volume*d; a > latest {
+			latest = a
+		}
+	}
+	return earliest, latest
+}
+
+// windowOn returns when the data of every predecessor of t is on the
+// processor to belongs to, at the earliest and at the latest: what
+// Board.Arrivals puts in ArrMin and ArrMax for that processor.
+func (st *state) windowOn(t dag.TaskID, to []float64) (arrMin, arrMax float64) {
+	vols := st.f.PredVolumes(t)
+	for i, predRaw := range st.f.PredIDs(t) {
+		eMin, eMax := arrivalsFrom(to, st.s.Replicas(dag.TaskID(predRaw)), vols[i])
+		if eMin > arrMin {
+			arrMin = eMin
+		}
+		if eMax > arrMax {
+			arrMax = eMax
+		}
+	}
+	return arrMin, arrMax
+}
+
+// criticalPred returns the predecessor whose message determines t's earliest
+// arrival on proc — the first, in predecessor order, to attain the latest
+// arrival — and that arrival; -1 when nothing arrives after time 0. While t's
+// row is in the memo the maximum is known before the fold starts, and the
+// fold stops at the predecessor that attains it.
+func (st *state) criticalPred(t dag.TaskID, proc platform.ProcID, to []float64) (critical dag.TaskID, arrival float64) {
+	known := -1.0 // no arrival is negative
+	if st.current[t] {
+		known = st.arr[int(t)*len(to)+int(proc)]
+	}
+	critical = -1
+	vols := st.f.PredVolumes(t)
+	for i, predRaw := range st.f.PredIDs(t) {
+		pe := dag.TaskID(predRaw)
+		if eMin, _ := arrivalsFrom(to, st.s.Replicas(pe), vols[i]); eMin > arrival {
+			critical, arrival = pe, eMin
+			if eMin == known {
+				break
+			}
+		}
+	}
+	return critical, arrival
+}
+
 func (st *state) reduceArrival(t dag.TaskID, proc platform.ProcID, depth int) {
 	if depth <= 0 {
 		return
 	}
-	preds := st.f.PredIDs(t)
-	vols := st.f.PredVolumes(t)
-	for iter := 0; iter < len(preds); iter++ {
+	m := st.p.NumProcs()
+	to := st.delaysTo(proc)
+	for iter := st.f.InDegree(t); iter > 0; iter-- {
 		// Find the predecessor whose message determines t's arrival on proc.
-		critical := dag.TaskID(-1)
-		criticalArr := 0.0
-		for i, predRaw := range preds {
-			pe := dag.TaskID(predRaw)
-			eMin, _ := sched.ArrivalWindow(st.p, st.s.Replicas(pe), vols[i], proc)
-			if eMin > criticalArr {
-				criticalArr = eMin
-				critical = pe
-			}
-		}
+		critical, criticalArr := st.criticalPred(t, proc, to)
 		if critical < 0 {
 			return // entry task
 		}
@@ -273,18 +339,13 @@ func (st *state) reduceArrival(t dag.TaskID, proc platform.ProcID, depth int) {
 		// Recursively pull the critical predecessor's own inputs onto proc
 		// so the duplicate below starts as early as possible.
 		st.reduceArrival(critical, proc, depth-1)
-		// Earliest the duplicate itself could run on proc.
-		dupArrMin, dupArrMax := 0.0, 0.0
-		cPreds := st.f.PredIDs(critical)
-		cVols := st.f.PredVolumes(critical)
-		for i, ppRaw := range cPreds {
-			eMin, eMax := sched.ArrivalWindow(st.p, st.s.Replicas(dag.TaskID(ppRaw)), cVols[i], proc)
-			if eMin > dupArrMin {
-				dupArrMin = eMin
-			}
-			if eMax > dupArrMax {
-				dupArrMax = eMax
-			}
+		// Earliest the duplicate itself could run on proc: when the inputs
+		// of critical are there, which is its memoised row while that holds.
+		var dupArrMin float64
+		if st.current[critical] {
+			dupArrMin = st.arr[int(critical)*m+int(proc)]
+		} else {
+			_, dupArrMin = st.criticalPred(critical, proc, to)
 		}
 		e := st.cm.Cost(critical, proc)
 		dupStartMin := math.Max(dupArrMin, st.board.ReadyMin[proc])
@@ -292,6 +353,7 @@ func (st *state) reduceArrival(t dag.TaskID, proc platform.ProcID, depth int) {
 		if dupFinishMin >= criticalArr {
 			return // duplication does not help
 		}
+		_, dupArrMax := st.windowOn(critical, to)
 		dupStartMax := math.Max(dupArrMax, st.board.ReadyMax[proc])
 		if err := st.s.AddDuplicate(critical, sched.Replica{
 			Task: critical, Proc: proc,

@@ -39,8 +39,15 @@ func (s *Schedule) Validate() error {
 		// precedence because only free tasks are mapped.
 		return fmt.Errorf("%w: mapping order is not topological", ErrPrecedence)
 	}
+	// One set of marks serves every task: indexed by processor for the
+	// distinct-processor count, by predecessor copy for the matching check.
+	width := s.Platform.NumProcs()
+	for _, reps := range s.replicas {
+		width = max(width, len(reps))
+	}
+	seen := make([]bool, width)
 	for t := range s.replicas {
-		if err := s.validateTask(dag.TaskID(t)); err != nil {
+		if err := s.validateTask(dag.TaskID(t), seen); err != nil {
 			return err
 		}
 	}
@@ -50,21 +57,28 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-func (s *Schedule) validateTask(t dag.TaskID) error {
+// validateTask checks one task's replicas and their arrivals. seen is
+// Validate's scratch: at least as long as the platform is wide and as any
+// task has copies, cleared here before each use.
+func (s *Schedule) validateTask(t dag.TaskID, seen []bool) error {
 	reps := s.replicas[t]
 	if len(reps) < s.Epsilon+1 {
 		return fmt.Errorf("%w: task %d has %d replicas, want >= %d", ErrReplicaCount, t, len(reps), s.Epsilon+1)
 	}
-	procs := map[int]bool{}
+	clear(seen)
+	procs := 0
 	for _, r := range reps {
-		procs[int(r.Proc)] = true
+		if !seen[r.Proc] {
+			seen[r.Proc] = true
+			procs++
+		}
 	}
 	// Proposition 4.1: ε+1 pairwise distinct processors are required. The
 	// base schedulers produce exactly ε+1 distinct ones; FTBAR duplication
 	// may add extra copies on already-used processors, which is harmless as
 	// long as ε+1 distinct processors execute the task.
-	if len(procs) < s.Epsilon+1 {
-		return fmt.Errorf("%w: task %d uses %d distinct processors, want >= %d", ErrSpace, t, len(procs), s.Epsilon+1)
+	if procs < s.Epsilon+1 {
+		return fmt.Errorf("%w: task %d uses %d distinct processors, want >= %d", ErrSpace, t, procs, s.Epsilon+1)
 	}
 	for _, r := range reps {
 		e := s.Costs.Cost(t, r.Proc)
@@ -81,10 +95,10 @@ func (s *Schedule) validateTask(t dag.TaskID) error {
 			return fmt.Errorf("sched: task %d copy %d has invalid starts (min=%g max=%g)", t, r.Copy, r.StartMin, r.StartMax)
 		}
 	}
-	return s.validateArrivals(t)
+	return s.validateArrivals(t, seen)
 }
 
-func (s *Schedule) validateArrivals(t dag.TaskID) error {
+func (s *Schedule) validateArrivals(t dag.TaskID, used []bool) error {
 	preds := s.Graph.Preds(t)
 	for predIdx, pe := range preds {
 		srcReps := s.replicas[pe.To]
@@ -103,8 +117,10 @@ func (s *Schedule) validateArrivals(t dag.TaskID) error {
 		switch s.CommPattern {
 		case PatternAll:
 			for _, dr := range s.replicas[t] {
-				earliest, _ := ArrivalWindow(s.Platform, srcReps, pe.Volume, dr.Proc)
-				_, latest := ArrivalWindow(s.Platform, baseReps, pe.Volume, dr.Proc)
+				earliest, latest := ArrivalWindow(s.Platform, srcReps, pe.Volume, dr.Proc)
+				if len(baseReps) < len(srcReps) {
+					_, latest = ArrivalWindow(s.Platform, baseReps, pe.Volume, dr.Proc)
+				}
 				if dr.StartMin < earliest-timeEps {
 					return fmt.Errorf("%w: task %d copy %d starts at %g before earliest arrival %g from pred %d",
 						ErrPrecedence, t, dr.Copy, dr.StartMin, earliest, pe.To)
@@ -115,7 +131,7 @@ func (s *Schedule) validateArrivals(t dag.TaskID) error {
 				}
 			}
 		case PatternMatched:
-			used := map[int]bool{}
+			clear(used)
 			for _, dr := range s.replicas[t] {
 				k, err := s.MatchedSource(t, dr.Copy, predIdx)
 				if err != nil {

@@ -176,7 +176,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					if bodies[i] != nil || computed[fps[i]] != nil {
 						continue
 					}
-					body, err := s.schedule(it)
+					body, err := s.protect(fps[i], func() ([]byte, error) { return s.schedule(it) })
 					if err != nil {
 						return fmt.Errorf("requests[%d]: scheduling failed: %w", i, err)
 					}

@@ -34,7 +34,9 @@ type cacheEntry struct {
 // NewCache creates a cache holding up to capacity entries split over
 // nShards shards (rounded up to a power of two, clamped to [1, 256]).
 // Capacity is divided evenly; each shard evicts independently, which is the
-// usual LRU-approximation trade of sharded caches.
+// usual LRU-approximation trade of sharded caches. The shard maps start
+// empty and grow with what is stored: sized for their capacity up front, the
+// default 4 096 entries are most of an idle server's heap before any arrive.
 func NewCache(capacity, nShards int) *Cache {
 	if capacity < 1 {
 		capacity = 1
@@ -55,7 +57,7 @@ func NewCache(capacity, nShards int) *Cache {
 		c.shards[i] = cacheShard{
 			capacity: perShard,
 			ll:       list.New(),
-			items:    make(map[Fingerprint]*list.Element, perShard),
+			items:    make(map[Fingerprint]*list.Element),
 		}
 	}
 	return c

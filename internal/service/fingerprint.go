@@ -1,10 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
@@ -19,19 +21,32 @@ type Fingerprint [16]byte
 
 // fingerprinter streams a canonical byte encoding into an FNV-1a hash.
 // Every variable-length field is length-prefixed and every section is
-// tagged, so distinct structures cannot collide by concatenation.
+// tagged, so distinct structures cannot collide by concatenation. The
+// encoding collects in buf and reaches the hash a buffer at a time: a
+// paper-sized instance is 3 400 eight-byte fields, and FNV's own byte loop,
+// not a call per field, should be what hashing them costs.
 type fingerprinter struct {
 	h   hash.Hash
-	buf [8]byte
+	n   int
+	buf [512]byte
+	adj []dag.Adj // a successor run that had to be sorted
 }
 
 func newFingerprinter() *fingerprinter {
 	return &fingerprinter{h: fnv.New128a()}
 }
 
+func (f *fingerprinter) flush() {
+	f.h.Write(f.buf[:f.n])
+	f.n = 0
+}
+
 func (f *fingerprinter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(f.buf[:], v)
-	f.h.Write(f.buf[:])
+	if f.n+8 > len(f.buf) {
+		f.flush()
+	}
+	binary.LittleEndian.PutUint64(f.buf[f.n:], v)
+	f.n += 8
 }
 
 func (f *fingerprinter) i64(v int64) { f.u64(uint64(v)) }
@@ -42,10 +57,18 @@ func (f *fingerprinter) f64(v float64) { f.u64(math.Float64bits(v)) }
 
 func (f *fingerprinter) str(s string) {
 	f.u64(uint64(len(s)))
-	f.h.Write([]byte(s))
+	for len(s) > 0 {
+		if f.n == len(f.buf) {
+			f.flush()
+		}
+		k := copy(f.buf[f.n:], s)
+		f.n += k
+		s = s[k:]
+	}
 }
 
 func (f *fingerprinter) sum() Fingerprint {
+	f.flush()
 	var fp Fingerprint
 	f.h.Sum(fp[:0])
 	return fp
@@ -54,13 +77,22 @@ func (f *fingerprinter) sum() Fingerprint {
 // instance hashes the problem instance: DAG structure and volumes, the cost
 // matrix and the delay matrix. The graph's display name is deliberately
 // excluded — it affects neither the schedule nor any response field, so
-// instances differing only in name share cache entries.
+// instances differing only in name share cache entries. So is the order the
+// edges were listed in: successors are hashed by ascending target, which is
+// the order every writer of this repository emits and a decode keeps, so the
+// adjacency is normally hashed where it lies.
 func (f *fingerprinter) instance(g *dag.Graph, p *platform.Platform, cm *platform.CostModel) {
+	byTarget := func(a, b dag.Adj) int { return cmp.Compare(a.To, b.To) }
 	f.str("graph")
 	v := g.NumTasks()
 	f.u64(uint64(v))
 	for t := 0; t < v; t++ {
-		succs := g.SortedSuccs(dag.TaskID(t))
+		succs := g.Succs(dag.TaskID(t))
+		if !slices.IsSortedFunc(succs, byTarget) {
+			f.adj = append(f.adj[:0], succs...)
+			slices.SortFunc(f.adj, byTarget)
+			succs = f.adj
+		}
 		f.u64(uint64(len(succs)))
 		for _, a := range succs {
 			f.u64(uint64(a.To))
@@ -71,8 +103,8 @@ func (f *fingerprinter) instance(g *dag.Graph, p *platform.Platform, cm *platfor
 	m := p.NumProcs()
 	f.u64(uint64(m))
 	for k := 0; k < m; k++ {
-		for h := 0; h < m; h++ {
-			f.f64(p.Delay(platform.ProcID(k), platform.ProcID(h)))
+		for _, d := range p.DelayRow(platform.ProcID(k)) {
+			f.f64(d)
 		}
 	}
 	f.str("costs")

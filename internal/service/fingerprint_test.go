@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -118,5 +119,75 @@ func TestRequestFingerprintIgnoresName(t *testing.T) {
 	b.Graph, _, _ = testInstance(t, "beta")
 	if RequestFingerprint(a) != RequestFingerprint(b) {
 		t.Fatal("graph name changed the request fingerprint")
+	}
+}
+
+// TestRequestFingerprintGolden pins the canonical encoding itself: these are
+// the digests a sorted copy of every successor list and one hash write per
+// field produced (commit cbc29aa), so a cache key computed before the walk
+// stopped copying and the writes were batched still names the same instance.
+func TestRequestFingerprintGolden(t *testing.T) {
+	for name, tc := range map[string]struct {
+		req  *ScheduleRequest
+		want string
+	}{
+		"diamond": {testRequest(t), "bdd02de173f99d560838c9c1c6a906d7"},
+		"paper":   {benchRequest(t), "c8dbe291c62e4d6ed6bf7bc79fffff3a"},
+	} {
+		if got := fmt.Sprintf("%x", RequestFingerprint(tc.req)); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, tc.want)
+		}
+	}
+}
+
+// TestRequestFingerprintIgnoresEdgeOrder: an instance is its edge set, not
+// the order a client listed it in. Any insertion order of the same edges —
+// every successor run of the paper-sized graph shuffled — fingerprints alike.
+func TestRequestFingerprintIgnoresEdgeOrder(t *testing.T) {
+	base := benchRequest(t)
+	want := RequestFingerprint(base)
+	edges := base.Graph.Edges()
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		g := dag.NewWithTasks("shuffled", base.Graph.NumTasks())
+		for _, e := range edges {
+			g.MustAddEdge(e.Src, e.Dst, e.Volume)
+		}
+		req := *base
+		req.Graph = g
+		if got := RequestFingerprint(&req); got != want {
+			t.Fatalf("trial %d: edge insertion order changed the fingerprint: %x, want %x", trial, got, want)
+		}
+	}
+	// The order is all that is ignored: moving one volume to another edge of
+	// the same task is a different instance.
+	g := dag.NewWithTasks("swapped", base.Graph.NumTasks())
+	swapped := false
+	for i, e := range edges {
+		if !swapped && i+1 < len(edges) && edges[i+1].Src == e.Src && edges[i+1].Volume != e.Volume {
+			edges[i].Volume, edges[i+1].Volume = edges[i+1].Volume, e.Volume
+			swapped = true
+		}
+		g.MustAddEdge(edges[i].Src, edges[i].Dst, edges[i].Volume)
+	}
+	req := *base
+	req.Graph = g
+	if !swapped || RequestFingerprint(&req) == want {
+		t.Fatalf("swapping two volumes of one task (done: %v) left the fingerprint alone", swapped)
+	}
+}
+
+var sinkFingerprint Fingerprint
+
+// BenchmarkRequestFingerprint digests a decoded paper-sized request, the
+// work between decode and cache lookup on every request the front index does
+// not answer.
+func BenchmarkRequestFingerprint(b *testing.B) {
+	req := benchRequest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkFingerprint = RequestFingerprint(req)
 	}
 }

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,16 +37,14 @@ func TestScheduleRequestRoundTrip(t *testing.T) {
 		t.Fatalf("graph shape changed: %d/%d tasks, %d/%d edges",
 			got.Graph.NumTasks(), orig.Graph.NumTasks(), got.Graph.NumEdges(), orig.Graph.NumEdges())
 	}
+	sortedSuccs := func(g *dag.Graph, t int) []dag.Adj {
+		out := slices.Clone(g.Succs(dag.TaskID(t)))
+		slices.SortFunc(out, func(a, b dag.Adj) int { return cmp.Compare(a.To, b.To) })
+		return out
+	}
 	for tsk := 0; tsk < orig.Graph.NumTasks(); tsk++ {
-		want := orig.Graph.SortedSuccs(dag.TaskID(tsk))
-		have := got.Graph.SortedSuccs(dag.TaskID(tsk))
-		if len(want) != len(have) {
-			t.Fatalf("task %d: %d succs decoded, want %d", tsk, len(have), len(want))
-		}
-		for i := range want {
-			if want[i] != have[i] {
-				t.Fatalf("task %d succ %d: %+v != %+v", tsk, i, have[i], want[i])
-			}
+		if want, have := sortedSuccs(orig.Graph, tsk), sortedSuccs(got.Graph, tsk); !slices.Equal(want, have) {
+			t.Fatalf("task %d: successors %+v decoded, want %+v", tsk, have, want)
 		}
 	}
 	m := orig.Platform.NumProcs()

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -412,7 +413,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 			return
 		}
 		s.flightMu.Unlock()
-		body, err := compute()
+		body, err := s.protect(fp, compute)
 		if err != nil {
 			finish(nil, fmt.Errorf("%s failed: %w", opName, err), http.StatusInternalServerError)
 			return
@@ -498,6 +499,23 @@ func (s *Server) countSchedulers(set schedSet) {
 	for ; set != 0; set &= set - 1 {
 		s.schedReqs[bits.TrailingZeros64(uint64(set))].Add(1)
 	}
+}
+
+// protect runs what a pool job computes for the request fp names and turns
+// a panic in it — a scheduler bug met on a pathological instance — into the
+// computation's error. The request then ends like any failed computation: a
+// 500, which here names the fingerprint prefix, for the leader and for every
+// follower of its flight, nothing cached, the worker and the process alive.
+func (s *Server) protect(fp Fingerprint, compute func() ([]byte, error)) (body []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			body, err = nil, fmt.Errorf("panic computing request %x: %v", fp[:4], p)
+			if s.cfg.Log != nil {
+				s.cfg.Log.Printf("%v\n%s", err, debug.Stack())
+			}
+		}
+	}()
+	return compute()
 }
 
 // solve runs the scheduling part shared by /schedule and /evaluate: run the

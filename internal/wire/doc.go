@@ -9,9 +9,27 @@
 // but whitespace remains. Nothing is reflected over, nothing is buffered and
 // nothing survives a call — the only state is the position and the nesting
 // depth — so a decoder built on it costs what the bytes cost: a paper-sized
-// instance (150 tasks × 20 processors, 64 KB) parses in about a quarter of
-// what encoding/json's validate, skip, re-validate, reflect sequence takes,
-// most of the remainder being strconv.ParseFloat.
+// instance (150 tasks × 20 processors, 64 KB) parses in about an eighth of
+// what encoding/json's validate, skip, re-validate, reflect sequence takes.
+//
+// Numbers are read once too. An instance is mostly numbers — a cost matrix, a
+// delay matrix and the edge volumes, some 3 400 decimals in Go's shortest
+// round-trip form, 16–17 significant digits each — so the pass that checks a
+// number's grammar also folds its digits into a uint64 mantissa and its
+// point and exponent into a power of ten (decimal, in float.go). Float then
+// converts that pair itself when two things hold: the token has at most 19
+// significant digits, so the mantissa is exact; and one Eisel–Lemire step
+// over a table of 1e-40…1e40 reports success, which it does only for the
+// correctly rounded float64. Everything else — a longer mantissa, a power
+// outside the table, a value half-way between two floats that the step
+// cannot call, a subnormal or out-of-range result — goes to
+// strconv.ParseFloat on the token, whose value or error is then the answer.
+// The step and the table rows are copied from strconv, which applies them to
+// the same mantissa and exponent before its own slow path, so the in-package
+// result is strconv's to the bit by construction; FuzzScanFloat and
+// TestFloatMatchesStrconv hold the two against each other, and
+// TestFloatFallback pins which tokens take which leg so the hand-off stays
+// exercised.
 //
 // The grammar is RFC 8259 exactly as encoding/json enforces it, so a caller
 // that replaces json.Unmarshal with a Scanner accepts and rejects the same

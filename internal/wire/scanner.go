@@ -35,6 +35,9 @@ type Scanner struct {
 // NewScanner returns a scanner at the start of data.
 func NewScanner(data []byte) *Scanner { return &Scanner{buf: data} }
 
+// Len returns the size of the document in bytes, read or not.
+func (s *Scanner) Len() int { return len(s.buf) }
+
 // Unmarshal runs scan over data as one complete document: the value scan
 // consumes, then nothing but whitespace.
 func Unmarshal(data []byte, scan func(*Scanner) error) error {
@@ -191,7 +194,7 @@ func (s *Scanner) Skip() error {
 		_, err := s.str("a string")
 		return err
 	case c == '-' || isDigit(c):
-		_, err := s.number()
+		_, _, err := s.number()
 		return err
 	case c == 't':
 		return s.literal("true")
@@ -212,18 +215,22 @@ func (s *Scanner) Raw() ([]byte, error) {
 	return s.buf[start:s.pos], err
 }
 
-// Float reads a number into dst, refusing one float64 cannot hold.
+// Float reads a number into dst, refusing one float64 cannot hold. The value
+// is strconv.ParseFloat's to the bit: number has already read the token as a
+// decimal, and only a token that form cannot settle is parsed again.
 func (s *Scanner) Float(dst *float64) error {
 	if s.Null() {
 		return nil
 	}
-	tok, err := s.number()
+	tok, d, err := s.number()
 	if err != nil {
 		return err
 	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return errAt(s.pos-len(tok), "number out of range for a float")
+	f, ok := d.float64()
+	if !ok {
+		if f, err = strconv.ParseFloat(string(tok), 64); err != nil {
+			return errAt(s.pos-len(tok), "number out of range for a float")
+		}
 	}
 	*dst = f
 	return nil
@@ -235,7 +242,7 @@ func (s *Scanner) Int(dst *int) error {
 	if s.Null() {
 		return nil
 	}
-	tok, err := s.number()
+	tok, _, err := s.number()
 	if err != nil {
 		return err
 	}
@@ -278,53 +285,78 @@ func unquote(tok []byte) []byte {
 	return text
 }
 
-// number consumes one number token.
-func (s *Scanner) number() ([]byte, error) {
+// number consumes one number token and, on the way, reads it as a decimal:
+// the digits are folded into d.man as they are checked, so Float seldom has
+// to look at them twice.
+func (s *Scanner) number() (tok []byte, d decimal, err error) {
 	s.space()
 	b, i := s.buf, s.pos
-	fail := func(at int, want string) ([]byte, error) {
+	fail := func(at int, want string) ([]byte, decimal, error) {
 		s.pos = at
-		return nil, s.unexpected(want)
+		return nil, decimal{}, s.unexpected(want)
 	}
 	if i < len(b) && b[i] == '-' {
+		d.neg = true
 		i++
 	}
+	first := i
 	if i < len(b) && b[i] == '0' {
 		i++
-	} else if end := digits(b, i); end > i {
-		i = end
 	} else {
-		return fail(i, "a number")
-	}
-	if i < len(b) && b[i] == '.' {
-		end := digits(b, i+1)
-		if end == i+1 {
-			return fail(end, "a digit after the decimal point")
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			d.man = d.man*10 + uint64(b[i]-'0')
 		}
-		i = end
+		if i == first {
+			return fail(i, "a number")
+		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	d.sig = i - first
+	if i < len(b) && b[i] == '.' {
+		point := i
+		for i++; i < len(b) && isDigit(b[i]); i++ {
+			d.man = d.man*10 + uint64(b[i]-'0')
+		}
+		if i == point+1 {
+			return fail(i, "a digit after the decimal point")
+		}
+		d.exp10 = point + 1 - i
+		d.sig += i - point - 1
+	}
+	if b[first] == '0' {
+		// The integer part is the lone 0: it and the zeros that open the
+		// fraction are not significant.
+		d.sig--
+		for k := first + 2; k < i && b[k] == '0'; k++ {
+			d.sig--
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
-		end := digits(b, i)
-		if end == i {
-			return fail(end, "a digit in the exponent")
+		digit, e := i, 0
+		for ; i < len(b) && isDigit(b[i]); i++ {
+			if e < maxExponent {
+				e = e*10 + int(b[i]-'0')
+			}
 		}
-		i = end
+		if i == digit {
+			return fail(i, "a digit in the exponent")
+		}
+		if e >= maxExponent {
+			d.sig = maxSig + 1 // e is no longer the exponent: not for float64 to decide
+		}
+		if neg {
+			e = -e
+		}
+		d.exp10 += e
 	}
-	tok := b[s.pos:i]
+	tok = b[s.pos:i]
 	s.pos = i
-	return tok, nil
-}
-
-// digits returns the end of the run of decimal digits that starts at b[i].
-func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
-		i++
-	}
-	return i
+	return tok, d, nil
 }
 
 // str consumes one string token and returns it, quotes included.
