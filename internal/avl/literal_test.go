@@ -1,3 +1,16 @@
+// Package avl is the paper's free-task list kept as a test oracle. Section
+// 4.1 maintains the priority list α as an AVL tree with O(log ω) insertion,
+// deletion and head lookup, where ω is the DAG width; the schedulers now keep
+// α in kernel.PriorityList, a binary heap over the same total order, and no
+// non-test code imports this directory. The tree and its FreeList façade stay
+// here verbatim, in a _test file, as the literal structure the heap is
+// checked against (TestHeapPopsWhatTheTreePops) — and because their own
+// tests stay in the suite.
+//
+// Tree is generic over the key type and fully ordered by a caller-supplied
+// less function; FreeList wraps it with the scheduler's entry shape: entries
+// order by priority first, then by a random tie-break value (the paper
+// breaks priority ties randomly), then by task ID for determinism.
 package avl
 
 // Tree is an AVL tree holding keys of type K ordered by the less function.
@@ -267,3 +280,57 @@ func (t *Tree[K]) CheckInvariants() bool {
 	t.Ascend(func(K) bool { count++; return true })
 	return ok && count == t.size
 }
+
+// Entry is one element of a FreeList: an integer task ID with a scheduling
+// priority. Ties between equal priorities are broken by a caller-supplied
+// tie value (the schedulers draw it at random, matching the paper's "ties
+// are broken randomly"); remaining ties fall back to the task ID so the
+// ordering is total.
+type Entry struct {
+	Priority float64
+	Tie      uint64
+	ID       int
+}
+
+// FreeList is the priority list α of Section 4.1: a balanced search tree of
+// free tasks from which H(α), the highest-priority task, is repeatedly
+// extracted. All operations are O(log n).
+type FreeList struct {
+	tree *Tree[Entry]
+}
+
+// NewFreeList returns an empty priority list.
+func NewFreeList() *FreeList {
+	return &FreeList{tree: New(func(a, b Entry) bool {
+		if a.Priority != b.Priority {
+			return a.Priority < b.Priority
+		}
+		if a.Tie != b.Tie {
+			return a.Tie < b.Tie
+		}
+		return a.ID < b.ID
+	})}
+}
+
+// Len returns |α|.
+func (l *FreeList) Len() int { return l.tree.Len() }
+
+// Push inserts an entry; it reports false if an identical entry is present.
+func (l *FreeList) Push(e Entry) bool { return l.tree.Insert(e) }
+
+// Remove deletes an entry previously pushed; it reports whether it existed.
+func (l *FreeList) Remove(e Entry) bool { return l.tree.Delete(e) }
+
+// Head returns H(α), the entry with the highest priority, without removing
+// it; ok is false when the list is empty.
+func (l *FreeList) Head() (Entry, bool) { return l.tree.Max() }
+
+// PopHead removes and returns H(α).
+func (l *FreeList) PopHead() (Entry, bool) { return l.tree.DeleteMax() }
+
+// Height exposes the underlying tree height, for tests asserting the
+// O(log ω) bound.
+func (l *FreeList) Height() int { return l.tree.Height() }
+
+// CheckInvariants verifies the underlying AVL invariants (tests only).
+func (l *FreeList) CheckInvariants() bool { return l.tree.CheckInvariants() }

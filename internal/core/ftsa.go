@@ -50,11 +50,11 @@ type Options struct {
 }
 
 // FTSA runs Algorithm 4.1: list scheduling by task criticalness
-// (tℓ(t)+bℓ(t)) with an AVL-backed free list, mapping every task onto the
-// ε+1 processors that minimize its finish time (equation 1), and recording
-// the pessimistic window (equation 3) alongside. The resulting schedule uses
-// the full communication pattern (every predecessor replica sends to every
-// successor replica).
+// (tℓ(t)+bℓ(t)) with the free list in a priority heap, mapping every task
+// onto the ε+1 processors that minimize its finish time (equation 1), and
+// recording the pessimistic window (equation 3) on those processors. The
+// resulting schedule uses the full communication pattern (every predecessor
+// replica sends to every successor replica).
 func FTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
 	return runFTSA(g, p, cm, opt, false, "FTSA")
 }
@@ -91,78 +91,68 @@ func runFTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Opt
 	return st.finish()
 }
 
-// state carries the incremental data of one scheduling run.
+// state carries the incremental data of one scheduling run: what the run
+// was given and built (run, dropped on release) and the buffers it works in.
+// States are pooled whole. A campaign schedules thousands of instances back
+// to back; recycling the buffers (together with the kernel's pooled boards)
+// keeps the per-run steady-state allocation count at the schedule's own
+// instead of scaling with tasks × processors.
 type state struct {
-	g   *dag.Graph
-	f   *dag.Flat // frozen CSR view of g; all adjacency walks go through it
-	p   *platform.Platform
-	cm  *platform.CostModel
-	opt Options
-	s   *sched.Schedule
+	run
 
-	bl []float64 // static bottom levels
-	tl []float64 // dynamic top levels, updated as predecessors are mapped
-
+	tl           []float64 // dynamic top levels, updated as predecessors are mapped
 	unschedPreds []int
-	free         kernel.ReadyList
-
-	// board holds the shared per-processor placement state: ready times,
-	// arrival-window scratch and (for the insertion variant) busy timelines.
-	board *kernel.Board
+	free         kernel.PriorityList // the free list α
 
 	// maxFrom memoizes p.MaxDelayFrom per processor: the commit step charges
 	// the worst-case outgoing delay once per (successor edge × replica), and
 	// recomputing the O(m) maximum there dominated profiles of large runs.
 	maxFrom []float64
 
-	// scratch buffers reused across steps to keep the loop allocation-free.
+	// buffers reused across steps to keep the loop allocation-free.
 	cands []kernel.Choice
 	reps  []sched.Replica
 
-	ws *scratch // pooled backing storage for the slices above
-}
-
-// scratch is the pooled backing storage of one scheduling run. A campaign
-// schedules thousands of instances back to back; recycling these buffers
-// (together with the kernel's pooled boards) keeps the per-run steady-state
-// allocation count flat instead of scaling with tasks × processors.
-type scratch struct {
-	tl           []float64
-	unschedPreds []int
-	maxFrom      []float64
-	cands        []kernel.Choice
-	reps         []sched.Replica
-
 	// MC-FTSA matching scratch: the per-task processor→copy index, the
-	// per-edge bipartite graph (rebuilt in place), its greedy order and
-	// internal-edge flags, and the matching output buffers.
+	// per-edge bipartite graph (rebuilt in place), its greedy sort keys and
+	// order, and the matching output buffers.
 	procCopy []int32
 	bg       bipartite.Graph
+	keys     []edgeKey
 	order    []int
-	internal []bool
 	matchL   bipartite.Matching
 	usedR    []bool
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// run is the part of a state that belongs to one run.
+type run struct {
+	f   *dag.Flat // frozen CSR view of the graph; all adjacency walks go through it
+	p   *platform.Platform
+	cm  *platform.CostModel
+	opt Options
+	s   *sched.Schedule
 
-// release returns the state's scratch buffers to their pools. The schedule
+	bl []float64 // static bottom levels
+
+	// board holds the shared per-processor placement state: ready times,
+	// the earliest-arrival row and (for the insertion variant) busy
+	// timelines.
+	board *kernel.Board
+}
+
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// release returns the board and the state to their pools. The schedule
 // handed out by finish never aliases them (sched.Place copies replicas), so
-// releasing after a run — successful or not — is always safe.
+// releasing after a run — successful or not — is always safe. A run that
+// stopped early (a missed deadline) leaves tasks in α; they go here, with
+// every reference to the instance, so the next run on this state starts
+// from an empty list and the pool pins nobody's graph.
 func (st *state) release() {
 	st.board.Release()
-	st.board = nil
-	ws := st.ws
-	if ws == nil {
-		return
-	}
-	st.ws = nil
-	ws.tl = st.tl
-	ws.unschedPreds = st.unschedPreds
-	ws.maxFrom = st.maxFrom
-	ws.cands = st.cands
-	ws.reps = st.reps
-	scratchPool.Put(ws)
+	st.free.Reset()
+	st.run = run{}
+	statePool.Put(st)
 }
 
 func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options, pattern sched.Pattern, algo string, insertion bool) (*state, error) {
@@ -186,19 +176,11 @@ func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	}
 	m := p.NumProcs()
 	v := g.NumTasks()
-	ws := scratchPool.Get().(*scratch)
-	st := &state{
-		g: g, f: f, p: p, cm: cm, opt: opt, s: s,
-		bl:           bl,
-		tl:           kernel.GrowZero(ws.tl, v),
-		unschedPreds: kernel.Grow(ws.unschedPreds, v),
-		free:         kernel.NewPriorityList(),
-		board:        kernel.NewBoard(m, insertion),
-		maxFrom:      kernel.Grow(ws.maxFrom, m),
-		cands:        ws.cands[:0],
-		reps:         ws.reps[:0],
-		ws:           ws,
-	}
+	st := statePool.Get().(*state)
+	st.run = run{f: f, p: p, cm: cm, opt: opt, s: s, bl: bl, board: kernel.NewBoard(m, insertion)}
+	st.tl = kernel.GrowZero(st.tl, v)
+	st.unschedPreds = kernel.Grow(st.unschedPreds, v)
+	st.maxFrom = kernel.Grow(st.maxFrom, m)
 	for j := 0; j < m; j++ {
 		st.maxFrom[j] = p.MaxDelayFrom(platform.ProcID(j))
 	}
@@ -230,9 +212,13 @@ func (st *state) pop() dag.TaskID {
 // placeBestEFT computes equation (1) on every processor and selects the ε+1
 // distinct processors with minimum finish time, breaking ties toward lower
 // processor indices. The replicas are ordered by increasing optimistic
-// finish time. Arrival windows and start times come from the shared kernel
-// board; under insertion the optimistic start is the earliest fitting gap of
-// the processor's timeline instead of max(arrival, ready).
+// finish time. Arrivals and start times come from the shared kernel board;
+// under insertion the optimistic start is the earliest fitting gap of the
+// processor's timeline instead of max(arrival, ready). The pessimistic
+// window (equation 3) is computed on the ε+1 selected processors only, and
+// under PatternMatched not at all: recomputeMatchedWindows sets both windows
+// from the matched sources, so there the replicas leave here with the
+// optimistic window alone.
 //
 // The returned slice is the state's scratch — valid until the next
 // placeBestEFT; commit (via sched.Place) copies it into the schedule.
@@ -243,16 +229,25 @@ func (st *state) placeBestEFT(t dag.TaskID) ([]sched.Replica, error) {
 	for j := 0; j < st.p.NumProcs(); j++ {
 		pj := platform.ProcID(j)
 		e := st.cm.Cost(t, pj)
-		sMin := st.board.StartMin(j, st.board.ArrMin[j], e)
-		cands = kernel.KeepSmallest(cands, k, kernel.Choice{Proc: pj, Value: sMin + e})
+		fin := st.board.StartMin(j, st.board.ArrMin[j], e) + e
+		// Processors are offered in ascending index, so a finish time that
+		// does not beat the k-th best cannot enter: skip the call.
+		if len(cands) == k && fin >= cands[k-1].Value {
+			continue
+		}
+		cands = kernel.KeepSmallest(cands, k, kernel.Choice{Proc: pj, Value: fin})
 	}
 	st.cands = cands
+	matched := st.s.CommPattern == sched.PatternMatched
 	reps := st.reps[:0]
 	for i := 0; i < k; i++ {
 		pj := cands[i].Proc
 		e := st.cm.Cost(t, pj)
 		sMin := st.board.StartMin(int(pj), st.board.ArrMin[pj], e)
-		sMax := st.board.StartMax(int(pj), st.board.ArrMax[pj])
+		sMax := 0.0
+		if !matched {
+			sMax = st.board.StartMax(int(pj), st.board.ArrivalMaxOn(st.f, st.p, st.s, t, pj))
+		}
 		reps = append(reps, sched.Replica{
 			Task: t, Copy: i, Proc: pj,
 			StartMin: sMin, FinishMin: sMin + e,

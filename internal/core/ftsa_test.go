@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ftsched/internal/dag"
@@ -221,4 +223,89 @@ func TestFTSAEntryAndExitHeavyGraphs(t *testing.T) {
 	if s.CommPattern != sched.PatternAll {
 		t.Errorf("pattern = %v, want all", s.CommPattern)
 	}
+}
+
+// TestAbortedRunLeavesNoStaleTask pins what a pooled run may inherit from one
+// that stopped before its free list drained. A missed deadline returns with
+// tasks still in α; release must hand the state back with an empty list, or
+// the next run on it would pop a task of another graph. A cyclic graph is
+// refused with dag.ErrCycle before a state is taken. After either, a run
+// on pooled storage reproduces the schedule a clean run built.
+func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
+	inst := testInstance(t, 25, 1.0, 20)
+	g, p, cm := inst.Graph, inst.Platform, inst.Costs
+	opt := Options{Epsilon: 2}
+	ref, err := FTSA(g, p, cm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := ref.LowerBound() / 10
+	requireRef := func(after string) {
+		t.Helper()
+		got, err := FTSA(g, p, cm, opt)
+		if err != nil {
+			t.Fatalf("run after %s: %v", after, err)
+		}
+		for task := 0; task < g.NumTasks(); task++ {
+			if !reflect.DeepEqual(got.Replicas(dag.TaskID(task)), ref.Replicas(dag.TaskID(task))) {
+				t.Fatalf("run after %s: task %d placed differently", after, task)
+			}
+		}
+	}
+
+	// The deadline miss by hand, so that the state it returns can be read.
+	missed := opt
+	if missed.Deadlines, err = sched.Deadlines(g, cm, p, opt.Epsilon, tight); err != nil {
+		t.Fatal(err)
+	}
+	st, err := newState(g, p, cm, missed, sched.PatternAll, "FTSA", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err == nil && st.free.Len() > 0 {
+		task := st.pop()
+		reps, _ := st.placeBestEFT(task)
+		err = st.commit(task, reps, nil)
+	}
+	if !errors.Is(err, ErrDeadline) {
+		t.Fatalf("want ErrDeadline, got %v", err)
+	}
+	if st.free.Len() == 0 {
+		t.Fatal("the run stopped with an empty list: nothing for release to drop")
+	}
+	st.release()
+	if n := st.free.Len(); n != 0 {
+		t.Fatalf("released state still lists %d free tasks", n)
+	}
+	if st.s != nil || st.f != nil || st.opt.Deadlines != nil {
+		t.Fatal("released state still refers to the run's instance")
+	}
+	requireRef("a hand-driven deadline miss")
+
+	for i := 0; i < 10; i++ {
+		if _, err := ScheduleWithDeadlines(g, p, cm, opt, tight); !errors.Is(err, ErrDeadline) {
+			t.Fatalf("want ErrDeadline, got %v", err)
+		}
+		requireRef("ErrDeadline")
+	}
+
+	cyc := dag.NewWithTasks("cyc", 3)
+	cyc.MustAddEdge(0, 1, 1)
+	cyc.MustAddEdge(1, 2, 1)
+	cyc.MustAddEdge(2, 1, 1)
+	cp, err := platform.New(3, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccm, err := platform.NewCostModelFromMatrix([][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FTSA(cyc, cp, ccm, Options{Epsilon: 1}); !errors.Is(err, dag.ErrCycle) {
+		t.Fatalf("cyclic graph: want dag.ErrCycle, got %v", err)
+	}
+	if _, err := MCFTSA(cyc, cp, ccm, MCFTSAOptions{Options: Options{Epsilon: 1}}); !errors.Is(err, dag.ErrCycle) {
+		t.Fatalf("cyclic graph, MC-FTSA: want dag.ErrCycle, got %v", err)
+	}
+	requireRef("dag.ErrCycle")
 }

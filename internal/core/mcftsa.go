@@ -109,21 +109,21 @@ func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, policy 
 		return nil, err
 	}
 	// Processor -> right (replica of t) index, for the forced internal edges.
-	procCopy := kernel.Grow(st.ws.procCopy, st.p.NumProcs())
+	procCopy := kernel.Grow(st.procCopy, st.p.NumProcs())
 	for j := range procCopy {
 		procCopy[j] = -1
 	}
 	for c, r := range reps {
 		procCopy[r.Proc] = int32(c)
 	}
-	st.ws.procCopy = procCopy
-	bg := &st.ws.bg
+	st.procCopy = procCopy
+	bg := &st.bg
 	for predIdx, predRaw := range preds {
 		pred := dag.TaskID(predRaw)
 		vol := vols[predIdx]
 		srcReps := st.s.Replicas(pred)
 		bg.Reset(len(srcReps), k)
-		internal := st.ws.internal[:0]
+		keys := st.keys[:0]
 		for i, sr := range srcReps {
 			if c := procCopy[sr.Proc]; c >= 0 {
 				// Case (i): Pi ∈ A(t) — single internal edge.
@@ -131,7 +131,7 @@ func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, policy 
 				if err := bg.AddEdge(i, int(c), w); err != nil {
 					return nil, err
 				}
-				internal = append(internal, true)
+				keys = append(keys, edgeKey{internal: true, w: w, edge: len(keys)})
 				continue
 			}
 			// Case (ii): edges to every replica of t.
@@ -140,19 +140,19 @@ func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, policy 
 				if err := bg.AddEdge(i, c, w); err != nil {
 					return nil, err
 				}
-				internal = append(internal, false)
+				keys = append(keys, edgeKey{w: w, edge: len(keys)})
 			}
 		}
-		st.ws.internal = internal
+		st.keys = keys
 		var m bipartite.Matching
 		switch policy {
 		case MatchGreedy:
-			order := greedyOrder(bg, internal, st.ws.order)
-			st.ws.order = order
-			st.ws.usedR = kernel.Grow(st.ws.usedR, k)
+			order := greedyOrder(keys, st.order)
+			st.order = order
+			st.usedR = kernel.Grow(st.usedR, k)
 			var ok bool
-			m, ok = bg.GreedyOrderedMatchingInto(order, st.ws.matchL, st.ws.usedR)
-			st.ws.matchL = m
+			m, ok = bg.GreedyOrderedMatchingInto(order, st.matchL, st.usedR)
+			st.matchL = m
 			if !ok {
 				// The greedy order cannot dead-end on these graphs, but
 				// fall back to the exact method defensively.
@@ -189,32 +189,40 @@ func (st *state) edgeWeight(t dag.TaskID, sr sched.Replica, volume float64, pj p
 	return math.Max(arr, st.board.ReadyMin[pj]) + st.cm.Cost(t, pj)
 }
 
+// edgeKey is what the greedy policy orders one edge of a replica graph by,
+// collected as the edges are added: edge is the index AddEdge gave it.
+type edgeKey struct {
+	internal bool
+	w        float64
+	edge     int
+}
+
+func (k edgeKey) before(o edgeKey) bool {
+	if k.internal != o.internal {
+		return k.internal
+	}
+	return k.w < o.w
+}
+
 // greedyOrder returns edge indices with internal edges first, then the rest
 // by non-decreasing weight (ties by insertion order for determinism),
-// reusing buf's storage. The stable insertion sort produces the same
+// reusing buf's storage; keys holds one key per edge in insertion order and
+// is sorted in place. The stable insertion sort produces the same
 // permutation sort.SliceStable did (stable-sort output is unique for a given
 // comparator) without allocating the closure or the reflection shim; the
 // replica graphs have at most (ε+1)² edges, so quadratic is fine.
-func greedyOrder(bg *bipartite.Graph, internal []bool, buf []int) []int {
-	ne := bg.NumEdges()
-	if cap(buf) < ne {
-		buf = make([]int, ne)
-	}
-	order := buf[:ne]
-	for i := range order {
-		order[i] = i
-	}
-	less := func(a, b int) bool {
-		ia, ib := internal[a], internal[b]
-		if ia != ib {
-			return ia
+func greedyOrder(keys []edgeKey, buf []int) []int {
+	for i := 1; i < len(keys); i++ {
+		k := keys[i]
+		j := i
+		for ; j > 0 && k.before(keys[j-1]); j-- {
+			keys[j] = keys[j-1]
 		}
-		return bg.Edge(a).W < bg.Edge(b).W
+		keys[j] = k
 	}
-	for i := 1; i < ne; i++ {
-		for j := i; j > 0 && less(order[j], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
+	order := kernel.Grow(buf, len(keys))
+	for i := range keys {
+		order[i] = keys[i].edge
 	}
 	return order
 }

@@ -394,10 +394,22 @@ func paperWorkload(granularity float64, procs, tasksMin, tasksMax int) workload.
 	return cfg
 }
 
+// reseeded returns rng restarted at seed: the stream rand.New(rand.NewSource(
+// seed)) would produce, without allocating a new 4.9 KB source. A cell draws
+// from four such streams one after the other, never from two at once, so
+// the engine's workers each own a single generator and pass it down.
+func reseeded(rng *rand.Rand, seed int64) *rand.Rand {
+	rng.Seed(seed)
+	return rng
+}
+
+// newRng returns a generator for reseeded; its initial stream is never read.
+func newRng() *rand.Rand { return rand.New(rand.NewSource(0)) }
+
 // instance materializes the cell's problem instance from its deterministic
 // seed.
-func (c Campaign) instance(cell Cell) (*workload.Instance, error) {
-	rng := rand.New(rand.NewSource(c.instanceSeed(cell)))
+func (c Campaign) instance(cell Cell, rng *rand.Rand) (*workload.Instance, error) {
+	reseeded(rng, c.instanceSeed(cell))
 	wcfg := paperWorkload(cell.Granularity, c.Procs, c.TasksMin, c.TasksMax)
 	if cell.Family == "random" {
 		return workload.NewInstance(rng, wcfg)
@@ -438,7 +450,7 @@ func BuildInstance(family string, granularity float64, procs, tasksMin, tasksMax
 		return nil, fmt.Errorf("expt: negative instance index %d", instance)
 	}
 	c := Campaign{Procs: procs, TasksMin: tasksMin, TasksMax: tasksMax, Seed: seed}
-	return c.instance(Cell{Family: family, Granularity: granularity, Instance: instance})
+	return c.instance(Cell{Family: family, Granularity: granularity, Instance: instance}, newRng())
 }
 
 // prepared bundles everything about a cell that is independent of its
@@ -456,8 +468,8 @@ type prepared struct {
 }
 
 // prepare materializes the scheduler-independent part of a cell.
-func (c Campaign) prepare(cell Cell) (*prepared, error) {
-	inst, err := c.instance(cell)
+func (c Campaign) prepare(cell Cell, rng *rand.Rand) (*prepared, error) {
+	inst, err := c.instance(cell, rng)
 	if err != nil {
 		return nil, fmt.Errorf("expt: cell %d instance: %w", cell.Index, err)
 	}
@@ -469,9 +481,8 @@ func (c Campaign) prepare(cell Cell) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	ffrng := rand.New(rand.NewSource(c.faultFreeSeed(cell)))
 	ff, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.Options{Epsilon: 0, Rng: ffrng, BottomLevels: bl})
+		core.Options{Epsilon: 0, Rng: reseeded(rng, c.faultFreeSeed(cell)), BottomLevels: bl})
 	if err != nil {
 		return nil, fmt.Errorf("expt: cell %d fault-free baseline: %w", cell.Index, err)
 	}
@@ -486,25 +497,25 @@ func (c Campaign) prepare(cell Cell) (*prepared, error) {
 // results. The engine itself calls runPrepared with a cached prepared
 // value; the result is identical either way.
 func (c Campaign) RunCell(cell Cell) (CellResult, error) {
-	p, err := c.prepare(cell)
+	rng := newRng()
+	p, err := c.prepare(cell, rng)
 	if err != nil {
 		return CellResult{Cell: cell}, err
 	}
-	return c.runPrepared(cell, p)
+	return c.runPrepared(cell, p, rng)
 }
 
 // runPrepared runs the scheduler-and-ε-specific part of a cell against a
-// prepared instance.
-func (c Campaign) runPrepared(cell Cell, p *prepared) (CellResult, error) {
+// prepared instance, drawing from rng reseeded per use.
+func (c Campaign) runPrepared(cell Cell, p *prepared, rng *rand.Rand) (CellResult, error) {
 	res := CellResult{Cell: cell}
 	inst := p.inst
 
-	srng := rand.New(rand.NewSource(c.schedSeed(cell)))
 	// The cell's scheduler resolves through the registry — the same
 	// dispatch the serving layer and the CLIs use — with the prepared
 	// instance's shared bottom levels.
 	s, err := sched.Run(string(cell.Scheduler), inst.Graph, inst.Platform, inst.Costs,
-		sched.RunOptions{Epsilon: cell.Epsilon, Rng: srng, BottomLevels: p.bl})
+		sched.RunOptions{Epsilon: cell.Epsilon, Rng: reseeded(rng, c.schedSeed(cell)), BottomLevels: p.bl})
 	if err != nil {
 		return res, fmt.Errorf("expt: cell %d %s: %w", cell.Index, cell.Scheduler, err)
 	}
@@ -543,8 +554,7 @@ func (c Campaign) runPrepared(cell Cell, p *prepared) (CellResult, error) {
 		return res, nil
 	}
 
-	crng := rand.New(rand.NewSource(c.crashSeed(cell)))
-	scenario, err := sim.UniformCrashes(crng, c.Procs, cell.Epsilon)
+	scenario, err := sim.UniformCrashes(reseeded(rng, c.crashSeed(cell)), c.Procs, cell.Epsilon)
 	if err != nil {
 		return res, err
 	}

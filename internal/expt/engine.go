@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -226,7 +227,7 @@ func newPrepCache(c Campaign, workers int) *prepCache {
 	return &prepCache{c: c, cap: capacity, m: make(map[int64]*prepEntry)}
 }
 
-func (pc *prepCache) get(cell Cell) (*prepared, error) {
+func (pc *prepCache) get(cell Cell, rng *rand.Rand) (*prepared, error) {
 	seed := pc.c.instanceSeed(cell)
 	pc.mu.Lock()
 	e, ok := pc.m[seed]
@@ -242,7 +243,7 @@ func (pc *prepCache) get(cell Cell) (*prepared, error) {
 		}
 	}
 	pc.mu.Unlock()
-	e.once.Do(func() { e.p, e.err = pc.c.prepare(cell) })
+	e.once.Do(func() { e.p, e.err = pc.c.prepare(cell, rng) })
 	return e.p, e.err
 }
 
@@ -335,13 +336,14 @@ func RunCampaign(c Campaign, opt EngineOptions) (*CampaignResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			rng := newRng() // the worker's one generator, reseeded per use
 			for cell := range workCh {
 				res, err := func() (CellResult, error) {
-					p, err := cache.get(cell)
+					p, err := cache.get(cell, rng)
 					if err != nil {
 						return CellResult{Cell: cell}, err
 					}
-					return c.runPrepared(cell, p)
+					return c.runPrepared(cell, p, rng)
 				}()
 				select {
 				case outCh <- outcome{res: res, err: err}:

@@ -151,8 +151,7 @@ func (st *state) arrivalRow(t dag.TaskID) []float64 {
 	m := st.p.NumProcs()
 	row := st.arr[int(t)*m : (int(t)+1)*m]
 	if !st.current[t] {
-		st.board.Arrivals(st.f, st.p, st.s, t)
-		copy(row, st.board.ArrMin)
+		st.board.ArrivalsInto(row, st.f, st.p, st.s, t)
 		st.current[t] = true
 	}
 	return row
@@ -177,7 +176,13 @@ func (st *state) step() error {
 			if ready[j] > est {
 				est = ready[j] // S(n)(t,p) = max(arrival, r(p))
 			}
-			cand = kernel.KeepSmallest(cand, k, kernel.Choice{Proc: platform.ProcID(j), Value: est + s - r})
+			sigma := est + s - r
+			// Offered in ascending index: a pressure that does not beat the
+			// k-th smallest cannot enter.
+			if len(cand) == k && sigma >= cand[k-1].Value {
+				continue
+			}
+			cand = kernel.KeepSmallest(cand, k, kernel.Choice{Proc: platform.ProcID(j), Value: sigma})
 		}
 		urg := cand[k-1].Value
 		if t < 0 || urg > urgency ||
@@ -273,8 +278,8 @@ func arrivalsFrom(to []float64, srcReps []sched.Replica, volume float64) (earlie
 }
 
 // windowOn returns when the data of every predecessor of t is on the
-// processor to belongs to, at the earliest and at the latest: what
-// Board.Arrivals puts in ArrMin and ArrMax for that processor.
+// processor to belongs to, at the earliest and at the latest: Board.Arrivals'
+// ArrMin entry and Board.ArrivalMaxOn for that processor.
 func (st *state) windowOn(t dag.TaskID, to []float64) (arrMin, arrMax float64) {
 	vols := st.f.PredVolumes(t)
 	for i, predRaw := range st.f.PredIDs(t) {

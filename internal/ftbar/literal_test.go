@@ -100,7 +100,7 @@ func (st *state) literalStep() error {
 		pj := c.proc
 		e := st.cm.Cost(t, pj)
 		sMin := st.board.StartMin(int(pj), st.board.ArrMin[pj], e)
-		sMax := st.board.StartMax(int(pj), st.board.ArrMax[pj])
+		sMax := st.board.StartMax(int(pj), st.literalArrMax(t, pj))
 		reps = append(reps, sched.Replica{
 			Task: t, Copy: i, Proc: pj,
 			StartMin: sMin, FinishMin: sMin + e,
@@ -126,6 +126,21 @@ func (st *state) literalStep() error {
 		}
 	}
 	return nil
+}
+
+// literalArrMax is what Board.ArrMax[pj] held after Board.Arrivals while the
+// board computed both halves of the window: equation (3) on pj, the fold of
+// sched.ArrivalWindow's latest arrival over the predecessors of t (the
+// definition kernel's literalArrivals reference is pinned to).
+func (st *state) literalArrMax(t dag.TaskID, pj platform.ProcID) float64 {
+	arrMax := 0.0
+	vols := st.f.PredVolumes(t)
+	for i, pred := range st.f.PredIDs(t) {
+		if _, eMax := sched.ArrivalWindow(st.p, st.s.Replicas(dag.TaskID(pred)), vols[i], pj); eMax > arrMax {
+			arrMax = eMax
+		}
+	}
+	return arrMax
 }
 
 // requireSameSchedule fails unless got and want hold the same replicas —

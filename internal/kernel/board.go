@@ -13,8 +13,8 @@ import (
 //
 //   - ReadyMin/ReadyMax are r(Pj), the optimistic and pessimistic times at
 //     which each processor next becomes free (the append-only view);
-//   - ArrMin/ArrMax are the arrival-window scratch filled by Arrivals
-//     (predMin/predMax hold one predecessor's window while it is folded in);
+//   - ArrMin is the earliest-arrival row filled by Arrivals (predMin holds
+//     one replicated predecessor's row while it is folded in);
 //   - Lines, present only when the board was created with insertion enabled,
 //     holds one busy Timeline per processor for gap-aware slot search.
 //
@@ -25,8 +25,8 @@ import (
 // successful or not — is always safe.
 type Board struct {
 	ReadyMin, ReadyMax []float64
-	ArrMin, ArrMax     []float64
-	predMin, predMax   []float64
+	ArrMin             []float64
+	predMin            []float64
 	// Lines holds one busy timeline per processor. It is always backed by
 	// pooled storage (so a mixed sweep interleaving append-only and
 	// insertion runs on one pool never regrows the slot slices), but it is
@@ -47,9 +47,7 @@ func NewBoard(m int, insertion bool) *Board {
 	b.ReadyMin = GrowZero(b.ReadyMin, m)
 	b.ReadyMax = GrowZero(b.ReadyMax, m)
 	b.ArrMin = GrowZero(b.ArrMin, m)
-	b.ArrMax = GrowZero(b.ArrMax, m)
 	b.predMin = Grow(b.predMin, m)
-	b.predMax = Grow(b.predMax, m)
 	b.insertion = insertion
 	b.Lines = Grow(b.Lines, m)
 	for j := range b.Lines {
@@ -67,53 +65,90 @@ func (b *Board) Release() {
 	boardPool.Put(b)
 }
 
-// Arrivals fills ArrMin/ArrMax with, for every processor Pj, the earliest
-// (equation 1) and latest (equation 3) time the data of every predecessor of
-// t can be available on Pj, given the replicas already placed in s. It walks
-// the frozen CSR ranges — the innermost loop of every list scheduler — so
-// the caller freezes the graph once per run and shares the view.
+// Arrivals fills ArrMin with, for every processor Pj, the earliest time
+// (equation 1) the data of every predecessor of t can be available on Pj,
+// given the replicas already placed in s. Selection reads nothing else: the
+// pessimistic arrival of equation (3) matters only on the processors a
+// scheduler ends up choosing, and ArrivalMaxOn computes it there.
+func (b *Board) Arrivals(f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID) {
+	b.ArrivalsInto(b.ArrMin, f, p, s, t)
+}
+
+// ArrivalsInto is Arrivals writing the row into dst, one entry per
+// processor, for callers that keep rows of their own (FTBAR's memo). It
+// walks the frozen CSR ranges — the innermost loop of every list scheduler —
+// so the caller freezes the graph once per run and shares the view.
 //
 // Per predecessor it makes one pass per replica over the contiguous delay row
-// of the replica's processor, folding FinishMin + V·d (min over replicas) and
-// FinishMax + V·d (max over replicas) into predMin/predMax, then folds those
-// into ArrMin/ArrMax. These are the additions and comparisons of
-// sched.ArrivalWindow per (predecessor, processor) in another loop order, and
-// min and max do not depend on order: the result is bit-equal to that fold.
-func (b *Board) Arrivals(f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID) {
-	// All five slices are resliced to one length so the loops below run
-	// without bounds checks.
-	arrMin, arrMax := b.ArrMin, b.ArrMax[:len(b.ArrMin)]
-	predMin, predMax := b.predMin[:len(arrMin)], b.predMax[:len(arrMin)]
-	clear(arrMin)
-	clear(arrMax)
+// of the replica's processor: FinishMin + V·d, minimised over the replicas
+// (the first one initialises the row, and a predecessor with a single replica
+// needs no row at all), then maximised over the predecessors into dst. These
+// are the additions and comparisons of sched.ArrivalWindow per (predecessor,
+// processor) in another loop order, and min and max do not depend on order:
+// the result is bit-equal to that fold.
+func (b *Board) ArrivalsInto(dst []float64, f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID) {
+	// Resliced to one length so the loops below run without bounds checks.
+	predMin := b.predMin[:len(dst)]
+	clear(dst)
 	vols := f.PredVolumes(t)
 	for i, pt := range f.PredIDs(t) {
 		v := vols[i]
-		for j := range predMin {
-			predMin[j], predMax[j] = math.Inf(1), 0
-		}
 		srcReps := s.Replicas(dag.TaskID(pt))
-		for c := range srcReps {
+		switch len(srcReps) {
+		case 0:
+			// Nothing sends: the minimum over no replicas. HEFT gets here
+			// when a zero-cost predecessor ties its successor's rank.
+			for j := range dst {
+				dst[j] = math.Inf(1)
+			}
+			continue
+		case 1:
+			sr := &srcReps[0]
+			for j, d := range p.DelayRow(sr.Proc)[:len(dst)] {
+				if a := sr.FinishMin + v*d; a > dst[j] {
+					dst[j] = a
+				}
+			}
+			continue
+		}
+		sr := &srcReps[0]
+		for j, d := range p.DelayRow(sr.Proc)[:len(predMin)] {
+			predMin[j] = sr.FinishMin + v*d
+		}
+		for c := 1; c < len(srcReps); c++ {
 			sr := &srcReps[c]
-			row := p.DelayRow(sr.Proc)[:len(predMin)]
-			for j, d := range row {
+			for j, d := range p.DelayRow(sr.Proc)[:len(predMin)] {
 				if a := sr.FinishMin + v*d; a < predMin[j] {
 					predMin[j] = a
-				}
-				if a := sr.FinishMax + v*d; a > predMax[j] {
-					predMax[j] = a
 				}
 			}
 		}
 		for j, eMin := range predMin {
-			if eMin > arrMin[j] {
-				arrMin[j] = eMin
-			}
-			if eMax := predMax[j]; eMax > arrMax[j] {
-				arrMax[j] = eMax
+			if eMin > dst[j] {
+				dst[j] = eMin
 			}
 		}
 	}
+}
+
+// ArrivalMaxOn returns the latest time (equation 3) the data of every
+// predecessor of t can be available on proc: FinishMax + V·d maximised over
+// every replica of every predecessor, the sums and comparisons of
+// sched.ArrivalWindow's second result folded over the predecessors.
+func (b *Board) ArrivalMaxOn(f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID, proc platform.ProcID) float64 {
+	latest := 0.0
+	vols := f.PredVolumes(t)
+	for i, pt := range f.PredIDs(t) {
+		v := vols[i]
+		srcReps := s.Replicas(dag.TaskID(pt))
+		for c := range srcReps {
+			sr := &srcReps[c]
+			if a := sr.FinishMax + v*p.Delay(sr.Proc, proc); a > latest {
+				latest = a
+			}
+		}
+	}
+	return latest
 }
 
 // StartMin returns the earliest optimistic start of a task of duration dur

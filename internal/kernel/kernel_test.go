@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -25,12 +26,52 @@ func testInstance(t testing.TB, seed int64, m int) *workload.Instance {
 	return inst
 }
 
+// literalArrivals is Board.Arrivals as it ran while it computed both halves of
+// the window on every processor, kept verbatim as the reference: arrMin and
+// arrMax stand where the board's ArrMin and ArrMax fields did, and the
+// per-predecessor scratch is local.
+func literalArrivals(arrMin, arrMax []float64, f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID) {
+	predMin, predMax := make([]float64, len(arrMin)), make([]float64, len(arrMin))
+	clear(arrMin)
+	clear(arrMax)
+	vols := f.PredVolumes(t)
+	for i, pt := range f.PredIDs(t) {
+		v := vols[i]
+		for j := range predMin {
+			predMin[j], predMax[j] = math.Inf(1), 0
+		}
+		srcReps := s.Replicas(dag.TaskID(pt))
+		for c := range srcReps {
+			sr := &srcReps[c]
+			row := p.DelayRow(sr.Proc)[:len(predMin)]
+			for j, d := range row {
+				if a := sr.FinishMin + v*d; a < predMin[j] {
+					predMin[j] = a
+				}
+				if a := sr.FinishMax + v*d; a > predMax[j] {
+					predMax[j] = a
+				}
+			}
+		}
+		for j, eMin := range predMin {
+			if eMin > arrMin[j] {
+				arrMin[j] = eMin
+			}
+			if eMax := predMax[j]; eMax > arrMax[j] {
+				arrMax[j] = eMax
+			}
+		}
+	}
+}
+
 // TestBoardArrivalsMatchesDirect builds a schedule task by task and requires
-// Board.Arrivals to equal, bit for bit, the fold of sched.ArrivalWindow over
-// every (predecessor, processor) pair it replaced: with one and with several
-// replicas per predecessor, with duplicates appended to placed predecessors
-// (FTBAR's Minimize-Start-Time), on a single processor, and with zero-volume
-// edges. Entry tasks must read zero everywhere.
+// the board's ArrMin row and ArrivalMaxOn, for every (task, processor), to
+// equal bit for bit both literalArrivals and the fold of sched.ArrivalWindow
+// over the predecessors: with one and with several replicas per predecessor,
+// with duplicates appended to placed predecessors (FTBAR's
+// Minimize-Start-Time), on a single processor, and with zero-volume edges.
+// Entry tasks must read zero everywhere, and ArrivalsInto must write the same
+// row into storage of the caller's.
 func TestBoardArrivalsMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
@@ -65,33 +106,53 @@ func TestBoardArrivalsMatchesDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			refMin, refMax, into := make([]float64, tc.m), make([]float64, tc.m), make([]float64, tc.m)
 			// replicaOn is where the board can run task on processor j, given
 			// the arrivals it has just computed for task.
 			replicaOn := func(task dag.TaskID, j int) sched.Replica {
 				e := cm.Cost(task, platform.ProcID(j))
 				sMin := b.StartMin(j, b.ArrMin[j], e)
-				sMax := b.StartMax(j, b.ArrMax[j])
+				sMax := b.StartMax(j, b.ArrivalMaxOn(f, p, s, task, platform.ProcID(j)))
 				return sched.Replica{
 					Task: task, Proc: platform.ProcID(j),
 					StartMin: sMin, FinishMin: sMin + e,
 					StartMax: sMax, FinishMax: sMax + e,
 				}
 			}
+			// With nothing placed yet no predecessor has a sender: the minimum
+			// over no replicas, +Inf, which HEFT can meet (see ArrivalsInto).
+			for _, task := range order {
+				b.Arrivals(f, p, s, task)
+				literalArrivals(refMin, refMax, f, p, s, task)
+				if !slices.Equal(b.ArrMin, refMin) {
+					t.Fatalf("task %d before any placement: board %v, literal %v", task, b.ArrMin, refMin)
+				}
+			}
 			for n, task := range order {
 				b.Arrivals(f, p, s, task)
+				literalArrivals(refMin, refMax, f, p, s, task)
+				b.ArrivalsInto(into, f, p, s, task)
+				if !slices.Equal(into, b.ArrMin) {
+					t.Fatalf("task %d: ArrivalsInto wrote %v, Arrivals %v", task, into, b.ArrMin)
+				}
 				for j := 0; j < tc.m; j++ {
+					gotMin, gotMax := b.ArrMin[j], b.ArrivalMaxOn(f, p, s, task, platform.ProcID(j))
+					if gotMin != refMin[j] || gotMax != refMax[j] {
+						t.Fatalf("task %d proc %d: board (%g,%g), literal (%g,%g)",
+							task, j, gotMin, gotMax, refMin[j], refMax[j])
+					}
 					wantMin, wantMax := 0.0, 0.0
 					for _, pe := range g.Preds(task) {
 						eMin, eMax := sched.ArrivalWindow(p, s.Replicas(pe.To), pe.Volume, platform.ProcID(j))
 						wantMin = math.Max(wantMin, eMin)
 						wantMax = math.Max(wantMax, eMax)
 					}
-					if b.ArrMin[j] != wantMin || b.ArrMax[j] != wantMax {
+					if gotMin != wantMin || gotMax != wantMax {
 						t.Fatalf("task %d proc %d: board (%g,%g), direct (%g,%g)",
-							task, j, b.ArrMin[j], b.ArrMax[j], wantMin, wantMax)
+							task, j, gotMin, gotMax, wantMin, wantMax)
 					}
-					if len(g.Preds(task)) == 0 && (b.ArrMin[j] != 0 || b.ArrMax[j] != 0) {
-						t.Fatalf("entry task %d proc %d: arrivals (%g,%g), want 0", task, j, b.ArrMin[j], b.ArrMax[j])
+					if len(g.Preds(task)) == 0 && (gotMin != 0 || gotMax != 0) {
+						t.Fatalf("entry task %d proc %d: arrivals (%g,%g), want 0", task, j, gotMin, gotMax)
 					}
 				}
 				// Replicas on consecutive processors, rotating with the task.
@@ -186,7 +247,7 @@ func TestBoardPoolReuse(t *testing.T) {
 		ins := i%2 == 0
 		b := NewBoard(4, ins)
 		for j := 0; j < 4; j++ {
-			if b.ReadyMin[j] != 0 || b.ReadyMax[j] != 0 || b.ArrMin[j] != 0 || b.ArrMax[j] != 0 {
+			if b.ReadyMin[j] != 0 || b.ReadyMax[j] != 0 || b.ArrMin[j] != 0 {
 				t.Fatalf("iteration %d: board not zeroed", i)
 			}
 		}
@@ -206,7 +267,7 @@ func TestBoardPoolReuse(t *testing.T) {
 }
 
 func TestPriorityListOrder(t *testing.T) {
-	pl := NewPriorityList()
+	var pl PriorityList
 	pl.Push(Item{ID: 1, Priority: 5})
 	pl.Push(Item{ID: 2, Priority: 9})
 	pl.Push(Item{ID: 3, Priority: 9, Tie: 1})
@@ -234,28 +295,107 @@ func TestPriorityListOrder(t *testing.T) {
 	}
 }
 
-func TestSetStableRemove(t *testing.T) {
-	var s Set
-	for _, id := range []dag.TaskID{4, 7, 1, 9} {
-		s.Add(id)
+// TestPriorityListPopsDescending is "heap == tree" as a property: under
+// random interleavings of Push and Pop — priorities drawn from a few levels
+// so that they repeat, ties zero as often as not — every Pop returns the
+// maximum of the live set by (Priority, Tie, ID), which is what the paper's
+// AVL list returns, and draining the list walks the live set in exactly
+// descending order.
+func TestPriorityListPopsDescending(t *testing.T) {
+	descending := func(a, b Item) int {
+		if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(b.Tie, a.Tie); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.ID, a.ID)
 	}
-	s.Remove(7)
-	want := []dag.TaskID{4, 1, 9}
-	got := s.Tasks()
-	if len(got) != len(want) {
-		t.Fatalf("tasks %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tasks %v, want %v", got, want)
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		var pl PriorityList
+		var live []Item
+		pop := func() {
+			slices.SortFunc(live, descending)
+			got, ok := pl.Pop()
+			if !ok || got != live[0] {
+				t.Fatalf("round %d: popped %+v (ok=%v), want %+v of %v", round, got, ok, live[0], live)
+			}
+			live = live[1:]
+		}
+		nextID := 0
+		for op := 0; op < 120; op++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				pop()
+				continue
+			}
+			it := Item{ID: nextID, Priority: float64(rng.Intn(4))}
+			if rng.Intn(2) == 0 {
+				it.Tie = uint64(rng.Intn(3))
+			}
+			nextID++
+			pl.Push(it)
+			live = append(live, it)
+			if pl.Len() != len(live) {
+				t.Fatalf("round %d: len %d, want %d", round, pl.Len(), len(live))
+			}
+		}
+		for len(live) > 0 {
+			pop()
+		}
+		if _, ok := pl.Pop(); ok || pl.Len() != 0 {
+			t.Fatalf("round %d: drained list still pops", round)
 		}
 	}
-	if s.Len() != 3 {
-		t.Fatalf("len = %d", s.Len())
+}
+
+// TestPriorityListReset checks that Reset leaves an empty list that keeps
+// its storage and orders the next run's items alone.
+func TestPriorityListReset(t *testing.T) {
+	var pl PriorityList
+	for id := 0; id < 8; id++ {
+		pl.Push(Item{ID: id, Priority: float64(id)})
 	}
-	s.Remove(42) // absent: no-op
-	if s.Len() != 3 {
-		t.Fatalf("len after absent remove = %d", s.Len())
+	pl.Reset()
+	if _, ok := pl.Pop(); ok || pl.Len() != 0 {
+		t.Fatal("reset list is not empty")
+	}
+	pl.Push(Item{ID: 1, Priority: 1})
+	if allocs := testing.AllocsPerRun(10, func() { pl.Push(Item{ID: 2, Priority: 2}); pl.Pop() }); allocs != 0 {
+		t.Fatalf("push/pop on a reset list allocates %v times", allocs)
+	}
+	if it, _ := pl.Pop(); it.ID != 1 {
+		t.Fatalf("popped %+v, want the one item pushed after Reset", it)
+	}
+}
+
+// TestSetStableRemove pins the order of the survivors after removing the
+// head, a middle task and the tail, and that removing an absent task or the
+// last one standing is harmless.
+func TestSetStableRemove(t *testing.T) {
+	var s Set
+	for _, id := range []dag.TaskID{4, 7, 1, 9, 3} {
+		s.Add(id)
+	}
+	for _, step := range []struct {
+		remove dag.TaskID
+		want   []dag.TaskID
+	}{
+		{7, []dag.TaskID{4, 1, 9, 3}}, // middle
+		{4, []dag.TaskID{1, 9, 3}},    // head
+		{3, []dag.TaskID{1, 9}},       // tail
+		{42, []dag.TaskID{1, 9}},      // absent: no-op
+		{1, []dag.TaskID{9}},
+		{9, []dag.TaskID{}},
+	} {
+		s.Remove(step.remove)
+		if !slices.Equal(s.Tasks(), step.want) || s.Len() != len(step.want) {
+			t.Fatalf("after removing %d: tasks %v (len %d), want %v", step.remove, s.Tasks(), s.Len(), step.want)
+		}
+	}
+	s.Add(5)
+	if !slices.Equal(s.Tasks(), []dag.TaskID{5}) {
+		t.Fatalf("add after emptying: tasks %v", s.Tasks())
 	}
 }
 
