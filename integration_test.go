@@ -41,7 +41,7 @@ func buildFamily(t *testing.T, name string) *dag.Graph {
 	case "stencil":
 		g, err = workload.Stencil(5, 8, 100)
 	case "independent":
-		g, err = workload.Independent(30)
+		g = dag.NewWithTasks("independent-30", 30)
 	default:
 		t.Fatalf("unknown family %q", name)
 	}

@@ -46,6 +46,6 @@ func BenchmarkGreedyMatching(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.GreedyOrderedMatching(order)
+		g.GreedyOrderedMatchingInto(order, nil, nil)
 	}
 }

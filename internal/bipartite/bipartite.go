@@ -47,12 +47,6 @@ func (g *Graph) Reset(nLeft, nRight int) {
 	g.edges = g.edges[:0]
 }
 
-// NumLeft returns the size of the left part.
-func (g *Graph) NumLeft() int { return g.nLeft }
-
-// NumRight returns the size of the right part.
-func (g *Graph) NumRight() int { return g.nRight }
-
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
@@ -86,16 +80,6 @@ func (m Matching) Size() int {
 		}
 	}
 	return n
-}
-
-// IsPerfect reports whether every left vertex is matched.
-func (m Matching) IsPerfect() bool {
-	for _, r := range m {
-		if r < 0 {
-			return false
-		}
-	}
-	return len(m) > 0 || true
 }
 
 // MaximumMatching computes a maximum-cardinality matching with Hopcroft–Karp
@@ -172,13 +156,6 @@ func (g *Graph) MaximumMatching(keep func(WeightedEdge) bool) Matching {
 		}
 	}
 	return matchL
-}
-
-// PerfectMatching returns a matching saturating every left vertex, or false
-// if none exists.
-func (g *Graph) PerfectMatching() (Matching, bool) {
-	m := g.MaximumMatching(nil)
-	return m, m.Size() == g.nLeft
 }
 
 // BottleneckPerfectMatching returns a perfect matching (saturating the left

@@ -21,17 +21,17 @@ func ExampleGraph_BottleneckPerfectMatching() {
 	// matching: [1 0] bottleneck: 5
 }
 
-// ExampleGraph_GreedyOrderedMatching applies the paper's greedy policy:
+// ExampleGraph_GreedyOrderedMatchingInto applies the paper's greedy policy:
 // edges are offered in a caller-chosen order and kept when both endpoints
 // are still free.
-func ExampleGraph_GreedyOrderedMatching() {
+func ExampleGraph_GreedyOrderedMatchingInto() {
 	g := bipartite.New(2, 2)
 	_ = g.AddEdge(0, 0, 1) // edge 0
 	_ = g.AddEdge(0, 1, 2) // edge 1
 	_ = g.AddEdge(1, 0, 3) // edge 2
 	_ = g.AddEdge(1, 1, 4) // edge 3
 
-	m, ok := g.GreedyOrderedMatching([]int{0, 3, 1, 2})
+	m, ok := g.GreedyOrderedMatchingInto([]int{0, 3, 1, 2}, nil, nil)
 	fmt.Println(m, ok)
 	// Output:
 	// [0 1] true

@@ -1,6 +1,6 @@
 package bipartite
 
-// GreedyOrderedMatching scans edge indices in the given order and keeps an
+// GreedyOrderedMatchingInto scans edge indices in the given order and keeps an
 // edge exactly when it saturates a previously unmatched left vertex and a
 // previously unmatched right vertex. This is the greedy edge-selection rule
 // of Section 4.2: the caller encodes the policy (internal communications
@@ -11,15 +11,11 @@ package bipartite
 // graphs built by MC-FTSA the greedy order always completes (forced internal
 // edges are vertex-disjoint and the residual graph is complete bipartite),
 // but callers should still check ok.
-func (g *Graph) GreedyOrderedMatching(order []int) (Matching, bool) {
-	return g.GreedyOrderedMatchingInto(order, nil, nil)
-}
-
-// GreedyOrderedMatchingInto is GreedyOrderedMatching writing into caller
-// scratch: matchL and usedR are reused when they have the capacity (their
-// contents need not be initialized) and reallocated otherwise. MC-FTSA runs
-// one matching per precedence edge of every task — the scratch variant keeps
-// that loop allocation-free.
+//
+// matchL and usedR are caller scratch, reused when they have the capacity
+// (their contents need not be initialized) and allocated otherwise; pass nil
+// for fresh storage. MC-FTSA runs one matching per precedence edge of every
+// task, and reusing the scratch keeps that loop allocation-free.
 func (g *Graph) GreedyOrderedMatchingInto(order []int, matchL Matching, usedR []bool) (Matching, bool) {
 	if cap(matchL) < g.nLeft {
 		matchL = make(Matching, g.nLeft)

@@ -94,7 +94,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			subBody, err := json.Marshal(&sub)
 			if err != nil { // unreachable: sub re-marshals decoded values
 				reply.status = http.StatusInternalServerError
-				reply.body = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+				reply.body, _ = json.Marshal(service.ErrorResponse{Error: err.Error()})
 				return
 			}
 			rec := httptest.NewRecorder()
@@ -129,10 +129,8 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, reply := range replies {
 		var sr service.BatchResponse
 		if err := json.Unmarshal(reply.body, &sr); err != nil || len(sr.Items) != len(reply.idxs) {
-			// Unreachable with well-behaved shards; outside the counter
-			// ledger because the shards already accounted their items.
-			http.Error(w, fmt.Sprintf(`{"error":"shard %d returned an unreadable batch response"}`, reply.shard),
-				http.StatusBadGateway)
+			// Unreachable with well-behaved shards.
+			fail(w, http.StatusBadGateway, fmt.Errorf("shard %d returned an unreadable batch response", reply.shard))
 			return
 		}
 		out.CacheHits += sr.CacheHits
@@ -143,7 +141,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	merged, err := marshalBatchResponse(&out)
 	if err != nil { // unreachable: items are valid JSON from the shards
-		http.Error(w, fmt.Sprintf(`{"error":%q}`, err.Error()), http.StatusInternalServerError)
+		fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	status := "miss"
@@ -153,6 +151,15 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(service.CacheStatusHeader, status)
 	w.Write(merged)
+}
+
+// fail answers a request the door cannot complete after a shard served it,
+// with the service's uniform JSON error body. Unlike reject it counts
+// nothing: the shards have already accounted the work behind the request.
+func fail(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(service.ErrorResponse{Error: err.Error()})
 }
 
 // marshalBatchResponse mirrors the service's deterministic encoding (compact,

@@ -412,6 +412,41 @@ func TestBatchSplitsAcrossShards(t *testing.T) {
 	}
 }
 
+// TestDoorFailuresAreJSON: when a shard answers 200 with a body the door
+// cannot read, the merged batch and the merged /stats fail with a 502 whose
+// body is the documented {"error": …} JSON, and the door counts nothing for
+// them — the healthy shard's own ledger still conserves.
+func TestDoorFailuresAreJSON(t *testing.T) {
+	good := service.New(service.Config{Shard: "0"})
+	t.Cleanup(good.Close)
+	bad := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("not-json")) })
+	c := New([]http.Handler{good, bad}, Options{})
+	seedA, seedB := splitSeeds(t, 2)
+
+	items := fmt.Sprintf(`{"scheduler": "ftsa", "epsilon": 1, "seed": %d},
+		 {"scheduler": "ftsa", "epsilon": 1, "seed": %d}`, seedA, seedB)
+	for _, rec := range []*httptest.ResponseRecorder{
+		do(c, http.MethodPost, "/schedule/batch", batchBody(items)),
+		do(c, http.MethodGet, "/stats", nil),
+	} {
+		var e service.ErrorResponse
+		if rec.Code != http.StatusBadGateway || rec.Header().Get("Content-Type") != "application/json" ||
+			json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error == "" {
+			t.Fatalf("%d %q %q, want a 502 with a JSON error body", rec.Code, rec.Header().Get("Content-Type"), rec.Body.String())
+		}
+	}
+	if c.requests.Load() != 1 || c.rejected.Load() != 0 {
+		t.Fatalf("door counted %d requests, %d rejected; want 1 and 0", c.requests.Load(), c.rejected.Load())
+	}
+	var st service.Stats
+	if err := json.Unmarshal(do(good, http.MethodGet, "/stats", nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 1 || st.Requests != st.CacheHits+st.CacheMisses+st.ClientErrors+st.InternalErrors+st.CancelledRequests {
+		t.Fatalf("healthy shard's ledger: %+v, want its one item conserved", st)
+	}
+}
+
 // TestStatsConservationMixedSoak drives a mixed request sequence — schedule
 // with repeats, evaluate, tune, cross-shard batches, malformed bodies — and
 // asserts the aggregation arithmetic: merged counters conserve, additive

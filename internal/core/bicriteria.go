@@ -94,18 +94,3 @@ func ScheduleWithDeadlines(g *dag.Graph, p *platform.Platform, cm *platform.Cost
 	opt.Deadlines = dls
 	return FTSA(g, p, cm, opt)
 }
-
-// ScheduleWithDeadlinesMC is the MC-FTSA counterpart of
-// ScheduleWithDeadlines: the same deadline assignment and early
-// infeasibility detection, applied to the minimum-communications scheduler.
-func ScheduleWithDeadlinesMC(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt MCFTSAOptions, latency float64) (*sched.Schedule, error) {
-	if latency <= 0 {
-		return nil, fmt.Errorf("core: non-positive latency %g", latency)
-	}
-	dls, err := sched.Deadlines(g, cm, p, opt.Epsilon, latency)
-	if err != nil {
-		return nil, err
-	}
-	opt.Deadlines = dls
-	return MCFTSA(g, p, cm, opt)
-}

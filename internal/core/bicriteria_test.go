@@ -113,14 +113,22 @@ func TestScheduleWithDeadlinesInfeasible(t *testing.T) {
 	}
 }
 
+// TestScheduleWithDeadlinesMC drives MC-FTSA with the deadlines of Section
+// 4.3, the way ScheduleWithDeadlines drives FTSA.
 func TestScheduleWithDeadlinesMC(t *testing.T) {
 	inst := testInstance(t, 27, 1.0, 20)
 	ref, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ScheduleWithDeadlinesMC(inst.Graph, inst.Platform, inst.Costs,
-		MCFTSAOptions{Options: Options{Epsilon: 2}}, ref.LowerBound()*3)
+	withDeadlines := func(latency float64) (*sched.Schedule, error) {
+		dls, err := sched.Deadlines(inst.Graph, inst.Costs, inst.Platform, 2, latency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: 2, Deadlines: dls}})
+	}
+	s, err := withDeadlines(ref.LowerBound() * 3)
 	if err != nil {
 		t.Fatalf("generous deadline rejected: %v", err)
 	}
@@ -130,13 +138,8 @@ func TestScheduleWithDeadlinesMC(t *testing.T) {
 	if s.CommPattern != sched.PatternMatched {
 		t.Errorf("pattern %v", s.CommPattern)
 	}
-	if _, err := ScheduleWithDeadlinesMC(inst.Graph, inst.Platform, inst.Costs,
-		MCFTSAOptions{Options: Options{Epsilon: 2}}, ref.LowerBound()/10); !errors.Is(err, ErrDeadline) {
+	if _, err := withDeadlines(ref.LowerBound() / 10); !errors.Is(err, ErrDeadline) {
 		t.Errorf("want ErrDeadline, got %v", err)
-	}
-	if _, err := ScheduleWithDeadlinesMC(inst.Graph, inst.Platform, inst.Costs,
-		MCFTSAOptions{}, -1); err == nil {
-		t.Error("negative latency accepted")
 	}
 }
 

@@ -175,7 +175,11 @@ func TestFTSAFaultFreeMatchesEpsilonZero(t *testing.T) {
 func TestScheduleOnSingleProcessor(t *testing.T) {
 	// m=1, ε=0: everything serializes on one processor; latency is the sum
 	// of execution times.
-	g := workload.Diamond(5)
+	g := dag.NewWithTasks("diamond", 4)
+	g.MustAddEdge(0, 1, 5)
+	g.MustAddEdge(0, 2, 5)
+	g.MustAddEdge(1, 3, 5)
+	g.MustAddEdge(2, 3, 5)
 	p, err := platform.New(1, 0)
 	if err != nil {
 		t.Fatal(err)

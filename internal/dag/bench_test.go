@@ -11,34 +11,16 @@ func benchDAG(b *testing.B, n int) *Graph {
 	return g
 }
 
-func BenchmarkTopologicalOrder(b *testing.B) {
-	g := benchDAG(b, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.TopologicalOrder(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBottomLevels(b *testing.B) {
 	g := benchDAG(b, 40)
 	node := func(TaskID) float64 { return 1 }
 	edge := func(_, _ TaskID, v float64) float64 { return v }
-	b.Run("closure", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := g.BottomLevels(node, edge); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("flat", func(b *testing.B) {
 		f, err := g.Freeze()
 		if err != nil {
 			b.Fatal(err)
 		}
-		nodeS, edgeS := flatCosts(g, f, node, edge)
+		nodeS, edgeS := flatCosts(f, node, edge)
 		out := make([]float64, f.NumTasks())
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -13,18 +13,18 @@
 //   - Flat is the frozen compute form, obtained from Graph.Freeze: a CSR
 //     (compressed sparse row) view with int32 successor/predecessor arrays,
 //     contiguous edge volumes in edge-ID order, and the topological order,
-//     its reverse, per-task positions and entry/exit lists memoized at
-//     freeze time. Freeze is memoized on the graph and invalidated by every
-//     mutation; schedulers and the simulator walk Flat on their hot paths.
+//     its reverse, per-task positions and the exit list memoized at freeze
+//     time. Freeze is memoized on the graph and invalidated by every
+//     mutation.
 //
-// Longest-path traversals exist in both forms: the closure-based
-// Graph.BottomLevels/TopLevels, and the allocation-free
-// Flat.BottomLevels/TopLevels over precomputed per-task and per-edge-ID cost
-// slices — bit-for-bit equal to the closure form. Flat.NewBottomLevelUpdater
-// repairs bottom levels incrementally after cost perturbations, touching
-// only the ancestor cone that actually changes.
+// There is one traversal: every topological walk and longest path runs on
+// Flat. Flat.BottomLevels computes the bottom levels of Section 4.1 over
+// precomputed per-task and per-edge-ID cost slices, and
+// Flat.NewBottomLevelUpdater repairs them incrementally after cost
+// perturbations, touching only the ancestor cone that actually changes.
+// Graph's own analyses (Validate, Levels, Width) freeze first.
 //
-// Beyond the core types the package provides width computation, DOT export
-// for visualization, and a validating JSON wire format (graph.json) shared
-// by the daggen, ftsched and ftserved tools.
+// Beyond the core types the package provides width computation and a
+// validating JSON wire format (graph.json) shared by the daggen, ftsched and
+// ftserved tools.
 package dag

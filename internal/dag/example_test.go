@@ -2,7 +2,6 @@ package dag_test
 
 import (
 	"fmt"
-	"os"
 
 	"ftsched/internal/dag"
 )
@@ -15,46 +14,36 @@ func ExampleGraph() {
 	g.MustAddEdge(1, 3, 30)
 	g.MustAddEdge(2, 3, 40)
 
-	order, _ := g.TopologicalOrder()
-	fmt.Println("topological order:", order)
+	f, _ := g.Freeze()
+	fmt.Println("topological order:", f.TopologicalOrder())
 	w, _ := g.Width()
 	fmt.Println("width:", w)
-	fmt.Println("entries:", g.Entries(), "exits:", g.Exits())
+	fmt.Println("exits:", g.Exits())
 	// Output:
 	// topological order: [0 1 2 3]
 	// width: 2
-	// entries: [0] exits: [3]
+	// exits: [3]
 }
 
-// ExampleGraph_BottomLevels computes the static bottom levels used as task
+// ExampleFlat_BottomLevels computes the static bottom levels used as task
 // priorities by the schedulers (unit node costs, volumes as edge costs).
-func ExampleGraph_BottomLevels() {
+func ExampleFlat_BottomLevels() {
 	g := dag.NewWithTasks("diamond", 4)
 	g.MustAddEdge(0, 1, 10)
 	g.MustAddEdge(0, 2, 20)
 	g.MustAddEdge(1, 3, 30)
 	g.MustAddEdge(2, 3, 40)
 
-	bl, _ := g.BottomLevels(
-		func(dag.TaskID) float64 { return 1 },
-		func(_, _ dag.TaskID, v float64) float64 { return v },
-	)
-	fmt.Println(bl)
+	f, _ := g.Freeze()
+	node := []float64{1, 1, 1, 1}
+	edge := make([]float64, f.NumEdges()) // indexed by edge ID
+	for t := range dag.TaskID(f.NumTasks()) {
+		lo := f.SuccEdgeLo(t)
+		for i, v := range f.SuccVolumes(t) {
+			edge[lo+int32(i)] = v
+		}
+	}
+	fmt.Println(f.BottomLevels(node, edge, nil))
 	// Output:
 	// [63 32 42 1]
-}
-
-// ExampleGraph_WriteDOT emits Graphviz DOT for visual inspection.
-func ExampleGraph_WriteDOT() {
-	g := dag.NewWithTasks("tiny", 2)
-	g.MustAddEdge(0, 1, 5)
-	_ = g.WriteDOT(os.Stdout)
-	// Output:
-	// digraph "tiny" {
-	//   rankdir=TB;
-	//   node [shape=circle];
-	//   t0;
-	//   t1;
-	//   t0 -> t1 [label="5"];
-	// }
 }

@@ -3,22 +3,21 @@ package dag
 // Flat is a frozen CSR (compressed sparse row) view of a Graph: the
 // slice-of-slices adjacency flattened into parallel int32 index arrays plus a
 // contiguous volume array, with the forward and reverse topological orders,
-// the topological position of every task, and the entry/exit sets computed
-// once at freeze time. It is immutable after Freeze and therefore safe to
-// share across goroutines without synchronization.
+// the topological position of every task and the exit set computed once at
+// freeze time. It is immutable after Freeze and therefore safe to share
+// across goroutines without synchronization. It is the package's one
+// traversal: every topological walk and path length goes through it.
 //
 // The flat layout exists for the hot loops: walking a CSR range touches one
 // cache line per few adjacencies instead of chasing a slice header per task,
-// and the precomputed orders remove the per-call O(V+E) Kahn pass (and its
-// allocations) that Graph.BottomLevels pays on every invocation.
+// and the precomputed orders remove a per-call O(V+E) Kahn pass.
 //
 // Edge identity: the edges of the graph are numbered 0..E-1 in successor-CSR
 // order (tasks ascending, then insertion order within a task — the same order
-// Graph.Edges enumerates). SuccVolumes(t)[i] belongs to edge SuccEdgeIDs(t)[i]
-// and per-edge cost slices passed to BottomLevels/TopLevels are indexed by
-// this edge ID. The predecessor side preserves the Graph's own Preds order
-// (AddEdge call order) so frozen and legacy iteration visit predecessors
-// identically; PredEdgeIDs maps each predecessor slot back to its edge ID.
+// Graph.Edges enumerates). Successor slot i of task t is edge
+// SuccEdgeLo(t)+i, and per-edge cost slices passed to BottomLevels are
+// indexed by this edge ID. The predecessor side preserves the Graph's own
+// Preds order (AddEdge call order).
 type Flat struct {
 	n int // tasks
 	e int // edges
@@ -27,22 +26,20 @@ type Flat struct {
 	succTo  []int32   // len e: successor task IDs, edge-ID order
 	succVol []float64 // len e: edge volumes, edge-ID order
 
-	predOff  []int32   // len n+1: pred CSR row offsets
-	predTo   []int32   // len e: predecessor task IDs, Graph.Preds order
-	predVol  []float64 // len e: edge volumes, Graph.Preds order
-	predEdge []int32   // len e: edge ID of each predecessor slot
+	predOff []int32   // len n+1: pred CSR row offsets
+	predTo  []int32   // len e: predecessor task IDs, Graph.Preds order
+	predVol []float64 // len e: edge volumes, Graph.Preds order
 
 	topo    []TaskID // forward topological order (Kahn, smallest-ID-first FIFO)
 	rtopo   []TaskID // reverse of topo
-	topoPos []int32  // task -> index in topo
-	entries []TaskID // tasks with no predecessors, ascending
+	topoPos []int32  // task -> index in topo (the incremental updater's heap key)
 	exits   []TaskID // tasks with no successors, ascending
 }
 
 // Freeze builds (or returns the memoized) flat CSR view of g. The view is
-// built once per graph shape: mutating the graph (AddTask, AddEdge,
-// SetVolume, ScaleVolumes, decoding into it) invalidates the memo and the
-// next Freeze rebuilds. Freezing fails with ErrCycle on a cyclic graph.
+// built once per graph shape: mutating the graph (AddTask, AddEdge, decoding
+// into it) invalidates the memo and the next Freeze rebuilds. Freezing fails
+// with ErrCycle on a cyclic graph.
 //
 // The returned Flat is immutable and shared: every caller freezing the same
 // unmutated graph gets the same view, which is what lets the scheduler
@@ -69,16 +66,15 @@ func (g *Graph) Freeze() (*Flat, error) {
 func freeze(g *Graph) (*Flat, error) {
 	n, e := g.NumTasks(), g.NumEdges()
 	f := &Flat{
-		n:        n,
-		e:        e,
-		succOff:  make([]int32, n+1),
-		succTo:   make([]int32, e),
-		succVol:  make([]float64, e),
-		predOff:  make([]int32, n+1),
-		predTo:   make([]int32, e),
-		predVol:  make([]float64, e),
-		predEdge: make([]int32, e),
-		topoPos:  make([]int32, n),
+		n:       n,
+		e:       e,
+		succOff: make([]int32, n+1),
+		succTo:  make([]int32, e),
+		succVol: make([]float64, e),
+		predOff: make([]int32, n+1),
+		predTo:  make([]int32, e),
+		predVol: make([]float64, e),
+		topoPos: make([]int32, n),
 	}
 	// Successor CSR in edge-ID order: tasks ascending, insertion order within.
 	off := int32(0)
@@ -91,20 +87,19 @@ func freeze(g *Graph) (*Flat, error) {
 		}
 	}
 	f.succOff[n] = off
-	// Predecessor CSR preserving Graph.Preds order, with edge-ID backlinks.
+	// Predecessor CSR preserving Graph.Preds order.
 	off = 0
 	for t := 0; t < n; t++ {
 		f.predOff[t] = off
 		for _, a := range g.preds[t] {
 			f.predTo[off] = int32(a.To)
 			f.predVol[off] = a.Volume
-			f.predEdge[off] = f.edgeID(int32(a.To), int32(t))
 			off++
 		}
 	}
 	f.predOff[n] = off
-	// Forward topological order: Kahn with a FIFO over ascending initial
-	// scan — bit-for-bit the order Graph.TopologicalOrder produces.
+	// Forward topological order: Kahn with a FIFO over an ascending initial
+	// scan, so among tasks ready together the smaller ID comes first.
 	indeg := make([]int32, n)
 	for t := 0; t < n; t++ {
 		indeg[t] = f.predOff[t+1] - f.predOff[t]
@@ -135,26 +130,13 @@ func freeze(g *Graph) (*Flat, error) {
 		f.rtopo[n-1-i] = t
 		f.topoPos[t] = int32(i)
 	}
-	// Entry/exit sets, ascending ID like Graph.Entries/Exits.
+	// Exit set, ascending ID like Graph.Exits.
 	for t := 0; t < n; t++ {
-		if f.InDegree(TaskID(t)) == 0 {
-			f.entries = append(f.entries, TaskID(t))
-		}
 		if f.OutDegree(TaskID(t)) == 0 {
 			f.exits = append(f.exits, TaskID(t))
 		}
 	}
 	return f, nil
-}
-
-// edgeID returns the edge-ID (successor-CSR position) of edge src->dst.
-func (f *Flat) edgeID(src, dst int32) int32 {
-	for i := f.succOff[src]; i < f.succOff[src+1]; i++ {
-		if f.succTo[i] == dst {
-			return i
-		}
-	}
-	panic("dag: adjacency asymmetry frozen") // unreachable on validated graphs
 }
 
 // NumTasks returns |V|.
@@ -187,10 +169,6 @@ func (f *Flat) PredIDs(t TaskID) []int32 { return f.predTo[f.predOff[t]:f.predOf
 // PredVolumes returns the volumes parallel to PredIDs(t).
 func (f *Flat) PredVolumes(t TaskID) []float64 { return f.predVol[f.predOff[t]:f.predOff[t+1]] }
 
-// PredEdgeIDs returns, parallel to PredIDs(t), the edge ID of each
-// predecessor edge — the index into per-edge cost slices.
-func (f *Flat) PredEdgeIDs(t TaskID) []int32 { return f.predEdge[f.predOff[t]:f.predOff[t+1]] }
-
 // TopologicalOrder returns the memoized forward topological order. The slice
 // is owned by the frozen view: callers must treat it as read-only.
 func (f *Flat) TopologicalOrder() []TaskID { return f.topo }
@@ -198,12 +176,6 @@ func (f *Flat) TopologicalOrder() []TaskID { return f.topo }
 // ReverseTopologicalOrder returns the memoized reverse topological order
 // (every task after all of its successors), read-only.
 func (f *Flat) ReverseTopologicalOrder() []TaskID { return f.rtopo }
-
-// TopoPosition returns t's index in TopologicalOrder().
-func (f *Flat) TopoPosition(t TaskID) int { return int(f.topoPos[t]) }
-
-// Entries returns the entry tasks in ascending ID order, read-only.
-func (f *Flat) Entries() []TaskID { return f.entries }
 
 // Exits returns the exit tasks in ascending ID order, read-only.
 func (f *Flat) Exits() []TaskID { return f.exits }
@@ -214,11 +186,14 @@ func (f *Flat) Exits() []TaskID { return f.exits }
 // capacity (callers recycling scratch pass their buffer; pass nil to
 // allocate) and returns the result.
 //
-// The recurrence, the iteration order and the float operations are exactly
-// Graph.BottomLevels', so for node[t] == nodeFn(t) and edge[i] == edgeFn(e_i)
-// the two agree bit for bit — the property the flat port of every scheduler
-// relies on. Unlike the closure form there is no per-call topological sort
-// and no closure dispatch in the inner loop.
+//	bℓ(t) = node[t]                                  if Γ+(t) = ∅
+//	bℓ(t) = max over edges i = (t,t*) of
+//	          node[t] + edge[i] + bℓ(t*)             otherwise
+//
+// i.e. the length of the longest path from t to an exit task, counting t's
+// own cost and the communications along the path. The walk is the memoized
+// reverse topological order, so there is no per-call sort and no allocation
+// when out has room.
 func (f *Flat) BottomLevels(node, edge []float64, out []float64) []float64 {
 	f.checkCosts(node, edge)
 	bl := growFloats(out, f.n)
@@ -238,27 +213,6 @@ func (f *Flat) BottomLevels(node, edge []float64, out []float64) []float64 {
 		bl[t] = best
 	}
 	return bl
-}
-
-// TopLevels computes the static top levels over precomputed cost slices,
-// bit-for-bit equal to Graph.TopLevels under matching costs. See BottomLevels
-// for the slice conventions.
-func (f *Flat) TopLevels(node, edge []float64, out []float64) []float64 {
-	f.checkCosts(node, edge)
-	tl := growFloats(out, f.n)
-	for _, t := range f.topo {
-		lo, hi := f.predOff[t], f.predOff[t+1]
-		best := 0.0
-		for i := lo; i < hi; i++ {
-			p := f.predTo[i]
-			v := tl[p] + node[p] + edge[f.predEdge[i]]
-			if v > best {
-				best = v
-			}
-		}
-		tl[t] = best
-	}
-	return tl
 }
 
 // checkCosts validates the cost-slice shapes once, outside the hot loops.

@@ -26,10 +26,11 @@ type Edge struct {
 }
 
 // Graph is a mutable weighted DAG. The zero value is an empty graph ready to
-// use. Graph methods never mutate the graph except AddTask/AddEdge/SetVolume.
+// use. Graph methods never mutate the graph except AddTask and AddEdge (and
+// decoding, which replaces it whole).
 //
 // Acyclicity is not enforced on every AddEdge (that would be quadratic);
-// call Validate or TopologicalOrder to check it once construction is done.
+// call Validate or Freeze to check it once construction is done.
 type Graph struct {
 	name  string
 	succs [][]Adj
@@ -52,7 +53,6 @@ var (
 	ErrSelfLoop      = errors.New("dag: self loop")
 	ErrDuplicateEdge = errors.New("dag: duplicate edge")
 	ErrNoSuchTask    = errors.New("dag: no such task")
-	ErrNoSuchEdge    = errors.New("dag: no such edge")
 	ErrNegVolume     = errors.New("dag: negative edge volume")
 )
 
@@ -70,9 +70,6 @@ func NewWithTasks(name string, n int) *Graph {
 
 // Name returns the graph's name.
 func (g *Graph) Name() string { return g.name }
-
-// SetName renames the graph.
-func (g *Graph) SetName(name string) { g.name = name }
 
 // NumTasks returns v = |V|, the number of tasks.
 func (g *Graph) NumTasks() int { return len(g.succs) }
@@ -132,62 +129,8 @@ func (g *Graph) Succs(t TaskID) []Adj { return g.succs[t] }
 // by the graph and must not be modified.
 func (g *Graph) Preds(t TaskID) []Adj { return g.preds[t] }
 
-// OutDegree returns |Γ+(t)|.
-func (g *Graph) OutDegree(t TaskID) int { return len(g.succs[t]) }
-
 // InDegree returns |Γ−(t)|.
 func (g *Graph) InDegree(t TaskID) int { return len(g.preds[t]) }
-
-// Volume returns V(src,dst), the data volume on edge src->dst.
-func (g *Graph) Volume(src, dst TaskID) (float64, error) {
-	if !g.Valid(src) || !g.Valid(dst) {
-		return 0, fmt.Errorf("%w: edge (%d,%d)", ErrNoSuchTask, src, dst)
-	}
-	for _, a := range g.succs[src] {
-		if a.To == dst {
-			return a.Volume, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: (%d,%d)", ErrNoSuchEdge, src, dst)
-}
-
-// SetVolume updates V(src,dst) on an existing edge.
-func (g *Graph) SetVolume(src, dst TaskID, volume float64) error {
-	if volume < 0 {
-		return fmt.Errorf("%w: edge (%d,%d) volume %g", ErrNegVolume, src, dst, volume)
-	}
-	for i, a := range g.succs[src] {
-		if a.To == dst {
-			g.flat.Store(nil)
-			g.succs[src][i].Volume = volume
-			for j, b := range g.preds[dst] {
-				if b.To == src {
-					g.preds[dst][j].Volume = volume
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: (%d,%d)", ErrNoSuchEdge, src, dst)
-}
-
-// ScaleVolumes multiplies every edge volume by factor (factor must be >= 0).
-// Used by the workload generator to hit a target granularity.
-func (g *Graph) ScaleVolumes(factor float64) error {
-	if factor < 0 {
-		return fmt.Errorf("%w: scale factor %g", ErrNegVolume, factor)
-	}
-	g.flat.Store(nil)
-	for t := range g.succs {
-		for i := range g.succs[t] {
-			g.succs[t][i].Volume *= factor
-		}
-		for i := range g.preds[t] {
-			g.preds[t][i].Volume *= factor
-		}
-	}
-	return nil
-}
 
 // Edges enumerates all edges in (src, then insertion) order.
 func (g *Graph) Edges() []Edge {
@@ -195,17 +138,6 @@ func (g *Graph) Edges() []Edge {
 	for t := range g.succs {
 		for _, a := range g.succs[t] {
 			out = append(out, Edge{Src: TaskID(t), Dst: a.To, Volume: a.Volume})
-		}
-	}
-	return out
-}
-
-// Entries returns the entry tasks (no predecessors) in increasing ID order.
-func (g *Graph) Entries() []TaskID {
-	var out []TaskID
-	for t := range g.preds {
-		if len(g.preds[t]) == 0 {
-			out = append(out, TaskID(t))
 		}
 	}
 	return out
@@ -234,38 +166,23 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Validate checks structural invariants: adjacency symmetry, edge count and
-// acyclicity. It returns nil for a well-formed DAG.
+// Validate reports ErrCycle unless g is acyclic. Every other invariant —
+// dense endpoints, symmetric adjacency, no self loops or duplicate edges —
+// holds by construction (AddEdge and decoding refuse what would break it).
 func (g *Graph) Validate() error {
-	fwd := 0
+	_, err := g.Freeze()
+	return err
+}
+
+// TotalVolume returns the sum of V over all edges.
+func (g *Graph) TotalVolume() float64 {
+	sum := 0.0
 	for t := range g.succs {
-		fwd += len(g.succs[t])
 		for _, a := range g.succs[t] {
-			if !g.Valid(a.To) {
-				return fmt.Errorf("%w: successor %d of %d", ErrNoSuchTask, a.To, t)
-			}
-			found := false
-			for _, b := range g.preds[a.To] {
-				if b.To == TaskID(t) {
-					if b.Volume != a.Volume {
-						return fmt.Errorf("dag: volume mismatch on edge (%d,%d): %g vs %g", t, a.To, a.Volume, b.Volume)
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("dag: missing reverse adjacency for edge (%d,%d)", t, a.To)
-			}
+			sum += a.Volume
 		}
 	}
-	if fwd != g.e {
-		return fmt.Errorf("dag: edge count %d does not match adjacency size %d", g.e, fwd)
-	}
-	if _, err := g.TopologicalOrder(); err != nil {
-		return err
-	}
-	return nil
+	return sum
 }
 
 // String returns a short human-readable summary.

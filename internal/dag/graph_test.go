@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -25,21 +26,14 @@ func TestGraphBasics(t *testing.T) {
 	if g.NumTasks() != 4 || g.NumEdges() != 4 {
 		t.Fatalf("got %d tasks, %d edges", g.NumTasks(), g.NumEdges())
 	}
-	if got := g.OutDegree(0); got != 2 {
-		t.Errorf("OutDegree(0) = %d", got)
-	}
 	if got := g.InDegree(3); got != 2 {
 		t.Errorf("InDegree(3) = %d", got)
 	}
-	v, err := g.Volume(0, 2)
-	if err != nil || v != 20 {
-		t.Errorf("Volume(0,2) = %g, %v", v, err)
+	if succs := g.Succs(0); len(succs) != 2 || succs[1] != (Adj{To: 2, Volume: 20}) {
+		t.Errorf("Succs(0) = %v", succs)
 	}
-	if _, err := g.Volume(1, 2); !errors.Is(err, ErrNoSuchEdge) {
-		t.Errorf("Volume(1,2) error = %v, want ErrNoSuchEdge", err)
-	}
-	if ents := g.Entries(); len(ents) != 1 || ents[0] != 0 {
-		t.Errorf("Entries = %v", ents)
+	if tot := g.TotalVolume(); tot != 10+20+30+40 {
+		t.Errorf("TotalVolume = %g", tot)
 	}
 	if exits := g.Exits(); len(exits) != 1 || exits[0] != 3 {
 		t.Errorf("Exits = %v", exits)
@@ -71,60 +65,27 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 }
 
-func TestSetVolumeAndScale(t *testing.T) {
-	g := buildDiamond(t)
-	if err := g.SetVolume(0, 1, 99); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := g.Volume(0, 1); v != 99 {
-		t.Errorf("Volume = %g, want 99", v)
-	}
-	if err := g.SetVolume(1, 2, 5); !errors.Is(err, ErrNoSuchEdge) {
-		t.Errorf("SetVolume missing edge: %v", err)
-	}
-	if err := g.SetVolume(0, 1, -1); !errors.Is(err, ErrNegVolume) {
-		t.Errorf("SetVolume negative: %v", err)
-	}
-	if err := g.ScaleVolumes(2); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := g.Volume(0, 1); v != 198 {
-		t.Errorf("scaled volume = %g, want 198", v)
-	}
-	if err := g.Validate(); err != nil {
-		t.Errorf("Validate after scaling: %v", err)
-	}
-	if tot := g.TotalVolume(); tot != 198+40+60+80 {
-		t.Errorf("TotalVolume = %g", tot)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	g := buildDiamond(t)
 	c := g.Clone()
-	if err := c.SetVolume(0, 1, 1); err != nil {
-		t.Fatal(err)
+	c.MustAddEdge(1, 2, 5)
+	if g.NumEdges() != 4 || len(g.Succs(1)) != 1 || len(g.Preds(2)) != 1 {
+		t.Errorf("clone mutation leaked into original: %d edges, succs(1)=%v, preds(2)=%v", g.NumEdges(), g.Succs(1), g.Preds(2))
 	}
-	if v, _ := g.Volume(0, 1); v != 10 {
-		t.Errorf("clone mutation leaked into original: %g", v)
-	}
-	if c.NumTasks() != g.NumTasks() || c.NumEdges() != g.NumEdges() {
+	if c.NumTasks() != g.NumTasks() || c.NumEdges() != g.NumEdges()+1 {
 		t.Error("clone shape mismatch")
 	}
 }
 
 func TestTopologicalOrder(t *testing.T) {
 	g := buildDiamond(t)
-	order, err := g.TopologicalOrder()
+	f, err := g.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
+	order, rev := f.TopologicalOrder(), f.ReverseTopologicalOrder()
 	if !g.IsTopologicalOrder(order) {
 		t.Errorf("order %v is not topological", order)
-	}
-	rev, err := g.ReverseTopologicalOrder()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if rev[0] != order[len(order)-1] {
 		t.Errorf("reverse order mismatch: %v vs %v", rev, order)
@@ -145,11 +106,14 @@ func TestCycleDetection(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	g.MustAddEdge(1, 2, 1)
 	g.MustAddEdge(2, 0, 1)
-	if _, err := g.TopologicalOrder(); !errors.Is(err, ErrCycle) {
-		t.Errorf("TopologicalOrder on cycle: %v", err)
-	}
 	if err := g.Validate(); !errors.Is(err, ErrCycle) {
 		t.Errorf("Validate on cycle: %v", err)
+	}
+	if _, _, err := g.Levels(); !errors.Is(err, ErrCycle) {
+		t.Errorf("Levels on cycle: %v", err)
+	}
+	if _, err := g.Width(); !errors.Is(err, ErrCycle) {
+		t.Errorf("Width on cycle: %v", err)
 	}
 }
 
@@ -170,83 +134,55 @@ func TestLevels(t *testing.T) {
 	}
 }
 
-func TestDescendantsAncestors(t *testing.T) {
-	g := buildDiamond(t)
-	d := g.Descendants(0)
-	for _, tsk := range []TaskID{1, 2, 3} {
-		if !d[tsk] {
-			t.Errorf("task %d should be a descendant of 0", tsk)
-		}
+// unitBottomLevels freezes g and computes its bottom levels under unit node
+// costs and volumes as edge costs.
+func unitBottomLevels(t *testing.T, g *Graph) []float64 {
+	t.Helper()
+	f, err := g.Freeze()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d[0] {
-		t.Error("task 0 should not be its own descendant")
-	}
-	a := g.Ancestors(3)
-	for _, tsk := range []TaskID{0, 1, 2} {
-		if !a[tsk] {
-			t.Errorf("task %d should be an ancestor of 3", tsk)
-		}
-	}
+	node, edge := flatCosts(f, func(TaskID) float64 { return 1 }, func(_, _ TaskID, v float64) float64 { return v })
+	return f.BottomLevels(node, edge, nil)
 }
 
 func TestBottomAndTopLevels(t *testing.T) {
 	g := buildDiamond(t)
-	node := func(TaskID) float64 { return 1 }
-	edge := func(_, _ TaskID, v float64) float64 { return v }
-	bl, err := g.BottomLevels(node, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bl := unitBottomLevels(t, g)
 	// bl(3)=1; bl(1)=1+30+1=32; bl(2)=1+40+1=42; bl(0)=1+max(10+32,20+42)=63.
-	want := []float64{63, 32, 42, 1}
-	for i, b := range bl {
-		if b != want[i] {
-			t.Errorf("bl[%d] = %g, want %g", i, b, want[i])
-		}
+	if want := []float64{63, 32, 42, 1}; !slices.Equal(bl, want) {
+		t.Errorf("bottom levels %v, want %v", bl, want)
 	}
-	tl, err := g.TopLevels(node, edge)
-	if err != nil {
-		t.Fatal(err)
+	// A top level is a bottom level of the reversed graph less the task's own
+	// cost: tl(0)=0; tl(1)=0+1+10=11; tl(2)=21; tl(3)=max(11+1+30,21+1+40)=62.
+	rev := NewWithTasks("reversed", g.NumTasks())
+	for _, e := range g.Edges() {
+		rev.MustAddEdge(e.Dst, e.Src, e.Volume)
 	}
-	// tl(0)=0; tl(1)=0+1+10=11; tl(2)=21; tl(3)=max(11+1+30,21+1+40)=62.
-	wantTL := []float64{0, 11, 21, 62}
-	for i, v := range tl {
-		if v != wantTL[i] {
-			t.Errorf("tl[%d] = %g, want %g", i, v, wantTL[i])
-		}
+	tl := unitBottomLevels(t, rev)
+	for i := range tl {
+		tl[i]--
+	}
+	if want := []float64{0, 11, 21, 62}; !slices.Equal(tl, want) {
+		t.Errorf("top levels %v, want %v", tl, want)
 	}
 }
 
+// TestCriticalPath: the longest entry-to-exit path is the largest bottom
+// level — the diamond's runs 0→2→3.
 func TestCriticalPath(t *testing.T) {
-	g := buildDiamond(t)
-	node := func(TaskID) float64 { return 1 }
-	edge := func(_, _ TaskID, v float64) float64 { return v }
-	path, length, err := g.CriticalPath(node, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if length != 63 {
-		t.Errorf("critical length = %g, want 63", length)
-	}
-	want := []TaskID{0, 2, 3}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if l, err := g.LongestPathLength(node, edge); err != nil || l != 63 {
-		t.Errorf("LongestPathLength = %g, %v", l, err)
+	if cp := slices.Max(unitBottomLevels(t, buildDiamond(t))); cp != 63 {
+		t.Errorf("critical length = %g, want 63", cp)
 	}
 }
 
 func TestCriticalPathEmptyGraph(t *testing.T) {
 	g := New("empty")
-	path, length, err := g.CriticalPath(UnitNodeCost, ZeroEdgeCost)
-	if err != nil || path != nil || length != 0 {
-		t.Errorf("empty graph: %v %g %v", path, length, err)
+	if bl := unitBottomLevels(t, g); len(bl) != 0 {
+		t.Errorf("empty graph: bottom levels %v", bl)
+	}
+	if _, n, err := g.Levels(); n != 0 || err != nil {
+		t.Errorf("empty graph: %d levels, %v", n, err)
 	}
 }
 
@@ -300,11 +236,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if back.Name() != g.Name() || back.NumTasks() != g.NumTasks() || back.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip mismatch: %v vs %v", back, g)
 	}
-	for _, e := range g.Edges() {
-		v, err := back.Volume(e.Src, e.Dst)
-		if err != nil || v != e.Volume {
-			t.Errorf("edge (%d,%d): %g, %v", e.Src, e.Dst, v, err)
-		}
+	if !slices.Equal(back.Edges(), g.Edges()) {
+		t.Errorf("round trip edges %v, want %v", back.Edges(), g.Edges())
 	}
 }
 

@@ -1,53 +1,5 @@
 package dag
 
-// TopologicalOrder returns a topological ordering of the tasks using Kahn's
-// algorithm, or ErrCycle if the graph is not acyclic. The order is
-// deterministic: among tasks simultaneously ready it prefers smaller IDs
-// (a simple FIFO over increasing insertion keeps this property because tasks
-// become ready in ascending scan order).
-func (g *Graph) TopologicalOrder() ([]TaskID, error) {
-	n := g.NumTasks()
-	indeg := make([]int, n)
-	for t := 0; t < n; t++ {
-		indeg[t] = len(g.preds[t])
-	}
-	queue := make([]TaskID, 0, n)
-	for t := 0; t < n; t++ {
-		if indeg[t] == 0 {
-			queue = append(queue, TaskID(t))
-		}
-	}
-	order := make([]TaskID, 0, n)
-	for len(queue) > 0 {
-		t := queue[0]
-		queue = queue[1:]
-		order = append(order, t)
-		for _, a := range g.succs[t] {
-			indeg[a.To]--
-			if indeg[a.To] == 0 {
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, ErrCycle
-	}
-	return order, nil
-}
-
-// ReverseTopologicalOrder returns a reverse topological ordering (every task
-// appears after all of its successors).
-func (g *Graph) ReverseTopologicalOrder() ([]TaskID, error) {
-	order, err := g.TopologicalOrder()
-	if err != nil {
-		return nil, err
-	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order, nil
-}
-
 // IsTopologicalOrder reports whether order is a valid topological ordering of
 // g (a permutation of all tasks in which every edge goes forward).
 func (g *Graph) IsTopologicalOrder(order []TaskID) bool {
@@ -77,59 +29,19 @@ func (g *Graph) IsTopologicalOrder(order []TaskID) bool {
 // every other task has level 1 + max over predecessors. The second return
 // value is the number of levels (max level + 1, or 0 for an empty graph).
 func (g *Graph) Levels() ([]int, int, error) {
-	order, err := g.TopologicalOrder()
+	f, err := g.Freeze()
 	if err != nil {
 		return nil, 0, err
 	}
-	levels := make([]int, g.NumTasks())
+	levels := make([]int, f.NumTasks())
 	maxLevel := -1
-	for _, t := range order {
+	for _, t := range f.TopologicalOrder() {
 		l := 0
-		for _, p := range g.preds[t] {
-			if levels[p.To]+1 > l {
-				l = levels[p.To] + 1
-			}
+		for _, p := range f.PredIDs(t) {
+			l = max(l, levels[p]+1)
 		}
 		levels[t] = l
-		if l > maxLevel {
-			maxLevel = l
-		}
+		maxLevel = max(maxLevel, l)
 	}
 	return levels, maxLevel + 1, nil
-}
-
-// Descendants returns the set of tasks reachable from t (excluding t itself)
-// as a boolean slice indexed by TaskID.
-func (g *Graph) Descendants(t TaskID) []bool {
-	reach := make([]bool, g.NumTasks())
-	stack := []TaskID{t}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range g.succs[u] {
-			if !reach[a.To] {
-				reach[a.To] = true
-				stack = append(stack, a.To)
-			}
-		}
-	}
-	return reach
-}
-
-// Ancestors returns the set of tasks from which t is reachable (excluding t)
-// as a boolean slice indexed by TaskID.
-func (g *Graph) Ancestors(t TaskID) []bool {
-	reach := make([]bool, g.NumTasks())
-	stack := []TaskID{t}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, a := range g.preds[u] {
-			if !reach[a.To] {
-				reach[a.To] = true
-				stack = append(stack, a.To)
-			}
-		}
-	}
-	return reach
 }

@@ -15,13 +15,13 @@ import (
 // This computation is O(v·e) for the closure plus the matching; it is meant
 // for analysis and tests, not for the scheduler hot path.
 func (g *Graph) Width() (int, error) {
-	n := g.NumTasks()
-	if n == 0 {
-		return 0, nil
-	}
-	rev, err := g.ReverseTopologicalOrder()
+	f, err := g.Freeze()
 	if err != nil {
 		return 0, err
+	}
+	n := f.NumTasks()
+	if n == 0 {
+		return 0, nil
 	}
 	// Bitset transitive closure: reach[t] = set of strict descendants of t.
 	words := (n + 63) / 64
@@ -30,11 +30,11 @@ func (g *Graph) Width() (int, error) {
 	for t := 0; t < n; t++ {
 		reach[t] = buf[t*words : (t+1)*words]
 	}
-	for _, t := range rev {
+	for _, t := range f.ReverseTopologicalOrder() {
 		row := reach[t]
-		for _, a := range g.succs[t] {
-			row[a.To/64] |= 1 << (uint(a.To) % 64)
-			child := reach[a.To]
+		for _, s := range f.SuccIDs(t) {
+			row[s/64] |= 1 << (uint(s) % 64)
+			child := reach[s]
 			for w := 0; w < words; w++ {
 				row[w] |= child[w]
 			}

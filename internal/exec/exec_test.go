@@ -38,9 +38,9 @@ func sumTasks(g *dag.Graph) []Task {
 
 // reference computes the expected per-task values sequentially.
 func reference(g *dag.Graph) []uint64 {
-	order, _ := g.TopologicalOrder()
+	f, _ := g.Freeze()
 	val := make([]uint64, g.NumTasks())
-	for _, t := range order {
+	for _, t := range f.TopologicalOrder() {
 		sum := uint64(t)
 		for _, pe := range g.Preds(t) {
 			sum += val[pe.To]

@@ -55,56 +55,6 @@ func WriteASCII(w io.Writer, f *Figure) error {
 	return nil
 }
 
-// WriteASCIIStats renders a figure like WriteASCII but with a mean±ci95
-// column per series, exposing the batch variability behind each point.
-func WriteASCIIStats(w io.Writer, f *Figure) error {
-	if f == nil || len(f.Series) == 0 {
-		return fmt.Errorf("expt: empty figure")
-	}
-	if _, err := fmt.Fprintf(w, "# %s (mean ± 95%% CI over the batch)\n", f.Title); err != nil {
-		return err
-	}
-	header := make([]string, 0, len(f.Series)+1)
-	header = append(header, f.XLabel)
-	for _, s := range f.Series {
-		header = append(header, s.Name)
-	}
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-		if widths[i] < 16 {
-			widths[i] = 16
-		}
-	}
-	row := func(cells []string) error {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%*s", widths[i], c)
-		}
-		_, err := fmt.Fprintln(w, strings.Join(parts, "  "))
-		return err
-	}
-	if err := row(header); err != nil {
-		return err
-	}
-	xs := f.Series[0].Xs
-	for i, x := range xs {
-		cells := []string{fmt.Sprintf("%.2f", x)}
-		for _, s := range f.Series {
-			if i < len(s.Points) {
-				p := s.Points[i]
-				cells = append(cells, fmt.Sprintf("%.2f ± %.2f", p.Mean(), p.CI95()))
-			} else {
-				cells = append(cells, "-")
-			}
-		}
-		if err := row(cells); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSV renders a figure as CSV with a header row; suitable for plotting
 // with any external tool.
 func WriteCSV(w io.Writer, f *Figure) error {

@@ -267,16 +267,6 @@ func TestEmitters(t *testing.T) {
 	if err := WriteASCII(&ascii, nil); err == nil {
 		t.Error("want error for nil figure")
 	}
-	var stats bytes.Buffer
-	if err := WriteASCIIStats(&stats, bounds); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stats.String(), "±") {
-		t.Error("stats output missing confidence intervals")
-	}
-	if err := WriteASCIIStats(&stats, nil); err == nil {
-		t.Error("want error for nil figure")
-	}
 	var svg bytes.Buffer
 	if err := WriteSVG(&svg, bounds); err != nil {
 		t.Fatal(err)

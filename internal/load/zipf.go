@@ -19,7 +19,6 @@ import (
 // count per sample varies, which would break index-addressable request
 // synthesis; the CDF inversion consumes exactly one uniform per sample.)
 type Zipf struct {
-	s   float64
 	cdf []float64 // cdf[r] = P(rank <= r), cdf[n-1] == 1
 }
 
@@ -41,14 +40,11 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 		cdf[r] /= sum
 	}
 	cdf[n-1] = 1 // exact, despite rounding
-	return &Zipf{s: s, cdf: cdf}, nil
+	return &Zipf{cdf: cdf}, nil
 }
 
 // N returns the rank count.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// S returns the exponent.
-func (z *Zipf) S() float64 { return z.s }
 
 // Rank maps a uniform u in [0,1) to its rank — the inverse CDF.
 func (z *Zipf) Rank(u float64) int {

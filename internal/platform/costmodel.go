@@ -88,15 +88,6 @@ func (cm *CostModel) NumProcs() int {
 // Cost returns E(t,Pk).
 func (cm *CostModel) Cost(t dag.TaskID, k ProcID) float64 { return cm.cost[t][k] }
 
-// SetCost updates E(t,Pk).
-func (cm *CostModel) SetCost(t dag.TaskID, k ProcID, c float64) error {
-	if c < 0 {
-		return fmt.Errorf("platform: negative cost E(%d,P%d)=%g", t, k, c)
-	}
-	cm.cost[t][k] = c
-	return nil
-}
-
 // Mean returns E̅(t) = (Σj E(t,Pj)) / m, the average execution time used by
 // static bottom levels.
 func (cm *CostModel) Mean(t dag.TaskID) float64 {

@@ -30,12 +30,3 @@ func Granularity(g *dag.Graph, cm *CostModel, p *Platform) (float64, error) {
 	}
 	return comp / comm, nil
 }
-
-// IsCoarseGrain reports whether g(G,P) >= 1.
-func IsCoarseGrain(g *dag.Graph, cm *CostModel, p *Platform) (bool, error) {
-	gr, err := Granularity(g, cm, p)
-	if err != nil {
-		return false, err
-	}
-	return gr >= 1, nil
-}

@@ -19,11 +19,6 @@ type Exponential struct {
 // ErrBadRate reports a non-positive failure rate.
 var ErrBadRate = errors.New("reliability: failure rate must be positive")
 
-// ProcAlive returns the probability a processor survives past time t.
-func (e Exponential) ProcAlive(t float64) float64 {
-	return math.Exp(-e.Lambda * t)
-}
-
 // Sample draws one crash time.
 func (e Exponential) Sample(rng *rand.Rand) float64 {
 	return rng.ExpFloat64() / e.Lambda
@@ -52,12 +47,6 @@ func (w Weibull) Validate() error {
 		return fmt.Errorf("reliability: Weibull shape and scale must be positive, got k=%g λ=%g", w.Shape, w.Scale)
 	}
 	return nil
-}
-
-// ProcAlive returns the probability a processor survives past time t:
-// exp(−(t/λ)^k).
-func (w Weibull) ProcAlive(t float64) float64 {
-	return math.Exp(-math.Pow(t/w.Scale, w.Shape))
 }
 
 // Sample draws one crash time by inverse transform: λ·E^(1/k) with E

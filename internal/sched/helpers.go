@@ -55,9 +55,7 @@ func (s *Schedule) AddDuplicate(t dag.TaskID, r Replica) error {
 //
 // It runs on the graph's frozen CSR view (Graph.Freeze — memoized, so every
 // scheduler, the replay engine and the tuner probing one instance share a
-// single topological sort) with the costs materialized once into flat slices
-// instead of dispatching closures per edge. The result is bit-for-bit the
-// closure-based g.BottomLevels under the same averaging (property-tested).
+// single topological sort) with the costs materialized once into flat slices.
 func AvgBottomLevels(g *dag.Graph, cm *platform.CostModel, p *platform.Platform) ([]float64, error) {
 	f, err := g.Freeze()
 	if err != nil {
@@ -69,7 +67,7 @@ func AvgBottomLevels(g *dag.Graph, cm *platform.CostModel, p *platform.Platform)
 
 // AvgCosts materializes the paper's average cost model for a frozen graph:
 // node[t] = E̅(t) and edge[i] = V(e_i)·d̅ indexed by flat edge ID — the cost
-// slices Flat.BottomLevels/TopLevels and the incremental updater consume.
+// slices Flat.BottomLevels and the incremental updater consume.
 func AvgCosts(f *dag.Flat, cm *platform.CostModel, p *platform.Platform) (node, edge []float64) {
 	meanD := p.MeanDelay()
 	v := f.NumTasks()

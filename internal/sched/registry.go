@@ -59,7 +59,7 @@ type Scheduler interface {
 type Registration struct {
 	// Scheduler is the implementation; its Name() is the canonical name.
 	Scheduler Scheduler
-	// Aliases are alternative names accepted by Lookup (matched
+	// Aliases are alternative names accepted by LookupInfo (matched
 	// case-insensitively, like the canonical name). The paper's display
 	// spellings ("MC-FTSA") are registered here.
 	Aliases []string
@@ -148,16 +148,6 @@ func Register(r Registration) {
 	}
 }
 
-// Lookup resolves a scheduler by canonical name or alias, matched
-// case-insensitively.
-func Lookup(name string) (Scheduler, bool) {
-	r, ok := LookupInfo(name)
-	if !ok {
-		return nil, false
-	}
-	return r.Scheduler, true
-}
-
 // LookupInfo resolves the full registration of a scheduler by canonical name
 // or alias, matched case-insensitively.
 func LookupInfo(name string) (Registration, bool) {
@@ -189,7 +179,7 @@ func Registrations() []Registration {
 }
 
 // AliasesOf returns the registered aliases of a scheduler (resolved like
-// Lookup), sorted for stable output.
+// LookupInfo), sorted for stable output.
 func AliasesOf(name string) []string {
 	r, ok := LookupInfo(name)
 	if !ok {

@@ -37,12 +37,12 @@ func TestRegistryLookupAndAliases(t *testing.T) {
 	})
 
 	for _, name := range []string{"fake-a", "FAKE-A", "fake-alpha", "FA"} {
-		if _, ok := Lookup(name); !ok {
-			t.Fatalf("Lookup(%q) failed", name)
+		if _, ok := LookupInfo(name); !ok {
+			t.Fatalf("LookupInfo(%q) failed", name)
 		}
 	}
-	if _, ok := Lookup("fake-nope"); ok {
-		t.Fatal("Lookup of unregistered name succeeded")
+	if _, ok := LookupInfo("fake-nope"); ok {
+		t.Fatal("LookupInfo of unregistered name succeeded")
 	}
 	info, ok := LookupInfo("fa")
 	if !ok || info.Name() != "fake-a" {

@@ -25,16 +25,21 @@ type TheoreticalBounds struct {
 
 // ComputeTheoreticalBounds derives the bounds for a problem instance.
 func ComputeTheoreticalBounds(g *dag.Graph, cm *platform.CostModel, p *platform.Platform) (*TheoreticalBounds, error) {
-	cp, err := g.LongestPathLength(
-		func(t dag.TaskID) float64 { return cm.Min(t) },
-		dag.ZeroEdgeCost,
-	)
+	f, err := g.Freeze()
 	if err != nil {
 		return nil, err
 	}
+	fastest := make([]float64, f.NumTasks())
 	work := 0.0
-	for t := 0; t < g.NumTasks(); t++ {
-		work += cm.Min(dag.TaskID(t))
+	for t := range fastest {
+		fastest[t] = cm.Min(dag.TaskID(t))
+		work += fastest[t]
+	}
+	// The longest chain is the largest bottom level: costs are non-negative,
+	// so an entry task's bottom level dominates every task below it.
+	cp := 0.0
+	for _, b := range f.BottomLevels(fastest, make([]float64, f.NumEdges()), nil) {
+		cp = max(cp, b)
 	}
 	tb := &TheoreticalBounds{
 		CriticalPath: cp,

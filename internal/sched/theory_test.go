@@ -6,6 +6,7 @@ import (
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/workload"
 )
 
 func TestTheoreticalBoundsHandComputed(t *testing.T) {
@@ -59,11 +60,11 @@ func TestQualityRatioAtLeastOne(t *testing.T) {
 	}
 	// Serial schedule on P0 — valid and clearly above the bound.
 	clock := 0.0
-	order, err := g.TopologicalOrder()
+	f, err := g.Freeze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tsk := range order {
+	for _, tsk := range f.TopologicalOrder() {
 		e := cm.Cost(tsk, 0)
 		if err := s.Place(tsk, []Replica{{
 			Task: tsk, Copy: 0, Proc: 0,
@@ -83,5 +84,99 @@ func TestQualityRatioAtLeastOne(t *testing.T) {
 	}
 	if q < 1 {
 		t.Errorf("quality ratio %g < 1", q)
+	}
+}
+
+// literalLongestPath is the critical-path length ComputeTheoreticalBounds
+// read from the closure-cost Graph.LongestPathLength(node, zero edge costs)
+// before Flat became the only traversal: a FIFO Kahn order, closure bottom
+// levels in its reverse, and the largest bottom level of an entry task.
+func literalLongestPath(g *dag.Graph, node func(dag.TaskID) float64) float64 {
+	n := g.NumTasks()
+	if n == 0 {
+		return 0
+	}
+	indeg := make([]int, n)
+	var queue []dag.TaskID
+	for t := 0; t < n; t++ {
+		if indeg[t] = g.InDegree(dag.TaskID(t)); indeg[t] == 0 {
+			queue = append(queue, dag.TaskID(t))
+		}
+	}
+	var order []dag.TaskID
+	for len(queue) > 0 {
+		t := queue[0]
+		queue = queue[1:]
+		order = append(order, t)
+		for _, a := range g.Succs(t) {
+			if indeg[a.To]--; indeg[a.To] == 0 {
+				queue = append(queue, a.To)
+			}
+		}
+	}
+	bl := make([]float64, n)
+	for i := len(order) - 1; i >= 0; i-- {
+		t := order[i]
+		if len(g.Succs(t)) == 0 {
+			bl[t] = node(t)
+			continue
+		}
+		best := 0.0
+		for _, a := range g.Succs(t) {
+			if v := node(t) + 0 + bl[a.To]; v > best {
+				best = v
+			}
+		}
+		bl[t] = best
+	}
+	best := -1.0
+	for t := 0; t < n; t++ {
+		if g.InDegree(dag.TaskID(t)) == 0 && bl[t] > best {
+			best = bl[t]
+		}
+	}
+	return best
+}
+
+// TestTheoreticalBoundsMatchLiteral: the critical path read off Flat's bottom
+// levels is bit for bit the closure traversal's longest path, on layered and
+// Erdős–Rényi DAGs of up to 150 tasks and on the empty and one-task graphs.
+func TestTheoreticalBoundsMatchLiteral(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var graphs []*dag.Graph
+	for i := 0; i < 30; i++ {
+		cfg := workload.DefaultRandomDAGConfig()
+		cfg.MinTasks, cfg.MaxTasks = 1+rng.Intn(50), 150
+		cfg.ShapeFactor = 0.5 + rng.Float64()
+		g, err := workload.RandomDAG(rng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for i := 0; i < 30; i++ {
+		g, err := workload.ErdosRenyiDAG(rng, 1+rng.Intn(150), rng.Float64()*0.2, 1, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	graphs = append(graphs, dag.New("empty"), dag.NewWithTasks("one", 1))
+	p, err := platform.NewRandom(rng, 6, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range graphs {
+		cm, err := platform.NewRandomCostModel(rng, g.NumTasks(), p.NumProcs(), 10, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := ComputeTheoreticalBounds(g, cm, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := literalLongestPath(g, cm.Min); tb.CriticalPath != want {
+			t.Errorf("graph %d (%v): critical path %v, literal %v", i, g, tb.CriticalPath, want)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func TestConcurrentDispatch(t *testing.T) {
 			wg.Add(1)
 			go func(j job) {
 				defer wg.Done()
-				if _, ok := sched.Lookup(j.name); !ok {
+				if _, ok := sched.LookupInfo(j.name); !ok {
 					errs <- fmt.Errorf("%s: lookup failed", j.name)
 					return
 				}

@@ -1,7 +1,7 @@
 // Package schedulers links every built-in scheduling algorithm into the
 // sched registry. Schedulers register themselves from init functions of
 // their own packages; a dispatch site that resolves schedulers by name
-// (sched.Lookup / sched.Run) imports this package for side effects:
+// (sched.LookupInfo / sched.Run) imports this package for side effects:
 //
 //	import _ "ftsched/internal/schedulers"
 //

@@ -69,9 +69,18 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 			r.Graph = g
 		},
 		"cost entry": func(r *ScheduleRequest) {
-			if err := r.Costs.SetCost(0, 0, 17); err != nil {
+			rows := make([][]float64, r.Costs.NumTasks())
+			for tsk := range rows {
+				for k := range r.Costs.NumProcs() {
+					rows[tsk] = append(rows[tsk], r.Costs.Cost(dag.TaskID(tsk), platform.ProcID(k)))
+				}
+			}
+			rows[0][0] = 17
+			cm, err := platform.NewCostModelFromMatrix(rows)
+			if err != nil {
 				t.Fatal(err)
 			}
+			r.Costs = cm
 		},
 	}
 	for name, mutate := range mutations {

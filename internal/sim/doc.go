@@ -11,8 +11,8 @@
 // Two entry points share one pooled replay core:
 //
 //   - Run / RunWithOptions replay a single hand-built Scenario (crash-time
-//     assignments: NoFailures, CrashAtZero, UniformCrashes, GroupCrash,
-//     StaggeredCrashes), with optional communication models (one-port,
+//     assignments: NoFailures, CrashAtZero, UniformCrashes, or one draw of
+//     any ScenarioGenerator), with optional communication models (one-port,
 //     bounded multi-port) and event tracing.
 //   - Evaluate is the batch fault-injection engine: it replays a schedule
 //     under thousands of scenarios drawn from a ScenarioGenerator (uniform,

@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"ftsched/internal/core"
 	"ftsched/internal/dag"
@@ -57,7 +58,7 @@ func ExampleUniformCrashes() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("failed processors:", sc.NumFailed())
+	fmt.Println("failed processors:", sc.NumFailedBefore(math.Inf(1)))
 	// Output:
 	// failed processors: 2
 }

@@ -157,7 +157,7 @@ func (g WeibullGen) Spec() ScenarioSpec {
 }
 
 // GroupGen crashes one uniformly drawn group of Size consecutive processors
-// (the rack structure of GroupCrash: group g covers [g·Size, (g+1)·Size)) at
+// (a rack: group g covers [g·Size, (g+1)·Size)) at
 // a single exponential time with rate Lambda — correlated failures the way
 // real clusters fail: a power feed or top-of-rack switch takes the whole
 // rack down at once.
@@ -254,9 +254,8 @@ func (g BurstGen) Spec() ScenarioSpec {
 }
 
 // StaggeredGen crashes N distinct uniformly drawn processors at evenly
-// spaced times across [0, Horizon] — the rolling outage of StaggeredCrashes
-// as a batch generator: crash i happens at (i+1)·Horizon/(N+1), so no
-// processor is dead at time zero.
+// spaced times across [0, Horizon] — a rolling outage: crash i happens at
+// (i+1)·Horizon/(N+1), so no processor is dead at time zero.
 type StaggeredGen struct {
 	N       int
 	Horizon float64

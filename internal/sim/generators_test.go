@@ -50,7 +50,7 @@ func TestGeneratorsFillShape(t *testing.T) {
 			if err := tc.gen.FillScenario(rng, &sc, &scratch); err != nil {
 				t.Fatal(err)
 			}
-			if got := sc.NumFailed(); got != tc.wantFailed {
+			if got := sc.NumFailedBefore(math.Inf(1)); got != tc.wantFailed {
 				t.Fatalf("%d processors failed, want %d", got, tc.wantFailed)
 			}
 			for p, at := range sc.CrashTime {
@@ -93,7 +93,7 @@ func TestGroupGenCorrelated(t *testing.T) {
 		if first == 8 {
 			want = 2 // tail rack
 		}
-		if got := sc.NumFailed(); got != want {
+		if got := sc.NumFailedBefore(math.Inf(1)); got != want {
 			t.Fatalf("rack at %d lost %d processors, want %d", first, got, want)
 		}
 	}

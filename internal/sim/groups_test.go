@@ -1,15 +1,47 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"ftsched/internal/core"
+	"ftsched/internal/platform"
 )
 
+// groupCrash crashes an entire group of processors (e.g. a rack) at the
+// given time: group g covers processors [g·size, (g+1)·size) ∩ [0, m).
+func groupCrash(m, size, group int, at float64) (Scenario, error) {
+	if size < 1 {
+		return Scenario{}, fmt.Errorf("sim: group size %d", size)
+	}
+	lo := group * size
+	hi := lo + size
+	if group < 0 || lo >= m {
+		return Scenario{}, fmt.Errorf("sim: group %d outside platform of %d processors", group, m)
+	}
+	if hi > m {
+		hi = m
+	}
+	sc := NoFailures(m)
+	for p := lo; p < hi; p++ {
+		if err := sc.Crash(platform.ProcID(p), at); err != nil {
+			return Scenario{}, err
+		}
+	}
+	return sc, nil
+}
+
+// draw fills one scenario of m processors from gen.
+func draw(gen ScenarioGenerator, rng *rand.Rand, m int) (Scenario, error) {
+	sc := NewScenario(m)
+	err := gen.FillScenario(rng, &sc, new(ScenarioScratch))
+	return sc, err
+}
+
 func TestGroupCrash(t *testing.T) {
-	sc, err := GroupCrash(10, 3, 1, 5.0)
+	sc, err := groupCrash(10, 3, 1, 5.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,29 +55,29 @@ func TestGroupCrash(t *testing.T) {
 		}
 	}
 	// Last group may be partial.
-	sc, err = GroupCrash(10, 4, 2, 0)
+	sc, err = groupCrash(10, 4, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.NumFailed() != 2 {
-		t.Errorf("partial group failed %d, want 2", sc.NumFailed())
+	if n := sc.NumFailedBefore(math.Inf(1)); n != 2 {
+		t.Errorf("partial group failed %d, want 2", n)
 	}
-	if _, err := GroupCrash(10, 3, 5, 0); err == nil {
+	if _, err := groupCrash(10, 3, 5, 0); err == nil {
 		t.Error("out-of-range group accepted")
 	}
-	if _, err := GroupCrash(10, 0, 0, 0); err == nil {
+	if _, err := groupCrash(10, 0, 0, 0); err == nil {
 		t.Error("zero group size accepted")
 	}
 }
 
 func TestStaggeredCrashes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	sc, err := StaggeredCrashes(rng, 8, 3, 100)
+	sc, err := draw(StaggeredGen{N: 3, Horizon: 100}, rng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.NumFailed() != 3 {
-		t.Fatalf("failed %d, want 3", sc.NumFailed())
+	if n := sc.NumFailedBefore(math.Inf(1)); n != 3 {
+		t.Fatalf("failed %d, want 3", n)
 	}
 	// All crash times strictly inside (0, horizon).
 	for p, ct := range sc.CrashTime {
@@ -56,17 +88,17 @@ func TestStaggeredCrashes(t *testing.T) {
 			t.Errorf("P%d crash at %g outside (0,100)", p, ct)
 		}
 	}
-	if _, err := StaggeredCrashes(rng, 4, 5, 100); err == nil {
+	if _, err := draw(StaggeredGen{N: 5, Horizon: 100}, rng, 4); err == nil {
 		t.Error("too many crashes accepted")
 	}
-	if _, err := StaggeredCrashes(rng, 4, 2, 0); err == nil {
+	if _, err := draw(StaggeredGen{N: 2}, rng, 4); err == nil {
 		t.Error("zero horizon accepted")
 	}
 }
 
 func TestExponentialCrashes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	sc, err := ExponentialCrashes(rng, 50, 0.1)
+	sc, err := draw(ExponentialGen{Lambda: 0.1}, rng, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +115,7 @@ func TestExponentialCrashes(t *testing.T) {
 	if mean < 5 || mean > 20 {
 		t.Errorf("sample mean %g far from 10", mean)
 	}
-	if _, err := ExponentialCrashes(rng, 5, 0); err == nil {
+	if _, err := draw(ExponentialGen{}, rng, 5); err == nil {
 		t.Error("λ=0 accepted")
 	}
 }
@@ -96,7 +128,7 @@ func TestScheduleSurvivesGroupCrashWithinEpsilon(t *testing.T) {
 		t.Fatal(err)
 	}
 	for group := 0; group < 4; group++ {
-		sc, err := GroupCrash(8, 2, group, 0)
+		sc, err := groupCrash(8, 2, group, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +165,7 @@ func TestStaggeredCrashesLateFailuresCheaper(t *testing.T) {
 		}
 		early += resE.Latency
 		rngL := rand.New(rand.NewSource(int64(100 + i)))
-		scL, err := StaggeredCrashes(rngL, 10, eps, s.UpperBound()*2)
+		scL, err := draw(StaggeredGen{N: eps, Horizon: s.UpperBound() * 2}, rngL, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,13 +9,30 @@ import (
 	"ftsched/internal/workload"
 )
 
-// TestRackFailureOnClusteredPlatform ties the clustered platform generator
-// to the rack-failure scenario: ε sized to one full rack, schedules must
+// TestRackFailureOnClusteredPlatform ties a clustered platform to the
+// rack-failure scenario: ε sized to one full rack, schedules must
 // survive the loss of any entire rack.
 func TestRackFailureOnClusteredPlatform(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const racks, perRack = 4, 2
-	p, err := platform.NewClustered(rng, racks, perRack, 0.1, 0.2, 0.8, 1.0)
+	// Racks of perRack processors: intra-rack delays in [0.1, 0.2], slower
+	// inter-rack ones in [0.8, 1.0].
+	m := racks * perRack
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+	}
+	for k := 0; k < m; k++ {
+		for h := k + 1; h < m; h++ {
+			lo, hi := 0.8, 1.0
+			if k/perRack == h/perRack {
+				lo, hi = 0.1, 0.2
+			}
+			delay[k][h] = lo + rng.Float64()*(hi-lo)
+			delay[h][k] = delay[k][h]
+		}
+	}
+	p, err := platform.NewFromDelays(delay)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +54,7 @@ func TestRackFailureOnClusteredPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for rack := 0; rack < racks; rack++ {
-		sc, err := GroupCrash(racks*perRack, perRack, rack, 0)
+		sc, err := groupCrash(racks*perRack, perRack, rack, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +68,7 @@ func TestRackFailureOnClusteredPlatform(t *testing.T) {
 	}
 	// Losing two racks (2·perRack > ε) may legitimately fail, but the
 	// simulator must report it cleanly rather than hang or panic.
-	sc, err := GroupCrash(racks*perRack, 2*perRack, 0, 0)
+	sc, err := groupCrash(racks*perRack, 2*perRack, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

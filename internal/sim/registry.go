@@ -100,14 +100,6 @@ func LookupScenarioKind(name string) (ScenarioKindReg, bool) {
 	return r.entries[canon], true
 }
 
-// ScenarioKindNames lists the canonical kind names in registration order.
-func ScenarioKindNames() []string {
-	r := &scenarioRegistry
-	r.RLock()
-	defer r.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
 // ScenarioKindRegs lists the registry entries in registration order — the
 // capability surface the /scenarios endpoint and docs table are generated
 // from.

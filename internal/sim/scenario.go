@@ -64,21 +64,11 @@ func (s *Scenario) Crash(p platform.ProcID, at float64) error {
 	return nil
 }
 
-// NumFailed counts processors with a finite crash time.
-func (s Scenario) NumFailed() int {
-	n := 0
-	for _, c := range s.CrashTime {
-		if !math.IsInf(c, 1) {
-			n++
-		}
-	}
-	return n
-}
-
 // NumFailedBefore counts processors crashing strictly before time t — the
 // failures that can actually affect an execution finishing by t. Under a
-// lifetime law every crash time is finite, so NumFailed degenerates to the
-// platform size; this is the meaningful count for mission-window histograms.
+// lifetime law every crash time is finite, so counting finite crash times
+// degenerates to the platform size; this is the meaningful count for
+// mission-window histograms, and NumFailedBefore(+Inf) counts every crash.
 func (s Scenario) NumFailedBefore(t float64) int {
 	n := 0
 	for _, c := range s.CrashTime {

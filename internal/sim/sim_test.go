@@ -242,11 +242,11 @@ func TestScenarioValidation(t *testing.T) {
 	if err := sc.Crash(0, -1); err == nil {
 		t.Error("want error for negative crash time")
 	}
-	if got := sc.NumFailed(); got != 0 {
-		t.Errorf("NumFailed = %d, want 0", got)
+	if got := sc.NumFailedBefore(math.Inf(1)); got != 0 {
+		t.Errorf("%d failed, want 0", got)
 	}
 	_ = sc.Crash(1, 3)
-	if got := sc.NumFailed(); got != 1 {
-		t.Errorf("NumFailed = %d, want 1", got)
+	if got := sc.NumFailedBefore(math.Inf(1)); got != 1 {
+		t.Errorf("%d failed, want 1", got)
 	}
 }

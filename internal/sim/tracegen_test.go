@@ -251,7 +251,10 @@ func TestScenarioRegistryUnknownKind(t *testing.T) {
 }
 
 func TestScenarioKindRegsCoverLegacyOrder(t *testing.T) {
-	names := ScenarioKindNames()
+	var names []string
+	for _, k := range ScenarioKindRegs() {
+		names = append(names, k.Name)
+	}
 	want := []string{"uniform", "exp", "weibull", "group", "burst", "staggered", "trace"}
 	if len(names) != len(want) {
 		t.Fatalf("registry has %v, want %v", names, want)

@@ -32,13 +32,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddAll ingests a batch of samples.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
 // N returns the sample count.
 func (a *Accumulator) N() int { return a.n }
 

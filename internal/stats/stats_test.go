@@ -12,7 +12,9 @@ func TestAccumulatorBasics(t *testing.T) {
 	if a.N() != 0 || a.Mean() != 0 || a.StdDev() != 0 {
 		t.Error("zero accumulator not zero")
 	}
-	a.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		a.Add(x)
+	}
 	if a.N() != 8 {
 		t.Errorf("N = %d", a.N())
 	}
@@ -68,7 +70,9 @@ func TestPropWelfordMatchesNaive(t *testing.T) {
 			xs[i] = rng.NormFloat64()*50 + 1000
 		}
 		var a Accumulator
-		a.AddAll(xs)
+		for _, x := range xs {
+			a.Add(x)
+		}
 		mean := 0.0
 		for _, x := range xs {
 			mean += x
@@ -99,7 +103,9 @@ func TestPropExtremaAndOrdering(t *testing.T) {
 			}
 		}
 		var a Accumulator
-		a.AddAll(xs)
+		for _, x := range xs {
+			a.Add(x)
+		}
 		if a.Min() > a.Max() {
 			return false
 		}

@@ -30,10 +30,9 @@ func ExampleGaussianElimination() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("%d tasks, %d edges, %d entry, %d exit\n",
-		g.NumTasks(), g.NumEdges(), len(g.Entries()), len(g.Exits()))
+	fmt.Printf("%d tasks, %d edges, %d exit\n", g.NumTasks(), g.NumEdges(), len(g.Exits()))
 	// Output:
-	// 9 tasks, 11 edges, 1 entry, 1 exit
+	// 9 tasks, 11 edges, 1 exit
 }
 
 // ExampleCholesky sizes the tiled Cholesky factorization DAG.

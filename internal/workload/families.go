@@ -9,7 +9,7 @@ import (
 // The classic structured task-graph families used across the DAG-scheduling
 // literature (and by the examples in this repository). Every constructor
 // takes a uniform data volume per edge; callers wanting heterogeneous
-// volumes can post-process with Graph.SetVolume.
+// volumes build their own graph.
 
 // Chain returns a linear chain of n tasks.
 func Chain(n int, volume float64) (*dag.Graph, error) {
@@ -21,14 +21,6 @@ func Chain(n int, volume float64) (*dag.Graph, error) {
 		g.MustAddEdge(dag.TaskID(i), dag.TaskID(i+1), volume)
 	}
 	return g, nil
-}
-
-// Independent returns n tasks with no edges (maximum parallelism).
-func Independent(n int) (*dag.Graph, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("workload: need >=1 task, got %d", n)
-	}
-	return dag.NewWithTasks(fmt.Sprintf("independent-%d", n), n), nil
 }
 
 // ForkJoin returns a fork-join graph: one source task fanning out to width
@@ -177,15 +169,4 @@ func Stencil(rows, cols int, volume float64) (*dag.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// Diamond returns the 4-task diamond (1 source, 2 parallel, 1 sink); the
-// smallest graph exercising both a fork and a join. Handy in unit tests.
-func Diamond(volume float64) *dag.Graph {
-	g := dag.NewWithTasks("diamond", 4)
-	g.MustAddEdge(0, 1, volume)
-	g.MustAddEdge(0, 2, volume)
-	g.MustAddEdge(1, 3, volume)
-	g.MustAddEdge(2, 3, volume)
-	return g
 }
