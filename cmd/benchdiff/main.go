@@ -9,14 +9,6 @@
 //	          -baseline .github/bench-baseline.json -max-allocs-regression 0.25
 //	benchdiff -input bench.out -baseline .github/bench-baseline.json -update
 //
-// With -load, benchdiff compares ftload JSON reports instead of benchmark
-// output, gating serving-tier throughput (-max-throughput-drop, default 20%)
-// and per-endpoint corrected p99 (-max-p99-growth, default 30%):
-//
-//	ftload -mode closed -seed 1 -o BENCH_LOAD.json
-//	benchdiff -load -input BENCH_LOAD.json -baseline .github/load-baseline.json
-//	benchdiff -load -input BENCH_LOAD.json -baseline .github/load-baseline.json -update
-//
 // Multiple -count runs of one benchmark are folded by taking the minimum —
 // the least-noisy estimate of both ns/op and allocs/op. The gate compares
 // allocs/op only: allocation counts are a property of the code, essentially
@@ -38,14 +30,11 @@ import (
 
 func main() {
 	var (
-		input    = flag.String("input", "", "go test -bench output to parse (default stdin); an ftload report with -load")
+		input    = flag.String("input", "", "go test -bench output to parse (default stdin)")
 		out      = flag.String("out", "", "write the parsed manifest (benchmark -> ns/op, allocs/op) to this JSON file")
 		baseline = flag.String("baseline", "", "baseline manifest to gate against")
 		maxRegr  = flag.Float64("max-allocs-regression", 0.25, "maximum tolerated relative allocs/op growth vs. baseline")
 		update   = flag.Bool("update", false, "rewrite -baseline from the parsed input instead of gating")
-		loadMode = flag.Bool("load", false, "compare ftload JSON reports instead of go test -bench output")
-		maxTput  = flag.Float64("max-throughput-drop", 0.20, "-load: maximum tolerated relative throughput drop vs. baseline")
-		maxP99   = flag.Float64("max-p99-growth", 0.30, "-load: maximum tolerated relative per-endpoint p99 growth vs. baseline")
 	)
 	flag.Parse()
 
@@ -57,12 +46,6 @@ func main() {
 		}
 		defer f.Close()
 		r = f
-	}
-	if *loadMode {
-		if err := runLoadMode(r, *baseline, *update, *maxTput, *maxP99); err != nil {
-			fatal(err)
-		}
-		return
 	}
 	current, err := ParseBench(r)
 	if err != nil {

@@ -15,7 +15,8 @@
 //
 // Modes:
 //
-//	closed   N workers issue back-to-back requests (optional -think pause).
+//	closed   N workers issue back-to-back requests (optional -think pause,
+//	         which the other modes refuse).
 //	open     requests arrive at -rate/sec; latency is measured from each
 //	         request's intended send time, so sender backlog is charged to
 //	         the affected requests (coordinated-omission correction).
@@ -26,7 +27,7 @@
 // deterministic mode: a fixed seed yields a byte-identical report across
 // runs and across -workers values. With -target (or -deterministic=false),
 // latencies are wall-clock measurements. See docs/LOAD.md for the report
-// schema and benchdiff -load for comparing two reports.
+// schema and the determinism gate CI runs on it.
 package main
 
 import (
@@ -122,6 +123,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
+	if *requests < 1 || *workers < 1 {
+		return fmt.Errorf("need -requests >= 1 and -workers >= 1, got %d and %d", *requests, *workers)
+	}
 	zipfS := *zipf
 	if zipfS == 0 {
 		zipfS = load.ZipfUniform

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,7 +34,7 @@ func TestRunByteIdentical(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("reports differ between identical runs:\n--- first ---\n%s\n--- second ---\n%s", a.Bytes(), b.Bytes())
 	}
-	rep, err := load.ReadReport(a.Bytes())
+	rep, err := readReport(a.Bytes())
 	if err != nil {
 		t.Fatalf("parsing report: %v", err)
 	}
@@ -76,7 +79,7 @@ func TestRunShardCountInvariant(t *testing.T) {
 		if err := run(append([]string{"-shards", shards}, loadArgs...), &buf); err != nil {
 			t.Fatalf("shards=%s run: %v", shards, err)
 		}
-		rep, err := load.ReadReport(buf.Bytes())
+		rep, err := readReport(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +111,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-mode", "sideways"},
 		{"-profile", "nope"},
 		{"-requests", "-1"},
+		{"-requests", "0"},
+		{"-workers", "0"},
+		{"-mode", "open", "-think", "50ms", "-rate", "2000"},
 		{"-shards", "0"},
 		{"-shards", "2", "-target", "http://localhost:1"},
 		{"positional"},
@@ -134,7 +140,7 @@ func TestRunProfileFile(t *testing.T) {
 	if err := run(args, &buf); err != nil {
 		t.Fatalf("custom profile run: %v", err)
 	}
-	rep, err := load.ReadReport(buf.Bytes())
+	rep, err := readReport(buf.Bytes())
 	if err != nil {
 		t.Fatalf("parsing report: %v", err)
 	}
@@ -142,7 +148,7 @@ func TestRunProfileFile(t *testing.T) {
 		t.Fatalf("profile name = %q, want custom", rep.Profile.Name)
 	}
 	if len(rep.Endpoints) != 1 || rep.Endpoints["schedule"] == nil {
-		t.Fatalf("endpoints = %v, want schedule only", rep.EndpointNames())
+		t.Fatalf("endpoints = %v, want schedule only", endpointNames(rep))
 	}
 
 	bad := dir + "/bad.json"
@@ -158,4 +164,18 @@ func writeFile(t *testing.T, path, content string) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readReport parses a report written by Report.Marshal.
+func readReport(data []byte) (*load.Report, error) {
+	var r load.Report
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, err
+	}
+	return &r, nil
+}
+
+// endpointNames returns the report's endpoint keys, sorted.
+func endpointNames(r *load.Report) []string {
+	return slices.Sorted(maps.Keys(r.Endpoints))
 }

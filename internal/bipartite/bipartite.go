@@ -47,9 +47,6 @@ func (g *Graph) Reset(nLeft, nRight int) {
 	g.edges = g.edges[:0]
 }
 
-// NumEdges returns the number of edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // AddEdge inserts an edge l—r with weight w. Parallel edges are allowed
 // (callers in this codebase never create them, but the algorithms tolerate
 // them).
@@ -61,12 +58,6 @@ func (g *Graph) AddEdge(l, r int, w float64) error {
 	g.adj[l] = append(g.adj[l], len(g.edges)-1)
 	return nil
 }
-
-// Edges returns a copy of the edge list.
-func (g *Graph) Edges() []WeightedEdge { return append([]WeightedEdge(nil), g.edges...) }
-
-// Edge returns the i-th edge.
-func (g *Graph) Edge(i int) WeightedEdge { return g.edges[i] }
 
 // Matching maps each left vertex to its matched right vertex, or -1.
 type Matching []int

@@ -207,3 +207,9 @@ func TestPropBottleneckIsOptimal(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// NumEdges returns the number of edges.
+func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// Edges returns a copy of the edge list.
+func (g *Graph) Edges() []WeightedEdge { return append([]WeightedEdge(nil), g.edges...) }

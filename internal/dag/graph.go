@@ -154,18 +154,6 @@ func (g *Graph) Exits() []TaskID {
 	return out
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{name: g.name, e: g.e}
-	c.succs = make([][]Adj, len(g.succs))
-	c.preds = make([][]Adj, len(g.preds))
-	for i := range g.succs {
-		c.succs[i] = append([]Adj(nil), g.succs[i]...)
-		c.preds[i] = append([]Adj(nil), g.preds[i]...)
-	}
-	return c
-}
-
 // Validate reports ErrCycle unless g is acyclic. Every other invariant —
 // dense endpoints, symmetric adjacency, no self loops or duplicate edges —
 // holds by construction (AddEdge and decoding refuse what would break it).

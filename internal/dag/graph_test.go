@@ -318,3 +318,15 @@ func TestSortedSuccs(t *testing.T) {
 		}
 	}
 }
+
+// Clone returns a deep copy of g.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{name: g.name, e: g.e}
+	c.succs = make([][]Adj, len(g.succs))
+	c.preds = make([][]Adj, len(g.preds))
+	for i := range g.succs {
+		c.succs[i] = append([]Adj(nil), g.succs[i]...)
+		c.preds[i] = append([]Adj(nil), g.preds[i]...)
+	}
+	return c
+}

@@ -287,8 +287,8 @@ func TestCampaignFigure(t *testing.T) {
 		t.Fatalf("figure has %d series, want %d", len(f.Series), len(c.Schedulers))
 	}
 	for _, s := range f.Series {
-		if s.Len() != len(c.Granularities) {
-			t.Fatalf("series %q has %d points, want %d", s.Name, s.Len(), len(c.Granularities))
+		if len(s.Xs) != len(c.Granularities) {
+			t.Fatalf("series %q has %d points, want %d", s.Name, len(s.Xs), len(c.Granularities))
 		}
 	}
 	if _, err := CampaignFigure(res, "nope", 1, MetricCrash); err == nil {

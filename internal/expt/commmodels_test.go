@@ -23,7 +23,7 @@ func TestRunCommModels(t *testing.T) {
 				for _, p := range s.Points {
 					tot += p.Mean()
 				}
-				return tot / float64(s.Len())
+				return tot / float64(len(s.Xs))
 			}
 		}
 		t.Fatalf("missing series %q", name)

@@ -154,8 +154,8 @@ func TestCampaignFigureSplitsScenarios(t *testing.T) {
 	names := map[string]bool{}
 	for _, s := range f.Series {
 		names[s.Name] = true
-		if s.Len() != len(c.Granularities) {
-			t.Errorf("series %q has %d points, want %d", s.Name, s.Len(), len(c.Granularities))
+		if len(s.Xs) != len(c.Granularities) {
+			t.Errorf("series %q has %d points, want %d", s.Name, len(s.Xs), len(c.Granularities))
 		}
 		for _, p := range s.Points {
 			if p.N() != 1 {

@@ -47,7 +47,7 @@ func sweepMean(t *testing.T, f *Figure, name string) float64 {
 			for _, p := range s.Points {
 				tot += p.Mean()
 			}
-			return tot / float64(s.Len())
+			return tot / float64(len(s.Xs))
 		}
 	}
 	t.Fatalf("series %q missing from %q", name, f.Title)
@@ -119,8 +119,8 @@ func TestRunProducesAllSeries(t *testing.T) {
 				t.Errorf("figure %d panel %d legend = %q, want %q", fig, i, got, want[i])
 			}
 			for _, s := range f.Series {
-				if s.Len() != len(c.Granularities) {
-					t.Errorf("series %q has %d points, want %d", s.Name, s.Len(), len(c.Granularities))
+				if len(s.Xs) != len(c.Granularities) {
+					t.Errorf("series %q has %d points, want %d", s.Name, len(s.Xs), len(c.Granularities))
 				}
 				for _, p := range s.Points {
 					if p.N() != c.Instances {
@@ -158,7 +158,7 @@ func TestRunQualitativeShape(t *testing.T) {
 	}
 	// Latency grows with granularity for the FTSA lower bound.
 	s := bounds.Series[0]
-	if first, last := s.Points[0].Mean(), s.Points[s.Len()-1].Mean(); s.Name != "FTSA-LowerBound" || last <= first {
+	if first, last := s.Points[0].Mean(), s.Points[len(s.Xs)-1].Mean(); s.Name != "FTSA-LowerBound" || last <= first {
 		t.Errorf("normalized %s should grow with granularity: %.3f -> %.3f", s.Name, first, last)
 	}
 	// The fault-free FTBAR curve is the ε=0 FTBAR schedule, not FTSA's.

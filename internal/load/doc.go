@@ -25,5 +25,11 @@
 // stats.Histogram instruments whose merge is exact, which together with a
 // virtual clock gives the deterministic mode its defining property: a fixed
 // seed produces a byte-identical JSON Report at any worker count, making
-// the whole pipeline unit-testable and CI-gateable (cmd/benchdiff -load).
+// the whole pipeline unit-testable and letting CI gate a report by
+// comparing its bytes with a checked-in baseline.
+//
+// Both the closed and the open loop run on one of two engines, picked by
+// Options.Deterministic: runWall measures on the wall clock with Workers
+// goroutines, runVirtual simulates the senders on a virtual clock in
+// stream order.
 package load

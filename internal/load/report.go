@@ -3,7 +3,6 @@ package load
 import (
 	"bytes"
 	"encoding/json"
-	"sort"
 
 	"ftsched/internal/stats"
 )
@@ -81,11 +80,11 @@ type CapacityReport struct {
 	Iterations []CapacityIteration `json:"iterations"`
 }
 
-// Report is the machine-readable result of a load run — the artifact
-// cmd/benchdiff -load compares across PRs. Everything a rerun needs is
-// echoed: seed, zipf exponent, corpus spec and full profile. Deterministic
-// runs exclude wall-clock state entirely, so equal configurations marshal
-// byte-identically.
+// Report is the machine-readable result of a load run. Everything a rerun
+// needs is echoed: seed, zipf exponent, corpus spec and full profile.
+// Deterministic runs exclude wall-clock state entirely, so equal
+// configurations marshal byte-identically — the property CI's determinism
+// gate checks with cmp.
 type Report struct {
 	// Mode is "closed", "open" or "search".
 	Mode string `json:"mode"`
@@ -108,9 +107,8 @@ type Report struct {
 	Warmup int `json:"warmup,omitempty"`
 	// Shards echoes the worker-shard count behind the target (0: a plain
 	// unsharded server). A sharded deterministic closed-loop run reports the
-	// same numbers as an unsharded one — that is the sharding guarantee —
-	// but the deployments are different machines, so benchdiff treats the
-	// count as part of comparability.
+	// same numbers as an unsharded one — that is the sharding guarantee — so
+	// this echo is the only field in which the two reports differ.
 	Shards int `json:"shards,omitempty"`
 	// Requests is the total request count across endpoints.
 	Requests uint64 `json:"requests"`
@@ -144,25 +142,4 @@ func (r *Report) Marshal() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// ReadReport parses a report written by Marshal (or any JSON encoding of
-// Report).
-func ReadReport(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// EndpointNames returns the report's endpoint keys, sorted — the iteration
-// order comparators should use.
-func (r *Report) EndpointNames() []string {
-	names := make([]string, 0, len(r.Endpoints))
-	for name := range r.Endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -46,7 +46,7 @@ type Options struct {
 	// (default 4). In deterministic closed-loop mode it does not affect
 	// the report — see Report.ElapsedSeconds.
 	Workers int
-	// Think is the per-worker pause after each closed-loop request.
+	// Think is the per-worker pause after each request; closed mode only.
 	Think time.Duration
 	// Requests is the total request budget per run (per probe in search
 	// mode; default 1000).
@@ -61,8 +61,7 @@ type Options struct {
 	Rate float64
 	// Shards echoes how many worker shards serve behind the target (0: a
 	// plain unsharded server). The runner does not build the deployment —
-	// the caller does — but the count is part of a report's comparability:
-	// benchdiff refuses to gate a sharded run against an unsharded baseline.
+	// the caller does — so the report records which deployment it measured.
 	Shards int
 	// Seed drives every random choice; ZipfS is the popularity exponent.
 	// The zero value picks the default skew 1.0; pass ZipfUniform for an
@@ -165,6 +164,9 @@ func (o Options) validate() error {
 	if o.Think < 0 {
 		return fmt.Errorf("load: think time must be >= 0, got %v", o.Think)
 	}
+	if o.Think > 0 && o.Mode != "closed" {
+		return fmt.Errorf("load: think time applies to the closed loop only, not mode %q", o.Mode)
+	}
 	if o.Warmup < 0 {
 		return fmt.Errorf("load: warmup must be >= 0, got %d", o.Warmup)
 	}
@@ -235,20 +237,24 @@ func (r *recorder) observe(ep int, res Result, latNs, svcNs int64) {
 	e.svc.Record(svcNs)
 }
 
-// merge folds o into r; exact, order-independent.
+// add folds o into e; exact, order-independent.
+func (e *endpointRec) add(o *endpointRec) {
+	e.requests += o.requests
+	e.ok += o.ok
+	e.rejected += o.rejected
+	e.clientErr += o.clientErr
+	e.serverErr += o.serverErr
+	e.transportErr += o.transportErr
+	e.hits += o.hits
+	e.misses += o.misses
+	e.lat.Merge(&o.lat)
+	e.svc.Merge(&o.svc)
+}
+
+// merge folds o into r.
 func (r *recorder) merge(o *recorder) {
 	for i := range r.eps {
-		a, b := &r.eps[i], &o.eps[i]
-		a.requests += b.requests
-		a.ok += b.ok
-		a.rejected += b.rejected
-		a.clientErr += b.clientErr
-		a.serverErr += b.serverErr
-		a.transportErr += b.transportErr
-		a.hits += b.hits
-		a.misses += b.misses
-		a.lat.Merge(&b.lat)
-		a.svc.Merge(&b.svc)
+		r.eps[i].add(&o.eps[i])
 	}
 }
 
@@ -256,17 +262,7 @@ func (r *recorder) merge(o *recorder) {
 func (r *recorder) total() *endpointRec {
 	var t endpointRec
 	for i := range r.eps {
-		e := &r.eps[i]
-		t.requests += e.requests
-		t.ok += e.ok
-		t.rejected += e.rejected
-		t.clientErr += e.clientErr
-		t.serverErr += e.serverErr
-		t.transportErr += e.transportErr
-		t.hits += e.hits
-		t.misses += e.misses
-		t.lat.Merge(&e.lat)
-		t.svc.Merge(&e.svc)
+		t.add(&r.eps[i])
 	}
 	return &t
 }
@@ -339,38 +335,34 @@ func Run(target Target, opts Options) (*Report, error) {
 		target.Do(req.Path, req.Body)
 	}
 
-	switch opts.Mode {
-	case "closed":
-		rec := new(recorder)
-		var elapsedNs int64
-		if opts.Deterministic {
-			elapsedNs, err = runClosedVirtual(target, sy, opts, rec)
-		} else {
-			elapsedNs, err = runClosedReal(target, sy, opts, rec)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fillReport(rep, rec, elapsedNs, false)
-	case "open":
-		rep.RatePerSec = opts.Rate
-		rec := new(recorder)
-		var elapsedNs int64
-		if opts.Deterministic {
-			elapsedNs, err = runOpenVirtual(target, sy, opts, opts.Rate, rec)
-		} else {
-			elapsedNs, err = runOpenReal(target, sy, opts, opts.Rate, rec)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fillReport(rep, rec, elapsedNs, true)
-	case "search":
+	if opts.Mode == "search" {
 		if err := runSearch(target, sy, opts, rep); err != nil {
 			return nil, err
 		}
+		return rep, nil
 	}
+	if opts.Mode == "open" {
+		rep.RatePerSec = opts.Rate
+	}
+	rec, elapsedNs, err := measure(target, sy, opts, rep.RatePerSec)
+	if err != nil {
+		return nil, err
+	}
+	fillReport(rep, rec, elapsedNs, rep.RatePerSec > 0)
 	return rep, nil
+}
+
+// measure runs one measured pass at an open-loop arrival rate, or the closed
+// loop when rate is 0, on the clock Options.Deterministic selects. It
+// returns the pass's recorder and elapsed nanoseconds.
+func measure(target Target, sy *Synthesizer, opts Options, rate float64) (*recorder, int64, error) {
+	rec := new(recorder)
+	run := runWall
+	if opts.Deterministic {
+		run = runVirtual
+	}
+	elapsedNs, err := run(target, sy, opts, rate, rec)
+	return rec, elapsedNs, err
 }
 
 // fillReport finishes the report from the merged recorder.
@@ -390,60 +382,15 @@ func fillReport(rep *Report, rec *recorder, elapsedNs int64, open bool) {
 	}
 }
 
-// runClosedReal is the wall-clock closed loop: Workers goroutines issuing
-// back-to-back requests from the shared index stream, one private recorder
-// each, merged afterwards in worker order.
-func runClosedReal(target Target, sy *Synthesizer, opts Options, out *recorder) (int64, error) {
-	var (
-		next    atomic.Uint64
-		wg      sync.WaitGroup
-		recs    = make([]recorder, opts.Workers)
-		errOnce sync.Once
-		runErr  error
-	)
-	start := time.Now()
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rec := &recs[w]
-			for {
-				i := next.Add(1) - 1
-				if i >= uint64(opts.Requests) {
-					return
-				}
-				req, err := sy.Request(i)
-				if err != nil {
-					errOnce.Do(func() { runErr = err })
-					return
-				}
-				t0 := time.Now()
-				res := target.Do(req.Path, req.Body)
-				d := time.Since(t0).Nanoseconds()
-				rec.observe(epIndex(req.Endpoint), res, d, d)
-				if opts.Think > 0 {
-					time.Sleep(opts.Think)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Nanoseconds()
-	if runErr != nil {
-		return 0, runErr
-	}
-	for w := range recs {
-		out.merge(&recs[w])
-	}
-	return elapsed, nil
-}
-
-// runOpenReal is the wall-clock open loop: every request index has an
-// intended send time start + i/rate; senders sleep until it, and latency is
-// measured from the intended time, so sender backlog (all Workers busy past
-// a request's slot) is charged to the affected requests instead of being
-// silently omitted — the coordinated-omission correction.
-func runOpenReal(target Target, sy *Synthesizer, opts Options, rate float64, out *recorder) (int64, error) {
+// runWall measures on the wall clock: Workers goroutines take indices from
+// the shared request stream, one private recorder each, merged afterwards in
+// worker order. With a rate (the open loop) request i has an intended send
+// time start + i/rate; a worker sleeps until it, and latency is measured from
+// the intended time, so sender backlog (all Workers busy past a request's
+// slot) is charged to the affected requests instead of being silently
+// omitted — the coordinated-omission correction. With rate 0 (the closed
+// loop) the intended time is the actual send time.
+func runWall(target Target, sy *Synthesizer, opts Options, rate float64, out *recorder) (int64, error) {
 	var (
 		next    atomic.Uint64
 		wg      sync.WaitGroup
@@ -453,11 +400,10 @@ func runOpenReal(target Target, sy *Synthesizer, opts Options, rate float64, out
 	)
 	interval := float64(time.Second) / rate
 	start := time.Now()
-	for w := 0; w < opts.Workers; w++ {
+	for w := range recs {
 		wg.Add(1)
-		go func(w int) {
+		go func(rec *recorder) {
 			defer wg.Done()
-			rec := &recs[w]
 			for {
 				i := next.Add(1) - 1
 				if i >= uint64(opts.Requests) {
@@ -468,17 +414,20 @@ func runOpenReal(target Target, sy *Synthesizer, opts Options, rate float64, out
 					errOnce.Do(func() { runErr = err })
 					return
 				}
-				intended := start.Add(time.Duration(float64(i) * interval))
-				if d := time.Until(intended); d > 0 {
-					time.Sleep(d)
-				}
 				t0 := time.Now()
+				intended := t0
+				if rate > 0 {
+					intended = start.Add(time.Duration(float64(i) * interval))
+					time.Sleep(time.Until(intended))
+					t0 = time.Now()
+				}
 				res := target.Do(req.Path, req.Body)
 				end := time.Now()
 				rec.observe(epIndex(req.Endpoint), res,
 					end.Sub(intended).Nanoseconds(), end.Sub(t0).Nanoseconds())
+				time.Sleep(opts.Think)
 			}
-		}(w)
+		}(&recs[w])
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Nanoseconds()
@@ -501,14 +450,7 @@ func runSearch(target Target, sy *Synthesizer, opts Options, rep *Report) error 
 		ErrorBudget: opts.ErrorBudget,
 	}
 	probe := func(rate float64) (*recorder, int64, *CapacityIteration, error) {
-		rec := new(recorder)
-		var elapsedNs int64
-		var err error
-		if opts.Deterministic {
-			elapsedNs, err = runOpenVirtual(target, sy, opts, rate, rec)
-		} else {
-			elapsedNs, err = runOpenReal(target, sy, opts, rate, rec)
-		}
+		rec, elapsedNs, err := measure(target, sy, opts, rate)
 		if err != nil {
 			return nil, 0, nil, err
 		}

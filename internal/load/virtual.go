@@ -1,5 +1,7 @@
 package load
 
+import "slices"
+
 // The deterministic engines: a virtual clock drives pacing while the real
 // in-process server still answers every request, so cache behavior, status
 // codes and response bodies are genuine — only time is simulated. Requests
@@ -16,44 +18,33 @@ package load
 //   - Latencies come from the CostFn, which sees the real response (a hit
 //     costs less than a miss), and land in integral histograms.
 
-// runClosedVirtual simulates Workers closed-loop workers on the virtual
-// clock. Worker identity does not influence any recorded value (each
+// runVirtual simulates one pass on the virtual clock. Each of senders slots
+// holds the virtual time at which it is next free; request i takes the
+// earliest-free slot. With a rate (the open loop) there are Workers senders
+// and request i is *intended* to leave at i/rate seconds: the corrected
+// latency charges the wait for a free sender to the request (completion −
+// intended), while the uncorrected service view records only completion −
+// actual send — exactly the gap coordinated omission hides. A CostFn stall
+// therefore inflates the corrected tail by the backlog it causes, which is
+// what the stall-injection test pins. The elapsed time is the last
+// completion.
+//
+// With rate 0 (the closed loop) there is one sender and the intended time is
+// the send time. Worker identity does not influence any recorded value (each
 // request costs Cost(req) + Think of one worker's time, whichever worker
-// runs it), so the loop only accumulates total occupied worker time; the
+// runs it), so one sender accumulates the total occupied worker time; the
 // report's ElapsedSeconds is that total and Throughput is requests per
 // occupied-worker-second — deliberately concurrency-normalized so the
 // deterministic baseline cannot drift when CI changes -workers.
-func runClosedVirtual(target Target, sy *Synthesizer, opts Options, rec *recorder) (int64, error) {
-	thinkNs := opts.Think.Nanoseconds()
-	var busyNs int64
-	for i := 0; i < opts.Requests; i++ {
-		req, err := sy.Request(uint64(i))
-		if err != nil {
-			return 0, err
-		}
-		res := target.Do(req.Path, req.Body)
-		svcNs := opts.Cost(req, res).Nanoseconds()
-		// Closed loop: intended and actual send coincide, so corrected
-		// and uncorrected latency are the same sample.
-		rec.observe(epIndex(req.Endpoint), res, svcNs, svcNs)
-		busyNs += svcNs + thinkNs
+func runVirtual(target Target, sy *Synthesizer, opts Options, rate float64, rec *recorder) (int64, error) {
+	senders := 1
+	if rate > 0 {
+		senders = opts.Workers
 	}
-	return busyNs, nil
-}
-
-// runOpenVirtual simulates the open loop on the virtual clock: request i is
-// *intended* to leave at i/rate seconds; one of Workers senders picks it up
-// when free. The corrected latency charges the wait for a free sender to
-// the request (completion − intended), while the uncorrected service view
-// records only completion − actual send — exactly the gap coordinated
-// omission hides. A CostFn stall therefore inflates the corrected tail by
-// the backlog it causes, which is what the stall-injection test pins.
-func runOpenVirtual(target Target, sy *Synthesizer, opts Options, rate float64, rec *recorder) (int64, error) {
-	free := make([]int64, opts.Workers) // per-sender next-free virtual ns
+	free := make([]int64, senders) // per-sender next-free virtual ns
 	nsPerReq := 1e9 / rate
-	var last int64
+	thinkNs := opts.Think.Nanoseconds()
 	for i := 0; i < opts.Requests; i++ {
-		intended := int64(float64(i) * nsPerReq)
 		// Earliest-free sender, lowest index on ties: deterministic.
 		w := 0
 		for j := 1; j < len(free); j++ {
@@ -61,9 +52,10 @@ func runOpenVirtual(target Target, sy *Synthesizer, opts Options, rate float64, 
 				w = j
 			}
 		}
-		send := intended
-		if free[w] > send {
-			send = free[w]
+		send, intended := free[w], free[w]
+		if rate > 0 {
+			intended = int64(float64(i) * nsPerReq)
+			send = max(send, intended)
 		}
 		req, err := sy.Request(uint64(i))
 		if err != nil {
@@ -73,10 +65,7 @@ func runOpenVirtual(target Target, sy *Synthesizer, opts Options, rate float64, 
 		svcNs := opts.Cost(req, res).Nanoseconds()
 		completion := send + svcNs
 		rec.observe(epIndex(req.Endpoint), res, completion-intended, svcNs)
-		free[w] = completion
-		if completion > last {
-			last = completion
-		}
+		free[w] = completion + thinkNs
 	}
-	return last, nil
+	return slices.Max(free), nil
 }

@@ -43,9 +43,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return &Zipf{cdf: cdf}, nil
 }
 
-// N returns the rank count.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Rank maps a uniform u in [0,1) to its rank — the inverse CDF.
 func (z *Zipf) Rank(u float64) int {
 	return sort.SearchFloat64s(z.cdf, u)

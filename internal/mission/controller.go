@@ -174,9 +174,6 @@ func NewController(spec Spec) (*Controller, error) {
 // InitialPlan returns the segment-0 schedule (shared; read-only).
 func (c *Controller) InitialPlan() *sched.Schedule { return c.plan0 }
 
-// Policy returns the spec's resolved policy.
-func (c *Controller) Policy() Policy { return c.spec.Policy }
-
 // rngFor returns the tie-breaking stream for one segment's scheduling run.
 // Segment 0 must match what the serving layer does for a plain /schedule
 // with the same seed — that identity is what makes a static-policy mission

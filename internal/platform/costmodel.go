@@ -172,15 +172,6 @@ func (cm *CostModel) Scale(factor float64) error {
 	return nil
 }
 
-// Clone deep-copies the model.
-func (cm *CostModel) Clone() *CostModel {
-	c := &CostModel{cost: make([][]float64, len(cm.cost))}
-	for t := range cm.cost {
-		c.cost[t] = append([]float64(nil), cm.cost[t]...)
-	}
-	return c
-}
-
 // MarshalJSON implements json.Marshaler.
 func (cm *CostModel) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {

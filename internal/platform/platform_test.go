@@ -275,3 +275,12 @@ func TestPropMeanFastestMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Clone deep-copies the model.
+func (cm *CostModel) Clone() *CostModel {
+	c := &CostModel{cost: make([][]float64, len(cm.cost))}
+	for t := range cm.cost {
+		c.cost[t] = append([]float64(nil), cm.cost[t]...)
+	}
+	return c
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
@@ -18,11 +17,6 @@ type Exponential struct {
 
 // ErrBadRate reports a non-positive failure rate.
 var ErrBadRate = errors.New("reliability: failure rate must be positive")
-
-// Sample draws one crash time.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / e.Lambda
-}
 
 // Generator bridges the law to the simulator's batch evaluation engine:
 // sim.Evaluate with this generator draws exactly the scenarios MonteCarlo
@@ -39,26 +33,6 @@ type Weibull struct {
 	// Shape is the Weibull k parameter; Scale the characteristic life λ
 	// (the time by which ~63.2% of processors have failed).
 	Shape, Scale float64
-}
-
-// Validate checks the law's parameters.
-func (w Weibull) Validate() error {
-	if w.Shape <= 0 || w.Scale <= 0 {
-		return fmt.Errorf("reliability: Weibull shape and scale must be positive, got k=%g λ=%g", w.Shape, w.Scale)
-	}
-	return nil
-}
-
-// Sample draws one crash time by inverse transform: λ·E^(1/k) with E
-// standard exponential — the same draw sim.WeibullGen makes, so a seeded
-// stream here reproduces the generator's scenarios.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	return w.Scale * math.Pow(rng.ExpFloat64(), 1/w.Shape)
-}
-
-// Generator bridges the law to the simulator's batch evaluation engine.
-func (w Weibull) Generator() sim.ScenarioGenerator {
-	return sim.WeibullGen{Shape: w.Shape, Scale: w.Scale}
 }
 
 // SurvivalLowerBound returns the probability that at most epsilon of m

@@ -1,6 +1,7 @@
 package reliability
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -213,4 +214,29 @@ func TestWeibullLaw(t *testing.T) {
 			t.Fatalf("processor %d: generator drew %g, law drew %g", p, got, want)
 		}
 	}
+}
+
+// Sample draws one crash time.
+func (e Exponential) Sample(rng *rand.Rand) float64 {
+	return rng.ExpFloat64() / e.Lambda
+}
+
+// Validate checks the law's parameters.
+func (w Weibull) Validate() error {
+	if w.Shape <= 0 || w.Scale <= 0 {
+		return fmt.Errorf("reliability: Weibull shape and scale must be positive, got k=%g λ=%g", w.Shape, w.Scale)
+	}
+	return nil
+}
+
+// Sample draws one crash time by inverse transform: λ·E^(1/k) with E
+// standard exponential — the same draw sim.WeibullGen makes, so a seeded
+// stream here reproduces the generator's scenarios.
+func (w Weibull) Sample(rng *rand.Rand) float64 {
+	return w.Scale * math.Pow(rng.ExpFloat64(), 1/w.Shape)
+}
+
+// Generator bridges the law to the simulator's batch evaluation engine.
+func (w Weibull) Generator() sim.ScenarioGenerator {
+	return sim.WeibullGen{Shape: w.Shape, Scale: w.Scale}
 }

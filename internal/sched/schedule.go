@@ -181,14 +181,6 @@ func (s *Schedule) SetMatchedSources(t dag.TaskID, src [][]int) error {
 // slice is owned by the schedule.
 func (s *Schedule) Replicas(t dag.TaskID) []Replica { return s.replicas[t] }
 
-// Replica returns copy c of task t.
-func (s *Schedule) Replica(t dag.TaskID, c int) (Replica, error) {
-	if !s.Graph.Valid(t) || s.replicas[t] == nil || c < 0 || c >= len(s.replicas[t]) {
-		return Replica{}, fmt.Errorf("%w: task %d copy %d", ErrNotScheduled, t, c)
-	}
-	return s.replicas[t][c], nil
-}
-
 // MatchedSource returns, under PatternMatched, the predecessor copy feeding
 // copy c of t for predecessor index predIdx.
 func (s *Schedule) MatchedSource(t dag.TaskID, c, predIdx int) (int, error) {

@@ -115,14 +115,6 @@ func (h *Histogram) Merge(other *Histogram) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Min returns the exact smallest recorded sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the exact largest recorded sample (0 when empty).
 func (h *Histogram) Max() int64 {
 	if h.count == 0 {

@@ -140,3 +140,11 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 			h.Min(), h.Max(), h.Count())
 	}
 }
+
+// Min returns the exact smallest recorded sample (0 when empty).
+func (h *Histogram) Min() int64 {
+	if h.count == 0 {
+		return 0
+	}
+	return h.min
+}

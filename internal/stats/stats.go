@@ -107,6 +107,3 @@ func (s *Series) Means() []float64 {
 	}
 	return out
 }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Xs) }

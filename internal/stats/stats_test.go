@@ -49,8 +49,8 @@ func TestSeries(t *testing.T) {
 	s.At(0.2).Add(1)
 	s.At(0.2).Add(3)
 	s.At(0.4).Add(10)
-	if s.Len() != 2 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.Xs) != 2 {
+		t.Errorf("Len = %d", len(s.Xs))
 	}
 	means := s.Means()
 	if means[0] != 2 || means[1] != 10 {

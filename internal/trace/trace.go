@@ -29,7 +29,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -130,22 +129,6 @@ func Check(events []Event) error {
 	return nil
 }
 
-// Write renders events in the canonical JSONL form Parse reads, one event
-// per line. Parse(Write(events)) round-trips exactly.
-func Write(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, ev := range events {
-		if err := enc.Encode(ev); err != nil {
-			return fmt.Errorf("trace: %v", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("trace: %v", err)
-	}
-	return nil
-}
-
 // MaxProc returns the largest processor id in events (-1 when empty) — the
 // minimum platform size a trace needs is MaxProc+1.
 func MaxProc(events []Event) int {
@@ -235,21 +218,4 @@ func looksLikeHeader(fields []string) bool {
 		}
 	}
 	return false
-}
-
-// Sorted returns a copy of events ordered by (time, proc, group) — the
-// canonical order for display and diffing. Parse preserves file order, which
-// resampling depends on, so sorting is explicit and never implicit.
-func Sorted(events []Event) []Event {
-	out := append([]Event(nil), events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		if out[i].Proc != out[j].Proc {
-			return out[i].Proc < out[j].Proc
-		}
-		return out[i].Group < out[j].Group
-	})
-	return out
 }

@@ -1,8 +1,13 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -154,4 +159,37 @@ func TestCheck(t *testing.T) {
 	if err := Check([]Event{{Proc: -1, Time: 1}}); err == nil {
 		t.Fatal("Check accepted a negative processor id")
 	}
+}
+
+// Write renders events in the canonical JSONL form Parse reads, one event
+// per line. Parse(Write(events)) round-trips exactly.
+func Write(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			return fmt.Errorf("trace: %v", err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return fmt.Errorf("trace: %v", err)
+	}
+	return nil
+}
+
+// Sorted returns a copy of events ordered by (time, proc, group) — the
+// canonical order for display and diffing. Parse preserves file order, which
+// resampling depends on, so sorting is explicit and never implicit.
+func Sorted(events []Event) []Event {
+	out := append([]Event(nil), events...)
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Time != out[j].Time {
+			return out[i].Time < out[j].Time
+		}
+		if out[i].Proc != out[j].Proc {
+			return out[i].Proc < out[j].Proc
+		}
+		return out[i].Group < out[j].Group
+	})
+	return out
 }

@@ -129,8 +129,3 @@ func (in *Instance) ScaleToGranularity(target float64) error {
 	}
 	return in.Costs.Scale(target / cur)
 }
-
-// Granularity reports g(G,P) for the instance.
-func (in *Instance) Granularity() (float64, error) {
-	return platform.Granularity(in.Graph, in.Costs, in.Platform)
-}

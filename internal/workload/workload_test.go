@@ -304,3 +304,8 @@ func TestPropGeneratedInstancesSchedulable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Granularity reports g(G,P) for the instance.
+func (in *Instance) Granularity() (float64, error) {
+	return platform.Granularity(in.Graph, in.Costs, in.Platform)
+}
