@@ -198,6 +198,7 @@ func TestRejectedInvocations(t *testing.T) {
 		{"-campaign tune -evaluate uniform:1 -robust", 1, "-robust requires -worst-case"},
 		{"-campaign tune -evaluate uniform:1 -instances 3", 1, "-instances does not apply to -campaign tune"},
 		{"-campaign tune", 1, "-campaign tune needs -evaluate"},
+		{"-campaign custom -evaluate exp:NaN -instances 1 -gran 1", 1, `bad number "NaN"`},
 		{"-table 1 -format csv", 1, "-table 1 supports -format ascii"},
 		{"-table 1 -instances 3", 1, "-instances does not apply to -table 1"},
 		{"-table 2", 1, "-table 2"},

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -150,37 +149,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.countSchedulers(scheds)
 
 	// Serve phase 1: resolve what the cache already holds. Misses are
-	// collected per distinct fingerprint so repeated items cost one
-	// computation.
+	// collected per distinct fingerprint, keyed to the first item missing it,
+	// so repeated items cost one computation.
 	fps := make([]Fingerprint, len(items))
 	bodies := make([][]byte, len(items))
-	needed := 0
+	first := make(map[Fingerprint]int)
 	for i, it := range items {
 		fps[i] = RequestFingerprint(it)
 		if v, hit := s.cache.Get(fps[i]); hit {
 			bodies[i] = v.([]byte)
-		} else if _, dup := firstMissIndex(fps, bodies, i); !dup {
-			needed++
+		} else if _, dup := first[fps[i]]; !dup {
+			first[fps[i]] = i
 		}
 	}
 
 	// Serve phase 2: compute every distinct missing fingerprint in ONE pool
-	// job — the batch holds one admission slot. The counters for the batch's
-	// requests are committed only on a terminal outcome, never partially.
-	computed := make(map[Fingerprint][]byte, needed)
-	if needed > 0 {
+	// job — the batch holds one admission slot — into the body of its first
+	// missing item. The counters for the batch's requests are committed only
+	// on a terminal outcome, never partially.
+	if len(first) > 0 {
 		done := make(chan error, 1)
 		submitErr := s.pool.TrySubmit(func() {
 			done <- func() error {
 				for i, it := range items {
-					if bodies[i] != nil || computed[fps[i]] != nil {
+					if j, ok := first[fps[i]]; !ok || j != i {
 						continue
 					}
 					body, err := s.protect(fps[i], func() ([]byte, error) { return s.schedule(it) })
 					if err != nil {
 						return fmt.Errorf("requests[%d]: scheduling failed: %w", i, err)
 					}
-					computed[fps[i]] = body
+					bodies[i] = body
 				}
 				return nil
 			}()
@@ -215,33 +214,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// response marshals, so the terminal outcome is all-hits-and-misses or
 	// all-internal-errors, never a mix.
 	resp := &BatchResponse{Count: len(items), Items: make([]BatchItemResult, len(items))}
-	counted := make(map[Fingerprint]bool, len(computed))
 	var shared uint64
 	for i := range items {
 		status := "hit"
-		if bodies[i] == nil {
-			bodies[i] = computed[fps[i]]
-			if !counted[fps[i]] {
-				counted[fps[i]] = true
-				status = "miss"
-				resp.CacheMisses++
-			} else {
-				shared++
-				resp.CacheHits++
-			}
+		if j, ok := first[fps[i]]; ok && j == i {
+			status = "miss"
+			resp.CacheMisses++
 		} else {
+			if ok && bodies[i] == nil {
+				bodies[i] = bodies[j]
+				shared++
+			}
 			resp.CacheHits++
 		}
 		resp.Items[i] = BatchItemResult{Cache: status, Response: json.RawMessage(bodies[i])}
 	}
-	body, err := marshalBatchResponse(resp)
+	body, err := marshalCompact(resp)
 	if err != nil {
 		s.internalErrors.Add(uint64(len(items)) - 1)
 		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	for fp, b := range computed {
-		s.cache.Put(fp, b)
+	for fp, i := range first {
+		s.cache.Put(fp, bodies[i])
 	}
 	s.hits.Add(uint64(resp.CacheHits))
 	s.misses.Add(uint64(resp.CacheMisses))
@@ -255,29 +250,4 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.logRequest(r, "/schedule/batch",
 		fmt.Sprintf("items=%d tasks=%d procs=%d", len(items), req.Graph.NumTasks(), req.Platform.NumProcs()),
 		status, start)
-}
-
-// firstMissIndex reports whether fps[i] already appeared as a miss at an
-// earlier index (bodies[j] == nil marks index j as missing).
-func firstMissIndex(fps []Fingerprint, bodies [][]byte, i int) (int, bool) {
-	for j := 0; j < i; j++ {
-		if bodies[j] == nil && fps[j] == fps[i] {
-			return j, true
-		}
-	}
-	return -1, false
-}
-
-// marshalBatchResponse serializes the batch response with the same
-// determinism discipline as marshalResponse. Embedded RawMessage item bodies
-// are re-compacted by the encoder, which strips their trailing newline — the
-// only byte-level difference from the standalone /schedule bodies.
-func marshalBatchResponse(resp *BatchResponse) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -8,50 +8,21 @@ import (
 	"ftsched/internal/sim"
 )
 
-// ScenarioKindInfo is one scenario kind of a GET /scenarios response — the
-// registry entry's documented surface, minus its behaviors.
-type ScenarioKindInfo struct {
-	// Name is the canonical kind name; Aliases are accepted alternatives.
-	Name    string   `json:"name"`
-	Aliases []string `json:"aliases,omitempty"`
-	// Summary is the one-line description; FlagForm the colon-separated CLI
-	// syntax (ftsched -scenario, ftexp specs).
-	Summary  string `json:"summary"`
-	FlagForm string `json:"flag_form"`
-	// Params documents the scenario-spec fields the kind reads.
-	Params []sim.ScenarioParam `json:"params"`
-}
-
-// ScenariosResponse is the body of GET /scenarios: every registered
-// failure-scenario kind, in registration order.
+// ScenariosResponse is the body of GET /scenarios: every failure-scenario
+// kind, in table order. The rows serialize their documented surface only;
+// encoding/json skips their unexported behaviors.
 type ScenariosResponse struct {
-	Kinds []ScenarioKindInfo `json:"kinds"`
-}
-
-// scenarioKindInfos projects the registry onto the discovery surface.
-func scenarioKindInfos() []ScenarioKindInfo {
-	regs := sim.ScenarioKindRegs()
-	out := make([]ScenarioKindInfo, 0, len(regs))
-	for _, k := range regs {
-		out = append(out, ScenarioKindInfo{
-			Name:     k.Name,
-			Aliases:  k.Aliases,
-			Summary:  k.Summary,
-			FlagForm: k.FlagForm,
-			Params:   k.Params,
-		})
-	}
-	return out
+	Kinds []sim.ScenarioKindReg `json:"kinds"`
 }
 
 // ScenariosHandler serves GET /scenarios: scenario-kind discovery, generated
-// from the registry so the response can never go stale. The registry is
-// process-global and fixed after init, so any front door can serve it
+// from the scenario-kind table so the response can never go stale. The table
+// is process-global and fixed after init, so any front door can serve it
 // directly — the coordinator answers at the door instead of hopping to a
 // shard. Like /stats and /healthz it is an uncounted read — no request
 // counter, no cache (the body is already deterministic).
 func ScenariosHandler(w http.ResponseWriter, r *http.Request) {
-	body, err := marshalCompact(&ScenariosResponse{Kinds: scenarioKindInfos()})
+	body, err := marshalCompact(&ScenariosResponse{Kinds: sim.ScenarioKindRegs()})
 	if err != nil {
 		writeErrorBody(w, http.StatusInternalServerError, err)
 		return
@@ -64,7 +35,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	ScenariosHandler(w, r)
 }
 
-// ScenarioKindTable renders the scenario-kind registry as a GitHub-flavored
+// ScenarioKindTable renders the scenario-kind table as a GitHub-flavored
 // markdown table. docs/API.md embeds it between generated-table markers, and
 // a drift test asserts the embedded copy matches, so the documented kind list
 // cannot go stale.
@@ -72,7 +43,7 @@ func ScenarioKindTable() string {
 	var b strings.Builder
 	b.WriteString("| Kind | Flag form | Parameters | Description |\n")
 	b.WriteString("|---|---|---|---|\n")
-	for _, k := range scenarioKindInfos() {
+	for _, k := range sim.ScenarioKindRegs() {
 		name := k.Name
 		if len(k.Aliases) > 0 {
 			name += " (alias " + strings.Join(k.Aliases, ", ") + ")"

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 
@@ -48,6 +51,28 @@ func TestScenariosEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /scenarios = %d, want 405", resp.StatusCode)
+	}
+}
+
+// The GET /scenarios body is pinned byte for byte: the kind table rows are
+// served as-is, so a lost or renamed JSON tag shows here.
+func TestScenariosBodyGolden(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/scenarios.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("GET /scenarios drifted from testdata/scenarios.golden:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -199,21 +197,9 @@ func (s *Server) runTune(req *TuneRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return marshalTuneResponse(&TuneResponse{
+	return marshalCompact(&TuneResponse{
 		Tasks:  req.Graph.NumTasks(),
 		Procs:  req.Platform.NumProcs(),
 		Result: *res,
 	})
-}
-
-// marshalTuneResponse serializes a response deterministically (compact JSON,
-// struct field order) — the property the byte-exact cache relies on.
-func marshalTuneResponse(resp *TuneResponse) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

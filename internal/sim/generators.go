@@ -294,10 +294,9 @@ func (g StaggeredGen) Spec() ScenarioSpec {
 // shape the /evaluate endpoint, the ftexp campaign axis and ftsched
 // -scenario share. Only the fields the Kind uses are meaningful; Generator
 // rejects inconsistent specs. Kind dispatch (parsing, canonical rendering,
-// materialization) delegates to the scenario-kind registry, so new kinds
-// plug in via RegisterScenarioKind without touching this type's methods.
+// materialization) goes through the scenario-kind table (registry.go).
 type ScenarioSpec struct {
-	// Kind selects the generator by registry name: "uniform", "exp",
+	// Kind selects the generator by table name: "uniform", "exp",
 	// "weibull", "group", "burst", "staggered" or "trace".
 	Kind string `json:"kind"`
 	// Crashes is the crash count of "uniform", "burst" and "staggered".
@@ -324,11 +323,11 @@ func (sp ScenarioSpec) Generator() (ScenarioGenerator, error) {
 	if sp.Kind == "" {
 		return nil, fmt.Errorf("sim: scenario spec missing kind (known: %s)", strings.Join(ScenarioKinds(), ", "))
 	}
-	k, ok := LookupScenarioKind(sp.Kind)
-	if !ok {
+	k := lookupScenarioKind(sp.Kind)
+	if k == nil {
 		return nil, unknownScenarioKind(sp.Kind)
 	}
-	return k.Build(sp)
+	return k.build(sp)
 }
 
 // String renders the spec in the kind's canonical colon-separated form, with
@@ -336,26 +335,26 @@ func (sp ScenarioSpec) Generator() (ScenarioGenerator, error) {
 // property the response cache keys on). An unknown kind renders as its bare
 // name.
 func (sp ScenarioSpec) String() string {
-	k, ok := LookupScenarioKind(sp.Kind)
-	if !ok {
+	k := lookupScenarioKind(sp.Kind)
+	if k == nil {
 		return sp.Kind
 	}
-	return k.Format(sp)
+	return k.formatSpec(sp)
 }
 
 // ParseScenarioSpec reads the colon-separated flag form of a spec, e.g.
 // "uniform:2", "exp:0.001", "weibull:1.5:2000", "group:4:0.001",
 // "burst:3:0.001:50", "staggered:2:1000" or "trace:failures.jsonl". The kind
-// dispatches through the registry and the parsed spec is validated by
+// dispatches through the kind table and the parsed spec is validated by
 // Generator, so a parsed spec is always materializable.
 func ParseScenarioSpec(s string) (ScenarioSpec, error) {
 	parts := strings.Split(strings.TrimSpace(s), ":")
 	kind := strings.ToLower(strings.TrimSpace(parts[0]))
-	k, ok := LookupScenarioKind(kind)
-	if !ok {
+	k := lookupScenarioKind(kind)
+	if k == nil {
 		return ScenarioSpec{}, unknownScenarioKind(kind)
 	}
-	sp, err := k.Parse(s, parts[1:])
+	sp, err := k.parseArgs(s, parts[1:])
 	if err != nil {
 		return ScenarioSpec{}, err
 	}

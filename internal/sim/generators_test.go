@@ -180,6 +180,10 @@ func TestScenarioSpecErrors(t *testing.T) {
 		"exp:0", "exp:-2", "weibull:1", "weibull:0:5", "weibull:2:0",
 		"group:0:0.1", "group:4:0", "burst:1:0", "burst:1:0.1:-2",
 		"staggered:1:0", "staggered:1",
+		// Non-finite numbers: every comparison against NaN is false, so
+		// they would otherwise mean "no failures".
+		"exp:NaN", "weibull:NaN:1", "group:2:NaN", "burst:1:NaN", "burst:1:0.1:NaN",
+		"staggered:1:NaN", "exp:+Inf", "weibull:1:Inf", "staggered:1:Inf",
 	} {
 		if _, err := ParseScenarioSpec(in); err == nil {
 			t.Errorf("ParseScenarioSpec(%q) accepted a malformed spec", in)

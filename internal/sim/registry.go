@@ -2,15 +2,17 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // ScenarioParam documents one parameter of a scenario kind — the
 // self-describing schema the GET /scenarios discovery endpoint and the
 // generated docs table render. Name is the wire field of ScenarioSpec the
-// parameter travels in.
+// parameter travels in; for a numeric kind it also addresses the field the
+// flag form fills and the canonical string prints (see specField).
 type ScenarioParam struct {
 	Name     string `json:"name"`
 	Type     string `json:"type"` // "int", "float", "bool" or "events"
@@ -18,117 +20,146 @@ type ScenarioParam struct {
 	Optional bool   `json:"optional,omitempty"`
 }
 
-// ScenarioKindReg is one entry of the scenario-kind registry: the kind's
-// identity and documentation plus the three behaviors every dispatch site
-// needs — parsing the colon-separated flag form, rendering the canonical
-// string (which response caches key on, so it must be deterministic), and
-// materializing a generator from a spec.
+// ScenarioKindReg is one row of the scenario-kind table: the kind's identity
+// and documentation, served as-is by GET /scenarios, plus the behaviors every
+// dispatch site needs — parsing the colon-separated flag form, rendering the
+// canonical string (which response caches key on, so it must be
+// deterministic), and materializing a generator from a spec.
 type ScenarioKindReg struct {
 	// Name is the canonical lower-case kind name ("uniform", "trace", ...).
-	Name string
+	Name string `json:"name"`
 	// Aliases are alternative names accepted case-insensitively ("exp" has
 	// alias "exponential").
-	Aliases []string
+	Aliases []string `json:"aliases,omitempty"`
 	// Summary is the one-line description used by discovery and docs.
-	Summary string
+	Summary string `json:"summary"`
 	// FlagForm is the colon-separated syntax, e.g. "burst:N:LAMBDA[:SPREAD]".
-	FlagForm string
-	// Params documents the spec fields the kind reads.
-	Params []ScenarioParam
-	// Parse builds a spec from the flag form's arguments (the parts after
-	// the kind). spec is the full original string, for error messages.
-	Parse func(spec string, args []string) (ScenarioSpec, error)
-	// Format renders the canonical string form. It must be a pure function
-	// of the spec: equal specs must render byte-identically.
-	Format func(sp ScenarioSpec) string
-	// Build materializes the generator, validating platform-independent
+	FlagForm string `json:"flag_form"`
+	// Params documents the spec fields the kind reads, in flag-form order.
+	Params []ScenarioParam `json:"params"`
+
+	// parse and format override the Params-driven flag form and canonical
+	// string; only a kind whose parameters are not numbers sets them.
+	parse  func(spec string, args []string) (ScenarioSpec, error)
+	format func(sp ScenarioSpec) string
+	// build materializes the generator, validating platform-independent
 	// parameters (counts against m are validated by the generator's Check).
-	Build func(sp ScenarioSpec) (ScenarioGenerator, error)
+	build func(sp ScenarioSpec) (ScenarioGenerator, error)
 }
 
-// scenarioRegistry is the process-global scenario-kind registry, the same
-// shape as the scheduler registry in internal/sched: registration happens at
-// init time, lookups after init never write.
-var scenarioRegistry struct {
-	sync.RWMutex
-	order   []string                   // canonical names in registration order
-	entries map[string]ScenarioKindReg // canonical name -> entry
-	byName  map[string]string          // lower-case name/alias -> canonical name
-}
+// scenarioKinds is the scenario-kind table, in the order discovery, docs and
+// errors list it. It is assigned in init because the parsers' errors list
+// the table itself.
+var scenarioKinds []ScenarioKindReg
 
-// RegisterScenarioKind adds a scenario kind to the registry. It panics on a
-// missing behavior or a name collision — registration happens at init time,
-// where a panic is a build error, not a runtime hazard.
-func RegisterScenarioKind(k ScenarioKindReg) {
-	if k.Name == "" || k.Name != strings.ToLower(k.Name) {
-		panic(fmt.Sprintf("sim: scenario kind name %q must be non-empty lower-case", k.Name))
-	}
-	if k.Parse == nil || k.Format == nil || k.Build == nil {
-		panic(fmt.Sprintf("sim: scenario kind %q needs Parse, Format and Build", k.Name))
-	}
-	r := &scenarioRegistry
-	r.Lock()
-	defer r.Unlock()
-	if r.entries == nil {
-		r.entries = make(map[string]ScenarioKindReg)
-		r.byName = make(map[string]string)
-	}
-	if _, dup := r.byName[k.Name]; dup {
-		panic(fmt.Sprintf("sim: scenario kind %q registered twice", k.Name))
-	}
-	r.entries[k.Name] = k
-	r.byName[k.Name] = k.Name
-	r.order = append(r.order, k.Name)
-	for _, a := range k.Aliases {
-		a = strings.ToLower(a)
-		if _, dup := r.byName[a]; dup {
-			panic(fmt.Sprintf("sim: scenario kind alias %q collides", a))
+// lookupScenarioKind resolves a kind name or alias (case-insensitively); nil
+// when the kind is unknown.
+func lookupScenarioKind(name string) *ScenarioKindReg {
+	for i := range scenarioKinds {
+		k := &scenarioKinds[i]
+		if strings.EqualFold(k.Name, name) {
+			return k
 		}
-		r.byName[a] = k.Name
+		for _, a := range k.Aliases {
+			if strings.EqualFold(a, name) {
+				return k
+			}
+		}
 	}
+	return nil
 }
 
-// LookupScenarioKind resolves a kind name or alias (case-insensitively).
-func LookupScenarioKind(name string) (ScenarioKindReg, bool) {
-	r := &scenarioRegistry
-	r.RLock()
-	defer r.RUnlock()
-	canon, ok := r.byName[strings.ToLower(name)]
-	if !ok {
-		return ScenarioKindReg{}, false
-	}
-	return r.entries[canon], true
-}
-
-// ScenarioKindRegs lists the registry entries in registration order — the
-// capability surface the /scenarios endpoint and docs table are generated
-// from.
-func ScenarioKindRegs() []ScenarioKindReg {
-	r := &scenarioRegistry
-	r.RLock()
-	defer r.RUnlock()
-	out := make([]ScenarioKindReg, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.entries[name])
-	}
-	return out
-}
+// ScenarioKindRegs lists the table's rows in order — the capability surface
+// the /scenarios endpoint and docs table are generated from.
+func ScenarioKindRegs() []ScenarioKindReg { return slices.Clone(scenarioKinds) }
 
 // ScenarioKinds lists the recognized scenario kinds with their flag syntax,
-// in registration order — the list unknown-kind errors enumerate.
+// in table order — the list unknown-kind errors enumerate.
 func ScenarioKinds() []string {
-	r := &scenarioRegistry
-	r.RLock()
-	defer r.RUnlock()
-	out := make([]string, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.entries[name].FlagForm)
+	out := make([]string, len(scenarioKinds))
+	for i, k := range scenarioKinds {
+		out[i] = k.FlagForm
 	}
 	return out
+}
+
+// specField addresses the ScenarioSpec field a numeric parameter travels in:
+// exactly one of the results is non-nil for a known name, both are nil
+// otherwise.
+func specField(sp *ScenarioSpec, name string) (*int, *float64) {
+	switch name {
+	case "crashes":
+		return &sp.Crashes, nil
+	case "group_size":
+		return &sp.GroupSize, nil
+	case "lambda":
+		return nil, &sp.Lambda
+	case "shape":
+		return nil, &sp.Shape
+	case "scale":
+		return nil, &sp.Scale
+	case "horizon":
+		return nil, &sp.Horizon
+	case "spread":
+		return nil, &sp.Spread
+	}
+	return nil, nil
+}
+
+// parseArgs builds a spec from the flag form's arguments (the parts after
+// the kind); spec is the full original string, for error messages. A numeric
+// kind takes its required parameters, then any optional ones, in Params
+// order.
+func (k *ScenarioKindReg) parseArgs(spec string, args []string) (ScenarioSpec, error) {
+	if k.parse != nil {
+		return k.parse(spec, args)
+	}
+	required := 0
+	for _, p := range k.Params {
+		if !p.Optional {
+			required++
+		}
+	}
+	if len(args) < required || len(args) > len(k.Params) {
+		return ScenarioSpec{}, wrongScenarioArity(spec)
+	}
+	sp := ScenarioSpec{Kind: k.Name}
+	for i, arg := range args {
+		var err error
+		if ip, fp := specField(&sp, k.Params[i].Name); ip != nil {
+			*ip, err = specAtoi(spec, arg)
+		} else {
+			*fp, err = specAtof(spec, arg)
+		}
+		if err != nil {
+			return ScenarioSpec{}, err
+		}
+	}
+	return sp, nil
+}
+
+// formatSpec renders the canonical string: for a numeric kind the name, then
+// every parameter (optional ones included) as decimal ints and
+// shortest-exact floats, so equal specs render byte-identically.
+func (k *ScenarioKindReg) formatSpec(sp ScenarioSpec) string {
+	if k.format != nil {
+		return k.format(sp)
+	}
+	var buf [64]byte
+	b := append(buf[:0], k.Name...)
+	for _, p := range k.Params {
+		b = append(b, ':')
+		if ip, fp := specField(&sp, p.Name); ip != nil {
+			b = strconv.AppendInt(b, int64(*ip), 10)
+		} else {
+			b = strconv.AppendFloat(b, *fp, 'g', -1, 64)
+		}
+	}
+	return string(b)
 }
 
 // unknownScenarioKind is the shared unknown-kind error; like scheduler
-// lookup errors it enumerates the registry so the list is never stale.
+// lookup errors it enumerates the table so the list is never stale.
 func unknownScenarioKind(kind string) error {
 	return fmt.Errorf("sim: unknown scenario kind %q (known: %s)",
 		kind, strings.Join(ScenarioKinds(), ", "))
@@ -141,7 +172,8 @@ func wrongScenarioArity(spec string) error {
 }
 
 // specAtoi and specAtof parse one flag-form argument with the spec string in
-// the error, shared by every kind's Parse.
+// the error. specAtof refuses NaN and ±Inf: every comparison against NaN is
+// false, so a NaN rate or horizon would silently mean "no failures".
 func specAtoi(spec, arg string) (int, error) {
 	v, err := strconv.Atoi(strings.TrimSpace(arg))
 	if err != nil {
@@ -152,44 +184,31 @@ func specAtoi(spec, arg string) (int, error) {
 
 func specAtof(spec, arg string) (float64, error) {
 	v, err := strconv.ParseFloat(strings.TrimSpace(arg), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("sim: scenario %q: bad number %q", spec, arg)
 	}
 	return v, nil
 }
 
-// fg formats a float in shortest-exact form — the canonical rendering
-// Format implementations share so equal specs render identically (the
-// property the response cache keys on).
+// fg formats a float in shortest-exact form — the canonical rendering equal
+// specs share (the property the response cache keys on).
 func fg(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func init() {
-	RegisterScenarioKind(ScenarioKindReg{
+	scenarioKinds = []ScenarioKindReg{{
 		Name:     "uniform",
 		Summary:  "N distinct uniformly drawn processors crash at time 0 (the paper's adversarial crash experiments)",
 		FlagForm: "uniform:N",
 		Params: []ScenarioParam{
 			{Name: "crashes", Type: "int", Doc: "number of processors crashed at time 0"},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
-			if len(args) != 1 {
-				return ScenarioSpec{}, wrongScenarioArity(spec)
-			}
-			n, err := specAtoi(spec, args[0])
-			if err != nil {
-				return ScenarioSpec{}, err
-			}
-			return ScenarioSpec{Kind: "uniform", Crashes: n}, nil
-		},
-		Format: func(sp ScenarioSpec) string { return fmt.Sprintf("uniform:%d", sp.Crashes) },
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			if sp.Crashes < 0 {
 				return nil, fmt.Errorf("sim: uniform scenario needs crashes >= 0, got %d", sp.Crashes)
 			}
 			return UniformGen{N: sp.Crashes}, nil
 		},
-	})
-	RegisterScenarioKind(ScenarioKindReg{
+	}, {
 		Name:     "exp",
 		Aliases:  []string{"exponential"},
 		Summary:  "independent exponential lifetime with rate LAMBDA per processor (the reliability package's failure law)",
@@ -197,26 +216,14 @@ func init() {
 		Params: []ScenarioParam{
 			{Name: "lambda", Type: "float", Doc: "failure rate; mean lifetime is 1/lambda"},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
-			if len(args) != 1 {
-				return ScenarioSpec{}, wrongScenarioArity(spec)
-			}
-			l, err := specAtof(spec, args[0])
-			if err != nil {
-				return ScenarioSpec{}, err
-			}
-			return ScenarioSpec{Kind: "exp", Lambda: l}, nil
-		},
-		Format: func(sp ScenarioSpec) string { return "exp:" + fg(sp.Lambda) },
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			g := ExponentialGen{Lambda: sp.Lambda}
 			if err := g.Check(0); err != nil {
 				return nil, err
 			}
 			return g, nil
 		},
-	})
-	RegisterScenarioKind(ScenarioKindReg{
+	}, {
 		Name:     "weibull",
 		Summary:  "independent Weibull(SHAPE, SCALE) lifetimes — infant mortality below shape 1, wear-out above",
 		FlagForm: "weibull:SHAPE:SCALE",
@@ -224,30 +231,14 @@ func init() {
 			{Name: "shape", Type: "float", Doc: "Weibull shape k; 1 degenerates to exponential"},
 			{Name: "scale", Type: "float", Doc: "Weibull scale (characteristic lifetime)"},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
-			if len(args) != 2 {
-				return ScenarioSpec{}, wrongScenarioArity(spec)
-			}
-			shape, err := specAtof(spec, args[0])
-			if err != nil {
-				return ScenarioSpec{}, err
-			}
-			scale, err := specAtof(spec, args[1])
-			if err != nil {
-				return ScenarioSpec{}, err
-			}
-			return ScenarioSpec{Kind: "weibull", Shape: shape, Scale: scale}, nil
-		},
-		Format: func(sp ScenarioSpec) string { return "weibull:" + fg(sp.Shape) + ":" + fg(sp.Scale) },
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			g := WeibullGen{Shape: sp.Shape, Scale: sp.Scale}
 			if err := g.Check(0); err != nil {
 				return nil, err
 			}
 			return g, nil
 		},
-	})
-	RegisterScenarioKind(ScenarioKindReg{
+	}, {
 		Name:     "group",
 		Summary:  "one uniformly drawn rack of SIZE consecutive processors fails together at an exponential time",
 		FlagForm: "group:SIZE:LAMBDA",
@@ -255,24 +246,7 @@ func init() {
 			{Name: "group_size", Type: "int", Doc: "rack size; group g covers processors [g*size, (g+1)*size)"},
 			{Name: "lambda", Type: "float", Doc: "failure rate of the rack's crash time"},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
-			if len(args) != 2 {
-				return ScenarioSpec{}, wrongScenarioArity(spec)
-			}
-			size, err := specAtoi(spec, args[0])
-			if err != nil {
-				return ScenarioSpec{}, err
-			}
-			l, err := specAtof(spec, args[1])
-			if err != nil {
-				return ScenarioSpec{}, err
-			}
-			return ScenarioSpec{Kind: "group", GroupSize: size, Lambda: l}, nil
-		},
-		Format: func(sp ScenarioSpec) string {
-			return fmt.Sprintf("group:%d:%s", sp.GroupSize, fg(sp.Lambda))
-		},
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			if sp.GroupSize < 1 {
 				return nil, fmt.Errorf("sim: group scenario needs group_size >= 1, got %d", sp.GroupSize)
 			}
@@ -281,8 +255,7 @@ func init() {
 			}
 			return GroupGen{Size: sp.GroupSize, Lambda: sp.Lambda}, nil
 		},
-	})
-	RegisterScenarioKind(ScenarioKindReg{
+	}, {
 		Name:     "burst",
 		Summary:  "N processors crash in a burst: exponential onset plus uniform jitter in [0, SPREAD) per crash",
 		FlagForm: "burst:N:LAMBDA[:SPREAD]",
@@ -291,29 +264,7 @@ func init() {
 			{Name: "lambda", Type: "float", Doc: "failure rate of the burst onset"},
 			{Name: "spread", Type: "float", Doc: "per-crash jitter width; 0 crashes all at one instant", Optional: true},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
-			if len(args) != 2 && len(args) != 3 {
-				return ScenarioSpec{}, wrongScenarioArity(spec)
-			}
-			sp := ScenarioSpec{Kind: "burst"}
-			var err error
-			if sp.Crashes, err = specAtoi(spec, args[0]); err != nil {
-				return ScenarioSpec{}, err
-			}
-			if sp.Lambda, err = specAtof(spec, args[1]); err != nil {
-				return ScenarioSpec{}, err
-			}
-			if len(args) == 3 {
-				if sp.Spread, err = specAtof(spec, args[2]); err != nil {
-					return ScenarioSpec{}, err
-				}
-			}
-			return sp, nil
-		},
-		Format: func(sp ScenarioSpec) string {
-			return fmt.Sprintf("burst:%d:%s:%s", sp.Crashes, fg(sp.Lambda), fg(sp.Spread))
-		},
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			if sp.Crashes < 0 {
 				return nil, fmt.Errorf("sim: burst scenario needs crashes >= 0, got %d", sp.Crashes)
 			}
@@ -325,8 +276,7 @@ func init() {
 			}
 			return BurstGen{N: sp.Crashes, Lambda: sp.Lambda, Spread: sp.Spread}, nil
 		},
-	})
-	RegisterScenarioKind(ScenarioKindReg{
+	}, {
 		Name:     "staggered",
 		Summary:  "rolling outage: N processors crash at evenly spaced times across [0, HORIZON]",
 		FlagForm: "staggered:N:HORIZON",
@@ -334,24 +284,7 @@ func init() {
 			{Name: "crashes", Type: "int", Doc: "number of processors crashed across the window"},
 			{Name: "horizon", Type: "float", Doc: "rolling-outage window; crash i lands at (i+1)*horizon/(n+1)"},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
-			if len(args) != 2 {
-				return ScenarioSpec{}, wrongScenarioArity(spec)
-			}
-			sp := ScenarioSpec{Kind: "staggered"}
-			var err error
-			if sp.Crashes, err = specAtoi(spec, args[0]); err != nil {
-				return ScenarioSpec{}, err
-			}
-			if sp.Horizon, err = specAtof(spec, args[1]); err != nil {
-				return ScenarioSpec{}, err
-			}
-			return sp, nil
-		},
-		Format: func(sp ScenarioSpec) string {
-			return fmt.Sprintf("staggered:%d:%s", sp.Crashes, fg(sp.Horizon))
-		},
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			if sp.Crashes < 0 {
 				return nil, fmt.Errorf("sim: staggered scenario needs crashes >= 0, got %d", sp.Crashes)
 			}
@@ -360,6 +293,5 @@ func init() {
 			}
 			return StaggeredGen{N: sp.Crashes, Horizon: sp.Horizon}, nil
 		},
-	})
-	RegisterScenarioKind(traceScenarioKind())
+	}, traceScenarioKind()}
 }

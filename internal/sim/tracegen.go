@@ -146,10 +146,10 @@ func loadTraceEvents(path string) ([]trace.Event, error) {
 	return trace.ParseFile(path)
 }
 
-// traceScenarioKind is the registry entry of the "trace" kind. The flag
-// form reads the trace from disk at parse time (CLI usage); wire requests
-// carry the events inline in the spec's trace field, so the server never
-// touches the filesystem.
+// traceScenarioKind is the table row of the "trace" kind, whose own parse
+// and format take a file and switches, not numbers. The flag form reads the
+// trace from disk at parse time (CLI usage); wire requests carry the events
+// inline in the spec's trace field, so the server never touches the disk.
 func traceScenarioKind() ScenarioKindReg {
 	return ScenarioKindReg{
 		Name:     "trace",
@@ -160,7 +160,7 @@ func traceScenarioKind() ScenarioKindReg {
 			{Name: "trace.scale", Type: "float", Doc: "multiplier applied to every crash time; omitted means 1", Optional: true},
 			{Name: "trace.resample", Type: "bool", Doc: "bootstrap whole incidents with replacement per trial instead of verbatim replay", Optional: true},
 		},
-		Parse: func(spec string, args []string) (ScenarioSpec, error) {
+		parse: func(spec string, args []string) (ScenarioSpec, error) {
 			if len(args) < 1 || len(args) > 3 {
 				return ScenarioSpec{}, wrongScenarioArity(spec)
 			}
@@ -194,13 +194,13 @@ func traceScenarioKind() ScenarioKindReg {
 			}
 			return ScenarioSpec{Kind: "trace", Trace: ts}, nil
 		},
-		Format: func(sp ScenarioSpec) string {
+		format: func(sp ScenarioSpec) string {
 			if sp.Trace == nil {
 				return "trace"
 			}
 			return sp.Trace.String()
 		},
-		Build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
 			if sp.Trace == nil {
 				return nil, fmt.Errorf("sim: trace scenario needs trace.events (or the trace:FILE flag form)")
 			}
