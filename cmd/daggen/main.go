@@ -9,12 +9,18 @@
 //	daggen -family gauss -n 8            # structured family instead
 //
 // Families: random (default), gnp, chain, forkjoin, intree, outtree, gauss,
-// fft, stencil.
+// fft, stencil, cholesky, lu, pipeline.
+//
+// Exit status: 0 on success, 1 when generating or writing fails, 2 on a
+// flag error. Nothing is written unless every flag is valid.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -23,35 +29,61 @@ import (
 	"ftsched/internal/workload"
 )
 
-func main() {
-	var (
-		out    = flag.String("out", ".", "output directory (graph.json, platform.json, costs.json)")
-		family = flag.String("family", "random", "graph family")
-		tasks  = flag.Int("tasks", 0, "task count (random family; 0 = paper range [100,150])")
-		n      = flag.Int("n", 8, "size parameter for structured families")
-		procs  = flag.Int("procs", 20, "processor count")
-		gran   = flag.Float64("g", 1.0, "target granularity")
-		vol    = flag.Float64("vol", 100, "edge volume for structured families")
-		seed   = flag.Int64("seed", 1, "random seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	rng := rand.New(rand.NewSource(*seed))
-	g, err := buildGraph(rng, *family, *tasks, *n, *vol)
-	if err != nil {
-		fatal(err)
+// run is the whole program behind main, kept re-entrant so tests can drive
+// the binary's exact code path. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("daggen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		out    = fs.String("out", ".", "output directory (graph.json, platform.json, costs.json)")
+		family = fs.String("family", "random", "graph family")
+		tasks  = fs.Int("tasks", 0, "task count (random family; 0 = paper range [100,150])")
+		n      = fs.Int("n", 8, "size parameter for structured families")
+		procs  = fs.Int("procs", 20, "processor count")
+		gran   = fs.Float64("g", 1.0, "target granularity")
+		vol    = fs.Float64("vol", 100, "edge volume for structured families")
+		seed   = fs.Int64("seed", 1, "random seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	cfg := workload.DefaultPaperConfig(*gran)
 	cfg.Procs = *procs
-	inst, err := workload.NewInstanceForGraph(rng, g, cfg)
+	err := cfg.Validate()
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *tasks < 0:
+		err = fmt.Errorf("-tasks must be >= 0, got %d", *tasks)
+	case !(*vol >= 0) || math.IsInf(*vol, 0):
+		err = fmt.Errorf("-vol must be finite and >= 0, got %g", *vol)
+	}
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "daggen:", err)
+		return 2
 	}
-	if err := writeAll(*out, inst); err != nil {
-		fatal(err)
+
+	rng := rand.New(rand.NewSource(*seed))
+	g, err := buildGraph(rng, *family, *tasks, *n, *vol)
+	var inst *workload.Instance
+	if err == nil {
+		inst, err = workload.NewInstanceForGraph(rng, g, cfg)
 	}
-	fmt.Printf("daggen: wrote %s (%d tasks, %d edges, %d procs, g=%.2f)\n",
+	if err == nil {
+		err = writeAll(*out, inst)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "daggen:", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "daggen: wrote %s (%d tasks, %d edges, %d procs, g=%.2f)\n",
 		*out, g.NumTasks(), g.NumEdges(), *procs, *gran)
+	return 0
 }
 
 func buildGraph(rng *rand.Rand, family string, tasks, n int, vol float64) (*dag.Graph, error) {
@@ -120,9 +152,4 @@ func writeAll(dir string, inst *workload.Instance) error {
 		_, err := inst.Costs.WriteTo(f)
 		return err
 	})
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "daggen:", err)
-	os.Exit(1)
 }

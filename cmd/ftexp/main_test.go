@@ -199,6 +199,8 @@ func TestRejectedInvocations(t *testing.T) {
 		{"-campaign tune -evaluate uniform:1 -instances 3", 1, "-instances does not apply to -campaign tune"},
 		{"-campaign tune", 1, "-campaign tune needs -evaluate"},
 		{"-campaign custom -evaluate exp:NaN -instances 1 -gran 1", 1, `bad number "NaN"`},
+		{"-campaign custom -schedulers FTSA -eps 1 -gran NaN -instances 1 -format csv", 1, "granularity NaN is not positive and finite"},
+		{"-campaign tune -gran NaN -evaluate exp:0.0002 -trials 50", 1, "granularity NaN is not positive and finite"},
 		{"-table 1 -format csv", 1, "-table 1 supports -format ascii"},
 		{"-table 1 -instances 3", 1, "-instances does not apply to -table 1"},
 		{"-table 2", 1, "-table 2"},

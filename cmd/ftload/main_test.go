@@ -124,6 +124,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
+	// A non-finite granularity is refused while the corpus is built, before
+	// any request runs, and the error says why.
+	for _, g := range []string{"NaN", "Inf"} {
+		var buf bytes.Buffer
+		err := run([]string{"-granularity", g}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "granularity") || buf.Len() != 0 {
+			t.Errorf("run(-granularity %s) = %v with %d report bytes, want a granularity error and no report", g, err, buf.Len())
+		}
+	}
 }
 
 // TestRunProfileFile exercises the custom-profile path end to end, including

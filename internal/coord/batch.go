@@ -7,8 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"sync"
 
+	"ftsched/internal/par"
 	"ftsched/internal/service"
 )
 
@@ -66,6 +66,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Fan out one sub-batch per owning shard, concurrently. Sub-envelopes
 	// re-marshal the decoded instance; JSON float64 round-tripping is exact,
 	// so a shard decodes (and fingerprints) the same instance either way.
+	// A sub-batch's failure is its reply's status, so the loop never fails.
 	type shardReply struct {
 		shard  int
 		idxs   []int
@@ -79,34 +80,30 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Deterministic order: failure relay and merge walk shards ascending.
 	sort.Slice(replies, func(a, b int) bool { return replies[a].shard < replies[b].shard })
-	var wg sync.WaitGroup
-	for _, reply := range replies {
-		wg.Add(1)
-		go func(reply *shardReply) {
-			defer wg.Done()
-			sub := service.BatchRequest{
-				Graph: req.Graph, Platform: req.Platform, Costs: req.Costs,
-				Requests: make([]service.BatchItem, 0, len(reply.idxs)),
-			}
-			for _, i := range reply.idxs {
-				sub.Requests = append(sub.Requests, req.Requests[i])
-			}
-			subBody, err := json.Marshal(&sub)
-			if err != nil { // unreachable: sub re-marshals decoded values
-				reply.status = http.StatusInternalServerError
-				reply.body, _ = json.Marshal(service.ErrorResponse{Error: err.Error()})
-				return
-			}
-			rec := httptest.NewRecorder()
-			subReq := httptest.NewRequest(http.MethodPost, "/schedule/batch", bytes.NewReader(subBody))
-			subReq.Header.Set("Content-Type", "application/json")
-			c.shards[reply.shard].ServeHTTP(rec, subReq)
-			reply.status = rec.Code
-			reply.header = rec.Header()
-			reply.body = rec.Body.Bytes()
-		}(reply)
-	}
-	wg.Wait()
+	par.For(len(replies), len(replies), func(_, k int) error {
+		reply := replies[k]
+		sub := service.BatchRequest{
+			Graph: req.Graph, Platform: req.Platform, Costs: req.Costs,
+			Requests: make([]service.BatchItem, 0, len(reply.idxs)),
+		}
+		for _, i := range reply.idxs {
+			sub.Requests = append(sub.Requests, req.Requests[i])
+		}
+		subBody, err := json.Marshal(&sub)
+		if err != nil { // unreachable: sub re-marshals decoded values
+			reply.status = http.StatusInternalServerError
+			reply.body, _ = json.Marshal(service.ErrorResponse{Error: err.Error()})
+			return nil
+		}
+		rec := httptest.NewRecorder()
+		subReq := httptest.NewRequest(http.MethodPost, "/schedule/batch", bytes.NewReader(subBody))
+		subReq.Header.Set("Content-Type", "application/json")
+		c.shards[reply.shard].ServeHTTP(rec, subReq)
+		reply.status = rec.Code
+		reply.header = rec.Header()
+		reply.body = rec.Body.Bytes()
+		return nil
+	})
 
 	// All-or-nothing: any failed sub-batch fails the whole batch with the
 	// lowest failing shard's own response (a 429's Retry-After included).

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 
@@ -79,9 +80,9 @@ type Campaign struct {
 // Cell identifies one point of a campaign grid. Index is the cell's rank in
 // the canonical enumeration order (families, then granularity, then
 // instance, then ε, then scenario, then scheduler — innermost last), which
-// is also the order the aggregator consumes results in. All cells sharing
-// one problem instance are consecutive, so the engine's prepared-instance
-// cache stays small while capturing every reuse.
+// is also the order of the engine's results. All cells sharing one problem
+// instance are consecutive, so the engine keeps each prepared instance only
+// while its cells run.
 type Cell struct {
 	Index       int         `json:"i"`
 	Family      string      `json:"family"`
@@ -92,6 +93,13 @@ type Cell struct {
 	// Scenario is the cell's failure-scenario spec; empty in campaigns
 	// without the evaluation dimension.
 	Scenario string `json:"scn,omitempty"`
+}
+
+// sameInstance reports whether two cells share their problem instance: the
+// (family, granularity, instance) coordinates every prepare seed derives
+// from.
+func (a Cell) sameInstance(b Cell) bool {
+	return a.Family == b.Family && a.Granularity == b.Granularity && a.Instance == b.Instance
 }
 
 // CellResult is the measured outcome of one cell. Latencies are normalized
@@ -232,8 +240,8 @@ func (c Campaign) Validate() error {
 	}
 	seenGran := make(map[float64]bool, len(c.Granularities))
 	for _, g := range c.Granularities {
-		if g <= 0 {
-			return fmt.Errorf("expt: non-positive granularity %g", g)
+		if !(g > 0) || math.IsInf(g, 0) {
+			return fmt.Errorf("expt: granularity %g is not positive and finite", g)
 		}
 		if seenGran[g] {
 			return fmt.Errorf("expt: duplicate granularity %g", g)
@@ -437,8 +445,8 @@ func BuildInstance(family string, granularity float64, procs, tasksMin, tasksMax
 			return nil, fmt.Errorf("expt: unknown family %q (known: %v)", family, CampaignFamilies())
 		}
 	}
-	if granularity <= 0 {
-		return nil, fmt.Errorf("expt: non-positive granularity %g", granularity)
+	if !(granularity > 0) || math.IsInf(granularity, 0) {
+		return nil, fmt.Errorf("expt: granularity %g is not positive and finite", granularity)
 	}
 	if procs < 1 {
 		return nil, fmt.Errorf("expt: need at least one processor, got %d", procs)
@@ -456,10 +464,9 @@ func BuildInstance(family string, granularity float64, procs, tasksMin, tasksMax
 // prepared bundles everything about a cell that is independent of its
 // scheduler and ε: the instance itself, its normalizer, the shared static
 // bottom levels and the fault-free FTSA baseline. All of it derives from
-// seeds that exclude the scheduler and ε coordinates, so the engine caches
-// one prepared value per (family, granularity, instance) point instead of
-// recomputing it for every scheduler × ε cell. All fields are read-only
-// once built, making a prepared instance safe to share across workers.
+// seeds that exclude the scheduler and ε coordinates, so the engine prepares
+// one value per (family, granularity, instance) point instead of recomputing
+// it for every scheduler × ε cell.
 type prepared struct {
 	inst      *workload.Instance
 	norm      float64
@@ -494,8 +501,8 @@ func (c Campaign) prepare(cell Cell, rng *rand.Rand) (*prepared, error) {
 // bottom-level computation), and replay the schedule under the cell's crash
 // scenario. It is a pure function of (campaign spec, cell coordinates),
 // which is what makes the engine's parallelism and resume invisible in the
-// results. The engine itself calls runPrepared with a cached prepared
-// value; the result is identical either way.
+// results. The engine prepares each instance once and calls runPrepared for
+// each of its cells on any worker; the result is identical either way.
 func (c Campaign) RunCell(cell Cell) (CellResult, error) {
 	rng := newRng()
 	p, err := c.prepare(cell, rng)

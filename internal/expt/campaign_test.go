@@ -54,6 +54,9 @@ func TestCampaignValidate(t *testing.T) {
 		{"negative eps", func(c *Campaign) { c.Epsilons = []int{-1} }},
 		{"no granularities", func(c *Campaign) { c.Granularities = nil }},
 		{"zero granularity", func(c *Campaign) { c.Granularities = []float64{0} }},
+		{"NaN granularity", func(c *Campaign) { c.Granularities = []float64{math.NaN()} }},
+		{"infinite granularity", func(c *Campaign) { c.Granularities = []float64{math.Inf(1)} }},
+		{"NaN granularity twice", func(c *Campaign) { c.Granularities = []float64{math.NaN(), math.NaN()} }},
 		{"no families", func(c *Campaign) { c.Families = nil }},
 		{"unknown family", func(c *Campaign) { c.Families = []string{"torus"} }},
 		{"no instances", func(c *Campaign) { c.Instances = 0 }},
@@ -231,6 +234,57 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// A resume that splits every instance's cells deterministically: the
+// checkpoint holds exactly the cells with Index%3 == 0, so each instance
+// resumes with some cells done and some pending.
+func TestCampaignResumePartialInstances(t *testing.T) {
+	c := testCampaign()
+	full, err := RunCampaign(c, EngineOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("full run: %v", err)
+	}
+	ckpt := filepath.Join(t.TempDir(), "campaign.jsonl")
+	w, err := newCheckpointWriter(ckpt, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range full.Cells {
+		if res.Index%3 == 0 {
+			if err := w.writeJSON(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.promote(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := RunCampaign(c, EngineOptions{Workers: 3, Checkpoint: ckpt, Resume: true})
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !reflect.DeepEqual(full.Cells, resumed.Cells) {
+		t.Fatal("resumed per-cell results differ from uninterrupted run")
+	}
+	if got, want := campaignCSV(t, resumed), campaignCSV(t, full); !bytes.Equal(got, want) {
+		t.Fatal("resumed aggregated CSV differs from uninterrupted run")
+	}
+	// Each cell is still the pure function of its coordinates that RunCell
+	// computes from scratch, whichever cell of its instance ran first.
+	for _, res := range resumed.Cells {
+		want, err := c.RunCell(res.Cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Fatalf("cell %d: engine %+v, RunCell %+v", res.Index, res, want)
+		}
+	}
+}
+
 func TestCampaignRefusesToClobberCheckpoint(t *testing.T) {
 	c := testCampaign()
 	c.Families, c.Epsilons = []string{"forkjoin"}, []int{1}
@@ -381,6 +435,7 @@ func TestBuildInstanceMatchesCampaign(t *testing.T) {
 	for _, bad := range []func() error{
 		func() error { _, err := BuildInstance("nope", 1, 6, 20, 30, 0, 9); return err },
 		func() error { _, err := BuildInstance("random", 0, 6, 20, 30, 0, 9); return err },
+		func() error { _, err := BuildInstance("random", math.NaN(), 6, 20, 30, 0, 9); return err },
 		func() error { _, err := BuildInstance("random", 1, 0, 20, 30, 0, 9); return err },
 		func() error { _, err := BuildInstance("random", 1, 6, 30, 20, 0, 9); return err },
 		func() error { _, err := BuildInstance("random", 1, 6, 20, 30, -1, 9); return err },

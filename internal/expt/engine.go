@@ -9,9 +9,11 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
+
+	"ftsched/internal/par"
 )
 
 // ErrCheckpointMismatch is returned when a checkpoint file was produced by a
@@ -21,7 +23,7 @@ var ErrCheckpointMismatch = errors.New("expt: checkpoint belongs to a different 
 // EngineOptions configures one RunCampaign invocation. The zero value runs
 // with GOMAXPROCS workers and no checkpointing.
 type EngineOptions struct {
-	// Workers is the worker-pool size; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers is the worker count; <= 0 means runtime.GOMAXPROCS(0).
 	// The aggregated result is identical for every worker count.
 	Workers int
 	// Checkpoint, when non-empty, streams every completed cell to this
@@ -198,56 +200,7 @@ func (w *checkpointWriter) Close() error {
 	return w.f.Close()
 }
 
-// prepCache memoizes prepared (scheduler-independent) instances across
-// workers, keyed by instance seed. A prepared value is immutable, so cache
-// hits cannot perturb results — the memo only removes the redundant rebuild
-// of one instance's workload, bottom levels and fault-free baseline across
-// its ε × scheduler cells. Eviction is FIFO; cells sharing an instance are
-// consecutive in the grid, so a capacity of a few× the worker count already
-// captures essentially all reuse.
-type prepCache struct {
-	c     Campaign
-	cap   int
-	mu    sync.Mutex
-	m     map[int64]*prepEntry
-	order []int64
-}
-
-type prepEntry struct {
-	once sync.Once
-	p    *prepared
-	err  error
-}
-
-func newPrepCache(c Campaign, workers int) *prepCache {
-	capacity := 4 * workers
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &prepCache{c: c, cap: capacity, m: make(map[int64]*prepEntry)}
-}
-
-func (pc *prepCache) get(cell Cell, rng *rand.Rand) (*prepared, error) {
-	seed := pc.c.instanceSeed(cell)
-	pc.mu.Lock()
-	e, ok := pc.m[seed]
-	if !ok {
-		e = &prepEntry{}
-		pc.m[seed] = e
-		pc.order = append(pc.order, seed)
-		if len(pc.order) > pc.cap {
-			// Workers already holding the evicted entry keep their
-			// pointer; only future lookups recompute.
-			delete(pc.m, pc.order[0])
-			pc.order = pc.order[1:]
-		}
-	}
-	pc.mu.Unlock()
-	e.once.Do(func() { e.p, e.err = pc.c.prepare(cell, rng) })
-	return e.p, e.err
-}
-
-// RunCampaign executes every cell of the campaign on a pool of workers and
+// RunCampaign executes every cell of the campaign on par.For's workers and
 // returns the index-sorted results. Because each cell is seeded from its own
 // coordinates and aggregation happens in index order, the output is
 // byte-for-byte identical for any worker count, and a resumed campaign is
@@ -256,11 +209,6 @@ func RunCampaign(c Campaign, opt EngineOptions) (*CampaignResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	done := make(map[int]CellResult)
 	if opt.Resume {
 		if opt.Checkpoint == "" {
@@ -313,94 +261,78 @@ func RunCampaign(c Campaign, opt EngineOptions) (*CampaignResult, error) {
 		}
 	}
 
-	var pending []Cell
-	for _, cell := range c.Cells() {
-		if _, ok := done[cell.Index]; !ok {
-			pending = append(pending, cell)
+	// The unit of work is one cell. Cells sharing an instance are
+	// consecutive in the canonical order, so each run of them gets one slot:
+	// the first of its cells to start prepares the instance, the others wait
+	// on the slot's once, and the last to finish drops the prepared value.
+	pending := slices.DeleteFunc(c.Cells(), func(cell Cell) bool {
+		_, ok := done[cell.Index]
+		return ok
+	})
+	group := make([]int, len(pending))
+	for i := 1; i < len(pending); i++ {
+		group[i] = group[i-1]
+		if !pending[i].sameInstance(pending[i-1]) {
+			group[i]++
 		}
 	}
-
-	type outcome struct {
-		res CellResult
-		err error
+	type slot struct {
+		once sync.Once
+		p    *prepared
+		err  error
+		left atomic.Int32
 	}
-	workCh := make(chan Cell)
-	outCh := make(chan outcome)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-
-	cache := newPrepCache(c, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := newRng() // the worker's one generator, reseeded per use
-			for cell := range workCh {
-				res, err := func() (CellResult, error) {
-					p, err := cache.get(cell, rng)
-					if err != nil {
-						return CellResult{Cell: cell}, err
-					}
-					return c.runPrepared(cell, p, rng)
-				}()
-				select {
-				case outCh <- outcome{res: res, err: err}:
-				case <-stop:
-					return
-				}
-			}
-		}()
+	var slots []slot
+	if len(pending) > 0 {
+		slots = make([]slot, group[len(group)-1]+1)
 	}
-	go func() {
-		defer close(workCh)
-		for _, cell := range pending {
-			select {
-			case workCh <- cell:
-			case <-stop:
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(outCh)
-	}()
+	for _, g := range group {
+		slots[g].left.Add(1)
+	}
 
 	total := c.NumCells()
-	var firstErr error
-	for o := range outCh {
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			halt()
-			continue
-		}
-		if firstErr != nil {
-			continue // draining after failure
-		}
+	rngs := make([]*rand.Rand, par.Workers(opt.Workers, len(pending)))
+	for w := range rngs {
+		rngs[w] = newRng()
+	}
+	var mu sync.Mutex
+	// record serializes the checkpoint line, done and Progress.
+	record := func(res CellResult) error {
+		mu.Lock()
+		defer mu.Unlock()
 		if ckpt != nil {
-			if err := ckpt.writeJSON(o.res); err != nil {
-				firstErr = fmt.Errorf("expt: writing checkpoint: %w", err)
-				halt()
-				continue
+			if err := ckpt.writeJSON(res); err != nil {
+				return fmt.Errorf("expt: writing checkpoint: %w", err)
 			}
 		}
-		done[o.res.Index] = o.res
+		done[res.Index] = res
 		if opt.Progress != nil {
 			opt.Progress(len(done), total)
 		}
+		return nil
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	err := par.For(len(rngs), len(pending), func(w, i int) error {
+		cell, rng, s := pending[i], rngs[w], &slots[group[i]]
+		s.once.Do(func() { s.p, s.err = c.prepare(cell, rng) })
+		if s.err != nil {
+			return s.err
+		}
+		res, err := c.runPrepared(cell, s.p, rng)
+		if s.left.Add(-1) == 0 {
+			s.p = nil
+		}
+		if err != nil {
+			return err
+		}
+		return record(res)
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	cells := make([]CellResult, 0, len(done))
-	for _, res := range done {
-		cells = append(cells, res)
+	cells := make([]CellResult, total)
+	for i := range cells {
+		cells[i] = done[i]
 	}
-	sort.Slice(cells, func(a, b int) bool { return cells[a].Index < cells[b].Index })
 	return &CampaignResult{Campaign: c, Cells: cells}, nil
 }

@@ -2,10 +2,9 @@ package load
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"ftsched/internal/par"
 	"ftsched/internal/stats"
 )
 
@@ -382,57 +381,41 @@ func fillReport(rep *Report, rec *recorder, elapsedNs int64, open bool) {
 	}
 }
 
-// runWall measures on the wall clock: Workers goroutines take indices from
-// the shared request stream, one private recorder each, merged afterwards in
-// worker order. With a rate (the open loop) request i has an intended send
-// time start + i/rate; a worker sleeps until it, and latency is measured from
-// the intended time, so sender backlog (all Workers busy past a request's
-// slot) is charged to the affected requests instead of being silently
-// omitted — the coordinated-omission correction. With rate 0 (the closed
-// loop) the intended time is the actual send time.
+// runWall measures on the wall clock: par.For's Workers goroutines take
+// indices from the shared request stream, one private recorder each, merged
+// afterwards in worker order; a synthesis error stops every worker. With a
+// rate (the open loop) request i has an intended send time start + i/rate; a
+// worker sleeps until it, and latency is measured from the intended time, so
+// sender backlog (all Workers busy past a request's slot) is charged to the
+// affected requests instead of being silently omitted — the
+// coordinated-omission correction. With rate 0 (the closed loop) the
+// intended time is the actual send time.
 func runWall(target Target, sy *Synthesizer, opts Options, rate float64, out *recorder) (int64, error) {
-	var (
-		next    atomic.Uint64
-		wg      sync.WaitGroup
-		recs    = make([]recorder, opts.Workers)
-		errOnce sync.Once
-		runErr  error
-	)
+	recs := make([]recorder, par.Workers(opts.Workers, opts.Requests))
 	interval := float64(time.Second) / rate
 	start := time.Now()
-	for w := range recs {
-		wg.Add(1)
-		go func(rec *recorder) {
-			defer wg.Done()
-			for {
-				i := next.Add(1) - 1
-				if i >= uint64(opts.Requests) {
-					return
-				}
-				req, err := sy.Request(i)
-				if err != nil {
-					errOnce.Do(func() { runErr = err })
-					return
-				}
-				t0 := time.Now()
-				intended := t0
-				if rate > 0 {
-					intended = start.Add(time.Duration(float64(i) * interval))
-					time.Sleep(time.Until(intended))
-					t0 = time.Now()
-				}
-				res := target.Do(req.Path, req.Body)
-				end := time.Now()
-				rec.observe(epIndex(req.Endpoint), res,
-					end.Sub(intended).Nanoseconds(), end.Sub(t0).Nanoseconds())
-				time.Sleep(opts.Think)
-			}
-		}(&recs[w])
-	}
-	wg.Wait()
+	err := par.For(len(recs), opts.Requests, func(w, i int) error {
+		req, err := sy.Request(uint64(i))
+		if err != nil {
+			return err
+		}
+		t0 := time.Now()
+		intended := t0
+		if rate > 0 {
+			intended = start.Add(time.Duration(float64(i) * interval))
+			time.Sleep(time.Until(intended))
+			t0 = time.Now()
+		}
+		res := target.Do(req.Path, req.Body)
+		end := time.Now()
+		recs[w].observe(epIndex(req.Endpoint), res,
+			end.Sub(intended).Nanoseconds(), end.Sub(t0).Nanoseconds())
+		time.Sleep(opts.Think)
+		return nil
+	})
 	elapsed := time.Since(start).Nanoseconds()
-	if runErr != nil {
-		return 0, runErr
+	if err != nil {
+		return 0, err
 	}
 	for w := range recs {
 		out.merge(&recs[w])

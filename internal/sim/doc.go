@@ -17,7 +17,7 @@
 //   - Evaluate is the batch fault-injection engine: it replays a schedule
 //     under thousands of scenarios drawn from a ScenarioGenerator (uniform,
 //     exponential, Weibull, correlated rack groups, bursts, rolling
-//     outages), sharded over a worker pool with deterministic per-trial
+//     outages), in chunks on par.For's workers with deterministic per-trial
 //     seeding (TrialSeed), and streams the outcomes into an EvalResult —
 //     success rate with a Wilson interval, latency mean/p50/p99, and a
 //     degradation-vs-failure-count histogram — in O(1) memory per trial.

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"ftsched/internal/par"
 	"ftsched/internal/sched"
 	"ftsched/internal/stats"
 )
 
 // EvalOptions tunes a batch evaluation. The zero value runs with GOMAXPROCS
-// workers, base seed 0, the contention-free model, degraded-mode rerouting
-// and a 4096-sample quantile window.
+// workers, base seed 0 and degraded-mode rerouting, under the paper's
+// contention-free communication model.
 type EvalOptions struct {
 	// Seed is the base seed; every trial derives its own rng stream from
 	// (Seed, trial index), so the result is a pure function of
@@ -21,27 +20,27 @@ type EvalOptions struct {
 	Seed int64
 	// Workers is the replay worker count; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// NewModel, when non-nil, builds one communication model per worker
-	// (stateful models must not be shared across goroutines). Nil selects
-	// the paper's contention-free model.
-	NewModel func() CommModel
 	// StrictMatched disables degraded-mode rerouting for PatternMatched
 	// schedules, as in Options.StrictMatched.
 	StrictMatched bool
-	// QuantileWindow is the number of most recent successful-trial
-	// latencies backing the p50/p99 report (0: 4096). It is the only
-	// per-trial state kept, which is what makes memory O(1) in trials.
-	QuantileWindow int
 	// OnTrial, when non-nil, observes every trial's outcome in strict trial
 	// order (latency is meaningful only when ok is true). Because trial
 	// seeds derive from (Seed, trial), two evaluations at one seed see the
 	// identical failure scenario at each index; the auto-tuner uses this
 	// hook to compare candidates trial-for-trial on their shared draws.
+	// When a trial fails, no trial of its chunk of 1024 per worker is
+	// observed, including the ones before it.
 	OnTrial func(trial int, ok bool, latency float64)
 }
 
-// defaultQuantileWindow bounds the latency samples retained for quantiles.
-const defaultQuantileWindow = 4096
+// quantileWindow is the number of most recent successful-trial latencies
+// backing the p50/p99 report. It is the only per-trial state kept, which is
+// what makes an evaluation's memory O(1) in trials.
+const quantileWindow = 4096
+
+// evalChunk is the number of trials per worker EvaluateScenarios runs
+// between two in-order aggregation passes.
+const evalChunk = 1024
 
 // EvalLatency summarizes the latency of successful trials. Mean/StdDev/
 // Min/Max stream over every success; P50/P99 are nearest-rank quantiles over
@@ -135,11 +134,9 @@ func TrialSeed(base int64, trial int) int64 {
 
 // evalOutcome is one trial's contribution to the aggregate.
 type evalOutcome struct {
-	trial   int
 	ok      bool
 	latency float64
 	failed  int
-	err     error
 }
 
 // TrialFunc executes one trial against a drawn scenario, reporting whether
@@ -149,24 +146,16 @@ type evalOutcome struct {
 type TrialFunc func(trial int, sc Scenario) (ok bool, latency float64, err error)
 
 // Evaluate replays the schedule under `trials` failure scenarios drawn from
-// gen and streams the outcomes into an EvalResult. Trials are sharded over a
-// worker pool; each worker owns one pooled replayer (scratch reused across
-// its trials), one rng reseeded per trial from (opt.Seed, trial), and one
-// communication model. Aggregation consumes outcomes in trial order behind a
-// small reorder buffer, so the result is deterministic for any worker count
-// and memory stays O(workers + processors + QuantileWindow) — independent of
-// the trial count.
+// gen and streams the outcomes into an EvalResult, through EvaluateScenarios:
+// each worker owns one pooled replayer (scratch reused across its trials),
+// and the result is the same at every worker count.
 //
 // A trial whose scenario exceeds what the schedule tolerates
 // (ErrNotTolerated) counts as a failure; any other error aborts the
 // evaluation deterministically (first error in trial order wins).
 func Evaluate(s *sched.Schedule, gen ScenarioGenerator, trials int, opt EvalOptions) (*EvalResult, error) {
-	newModel := opt.NewModel
-	if newModel == nil {
-		newModel = func() CommModel { return ContentionFree{} }
-	}
 	newRunner := func() (TrialFunc, func(), error) {
-		rp, err := newReplayer(s, Options{Model: newModel(), StrictMatched: opt.StrictMatched})
+		rp, err := newReplayer(s, Options{StrictMatched: opt.StrictMatched})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -185,13 +174,28 @@ func Evaluate(s *sched.Schedule, gen ScenarioGenerator, trials int, opt EvalOpti
 		gen, trials, opt, newRunner)
 }
 
+// evalWorker is one worker's state: its runner, its rng (reseeded per trial
+// from (opt.Seed, trial)) and its scenario scratch.
+type evalWorker struct {
+	run     TrialFunc
+	src     rand.Source
+	rng     *rand.Rand
+	sc      Scenario
+	scratch ScenarioScratch
+}
+
 // EvaluateScenarios is the generator → trial → ordered-aggregation engine
 // behind Evaluate, generalized over what one trial executes: Evaluate plugs
 // in a static-schedule replay, the mission controller plugs in a full online
 // re-scheduling run, and both inherit the same determinism contract (the
 // result is a pure function of the inputs and opt.Seed, independent of
-// opt.Workers). newRunner is called once per worker and returns the worker's
-// TrialFunc plus a close function releasing its scratch (may be nil).
+// opt.Workers). newRunner is called once per worker, before any trial runs,
+// and returns the worker's TrialFunc plus a close function releasing its
+// scratch (may be nil).
+//
+// Trials run in chunks of evalChunk per worker through par.For; each chunk is
+// aggregated in trial order before the next starts, so memory is
+// O(evalChunk·workers + m + quantileWindow) whatever the trial count.
 //
 // m is the platform size the scenarios cover; missionWindow is the failure-
 // counting window of the degradation histogram (crashes at or past it cannot
@@ -208,153 +212,64 @@ func EvaluateScenarios(m int, missionWindow, baseline float64, gen ScenarioGener
 	if err := gen.Check(m); err != nil {
 		return nil, err
 	}
-	// Fail fast on runner problems before spawning workers; construction is
-	// deterministic, so worker runners can only fail the same way.
-	probe, probeClose, err := newRunner()
-	if err != nil {
-		return nil, err
-	}
-	_ = probe
-	if probeClose != nil {
-		probeClose()
-	}
-
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	wcap := opt.QuantileWindow
-	if wcap <= 0 {
-		wcap = defaultQuantileWindow
-	}
-	if wcap > trials {
-		wcap = trials
-	}
-
-	// tokens bounds the trials in flight (issued but not yet consumed in
-	// order), which bounds the reorder buffer regardless of how unevenly
-	// the scheduler runs the workers.
-	inFlight := 4 * workers
-	tokens := make(chan struct{}, inFlight)
-	workCh := make(chan int)
-	outCh := make(chan evalOutcome, workers)
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	halt := func() { stopOnce.Do(func() { close(stop) }) }
-	defer halt()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run, closeRunner, rerr := newRunner()
-			if rerr == nil && closeRunner != nil {
-				defer closeRunner()
-			}
-			src := rand.NewSource(0)
-			rng := rand.New(src)
-			sc := NewScenario(m)
-			var scratch ScenarioScratch
-			for i := range workCh {
-				o := evalOutcome{trial: i, err: rerr}
-				if o.err == nil {
-					src.Seed(TrialSeed(opt.Seed, i))
-					o.err = gen.FillScenario(rng, &sc, &scratch)
-				}
-				if o.err == nil {
-					o.failed = sc.NumFailedBefore(missionWindow)
-					o.ok, o.latency, o.err = run(i, sc)
-				}
-				select {
-				case outCh <- o:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() { // feeder
-		defer close(workCh)
-		for i := 0; i < trials; i++ {
-			select {
-			case tokens <- struct{}{}:
-			case <-stop:
-				return
-			}
-			select {
-			case workCh <- i:
-			case <-stop:
-				return
-			}
+	workers := make([]evalWorker, par.Workers(opt.Workers, trials))
+	for w := range workers {
+		run, closeRunner, err := newRunner()
+		if err != nil {
+			return nil, err
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(outCh)
-	}()
+		if closeRunner != nil {
+			defer closeRunner()
+		}
+		src := rand.NewSource(0)
+		workers[w] = evalWorker{run: run, src: src, rng: rand.New(src), sc: NewScenario(m)}
+	}
 
-	// Streaming aggregation in strict trial order.
 	var (
-		next     int
-		pending  = make(map[int]evalOutcome, inFlight)
-		succ     int
-		latAcc   stats.Accumulator
-		window   = stats.NewWindow(wcap)
-		buckets  = make([]failureAcc, m+1)
-		firstErr error
+		succ    int
+		latAcc  stats.Accumulator
+		window  = stats.NewWindow(min(quantileWindow, trials))
+		buckets = make([]failureAcc, m+1)
+		chunk   = make([]evalOutcome, min(trials, evalChunk*len(workers)))
+		base    int
 	)
-	consume := func(o evalOutcome) bool {
-		if o.err != nil {
-			firstErr = fmt.Errorf("sim: trial %d: %w", o.trial, o.err)
-			return false
+	// Hoisted out of the chunk loop, so a one-worker evaluation allocates
+	// nothing per chunk.
+	trial := func(w, k int) error {
+		wk, o, i := &workers[w], &chunk[k], base+k
+		wk.src.Seed(TrialSeed(opt.Seed, i))
+		err := gen.FillScenario(wk.rng, &wk.sc, &wk.scratch)
+		if err == nil {
+			o.failed = wk.sc.NumFailedBefore(missionWindow)
+			o.ok, o.latency, err = wk.run(i, wk.sc)
 		}
-		if opt.OnTrial != nil {
-			opt.OnTrial(o.trial, o.ok, o.latency)
+		if err != nil {
+			return fmt.Errorf("sim: trial %d: %w", i, err)
 		}
-		b := &buckets[o.failed]
-		b.trials++
-		if o.ok {
-			succ++
-			latAcc.Add(o.latency)
-			window.Add(o.latency)
-			b.successes++
-			b.latency.Add(o.latency)
-			if baseline > 0 {
-				b.degradation.Add((o.latency - baseline) / baseline)
+		return nil
+	}
+	for ; base < trials; base += len(chunk) {
+		n := min(len(chunk), trials-base)
+		if err := par.For(len(workers), n, trial); err != nil {
+			return nil, err
+		}
+		for k, o := range chunk[:n] {
+			if opt.OnTrial != nil {
+				opt.OnTrial(base+k, o.ok, o.latency)
+			}
+			b := &buckets[o.failed]
+			b.trials++
+			if o.ok {
+				succ++
+				latAcc.Add(o.latency)
+				window.Add(o.latency)
+				b.successes++
+				b.latency.Add(o.latency)
+				if baseline > 0 {
+					b.degradation.Add((o.latency - baseline) / baseline)
+				}
 			}
 		}
-		return true
-	}
-drain:
-	for o := range outCh {
-		pending[o.trial] = o
-		for {
-			po, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			<-tokens
-			if !consume(po) {
-				halt()
-				break drain
-			}
-		}
-		if next == trials {
-			halt()
-			break
-		}
-	}
-	for range outCh {
-		// Drain stragglers so the workers' sends never block forever.
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	res := &EvalResult{

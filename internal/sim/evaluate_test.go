@@ -3,6 +3,7 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -33,22 +34,35 @@ func evalSchedule(t testing.TB, procs, eps int) *sched.Schedule {
 }
 
 // The acceptance criterion: same seed, any worker count, byte-identical
-// EvalResult JSON.
+// EvalResult JSON — for every generator, and for trial counts that straddle
+// the engine's 1024-trial chunk boundaries.
 func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 	s := evalSchedule(t, 8, 2)
-	gens := []sim.ScenarioGenerator{
+	type run struct {
+		name   string
+		gen    sim.ScenarioGenerator
+		trials int
+	}
+	var runs []run
+	for _, gen := range []sim.ScenarioGenerator{
 		sim.UniformGen{N: 2},
 		sim.ExponentialGen{Lambda: 1.0 / s.UpperBound()},
 		sim.WeibullGen{Shape: 1.5, Scale: s.UpperBound()},
 		sim.GroupGen{Size: 3, Lambda: 1.0 / s.UpperBound()},
 		sim.BurstGen{N: 3, Lambda: 2.0 / s.UpperBound(), Spread: s.UpperBound() / 10},
 		sim.StaggeredGen{N: 2, Horizon: s.UpperBound()},
+	} {
+		runs = append(runs, run{gen.Spec().Kind, gen, 300})
 	}
-	for _, gen := range gens {
-		t.Run(gen.Spec().Kind, func(t *testing.T) {
+	for _, trials := range []int{1, 1023, 1024, 1025, 2049} {
+		runs = append(runs, run{fmt.Sprintf("trials=%d", trials),
+			sim.ExponentialGen{Lambda: 2.0 / s.UpperBound()}, trials})
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
 			var want []byte
-			for _, workers := range []int{1, 3, 8} {
-				res, err := sim.Evaluate(s, gen, 300, sim.EvalOptions{Seed: 7, Workers: workers})
+			for _, workers := range []int{1, 2, 3, 8} {
+				res, err := sim.Evaluate(s, r.gen, r.trials, sim.EvalOptions{Seed: 7, Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -193,8 +207,9 @@ func TestEvaluateMemoryFlatInTrials(t *testing.T) {
 		})
 	}
 	small, large := measure(64), measure(1024)
-	// The fixed overhead (goroutines, channels, result) is tens of allocs;
-	// anything per-trial would blow the large run past 2× the small one.
+	// The fixed overhead (one runner per worker, the chunk buffer,
+	// par.For's goroutines, the result) is tens of allocs; anything
+	// per-trial would blow the large run past 2× the small one.
 	if large > 2*small+64 {
 		t.Fatalf("allocs grow with trials: %g at 64 trials, %g at 1024", small, large)
 	}

@@ -55,13 +55,6 @@ func resetAlive(sc *Scenario) {
 	}
 }
 
-func checkScenarioLen(sc *Scenario, m int) error {
-	if len(sc.CrashTime) != m {
-		return fmt.Errorf("sim: scenario buffer covers %d processors, generator expects %d", len(sc.CrashTime), m)
-	}
-	return nil
-}
-
 // UniformGen crashes N distinct uniformly drawn processors at time 0 — the
 // paper's adversarial crash experiments ("processors that fail during the
 // schedule process are chosen uniformly"), batch form of UniformCrashes.

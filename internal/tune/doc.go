@@ -15,8 +15,8 @@
 //
 // Three properties shape the implementation:
 //
-//   - Determinism. Candidates run on a worker pool (the expt engine's
-//     pattern), but every candidate derives its scheduling seed from the
+//   - Determinism. Candidates run on par.For's workers (the loop the expt
+//     engine runs on), but every candidate derives its scheduling seed from the
 //     base seed and its own coordinates by FNV-1a, and results aggregate in
 //     grid order — so Run's output, serialized, is byte-identical at any
 //     Workers value.

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 
 	"ftsched/internal/dag"
+	"ftsched/internal/par"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
@@ -245,7 +244,7 @@ func (s Spec) check() ([]Candidate, error) {
 }
 
 // candState is one candidate's mutable slot during a run. Slots are written
-// only by the worker owning the index, so the pool needs no locking.
+// only by the worker running the index, so par.For needs no locking.
 type candState struct {
 	schedule *sched.Schedule
 	screen   *sim.EvalResult
@@ -257,34 +256,6 @@ type candState struct {
 	// paired pruning comparison.
 	screenOK  []bool
 	screenLat []float64
-	err       error
-}
-
-// forEach runs fn over the indices on a bounded worker pool and waits. fn
-// must confine its writes to per-index state.
-func forEach(workers int, idx []int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for _, i := range idx {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
 }
 
 // Run executes the tuning search and returns the Pareto frontier with a
@@ -309,9 +280,10 @@ func Run(spec Spec) (*Result, error) {
 	naive := screen == spec.Trials
 	eseed := evalSeed(spec.Seed)
 	states := make([]candState, len(cands))
-	all := make([]int, len(cands))
-	for i := range all {
-		all[i] = i
+	// candErr names the candidate an error belongs to. par.For returns the
+	// lowest failing index's error, so the error is the same at any Workers.
+	candErr := func(i int, err error) error {
+		return fmt.Errorf("tune: candidate %s: %w", cands[i], err)
 	}
 
 	// Phase 1: schedule every candidate once (schedules are reused by the
@@ -321,7 +293,7 @@ func Run(spec Spec) (*Result, error) {
 	if naive {
 		firstTrials = spec.Trials
 	}
-	forEach(spec.Workers, all, func(i int) {
+	err = par.For(spec.Workers, len(cands), func(_, i int) error {
 		st := &states[i]
 		c := cands[i]
 		s, err := sched.Run(c.Scheduler, g, p, cm, sched.RunOptions{
@@ -331,12 +303,10 @@ func Run(spec Spec) (*Result, error) {
 			BottomLevels: bl,
 		})
 		if err != nil {
-			st.err = err
-			return
+			return candErr(i, err)
 		}
 		if err := s.Validate(); err != nil {
-			st.err = fmt.Errorf("generated schedule failed validation: %w", err)
-			return
+			return candErr(i, fmt.Errorf("generated schedule failed validation: %w", err))
 		}
 		st.schedule = s
 		opt := sim.EvalOptions{Seed: eseed, Workers: 1}
@@ -350,19 +320,17 @@ func Run(spec Spec) (*Result, error) {
 		}
 		res, err := sim.Evaluate(s, gen, firstTrials, opt)
 		if err != nil {
-			st.err = err
-			return
+			return candErr(i, err)
 		}
 		if naive {
 			st.full = res
 		} else {
 			st.screen = res
 		}
+		return nil
 	})
-	for i, st := range states {
-		if st.err != nil {
-			return nil, fmt.Errorf("tune: candidate %s: %w", cands[i], st.err)
-		}
+	if err != nil {
+		return nil, err
 	}
 	evaluated := len(cands) * firstTrials
 
@@ -377,19 +345,17 @@ func Run(spec Spec) (*Result, error) {
 				survivors = append(survivors, i)
 			}
 		}
-		forEach(spec.Workers, survivors, func(i int) {
-			st := &states[i]
-			res, err := sim.Evaluate(st.schedule, gen, spec.Trials, sim.EvalOptions{Seed: eseed, Workers: 1})
+		err := par.For(spec.Workers, len(survivors), func(_, k int) error {
+			i := survivors[k]
+			res, err := sim.Evaluate(states[i].schedule, gen, spec.Trials, sim.EvalOptions{Seed: eseed, Workers: 1})
 			if err != nil {
-				st.err = err
-				return
+				return candErr(i, err)
 			}
-			st.full = res
+			states[i].full = res
+			return nil
 		})
-		for _, i := range survivors {
-			if states[i].err != nil {
-				return nil, fmt.Errorf("tune: candidate %s: %w", cands[i], states[i].err)
-			}
+		if err != nil {
+			return nil, err
 		}
 		evaluated += len(survivors) * spec.Trials
 	}
@@ -406,19 +372,19 @@ func Run(spec Spec) (*Result, error) {
 				full = append(full, i)
 			}
 		}
-		forEach(spec.Workers, full, func(i int) {
-			st := &states[i]
-			wc, err := sim.WorstCase(st.schedule, *spec.WorstCase, sim.Options{})
+		err := par.For(spec.Workers, len(full), func(_, k int) error {
+			i := full[k]
+			wc, err := sim.WorstCase(states[i].schedule, *spec.WorstCase, sim.Options{})
 			if err != nil {
-				st.err = err
-				return
+				return candErr(i, err)
 			}
-			st.wc = wc
+			states[i].wc = wc
+			return nil
 		})
+		if err != nil {
+			return nil, err
+		}
 		for _, i := range full {
-			if states[i].err != nil {
-				return nil, fmt.Errorf("tune: candidate %s: %w", cands[i], states[i].err)
-			}
 			evaluated += states[i].wc.Evals
 		}
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ftsched/internal/dag"
@@ -66,8 +67,8 @@ func (c PaperConfig) Validate() error {
 	if c.MinCost < 0 || c.MaxCost < c.MinCost {
 		return fmt.Errorf("workload: invalid cost range [%g,%g]", c.MinCost, c.MaxCost)
 	}
-	if c.Granularity < 0 {
-		return fmt.Errorf("workload: negative target granularity %g", c.Granularity)
+	if !(c.Granularity >= 0) || math.IsInf(c.Granularity, 0) {
+		return fmt.Errorf("workload: target granularity %g is not finite and non-negative", c.Granularity)
 	}
 	return nil
 }

@@ -254,6 +254,28 @@ func TestInstanceForGraphFamilies(t *testing.T) {
 	}
 }
 
+// Zero disables the rescale; anything negative or non-finite is refused
+// rather than silently producing an unscaled instance.
+func TestPaperConfigGranularity(t *testing.T) {
+	for _, tc := range []struct {
+		g  float64
+		ok bool
+	}{
+		{0, true},
+		{0.2, true},
+		{2, true},
+		{-1, false},
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+	} {
+		err := DefaultPaperConfig(tc.g).Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("granularity %g: Validate() = %v, want ok=%v", tc.g, err, tc.ok)
+		}
+	}
+}
+
 func TestPaperConfigValidation(t *testing.T) {
 	cfg := DefaultPaperConfig(1.0)
 	cfg.Procs = 0
