@@ -19,9 +19,10 @@
 // is decoded and fingerprinted once at the door (malformed input never
 // reaches a worker) and forwarded to the shard that owns the fingerprint, so
 // every shard keeps a disjoint, stable slice of the cache keyspace and the
-// deployment serves byte-identical responses to a single server. -shards
+// deployment serves byte-identical responses to a single server. The door
+// refuses a body under the workers' own limits, with the same bytes. -shards
 // runs the workers in process; -shard-urls points at standalone ftserved
-// workers instead.
+// workers (http:// or https:// URLs) instead.
 //
 // Endpoints (see docs/API.md for the full reference):
 //
@@ -37,7 +38,9 @@
 //	GET  /healthz    liveness probe
 //	GET  /stats      cache hit rate, queue depth, p50/p99 latency
 //
-// The server drains in-flight requests on SIGINT/SIGTERM before exiting.
+// The server drains in-flight requests on SIGINT/SIGTERM before exiting. An
+// invalid invocation exits 2 before anything listens; a failure to listen or
+// serve exits 1.
 package main
 
 import (
@@ -45,8 +48,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"strconv"
@@ -59,25 +65,57 @@ import (
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", 0, "scheduling workers (0: one per core)")
-		queue       = flag.Int("queue", 0, "pending-request queue bound (0: 2x workers); overflow returns 429")
-		cache       = flag.Int("cache", 4096, "response cache capacity in entries")
-		cacheShards = flag.Int("cache-shards", 16, "response cache shard count (lock striping, not worker shards)")
-		maxTasks    = flag.Int("max-tasks", 0, "reject instances with more tasks (0: unlimited)")
-		maxTrials   = flag.Int("max-trials", 0, "reject /evaluate and /tune requests with more trials (0: 100000)")
-		maxCands    = flag.Int("max-candidates", 0, "reject /tune requests deriving more candidates (0: 256)")
-		maxBatch    = flag.Int("max-batch", 0, "reject /schedule/batch envelopes with more items (0: 256)")
-		maxMissions = flag.Int("max-missions", 0, "retained missions per worker; when all are running, new /missions return 429 (0: 1024)")
-		maxBody     = flag.Int64("max-body", 32<<20, "request body limit in bytes")
-		verbose     = flag.Bool("v", false, "log every /schedule and /evaluate request")
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-		coordinator = flag.Bool("coordinator", false, "front worker shards instead of serving directly")
-		shards      = flag.Int("shards", 2, "coordinator: in-process worker shard count")
-		shardURLs   = flag.String("shard-urls", "", "coordinator: comma-separated remote worker base URLs (overrides -shards)")
+// run is the whole program behind main, kept re-entrant so tests can drive
+// the binary's exact code path: parse the flags, listen, serve until ctx is
+// done, then drain. Every line it prints is a log line on stderr; stdout
+// stays empty. It returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ftserved", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", ":8080", "listen address")
+		workers     = fs.Int("workers", 0, "scheduling workers (0: one per core)")
+		queue       = fs.Int("queue", 0, "pending-request queue bound (0: 2x workers); overflow returns 429")
+		cache       = fs.Int("cache", 4096, "response cache capacity in entries")
+		cacheShards = fs.Int("cache-shards", 16, "response cache shard count (lock striping, not worker shards)")
+		maxTasks    = fs.Int("max-tasks", 0, "reject instances with more tasks (0: unlimited)")
+		maxTrials   = fs.Int("max-trials", 0, "reject /evaluate and /tune requests with more trials (0: 100000)")
+		maxCands    = fs.Int("max-candidates", 0, "reject /tune requests deriving more candidates (0: 256)")
+		maxBatch    = fs.Int("max-batch", 0, "reject /schedule/batch envelopes with more items (0: 256)")
+		maxMissions = fs.Int("max-missions", 0, "retained missions per worker; when all are running, new /missions return 429 (0: 1024)")
+		maxBody     = fs.Int64("max-body", 32<<20, "request body limit in bytes")
+		verbose     = fs.Bool("v", false, "log every /schedule, /schedule/batch, /evaluate and /tune request")
+
+		coordinator = fs.Bool("coordinator", false, "front worker shards instead of serving directly")
+		shards      = fs.Int("shards", 2, "coordinator: in-process worker shard count")
+		shardURLs   = fs.String("shard-urls", "", "coordinator: comma-separated remote worker base URLs (overrides -shards)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	var remotes []http.Handler
+	var err error
+	switch {
+	case fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *coordinator && *shardURLs != "":
+		remotes, err = proxies(*shardURLs)
+	case *coordinator && *shards < 1:
+		err = fmt.Errorf("need -shards >= 1, got %d", *shards)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ftserved:", err)
+		return 2
+	}
 
 	cfg := service.Config{
 		Workers:       *workers,
@@ -91,90 +129,85 @@ func main() {
 		MaxMissions:   *maxMissions,
 		MaxBodyBytes:  *maxBody,
 	}
-	logger := log.New(os.Stderr, "ftserved: ", log.LstdFlags)
+	logger := log.New(stderr, "ftserved: ", log.LstdFlags)
 	if *verbose {
 		cfg.Log = logger
 	}
 
 	var handler http.Handler
-	var closeShards func()
+	var servers []*service.Server // the in-process pools to drain
 	switch {
 	case !*coordinator:
-		svc := service.New(cfg)
-		handler = svc
-		closeShards = svc.Close
-	case *shardURLs != "":
-		// Remote workers: each URL is a standalone ftserved this process
-		// routes to. Their pools are theirs to drain.
-		var members []http.Handler
-		for _, base := range strings.Split(*shardURLs, ",") {
-			base = strings.TrimSpace(base)
-			if base == "" {
-				fatal(errors.New("-shard-urls contains an empty entry"))
-			}
-			members = append(members, &coord.Proxy{Base: base})
-		}
-		handler = coord.New(members, coord.Options{MaxBodyBytes: *maxBody, MaxTasks: *maxTasks, MaxBatchItems: *maxBatch, Log: cfg.Log})
-		closeShards = func() {}
+		servers = []*service.Server{service.New(cfg)}
+		handler = servers[0]
+	case remotes != nil:
+		// Remote workers: their pools are theirs to drain.
+		handler = coord.New(remotes, cfg)
 	default:
-		if *shards < 1 {
-			fatal(fmt.Errorf("need -shards >= 1, got %d", *shards))
-		}
 		members := make([]http.Handler, *shards)
-		servers := make([]*service.Server, *shards)
 		for i := range members {
 			shardCfg := cfg
 			shardCfg.Shard = strconv.Itoa(i)
-			servers[i] = service.New(shardCfg)
+			servers = append(servers, service.New(shardCfg))
 			members[i] = servers[i]
 		}
-		handler = coord.New(members, coord.Options{MaxBodyBytes: *maxBody, MaxTasks: *maxTasks, MaxBatchItems: *maxBatch, Log: cfg.Log})
-		closeShards = func() {
-			for _, s := range servers {
-				s.Close()
-			}
+		handler = coord.New(members, cfg)
+	}
+	defer func() {
+		for _, s := range servers {
+			s.Close()
 		}
+	}()
+
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(stderr, "ftserved:", err)
+		return 1
 	}
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	if c, ok := handler.(*coord.Coordinator); ok {
-		logger.Printf("coordinating %d shards on %s", c.Shards(), *addr)
+		logger.Printf("coordinating %d shards on %s", c.Shards(), ln.Addr())
 	} else {
 		logger.Printf("listening on %s (workers=%d queue=%d cache=%d)",
-			*addr, handler.(*service.Server).Workers(), handler.(*service.Server).QueueCapacity(), *cache)
+			ln.Addr(), servers[0].Workers(), servers[0].QueueCapacity(), *cache)
 	}
 
 	select {
 	case err := <-errCh:
-		fatal(err)
+		fmt.Fprintln(stderr, "ftserved:", err)
+		return 1
 	case <-ctx.Done():
 	}
 
 	// Graceful shutdown: stop accepting connections, let in-flight requests
-	// finish, then drain the worker pool.
+	// finish, then drain the worker pools (the deferred Close).
 	logger.Println("shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		logger.Printf("shutdown: %v", err)
 	}
-	closeShards()
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
+		fmt.Fprintln(stderr, "ftserved:", err)
+		return 1
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ftserved:", err)
-	os.Exit(1)
+// proxies parses -shard-urls into one Proxy per entry. An entry must be an
+// http or https URL with a host: anything else would start fine and then
+// answer every routed request with a 502.
+func proxies(list string) ([]http.Handler, error) {
+	var members []http.Handler
+	for _, base := range strings.Split(list, ",") {
+		base = strings.TrimSpace(base)
+		u, err := url.Parse(base)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("-shard-urls entry %q is not an http:// or https:// URL with a host", base)
+		}
+		members = append(members, &coord.Proxy{Base: base})
+	}
+	return members, nil
 }

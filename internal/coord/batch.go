@@ -29,29 +29,24 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer service.ReleaseBody(buf)
 	body := buf.Bytes()
 	req, err := service.ParseBatchRequest(body)
+	if err == nil {
+		err = c.cfg.CheckTasks(req.Graph.NumTasks())
+	}
+	if err == nil {
+		err = c.cfg.CheckBatchItems(len(req.Items()))
+	}
 	if err != nil {
 		c.reject(w, http.StatusBadRequest, err)
 		return
 	}
-	if c.opts.MaxTasks > 0 && req.NumTasks() > c.opts.MaxTasks {
-		c.reject(w, http.StatusBadRequest,
-			fmt.Errorf("instance has %d tasks, this deployment accepts at most %d", req.NumTasks(), c.opts.MaxTasks))
-		return
-	}
 	items := req.Items()
-	if len(items) > c.opts.MaxBatchItems {
-		c.reject(w, http.StatusBadRequest,
-			fmt.Errorf("batch carries %d requests, this deployment accepts at most %d",
-				len(items), c.opts.MaxBatchItems))
-		return
-	}
 	groups := make(map[int][]int) // shard -> original item indices, in order
 	for i, it := range items {
 		shard := c.Route(service.RequestFingerprint(it))
 		groups[shard] = append(groups[shard], i)
 	}
-	if c.opts.Log != nil {
-		c.opts.Log.Printf("%s /schedule/batch items=%d shards=%d", r.RemoteAddr, len(items), len(groups))
+	if c.cfg.Log != nil {
+		c.cfg.Log.Printf("%s /schedule/batch items=%d shards=%d", r.RemoteAddr, len(items), len(groups))
 	}
 
 	// Whole batch owned by one shard: forward the original bytes, the
@@ -82,10 +77,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(replies, func(a, b int) bool { return replies[a].shard < replies[b].shard })
 	par.For(len(replies), len(replies), func(_, k int) error {
 		reply := replies[k]
-		sub := service.BatchRequest{
-			Graph: req.Graph, Platform: req.Platform, Costs: req.Costs,
-			Requests: make([]service.BatchItem, 0, len(reply.idxs)),
-		}
+		sub := service.BatchRequest{Instance: req.Instance, Requests: make([]service.BatchItem, 0, len(reply.idxs))}
 		for _, i := range reply.idxs {
 			sub.Requests = append(sub.Requests, req.Requests[i])
 		}
@@ -127,7 +119,7 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		var sr service.BatchResponse
 		if err := json.Unmarshal(reply.body, &sr); err != nil || len(sr.Items) != len(reply.idxs) {
 			// Unreachable with well-behaved shards.
-			fail(w, http.StatusBadGateway, fmt.Errorf("shard %d returned an unreadable batch response", reply.shard))
+			service.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %d returned an unreadable batch response", reply.shard))
 			return
 		}
 		out.CacheHits += sr.CacheHits
@@ -136,9 +128,9 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 			out.Items[i] = sr.Items[k]
 		}
 	}
-	merged, err := marshalBatchResponse(&out)
+	merged, err := service.Encode(&out)
 	if err != nil { // unreachable: items are valid JSON from the shards
-		fail(w, http.StatusInternalServerError, err)
+		service.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	status := "miss"
@@ -148,27 +140,4 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(service.CacheStatusHeader, status)
 	w.Write(merged)
-}
-
-// fail answers a request the door cannot complete after a shard served it,
-// with the service's uniform JSON error body. Unlike reject it counts
-// nothing: the shards have already accounted the work behind the request.
-func fail(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(service.ErrorResponse{Error: err.Error()})
-}
-
-// marshalBatchResponse mirrors the service's deterministic encoding (compact,
-// no HTML escaping, trailing newline), so a merged batch response is
-// byte-identical to the one a single server would produce for the same
-// envelope and cache state.
-func marshalBatchResponse(resp *service.BatchResponse) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -21,7 +21,8 @@ func BenchmarkDoorSchedule(b *testing.B) {
 		b.Fatal(err)
 	}
 	body, err := json.Marshal(&service.ScheduleRequest{
-		Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs, Scheduler: "ftsa", Epsilon: 1,
+		Instance:  service.Instance{Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs},
+		Scheduler: "ftsa", Epsilon: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -33,7 +34,7 @@ func BenchmarkDoorSchedule(b *testing.B) {
 			b.Cleanup(s.Close)
 			shards[i] = s
 		}
-		return New(shards, Options{})
+		return New(shards, service.Config{})
 	}
 	post := func(c *Coordinator, body []byte, want string) {
 		rec := do(c, http.MethodPost, "/schedule", body)

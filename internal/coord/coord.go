@@ -2,34 +2,12 @@ package coord
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"sync/atomic"
 
 	"ftsched/internal/service"
 )
-
-// Options tunes a Coordinator. The zero value picks the same door limits a
-// zero-value service.Config does.
-type Options struct {
-	// MaxBodyBytes limits a request body at the door (0: 32 MiB).
-	MaxBodyBytes int64
-	// MaxTasks rejects instances with more tasks at the door (0: unlimited).
-	// Set it to the shards' own limit so oversized instances are refused
-	// before they cost a decode on a worker.
-	MaxTasks int
-	// MaxBatchItems rejects /schedule/batch envelopes with more items at the
-	// door (0: 256, the service default). The door must enforce this itself:
-	// splitting an oversized envelope across shards would hand each shard a
-	// sub-batch under its own limit, silently bypassing the guard.
-	MaxBatchItems int
-	// Log, when non-nil, receives one line per routed request.
-	Log *log.Logger
-}
 
 // Coordinator fronts N worker shards. Each POST body is decoded and
 // validated once at the door (malformed input 400s without touching a
@@ -43,8 +21,12 @@ type Options struct {
 // served.
 type Coordinator struct {
 	shards []http.Handler
-	opts   Options
-	mux    *http.ServeMux
+	// cfg is the servers' Config, defaulted. The door applies MaxBodyBytes,
+	// MaxTasks and MaxBatchItems, so a refusal costs no shard anything and
+	// reads like a standalone server's, and Log gets one line per routed
+	// request; the other guards (trials, candidates) are the shard's.
+	cfg service.Config
+	mux *http.ServeMux
 	// front is the door's body-digest index: digest → routing fingerprint of
 	// the bodies that came back from a shard as cache hits. A body's
 	// fingerprint never changes, so an alias is never wrong and is dropped
@@ -68,21 +50,16 @@ type Coordinator struct {
 const doorAliasesPerShard = 4096
 
 // New creates a Coordinator over the given shard handlers (in-process
-// service.Servers, Proxy handlers for remote workers, or a mix). It panics
+// service.Servers, Proxy handlers for remote workers, or a mix) that refuses
+// bodies under the same limits as a service.Server built from cfg. It panics
 // if shards is empty — a coordinator with nothing to route to is a
 // construction error, not a runtime condition.
-func New(shards []http.Handler, opts Options) *Coordinator {
+func New(shards []http.Handler, cfg service.Config) *Coordinator {
 	if len(shards) == 0 {
 		panic("coord.New: no shards")
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 32 << 20
-	}
-	if opts.MaxBatchItems <= 0 {
-		opts.MaxBatchItems = 256
-	}
 	c := &Coordinator{
-		shards: shards, opts: opts, mux: http.NewServeMux(),
+		shards: shards, cfg: cfg.WithDefaults(), mux: http.NewServeMux(),
 		front: service.NewBodyIndex[service.Fingerprint](doorAliasesPerShard*len(shards), 16),
 	}
 	for _, ep := range service.CachedEndpoints() {
@@ -92,7 +69,7 @@ func New(shards []http.Handler, opts Options) *Coordinator {
 	c.mux.HandleFunc("POST /missions", c.handleMissionCreate)
 	c.mux.HandleFunc("GET /missions/{id}", c.missionByID)
 	c.mux.HandleFunc("GET /missions/{id}/events", c.missionByID)
-	// /scenarios is generated from the process-global scenario-kind registry,
+	// /scenarios is generated from the process-global scenario-kind table,
 	// identical on every shard, so the door answers it without a shard hop.
 	c.mux.HandleFunc("GET /scenarios", service.ScenariosHandler)
 	c.mux.HandleFunc("GET /healthz", c.handleHealthz)
@@ -117,14 +94,12 @@ func (c *Coordinator) Route(fp service.Fingerprint) int {
 // alone — no shared state, and the GET lands on the same shard the POST
 // created the mission on at any shard count. Like the shards themselves,
 // the door keeps mission reads out of the request counters (they are polls,
-// not work), so a malformed id is refused with a bare 400 here rather than
-// through reject.
+// not work), so a malformed id is refused with an uncounted 400 here rather
+// than through reject.
 func (c *Coordinator) missionByID(w http.ResponseWriter, r *http.Request) {
 	fp, err := service.ParseMissionID(r.PathValue("id"))
 	if err != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadRequest)
-		_ = json.NewEncoder(w).Encode(service.ErrorResponse{Error: err.Error()})
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	c.forward(w, r, c.route(r, fp), nil)
@@ -159,10 +134,9 @@ func (c *Coordinator) cached(ep *service.Endpoint) http.HandlerFunc {
 			c.reject(w, http.StatusBadRequest, err)
 			return
 		}
-		if c.opts.MaxTasks > 0 && d.Tasks() > c.opts.MaxTasks {
+		if err := c.cfg.CheckTasks(d.Tasks()); err != nil {
 			d.Release()
-			c.reject(w, http.StatusBadRequest,
-				fmt.Errorf("instance has %d tasks, this deployment accepts at most %d", d.Tasks(), c.opts.MaxTasks))
+			c.reject(w, http.StatusBadRequest, err)
 			return
 		}
 		fp := d.Fingerprint()
@@ -192,13 +166,11 @@ func (c *Coordinator) handleMissionCreate(w http.ResponseWriter, r *http.Request
 	}
 	defer service.ReleaseBody(buf)
 	req, err := service.ParseMissionRequest(buf.Bytes())
+	if err == nil {
+		err = c.cfg.CheckTasks(req.Graph.NumTasks())
+	}
 	if err != nil {
 		c.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	if tasks := req.Graph.NumTasks(); c.opts.MaxTasks > 0 && tasks > c.opts.MaxTasks {
-		c.reject(w, http.StatusBadRequest,
-			fmt.Errorf("instance has %d tasks, this deployment accepts at most %d", tasks, c.opts.MaxTasks))
 		return
 	}
 	c.forward(w, r, c.route(r, service.MissionFingerprint(req)), buf.Bytes())
@@ -208,37 +180,29 @@ func (c *Coordinator) handleMissionCreate(w http.ResponseWriter, r *http.Request
 // routing line.
 func (c *Coordinator) route(r *http.Request, fp service.Fingerprint) int {
 	shard := c.Route(fp)
-	if c.opts.Log != nil {
-		c.opts.Log.Printf("%s %s fp=%x shard=%d/%d", r.RemoteAddr, r.URL.Path, fp[:4], shard, len(c.shards))
+	if c.cfg.Log != nil {
+		c.cfg.Log.Printf("%s %s fp=%x shard=%d/%d", r.RemoteAddr, r.URL.Path, fp[:4], shard, len(c.shards))
 	}
 	return shard
 }
 
-// readBody buffers the request body under the door limit in a pooled buffer
-// the caller returns with service.ReleaseBody. ok is false when an error
-// response was written (413 past the limit, 400 otherwise).
+// readBody buffers the request body under MaxBodyBytes (service.ReadBody)
+// in a pooled buffer the caller returns with service.ReleaseBody. ok is false
+// when the refusal was written.
 func (c *Coordinator) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
-	buf, err := service.AcquireBody(http.MaxBytesReader(w, r.Body, c.opts.MaxBodyBytes), r.ContentLength)
+	buf, status, err := service.ReadBody(w, r, c.cfg.MaxBodyBytes)
 	if err != nil {
-		service.ReleaseBody(buf)
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		c.reject(w, status, fmt.Errorf("reading request body: %w", err))
+		c.reject(w, status, err)
 		return nil, false
 	}
 	return buf, true
 }
 
-// reject terminates a request at the door with the service's uniform error
-// body.
+// reject terminates a request at the door with the refusal a standalone
+// server would write.
 func (c *Coordinator) reject(w http.ResponseWriter, status int, err error) {
 	c.rejected.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(service.ErrorResponse{Error: err.Error()})
+	service.WriteError(w, status, err)
 }
 
 // forward replays the buffered body against the shard, writing the shard's

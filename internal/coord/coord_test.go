@@ -82,7 +82,7 @@ func newDeployment(t *testing.T, n int, cfg service.Config) (*Coordinator, []*se
 		handlers[i] = shards[i]
 		t.Cleanup(shards[i].Close)
 	}
-	return New(handlers, Options{}), shards
+	return New(handlers, cfg), shards
 }
 
 // do replays one request against a handler.
@@ -292,13 +292,13 @@ func TestDoorRefusesTrailingData(t *testing.T) {
 func TestDoorBodyLimit(t *testing.T) {
 	srv := service.New(service.Config{})
 	t.Cleanup(srv.Close)
-	c := New([]http.Handler{srv}, Options{MaxBodyBytes: 64})
+	c := New([]http.Handler{srv}, service.Config{MaxBodyBytes: 64})
 	rec := do(c, http.MethodPost, "/schedule", scheduleBody("ftsa", 1, 0))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", rec.Code)
 	}
 	// MaxTasks guard: the diamond has 4 tasks.
-	c2 := New([]http.Handler{srv}, Options{MaxTasks: 2})
+	c2 := New([]http.Handler{srv}, service.Config{MaxTasks: 2})
 	rec = do(c2, http.MethodPost, "/schedule", scheduleBody("ftsa", 1, 0))
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "at most 2") {
 		t.Fatalf("MaxTasks guard: status %d body %s", rec.Code, rec.Body.String())
@@ -316,7 +316,7 @@ func TestDoorBatchLimit(t *testing.T) {
 		t.Cleanup(srv.Close)
 		shards[i] = srv
 	}
-	c := New(shards, Options{MaxBatchItems: 3})
+	c := New(shards, service.Config{MaxBatchItems: 3})
 	// Four items with distinct seeds: certain to exceed the limit and very
 	// likely to span both shards (the bypass scenario).
 	items := `{"scheduler": "ftsa", "epsilon": 1, "seed": 1},
@@ -331,6 +331,61 @@ func TestDoorBatchLimit(t *testing.T) {
 	for i, s := range st.PerShard {
 		if s.Requests != 0 {
 			t.Fatalf("shard %d saw %d requests; the oversized batch must die at the door", i, s.Requests)
+		}
+	}
+}
+
+// TestDoorRefusalsMatchServer: a deployment built from one service.Config
+// refuses a body with the status and bytes a standalone server built from the
+// same Config answers, counts it as a door rejection, and never hands it to
+// a shard — at one shard and at two.
+func TestDoorRefusalsMatchServer(t *testing.T) {
+	cfg := service.Config{MaxBodyBytes: 4096, MaxTasks: 3, MaxBatchItems: 2}
+	// A 2-task instance passes MaxTasks, so its batch meets MaxBatchItems.
+	const small = `"graph": {"name": "p", "tasks": 2, "edges": [{"src": 0, "dst": 1, "volume": 1}]},
+	  "platform": {"procs": 2, "delay": [[0, 0.5], [0.5, 0]]}, "costs": {"cost": [[1, 2], [2, 1]]}`
+	smallSchedule := `{` + small + `, "scheduler": "ftsa", "epsilon": 1}`
+	item := `{"scheduler": "ftsa", "epsilon": 1}`
+	cases := []struct {
+		name, path string
+		body       []byte
+		status     int
+		want       string // must appear in the body
+	}{
+		{"body limit", "/schedule", append(scheduleBody("ftsa", 1, 0), bytes.Repeat([]byte(" "), 4096)...),
+			http.StatusRequestEntityTooLarge, "decoding request: http: request body too large"},
+		{"max tasks", "/schedule", scheduleBody("ftsa", 1, 0), http.StatusBadRequest, "instance has 4 tasks, this server accepts at most 3"},
+		{"max tasks evaluate", "/evaluate", evaluateBody(0, 10), http.StatusBadRequest, "this server accepts at most 3"},
+		{"max tasks batch", "/schedule/batch", batchBody(item), http.StatusBadRequest, "this server accepts at most 3"},
+		{"max tasks mission", "/missions", missionBody("ftsa", 1, ""), http.StatusBadRequest, "this server accepts at most 3"},
+		{"max batch items", "/schedule/batch", []byte(`{` + small + `, "requests": [` + item + `,` + item + `,` + item + `]}`),
+			http.StatusBadRequest, "batch carries 3 requests, this server accepts at most 2"},
+		{"malformed", "/schedule", []byte(`{"graph": `), http.StatusBadRequest, "decoding request"},
+		{"trailing data", "/schedule", []byte(smallSchedule + `]`), http.StatusBadRequest, "unexpected data after the JSON body"},
+	}
+	single := service.New(cfg)
+	t.Cleanup(single.Close)
+	for _, n := range []int{1, 2} {
+		c, _ := newDeployment(t, n, cfg)
+		for _, tc := range cases {
+			sRec, cRec := do(single, http.MethodPost, tc.path, tc.body), do(c, http.MethodPost, tc.path, tc.body)
+			if cRec.Code != tc.status || !strings.Contains(cRec.Body.String(), tc.want) {
+				t.Errorf("%d shards, %s: %d %s; want %d naming %q", n, tc.name, cRec.Code, cRec.Body.String(), tc.status, tc.want)
+			}
+			if sRec.Code != cRec.Code || !bytes.Equal(sRec.Body.Bytes(), cRec.Body.Bytes()) ||
+				sRec.Header().Get("Content-Type") != cRec.Header().Get("Content-Type") {
+				t.Errorf("%d shards, %s: door answered %d %q, the standalone server %d %q",
+					n, tc.name, cRec.Code, cRec.Body.String(), sRec.Code, sRec.Body.String())
+			}
+		}
+		st := coordStats(t, c)
+		if st.Door.Rejected != uint64(len(cases)) {
+			t.Errorf("%d shards: door rejected %d, want %d", n, st.Door.Rejected, len(cases))
+		}
+		for i, s := range st.PerShard {
+			if s.Requests != 0 {
+				t.Errorf("%d shards: shard %d saw %d requests; every refusal must die at the door", n, i, s.Requests)
+			}
 		}
 	}
 }
@@ -420,7 +475,7 @@ func TestDoorFailuresAreJSON(t *testing.T) {
 	good := service.New(service.Config{Shard: "0"})
 	t.Cleanup(good.Close)
 	bad := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("not-json")) })
-	c := New([]http.Handler{good, bad}, Options{})
+	c := New([]http.Handler{good, bad}, service.Config{})
 	seedA, seedB := splitSeeds(t, 2)
 
 	items := fmt.Sprintf(`{"scheduler": "ftsa", "epsilon": 1, "seed": %d},
@@ -579,7 +634,7 @@ func TestHealthzAggregation(t *testing.T) {
 	})
 	srv := service.New(service.Config{})
 	t.Cleanup(srv.Close)
-	degraded := New([]http.Handler{srv, bad}, Options{})
+	degraded := New([]http.Handler{srv, bad}, service.Config{})
 	rec = do(degraded, http.MethodGet, "/healthz", nil)
 	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), `"failing_shard":1`) {
 		t.Fatalf("degraded healthz: %d %s", rec.Code, rec.Body.String())
@@ -594,7 +649,7 @@ func TestProxyPassthrough(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	c := New([]http.Handler{&Proxy{Base: ts.URL}}, Options{})
+	c := New([]http.Handler{&Proxy{Base: ts.URL}}, service.Config{})
 	body := scheduleBody("ftsa", 1, 0)
 	first := do(c, http.MethodPost, "/schedule", body)
 	second := do(c, http.MethodPost, "/schedule", body)
@@ -629,7 +684,7 @@ func TestMixedDeployment(t *testing.T) {
 	t.Cleanup(remote.Close)
 	ts := httptest.NewServer(remote)
 	t.Cleanup(ts.Close)
-	c := New([]http.Handler{local, &Proxy{Base: ts.URL}}, Options{})
+	c := New([]http.Handler{local, &Proxy{Base: ts.URL}}, service.Config{})
 
 	var bodies [][]byte
 	for seed := int64(1); seed <= 12; seed++ {
@@ -684,7 +739,7 @@ func TestProxySendsContentLength(t *testing.T) {
 		w.Write([]byte("{}\n"))
 	}))
 	t.Cleanup(worker.Close)
-	c := New([]http.Handler{&Proxy{Base: worker.URL}}, Options{})
+	c := New([]http.Handler{&Proxy{Base: worker.URL}}, service.Config{})
 	if rec := do(c, http.MethodPost, "/schedule", body); rec.Code != http.StatusOK {
 		t.Fatalf("proxied POST: %d %s", rec.Code, rec.Body.String())
 	}

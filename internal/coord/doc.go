@@ -7,9 +7,9 @@
 // to a single server: a fingerprint always lands on the same shard, so each
 // shard's LRU owns a disjoint, stable keyspace and a repeat request finds its
 // predecessor's cache entry no matter how many requests went elsewhere in
-// between. Malformed bodies are rejected at the coordinator door with the
-// same 400/413 contract as a standalone server — a request that cannot be
-// fingerprinted never reaches a shard.
+// between. Malformed and over-limit bodies are refused at the door with the
+// bytes a standalone server with the same service.Config answers — a request
+// that cannot be served never reaches a shard.
 //
 // A request is decoded at most once per deployment: the door's decode is
 // handed to an in-process shard as a service.Decoded (a Proxy shard gets the

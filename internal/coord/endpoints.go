@@ -24,7 +24,7 @@ var endpoints = []endpoint{
 	{"POST", "/missions", "decode + fingerprint at the door, forward verbatim to the owning shard (the mission id is the fingerprint, so reads route themselves)"},
 	{"GET", "/missions/{id}", "parse the id as a fingerprint, forward to the shard that owns the mission"},
 	{"GET", "/missions/{id}/events", "parse the id as a fingerprint, forward to the shard that owns the mission"},
-	{"GET", "/scenarios", "answered at the door from the process-global scenario-kind registry (identical on every shard)"},
+	{"GET", "/scenarios", "answered at the door from the process-global scenario-kind table (identical on every shard)"},
 	{"GET", "/healthz", "ok only when every shard is ok"},
 	{"GET", "/stats", "door counters + conservation-preserving merged view + raw per-shard stats"},
 }

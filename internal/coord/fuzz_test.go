@@ -74,7 +74,7 @@ func FuzzRouteRequest(f *testing.F) {
 		for i := range shards {
 			handlers[i] = shards[i]
 		}
-		c := New(handlers, Options{})
+		c := New(handlers, service.Config{})
 
 		rec := do(c, http.MethodPost, path, body)
 
@@ -92,7 +92,7 @@ func FuzzRouteRequest(f *testing.F) {
 			case "/tune":
 				_, err = service.DecodeTuneRequest(bytes.NewReader(body))
 			case "/schedule/batch":
-				_, err = service.DecodeBatchRequest(bytes.NewReader(body))
+				_, err = service.ParseBatchRequest(body)
 			}
 			return err == nil
 		}()
@@ -170,7 +170,7 @@ func FuzzRouteMission(f *testing.F) {
 		for i := range shards {
 			handlers[i] = shards[i]
 		}
-		c := New(handlers, Options{})
+		c := New(handlers, service.Config{})
 
 		rec := do(c, http.MethodPost, "/missions", body)
 		reached := func() (n uint64) {
@@ -179,7 +179,7 @@ func FuzzRouteMission(f *testing.F) {
 			}
 			return n
 		}
-		req, decodeErr := service.DecodeMissionRequest(bytes.NewReader(body))
+		req, decodeErr := service.ParseMissionRequest(body)
 		if decodeErr != nil {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("POST /missions: undecodable body got %d, want 400 (body %q)", rec.Code, body)

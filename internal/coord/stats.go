@@ -126,7 +126,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range c.shards {
 		if err := c.shardGet(i, "/stats", &st.PerShard[i]); err != nil {
-			fail(w, http.StatusBadGateway, err)
+			service.WriteError(w, http.StatusBadGateway, err)
 			return
 		}
 	}

@@ -65,7 +65,8 @@ func (t HandlerTarget) Do(path string, body []byte) Result {
 // the e2e suite drive: n worker shards behind a coordinator for n >= 2, or a
 // bare server for n <= 1 — the same serving code either way, so reports are
 // directly comparable across shard counts. Every shard gets its own worker
-// pool and cache under the given config, labeled "0".."n-1" in /stats. The
+// pool and cache under the given config, labeled "0".."n-1" in /stats, and
+// the coordinator refuses bodies under the same config's limits. The
 // returned close function drains every shard's pool.
 func ShardedTarget(n int, cfg service.Config) (Target, func()) {
 	if n <= 1 {
@@ -81,7 +82,7 @@ func ShardedTarget(n int, cfg service.Config) (Target, func()) {
 		shards[i] = s
 		closers[i] = s.Close
 	}
-	c := coord.New(shards, coord.Options{})
+	c := coord.New(shards, cfg)
 	return HandlerTarget{Handler: c}, func() {
 		for _, cl := range closers {
 			cl()

@@ -19,9 +19,6 @@ var keptExports = map[string]string{
 	"dag.Graph.Levels":   "the depth profile the workload family-shape tests assert",
 	"dag.Graph.Width":    "ω, the paper's bound on |α|; the workload family-shape tests assert it",
 
-	"service.DecodeBatchRequest":   "FuzzDecodePayload reads an io.Reader and must pass unmodified",
-	"service.DecodeMissionRequest": "FuzzDecodePayload reads an io.Reader and must pass unmodified",
-
 	"sched.RegistryTable":       "the docs drift test pins docs/API.md to it",
 	"service.ScenarioKindTable": "the docs drift test pins docs/API.md to it",
 	"service.EndpointTable":     "the docs drift test pins docs/API.md to it",

@@ -3,29 +3,22 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
-
-	"ftsched/internal/dag"
-	"ftsched/internal/platform"
 )
 
-// BatchRequest is the body of POST /schedule/batch: one instance (graph,
-// platform, costs — the same wire shapes as /schedule) scheduled under many
-// parameter sets. The instance is decoded and validated once, and every
-// cache-missing item is computed inside a single worker job, so the whole
-// batch shares one admission slot.
+// BatchRequest is the body of POST /schedule/batch: one instance scheduled
+// under many parameter sets. The instance is decoded and validated once, and
+// every cache-missing item is computed inside a single worker job, so the
+// whole batch shares one admission slot.
 type BatchRequest struct {
-	Graph    *dag.Graph          `json:"graph"`
-	Platform *platform.Platform  `json:"platform"`
-	Costs    *platform.CostModel `json:"costs"`
+	Instance
 	// Requests is the parameter set per item; each combines with the shared
 	// instance into a full /schedule request. Must be non-empty.
 	Requests []BatchItem `json:"requests"`
 
 	// items is the expansion into full ScheduleRequests, populated by
-	// Validate (all sharing the envelope's instance pointers).
+	// Validate (all sharing the envelope's instance).
 	items []*ScheduleRequest
 }
 
@@ -59,16 +52,10 @@ type BatchItemResult struct {
 	Response json.RawMessage `json:"response"`
 }
 
-// DecodeBatchRequest reads and validates one batch body with the same
+// ParseBatchRequest reads and validates one batch body with the same
 // strictness as DecodeScheduleRequest (unknown fields and trailing documents
 // rejected). On success every item has passed full /schedule validation and
 // Items returns the expansion.
-func DecodeBatchRequest(r io.Reader) (*BatchRequest, error) {
-	return readNew[BatchRequest](r)
-}
-
-// ParseBatchRequest is DecodeBatchRequest for a body already in memory (the
-// coordinator door's).
 func ParseBatchRequest(body []byte) (*BatchRequest, error) {
 	return decodeNew[BatchRequest](body)
 }
@@ -84,9 +71,7 @@ func (req *BatchRequest) Validate() error {
 	req.items = make([]*ScheduleRequest, len(req.Requests))
 	for i, it := range req.Requests {
 		sr := &ScheduleRequest{
-			Graph:           req.Graph,
-			Platform:        req.Platform,
-			Costs:           req.Costs,
+			Instance:        req.Instance,
 			Scheduler:       it.Scheduler,
 			Epsilon:         it.Epsilon,
 			Policy:          it.Policy,
@@ -103,17 +88,8 @@ func (req *BatchRequest) Validate() error {
 	return nil
 }
 
-// NumTasks reports the shared instance's task count (0 before validation
-// succeeds on a well-formed envelope); it feeds the MaxTasks guard.
-func (req *BatchRequest) NumTasks() int {
-	if req.Graph == nil {
-		return 0
-	}
-	return req.Graph.NumTasks()
-}
-
 // Items returns the batch expanded into full /schedule requests, in request
-// order. Populated by Validate (so always set after DecodeBatchRequest).
+// order. Populated by Validate (so always set after ParseBatchRequest).
 func (req *BatchRequest) Items() []*ScheduleRequest { return req.items }
 
 // handleBatch serves POST /schedule/batch. Counter discipline: a malformed
@@ -125,17 +101,15 @@ func (req *BatchRequest) Items() []*ScheduleRequest { return req.items }
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchRequests.Add(1)
 	start := time.Now()
-	req, ok := decodeRequest(s, w, r, (*BatchRequest).NumTasks)
+	req, ok := decodeRequest[BatchRequest](s, w, r)
 	if !ok {
 		s.requests.Add(1)
 		return
 	}
 	items := req.Items()
-	if len(items) > s.cfg.MaxBatchItems {
+	if err := s.cfg.CheckBatchItems(len(items)); err != nil {
 		s.requests.Add(1)
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("batch carries %d requests, this server accepts at most %d",
-				len(items), s.cfg.MaxBatchItems))
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -229,7 +203,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items[i] = BatchItemResult{Cache: status, Response: json.RawMessage(bodies[i])}
 	}
-	body, err := marshalCompact(resp)
+	body, err := Encode(resp)
 	if err != nil {
 		s.internalErrors.Add(uint64(len(items)) - 1)
 		s.writeError(w, http.StatusInternalServerError, err)

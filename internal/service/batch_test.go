@@ -15,9 +15,7 @@ func testBatchRequest(t *testing.T) *BatchRequest {
 	t.Helper()
 	g, p, cm := testInstance(t, "diamond")
 	return &BatchRequest{
-		Graph:    g,
-		Platform: p,
-		Costs:    cm,
+		Instance: Instance{Graph: g, Platform: p, Costs: cm},
 		Requests: []BatchItem{
 			{Scheduler: "ftsa", Epsilon: 1},
 			{Scheduler: "mcftsa", Epsilon: 1, Seed: 3},
@@ -75,7 +73,7 @@ func TestBatchMatchesIndividualResponses(t *testing.T) {
 	// re-compacts the RawMessage).
 	for i, it := range req.Requests {
 		full := &ScheduleRequest{
-			Graph: req.Graph, Platform: req.Platform, Costs: req.Costs,
+			Instance:  req.Instance,
 			Scheduler: it.Scheduler, Epsilon: it.Epsilon, Policy: it.Policy,
 			Seed: it.Seed, Lambda: it.Lambda,
 			IncludeGantt: it.IncludeGantt, IncludeSchedule: it.IncludeSchedule,

@@ -2,8 +2,11 @@ package service
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"hash/maphash"
 	"io"
+	"net/http"
 	"sync"
 )
 
@@ -35,12 +38,12 @@ const maxPooledBody = 1 << 20
 
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// AcquireBody reads r to EOF into a pooled buffer, pre-sized from the
+// acquireBody reads r to EOF into a pooled buffer, pre-sized from the
 // request's declared Content-Length so a body is read in one pass without
 // regrowing. The buffer is returned even on a read error — it then holds the
 // bytes read before the error — and must go back through ReleaseBody once
 // nothing references its bytes.
-func AcquireBody(r io.Reader, contentLength int64) (*bytes.Buffer, error) {
+func acquireBody(r io.Reader, contentLength int64) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	if n := min(contentLength, maxPooledBody); n > 0 {
 		// ReadFrom wants bytes.MinRead spare bytes to discover EOF.
@@ -50,7 +53,26 @@ func AcquireBody(r io.Reader, contentLength int64) (*bytes.Buffer, error) {
 	return buf, err
 }
 
-// ReleaseBody recycles a buffer obtained from AcquireBody.
+// ReadBody buffers r's body, bounded by limit, in a pooled buffer the caller
+// returns with ReleaseBody. A body that cannot be read whole is answered from
+// the read error alone — 413 past the limit, 400 otherwise — whatever the
+// bytes before the error were: ReadBody then returns no buffer, the status
+// and an error that is safe to echo.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, int, error) {
+	buf, err := acquireBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
+	if err == nil {
+		return buf, http.StatusOK, nil
+	}
+	ReleaseBody(buf)
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	return nil, status, fmt.Errorf("decoding request: %w", err)
+}
+
+// ReleaseBody recycles a buffer obtained from acquireBody.
 func ReleaseBody(buf *bytes.Buffer) {
 	if buf.Cap() > maxPooledBody+bytes.MinRead {
 		return

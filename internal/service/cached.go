@@ -180,8 +180,9 @@ func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.countRequest(ep)
 		start := time.Now()
-		buf, ok := s.readBody(w, r)
-		if !ok {
+		buf, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+		if err != nil {
+			s.writeError(w, status, err)
 			return
 		}
 		defer ReleaseBody(buf)
@@ -249,10 +250,8 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, d *Decoded
 // as a hit, so every alias has passed every guard and never-repeating
 // traffic stores nothing.
 func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest, start time.Time) {
-	var err error
-	if s.cfg.MaxTasks > 0 && d.tasks > s.cfg.MaxTasks {
-		err = fmt.Errorf("instance has %d tasks, this server accepts at most %d", d.tasks, s.cfg.MaxTasks)
-	} else if d.guard != nil {
+	err := s.cfg.CheckTasks(d.tasks)
+	if err == nil && d.guard != nil {
 		err = d.guard(&s.cfg)
 	}
 	if err != nil {

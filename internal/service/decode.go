@@ -12,25 +12,16 @@ import (
 )
 
 // request is what the bodies of the five POST endpoints have in common: an
-// instance — graph, platform, costs, 99.8 % of the bytes — next to a few
+// Instance — graph, platform, costs, 99.8 % of the bytes — next to a few
 // endpoint-specific parameters, and a cross-check of the two.
 type request interface {
-	// instance returns where the body's graph, platform and costs go.
-	instance() (**dag.Graph, **platform.Platform, **platform.CostModel)
+	// instance returns where the body's graph, platform and costs go; every
+	// request type has it by embedding Instance.
+	instance() *Instance
 	Validate() error
 }
 
-func (req *ScheduleRequest) instance() (**dag.Graph, **platform.Platform, **platform.CostModel) {
-	return &req.Graph, &req.Platform, &req.Costs
-}
-
-func (req *TuneRequest) instance() (**dag.Graph, **platform.Platform, **platform.CostModel) {
-	return &req.Graph, &req.Platform, &req.Costs
-}
-
-func (req *BatchRequest) instance() (**dag.Graph, **platform.Platform, **platform.CostModel) {
-	return &req.Graph, &req.Platform, &req.Costs
-}
+func (in *Instance) instance() *Instance { return in }
 
 var instanceFields = wire.Fields{"graph", "platform", "costs"}
 
@@ -50,9 +41,9 @@ var instanceFields = wire.Fields{"graph", "platform", "costs"}
 // hands the storage back — req then holds capacity for the next decode and
 // nothing to read.
 func decodeBody(body []byte, req request) error {
-	g, p, cm := req.instance()
-	gs, ps, cs := *g, *p, *cm
-	*g, *p, *cm = nil, nil, nil
+	in := req.instance()
+	storage := *in
+	*in = Instance{}
 
 	s := wire.NewScanner(body)
 	rest := body // a body that is not an object is encoding/json's to refuse
@@ -64,11 +55,11 @@ func decodeBody(body []byte, req request) error {
 			case 0:
 				// Every task needs a cost row, "[0]," at the least, in this
 				// same body.
-				return scanMember(s, g, &gs, func(g *dag.Graph) error { return g.ScanJSONMax(s, len(body)/4) })
+				return scanMember(s, &in.Graph, &storage.Graph, func(g *dag.Graph) error { return g.ScanJSONMax(s, len(body)/4) })
 			case 1:
-				return scanMember(s, p, &ps, func(p *platform.Platform) error { return p.ScanJSON(s) })
+				return scanMember(s, &in.Platform, &storage.Platform, func(p *platform.Platform) error { return p.ScanJSON(s) })
 			case 2:
-				return scanMember(s, cm, &cs, func(cm *platform.CostModel) error { return cm.ScanJSON(s) })
+				return scanMember(s, &in.Costs, &storage.Costs, func(cm *platform.CostModel) error { return cm.ScanJSON(s) })
 			}
 			value, err := s.Raw()
 			if len(rest) > 1 {
@@ -95,7 +86,7 @@ func decodeBody(body []byte, req request) error {
 		err = req.Validate()
 	}
 	if err != nil {
-		*g, *p, *cm = gs, ps, cs
+		*in = storage
 	}
 	return err
 }
@@ -131,7 +122,7 @@ func decodeNew[T any, P requestPtr[T]](body []byte) (P, error) {
 // readNew is decodeNew for a body still to be read. The exported
 // Decode*Request functions are it, one per request type.
 func readNew[T any, P requestPtr[T]](r io.Reader) (P, error) {
-	buf, err := AcquireBody(r, 0)
+	buf, err := acquireBody(r, 0)
 	defer ReleaseBody(buf)
 	if err != nil {
 		return nil, fmt.Errorf("decoding request: %w", err)

@@ -121,15 +121,15 @@ func oracleDecode(body []byte, wire any, inst *oracleInstance, req request) (off
 	if dec.More() {
 		return 0, fmt.Errorf("decoding request: unexpected data after the JSON body")
 	}
-	g, p, cm := req.instance()
+	in := req.instance()
 	if inst.Graph != nil {
-		*g = inst.Graph.g
+		in.Graph = inst.Graph.g
 	}
 	if inst.Platform != nil {
-		*p = inst.Platform.p
+		in.Platform = inst.Platform.p
 	}
 	if inst.Costs != nil {
-		*cm = inst.Costs.cm
+		in.Costs = inst.Costs.cm
 	}
 	return dec.InputOffset(), req.Validate()
 }
@@ -252,19 +252,18 @@ type (
 // sameInstance compares what the fingerprint does not cover: the graph's
 // name and the order of every adjacency row.
 func sameInstance(a, b request) error {
-	ga, _, _ := a.instance()
-	gb, _, _ := b.instance()
-	if (*ga).Name() != (*gb).Name() {
-		return fmt.Errorf("graph name %q, oracle %q", (*ga).Name(), (*gb).Name())
+	ga, gb := a.instance().Graph, b.instance().Graph
+	if ga.Name() != gb.Name() {
+		return fmt.Errorf("graph name %q, oracle %q", ga.Name(), gb.Name())
 	}
-	if (*ga).NumTasks() != (*gb).NumTasks() || (*ga).NumEdges() != (*gb).NumEdges() {
+	if ga.NumTasks() != gb.NumTasks() || ga.NumEdges() != gb.NumEdges() {
 		return fmt.Errorf("graph has %d tasks %d edges, oracle %d and %d",
-			(*ga).NumTasks(), (*ga).NumEdges(), (*gb).NumTasks(), (*gb).NumEdges())
+			ga.NumTasks(), ga.NumEdges(), gb.NumTasks(), gb.NumEdges())
 	}
-	for t := dag.TaskID(0); int(t) < (*ga).NumTasks(); t++ {
-		if !slices.Equal((*ga).Succs(t), (*gb).Succs(t)) || !slices.Equal((*ga).Preds(t), (*gb).Preds(t)) {
+	for t := dag.TaskID(0); int(t) < ga.NumTasks(); t++ {
+		if !slices.Equal(ga.Succs(t), gb.Succs(t)) || !slices.Equal(ga.Preds(t), gb.Preds(t)) {
 			return fmt.Errorf("adjacency of task %d: %v / %v, oracle %v / %v",
-				t, (*ga).Succs(t), (*ga).Preds(t), (*gb).Succs(t), (*gb).Preds(t))
+				t, ga.Succs(t), ga.Preds(t), gb.Succs(t), gb.Preds(t))
 		}
 	}
 	return nil

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -91,12 +89,8 @@ func (req *EvaluateRequest) Validate() error {
 	if req.Trials < 1 {
 		return fmt.Errorf("need trials >= 1, got %d", req.Trials)
 	}
-	gen, err := req.Scenario.Generator()
-	if err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if err := gen.Check(req.Platform.NumProcs()); err != nil {
-		return fmt.Errorf("scenario: %w", err)
+	if err := req.checkScenario(req.Scenario); err != nil {
+		return err
 	}
 	seen := make(map[string]bool, len(req.Policies))
 	for _, p := range req.Policies {
@@ -158,16 +152,4 @@ func EvaluateFingerprint(req *EvaluateRequest) Fingerprint {
 		f.str(req.WorstCase.String())
 	}
 	return f.sum()
-}
-
-// marshalEvaluateResponse serializes a response deterministically (compact
-// JSON, struct field order) — the property the byte-exact cache relies on.
-func marshalEvaluateResponse(resp *EvaluateResponse) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -36,7 +36,7 @@ func testInstance(t *testing.T, name string) (*dag.Graph, *platform.Platform, *p
 func testRequest(t *testing.T) *ScheduleRequest {
 	t.Helper()
 	g, p, cm := testInstance(t, "diamond")
-	return &ScheduleRequest{Graph: g, Platform: p, Costs: cm, Scheduler: "ftsa", Epsilon: 1}
+	return &ScheduleRequest{Instance: Instance{Graph: g, Platform: p, Costs: cm}, Scheduler: "ftsa", Epsilon: 1}
 }
 
 func TestRequestFingerprintDeterministic(t *testing.T) {

@@ -61,7 +61,7 @@ func goldenBodies(t testing.TB) [][]byte {
 		{"heft", "", 0, 0}, {"heft", "noinsertion", 0, 0},
 	} {
 		data, err := json.Marshal(&ScheduleRequest{
-			Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs,
+			Instance:  Instance{Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs},
 			Scheduler: v.scheduler, Policy: v.policy, Epsilon: v.epsilon, Seed: v.seed,
 			IncludeSchedule: true,
 		})

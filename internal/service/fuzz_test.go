@@ -124,9 +124,9 @@ func FuzzDecodePayload(f *testing.F) {
 				t.Fatalf("validated request carries an unusable scenario: %v", err)
 			}
 		}
-		if req, err := DecodeBatchRequest(bytes.NewReader(body)); err == nil {
+		if req, err := ParseBatchRequest(body); err == nil {
 			if req == nil {
-				t.Fatal("DecodeBatchRequest returned nil, nil")
+				t.Fatal("ParseBatchRequest returned nil, nil")
 			}
 			if len(req.Items()) == 0 {
 				t.Fatal("validated batch expands to zero items")
@@ -135,9 +135,9 @@ func FuzzDecodePayload(f *testing.F) {
 				_ = RequestFingerprint(it)
 			}
 		}
-		if req, err := DecodeMissionRequest(bytes.NewReader(body)); err == nil {
+		if req, err := ParseMissionRequest(body); err == nil {
 			if req == nil {
-				t.Fatal("DecodeMissionRequest returned nil, nil")
+				t.Fatal("ParseMissionRequest returned nil, nil")
 			}
 			// The fingerprint is the mission id, and the scenario drives the
 			// controller — both must be usable for any accepted request.
@@ -161,8 +161,8 @@ func TestDecodeSeedCorpus(t *testing.T) {
 	for i, seed := range fuzzSeedBodies {
 		_, serr := DecodeScheduleRequest(strings.NewReader(seed))
 		_, eerr := DecodeEvaluateRequest(strings.NewReader(seed))
-		_, berr := DecodeBatchRequest(strings.NewReader(seed))
-		_, merr := DecodeMissionRequest(strings.NewReader(seed))
+		_, berr := ParseBatchRequest([]byte(seed))
+		_, merr := ParseMissionRequest([]byte(seed))
 		switch wantOK[i] {
 		case "schedule":
 			if serr != nil {

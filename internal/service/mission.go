@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -32,15 +30,9 @@ type MissionRequest struct {
 	TaskEvents bool `json:"task_events,omitempty"`
 }
 
-// DecodeMissionRequest reads and validates one /missions request body, with
-// the same strictness as DecodeScheduleRequest (unknown fields rejected,
-// one JSON document only).
-func DecodeMissionRequest(r io.Reader) (*MissionRequest, error) {
-	return readNew[MissionRequest](r)
-}
-
-// ParseMissionRequest is DecodeMissionRequest for a body already in memory
-// (the coordinator door's).
+// ParseMissionRequest reads and validates one /missions request body with
+// the same strictness as DecodeScheduleRequest (unknown fields rejected, one
+// JSON document only).
 func ParseMissionRequest(body []byte) (*MissionRequest, error) {
 	return decodeNew[MissionRequest](body)
 }
@@ -57,14 +49,7 @@ func (req *MissionRequest) Validate() error {
 	if _, err := mission.ParsePolicy(req.MissionPolicy); err != nil {
 		return err
 	}
-	gen, err := req.Scenario.Generator()
-	if err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if err := gen.Check(req.Platform.NumProcs()); err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	return nil
+	return req.checkScenario(req.Scenario)
 }
 
 // MissionFingerprint digests everything a mission's event log and final
@@ -198,7 +183,7 @@ func missionAcceptedBody(id string) []byte {
 func (s *Server) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	s.missionRequests.Add(1)
-	req, ok := decodeRequest(s, w, r, func(req *MissionRequest) int { return req.Graph.NumTasks() })
+	req, ok := decodeRequest[MissionRequest](s, w, r)
 	if !ok {
 		return
 	}
@@ -298,7 +283,7 @@ func (s *Server) runMission(req *MissionRequest, st *missionState) {
 		report.UpperBound = ctl.InitialPlan().UpperBound()
 		report.Outcome = &out
 	}
-	body, merr := marshalCompact(&report)
+	body, merr := Encode(&report)
 	if merr != nil {
 		// A flat struct of numbers and strings cannot fail to encode; keep
 		// the mission observable anyway.
@@ -342,33 +327,20 @@ func (s *Server) executeMission(req *MissionRequest, pol mission.Policy, st *mis
 	return out, ctl, nil
 }
 
-// marshalCompact serializes deterministically (compact JSON, struct field
-// order, trailing newline) — the same canonical form every cached response
-// body uses.
-func marshalCompact(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // lookupMission resolves {id}, writing an uncounted 404/400 when absent
 // (mission GETs do not count toward Requests, so their errors must not
 // count either — see the Stats conservation invariant).
 func (s *Server) lookupMission(w http.ResponseWriter, r *http.Request) *missionState {
 	id := r.PathValue("id")
 	if _, err := ParseMissionID(id); err != nil {
-		writeErrorBody(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return nil
 	}
 	s.missionMu.Lock()
 	st := s.missions[id]
 	s.missionMu.Unlock()
 	if st == nil {
-		writeErrorBody(w, http.StatusNotFound, fmt.Errorf("no mission %s", id))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("no mission %s", id))
 		return nil
 	}
 	return st

@@ -127,7 +127,7 @@ func TestSchedulerPanicInBatch(t *testing.T) {
 	release()
 
 	g, p, cm := testInstance(t, "diamond")
-	batch := marshalJSON(t, &BatchRequest{Graph: g, Platform: p, Costs: cm,
+	batch := marshalJSON(t, &BatchRequest{Instance: Instance{Graph: g, Platform: p, Costs: cm},
 		Requests: []BatchItem{{Scheduler: "ftsa", Epsilon: 1}, {Scheduler: "ftbar", Epsilon: 1}}})
 	rec := doServer(srv, http.MethodPost, "/schedule/batch", batch)
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "requests[1]") ||

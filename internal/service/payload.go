@@ -5,18 +5,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"strings"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
+	"ftsched/internal/sim"
 )
 
-// ScheduleRequest is the body of POST /schedule. The graph, platform and
-// costs fields use the exact wire shapes daggen writes to graph.json,
-// platform.json and costs.json, so an on-disk instance can be pasted into a
-// request unchanged.
-type ScheduleRequest struct {
+// Instance is the problem instance every request body carries: the task
+// DAG, the platform's delay matrix and the task × processor cost matrix, in
+// the exact wire shapes daggen writes to graph.json, platform.json and
+// costs.json, so an on-disk instance can be pasted into a request unchanged.
+// Every request type embeds it, and encoding/json flattens the embedding:
+// the three members sit at the top level of the body.
+type Instance struct {
 	// Graph is the weighted task DAG (validated on decode: dense task IDs,
 	// non-negative volumes, acyclic).
 	Graph *dag.Graph `json:"graph"`
@@ -24,6 +28,47 @@ type ScheduleRequest struct {
 	Platform *platform.Platform `json:"platform"`
 	// Costs is the task × processor execution-cost matrix.
 	Costs *platform.CostModel `json:"costs"`
+}
+
+// validate reports a missing member and cross-checks the dimensions; the
+// graph, platform and cost-model decoders have already validated their own
+// invariants.
+func (in *Instance) validate() error {
+	if in.Graph == nil {
+		return fmt.Errorf("missing field %q", "graph")
+	}
+	if in.Platform == nil {
+		return fmt.Errorf("missing field %q", "platform")
+	}
+	if in.Costs == nil {
+		return fmt.Errorf("missing field %q", "costs")
+	}
+	if v := in.Graph.NumTasks(); in.Costs.NumTasks() != v {
+		return fmt.Errorf("costs cover %d tasks, graph has %d", in.Costs.NumTasks(), v)
+	}
+	if m := in.Platform.NumProcs(); in.Costs.NumProcs() != m {
+		return fmt.Errorf("costs cover %d processors, platform has %d", in.Costs.NumProcs(), m)
+	}
+	return nil
+}
+
+// checkScenario refuses a failure-scenario spec that names no generator or
+// whose generator the platform cannot host.
+func (in *Instance) checkScenario(spec sim.ScenarioSpec) error {
+	gen, err := spec.Generator()
+	if err == nil {
+		err = gen.Check(in.Platform.NumProcs())
+	}
+	if err != nil {
+		return fmt.Errorf("scenario: %w", err)
+	}
+	return nil
+}
+
+// ScheduleRequest is the body of POST /schedule: an instance and the
+// scheduling parameters.
+type ScheduleRequest struct {
+	Instance
 	// Scheduler selects the heuristic by scheduler-registry name or alias,
 	// matched case-insensitively: "ftsa", "mcftsa" (alias "mc-ftsa"),
 	// "ftsa-ins", "ftbar" or "heft". Unknown names are rejected with a 400
@@ -126,6 +171,29 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// WriteError writes the uniform JSON error body with the given status. It
+// counts nothing: a Server's own handlers count their errors first, and the
+// uncounted reads (mission GETs, like /stats and /healthz) call it directly.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	// Encoding a flat struct with a string cannot fail; ignore the error.
+	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
+}
+
+// Encode serializes v deterministically — compact JSON in struct field
+// order, no HTML escaping, a trailing newline — the canonical form of every
+// response body the cache stores and the door merges.
+func Encode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // DecodeScheduleRequest reads and validates one request body (decodeBody).
 // Unknown top-level fields are rejected so typos ("epsilom") fail loudly
 // instead of silently scheduling with defaults. The returned error is safe
@@ -134,24 +202,10 @@ func DecodeScheduleRequest(r io.Reader) (*ScheduleRequest, error) {
 	return readNew[ScheduleRequest](r)
 }
 
-// Validate cross-checks the decoded request. The individual graph, platform
-// and cost-model decoders have already validated their own invariants.
+// Validate cross-checks the decoded request.
 func (req *ScheduleRequest) Validate() error {
-	if req.Graph == nil {
-		return fmt.Errorf("missing field %q", "graph")
-	}
-	if req.Platform == nil {
-		return fmt.Errorf("missing field %q", "platform")
-	}
-	if req.Costs == nil {
-		return fmt.Errorf("missing field %q", "costs")
-	}
-	v, m := req.Graph.NumTasks(), req.Platform.NumProcs()
-	if req.Costs.NumTasks() != v {
-		return fmt.Errorf("costs cover %d tasks, graph has %d", req.Costs.NumTasks(), v)
-	}
-	if req.Costs.NumProcs() != m {
-		return fmt.Errorf("costs cover %d processors, platform has %d", req.Costs.NumProcs(), m)
+	if err := req.validate(); err != nil {
+		return err
 	}
 	if req.Scheduler == "" {
 		return fmt.Errorf("missing field %q (registered schedulers: %s)",
@@ -166,7 +220,7 @@ func (req *ScheduleRequest) Validate() error {
 	if err := info.Check(sched.RunOptions{Epsilon: req.Epsilon, Policy: req.Policy}); err != nil {
 		return err
 	}
-	if req.Epsilon+1 > m {
+	if m := req.Platform.NumProcs(); req.Epsilon+1 > m {
 		return fmt.Errorf("epsilon %d needs %d distinct processors per task, platform has %d",
 			req.Epsilon, req.Epsilon+1, m)
 	}
@@ -226,16 +280,4 @@ func (req *ScheduleRequest) canonicalPolicySeed() (policy string, seed int64) {
 		}
 	}
 	return policy, seed
-}
-
-// marshalResponse serializes a response deterministically (compact JSON,
-// struct field order), the property the byte-exact response cache relies on.
-func marshalResponse(resp *ScheduleResponse) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(resp); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }

@@ -41,8 +41,7 @@ func ReleaseScheduleRequest(req *ScheduleRequest) {
 	if req == nil {
 		return
 	}
-	g, p, cm := req.Graph, req.Platform, req.Costs
-	*req = ScheduleRequest{Graph: g, Platform: p, Costs: cm}
+	*req = ScheduleRequest{Instance: req.Instance}
 	scheduleRequestPool.Put(req)
 }
 
@@ -52,7 +51,7 @@ func ReleaseScheduleRequest(req *ScheduleRequest) {
 // the matrices into their previous rows, so the warm path allocates nothing
 // proportional to the instance. Whatever req held before is overwritten.
 func DecodeScheduleRequestInto(req *ScheduleRequest, r io.Reader) error {
-	buf, err := AcquireBody(r, 0)
+	buf, err := acquireBody(r, 0)
 	defer ReleaseBody(buf)
 	if err != nil {
 		return fmt.Errorf("decoding request: %w", err)
@@ -61,6 +60,6 @@ func DecodeScheduleRequestInto(req *ScheduleRequest, r io.Reader) error {
 }
 
 func decodeScheduleInto(req *ScheduleRequest, body []byte) error {
-	*req = ScheduleRequest{Graph: req.Graph, Platform: req.Platform, Costs: req.Costs}
+	*req = ScheduleRequest{Instance: req.Instance}
 	return decodeBody(body, req)
 }

@@ -175,7 +175,7 @@ func benchRequest(b testing.TB) *ScheduleRequest {
 		b.Fatal(err)
 	}
 	return &ScheduleRequest{
-		Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs,
+		Instance:  Instance{Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs},
 		Scheduler: "ftsa", Epsilon: 1,
 	}
 }
@@ -215,7 +215,7 @@ func BenchmarkDecodeEvaluate(b *testing.B) {
 
 func BenchmarkDecodeTune(b *testing.B) {
 	inst := benchRequest(b)
-	benchDecodeNew[TuneRequest](b, &TuneRequest{Graph: inst.Graph, Platform: inst.Platform, Costs: inst.Costs,
+	benchDecodeNew[TuneRequest](b, &TuneRequest{Instance: inst.Instance,
 		Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, Trials: 40, Target: 0.9, EvalSeed: 7})
 }
 

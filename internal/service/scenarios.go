@@ -22,17 +22,13 @@ type ScenariosResponse struct {
 // shard. Like /stats and /healthz it is an uncounted read — no request
 // counter, no cache (the body is already deterministic).
 func ScenariosHandler(w http.ResponseWriter, r *http.Request) {
-	body, err := marshalCompact(&ScenariosResponse{Kinds: sim.ScenarioKindRegs()})
+	body, err := Encode(&ScenariosResponse{Kinds: sim.ScenarioKindRegs()})
 	if err != nil {
-		writeErrorBody(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
-}
-
-func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
-	ScenariosHandler(w, r)
 }
 
 // ScenarioKindTable renders the scenario-kind table as a GitHub-flavored

@@ -66,12 +66,59 @@ type Config struct {
 	// coordinator sets it to the shard index so per-shard sections of an
 	// aggregated /stats response are self-identifying.
 	Shard string
-	// LatencyWindow is the number of recent /schedule latencies kept for the
-	// p50/p99 report (0: 1024).
-	LatencyWindow int
-	// Log, when non-nil, receives one line per /schedule request.
+	// Log, when non-nil, receives one line per served /schedule,
+	// /schedule/batch, /evaluate or /tune request.
 	Log *log.Logger
 }
+
+// WithDefaults returns cfg with every zero limit replaced by its default.
+// Workers and Queue are defaulted by the worker pool, which sizes them to
+// the host.
+func (cfg Config) WithDefaults() Config {
+	if cfg.CacheEntries <= 0 {
+		cfg.CacheEntries = 4096
+	}
+	if cfg.CacheShards <= 0 {
+		cfg.CacheShards = 16
+	}
+	if cfg.MaxBodyBytes <= 0 {
+		cfg.MaxBodyBytes = 32 << 20
+	}
+	if cfg.MaxTrials <= 0 {
+		cfg.MaxTrials = 100000
+	}
+	if cfg.MaxCandidates <= 0 {
+		cfg.MaxCandidates = 256
+	}
+	if cfg.MaxBatchItems <= 0 {
+		cfg.MaxBatchItems = 256
+	}
+	if cfg.MaxMissions <= 0 {
+		cfg.MaxMissions = 1024
+	}
+	return cfg
+}
+
+// CheckTasks is the MaxTasks guard: it refuses an instance of n tasks when
+// the server accepts fewer.
+func (cfg *Config) CheckTasks(n int) error {
+	if cfg.MaxTasks > 0 && n > cfg.MaxTasks {
+		return fmt.Errorf("instance has %d tasks, this server accepts at most %d", n, cfg.MaxTasks)
+	}
+	return nil
+}
+
+// CheckBatchItems is the MaxBatchItems guard on a /schedule/batch envelope
+// of n items.
+func (cfg *Config) CheckBatchItems(n int) error {
+	if n > cfg.MaxBatchItems {
+		return fmt.Errorf("batch carries %d requests, this server accepts at most %d", n, cfg.MaxBatchItems)
+	}
+	return nil
+}
+
+// latencyWindow is how many recent latencies the /stats quantiles cover.
+const latencyWindow = 1024
 
 // Server handles the ftserved HTTP API. Create one with New, mount it as an
 // http.Handler, and Close it on shutdown to drain the worker pool.
@@ -140,30 +187,7 @@ type Server struct {
 
 // New creates a ready-to-serve Server.
 func New(cfg Config) *Server {
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 4096
-	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 16
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 32 << 20
-	}
-	if cfg.LatencyWindow <= 0 {
-		cfg.LatencyWindow = 1024
-	}
-	if cfg.MaxTrials <= 0 {
-		cfg.MaxTrials = 100000
-	}
-	if cfg.MaxCandidates <= 0 {
-		cfg.MaxCandidates = 256
-	}
-	if cfg.MaxBatchItems <= 0 {
-		cfg.MaxBatchItems = 256
-	}
-	if cfg.MaxMissions <= 0 {
-		cfg.MaxMissions = 1024
-	}
+	cfg = cfg.WithDefaults()
 	names := sched.Names()
 	if len(names) > 64 {
 		// Like a name collision in sched.Register, this is a property of the
@@ -181,7 +205,7 @@ func New(cfg Config) *Server {
 		schedNames: names,
 		schedIndex: make(map[string]int, len(names)),
 		schedReqs:  make([]atomic.Uint64, len(names)),
-		lat:        stats.NewWindow(cfg.LatencyWindow),
+		lat:        stats.NewWindow(latencyWindow),
 	}
 	for i, name := range names {
 		s.schedIndex[name] = i
@@ -196,7 +220,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /missions", s.handleMissionCreate)
 	s.mux.HandleFunc("GET /missions/{id}", s.handleMissionGet)
 	s.mux.HandleFunc("GET /missions/{id}/events", s.handleMissionEvents)
-	s.mux.HandleFunc("GET /scenarios", s.handleScenarios)
+	s.mux.HandleFunc("GET /scenarios", ScenariosHandler)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	return s
@@ -223,57 +247,26 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	} else {
 		s.clientErrors.Add(1)
 	}
-	writeErrorBody(w, status, err)
-}
-
-// writeErrorBody emits the uniform JSON error body without touching any
-// counter. Read-only endpoints that do not count toward Requests (the
-// mission GETs, like /stats and /healthz) use it directly, so their 404s
-// cannot unbalance the requests == hits+misses+errors+cancelled invariant.
-func writeErrorBody(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding a flat struct with a string cannot fail; ignore the error.
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
-}
-
-// readBody buffers the request body, bounded by MaxBodyBytes, in a pooled
-// buffer the caller returns with ReleaseBody. A body that cannot be read
-// whole is answered from the read error alone — 413 past the limit, 400
-// otherwise — whatever the bytes before the error were; ok is then false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (buf *bytes.Buffer, ok bool) {
-	buf, err := AcquireBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
-	if err == nil {
-		return buf, true
-	}
-	ReleaseBody(buf)
-	status := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	s.writeError(w, status, fmt.Errorf("decoding request: %w", err))
-	return nil, false
+	WriteError(w, status, err)
 }
 
 // decodeRequest is the request prologue of the POST endpoints that are not
 // an Endpoint (/schedule/batch, /missions): buffer the body, decode it (400
 // on malformed input) and apply the instance-size guard. ok is false when
 // an error response was written.
-func decodeRequest[T any, P requestPtr[T]](s *Server, w http.ResponseWriter, r *http.Request, tasks func(P) int) (req P, ok bool) {
-	buf, ok := s.readBody(w, r)
-	if !ok {
+func decodeRequest[T any, P requestPtr[T]](s *Server, w http.ResponseWriter, r *http.Request) (req P, ok bool) {
+	buf, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
+	if err != nil {
+		s.writeError(w, status, err)
 		return nil, false
 	}
-	req, err := decodeNew[T, P](buf.Bytes())
+	req, err = decodeNew[T, P](buf.Bytes())
 	ReleaseBody(buf)
+	if err == nil {
+		err = s.cfg.CheckTasks(req.instance().Graph.NumTasks())
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	if n := tasks(req); s.cfg.MaxTasks > 0 && n > s.cfg.MaxTasks {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("instance has %d tasks, this server accepts at most %d", n, s.cfg.MaxTasks))
 		return nil, false
 	}
 	return req, true
@@ -622,7 +615,7 @@ func (s *Server) runEvaluate(req *EvaluateRequest) ([]byte, error) {
 		}
 		resp.WorstCase = wc
 	}
-	return marshalEvaluateResponse(resp)
+	return Encode(resp)
 }
 
 // buildResponse turns a validated schedule into the serialized response.
@@ -691,7 +684,7 @@ func buildResponse(req *ScheduleRequest, schedule *sched.Schedule) ([]byte, erro
 			resp.Gantt[proc] = row
 		}
 	}
-	return marshalResponse(resp)
+	return Encode(resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"ftsched/internal/dag"
-	"ftsched/internal/platform"
 	"ftsched/internal/sim"
 	"ftsched/internal/tune"
 )
@@ -18,10 +16,7 @@ import (
 // request and the registry, so it is fingerprint-cached under the "tune"
 // domain exactly like /schedule and /evaluate.
 type TuneRequest struct {
-	// Graph, Platform and Costs use daggen's wire shapes, like /schedule.
-	Graph    *dag.Graph          `json:"graph"`
-	Platform *platform.Platform  `json:"platform"`
-	Costs    *platform.CostModel `json:"costs"`
+	Instance
 	// Scenario is the failure scenario every candidate is scored under.
 	Scenario sim.ScenarioSpec `json:"scenario"`
 	// Trials is the full-fidelity evaluation budget per candidate (bounded
@@ -76,21 +71,8 @@ func DecodeTuneRequest(r io.Reader) (*TuneRequest, error) {
 // assembled spec, so this only has to produce good 400s for the wire-level
 // mistakes.
 func (req *TuneRequest) Validate() error {
-	if req.Graph == nil {
-		return fmt.Errorf("missing field %q", "graph")
-	}
-	if req.Platform == nil {
-		return fmt.Errorf("missing field %q", "platform")
-	}
-	if req.Costs == nil {
-		return fmt.Errorf("missing field %q", "costs")
-	}
-	v, m := req.Graph.NumTasks(), req.Platform.NumProcs()
-	if req.Costs.NumTasks() != v {
-		return fmt.Errorf("costs cover %d tasks, graph has %d", req.Costs.NumTasks(), v)
-	}
-	if req.Costs.NumProcs() != m {
-		return fmt.Errorf("costs cover %d processors, platform has %d", req.Costs.NumProcs(), m)
+	if err := req.validate(); err != nil {
+		return err
 	}
 	if req.Trials < 1 {
 		return fmt.Errorf("need trials >= 1, got %d", req.Trials)
@@ -115,12 +97,8 @@ func (req *TuneRequest) Validate() error {
 		}
 		seen[eps] = true
 	}
-	gen, err := req.Scenario.Generator()
-	if err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	if err := gen.Check(m); err != nil {
-		return fmt.Errorf("scenario: %w", err)
+	if err := req.checkScenario(req.Scenario); err != nil {
+		return err
 	}
 	if req.WorstCase != nil {
 		if err := req.WorstCase.Validate(); err != nil {
@@ -197,7 +175,7 @@ func (s *Server) runTune(req *TuneRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return marshalCompact(&TuneResponse{
+	return Encode(&TuneResponse{
 		Tasks:  req.Graph.NumTasks(),
 		Procs:  req.Platform.NumProcs(),
 		Result: *res,

@@ -16,9 +16,7 @@ func testTuneRequest(t *testing.T) *TuneRequest {
 	t.Helper()
 	g, p, cm := testInstance(t, "diamond")
 	return &TuneRequest{
-		Graph:    g,
-		Platform: p,
-		Costs:    cm,
+		Instance: Instance{Graph: g, Platform: p, Costs: cm},
 		Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1},
 		Trials:   40,
 		Target:   0.9,
