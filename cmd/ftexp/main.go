@@ -77,8 +77,8 @@ import (
 	"strconv"
 	"strings"
 
+	"ftsched/internal/cli"
 	"ftsched/internal/expt"
-	"ftsched/internal/prof"
 	"ftsched/internal/sched"
 	_ "ftsched/internal/schedulers" // register every built-in scheduler
 	"ftsched/internal/sim"
@@ -156,18 +156,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "ftexp: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if *listScheds {
 		sched.WriteSchedulerList(stdout)
 		return 0
 	}
-	err := prof.Start(*cpuProf, *memProf)
-	if err == nil {
-		err = o.dispatch()
-		if perr := prof.Stop(); err == nil {
-			err = perr
-		}
-	}
-	switch {
+	switch err := cli.Profile(*cpuProf, *memProf, o.dispatch); {
 	case errors.Is(err, errUsage):
 		fs.Usage()
 		return 2
@@ -206,11 +203,7 @@ func (o *options) dispatch() error {
 	return errUsage
 }
 
-func (o *options) isSet(name string) bool {
-	set := false
-	o.fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
-	return set
-}
+func (o *options) isSet(name string) bool { return cli.IsSet(o.fs, name) }
 
 // Flag groups the modes read, for only.
 var (
@@ -223,14 +216,7 @@ var (
 // ("-fig 2", "-campaign tune", ...) does not read — its own flag, the common
 // ones and reads — instead of silently ignoring a sweep the user thinks ran.
 func (o *options) only(mode string, reads ...string) error {
-	own := strings.TrimPrefix(strings.Fields(mode)[0], "-")
-	var err error
-	o.fs.Visit(func(f *flag.Flag) {
-		if err == nil && f.Name != own && !slices.Contains(commonFlags, f.Name) && !slices.Contains(reads, f.Name) {
-			err = fmt.Errorf("-%s does not apply to %s", f.Name, mode)
-		}
-	})
-	return err
+	return cli.Only(o.fs, mode, strings.TrimPrefix(strings.Fields(mode)[0], "-"), slices.Concat(commonFlags, reads)...)
 }
 
 // pickWriter resolves -format among the writers a mode has, before anything

@@ -207,6 +207,8 @@ func TestRejectedInvocations(t *testing.T) {
 		{"-x4 -parallel 2", 1, "-parallel does not apply to -x4"},
 		{"-x6 -format svg", 1, "-x6 supports -format ascii, csv"},
 		{"-resume -fig 1 -instances 1 -gran 1", 1, "-resume needs a checkpoint path"},
+		// A positional argument used to end flag parsing silently.
+		{"-fig 4 -instances 1 -gran 1 extra -parallel 7", 2, `ftexp: unexpected argument "extra"`},
 		// Retired flags are undefined, not silently accepted.
 		{"-x5", 2, "flag provided but not defined: -x5"},
 		{"-fig 1 -graphs 2", 2, "flag provided but not defined: -graphs"},

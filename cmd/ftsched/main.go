@@ -53,339 +53,396 @@
 // -robust makes the recommendation optimize that worst case instead of the
 // Monte-Carlo mean.
 //
-// The modes are exclusive: -maxeps, -compare, -tune and -load each reject
-// flags they would otherwise silently ignore.
+// The modes are exclusive. Each reads -dir, -seed, -cpuprofile, -memprofile
+// and its own flags, and refuses any other flag passed, even at its "off"
+// value, instead of silently ignoring it; values are checked before output.
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
+	"ftsched/internal/cli"
 	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/mission"
 	"ftsched/internal/platform"
-	"ftsched/internal/prof"
 	"ftsched/internal/sched"
 	_ "ftsched/internal/schedulers" // register every built-in scheduler
 	"ftsched/internal/sim"
 	"ftsched/internal/tune"
 )
 
-func main() {
-	var (
-		dir        = flag.String("dir", ".", "directory with graph.json, platform.json, costs.json")
-		algo       = flag.String("algo", "ftsa", "scheduler registry name or alias (see -list-schedulers)")
-		eps        = flag.Int("eps", 1, "number of tolerated failures ε (defaults to 0 for non-fault-tolerant schedulers)")
-		seed       = flag.Int64("seed", 1, "random seed for tie-breaking and crash draws")
-		crash      = flag.Int("crash", -1, "simulate this many uniform crashes (-1: no simulation)")
-		trials     = flag.Int("trials", 1, "crash simulation trials (-crash), or batch size for -evaluate")
-		evaluate   = flag.Bool("evaluate", false, "run the batch fault-injection evaluation (sim.Evaluate) on the schedule")
-		scenario   = flag.String("scenario", "", "evaluation scenario spec (default uniform:ε), e.g. uniform:2, exp:0.001, weibull:1.5:2000, group:4:0.001, burst:3:0.001:50, staggered:2:1000, trace:FILE[:xSCALE][:resample]")
-		policies   = flag.String("policies", "", "comma-separated mission policies to score side by side under -evaluate (static,reschedule): static rides out failures, reschedule re-plans the surviving DAG suffix after every crash")
-		latency    = flag.Float64("latency", 0, "latency budget: deadline-checked scheduling, or the budget for -maxeps")
-		policy     = flag.String("policy", "", "scheduler-specific policy (e.g. mcftsa: greedy|bottleneck, heft: noinsertion)")
-		maxEps     = flag.Bool("maxeps", false, "maximize ε under the -latency budget (uses FTSA)")
-		tuneMode   = flag.Bool("tune", false, "auto-tune: search the registry × ε × policy grid for the (latency, success) Pareto frontier")
-		target     = flag.Float64("target", 0.99, "success-probability target of the -tune recommendation")
-		worstCase  = flag.Int("worst-case", -1, "adversarial search: report the most damaging K-crash pattern a budgeted search finds (-evaluate and -tune modes; -1: off)")
-		worstEvals = flag.Int("worst-evals", 0, "adversarial search replay budget (0: default 4096; requires -worst-case)")
-		robust     = flag.Bool("robust", false, "make the -tune recommendation optimize the adversarial worst case (requires -worst-case)")
-		verbose    = flag.Bool("v", false, "print the full placement")
-		gantt      = flag.Bool("gantt", false, "render an ASCII Gantt chart")
-		metrics    = flag.Bool("metrics", false, "print schedule metrics (utilization, comm volume)")
-		trace      = flag.Bool("trace", false, "print the event trace of each crash simulation")
-		saveTo     = flag.String("save", "", "write the computed schedule to this JSON file")
-		loadFrm    = flag.String("load", "", "load a schedule from this JSON file instead of computing one (-eps comes from the file)")
-		compare    = flag.Bool("compare", false, "run every registered scheduler side by side and exit")
-		listScheds = flag.Bool("list-schedulers", false, "list the registered schedulers (one per line, with aliases) and exit")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if err := prof.Start(*cpuProf, *memProf); err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := prof.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "ftsched:", err)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// options is one parsed command line plus the stream it writes to.
+type options struct {
+	dir, algo, scenario, policies, policy, save, load string
+	eps, crash, trials, worstCase, worstEvals         int
+	seed                                              int64
+	latency, target                                   float64
+	evaluate, maxEps, tune, robust, compare           bool
+	verbose, gantt, metrics, trace                    bool
+
+	// Resolved by check from -policies and -worst-case.
+	missionPolicies []mission.Policy
+	adversary       *sim.AdversarySpec
+
+	fs     *flag.FlagSet
+	stdout io.Writer
+}
+
+// run is the whole program behind main, kept re-entrant so tests can drive
+// the binary's exact code path and compare transcripts. It returns the exit
+// status: 0 on success, 1 on a failed or refused run, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ftsched", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{fs: fs, stdout: stdout}
+	fs.StringVar(&o.dir, "dir", ".", "directory with graph.json, platform.json, costs.json")
+	fs.StringVar(&o.algo, "algo", "ftsa", "scheduler registry name or alias (see -list-schedulers)")
+	fs.IntVar(&o.eps, "eps", 1, "number of tolerated failures ε (defaults to 0 for non-fault-tolerant schedulers)")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed for tie-breaking and crash draws")
+	fs.IntVar(&o.crash, "crash", -1, "simulate this many uniform crashes (-1: no simulation)")
+	fs.IntVar(&o.trials, "trials", 1, "crash simulation trials (-crash), or batch size for -evaluate")
+	fs.BoolVar(&o.evaluate, "evaluate", false, "run the batch fault-injection evaluation (sim.Evaluate) on the schedule")
+	fs.StringVar(&o.scenario, "scenario", "", "evaluation scenario spec (default uniform:ε), e.g. uniform:2, exp:0.001, weibull:1.5:2000, group:4:0.001, burst:3:0.001:50, staggered:2:1000, trace:FILE[:xSCALE][:resample]")
+	fs.StringVar(&o.policies, "policies", "", "comma-separated mission policies to score side by side under -evaluate (static,reschedule): static rides out failures, reschedule re-plans the surviving DAG suffix after every crash")
+	fs.Float64Var(&o.latency, "latency", 0, "latency budget: deadline-checked scheduling, or the budget for -maxeps")
+	fs.StringVar(&o.policy, "policy", "", "scheduler-specific policy (e.g. mcftsa: greedy|bottleneck, heft: noinsertion)")
+	fs.BoolVar(&o.maxEps, "maxeps", false, "maximize ε under the -latency budget (uses FTSA)")
+	fs.BoolVar(&o.tune, "tune", false, "auto-tune: search the registry × ε × policy grid for the (latency, success) Pareto frontier")
+	fs.Float64Var(&o.target, "target", 0.99, "success-probability target of the -tune recommendation")
+	fs.IntVar(&o.worstCase, "worst-case", -1, "adversarial search: report the most damaging K-crash pattern a budgeted search finds (-evaluate and -tune modes; -1: off)")
+	fs.IntVar(&o.worstEvals, "worst-evals", 0, "adversarial search replay budget (0: default 4096; requires -worst-case)")
+	fs.BoolVar(&o.robust, "robust", false, "make the -tune recommendation optimize the adversarial worst case (requires -worst-case)")
+	fs.BoolVar(&o.verbose, "v", false, "print the full placement")
+	fs.BoolVar(&o.gantt, "gantt", false, "render an ASCII Gantt chart")
+	fs.BoolVar(&o.metrics, "metrics", false, "print schedule metrics (utilization, comm volume)")
+	fs.BoolVar(&o.trace, "trace", false, "print the event trace of each crash simulation")
+	fs.StringVar(&o.save, "save", "", "write the computed schedule to this JSON file")
+	fs.StringVar(&o.load, "load", "", "load a schedule from this JSON file instead of computing one (-eps comes from the file)")
+	fs.BoolVar(&o.compare, "compare", false, "run every registered scheduler side by side and exit")
+	listScheds := fs.Bool("list-schedulers", false, "list the registered schedulers (one per line, with aliases) and exit")
+	cpuProf := fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+	memProf := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	}()
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "ftsched: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if *listScheds {
-		sched.WriteSchedulerList(os.Stdout)
-		return
+		sched.WriteSchedulerList(stdout)
+		return 0
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// Each mode rejects flags it would otherwise silently ignore: a user who
-	// passes -crash with -compare thinks a simulation ran when none did.
-	rejectWith := func(mode string, names ...string) {
-		for _, name := range names {
-			if set[name] {
-				fatal(fmt.Errorf("-%s is ignored by %s mode; remove it", name, mode))
-			}
+	if err := cli.Profile(*cpuProf, *memProf, o.run); err != nil {
+		fmt.Fprintln(stderr, "ftsched:", err)
+		return 1
+	}
+	return 0
+}
+
+// check refuses every flag the selected mode does not read — a user who
+// passes -crash with -compare thinks a simulation ran when none did — and
+// every flag value the run would refuse later, so a refused run prints
+// nothing. It resolves the batch modes' -trials default.
+func (o *options) check() error {
+	mode, own, reads := "a plain schedule", "", []string{"v", "gantt", "metrics", "algo", "eps", "latency", "policy", "save"}
+	switch {
+	case o.maxEps:
+		mode, own, reads = "-maxeps", "maxeps", []string{"latency"}
+	case o.compare:
+		mode, own, reads = "-compare", "compare", []string{"eps"}
+	case o.tune:
+		mode, own, reads = "-tune", "tune", []string{"scenario", "trials", "target", "worst-case", "worst-evals", "robust"}
+	default:
+		var modes []string
+		if o.load != "" {
+			modes, reads = []string{"-load"}, []string{"v", "gantt", "metrics", "load"}
 		}
+		if o.evaluate {
+			modes = append(modes, "-evaluate")
+			reads = append(reads, "evaluate", "scenario", "trials", "worst-case", "worst-evals")
+			if o.load == "" {
+				// The policy comparison re-plans through the registry, so it
+				// needs the instance flags, not a frozen schedule file.
+				reads = append(reads, "policies")
+			}
+		} else if o.crash >= 0 {
+			modes = append(modes, "-crash")
+			reads = append(reads, "crash", "trials", "trace")
+		}
+		mode = cmp.Or(strings.Join(modes, " "), mode)
+	}
+	common := []string{"dir", "seed", "cpuprofile", "memprofile"}
+	if err := cli.Only(o.fs, mode, own, slices.Concat(common, reads)...); err != nil {
+		return err
 	}
 	switch {
-	case *maxEps:
-		rejectWith("-maxeps", "algo", "eps", "crash", "trials", "v", "gantt", "metrics", "trace", "save", "load", "compare", "policy", "evaluate", "scenario", "policies", "tune", "target", "worst-case", "worst-evals", "robust")
-	case *compare:
-		rejectWith("-compare", "algo", "latency", "crash", "trials", "v", "gantt", "metrics", "trace", "save", "load", "policy", "evaluate", "scenario", "policies", "tune", "target", "worst-case", "worst-evals", "robust")
-	case *tuneMode:
-		// The tuner schedules every registry candidate itself; all
-		// single-schedule flags are meaningless.
-		rejectWith("-tune", "algo", "eps", "latency", "crash", "v", "gantt", "metrics", "trace", "save", "load", "policy", "evaluate", "policies")
-	case *loadFrm != "":
-		// The policy comparison re-plans through the registry, so it needs
-		// the instance flags, not a frozen schedule file.
-		rejectWith("-load", "algo", "eps", "latency", "save", "policy", "policies", "tune", "target", "robust")
-	default:
-		rejectWith("this", "target")
+	case o.worstCase < 0 && cli.IsSet(o.fs, "worst-evals"):
+		return errors.New("-worst-evals requires -worst-case")
+	case o.worstCase < 0 && o.robust:
+		return errors.New("-robust requires -worst-case")
+	case o.trials < 1 && slices.Contains(reads, "trials"):
+		return fmt.Errorf("-trials must be >= 1, got %d", o.trials)
+	case o.maxEps && o.latency <= 0:
+		return errors.New("-maxeps needs a positive -latency")
+	case o.tune && o.scenario == "":
+		return errors.New("-tune needs -scenario (the failure law candidates are scored under), e.g. -scenario exp:0.001")
 	}
-	// The adversarial knobs ride on -evaluate and -tune only, and -robust
-	// changes what -tune recommends, so each is rejected outside its mode
-	// instead of silently doing nothing.
-	if *worstCase >= 0 && !*evaluate && !*tuneMode {
-		fatal(fmt.Errorf("-worst-case only applies to -evaluate or -tune; pass one as well"))
+	if _, err := sim.ParseScenarioSpec(o.scenario); err != nil && o.scenario != "" {
+		return err
 	}
-	if *worstCase < 0 {
-		if set["worst-evals"] {
-			fatal(fmt.Errorf("-worst-evals requires -worst-case"))
-		}
-		if *robust {
-			fatal(fmt.Errorf("-robust requires -worst-case"))
-		}
-	}
-	if *robust && !*tuneMode {
-		fatal(fmt.Errorf("-robust only applies to -tune"))
-	}
-	if *tuneMode {
-		// -scenario and -trials parameterize the tuner's scoring batches.
-	} else if *evaluate {
-		// -crash replays single hand-drawn scenarios; -evaluate is the
-		// batch engine. Mixing them would double-report.
-		for _, name := range []string{"crash", "trace"} {
-			if set[name] {
-				fatal(fmt.Errorf("-%s does not apply to -evaluate (the batch engine draws its own scenarios)", name))
+	if o.policies != "" {
+		for _, name := range strings.Split(o.policies, ",") {
+			pol, err := mission.ParsePolicy(strings.TrimSpace(name))
+			if err != nil {
+				return err
 			}
-		}
-	} else {
-		if set["scenario"] {
-			fatal(fmt.Errorf("-scenario only applies to -evaluate; pass it as well"))
-		}
-		if set["policies"] {
-			fatal(fmt.Errorf("-policies only applies to -evaluate; pass it as well"))
-		}
-		if *crash < 0 {
-			for _, name := range []string{"trials", "trace"} {
-				if set[name] {
-					fatal(fmt.Errorf("-%s only applies to crash simulation; pass -crash or -evaluate as well", name))
-				}
-			}
+			o.missionPolicies = append(o.missionPolicies, pol)
 		}
 	}
+	if o.worstCase >= 0 {
+		o.adversary = &sim.AdversarySpec{Crashes: o.worstCase, MaxEvals: o.worstEvals}
+		if err := o.adversary.Validate(); err != nil {
+			return err
+		}
+	}
+	info, ok := sched.LookupInfo(o.algo)
+	if !ok {
+		return sched.UnknownSchedulerError(o.algo)
+	}
+	// A non-fault-tolerant scheduler cannot replicate; when the user did not
+	// ask for a specific ε, default it to 0 instead of erroring on the
+	// fault-tolerant default of 1.
+	if !info.FaultTolerant && !cli.IsSet(o.fs, "eps") {
+		o.eps = 0
+	}
+	if (o.tune || o.evaluate) && !cli.IsSet(o.fs, "trials") {
+		o.trials = 1000
+	}
+	return nil
+}
 
-	g, p, cm, err := load(*dir)
+// run checks the command line, reads the instance and runs the mode.
+func (o *options) run() error {
+	if err := o.check(); err != nil {
+		return err
+	}
+	g, err := readFile(o.dir, "graph.json", dag.Read)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	rng := rand.New(rand.NewSource(*seed))
-
-	if *maxEps {
-		if *latency <= 0 {
-			fatal(fmt.Errorf("-maxeps needs a positive -latency"))
-		}
-		best, s, err := core.MaxToleratedFailures(p.NumProcs(), *latency,
+	p, err := readFile(o.dir, "platform.json", platform.Read)
+	if err != nil {
+		return err
+	}
+	cm, err := readFile(o.dir, "costs.json", platform.ReadCostModel)
+	if err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(o.seed))
+	switch {
+	case o.maxEps:
+		best, s, err := core.MaxToleratedFailures(p.NumProcs(), o.latency,
 			core.FTSAScheduler(g, p, cm, core.Options{Rng: rng}))
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("maximum tolerated failures within latency %.4g: ε = %d (guaranteed %.4g)\n",
-			*latency, best, s.UpperBound())
-		return
-	}
-
-	if *compare {
-		if err := runCompare(g, p, cm, *eps, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *tuneMode {
-		if err := runTune(g, p, cm, *scenario, *target, *trials, set["trials"], *seed,
-			adversary(*worstCase, *worstEvals), *robust); err != nil {
-			fatal(err)
-		}
-		return
+		fmt.Fprintf(o.stdout, "maximum tolerated failures within latency %.4g: ε = %d (guaranteed %.4g)\n",
+			o.latency, best, s.UpperBound())
+		return nil
+	case o.compare:
+		return o.runCompare(g, p, cm)
+	case o.tune:
+		return o.runTune(g, p, cm)
 	}
 
 	var s *sched.Schedule
-	if *loadFrm != "" {
-		f, ferr := os.Open(*loadFrm)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		s, err = sched.ReadSchedule(f, g, p, cm)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		*eps = s.Epsilon
-	} else {
-		info, ok := sched.LookupInfo(*algo)
-		if !ok {
-			fatal(sched.UnknownSchedulerError(*algo))
-		}
-		// A non-fault-tolerant scheduler cannot replicate; when the user did
-		// not ask for a specific ε, default it to 0 instead of erroring on
-		// the fault-tolerant default of 1.
-		if !info.FaultTolerant && !set["eps"] {
-			*eps = 0
-		}
-		s, err = sched.Run(*algo, g, p, cm, sched.RunOptions{
-			Epsilon: *eps, Rng: rng, Policy: *policy, Latency: *latency,
+	if o.load != "" {
+		s, err = readFile("", o.load, func(r io.Reader) (*sched.Schedule, error) {
+			return sched.ReadSchedule(r, g, p, cm)
 		})
-		if err != nil {
-			fatal(err)
-		}
+	} else {
+		s, err = sched.Run(o.algo, g, p, cm, sched.RunOptions{
+			Epsilon: o.eps, Rng: rng, Policy: o.policy, Latency: o.latency,
+		})
+	}
+	if err != nil {
+		return err
 	}
 	if err := s.Validate(); err != nil {
-		fatal(fmt.Errorf("generated schedule failed validation: %w", err))
+		return fmt.Errorf("generated schedule failed validation: %w", err)
 	}
-	if *saveTo != "" {
-		f, ferr := os.Create(*saveTo)
-		if ferr != nil {
-			fatal(ferr)
+	o.eps = s.Epsilon // a loaded schedule carries its own ε
+	if o.save != "" {
+		f, err := os.Create(o.save)
+		if err == nil {
+			_, err = s.WriteTo(f)
+			err = cmp.Or(err, f.Close())
 		}
-		if _, err := s.WriteTo(f); err != nil {
-			f.Close()
-			fatal(err)
+		if err != nil {
+			return err
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("saved schedule to", *saveTo)
+		fmt.Fprintln(o.stdout, "saved schedule to", o.save)
 	}
 
-	fmt.Printf("%s schedule: %d tasks on %d processors, ε=%d, pattern=%s\n",
-		s.Algorithm, g.NumTasks(), p.NumProcs(), *eps, s.CommPattern)
-	fmt.Printf("  lower bound (no failure):      %.4g\n", s.LowerBound())
-	fmt.Printf("  upper bound (ε failures):      %.4g\n", s.UpperBound())
-	fmt.Printf("  inter-processor messages:      %d\n", s.MessageCount())
+	fmt.Fprintf(o.stdout, "%s schedule: %d tasks on %d processors, ε=%d, pattern=%s\n",
+		s.Algorithm, g.NumTasks(), p.NumProcs(), o.eps, s.CommPattern)
+	fmt.Fprintf(o.stdout, "  lower bound (no failure):      %.4g\n", s.LowerBound())
+	fmt.Fprintf(o.stdout, "  upper bound (ε failures):      %.4g\n", s.UpperBound())
+	fmt.Fprintf(o.stdout, "  inter-processor messages:      %d\n", s.MessageCount())
 
-	if *verbose {
-		printPlacement(s, g)
+	for t := 0; o.verbose && t < g.NumTasks(); t++ {
+		fmt.Fprintf(o.stdout, "  task %4d:", t)
+		for _, r := range s.Replicas(dag.TaskID(t)) {
+			fmt.Fprintf(o.stdout, "  P%-3d[%.4g,%.4g)", r.Proc, r.StartMin, r.FinishMin)
+		}
+		fmt.Fprintln(o.stdout)
 	}
-	if *metrics {
+	if o.metrics {
 		m, err := s.ComputeMetrics()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("  replicas: %d (replication factor %.2f)\n", m.Replicas, m.ReplicationFactor)
-		fmt.Printf("  communication volume crossing processors: %.4g\n", m.CommVolume)
-		fmt.Printf("  utilization mean/min/max: %.1f%% / %.1f%% / %.1f%%\n",
+		fmt.Fprintf(o.stdout, "  replicas: %d (replication factor %.2f)\n", m.Replicas, m.ReplicationFactor)
+		fmt.Fprintf(o.stdout, "  communication volume crossing processors: %.4g\n", m.CommVolume)
+		fmt.Fprintf(o.stdout, "  utilization mean/min/max: %.1f%% / %.1f%% / %.1f%%\n",
 			100*m.MeanUtilization, 100*m.MinUtilization, 100*m.MaxUtilization)
 	}
-	if *gantt {
-		if err := s.WriteGantt(os.Stdout, sched.GanttOptions{Width: 100}); err != nil {
-			fatal(err)
+	if o.gantt {
+		if err := s.WriteGantt(o.stdout, sched.GanttOptions{Width: 100}); err != nil {
+			return err
 		}
 	}
-
-	if *evaluate {
-		if err := runEvaluate(s, *scenario, *eps, *trials, set["trials"], *seed); err != nil {
-			fatal(err)
-		}
-		if spec := adversary(*worstCase, *worstEvals); spec != nil {
-			if err := runWorstCase(s, *spec); err != nil {
-				fatal(err)
-			}
-		}
-		if *policies != "" {
-			if err := runPolicyComparison(g, p, cm, *policies, *scenario, *eps, *trials, set["trials"], *seed, *algo, *policy); err != nil {
-				fatal(err)
-			}
-		}
-		return
+	if o.evaluate {
+		return o.runEvaluate(s)
 	}
-
-	if *crash >= 0 {
-		for trial := 0; trial < *trials; trial++ {
-			sc, err := sim.UniformCrashes(rng, p.NumProcs(), *crash)
-			if err != nil {
-				fatal(err)
-			}
-			opts := sim.Options{}
-			if *trace {
-				opts.Trace = &sim.Trace{}
-			}
-			res, err := sim.RunWithOptions(s, sc, opts)
-			if err != nil {
-				fmt.Printf("  crash trial %d: FAILED (%v)\n", trial, err)
-				continue
-			}
-			fmt.Printf("  crash trial %d (%d crashes): latency %.4g\n", trial, *crash, res.Latency)
-			if *trace {
-				if err := opts.Trace.Write(os.Stdout); err != nil {
-					fatal(err)
-				}
+	for trial := 0; o.crash >= 0 && trial < o.trials; trial++ {
+		sc, err := sim.UniformCrashes(rng, p.NumProcs(), o.crash)
+		if err != nil {
+			return err
+		}
+		opts := sim.Options{}
+		if o.trace {
+			opts.Trace = &sim.Trace{}
+		}
+		res, err := sim.RunWithOptions(s, sc, opts)
+		if err != nil {
+			fmt.Fprintf(o.stdout, "  crash trial %d: FAILED (%v)\n", trial, err)
+			continue
+		}
+		fmt.Fprintf(o.stdout, "  crash trial %d (%d crashes): latency %.4g\n", trial, o.crash, res.Latency)
+		if o.trace {
+			if err := opts.Trace.Write(o.stdout); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
 }
 
-// adversary maps the -worst-case/-worst-evals flags to a search spec; a
-// negative crash budget means the search is off.
-func adversary(crashes, evals int) *sim.AdversarySpec {
-	if crashes < 0 {
-		return nil
+// readFile opens dir/name and decodes it with read.
+func readFile[T any](dir, name string, read func(io.Reader) (T, error)) (T, error) {
+	var v T
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return v, err
 	}
-	return &sim.AdversarySpec{Crashes: crashes, MaxEvals: evals}
+	defer f.Close()
+	if v, err = read(f); err != nil {
+		return v, fmt.Errorf("%s: %w", name, err)
+	}
+	return v, nil
 }
 
 // runTune searches the registry × ε × policy grid for the Pareto frontier
 // of (expected latency, success probability) under the given scenario and
 // prints the frontier plus the recommendation for the -target success rate.
-func runTune(g *dag.Graph, p *platform.Platform, cm *platform.CostModel,
-	scenario string, target float64, trials int, trialsSet bool, seed int64,
-	worstCase *sim.AdversarySpec, robust bool) error {
-	if scenario == "" {
-		return fmt.Errorf("-tune needs -scenario (the failure law candidates are scored under), e.g. -scenario exp:0.001")
-	}
-	sp, err := sim.ParseScenarioSpec(scenario)
+func (o *options) runTune(g *dag.Graph, p *platform.Platform, cm *platform.CostModel) error {
+	sp, err := sim.ParseScenarioSpec(o.scenario)
 	if err != nil {
 		return err
-	}
-	if !trialsSet {
-		trials = 1000
 	}
 	res, err := tune.Run(tune.Spec{
 		Graph:     g,
 		Platform:  p,
 		Costs:     cm,
 		Scenario:  sp,
-		Trials:    trials,
-		Target:    target,
-		Seed:      seed,
-		WorstCase: worstCase,
-		Robust:    robust,
+		Trials:    o.trials,
+		Target:    o.target,
+		Seed:      o.seed,
+		WorstCase: o.adversary,
+		Robust:    o.robust,
 	})
 	if err != nil {
 		return err
 	}
-	return tune.WriteASCII(os.Stdout, res)
+	return tune.WriteASCII(o.stdout, res)
+}
+
+// runEvaluate runs the batch fault-injection engine on the schedule and
+// prints the aggregate, then the adversarial search and the mission policy
+// comparison when asked for, all on the one resolved scenario.
+func (o *options) runEvaluate(s *sched.Schedule) error {
+	if o.scenario == "" {
+		// The natural default mirrors the paper's crash experiments: ε
+		// uniform crashes at time zero (the guarantee region's boundary).
+		o.scenario = fmt.Sprintf("uniform:%d", o.eps)
+	}
+	sp, err := sim.ParseScenarioSpec(o.scenario)
+	if err != nil {
+		return err
+	}
+	gen, err := sp.Generator()
+	if err != nil {
+		return err
+	}
+	res, err := sim.Evaluate(s, gen, o.trials, sim.EvalOptions{Seed: o.seed})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(o.stdout, "  evaluation: %d trials of scenario %s (seed %d)\n", res.Trials, res.Generator, res.Seed)
+	fmt.Fprintf(o.stdout, "    success rate: %.4f  (95%% Wilson [%.4f, %.4f])\n",
+		res.SuccessRate, res.SuccessLow, res.SuccessHigh)
+	if res.Successes > 0 {
+		fmt.Fprintf(o.stdout, "    latency over %d successes: mean %.4g  p50 %.4g  p99 %.4g  max %.4g\n",
+			res.Successes, res.Latency.Mean, res.Latency.P50, res.Latency.P99, res.Latency.Max)
+	}
+	fmt.Fprintf(o.stdout, "    %9s %8s %8s %13s %12s\n", "failures", "trials", "success", "mean latency", "degradation")
+	for _, b := range res.ByFailures {
+		fmt.Fprintf(o.stdout, "    %9d %8d %7.1f%% %13.4g %+11.1f%%\n",
+			b.Failures, b.Trials, 100*b.SuccessRate, b.MeanLatency, 100*b.MeanDegradation)
+	}
+	if o.adversary != nil {
+		if err := o.runWorstCase(s); err != nil {
+			return err
+		}
+	}
+	if o.missionPolicies != nil {
+		return o.runPolicyComparison(s, sp, gen)
+	}
+	return nil
 }
 
 // runWorstCase runs the budgeted adversarial search against the schedule and
 // prints the most damaging pattern found next to the Monte-Carlo aggregate.
-func runWorstCase(s *sched.Schedule, spec sim.AdversarySpec) error {
-	wc, err := sim.WorstCase(s, spec, sim.Options{})
+func (o *options) runWorstCase(s *sched.Schedule) error {
+	wc, err := sim.WorstCase(s, *o.adversary, sim.Options{})
 	if err != nil {
 		return err
 	}
@@ -393,101 +450,43 @@ func runWorstCase(s *sched.Schedule, spec sim.AdversarySpec) error {
 	if wc.Exhaustive {
 		certainty = "exhaustive over crash-at-zero patterns"
 	}
-	fmt.Printf("  worst case (%s, %d evals, %s):\n", wc.Spec, wc.Evals, certainty)
+	fmt.Fprintf(o.stdout, "  worst case (%s, %d evals, %s):\n", wc.Spec, wc.Evals, certainty)
 	if wc.Missed {
-		fmt.Printf("    MISSED — the pattern starves an exit task\n")
+		fmt.Fprintf(o.stdout, "    MISSED — the pattern starves an exit task\n")
 	} else {
-		fmt.Printf("    latency %.4g (%+.1f%% vs no-failure baseline)\n",
+		fmt.Fprintf(o.stdout, "    latency %.4g (%+.1f%% vs no-failure baseline)\n",
 			wc.Latency, 100*wc.Degradation)
 	}
-	fmt.Printf("    pattern:")
+	fmt.Fprintf(o.stdout, "    pattern:")
 	for _, c := range wc.Crashes {
-		fmt.Printf("  P%d@%.4g", c.Proc, c.Time)
+		fmt.Fprintf(o.stdout, "  P%d@%.4g", c.Proc, c.Time)
 	}
-	fmt.Println()
-	return nil
-}
-
-// runEvaluate runs the batch fault-injection engine on the schedule and
-// prints the aggregate.
-func runEvaluate(s *sched.Schedule, scenario string, eps, trials int, trialsSet bool, seed int64) error {
-	if scenario == "" {
-		// The natural default mirrors the paper's crash experiments: ε
-		// uniform crashes at time zero (the guarantee region's boundary).
-		scenario = fmt.Sprintf("uniform:%d", eps)
-	}
-	sp, err := sim.ParseScenarioSpec(scenario)
-	if err != nil {
-		return err
-	}
-	gen, err := sp.Generator()
-	if err != nil {
-		return err
-	}
-	if !trialsSet {
-		trials = 1000
-	}
-	res, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  evaluation: %d trials of scenario %s (seed %d)\n", res.Trials, res.Generator, res.Seed)
-	fmt.Printf("    success rate: %.4f  (95%% Wilson [%.4f, %.4f])\n",
-		res.SuccessRate, res.SuccessLow, res.SuccessHigh)
-	if res.Successes > 0 {
-		fmt.Printf("    latency over %d successes: mean %.4g  p50 %.4g  p99 %.4g  max %.4g\n",
-			res.Successes, res.Latency.Mean, res.Latency.P50, res.Latency.P99, res.Latency.Max)
-	}
-	fmt.Printf("    %9s %8s %8s %13s %12s\n", "failures", "trials", "success", "mean latency", "degradation")
-	for _, b := range res.ByFailures {
-		fmt.Printf("    %9d %8d %7.1f%% %13.4g %+11.1f%%\n",
-			b.Failures, b.Trials, 100*b.SuccessRate, b.MeanLatency, 100*b.MeanDegradation)
-	}
+	fmt.Fprintln(o.stdout)
 	return nil
 }
 
 // runPolicyComparison scores the requested mission policies on the same
 // scenario draws the plain evaluation used, printing offline (static) and
 // online (re-scheduling) execution side by side.
-func runPolicyComparison(g *dag.Graph, p *platform.Platform, cm *platform.CostModel,
-	policiesStr, scenario string, eps, trials int, trialsSet bool,
-	seed int64, algo, schedPolicy string) error {
-	if scenario == "" {
-		scenario = fmt.Sprintf("uniform:%d", eps)
-	}
-	sp, err := sim.ParseScenarioSpec(scenario)
-	if err != nil {
-		return err
-	}
-	gen, err := sp.Generator()
-	if err != nil {
-		return err
-	}
-	if !trialsSet {
-		trials = 1000
-	}
+func (o *options) runPolicyComparison(s *sched.Schedule, sp sim.ScenarioSpec, gen sim.ScenarioGenerator) error {
 	spec := mission.Spec{
-		Graph:       g,
-		Platform:    p,
-		Costs:       cm,
-		Scheduler:   algo,
-		Epsilon:     eps,
-		SchedPolicy: schedPolicy,
-		Seed:        seed,
+		Graph:       s.Graph,
+		Platform:    s.Platform,
+		Costs:       s.Costs,
+		Scheduler:   o.algo,
+		Epsilon:     o.eps,
+		SchedPolicy: o.policy,
+		Seed:        o.seed,
 	}
-	fmt.Printf("  mission policies on the same draws (%s, %d trials):\n", sp.String(), trials)
-	fmt.Printf("    %-11s %8s %19s %13s %10s\n", "policy", "success", "95% Wilson", "mean latency", "p99")
-	for _, name := range strings.Split(policiesStr, ",") {
-		pol, err := mission.ParsePolicy(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
+	fmt.Fprintf(o.stdout, "  mission policies on the same draws (%s, %d trials):\n", sp.String(), o.trials)
+	fmt.Fprintf(o.stdout, "    %-11s %8s %19s %13s %10s\n", "policy", "success", "95% Wilson", "mean latency", "p99")
+	for _, pol := range o.missionPolicies {
 		spec.Policy = pol
-		res, err := mission.EvaluatePolicy(spec, gen, trials, sim.EvalOptions{Seed: seed})
+		res, err := mission.EvaluatePolicy(spec, gen, o.trials, sim.EvalOptions{Seed: o.seed})
 		if err != nil {
 			return fmt.Errorf("policy %s: %w", pol, err)
 		}
-		fmt.Printf("    %-11s %7.1f%% [%7.4f, %7.4f] %13.4g %10.4g\n",
+		fmt.Fprintf(o.stdout, "    %-11s %7.1f%% [%7.4f, %7.4f] %13.4g %10.4g\n",
 			pol, 100*res.SuccessRate, res.SuccessLow, res.SuccessHigh,
 			res.Latency.Mean, res.Latency.P99)
 	}
@@ -499,7 +498,7 @@ func runPolicyComparison(g *dag.Graph, p *platform.Platform, cm *platform.CostMo
 // Each row gets its own RNG seeded from -seed, so a row reproduces the
 // matching single-scheduler run exactly and registering a new scheduler
 // cannot shift the others' tie-breaking streams.
-func runCompare(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, eps int, seed int64) error {
+func (o *options) runCompare(g *dag.Graph, p *platform.Platform, cm *platform.CostModel) error {
 	type row struct {
 		name string
 		s    *sched.Schedule
@@ -508,76 +507,29 @@ func runCompare(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, eps 
 	var rows []row
 	for _, r := range sched.Registrations() {
 		name := r.Name()
-		runEps := eps
+		runEps := o.eps
 		if !r.FaultTolerant {
 			runEps = 0
 			name += "(ε=0)"
 		}
 		start := time.Now()
 		s, err := sched.Run(r.Name(), g, p, cm, sched.RunOptions{
-			Epsilon: runEps, Rng: rand.New(rand.NewSource(seed)),
+			Epsilon: runEps, Rng: rand.New(rand.NewSource(o.seed)),
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		rows = append(rows, row{name: name, s: s, took: time.Since(start)})
 	}
-	fmt.Printf("%d tasks, %d edges on %d processors, ε=%d\n\n", g.NumTasks(), g.NumEdges(), p.NumProcs(), eps)
-	fmt.Printf("%-10s %12s %12s %10s %10s %12s\n", "algorithm", "lower bound", "upper bound", "messages", "quality", "time")
+	fmt.Fprintf(o.stdout, "%d tasks, %d edges on %d processors, ε=%d\n\n", g.NumTasks(), g.NumEdges(), p.NumProcs(), o.eps)
+	fmt.Fprintf(o.stdout, "%-10s %12s %12s %10s %10s %12s\n", "algorithm", "lower bound", "upper bound", "messages", "quality", "time")
 	for _, r := range rows {
 		q, err := r.s.QualityRatio()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %12.4g %12.4g %10d %9.2fx %12s\n",
+		fmt.Fprintf(o.stdout, "%-10s %12.4g %12.4g %10d %9.2fx %12s\n",
 			r.name, r.s.LowerBound(), r.s.UpperBound(), r.s.MessageCount(), q, r.took.Round(time.Microsecond))
 	}
 	return nil
-}
-
-func printPlacement(s *sched.Schedule, g *dag.Graph) {
-	for t := 0; t < g.NumTasks(); t++ {
-		fmt.Printf("  task %4d:", t)
-		for _, r := range s.Replicas(dag.TaskID(t)) {
-			fmt.Printf("  P%-3d[%.4g,%.4g)", r.Proc, r.StartMin, r.FinishMin)
-		}
-		fmt.Println()
-	}
-}
-
-func load(dir string) (*dag.Graph, *platform.Platform, *platform.CostModel, error) {
-	gf, err := os.Open(filepath.Join(dir, "graph.json"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer gf.Close()
-	g, err := dag.Read(gf)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("graph.json: %w", err)
-	}
-	pf, err := os.Open(filepath.Join(dir, "platform.json"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer pf.Close()
-	p, err := platform.Read(pf)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("platform.json: %w", err)
-	}
-	cf, err := os.Open(filepath.Join(dir, "costs.json"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer cf.Close()
-	cm, err := platform.ReadCostModel(cf)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("costs.json: %w", err)
-	}
-	return g, p, cm, nil
-}
-
-func fatal(err error) {
-	prof.Stop() // flush any profiles before the hard exit
-	fmt.Fprintln(os.Stderr, "ftsched:", err)
-	os.Exit(1)
 }
