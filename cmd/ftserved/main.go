@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxBatch    = fs.Int("max-batch", 0, "reject /schedule/batch envelopes with more items (0: 256)")
 		maxMissions = fs.Int("max-missions", 0, "retained missions per worker; when all are running, new /missions return 429 (0: 1024)")
 		maxBody     = fs.Int64("max-body", 32<<20, "request body limit in bytes")
-		verbose     = fs.Bool("v", false, "log every /schedule, /schedule/batch, /evaluate and /tune request")
+		verbose     = fs.Bool("v", false, "log every POST request")
 
 		coordinator = fs.Bool("coordinator", false, "front worker shards instead of serving directly")
 		shards      = fs.Int("shards", 2, "coordinator: in-process worker shard count")

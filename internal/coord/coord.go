@@ -31,7 +31,7 @@ type Coordinator struct {
 	// the bodies that came back from a shard as cache hits. A body's
 	// fingerprint never changes, so an alias is never wrong and is dropped
 	// only to make room.
-	front *service.BodyIndex[service.Fingerprint]
+	front *service.Cache[service.BodyDigest, service.Fingerprint]
 
 	// Door counters: requests received, and the ones terminated at the door
 	// (malformed or over-limit, all 4xx). Routed requests are counted by the
@@ -60,13 +60,15 @@ func New(shards []http.Handler, cfg service.Config) *Coordinator {
 	}
 	c := &Coordinator{
 		shards: shards, cfg: cfg.WithDefaults(), mux: http.NewServeMux(),
-		front: service.NewBodyIndex[service.Fingerprint](doorAliasesPerShard*len(shards), 16),
+		front: service.NewFrontIndex[service.Fingerprint](doorAliasesPerShard*len(shards), 16),
 	}
-	for _, ep := range service.CachedEndpoints() {
-		c.mux.HandleFunc("POST "+ep.Path(), c.cached(ep))
+	for _, ep := range service.Endpoints() {
+		h := c.cached(ep)
+		if ep.Path() == "/schedule/batch" {
+			h = c.handleBatch
+		}
+		c.mux.HandleFunc("POST "+ep.Path(), h)
 	}
-	c.mux.HandleFunc("POST /schedule/batch", c.handleBatch)
-	c.mux.HandleFunc("POST /missions", c.handleMissionCreate)
 	c.mux.HandleFunc("GET /missions/{id}", c.missionByID)
 	c.mux.HandleFunc("GET /missions/{id}/events", c.missionByID)
 	// /scenarios is generated from the process-global scenario-kind table,
@@ -105,15 +107,16 @@ func (c *Coordinator) missionByID(w http.ResponseWriter, r *http.Request) {
 	c.forward(w, r, c.route(r, fp), nil)
 }
 
-// cached builds the door handler of one fingerprint-cached endpoint. A body
-// whose digest the front index knows is routed by the fingerprint stored
-// there and forwarded as bytes — the shard's own front index answers it, so
-// a repeat costs no decode anywhere. Any other body is decoded, validated
-// and fingerprinted here, so that nothing malformed or unroutable ever
-// occupies a worker; an in-process shard then takes the decoded request over
-// (one decode per deployment), while a Proxy is sent the bytes and decodes
-// them again, because a remote server must not trust a forwarded
-// fingerprint.
+// cached builds the door handler of every POST endpoint but
+// /schedule/batch, which handleBatch splits by item. A body whose digest the
+// front index knows is routed by the fingerprint stored there and forwarded
+// as bytes — the shard's own front index answers a cached endpoint's repeat,
+// so it costs no decode anywhere, and a mission re-POST costs the shard one.
+// Any other body is decoded, validated and fingerprinted here, so that
+// nothing malformed or unroutable ever occupies a worker; an in-process
+// shard then takes the decoded request over (one decode per deployment),
+// while a Proxy is sent the bytes and decodes them again, because a remote
+// server must not trust a forwarded fingerprint.
 func (c *Coordinator) cached(ep *service.Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c.requests.Add(1)
@@ -153,27 +156,6 @@ func (c *Coordinator) cached(ep *service.Endpoint) http.HandlerFunc {
 			c.front.Put(digest, fp)
 		}
 	}
-}
-
-// handleMissionCreate routes POST /missions: decode → fingerprint at the
-// door, then hand the original bytes to the owning shard, which decodes
-// them again (missions are created once, not replayed like cached requests).
-func (c *Coordinator) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
-	c.requests.Add(1)
-	buf, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	defer service.ReleaseBody(buf)
-	req, err := service.ParseMissionRequest(buf.Bytes())
-	if err == nil {
-		err = c.cfg.CheckTasks(req.Graph.NumTasks())
-	}
-	if err != nil {
-		c.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	c.forward(w, r, c.route(r, service.MissionFingerprint(req)), buf.Bytes())
 }
 
 // route picks the shard for a fingerprint and writes the verbose log's

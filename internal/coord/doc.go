@@ -15,11 +15,11 @@
 // handed to an in-process shard as a service.Decoded (a Proxy shard gets the
 // bytes and decodes them itself — a remote server must not trust a forwarded
 // fingerprint), and a byte-identical repeat of a body that came back as a
-// hit is routed from the door's body-digest index without any decode.
+// hit is routed from the door's body-digest index without a door decode.
 //
-// POST /schedule/batch is split per item fingerprint into per-shard
-// sub-batches, fanned out concurrently, and the per-item results are merged
-// back in request order; GET /stats aggregates the per-shard counters into a
+// POST /schedule/batch, the one request the shards decode again, is split
+// per item fingerprint into re-encoded per-shard sub-batches, fanned out
+// concurrently, and the per-item results are merged back in request order; GET /stats aggregates the per-shard counters into a
 // merged view that preserves the conservation invariant
 // (requests == cache_hits + cache_misses + client_errors + internal_errors).
 package coord

@@ -21,7 +21,7 @@ var endpoints = []endpoint{
 	{"POST", "/schedule/batch", "decode once, split per item fingerprint, fan out sub-batches, merge items in request order"},
 	{"POST", "/evaluate", cachedBehavior},
 	{"POST", "/tune", cachedBehavior},
-	{"POST", "/missions", "decode + fingerprint at the door, forward verbatim to the owning shard (the mission id is the fingerprint, so reads route themselves)"},
+	{"POST", "/missions", cachedBehavior + "; the mission id is the fingerprint, so reads route themselves"},
 	{"GET", "/missions/{id}", "parse the id as a fingerprint, forward to the shard that owns the mission"},
 	{"GET", "/missions/{id}/events", "parse the id as a fingerprint, forward to the shard that owns the mission"},
 	{"GET", "/scenarios", "answered at the door from the process-global scenario-kind table (identical on every shard)"},

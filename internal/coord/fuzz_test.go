@@ -119,7 +119,7 @@ func FuzzRouteRequest(f *testing.F) {
 			t.Fatalf("%s: decodable body made %d shard calls, want exactly 1", path, reached)
 		}
 		var fp service.Fingerprint
-		for _, ep := range service.CachedEndpoints() {
+		for _, ep := range service.Endpoints() {
 			if ep.Path() == path {
 				d, err := ep.Decode(body)
 				if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -160,5 +161,54 @@ func TestMissionCoordinatorDoor(t *testing.T) {
 	rec = do(c, http.MethodGet, "/missions/"+unknown, nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown id: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestMissionRePostRoutedFromDoorIndex: three identical POST /missions to a
+// door over two in-process shards get one 202 body. The door decodes the
+// first two and hands them to the owner; the second comes back a hit, which
+// admits the body to the door's index, and the third is routed from there.
+func TestMissionRePostRoutedFromDoorIndex(t *testing.T) {
+	c, _ := newDeployment(t, 2, service.Config{})
+	body := missionBody("ftsa", 1, "static")
+	first := do(c, http.MethodPost, "/missions", body)
+	if first.Code != http.StatusAccepted {
+		t.Fatalf("POST /missions: %d %s", first.Code, first.Body.String())
+	}
+	for i := 2; i <= 3; i++ {
+		rec := do(c, http.MethodPost, "/missions", body)
+		if rec.Code != http.StatusAccepted || !bytes.Equal(rec.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("POST %d: %d %q, first POST %q", i, rec.Code, rec.Body.String(), first.Body.String())
+		}
+	}
+	st := coordStats(t, c)
+	m := st.Merged
+	if st.Door.BodyHits != 1 || st.Door.Requests != 3 || m.MissionRequests != 3 || m.CacheMisses != 1 || m.CacheHits != 2 {
+		t.Fatalf("door %+v, merged mission_requests %d misses %d hits %d; want 1 body hit of 3, 3 mission requests, 1 miss, 2 hits",
+			st.Door, m.MissionRequests, m.CacheMisses, m.CacheHits)
+	}
+	if m.Requests != m.CacheHits+m.CacheMisses+m.ClientErrors+m.InternalErrors+m.CancelledRequests {
+		t.Fatalf("merged ledger does not conserve: %+v", m)
+	}
+}
+
+// TestMissionIDEitherCaseThroughDoor: the door routes an upper-cased mission
+// id to the owning shard, and both mission reads answer it with the bytes
+// of the id as minted.
+func TestMissionIDEitherCaseThroughDoor(t *testing.T) {
+	c, _ := newDeployment(t, 2, service.Config{})
+	id := postMission(t, c, missionBody("mcftsa", 1, "reschedule"))
+	awaitMission(t, c, id)
+	upper := strings.ToUpper(id)
+	if upper == id {
+		t.Fatalf("id %s has no hex letter to upper-case", id)
+	}
+	for _, suffix := range []string{"", "/events"} {
+		want := do(c, http.MethodGet, "/missions/"+id+suffix, nil)
+		got := do(c, http.MethodGet, "/missions/"+upper+suffix, nil)
+		if want.Code != http.StatusOK || got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("GET /missions/{id}%s: upper-case id %d %q, minted id %d %q",
+				suffix, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
 	}
 }

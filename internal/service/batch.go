@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // BatchRequest is the body of POST /schedule/batch: one instance scheduled
@@ -92,35 +91,41 @@ func (req *BatchRequest) Validate() error {
 // order. Populated by Validate (so always set after ParseBatchRequest).
 func (req *BatchRequest) Items() []*ScheduleRequest { return req.items }
 
-// handleBatch serves POST /schedule/batch. Counter discipline: a malformed
-// or over-limit envelope counts as ONE request ending in one client error;
-// a well-formed envelope counts as len(items) logical requests, every one
-// of which ends in exactly one of cache_hits, cache_misses, client_errors
-// (429 rejections) or internal_errors — so the /stats conservation
-// invariant holds exactly whether traffic is batched or not.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.batchRequests.Add(1)
-	start := time.Now()
-	req, ok := decodeRequest[BatchRequest](s, w, r)
-	if !ok {
-		s.requests.Add(1)
-		return
+// decodeBatch is the /schedule/batch row's decode. Counter discipline: the
+// envelope counts as ONE request on receipt, so a malformed or over-limit
+// one ends in one client error; a well-formed envelope counts as len(items)
+// logical requests, every one of which ends in exactly one of cache_hits,
+// cache_misses, client_errors (429 rejections) or internal_errors — so the
+// /stats conservation invariant holds exactly whether traffic is batched or
+// not.
+func decodeBatch(body []byte) (*Decoded, error) {
+	req, err := ParseBatchRequest(body)
+	if err != nil {
+		return nil, err
 	}
 	items := req.Items()
-	if err := s.cfg.CheckBatchItems(len(items)); err != nil {
-		s.requests.Add(1)
-		s.writeError(w, http.StatusBadRequest, err)
-		return
+	schedulers := make([]string, len(items))
+	for i, it := range items {
+		schedulers[i] = it.canonicalScheduler()
 	}
+	return &Decoded{
+		tasks:      req.Graph.NumTasks(),
+		schedulers: schedulers,
+		guard:      func(cfg *Config) error { return cfg.CheckBatchItems(len(items)) },
+		serve:      func(s *Server, w http.ResponseWriter) (string, bool) { return s.serveBatch(w, items) },
+		describe: func() string {
+			return fmt.Sprintf("items=%d tasks=%d procs=%d", len(items), req.Graph.NumTasks(), req.Platform.NumProcs())
+		},
+	}, nil
+}
 
-	// The envelope is now len(items) logical requests.
-	s.requests.Add(uint64(len(items)))
+// serveBatch serves a well-formed batch: one cache pass, one pool job for
+// every distinct miss, one response.
+func (s *Server) serveBatch(w http.ResponseWriter, items []*ScheduleRequest) (string, bool) {
+	// The envelope, counted once on receipt, is now len(items) logical
+	// requests.
+	s.requests.Add(uint64(len(items)) - 1)
 	s.batchItems.Add(uint64(len(items)))
-	var scheds schedSet
-	for _, it := range items {
-		scheds |= s.schedBit(it.canonicalScheduler())
-	}
-	s.countSchedulers(scheds)
 
 	// Serve phase 1: resolve what the cache already holds. Misses are
 	// collected per distinct fingerprint, keyed to the first item missing it,
@@ -131,7 +136,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, it := range items {
 		fps[i] = RequestFingerprint(it)
 		if v, hit := s.cache.Get(fps[i]); hit {
-			bodies[i] = v.([]byte)
+			bodies[i] = v
 		} else if _, dup := first[fps[i]]; !dup {
 			first[fps[i]] = i
 		}
@@ -167,18 +172,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			s.clientErrors.Add(uint64(len(items)) - 1)
 			w.Header().Set("Retry-After", "1")
 			s.writeError(w, http.StatusTooManyRequests, ErrBusy)
-			return
+			return "", false
 		default: // ErrClosed during shutdown
 			s.internalErrors.Add(uint64(len(items)) - 1)
 			s.writeError(w, http.StatusServiceUnavailable, submitErr)
-			return
+			return "", false
 		}
 		if err := <-done; err != nil {
 			// One failed item fails the batch: all its requests end as
 			// internal errors (writeError adds the last one).
 			s.internalErrors.Add(uint64(len(items)) - 1)
 			s.writeError(w, http.StatusInternalServerError, err)
-			return
+			return "", false
 		}
 	}
 
@@ -207,7 +212,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.internalErrors.Add(uint64(len(items)) - 1)
 		s.writeError(w, http.StatusInternalServerError, err)
-		return
+		return "", false
 	}
 	for fp, i := range first {
 		s.cache.Put(fp, bodies[i])
@@ -220,8 +225,5 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		status = "hit"
 	}
 	s.writeCachedResponse(w, body, status)
-	s.observeLatency(start)
-	s.logRequest(r, "/schedule/batch",
-		fmt.Sprintf("items=%d tasks=%d procs=%d", len(items), req.Graph.NumTasks(), req.Platform.NumProcs()),
-		status, start)
+	return status, true
 }

@@ -13,7 +13,7 @@ import (
 // BodyDigest is a 128-bit keyed digest of a request body's raw bytes. The
 // key is drawn when the process starts, so a digest means nothing outside
 // the process: it is never a cache key, a route or an id, only the key of a
-// BodyIndex that remembers which canonical Fingerprint a body decoded to.
+// front index (NewFrontIndex) that remembers what a body decoded to.
 type BodyDigest [2]uint64
 
 // bodySeeds key the two 64-bit halves of a BodyDigest. Every server and
@@ -79,82 +79,4 @@ func ReleaseBody(buf *bytes.Buffer) {
 	}
 	buf.Reset()
 	bodyPool.Put(buf)
-}
-
-// BodyIndex is a bounded map from body digests to what their bodies decoded
-// to — the front index that lets a byte-identical repeat skip the decode.
-// It is sharded like Cache, grows lazily (an index nothing was admitted to
-// holds no map at all) and never exceeds its capacity: admitting into a full
-// shard displaces an arbitrary entry of that shard, which costs the
-// displaced body one decode the next time it is seen, never a wrong answer.
-type BodyIndex[V any] struct {
-	shards   []bodyIndexShard[V]
-	perShard int
-}
-
-type bodyIndexShard[V any] struct {
-	mu sync.Mutex
-	m  map[BodyDigest]V
-}
-
-// NewBodyIndex creates an index holding at most capacity entries (minimum
-// 1) over up to nShards shards — fewer when the capacity is smaller, so that
-// the per-shard bounds never add up to more than the capacity.
-func NewBodyIndex[V any](capacity, nShards int) *BodyIndex[V] {
-	capacity = max(capacity, 1)
-	pow := 1
-	for pow*2 <= min(nShards, capacity, 256) {
-		pow *= 2
-	}
-	return &BodyIndex[V]{shards: make([]bodyIndexShard[V], pow), perShard: capacity / pow}
-}
-
-func (x *BodyIndex[V]) shard(d BodyDigest) *bodyIndexShard[V] {
-	return &x.shards[d[1]&uint64(len(x.shards)-1)]
-}
-
-// Get returns what was admitted under d.
-func (x *BodyIndex[V]) Get(d BodyDigest) (V, bool) {
-	s := x.shard(d)
-	s.mu.Lock()
-	v, ok := s.m[d]
-	s.mu.Unlock()
-	return v, ok
-}
-
-// Put admits v under d.
-func (x *BodyIndex[V]) Put(d BodyDigest, v V) {
-	s := x.shard(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[BodyDigest]V)
-	}
-	if _, ok := s.m[d]; !ok && len(s.m) >= x.perShard {
-		for victim := range s.m {
-			delete(s.m, victim)
-			break
-		}
-	}
-	s.m[d] = v
-}
-
-// Delete drops d; it is a no-op when d was never admitted.
-func (x *BodyIndex[V]) Delete(d BodyDigest) {
-	s := x.shard(d)
-	s.mu.Lock()
-	delete(s.m, d)
-	s.mu.Unlock()
-}
-
-// Len returns the number of admitted digests across all shards.
-func (x *BodyIndex[V]) Len() int {
-	total := 0
-	for i := range x.shards {
-		s := &x.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
-	}
-	return total
 }

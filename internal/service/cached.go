@@ -7,33 +7,46 @@ import (
 	"time"
 )
 
-// Endpoint is one of the fingerprint-cached POST endpoints (/schedule,
-// /evaluate, /tune). They differ only in how a body decodes and what it
-// computes; everything around that — body buffering, the body-digest front
-// index, guards, counters, cache, singleflight, pool — is one path, which
-// the server mounts once per Endpoint and the coordinator's door joins
+// Endpoint is one POST endpoint. The five differ only in how a body decodes
+// and what it computes; everything around that — body buffering, the
+// body-digest front index, guards, counters, the verbose log — is one path,
+// which the server mounts once per Endpoint and the coordinator's door joins
 // through ServeDecoded.
 type Endpoint struct {
 	path string
+	// domain is the fingerprint domain and description the docs/API.md text
+	// of the endpoint's row in EndpointTable.
+	domain, description string
 	// opName names the computation in a 500 body ("scheduling failed: …").
 	opName string
+	// cached marks the fingerprint-cached endpoints (/schedule, /evaluate,
+	// /tune), the only ones a server's front index answers and admits.
+	cached bool
 	// counter picks the endpoint's share of Stats.Requests; nil for
 	// /schedule, which has no counter of its own.
 	counter func(*Server) *atomic.Uint64
 	decode  func(body []byte) (*Decoded, error)
 }
 
-var cachedEndpoints = []*Endpoint{
-	{path: "/schedule", opName: "scheduling", decode: decodeSchedule},
-	{path: "/evaluate", opName: "evaluation", decode: decodeEvaluate,
-		counter: func(s *Server) *atomic.Uint64 { return &s.evaluateRequests }},
-	{path: "/tune", opName: "tuning", decode: decodeTune,
-		counter: func(s *Server) *atomic.Uint64 { return &s.tuneRequests }},
+var endpoints = []*Endpoint{
+	{path: "/schedule", domain: "schedule", opName: "scheduling", cached: true, decode: decodeSchedule,
+		description: "schedule an instance; returns latency bounds, metrics, optional reliability bound / Gantt / full schedule"},
+	{path: "/schedule/batch", domain: "schedule", decode: decodeBatch,
+		counter:     func(s *Server) *atomic.Uint64 { return &s.batchRequests },
+		description: "schedule one instance under many parameter sets; decoded once, distinct misses computed in one worker job, items cached individually"},
+	{path: "/evaluate", domain: "evaluate", opName: "evaluation", cached: true, decode: decodeEvaluate,
+		counter:     func(s *Server) *atomic.Uint64 { return &s.evaluateRequests },
+		description: "schedule + Monte-Carlo failure injection; returns success rate (Wilson interval), latency p50/p99, degradation histogram"},
+	{path: "/tune", domain: "tune", opName: "tuning", cached: true, decode: decodeTune,
+		counter:     func(s *Server) *atomic.Uint64 { return &s.tuneRequests },
+		description: "search the registry × ε × policy grid; returns the (latency, success) Pareto frontier and a recommended point for a reliability target"},
+	{path: "/missions", domain: "mission", decode: decodeMission,
+		counter:     func(s *Server) *atomic.Uint64 { return &s.missionRequests },
+		description: "create an online mission (async, 202 + id): execute the schedule against one failure scenario, re-planning the surviving suffix per policy"},
 }
 
-// CachedEndpoints lists the fingerprint-cached POST endpoints in
-// documentation order.
-func CachedEndpoints() []*Endpoint { return cachedEndpoints }
+// Endpoints lists the POST endpoints in documentation order.
+func Endpoints() []*Endpoint { return endpoints }
 
 // Path is the endpoint's route, e.g. "/schedule".
 func (e *Endpoint) Path() string { return e.path }
@@ -53,7 +66,7 @@ func (e *Endpoint) Decode(body []byte) (*Decoded, error) {
 	return d, nil
 }
 
-// Decoded is a decoded, validated and fingerprinted request of one cached
+// Decoded is a decoded, validated and fingerprinted request of one
 // endpoint: everything a server needs to guard, count and serve it without
 // seeing the body again.
 type Decoded struct {
@@ -67,6 +80,11 @@ type Decoded struct {
 	// endpoint has none beyond MaxTasks.
 	guard   func(*Config) error
 	compute func(*Server) ([]byte, error)
+	// serve, when set, answers the request in place of the cache →
+	// singleflight → pool flow around compute: the rows that are not
+	// fingerprint-cached. It reports the cache status, or false when it
+	// wrote an error.
+	serve func(*Server, http.ResponseWriter) (cacheStatus string, ok bool)
 	// release returns pooled request storage; nil when nothing is pooled.
 	release func()
 	// describe renders the verbose log's request summary. It reads the
@@ -174,8 +192,8 @@ type bodyAlias struct {
 	scheds schedSet
 }
 
-// handleCached mounts one cached endpoint: buffer the body, try the front
-// index, otherwise decode and join serveDecoded.
+// handleCached mounts one endpoint: buffer the body, try the front index,
+// otherwise decode and join serveDecoded.
 func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.countRequest(ep)
@@ -187,7 +205,7 @@ func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
 		}
 		defer ReleaseBody(buf)
 		digest := ep.Digest(buf.Bytes())
-		if s.serveFront(w, r, ep, digest, start) {
+		if ep.cached && s.serveFront(w, r, ep, digest, start) {
 			return
 		}
 		d, err := ep.Decode(buf.Bytes())
@@ -220,7 +238,7 @@ func (s *Server) serveFront(w http.ResponseWriter, r *http.Request, ep *Endpoint
 	s.countSchedulers(alias.scheds)
 	s.hits.Add(1)
 	s.bodyHits.Add(1)
-	s.writeCachedResponse(w, v.([]byte), "hit")
+	s.writeCachedResponse(w, v, "hit")
 	s.observeLatency(start)
 	if s.cfg.Log != nil {
 		s.logRequest(r, ep.path, fmt.Sprintf("fp=%x", alias.fp[:4]), "hit", start)
@@ -244,11 +262,11 @@ func (s *Server) ServeDecoded(w http.ResponseWriter, r *http.Request, d *Decoded
 	s.serveDecoded(w, r, d, digest, time.Now())
 }
 
-// serveDecoded is the part of a cached request after the decode: guards,
-// per-scheduler counters, then the cache → singleflight → pool flow. A body
-// is admitted to the front index only here and only once it has been served
-// as a hit, so every alias has passed every guard and never-repeating
-// traffic stores nothing.
+// serveDecoded is the part of a request after the decode: guards,
+// per-scheduler counters, then the row's serve or the cache → singleflight →
+// pool flow. A body is admitted to the front index only here and only once
+// it has been served as a hit, so every alias has passed every guard and
+// never-repeating traffic stores nothing.
 func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded, digest BodyDigest, start time.Time) {
 	err := s.cfg.CheckTasks(d.tasks)
 	if err == nil && d.guard != nil {
@@ -269,12 +287,18 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded
 		desc = d.describe() // before serveCached: the cleanup hook may release the request
 	}
 
-	cacheStatus, ok := s.serveCached(w, r, d.fp, d.ep.opName,
-		func() ([]byte, error) { return d.compute(s) }, d.release)
+	var cacheStatus string
+	var ok bool
+	if d.serve != nil {
+		cacheStatus, ok = d.serve(s, w)
+	} else {
+		cacheStatus, ok = s.serveCached(w, r, d.fp, d.ep.opName,
+			func() ([]byte, error) { return d.compute(s) }, d.release)
+	}
 	if !ok {
 		return
 	}
-	if cacheStatus == "hit" {
+	if cacheStatus == "hit" && d.ep.cached {
 		s.front.Put(digest, bodyAlias{fp: d.fp, scheds: scheds})
 	}
 	s.observeLatency(start)

@@ -43,19 +43,21 @@
 //     hit returns the exact bytes a fresh run would produce; repeated
 //     requests — the common case under heavy traffic — skip scheduling
 //     entirely.
-//   - A body-digest front index (BodyIndex) in front of that cache. Even
-//     single-pass, decoding a paper-sized body costs as much as an FTSA
-//     solve, and a cache hit would pay it just to find its key; so the
-//     handlers of the cached endpoints (Endpoint) read the body once into a
-//     pooled buffer, take a 128-bit process-keyed digest of the raw bytes
-//     (BodyDigest) and, when the index maps it to a fingerprint whose entry
-//     is still cached, replay the hit — same bytes, header and counters —
-//     without decoding. A body is admitted only after it decoded, passed
-//     every guard and was served as a hit, so every alias points at a
-//     canonical entry and traffic that never repeats stores nothing. The
-//     coordinator's door keeps the same index for routing and hands the
-//     requests it does decode to in-process shards through
-//     Server.ServeDecoded, so a sharded request is decoded at most once.
+//   - A body-digest front index (NewFrontIndex, the same LRU) in front of
+//     that cache. Even single-pass, decoding a paper-sized body costs as
+//     much as an FTSA solve, and a cache hit would pay it just to find its
+//     key; so the one handler of every POST endpoint (Endpoint) reads the
+//     body once into a pooled buffer, takes a 128-bit process-keyed digest
+//     of the raw bytes (BodyDigest) and, for /schedule, /evaluate and /tune,
+//     when the index maps it to a fingerprint whose entry is still cached,
+//     replays the hit — same bytes, header and counters — without decoding.
+//     A body is admitted only after it decoded, passed every guard and was
+//     served as a hit, so every alias points at a canonical entry and
+//     traffic that never repeats stores nothing. The coordinator's door
+//     keeps the same index for routing and hands the requests it does
+//     decode to in-process shards through Server.ServeDecoded, so a sharded
+//     request is decoded at most once (a batch, split by item, is decoded
+//     again by the shards).
 //   - One request decoder (decodeBody) behind all five POST endpoints and
 //     the door: buffer → digest → front index → decodeBody → fingerprint.
 //     It walks the buffered body once; the instance members (graph,

@@ -5,37 +5,15 @@ import (
 	"strings"
 )
 
-// endpoint describes one row of the HTTP surface for the generated
-// documentation table. The slice below is the single source of truth the
-// docs drift test compares docs/API.md against — adding a route without
-// extending it (and regenerating the table) fails the build.
-type endpoint struct {
-	method, path string
-	// domain is the response-cache fingerprint domain, or "—" for uncached
-	// endpoints.
-	domain      string
-	description string
-}
-
-// endpoints lists the served routes in documentation order. Keep it in sync
-// with the mux registrations in New.
-var endpoints = []endpoint{
-	{"POST", "/schedule", "schedule",
-		"schedule an instance; returns latency bounds, metrics, optional reliability bound / Gantt / full schedule"},
-	{"POST", "/schedule/batch", "schedule",
-		"schedule one instance under many parameter sets; decoded once, distinct misses computed in one worker job, items cached individually"},
-	{"POST", "/evaluate", "evaluate",
-		"schedule + Monte-Carlo failure injection; returns success rate (Wilson interval), latency p50/p99, degradation histogram"},
-	{"POST", "/tune", "tune",
-		"search the registry × ε × policy grid; returns the (latency, success) Pareto frontier and a recommended point for a reliability target"},
-	{"POST", "/missions", "mission",
-		"create an online mission (async, 202 + id): execute the schedule against one failure scenario, re-planning the surviving suffix per policy"},
-	{"GET", "/missions/{id}", "—", "poll mission state; once finished, the byte-deterministic final report"},
-	{"GET", "/missions/{id}/events", "—", "stream the mission's ordered event log as chunked JSONL (plan/replan, task, crash, complete/abort)"},
-	{"GET", "/scenarios", "—",
-		"scenario-kind discovery: every registered failure-scenario kind with its flag form, parameters and docs"},
-	{"GET", "/healthz", "—", "liveness probe"},
-	{"GET", "/stats", "—", "cache hit rate, per-endpoint and per-scheduler counters, queue depth, latency quantiles"},
+// getRoutes are the GET rows of the HTTP surface in documentation order.
+// With the POST rows (endpoints) they are the single source of truth the
+// docs drift test compares docs/API.md against.
+var getRoutes = []struct{ path, description string }{
+	{"/missions/{id}", "poll mission state; once finished, the byte-deterministic final report"},
+	{"/missions/{id}/events", "stream the mission's ordered event log as chunked JSONL (plan/replan, task, crash, complete/abort)"},
+	{"/scenarios", "scenario-kind discovery: every registered failure-scenario kind with its flag form, parameters and docs"},
+	{"/healthz", "liveness probe"},
+	{"/stats", "cache hit rate, per-endpoint and per-scheduler counters, queue depth, latency quantiles"},
 }
 
 // EndpointTable renders the HTTP surface as a GitHub-flavored markdown
@@ -47,7 +25,10 @@ func EndpointTable() string {
 	b.WriteString("| Method | Path | Cache domain | Description |\n")
 	b.WriteString("|---|---|---|---|\n")
 	for _, e := range endpoints {
-		fmt.Fprintf(&b, "| %s | `%s` | %s | %s |\n", e.method, e.path, e.domain, e.description)
+		fmt.Fprintf(&b, "| POST | `%s` | %s | %s |\n", e.path, e.domain, e.description)
+	}
+	for _, e := range getRoutes {
+		fmt.Fprintf(&b, "| GET | `%s` | — | %s |\n", e.path, e.description)
 	}
 	return b.String()
 }

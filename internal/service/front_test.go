@@ -155,8 +155,10 @@ func TestFrontIndexDifferential(t *testing.T) {
 	}
 	mustServe := len(probes) // the examples and the goldens are all well-formed
 	for _, b := range fuzzCorpus(t) {
-		for _, ep := range cachedEndpoints {
-			probes = append(probes, probe{ep.path, b})
+		for _, ep := range endpoints {
+			if ep.cached {
+				probes = append(probes, probe{ep.path, b})
+			}
 		}
 	}
 
@@ -398,10 +400,10 @@ func TestServeDecodedMatchesServeHTTP(t *testing.T) {
 		ep   *Endpoint
 		body []byte
 	}{
-		{cachedEndpoints[0], marshalRequest(t, testRequest(t))},
-		{cachedEndpoints[1], marshalJSON(t, testEvaluateRequest(t))},
-		{cachedEndpoints[1], marshalJSON(t, over)}, // refused by the server's MaxTrials
-		{cachedEndpoints[2], marshalJSON(t, testTuneRequest(t))},
+		{endpoints[0], marshalRequest(t, testRequest(t))},
+		{endpoints[2], marshalJSON(t, testEvaluateRequest(t))},
+		{endpoints[2], marshalJSON(t, over)}, // refused by the server's MaxTrials
+		{endpoints[3], marshalJSON(t, testTuneRequest(t))},
 	}
 	for pi, p := range probes {
 		for round := 0; round < 2; round++ {
@@ -431,13 +433,13 @@ func TestServeDecodedMatchesServeHTTP(t *testing.T) {
 	}
 }
 
-// TestBodyIndex pins the index's own contract: lazily grown, bounded by its
-// capacity at any shard count, overwrite in place, delete.
+// TestBodyIndex pins the front index's own contract: lazily grown, bounded
+// by its capacity at any shard count, overwrite in place, delete.
 func TestBodyIndex(t *testing.T) {
 	for _, tc := range []struct{ capacity, shards int }{{1, 16}, {2, 16}, {7, 4}, {100, 16}, {4096, 16}} {
-		x := NewBodyIndex[int](tc.capacity, tc.shards)
+		x := NewFrontIndex[int](tc.capacity, tc.shards)
 		for i := range x.shards {
-			if x.shards[i].m != nil {
+			if x.shards[i].index != nil || x.shards[i].ents != nil {
 				t.Fatalf("capacity %d: shard %d allocated a map before any Put", tc.capacity, i)
 			}
 		}

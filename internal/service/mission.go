@@ -173,31 +173,33 @@ func (st *missionState) snapshot(from int) (lines [][]byte, state string, notify
 	return st.lines[from:], st.state, st.notify
 }
 
-// missionAcceptedBody is the fixed POST /missions response: deterministic
-// whether the mission was just created or already existed (the cache-status
-// header tells them apart).
-func missionAcceptedBody(id string) []byte {
-	return []byte(`{"id":"` + id + `","state":"accepted"}` + "\n")
+// decodeMission is the /missions row's decode.
+func decodeMission(body []byte) (*Decoded, error) {
+	req, err := ParseMissionRequest(body)
+	if err != nil {
+		return nil, err
+	}
+	fp := MissionFingerprint(req)
+	return &Decoded{
+		fp:         fp,
+		tasks:      req.Graph.NumTasks(),
+		schedulers: []string{req.canonicalScheduler()},
+		serve: func(s *Server, w http.ResponseWriter) (string, bool) {
+			return s.createMission(w, req, MissionID(fp))
+		},
+		describe: req.describe,
+	}, nil
 }
 
-func (s *Server) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	s.missionRequests.Add(1)
-	req, ok := decodeRequest[MissionRequest](s, w, r)
-	if !ok {
-		return
-	}
-	s.countSchedulers(s.schedBit(req.canonicalScheduler()))
-	id := MissionID(MissionFingerprint(req))
-
+// createMission admits a mission and starts it on the pool. The mission id
+// is a pure function of the request, so an existing state IS the response —
+// an idempotent re-POST is a cache hit.
+func (s *Server) createMission(w http.ResponseWriter, req *MissionRequest, id string) (string, bool) {
 	s.missionMu.Lock()
 	if _, exists := s.missions[id]; exists {
 		s.missionMu.Unlock()
-		// The mission id is a pure function of the request, so an existing
-		// state IS the response — an idempotent re-POST is a cache hit.
 		s.hits.Add(1)
-		s.writeMissionAccepted(w, id, "hit")
-		return
+		return s.writeMissionAccepted(w, id, "hit")
 	}
 	if len(s.missions) >= s.cfg.MaxMissions && !s.evictOldestFinishedLocked() {
 		s.missionMu.Unlock()
@@ -205,7 +207,7 @@ func (s *Server) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("all %d retained missions are still running", s.cfg.MaxMissions))
-		return
+		return "", false
 	}
 	st := newMissionState(id)
 	// Submit before inserting: a failed submit must not leave a phantom
@@ -218,24 +220,28 @@ func (s *Server) handleMissionCreate(w http.ResponseWriter, r *http.Request) {
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests, ErrBusy)
-		return
+		return "", false
 	default: // ErrClosed during shutdown
 		s.missionMu.Unlock()
 		s.writeError(w, http.StatusServiceUnavailable, err)
-		return
+		return "", false
 	}
 	s.missions[id] = st
 	s.missionOrder = append(s.missionOrder, id)
 	s.missionMu.Unlock()
 	s.misses.Add(1)
-	s.writeMissionAccepted(w, id, "miss")
+	return s.writeMissionAccepted(w, id, "miss")
 }
 
-func (s *Server) writeMissionAccepted(w http.ResponseWriter, id, cacheStatus string) {
+// writeMissionAccepted writes the fixed POST /missions response:
+// deterministic whether the mission was just created or already existed
+// (the cache-status header tells them apart).
+func (s *Server) writeMissionAccepted(w http.ResponseWriter, id, cacheStatus string) (string, bool) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(CacheStatusHeader, cacheStatus)
 	w.WriteHeader(http.StatusAccepted)
-	w.Write(missionAcceptedBody(id))
+	io.WriteString(w, `{"id":"`+id+`","state":"accepted"}`+"\n")
+	return cacheStatus, true
 }
 
 // evictOldestFinishedLocked drops the oldest non-running mission, returning
@@ -332,12 +338,13 @@ func (s *Server) executeMission(req *MissionRequest, pol mission.Policy, st *mis
 // count either — see the Stats conservation invariant).
 func (s *Server) lookupMission(w http.ResponseWriter, r *http.Request) *missionState {
 	id := r.PathValue("id")
-	if _, err := ParseMissionID(id); err != nil {
+	fp, err := ParseMissionID(id)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return nil
 	}
 	s.missionMu.Lock()
-	st := s.missions[id]
+	st := s.missions[MissionID(fp)] // an id parses in either hex case
 	s.missionMu.Unlock()
 	if st == nil {
 		WriteError(w, http.StatusNotFound, fmt.Errorf("no mission %s", id))

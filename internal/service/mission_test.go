@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -335,5 +336,59 @@ func TestEvaluatePolicies(t *testing.T) {
 	req.Policies = []string{"static", "static"}
 	if resp, data := postJSON(t, ts.URL+"/evaluate", marshalJSON(t, req)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("duplicate policy: %d %s", resp.StatusCode, data)
+	}
+}
+
+// TestMissionIDEitherCase: ParseMissionID accepts either hex case, so both
+// mission reads find a mission under an upper-cased id too, with the same
+// bytes as under the id it was minted with.
+func TestMissionIDEitherCase(t *testing.T) {
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Close)
+	rec := doServer(s, http.MethodPost, "/missions", marshalJSON(t, testMissionRequest(t)))
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
+		t.Fatal(err)
+	}
+	awaitMissionDone(t, s, acc.ID)
+	upper := strings.ToUpper(acc.ID)
+	if upper == acc.ID {
+		t.Fatalf("id %s has no hex letter to upper-case", acc.ID)
+	}
+	for _, suffix := range []string{"", "/events"} {
+		want := doServer(s, http.MethodGet, "/missions/"+acc.ID+suffix, nil)
+		got := doServer(s, http.MethodGet, "/missions/"+upper+suffix, nil)
+		if want.Code != http.StatusOK || got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("GET /missions/{id}%s: upper-case id %d %q, minted id %d %q",
+				suffix, got.Code, got.Body.String(), want.Code, want.Body.String())
+		}
+	}
+}
+
+// TestMissionPostLoggedAndTimed: a successful POST /missions, created or
+// re-POSTed, enters the /stats latency window and the verbose log like every
+// other POST; a refused one enters neither.
+func TestMissionPostLoggedAndTimed(t *testing.T) {
+	var logged bytes.Buffer
+	s := New(Config{Workers: 1, Log: log.New(&logged, "", 0)})
+	t.Cleanup(s.Close)
+	body := marshalJSON(t, testMissionRequest(t))
+	for _, want := range []string{"miss", "hit"} {
+		if rec := doServer(s, http.MethodPost, "/missions", body); rec.Header().Get(CacheStatusHeader) != want {
+			t.Fatalf("POST /missions: %d cache=%q, want %s", rec.Code, rec.Header().Get(CacheStatusHeader), want)
+		}
+	}
+	if rec := doServer(s, http.MethodPost, "/missions", []byte(`{}`)); rec.Code != http.StatusBadRequest {
+		t.Fatalf("malformed POST /missions: %d", rec.Code)
+	}
+	if st := conserves(t, s); st.LatencyMs.Count != 2 {
+		t.Fatalf("latency window counted %d mission POSTs, want 2", st.LatencyMs.Count)
+	}
+	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
+	if len(lines) != 2 || !strings.Contains(lines[0], "/missions") || !strings.Contains(lines[0], "cache=miss") ||
+		!strings.Contains(lines[1], "cache=hit") {
+		t.Fatalf("verbose log:\n%s", logged.String())
 	}
 }

@@ -24,10 +24,10 @@ import (
 	"ftsched/internal/stats"
 )
 
-// CacheStatusHeader is set on every /schedule and /evaluate response: "hit"
-// when the response came from the cache, "miss" when it was freshly
-// computed. The body is byte-identical either way; only this header
-// distinguishes them.
+// CacheStatusHeader is set on every successful POST response: "hit" when the
+// response came from the cache (for /missions: the mission already
+// existed), "miss" when it was freshly computed. The body is byte-identical
+// either way; only this header distinguishes them.
 const CacheStatusHeader = "X-Ftserved-Cache"
 
 // Config tunes a Server. The zero value picks serving defaults sized to the
@@ -66,8 +66,7 @@ type Config struct {
 	// coordinator sets it to the shard index so per-shard sections of an
 	// aggregated /stats response are self-identifying.
 	Shard string
-	// Log, when non-nil, receives one line per served /schedule,
-	// /schedule/batch, /evaluate or /tune request.
+	// Log, when non-nil, receives one line per served POST request.
 	Log *log.Logger
 }
 
@@ -126,12 +125,12 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	pool  *Pool
-	cache *Cache // Fingerprint → []byte (serialized response)
+	cache *Cache[Fingerprint, []byte] // serialized responses
 	// front aliases the digests of bodies already served as hits to their
 	// entries in cache, so a byte-identical repeat is answered without a
 	// decode. Bounded by cfg.CacheEntries: an alias is only useful while its
 	// entry is cached.
-	front *BodyIndex[bodyAlias]
+	front *Cache[BodyDigest, bodyAlias]
 
 	// schedule, evaluate and tuneFn compute the response bytes for a
 	// validated request of the respective endpoint. They are fields so tests
@@ -199,7 +198,7 @@ func New(cfg Config) *Server {
 		mux:        http.NewServeMux(),
 		pool:       NewPool(cfg.Workers, cfg.Queue),
 		cache:      NewCache(cfg.CacheEntries, cfg.CacheShards),
-		front:      NewBodyIndex[bodyAlias](cfg.CacheEntries, cfg.CacheShards),
+		front:      NewFrontIndex[bodyAlias](cfg.CacheEntries, cfg.CacheShards),
 		flights:    make(map[Fingerprint]*flight),
 		missions:   make(map[string]*missionState),
 		schedNames: names,
@@ -213,11 +212,9 @@ func New(cfg Config) *Server {
 	s.schedule = s.runSchedule
 	s.evaluate = s.runEvaluate
 	s.tuneFn = s.runTune
-	for _, ep := range cachedEndpoints {
+	for _, ep := range endpoints {
 		s.mux.HandleFunc("POST "+ep.path, s.handleCached(ep))
 	}
-	s.mux.HandleFunc("POST /schedule/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /missions", s.handleMissionCreate)
 	s.mux.HandleFunc("GET /missions/{id}", s.handleMissionGet)
 	s.mux.HandleFunc("GET /missions/{id}/events", s.handleMissionEvents)
 	s.mux.HandleFunc("GET /scenarios", ScenariosHandler)
@@ -248,28 +245,6 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 		s.clientErrors.Add(1)
 	}
 	WriteError(w, status, err)
-}
-
-// decodeRequest is the request prologue of the POST endpoints that are not
-// an Endpoint (/schedule/batch, /missions): buffer the body, decode it (400
-// on malformed input) and apply the instance-size guard. ok is false when
-// an error response was written.
-func decodeRequest[T any, P requestPtr[T]](s *Server, w http.ResponseWriter, r *http.Request) (req P, ok bool) {
-	buf, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
-	if err != nil {
-		s.writeError(w, status, err)
-		return nil, false
-	}
-	req, err = decodeNew[T, P](buf.Bytes())
-	ReleaseBody(buf)
-	if err == nil {
-		err = s.cfg.CheckTasks(req.instance().Graph.NumTasks())
-	}
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return nil, false
-	}
-	return req, true
 }
 
 // flight is one in-flight cache-miss computation. The first request for a
@@ -318,7 +293,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 	if v, hit := s.cache.Get(fp); hit {
 		release()
 		s.hits.Add(1)
-		s.writeCachedResponse(w, v.([]byte), "hit")
+		s.writeCachedResponse(w, v, "hit")
 		return "hit", true
 	}
 	ctx := r.Context()
@@ -366,7 +341,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 		s.flightMu.Unlock()
 		release()
 		s.hits.Add(1)
-		s.writeCachedResponse(w, v.([]byte), "hit")
+		s.writeCachedResponse(w, v, "hit")
 		return "hit", true
 	}
 	f := &flight{done: make(chan struct{}), ctx: ctx}
@@ -757,8 +732,8 @@ type Stats struct {
 	QueueHighWater int `json:"queue_high_water"`
 	QueueCapacity  int `json:"queue_capacity"`
 	Workers        int `json:"workers"`
-	// LatencyMs summarizes recent successful /schedule, /evaluate and /tune
-	// round trips (decode through response write), hits and misses alike.
+	// LatencyMs summarizes recent successful POST round trips (decode
+	// through response write), hits and misses alike.
 	LatencyMs LatencyStats `json:"latency_ms"`
 }
 
