@@ -36,7 +36,7 @@
 //	GET  /missions/{id}         poll state / the final deterministic report
 //	GET  /missions/{id}/events  stream the ordered event log as JSONL
 //	GET  /healthz    liveness probe
-//	GET  /stats      cache hit rate, queue depth, p50/p99 latency
+//	GET  /stats      cache hit rate, queue depth, latency per endpoint × hit/miss
 //
 // The server drains in-flight requests on SIGINT/SIGTERM before exiting. An
 // invalid invocation exits 2 before anything listens; a failure to listen or

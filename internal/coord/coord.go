@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"ftsched/internal/service"
 )
@@ -43,6 +44,8 @@ type Coordinator struct {
 	// bodyHits counts the requests routed from the front index, without a
 	// door decode.
 	bodyHits atomic.Uint64
+	// lat is the latency the deployment's clients saw, recorded at the door.
+	lat service.Latency
 }
 
 // doorAliasesPerShard bounds the door's front index per shard behind it: as
@@ -67,7 +70,7 @@ func New(shards []http.Handler, cfg service.Config) *Coordinator {
 		if ep.Path() == "/schedule/batch" {
 			h = c.handleBatch
 		}
-		c.mux.HandleFunc("POST "+ep.Path(), h)
+		c.mux.HandleFunc("POST "+ep.Path(), c.timed(ep.Path(), h))
 	}
 	c.mux.HandleFunc("GET /missions/{id}", c.missionByID)
 	c.mux.HandleFunc("GET /missions/{id}/events", c.missionByID)
@@ -89,6 +92,19 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 // verbose log use it.
 func (c *Coordinator) Route(fp service.Fingerprint) int {
 	return RouteFingerprint(fp, len(c.shards))
+}
+
+// timed records a POST's latency at the door, door work included, whenever
+// its response carries a cache status: exactly the requests a shard records,
+// with a split batch counted once.
+func (c *Coordinator) timed(path string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		h(w, r)
+		if status := w.Header().Get(service.CacheStatusHeader); status != "" {
+			c.lat.Record(path, status, time.Since(start))
+		}
+	}
 }
 
 // missionByID routes the mission read endpoints. A mission id IS the hex of

@@ -173,7 +173,7 @@ func TestRoutedPassthroughByteIdentical(t *testing.T) {
 	if !reflect.DeepEqual(cSt.Merged.SchedulerRequests, sSt.SchedulerRequests) ||
 		cSt.Merged.Requests != sSt.Requests || cSt.Merged.CacheHits != sSt.CacheHits ||
 		cSt.Merged.CacheMisses != sSt.CacheMisses || cSt.Merged.EvaluateRequests != sSt.EvaluateRequests ||
-		cSt.Merged.TuneRequests != sSt.TuneRequests || cSt.Merged.LatencyMs.Count != sSt.LatencyMs.Count {
+		cSt.Merged.TuneRequests != sSt.TuneRequests || cSt.Merged.Latency.Count != sSt.Latency.Count {
 		t.Fatalf("merged counters diverge from the single server:\nmerged: %+v\nsingle: %+v", cSt.Merged, sSt)
 	}
 }

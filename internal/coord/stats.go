@@ -42,14 +42,11 @@ type Stats struct {
 // does NOT add — each shard's high-water mark is a maximum over time, and a
 // sum of maxima taken at different moments is not the depth of anything; the
 // deepest single-shard backlog is the honest merged figure. HitRate is
-// recomputed from the summed hits and misses. Latency quantiles cannot be
-// merged exactly from quantiles: Count and the count-weighted Mean are
-// exact, while P50/P99/Max take the worst shard — a conservative bound, and
-// exact for Max.
+// recomputed from the summed hits and misses. Latency is left empty: the
+// door's own record of what its clients saw replaces it in /stats.
 func MergeShardStats(per []service.Stats) service.Stats {
 	var m service.Stats
 	m.SchedulerRequests = make(map[string]uint64)
-	var meanWeighted float64
 	for _, s := range per {
 		m.Requests += s.Requests
 		m.EvaluateRequests += s.EvaluateRequests
@@ -76,23 +73,9 @@ func MergeShardStats(per []service.Stats) service.Stats {
 		if s.QueueHighWater > m.QueueHighWater {
 			m.QueueHighWater = s.QueueHighWater
 		}
-		m.LatencyMs.Count += s.LatencyMs.Count
-		meanWeighted += s.LatencyMs.Mean * float64(s.LatencyMs.Count)
-		if s.LatencyMs.P50 > m.LatencyMs.P50 {
-			m.LatencyMs.P50 = s.LatencyMs.P50
-		}
-		if s.LatencyMs.P99 > m.LatencyMs.P99 {
-			m.LatencyMs.P99 = s.LatencyMs.P99
-		}
-		if s.LatencyMs.Max > m.LatencyMs.Max {
-			m.LatencyMs.Max = s.LatencyMs.Max
-		}
 	}
 	if m.CacheHits+m.CacheMisses > 0 {
 		m.HitRate = float64(m.CacheHits) / float64(m.CacheHits+m.CacheMisses)
-	}
-	if m.LatencyMs.Count > 0 {
-		m.LatencyMs.Mean = meanWeighted / float64(m.LatencyMs.Count)
 	}
 	return m
 }
@@ -112,7 +95,8 @@ func (c *Coordinator) shardGet(shard int, path string, out any) error {
 // reached a shard, but it is still a request that ended in a client error —
 // so merged.requests == merged.cache_hits + merged.cache_misses +
 // merged.client_errors + merged.internal_errors + merged.cancelled_requests
-// holds for the deployment exactly as it does for a standalone server.
+// holds for the deployment exactly as it does for a standalone server. Its
+// latency is the door's own record (timed).
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := Stats{
 		Shards: len(c.shards),
@@ -133,6 +117,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	st.Merged = MergeShardStats(st.PerShard)
 	st.Merged.Requests += st.Door.Rejected
 	st.Merged.ClientErrors += st.Door.Rejected
+	st.Merged.Latency, st.Merged.LatencyByEndpoint = c.lat.Summaries()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(st)
 }

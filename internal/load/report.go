@@ -7,30 +7,6 @@ import (
 	"ftsched/internal/stats"
 )
 
-// LatencySummary condenses one histogram into report milliseconds. Values
-// derive from integral histogram state by a single float division each, so
-// equal sample multisets summarize byte-identically.
-type LatencySummary struct {
-	Count  uint64  `json:"count"`
-	MeanMs float64 `json:"mean_ms"`
-	P50Ms  float64 `json:"p50_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	MaxMs  float64 `json:"max_ms"`
-}
-
-func summarize(h *stats.Histogram) LatencySummary {
-	const msPerNs = 1e-6
-	return LatencySummary{
-		Count:  h.Count(),
-		MeanMs: h.Mean() * msPerNs,
-		P50Ms:  float64(h.Quantile(0.5)) * msPerNs,
-		P99Ms:  float64(h.Quantile(0.99)) * msPerNs,
-		P999Ms: float64(h.Quantile(0.999)) * msPerNs,
-		MaxMs:  float64(h.Max()) * msPerNs,
-	}
-}
-
 // EndpointReport is one endpoint's share of a run.
 type EndpointReport struct {
 	Requests uint64 `json:"requests"`
@@ -52,11 +28,11 @@ type EndpointReport struct {
 	// sample measures from the request's intended send time, so sender
 	// backlog shows up as latency instead of vanishing. In closed-loop
 	// mode intended and actual send coincide and Latency equals Service.
-	Latency LatencySummary `json:"latency"`
+	Latency stats.Summary `json:"latency"`
 	// Service is the uncorrected service-time view (send to completion) —
 	// the number a coordinated-omission-blind instrument would report.
 	// Present only in open-loop runs, where the two diverge.
-	Service *LatencySummary `json:"service,omitempty"`
+	Service *stats.Summary `json:"service,omitempty"`
 }
 
 // CapacityIteration is one probe of the capacity binary search.

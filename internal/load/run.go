@@ -276,13 +276,13 @@ func (e *endpointRec) report(open bool) *EndpointReport {
 		TransportErrors: e.transportErr,
 		CacheHits:       e.hits,
 		CacheMisses:     e.misses,
-		Latency:         summarize(&e.lat),
+		Latency:         e.lat.Summary(),
 	}
 	if e.hits+e.misses > 0 {
 		er.HitRate = float64(e.hits) / float64(e.hits+e.misses)
 	}
 	if open {
-		svc := summarize(&e.svc)
+		svc := e.svc.Summary()
 		er.Service = &svc
 	}
 	return er

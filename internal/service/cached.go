@@ -239,7 +239,7 @@ func (s *Server) serveFront(w http.ResponseWriter, r *http.Request, ep *Endpoint
 	s.hits.Add(1)
 	s.bodyHits.Add(1)
 	s.writeCachedResponse(w, v, "hit")
-	s.observeLatency(start)
+	s.lat.Record(ep.path, "hit", time.Since(start))
 	if s.cfg.Log != nil {
 		s.logRequest(r, ep.path, fmt.Sprintf("fp=%x", alias.fp[:4]), "hit", start)
 	}
@@ -301,7 +301,7 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded
 	if cacheStatus == "hit" && d.ep.cached {
 		s.front.Put(digest, bodyAlias{fp: d.fp, scheds: scheds})
 	}
-	s.observeLatency(start)
+	s.lat.Record(d.ep.path, cacheStatus, time.Since(start))
 	s.logRequest(r, d.ep.path, desc, cacheStatus, start)
 }
 

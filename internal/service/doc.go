@@ -28,7 +28,8 @@
 //     under its own fingerprint domain, guarded by -max-candidates.
 //   - GET /healthz is a liveness probe.
 //   - GET /stats reports cache hit rate, per-endpoint and per-scheduler
-//     counters, queue depth and p50/p99 latency.
+//     counters, queue depth, and latency since start per endpoint × cache
+//     status (Latency).
 //
 // Four mechanisms make the service production-shaped:
 //

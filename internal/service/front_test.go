@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"ftsched/internal/stats"
 	"ftsched/internal/workload"
 )
 
@@ -113,7 +114,7 @@ func countersOf(t *testing.T, s *Server) Stats {
 		Requests: st.Requests, EvaluateRequests: st.EvaluateRequests, TuneRequests: st.TuneRequests,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, HitRate: st.HitRate, CacheEntries: st.CacheEntries,
 		SchedulerRequests: st.SchedulerRequests, ClientErrors: st.ClientErrors, InternalErrors: st.InternalErrors,
-		LatencyMs: LatencyStats{Count: st.LatencyMs.Count},
+		Latency: stats.Summary{Count: st.Latency.Count},
 	}
 }
 

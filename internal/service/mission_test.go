@@ -383,8 +383,8 @@ func TestMissionPostLoggedAndTimed(t *testing.T) {
 	if rec := doServer(s, http.MethodPost, "/missions", []byte(`{}`)); rec.Code != http.StatusBadRequest {
 		t.Fatalf("malformed POST /missions: %d", rec.Code)
 	}
-	if st := conserves(t, s); st.LatencyMs.Count != 2 {
-		t.Fatalf("latency window counted %d mission POSTs, want 2", st.LatencyMs.Count)
+	if st := conserves(t, s); st.Latency.Count != 2 {
+		t.Fatalf("latency window counted %d mission POSTs, want 2", st.Latency.Count)
 	}
 	lines := strings.Split(strings.TrimSpace(logged.String()), "\n")
 	if len(lines) != 2 || !strings.Contains(lines[0], "/missions") || !strings.Contains(lines[0], "cache=miss") ||

@@ -116,9 +116,6 @@ func (cfg *Config) CheckBatchItems(n int) error {
 	return nil
 }
 
-// latencyWindow is how many recent latencies the /stats quantiles cover.
-const latencyWindow = 1024
-
 // Server handles the ftserved HTTP API. Create one with New, mount it as an
 // http.Handler, and Close it on shutdown to drain the worker pool.
 type Server struct {
@@ -180,8 +177,7 @@ type Server struct {
 	schedIndex map[string]int
 	schedReqs  []atomic.Uint64
 
-	latMu sync.Mutex
-	lat   *stats.Window
+	lat Latency
 }
 
 // New creates a ready-to-serve Server.
@@ -204,7 +200,6 @@ func New(cfg Config) *Server {
 		schedNames: names,
 		schedIndex: make(map[string]int, len(names)),
 		schedReqs:  make([]atomic.Uint64, len(names)),
-		lat:        stats.NewWindow(latencyWindow),
 	}
 	for i, name := range names {
 		s.schedIndex[name] = i
@@ -430,13 +425,6 @@ func (s *Server) writeCachedResponse(w http.ResponseWriter, body []byte, cacheSt
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(CacheStatusHeader, cacheStatus)
 	w.Write(body)
-}
-
-func (s *Server) observeLatency(start time.Time) {
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	s.latMu.Lock()
-	s.lat.Add(ms)
-	s.latMu.Unlock()
 }
 
 func (s *Server) logRequest(r *http.Request, path, detail, cacheStatus string, start time.Time) {
@@ -732,18 +720,56 @@ type Stats struct {
 	QueueHighWater int `json:"queue_high_water"`
 	QueueCapacity  int `json:"queue_capacity"`
 	Workers        int `json:"workers"`
-	// LatencyMs summarizes recent successful POST round trips (decode
-	// through response write), hits and misses alike.
-	LatencyMs LatencyStats `json:"latency_ms"`
+	// Latency summarizes every successful POST round trip since start
+	// (body read through response write), hits and misses alike: the exact
+	// merge of LatencyByEndpoint, which splits it by endpoint path and cache
+	// status ("hit", "miss"). A cell appears with its first sample.
+	Latency           stats.Summary                       `json:"latency"`
+	LatencyByEndpoint map[string]map[string]stats.Summary `json:"latency_by_endpoint"`
 }
 
-// LatencyStats reports quantiles over the recent-latency window.
-type LatencyStats struct {
-	Count uint64  `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
-	Max   float64 `json:"max"`
+// Latency is the serving tier's latency instrument: one stats.Histogram per
+// endpoint path × cache status, each allocated on its first sample, exact in
+// count, mean and max since start. A Server and a coordinator's door each
+// own one. The zero value is ready to use; it is safe for concurrent use.
+type Latency struct {
+	mu    sync.Mutex
+	cells map[latencyCell]*stats.Histogram
+}
+
+type latencyCell struct{ path, cacheStatus string }
+
+// Record adds one request to path that was answered with cacheStatus after d.
+func (l *Latency) Record(path, cacheStatus string, d time.Duration) {
+	cell := latencyCell{path, cacheStatus}
+	l.mu.Lock()
+	h := l.cells[cell]
+	if h == nil {
+		if l.cells == nil {
+			l.cells = make(map[latencyCell]*stats.Histogram)
+		}
+		h = new(stats.Histogram)
+		l.cells[cell] = h
+	}
+	h.Record(int64(d))
+	l.mu.Unlock()
+}
+
+// Summaries reports the exact merge of every cell, and each cell by path and
+// cache status; a cell without samples is absent.
+func (l *Latency) Summaries() (all stats.Summary, byEndpoint map[string]map[string]stats.Summary) {
+	var merged stats.Histogram
+	byEndpoint = make(map[string]map[string]stats.Summary)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for cell, h := range l.cells {
+		merged.Merge(h)
+		if byEndpoint[cell.path] == nil {
+			byEndpoint[cell.path] = make(map[string]stats.Summary)
+		}
+		byEndpoint[cell.path][cell.cacheStatus] = h.Summary()
+	}
+	return merged.Summary(), byEndpoint
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -784,15 +810,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if hits+misses > 0 {
 		st.HitRate = float64(hits) / float64(hits+misses)
 	}
-	s.latMu.Lock()
-	st.LatencyMs = LatencyStats{
-		Count: s.lat.Total(),
-		Mean:  s.lat.Mean(),
-		P50:   s.lat.Quantile(0.5),
-		P99:   s.lat.Quantile(0.99),
-		Max:   s.lat.Quantile(1),
-	}
-	s.latMu.Unlock()
+	st.Latency, st.LatencyByEndpoint = s.lat.Summaries()
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(st)
 }

@@ -114,11 +114,11 @@ func TestScheduleMissThenHit(t *testing.T) {
 	if st.CacheEntries != 1 {
 		t.Fatalf("cache entries = %d, want 1", st.CacheEntries)
 	}
-	if st.LatencyMs.Count != 2 {
-		t.Fatalf("latency count = %d, want 2", st.LatencyMs.Count)
+	if st.Latency.Count != 2 {
+		t.Fatalf("latency count = %d, want 2", st.Latency.Count)
 	}
-	if st.LatencyMs.P99 < st.LatencyMs.P50 {
-		t.Fatalf("p99 %g < p50 %g", st.LatencyMs.P99, st.LatencyMs.P50)
+	if st.Latency.P99Ms < st.Latency.P50Ms {
+		t.Fatalf("p99 %g < p50 %g", st.Latency.P99Ms, st.Latency.P50Ms)
 	}
 }
 

@@ -241,15 +241,7 @@ func WorstCase(s *sched.Schedule, spec AdversarySpec, opt Options) (*WorstCaseRe
 		sort.Float64s(b)
 		// Dedupe and drop the maximum (crashing at or after the last finish
 		// kills nothing on the unit).
-		dst := 0
-		for i, v := range b {
-			if i > 0 && v == b[i-1] {
-				continue
-			}
-			b[dst] = v
-			dst++
-		}
-		b = b[:dst]
+		b = dedupeSorted(b)
 		if len(b) > 0 {
 			b = b[:len(b)-1]
 		}

@@ -7,9 +7,9 @@ import "math/bits"
 // quantization error of any recorded value by 1/16 ≈ 6%.
 const histSubBits = 4
 
-// histBuckets covers values up to 2^63-1 ns (~292 years): 64 octaves of
-// 2^histSubBits sub-buckets each.
-const histBuckets = 64 << histSubBits
+// histBuckets covers values up to 2^63-1 ns (~292 years), whose octave ends
+// at index 63<<histSubBits - 1; no more, so a Histogram fits in 8 KiB.
+const histBuckets = 63 << histSubBits
 
 // Histogram is an HDR-style log-linear histogram over non-negative int64
 // values (by convention nanoseconds): each power-of-two octave is divided
@@ -173,4 +173,31 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max
+}
+
+// Summary condenses one histogram into milliseconds: the latency report of
+// ftload and of the serving tier's /stats. Count, mean and max are exact;
+// the quantiles carry the histogram's ~6% bucket error. Each value derives
+// from integral histogram state by a single float operation, so equal
+// sample multisets summarize byte-identically.
+type Summary struct {
+	Count  uint64  `json:"count"`
+	MeanMs float64 `json:"mean_ms"`
+	P50Ms  float64 `json:"p50_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	P999Ms float64 `json:"p999_ms"`
+	MaxMs  float64 `json:"max_ms"`
+}
+
+// Summary reports h, whose samples are nanoseconds, in milliseconds.
+func (h *Histogram) Summary() Summary {
+	const msPerNs = 1e-6
+	return Summary{
+		Count:  h.Count(),
+		MeanMs: h.Mean() * msPerNs,
+		P50Ms:  float64(h.Quantile(0.5)) * msPerNs,
+		P99Ms:  float64(h.Quantile(0.99)) * msPerNs,
+		P999Ms: float64(h.Quantile(0.999)) * msPerNs,
+		MaxMs:  float64(h.Max()) * msPerNs,
+	}
 }

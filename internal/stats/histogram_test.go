@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -10,7 +11,7 @@ func TestHistogramBucketMonotone(t *testing.T) {
 	// value, and the upper bound must never be below the value it covers.
 	prev := -1
 	for _, v := range []int64{0, 1, 2, 15, 16, 31, 32, 33, 63, 64, 100, 1000,
-		4095, 4096, 1 << 20, 1<<20 + 7, 1 << 40, 1<<62 + 12345} {
+		4095, 4096, 1 << 20, 1<<20 + 7, 1 << 40, 1<<62 + 12345, math.MaxInt64} {
 		idx := histBucket(v)
 		if idx < prev {
 			t.Fatalf("histBucket(%d) = %d, below previous bucket %d", v, idx, prev)

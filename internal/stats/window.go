@@ -5,18 +5,17 @@ import (
 	"sort"
 )
 
-// Window is a fixed-capacity sliding window of samples supporting quantile
-// queries — the p50/p99 latency view a serving system wants, where only
-// recent behavior matters and old samples must age out. Once the window is
-// full every new sample overwrites the oldest one.
+// Window is a fixed-capacity sliding window of samples supporting exact
+// quantile queries over the samples it holds, in memory bounded by its
+// capacity whatever the stream's length. Once the window is full every new
+// sample overwrites the oldest one.
 //
 // Like Accumulator, a Window is not synchronized; callers observing it from
 // multiple goroutines must provide their own locking.
 type Window struct {
-	buf   []float64
-	next  int
-	size  int
-	total uint64
+	buf  []float64
+	next int
+	size int
 }
 
 // NewWindow creates a window keeping the most recent capacity samples
@@ -35,14 +34,10 @@ func (w *Window) Add(x float64) {
 	if w.size < len(w.buf) {
 		w.size++
 	}
-	w.total++
 }
 
 // Len returns the number of samples currently held (≤ capacity).
 func (w *Window) Len() int { return w.size }
-
-// Total returns the number of samples ever ingested.
-func (w *Window) Total() uint64 { return w.total }
 
 // Quantile returns the q-quantile (q in [0,1]) of the held samples by the
 // nearest-rank method: Quantile(0) is the minimum, Quantile(1) the maximum,
@@ -69,16 +64,4 @@ func (w *Window) Quantile(q float64) float64 {
 		rank = w.size
 	}
 	return sorted[rank-1]
-}
-
-// Mean returns the mean of the held samples (0 when empty).
-func (w *Window) Mean() float64 {
-	if w.size == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range w.buf[:w.size] {
-		sum += x
-	}
-	return sum / float64(w.size)
 }

@@ -4,14 +4,11 @@ import "testing"
 
 func TestWindowEmpty(t *testing.T) {
 	w := NewWindow(8)
-	if w.Len() != 0 || w.Total() != 0 {
-		t.Fatalf("empty window reports Len=%d Total=%d", w.Len(), w.Total())
+	if w.Len() != 0 {
+		t.Fatalf("empty window reports Len=%d", w.Len())
 	}
 	if q := w.Quantile(0.5); q != 0 {
 		t.Fatalf("empty Quantile(0.5) = %g, want 0", q)
-	}
-	if m := w.Mean(); m != 0 {
-		t.Fatalf("empty Mean = %g, want 0", m)
 	}
 }
 
@@ -31,9 +28,6 @@ func TestWindowQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%g) = %g, want %g", c.q, got, c.want)
 		}
 	}
-	if m := w.Mean(); m != 50.5 {
-		t.Errorf("Mean = %g, want 50.5", m)
-	}
 }
 
 func TestWindowEviction(t *testing.T) {
@@ -44,9 +38,6 @@ func TestWindowEviction(t *testing.T) {
 	// Only 7..10 remain.
 	if w.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", w.Len())
-	}
-	if w.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", w.Total())
 	}
 	if lo, hi := w.Quantile(0), w.Quantile(1); lo != 7 || hi != 10 {
 		t.Fatalf("window range [%g,%g], want [7,10]", lo, hi)
