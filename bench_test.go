@@ -12,11 +12,11 @@ import (
 	"testing"
 
 	"ftsched"
-	"ftsched/internal/core"
 	"ftsched/internal/exec"
 	"ftsched/internal/expt"
-	"ftsched/internal/ftbar"
 	"ftsched/internal/reliability"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -41,15 +41,14 @@ func figurePoint(b *testing.B, eps int, procs int) {
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+		s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-			core.MCFTSAOptions{Options: core.Options{Epsilon: eps}}); err != nil {
+		if _, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: eps}); err != nil {
+		if _, err := sched.Run("ftbar", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps}); err != nil {
 			b.Fatal(err)
 		}
 		sc, err := sim.UniformCrashes(rng, procs, eps)
@@ -78,7 +77,7 @@ func BenchmarkFigure4Point(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+		s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,22 +145,21 @@ func BenchmarkTable1(b *testing.B) {
 		inst := table1Instance(b, v)
 		b.Run(fmt.Sprintf("FTSA/v=%d", v), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 5}); err != nil {
+				if _, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 5}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("MCFTSA/v=%d", v), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-					core.MCFTSAOptions{Options: core.Options{Epsilon: 5}}); err != nil {
+				if _, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 5}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("FTBAR/v=%d", v), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: 5}); err != nil {
+				if _, err := sched.Run("ftbar", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 5}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -173,11 +171,11 @@ func BenchmarkTable1(b *testing.B) {
 // against the bottleneck-optimal matching of Section 4.2.
 func BenchmarkAblationMatching(b *testing.B) {
 	inst := benchInstance(b, 5, 20)
-	for _, pol := range []core.MatchPolicy{core.MatchGreedy, core.MatchBottleneck} {
-		b.Run(pol.String(), func(b *testing.B) {
+	for _, pol := range []string{"greedy", "bottleneck"} {
+		b.Run(pol, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-					core.MCFTSAOptions{Options: core.Options{Epsilon: 3}, Policy: pol}); err != nil {
+				if _, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs,
+					sched.RunOptions{Epsilon: 3, Policy: pol}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -190,7 +188,7 @@ func BenchmarkAblationMatching(b *testing.B) {
 // multi-port model (the conclusion's "more realistic communication models").
 func BenchmarkAblationCommModels(b *testing.B) {
 	inst := benchInstance(b, 6, 20)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,7 +218,7 @@ func BenchmarkAblationCommModels(b *testing.B) {
 // BenchmarkReliability (X3) measures the Monte-Carlo reliability estimator.
 func BenchmarkReliability(b *testing.B) {
 	inst := benchInstance(b, 7, 16)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func BenchmarkReliability(b *testing.B) {
 // channel links executing a paper-sized workload (X7: executor overhead).
 func BenchmarkExecutor(b *testing.B) {
 	inst := benchInstance(b, 10, 8)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -264,7 +262,7 @@ func BenchmarkPublicAPI(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := ftsched.FTSA(inst.Graph, inst.Platform, inst.Costs, ftsched.Options{Epsilon: 2})
+		s, err := ftsched.ScheduleByName("ftsa", inst.Graph, inst.Platform, inst.Costs, ftsched.RunOptions{Epsilon: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -72,7 +72,6 @@ import (
 	"time"
 
 	"ftsched/internal/cli"
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/mission"
 	"ftsched/internal/platform"
@@ -258,8 +257,7 @@ func (o *options) run() error {
 	rng := rand.New(rand.NewSource(o.seed))
 	switch {
 	case o.maxEps:
-		best, s, err := core.MaxToleratedFailures(p.NumProcs(), o.latency,
-			core.FTSAScheduler(g, p, cm, core.Options{Rng: rng}))
+		best, s, err := sched.MaxToleratedFailures("ftsa", g, p, cm, sched.RunOptions{Rng: rng}, o.latency)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -122,8 +123,46 @@ func TestFlagMatrix(t *testing.T) {
 	}
 }
 
+// resized copies the instance with its cost matrix cut or padded to rows
+// rows, and returns the copy's directory.
+func resized(t *testing.T, dir string, rows int) string {
+	t.Helper()
+	out := t.TempDir()
+	for _, name := range []string{"graph.json", "platform.json"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(out, name), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var costs struct {
+		Cost [][]float64 `json:"cost"`
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "costs.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &costs)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(costs.Cost) < rows {
+		costs.Cost = append(costs.Cost, costs.Cost[0])
+	}
+	costs.Cost = costs.Cost[:rows]
+	if b, err = json.Marshal(costs); err == nil {
+		err = os.WriteFile(filepath.Join(out, "costs.json"), b, 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestRejectedInvocations(t *testing.T) {
 	dir := instance(t)
+	short, long := resized(t, dir, 11), resized(t, dir, 13)
 	for _, tc := range []struct {
 		args string
 		code int
@@ -157,6 +196,16 @@ func TestRejectedInvocations(t *testing.T) {
 		{"-evaluate -policies static,bogus", 1, `ftsched: mission: unknown policy "bogus" (want "static" or "reschedule")`},
 		{"-evaluate -worst-case 1 -worst-evals -5", 1, "ftsched: sim: negative worst-case max_evals -5"},
 		{"-algo nope", 1, `ftsched: sched: unknown scheduler "nope" (registered: ftsa, mcftsa, ftsa-ins, ftbar, heft)`},
+		// A latency that is not a number fails every comparison; it is
+		// refused, not read as "no deadline".
+		{"-eps 1 -latency NaN", 1, "ftsched: sched: latency must be finite and >= 0, got NaN"},
+		{"-maxeps -latency NaN", 1, "ftsched: sched: latency budget must be finite and positive, got NaN"},
+		// The cost matrix has exactly one row per task.
+		{"-dir " + long, 1, "ftsched: sched: cost model 13x4 does not match graph (12 tasks) and platform (4 procs)"},
+		// Deadlines are derived after the cost model's shape is checked.
+		{"-dir " + short + " -latency 1e9", 1, "ftsched: sched: cost model 11x4 does not match graph (12 tasks) and platform (4 procs)"},
+		// -maxeps reports what stopped the search, not an unreachable budget.
+		{"-dir " + short + " -maxeps -latency 1e9", 1, "ftsched: sched: cost model 11x4 does not match graph (12 tasks) and platform (4 procs)"},
 	} {
 		code, out, errw := ftsched(append([]string{"-dir", dir}, strings.Fields(tc.args)...)...)
 		first, _, _ := strings.Cut(errw, "\n")

@@ -26,12 +26,13 @@ func twoTaskProblem() (*ftsched.Graph, *ftsched.Platform, *ftsched.CostModel) {
 	return g, p, cm
 }
 
-// ExampleFTSA schedules a two-task chain with one tolerated failure. Both
-// tasks get two replicas; the lower bound uses the co-located predecessor
-// copy (start 5), the upper bound waits for the remote one (5 + 10·1 = 15).
-func ExampleFTSA() {
+// ExampleScheduleByName_ftsa schedules a two-task chain with FTSA and one
+// tolerated failure. Both tasks get two replicas; the lower bound uses the
+// co-located predecessor copy (start 5), the upper bound waits for the
+// remote one (5 + 10·1 = 15).
+func ExampleScheduleByName_ftsa() {
 	g, p, cm := twoTaskProblem()
-	s, err := ftsched.FTSA(g, p, cm, ftsched.Options{Epsilon: 1})
+	s, err := ftsched.ScheduleByName("ftsa", g, p, cm, ftsched.RunOptions{Epsilon: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,14 +45,12 @@ func ExampleFTSA() {
 	// messages:    2
 }
 
-// ExampleMCFTSA shows the Minimum Communications variant on the same
-// problem: each copy of task 1 receives from its co-located copy of task 0,
-// so no inter-processor message remains and the bounds coincide.
-func ExampleMCFTSA() {
+// ExampleScheduleByName_mcftsa shows the Minimum Communications variant on
+// the same problem: each copy of task 1 receives from its co-located copy of
+// task 0, so no inter-processor message remains and the bounds coincide.
+func ExampleScheduleByName_mcftsa() {
 	g, p, cm := twoTaskProblem()
-	s, err := ftsched.MCFTSA(g, p, cm, ftsched.MCFTSAOptions{
-		Options: ftsched.Options{Epsilon: 1},
-	})
+	s, err := ftsched.ScheduleByName("mcftsa", g, p, cm, ftsched.RunOptions{Epsilon: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func ExampleScheduleByName() {
 // each task completes, at the cost of waiting for the remote input.
 func ExampleSimulate() {
 	g, p, cm := twoTaskProblem()
-	s, err := ftsched.FTSA(g, p, cm, ftsched.Options{Epsilon: 1})
+	s, err := ftsched.ScheduleByName("ftsa", g, p, cm, ftsched.RunOptions{Epsilon: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -112,9 +111,8 @@ func ExampleSimulate() {
 // platform supports ε = 1; with 12 only the unreplicated schedule fits.
 func ExampleMaxToleratedFailures() {
 	g, p, cm := twoTaskProblem()
-	sched := ftsched.FTSAScheduler(g, p, cm, ftsched.Options{})
 	for _, budget := range []float64{22, 12} {
-		eps, _, err := ftsched.MaxToleratedFailures(2, budget, sched)
+		eps, _, err := ftsched.MaxToleratedFailures("ftsa", g, p, cm, ftsched.RunOptions{}, budget)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,20 +6,23 @@
 // The package maps a weighted DAG of tasks onto m fully connected
 // heterogeneous processors so that the application still completes if up to
 // ε processors fail-stop, using active replication: every task runs on ε+1
-// distinct processors. Schedulers live in a pluggable registry (Schedulers
-// lists the names, ScheduleByName dispatches) and share one pooled placement
-// kernel; the built-ins are:
+// distinct processors. Every scheduler runs one way: ScheduleByName
+// resolves its registry name and runs it under RunOptions (Schedulers lists
+// the names). The built-ins share one pooled placement kernel:
 //
-//   - FTSA — the paper's main algorithm: greedy list scheduling by task
-//     criticalness with earliest-finish-time processor selection;
-//   - MCFTSA — the Minimum Communications variant, cutting the message count
-//     per precedence edge from (ε+1)² to ε+1 with a robust bipartite
-//     matching;
-//   - FTSAIns ("ftsa-ins") — FTSA's selection with HEFT-style
-//     insertion-based placement;
-//   - FTBAR — the re-implemented comparison baseline of Girault et al.;
-//   - HEFT ("heft", registry-only) — the non-fault-tolerant literature
-//     reference.
+//   - "ftsa" — the paper's main algorithm: greedy list scheduling by task
+//     criticalness with earliest-finish-time processor selection; a
+//     positive RunOptions.Latency turns on its deadline-checked variant;
+//   - "mcftsa" — the Minimum Communications variant, cutting the message
+//     count per precedence edge from (ε+1)² to ε+1 with a robust bipartite
+//     matching (policy "greedy" or "bottleneck");
+//   - "ftsa-ins" — FTSA's selection with HEFT-style insertion-based
+//     placement;
+//   - "ftbar" — the re-implemented comparison baseline of Girault et al.;
+//   - "heft" — the non-fault-tolerant literature reference.
+//
+// MaxToleratedFailures searches the largest ε a scheduler tolerates within
+// a latency budget.
 //
 // Every schedule carries a lower bound (latency with no failure) and an
 // upper bound (latency guaranteed under any ε failures). The sim
@@ -32,17 +35,15 @@
 //
 //	rng := rand.New(rand.NewSource(1))
 //	inst, _ := ftsched.NewInstance(rng, ftsched.DefaultPaperConfig(1.0))
-//	s, _ := ftsched.FTSA(inst.Graph, inst.Platform, inst.Costs, ftsched.Options{Epsilon: 2})
+//	s, _ := ftsched.ScheduleByName("ftsa", inst.Graph, inst.Platform, inst.Costs, ftsched.RunOptions{Epsilon: 2})
 //	fmt.Println(s.LowerBound(), s.UpperBound())
 package ftsched
 
 import (
 	"math/rand"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/exec"
-	"ftsched/internal/ftbar"
 	"ftsched/internal/platform"
 	"ftsched/internal/reliability"
 	"ftsched/internal/sched"
@@ -78,24 +79,6 @@ type (
 	Schedule = sched.Schedule
 	// Replica is one of the ε+1 copies of a task.
 	Replica = sched.Replica
-)
-
-// Scheduler options (see internal/core and internal/ftbar).
-type (
-	// Options configures FTSA (ε, tie-breaking RNG, optional deadlines).
-	Options = core.Options
-	// MCFTSAOptions adds the matching policy for MCFTSA.
-	MCFTSAOptions = core.MCFTSAOptions
-	// FTBAROptions configures the FTBAR baseline.
-	FTBAROptions = ftbar.Options
-	// MatchPolicy selects greedy or bottleneck-optimal matching in MCFTSA.
-	MatchPolicy = core.MatchPolicy
-)
-
-// Matching policies for MCFTSA.
-const (
-	MatchGreedy     = core.MatchGreedy
-	MatchBottleneck = core.MatchBottleneck
 )
 
 // Workload generation (see internal/workload).
@@ -141,7 +124,8 @@ type (
 // campaign engine and the CLIs use — so callers can select schedulers from
 // configuration without a switch of their own.
 type (
-	// RunOptions is the scheduler-independent option set of Schedule.
+	// RunOptions is the one option set of every scheduler: ε, tie-breaking
+	// RNG, shared bottom levels, policy and latency budget.
 	RunOptions = sched.RunOptions
 	// SchedulerInfo describes one registry entry (name, aliases, policies,
 	// capability flags).
@@ -161,48 +145,12 @@ func Schedulers() []string { return sched.Names() }
 // LookupScheduler returns the registry entry for a scheduler name or alias.
 func LookupScheduler(name string) (SchedulerInfo, bool) { return sched.LookupInfo(name) }
 
-// FTSA runs the paper's Fault Tolerant Scheduling Algorithm (Algorithm 4.1).
-func FTSA(g *Graph, p *Platform, cm *CostModel, opt Options) (*Schedule, error) {
-	return core.FTSA(g, p, cm, opt)
-}
-
-// FTSAIns runs the FTSA variant with HEFT-style insertion-based placement
-// (registry name "ftsa-ins").
-func FTSAIns(g *Graph, p *Platform, cm *CostModel, opt Options) (*Schedule, error) {
-	return core.FTSAIns(g, p, cm, opt)
-}
-
-// MCFTSA runs the Minimum Communications variant (Section 4.2).
-func MCFTSA(g *Graph, p *Platform, cm *CostModel, opt MCFTSAOptions) (*Schedule, error) {
-	return core.MCFTSA(g, p, cm, opt)
-}
-
-// FTBAR runs the re-implemented baseline of Girault et al. (Section 5).
-func FTBAR(g *Graph, p *Platform, cm *CostModel, opt FTBAROptions) (*Schedule, error) {
-	return ftbar.Schedule(g, p, cm, opt)
-}
-
 // MaxToleratedFailures finds, by binary search, the largest ε whose
-// guaranteed latency fits the budget (Section 4.3). The scheduler argument
-// is typically FTSAScheduler or MCFTSAScheduler.
-func MaxToleratedFailures(maxProcs int, latency float64, s core.Scheduler) (int, *Schedule, error) {
-	return core.MaxToleratedFailures(maxProcs, latency, s)
-}
-
-// FTSAScheduler adapts FTSA for MaxToleratedFailures.
-func FTSAScheduler(g *Graph, p *Platform, cm *CostModel, opt Options) core.Scheduler {
-	return core.FTSAScheduler(g, p, cm, opt)
-}
-
-// MCFTSAScheduler adapts MCFTSA for MaxToleratedFailures.
-func MCFTSAScheduler(g *Graph, p *Platform, cm *CostModel, opt MCFTSAOptions) core.Scheduler {
-	return core.MCFTSAScheduler(g, p, cm, opt)
-}
-
-// ScheduleWithDeadlines schedules under both a latency budget and ε,
-// aborting early when the combination is infeasible (Section 4.3).
-func ScheduleWithDeadlines(g *Graph, p *Platform, cm *CostModel, opt Options, latency float64) (*Schedule, error) {
-	return core.ScheduleWithDeadlines(g, p, cm, opt, latency)
+// guaranteed latency under the named scheduler fits the budget (Section
+// 4.3). Every probe runs with opt and the probed ε; a probe that fails
+// returns its error.
+func MaxToleratedFailures(scheduler string, g *Graph, p *Platform, cm *CostModel, opt RunOptions, budget float64) (int, *Schedule, error) {
+	return sched.MaxToleratedFailures(scheduler, g, p, cm, opt, budget)
 }
 
 // NewInstance draws one full scheduling problem per the paper's generation

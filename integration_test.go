@@ -8,12 +8,10 @@ import (
 	"testing"
 
 	"ftsched"
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
-	"ftsched/internal/ftbar"
-	"ftsched/internal/heft"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -78,14 +76,13 @@ func TestAllAlgorithmsOnAllFamilies(t *testing.T) {
 			}
 			algos := []algo{
 				{"FTSA", func() (*sched.Schedule, error) {
-					return core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+					return sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 				}},
 				{"MC-FTSA", func() (*sched.Schedule, error) {
-					return core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-						core.MCFTSAOptions{Options: core.Options{Epsilon: eps}})
+					return sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 				}},
 				{"FTBAR", func() (*sched.Schedule, error) {
-					return ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: eps})
+					return sched.Run("ftbar", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 				}},
 			}
 			for _, a := range algos {
@@ -128,7 +125,7 @@ func TestAllAlgorithmsOnAllFamilies(t *testing.T) {
 				}
 			}
 			// HEFT as the non-fault-tolerant reference.
-			h, err := heft.Schedule(inst.Graph, inst.Platform, inst.Costs, heft.Options{})
+			h, err := sched.Run("heft", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{})
 			if err != nil {
 				t.Fatalf("HEFT: %v", err)
 			}
@@ -172,11 +169,11 @@ func TestInstancePersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := ftsched.FTSA(inst.Graph, inst.Platform, inst.Costs, ftsched.Options{Epsilon: 2})
+	before, err := ftsched.ScheduleByName("ftsa", inst.Graph, inst.Platform, inst.Costs, ftsched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := ftsched.FTSA(g2, p2, c2, ftsched.Options{Epsilon: 2})
+	after, err := ftsched.ScheduleByName("ftsa", g2, p2, c2, ftsched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +198,7 @@ func TestPublicFacadeCoversWorkflow(t *testing.T) {
 	if math.Abs(gr-1.0) > 1e-9 {
 		t.Errorf("granularity %g", gr)
 	}
-	s, err := ftsched.FTSA(inst.Graph, inst.Platform, inst.Costs, ftsched.Options{Epsilon: 2, Rng: rng})
+	s, err := ftsched.ScheduleByName("ftsa", inst.Graph, inst.Platform, inst.Costs, ftsched.RunOptions{Epsilon: 2, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,15 +213,14 @@ func TestPublicFacadeCoversWorkflow(t *testing.T) {
 	if res.Latency > s.UpperBound()+1e-7 {
 		t.Errorf("latency %g above guarantee %g", res.Latency, s.UpperBound())
 	}
-	mc, err := ftsched.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		ftsched.MCFTSAOptions{Options: ftsched.Options{Epsilon: 2, Rng: rng}})
+	mc, err := ftsched.ScheduleByName("mcftsa", inst.Graph, inst.Platform, inst.Costs, ftsched.RunOptions{Epsilon: 2, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mc.MessageCount() >= s.MessageCount() {
 		t.Errorf("MC-FTSA messages %d >= FTSA %d", mc.MessageCount(), s.MessageCount())
 	}
-	bar, err := ftsched.FTBAR(inst.Graph, inst.Platform, inst.Costs, ftsched.FTBAROptions{Npf: 2, Rng: rng})
+	bar, err := ftsched.ScheduleByName("ftbar", inst.Graph, inst.Platform, inst.Costs, ftsched.RunOptions{Epsilon: 2, Rng: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +234,8 @@ func TestPublicFacadeCoversWorkflow(t *testing.T) {
 	if mcr.Success <= 0 || mcr.Success > 1 {
 		t.Errorf("MC success %g", mcr.Success)
 	}
-	sd, err := ftsched.ScheduleWithDeadlines(inst.Graph, inst.Platform, inst.Costs,
-		ftsched.Options{Epsilon: 1}, s.UpperBound()*4)
+	sd, err := ftsched.ScheduleByName("ftsa", inst.Graph, inst.Platform, inst.Costs,
+		ftsched.RunOptions{Epsilon: 1, Latency: s.UpperBound() * 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +260,7 @@ func TestSimulatedFaultFreeEqualsBoundAcrossAlgorithms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []int{0, 1, 3} {
-			f, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+			f, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,8 +271,7 @@ func TestSimulatedFaultFreeEqualsBoundAcrossAlgorithms(t *testing.T) {
 			if math.Abs(res.Latency-f.LowerBound()) > 1e-7 {
 				t.Errorf("seed %d ε=%d: FTSA sim %g != bound %g", seed, eps, res.Latency, f.LowerBound())
 			}
-			m, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-				core.MCFTSAOptions{Options: core.Options{Epsilon: eps}})
+			m, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +300,7 @@ func TestEpsilonSweepInvariants(t *testing.T) {
 	}
 	prevMsgs := -1
 	for eps := 0; eps <= 5; eps++ {
-		s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+		s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,17 +331,16 @@ func TestGanttRendersForEveryAlgorithm(t *testing.T) {
 	}
 	run := []func() (*sched.Schedule, error){
 		func() (*sched.Schedule, error) {
-			return core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+			return sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 		},
 		func() (*sched.Schedule, error) {
-			return core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-				core.MCFTSAOptions{Options: core.Options{Epsilon: 1}})
+			return sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 		},
 		func() (*sched.Schedule, error) {
-			return ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: 1})
+			return sched.Run("ftbar", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 		},
 		func() (*sched.Schedule, error) {
-			return heft.Schedule(inst.Graph, inst.Platform, inst.Costs, heft.Options{})
+			return sched.Run("heft", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{})
 		},
 	}
 	for i, r := range run {

@@ -6,6 +6,7 @@ import (
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
 )
 
 // TestCriticalnessOrderingHandComputed pins the Section 4.1 priority
@@ -35,7 +36,7 @@ func TestCriticalnessOrderingHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FTSA(g, p, cm, Options{Epsilon: 1})
+	s, err := ftsa(g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestWorstCaseOutgoingDelayInTopLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FTSA(g, p, cm, Options{Epsilon: 0})
+	s, err := ftsa(g, p, cm, sched.RunOptions{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestEFTSelectionPrefersFasterProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FTSA(g, p, cm, Options{Epsilon: 1})
+	s, err := ftsa(g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,12 @@
 // Package core implements the paper's primary contribution: FTSA (Fault
 // Tolerant Scheduling Algorithm, Algorithm 4.1) and its communication-
-// minimizing variant MC-FTSA (Section 4.2), together with the bi-criteria
-// drivers of Section 4.3 (maximize tolerated failures under a latency
-// budget, and joint feasibility detection via task deadlines).
+// minimizing variant MC-FTSA (Section 4.2), registered as "ftsa", "mcftsa"
+// and "ftsa-ins" and run through sched.Run; the package exports no
+// scheduling function. A positive RunOptions.Latency selects Section 4.3's
+// joint feasibility check: per-task deadlines are derived from the budget
+// and a run stops with ErrDeadline at the first task that misses its own.
+// The other bi-criteria driver, the largest ε within a latency budget, is
+// sched.MaxToleratedFailures.
 //
 // Both schedulers are list schedulers driven by task criticalness — the sum
 // of the dynamic top level tℓ(t) and the static bottom level bℓ(t). The
@@ -23,7 +27,7 @@
 // windows of every replica from its matched sources.
 //
 // Hot-path notes for callers scheduling many instances back to back (the
-// campaign engine, the serving layer): Options.BottomLevels lets one
+// campaign engine, the serving layer): RunOptions.BottomLevels lets one
 // bℓ computation be shared across runs on the same instance, and the
 // per-run working buffers are pooled so steady-state allocation stays flat.
 package core

@@ -8,6 +8,7 @@ import (
 	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
 )
 
 // chainProblem builds the hand-checkable two-task chain used across the
@@ -26,33 +27,19 @@ func chainProblem() (*dag.Graph, *platform.Platform, *platform.CostModel) {
 	return g, p, cm
 }
 
-// ExampleScheduleWithDeadlines demonstrates the joint-criteria mode of
-// Section 4.3: infeasible (ε, L) combinations are detected while
-// scheduling, not after.
-func ExampleScheduleWithDeadlines() {
+// ExampleErrDeadline demonstrates the joint-criteria mode of Section 4.3: a
+// positive Latency makes FTSA check per-task deadlines, so infeasible
+// (ε, L) combinations are detected while scheduling, not after.
+func ExampleErrDeadline() {
 	g, p, cm := chainProblem()
 	// The ε=1 schedule finishes at 12; a budget of 30 is feasible, 10 is
 	// not — and the failure is reported mid-schedule via ErrDeadline.
-	if _, err := core.ScheduleWithDeadlines(g, p, cm, core.Options{Epsilon: 1}, 30); err == nil {
+	if _, err := sched.Run("ftsa", g, p, cm, sched.RunOptions{Epsilon: 1, Latency: 30}); err == nil {
 		fmt.Println("L=30: feasible")
 	}
-	_, err := core.ScheduleWithDeadlines(g, p, cm, core.Options{Epsilon: 1}, 10)
+	_, err := sched.Run("ftsa", g, p, cm, sched.RunOptions{Epsilon: 1, Latency: 10})
 	fmt.Println("L=10 infeasible:", errors.Is(err, core.ErrDeadline))
 	// Output:
 	// L=30: feasible
 	// L=10 infeasible: true
-}
-
-// ExampleMaxToleratedFailures shows the fixed-latency driver: binary search
-// for the largest tolerable ε within a latency budget.
-func ExampleMaxToleratedFailures() {
-	g, p, cm := chainProblem()
-	eps, s, err := core.MaxToleratedFailures(2, 25,
-		core.FTSAScheduler(g, p, cm, core.Options{}))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ε = %d, guaranteed latency %g\n", eps, s.UpperBound())
-	// Output:
-	// ε = 1, guaranteed latency 22
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"ftsched/internal/bipartite"
@@ -14,52 +13,22 @@ import (
 	"ftsched/internal/sched"
 )
 
-// Scheduling errors.
-var (
-	// ErrDeadline is returned by the deadline-checked variant when, at some
-	// step, even the best ε+1 processors cannot meet the task's deadline —
-	// the latency/ε combination is infeasible (Section 4.3).
-	ErrDeadline = errors.New("core: failed to satisfy both latency and failure criteria simultaneously")
-	// ErrTooManyFailures is returned when ε+1 exceeds the processor count:
-	// active replication needs ε+1 distinct processors per task.
-	ErrTooManyFailures = errors.New("core: ε+1 replicas need more processors than the platform has")
-)
+// ErrDeadline is returned by the deadline-checked variant when, at some
+// step, even the best ε+1 processors cannot meet the task's deadline — the
+// latency/ε combination is infeasible (Section 4.3).
+var ErrDeadline = errors.New("core: failed to satisfy both latency and failure criteria simultaneously")
 
-// Options configures an FTSA/MC-FTSA run.
-type Options struct {
-	// Epsilon is ε, the number of fail-stop processor failures to tolerate;
-	// every task gets ε+1 replicas. Zero yields the fault-free schedule.
-	Epsilon int
-	// Rng breaks priority ties randomly, as the paper specifies. A nil Rng
-	// makes tie-breaking deterministic (by task ID), which is convenient in
-	// tests.
-	Rng *rand.Rand
-	// Deadlines, when non-nil, must hold one deadline per task (see
-	// sched.Deadlines); scheduling fails with ErrDeadline as soon as a
-	// task's worst selected finish time exceeds its deadline.
-	Deadlines []float64
-	// BottomLevels, when non-nil, supplies the precomputed static bottom
-	// levels bℓ(t) (as returned by sched.AvgBottomLevels) instead of
-	// recomputing them. The criticalness priority is tℓ(t)+bℓ(t) and bℓ
-	// depends only on (graph, costs, platform), so callers scheduling the
-	// same instance repeatedly — the campaign engine runs FTSA, MC-FTSA and
-	// the fault-free baseline on one instance, and the bi-criteria binary
-	// search re-schedules per ε probe — compute it once and share it. The
-	// slice is read-only to the scheduler.
-	BottomLevels []float64
-}
-
-// FTSA runs Algorithm 4.1: list scheduling by task criticalness
+// ftsa runs Algorithm 4.1: list scheduling by task criticalness
 // (tℓ(t)+bℓ(t)) with the free list in a priority heap, mapping every task
 // onto the ε+1 processors that minimize its finish time (equation 1), and
 // recording the pessimistic window (equation 3) on those processors. The
 // resulting schedule uses the full communication pattern (every predecessor
 // replica sends to every successor replica).
-func FTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
+func ftsa(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
 	return runFTSA(g, p, cm, opt, false, "FTSA")
 }
 
-// FTSAIns is the registry-only "ftsa-ins" variant: FTSA's criticalness
+// ftsaIns is the registry-only "ftsa-ins" variant: FTSA's criticalness
 // priorities and ε+1 minimum-finish-time processor selection, but with
 // HEFT-style insertion-based placement — each replica's optimistic window
 // goes into the earliest inter-slot gap of its processor's timeline (via the
@@ -67,12 +36,12 @@ func FTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Option
 // The pessimistic window stays append-only: under failures, the gap
 // structure of the optimistic timeline is not guaranteed, so equation (3)
 // keeps its conservative ready times and the upper bound remains valid.
-func FTSAIns(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
+func ftsaIns(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
 	return runFTSA(g, p, cm, opt, true, "FTSA-ins")
 }
 
 // runFTSA is the shared FTSA driver, parameterized on the placement mode.
-func runFTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options, insertion bool, algo string) (*sched.Schedule, error) {
+func runFTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions, insertion bool, algo string) (*sched.Schedule, error) {
 	st, err := newState(g, p, cm, opt, sched.PatternAll, algo, insertion)
 	if err != nil {
 		return nil, err
@@ -129,10 +98,11 @@ type run struct {
 	f   *dag.Flat // frozen CSR view of the graph; all adjacency walks go through it
 	p   *platform.Platform
 	cm  *platform.CostModel
-	opt Options
+	opt sched.RunOptions
 	s   *sched.Schedule
 
-	bl []float64 // static bottom levels
+	bl        []float64 // static bottom levels
+	deadlines []float64 // per-task deadlines of Section 4.3; nil unless opt.Latency > 0
 
 	// board holds the shared per-processor placement state: ready times,
 	// the earliest-arrival row and (for the insertion variant) busy
@@ -155,13 +125,7 @@ func (st *state) release() {
 	statePool.Put(st)
 }
 
-func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options, pattern sched.Pattern, algo string, insertion bool) (*state, error) {
-	if opt.Epsilon < 0 || opt.Epsilon+1 > p.NumProcs() {
-		return nil, fmt.Errorf("%w: ε=%d, m=%d", ErrTooManyFailures, opt.Epsilon, p.NumProcs())
-	}
-	if opt.Deadlines != nil && len(opt.Deadlines) != g.NumTasks() {
-		return nil, fmt.Errorf("core: %d deadlines for %d tasks", len(opt.Deadlines), g.NumTasks())
-	}
+func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions, pattern sched.Pattern, algo string, insertion bool) (*state, error) {
 	f, err := g.Freeze()
 	if err != nil {
 		return nil, err
@@ -170,6 +134,12 @@ func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	if err != nil {
 		return nil, err
 	}
+	var dls []float64
+	if opt.Latency > 0 {
+		if dls, err = sched.Deadlines(g, cm, p, opt.Epsilon, opt.Latency); err != nil {
+			return nil, err
+		}
+	}
 	bl, err := sched.ResolveBottomLevels(g, cm, p, opt.BottomLevels)
 	if err != nil {
 		return nil, err
@@ -177,7 +147,7 @@ func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	m := p.NumProcs()
 	v := g.NumTasks()
 	st := statePool.Get().(*state)
-	st.run = run{f: f, p: p, cm: cm, opt: opt, s: s, bl: bl, board: kernel.NewBoard(m, insertion)}
+	st.run = run{f: f, p: p, cm: cm, opt: opt, s: s, bl: bl, deadlines: dls, board: kernel.NewBoard(m, insertion)}
 	st.tl = kernel.GrowZero(st.tl, v)
 	st.unschedPreds = kernel.Grow(st.unschedPreds, v)
 	st.maxFrom = kernel.Grow(st.maxFrom, m)
@@ -262,16 +232,16 @@ func (st *state) placeBestEFT(t dag.TaskID) ([]sched.Replica, error) {
 // matched sources under PatternMatched), advances processor ready times and
 // releases newly free successors.
 func (st *state) commit(t dag.TaskID, reps []sched.Replica, matched [][]int) error {
-	if st.opt.Deadlines != nil {
+	if st.deadlines != nil {
 		worst := 0.0
 		for _, r := range reps {
 			if r.FinishMin > worst {
 				worst = r.FinishMin
 			}
 		}
-		if worst > st.opt.Deadlines[t]+1e-9 {
+		if worst > st.deadlines[t]+1e-9 {
 			return fmt.Errorf("%w: task %d finishes at %.4g after deadline %.4g",
-				ErrDeadline, t, worst, st.opt.Deadlines[t])
+				ErrDeadline, t, worst, st.deadlines[t])
 		}
 	}
 	if err := st.s.Place(t, reps); err != nil {

@@ -39,7 +39,7 @@ func TestFTSASmallHandComputed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FTSA(g, p, cm, Options{Epsilon: 1})
+	s, err := ftsa(g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatalf("FTSA: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestFTSAValidatesOnRandomInstances(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, eps := range []int{0, 1, 2, 5} {
 			inst := testInstance(t, seed, 1.0, 20)
-			s, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{
+			s, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{
 				Epsilon: eps,
 				Rng:     rand.New(rand.NewSource(seed)),
 			})
@@ -108,11 +108,11 @@ func TestFTSALatencyGrowsWithEpsilon(t *testing.T) {
 	// average; check the guaranteed (upper) bound is monotone-ish by
 	// verifying ε=0 lower bound <= ε=2 upper bound.
 	inst := testInstance(t, 7, 1.0, 20)
-	s0, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 0})
+	s0, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+	s2, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,18 +123,18 @@ func TestFTSALatencyGrowsWithEpsilon(t *testing.T) {
 
 func TestFTSAEpsilonTooLarge(t *testing.T) {
 	inst := testInstance(t, 3, 1.0, 4)
-	if _, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 4}); err == nil {
+	if _, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 4}); err == nil {
 		t.Fatal("want error for ε+1 > m, got nil")
 	}
 }
 
 func TestFTSADeterministicWithoutRng(t *testing.T) {
 	inst := testInstance(t, 11, 0.8, 10)
-	a, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+	a, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+	b, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFTSAFaultFreeMatchesEpsilonZero(t *testing.T) {
 	// ε=0 is the fault-free schedule: one replica per task, Min == Max
 	// windows (a single copy makes equations 1 and 3 coincide).
 	inst := testInstance(t, 13, 1.2, 20)
-	s, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 0})
+	s, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestScheduleOnSingleProcessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FTSA(g, p, cm, Options{Epsilon: 0})
+	s, err := ftsa(g, p, cm, sched.RunOptions{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFTSAEntryAndExitHeavyGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := FTSA(g, p, cm, Options{Epsilon: 1})
+	s, err := ftsa(g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,15 +238,15 @@ func TestFTSAEntryAndExitHeavyGraphs(t *testing.T) {
 func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
 	inst := testInstance(t, 25, 1.0, 20)
 	g, p, cm := inst.Graph, inst.Platform, inst.Costs
-	opt := Options{Epsilon: 2}
-	ref, err := FTSA(g, p, cm, opt)
+	opt := sched.RunOptions{Epsilon: 2}
+	ref, err := ftsa(g, p, cm, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := ref.LowerBound() / 10
 	requireRef := func(after string) {
 		t.Helper()
-		got, err := FTSA(g, p, cm, opt)
+		got, err := ftsa(g, p, cm, opt)
 		if err != nil {
 			t.Fatalf("run after %s: %v", after, err)
 		}
@@ -259,9 +259,7 @@ func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
 
 	// The deadline miss by hand, so that the state it returns can be read.
 	missed := opt
-	if missed.Deadlines, err = sched.Deadlines(g, cm, p, opt.Epsilon, tight); err != nil {
-		t.Fatal(err)
-	}
+	missed.Latency = tight
 	st, err := newState(g, p, cm, missed, sched.PatternAll, "FTSA", false)
 	if err != nil {
 		t.Fatal(err)
@@ -281,13 +279,13 @@ func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
 	if n := st.free.Len(); n != 0 {
 		t.Fatalf("released state still lists %d free tasks", n)
 	}
-	if st.s != nil || st.f != nil || st.opt.Deadlines != nil {
+	if st.s != nil || st.f != nil || st.deadlines != nil {
 		t.Fatal("released state still refers to the run's instance")
 	}
 	requireRef("a hand-driven deadline miss")
 
 	for i := 0; i < 10; i++ {
-		if _, err := ScheduleWithDeadlines(g, p, cm, opt, tight); !errors.Is(err, ErrDeadline) {
+		if _, err := ftsa(g, p, cm, missed); !errors.Is(err, ErrDeadline) {
 			t.Fatalf("want ErrDeadline, got %v", err)
 		}
 		requireRef("ErrDeadline")
@@ -305,10 +303,10 @@ func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FTSA(cyc, cp, ccm, Options{Epsilon: 1}); !errors.Is(err, dag.ErrCycle) {
+	if _, err := ftsa(cyc, cp, ccm, sched.RunOptions{Epsilon: 1}); !errors.Is(err, dag.ErrCycle) {
 		t.Fatalf("cyclic graph: want dag.ErrCycle, got %v", err)
 	}
-	if _, err := MCFTSA(cyc, cp, ccm, MCFTSAOptions{Options: Options{Epsilon: 1}}); !errors.Is(err, dag.ErrCycle) {
+	if _, err := mcftsa(cyc, cp, ccm, sched.RunOptions{Epsilon: 1}); !errors.Is(err, dag.ErrCycle) {
 		t.Fatalf("cyclic graph, MC-FTSA: want dag.ErrCycle, got %v", err)
 	}
 	requireRef("dag.ErrCycle")

@@ -19,7 +19,7 @@ func TestFTSAInsValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eps := range []int{0, 1, 2, 5} {
-			s, err := FTSAIns(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: eps})
+			s, err := ftsaIns(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 			if err != nil {
 				t.Fatalf("seed %d ε=%d: %v", seed, eps, err)
 			}
@@ -48,11 +48,11 @@ func TestFTSAInsImprovesInAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		si, err := FTSAIns(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+		si, err := ftsaIns(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+		sp, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,16 +71,12 @@ func TestFTSAInsDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := FTSAIns(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 1})
+	base, err := ftsaIns(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mk := func(latency float64) error {
-		dls, err := sched.Deadlines(inst.Graph, inst.Costs, inst.Platform, 1, latency)
-		if err != nil {
-			return err
-		}
-		_, err = FTSAIns(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 1, Deadlines: dls})
+		_, err := ftsaIns(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1, Latency: latency})
 		return err
 	}
 	if err := mk(base.UpperBound() * 2); err != nil {

@@ -12,46 +12,13 @@ import (
 	"ftsched/internal/sched"
 )
 
-// MatchPolicy selects how MC-FTSA extracts the robust communication set from
-// each precedence edge's bipartite replica graph (Section 4.2 proposes both).
-type MatchPolicy int
-
-const (
-	// MatchGreedy gives priority to internal (same-processor)
-	// communications, then selects edges in non-decreasing weight order.
-	// This is the policy used in the paper's experiments.
-	MatchGreedy MatchPolicy = iota
-	// MatchBottleneck minimizes the largest retained edge weight via binary
-	// search over edge weights plus maximum bipartite matching — the
-	// polynomial exact method of Section 4.2.
-	MatchBottleneck
-)
-
-// String implements fmt.Stringer.
-func (mp MatchPolicy) String() string {
-	switch mp {
-	case MatchGreedy:
-		return "greedy"
-	case MatchBottleneck:
-		return "bottleneck"
-	default:
-		return fmt.Sprintf("MatchPolicy(%d)", int(mp))
-	}
-}
-
 // ErrNoRobustMatching indicates the bipartite replica graph had no perfect
 // matching. For graphs built per Section 4.2 this cannot happen (forced
 // internal edges are vertex-disjoint and the residual graph is complete
 // bipartite); seeing this error means the schedule state is corrupted.
 var ErrNoRobustMatching = errors.New("core: no robust communication matching")
 
-// MCFTSAOptions extends Options with the matching policy.
-type MCFTSAOptions struct {
-	Options
-	Policy MatchPolicy
-}
-
-// MCFTSA runs the Minimum-Communications variant of FTSA (Section 4.2).
+// mcftsa runs the Minimum-Communications variant of FTSA (Section 4.2).
 // Processor selection is identical to FTSA (equation 1), but instead of
 // every predecessor replica sending to every replica of the task, each
 // precedence edge retains exactly ε+1 replica-to-replica communications,
@@ -69,8 +36,14 @@ type MCFTSAOptions struct {
 // The schedule's replica windows are then computed against the single
 // matched source per predecessor, which is why MC-FTSA's upper bound stays
 // close to its lower bound.
-func MCFTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt MCFTSAOptions) (*sched.Schedule, error) {
-	st, err := newState(g, p, cm, opt.Options, sched.PatternMatched, "MC-FTSA", false)
+//
+// opt.Policy picks how each edge's matching is extracted (Section 4.2
+// proposes both): "greedy" (the default, and the policy of the paper's
+// experiments) takes internal communications first, then edges by
+// non-decreasing weight; "bottleneck" minimizes the largest retained edge
+// weight by binary search over the weights plus maximum bipartite matching.
+func mcftsa(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
+	st, err := newState(g, p, cm, opt, sched.PatternMatched, "MC-FTSA", false)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +54,7 @@ func MCFTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt MCFT
 		if err != nil {
 			return nil, err
 		}
-		matched, err := st.matchCommunications(t, reps, opt.Policy)
+		matched, err := st.matchCommunications(t, reps, opt.Policy == "bottleneck")
 		if err != nil {
 			return nil, err
 		}
@@ -95,12 +68,12 @@ func MCFTSA(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt MCFT
 
 // matchCommunications builds, for every predecessor of t, the bipartite
 // replica graph of Section 4.2 and extracts a robust perfect matching under
-// the requested policy. The result is receiver-indexed:
+// the greedy or the bottleneck policy. The result is receiver-indexed:
 // matched[copy][predIdx] = predecessor copy feeding that replica. The matrix
 // is carved from the schedule's matched arena and every per-edge structure
 // (the bipartite graph, the greedy order, the matching buffers) lives in the
 // run's pooled scratch, so the steady-state matching loop does not allocate.
-func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, policy MatchPolicy) ([][]int, error) {
+func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, bottleneck bool) ([][]int, error) {
 	k := len(reps)
 	preds := st.f.PredIDs(t)
 	vols := st.f.PredVolumes(t)
@@ -145,31 +118,20 @@ func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, policy 
 		}
 		st.keys = keys
 		var m bipartite.Matching
-		switch policy {
-		case MatchGreedy:
+		ok := false
+		if !bottleneck {
 			order := greedyOrder(keys, st.order)
 			st.order = order
 			st.usedR = kernel.Grow(st.usedR, k)
-			var ok bool
 			m, ok = bg.GreedyOrderedMatchingInto(order, st.matchL, st.usedR)
 			st.matchL = m
-			if !ok {
-				// The greedy order cannot dead-end on these graphs, but
-				// fall back to the exact method defensively.
-				var bok bool
-				m, _, bok = bg.BottleneckPerfectMatching()
-				if !bok {
-					return nil, fmt.Errorf("%w: edge (%d,%d)", ErrNoRobustMatching, pred, t)
-				}
-			}
-		case MatchBottleneck:
-			var ok bool
-			m, _, ok = bg.BottleneckPerfectMatching()
-			if !ok {
+		}
+		if !ok {
+			// The greedy order cannot dead-end on these graphs; its fallback
+			// is the exact method, which is also the bottleneck policy.
+			if m, _, ok = bg.BottleneckPerfectMatching(); !ok {
 				return nil, fmt.Errorf("%w: edge (%d,%d)", ErrNoRobustMatching, pred, t)
 			}
-		default:
-			return nil, fmt.Errorf("core: unknown match policy %v", policy)
 		}
 		// Invert: m maps left (src copy) -> right (dst copy).
 		for i, c := range m {

@@ -11,11 +11,10 @@ import (
 func TestMCFTSAValidatesAndBoundsMessages(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, eps := range []int{0, 1, 2, 5} {
-			for _, policy := range []MatchPolicy{MatchGreedy, MatchBottleneck} {
+			for _, policy := range []string{"greedy", "bottleneck"} {
 				inst := testInstance(t, seed, 1.0, 20)
-				s, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{
-					Options: Options{Epsilon: eps, Rng: rand.New(rand.NewSource(seed))},
-					Policy:  policy,
+				s, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{
+					Epsilon: eps, Rng: rand.New(rand.NewSource(seed)), Policy: policy,
 				})
 				if err != nil {
 					t.Fatalf("seed %d ε=%d %v: MCFTSA: %v", seed, eps, policy, err)
@@ -40,16 +39,16 @@ func TestMCFTSAValidatesAndBoundsMessages(t *testing.T) {
 func TestMCFTSAReducesMessagesVersusFTSA(t *testing.T) {
 	inst := testInstance(t, 42, 1.0, 20)
 	const eps = 2
-	ftsa, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: eps})
+	full, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: eps}})
+	mc, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.MessageCount() >= ftsa.MessageCount() {
-		t.Errorf("MC-FTSA should cut communications: %d vs FTSA %d", mc.MessageCount(), ftsa.MessageCount())
+	if mc.MessageCount() >= full.MessageCount() {
+		t.Errorf("MC-FTSA should cut communications: %d vs FTSA %d", mc.MessageCount(), full.MessageCount())
 	}
 }
 
@@ -61,15 +60,15 @@ func TestMCFTSALowerBoundNotBelowFTSAOnAverage(t *testing.T) {
 	var ftsaSum, mcSum float64
 	for seed := int64(1); seed <= 12; seed++ {
 		inst := testInstance(t, seed, 1.0, 20)
-		ftsa, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+		full, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: 2}})
+		mc, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ftsaSum += ftsa.LowerBound()
+		ftsaSum += full.LowerBound()
 		mcSum += mc.LowerBound()
 	}
 	if mcSum < ftsaSum {
@@ -89,11 +88,11 @@ func TestMCFTSAUpperCloseToLower(t *testing.T) {
 	var mcGap, ftsaGap float64
 	for seed := int64(1); seed <= 10; seed++ {
 		inst := testInstance(t, seed, 1.0, 20)
-		f, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: 2})
+		f, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: 2}})
+		m, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +111,7 @@ func TestMCFTSAInternalEdgesForced(t *testing.T) {
 	// matched sources are a bijection per edge.
 	inst := testInstance(t, 9, 0.6, 10)
 	const eps = 3
-	s, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: eps}})
+	s, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestMCFTSAInternalEdgesForced(t *testing.T) {
 
 func TestMCFTSAPatternRecorded(t *testing.T) {
 	inst := testInstance(t, 2, 1.0, 8)
-	s, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: 1}})
+	s, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ftsched/internal/dag"
+	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -40,7 +41,7 @@ func TestPropFTSAInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: eps})
+		s, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
@@ -80,7 +81,7 @@ func TestPropMCFTSAInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		mc, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: eps}})
+		mc, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
@@ -102,7 +103,7 @@ func TestPropSimulationWithinBounds(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: eps})
+		s, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
@@ -137,22 +138,22 @@ func TestPropDeterminism(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: eps})
+		a, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
-		b, err := FTSA(inst.Graph, inst.Platform, inst.Costs, Options{Epsilon: eps})
+		b, err := ftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
 		if a.LowerBound() != b.LowerBound() || a.UpperBound() != b.UpperBound() {
 			return false
 		}
-		ma, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: eps}})
+		ma, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
-		mb, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs, MCFTSAOptions{Options: Options{Epsilon: eps}})
+		mb, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			return false
 		}
@@ -173,9 +174,8 @@ func TestPropMatchingPoliciesBothRobust(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, pol := range []MatchPolicy{MatchGreedy, MatchBottleneck} {
-			s, err := MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-				MCFTSAOptions{Options: Options{Epsilon: eps}, Policy: pol})
+		for _, pol := range []string{"greedy", "bottleneck"} {
+			s, err := mcftsa(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps, Policy: pol})
 			if err != nil {
 				return false
 			}

@@ -1,81 +1,21 @@
 package core
 
-import (
-	"ftsched/internal/dag"
-	"ftsched/internal/platform"
-	"ftsched/internal/sched"
-)
+import "ftsched/internal/sched"
 
 // This file wires the package's schedulers into the sched registry. Every
 // dispatch site (the serving layer, the campaign engine, the CLIs) resolves
 // schedulers by name through sched.Run; adding a variant here — and only
 // here — makes it reachable end-to-end through /schedule, campaign grids and
 // the binaries.
-
-// options maps the registry's uniform options onto this package's native
-// Options, deriving per-task deadlines when a latency budget was requested
-// (Section 4.3; sched.Run has already verified Latency > 0 is allowed).
-func options(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (Options, error) {
-	o := Options{Epsilon: opt.Epsilon, Rng: opt.Rng, BottomLevels: opt.BottomLevels}
-	if opt.Latency > 0 {
-		dls, err := sched.Deadlines(g, cm, p, opt.Epsilon, opt.Latency)
-		if err != nil {
-			return Options{}, err
-		}
-		o.Deadlines = dls
-	}
-	return o, nil
-}
-
-type ftsaRunner struct{}
-
-func (ftsaRunner) Name() string { return "ftsa" }
-
-func (ftsaRunner) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
-	o, err := options(g, p, cm, opt)
-	if err != nil {
-		return nil, err
-	}
-	return FTSA(g, p, cm, o)
-}
-
-type mcftsaRunner struct{}
-
-func (mcftsaRunner) Name() string { return "mcftsa" }
-
-func (mcftsaRunner) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
-	o, err := options(g, p, cm, opt)
-	if err != nil {
-		return nil, err
-	}
-	policy := MatchGreedy
-	if opt.Policy == "bottleneck" {
-		policy = MatchBottleneck
-	}
-	return MCFTSA(g, p, cm, MCFTSAOptions{Options: o, Policy: policy})
-}
-
-type ftsaInsRunner struct{}
-
-func (ftsaInsRunner) Name() string { return "ftsa-ins" }
-
-func (ftsaInsRunner) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
-	o, err := options(g, p, cm, opt)
-	if err != nil {
-		return nil, err
-	}
-	return FTSAIns(g, p, cm, o)
-}
-
 func init() {
 	sched.Register(sched.Registration{
-		Scheduler:     ftsaRunner{},
+		Scheduler:     sched.Func("ftsa", ftsa),
 		Description:   "the paper's Fault Tolerant Scheduling Algorithm (Algorithm 4.1): criticalness-ordered list scheduling, ε+1 earliest-finish-time replicas per task, full communication pattern",
 		FaultTolerant: true,
 		Deadlines:     true,
 	})
 	sched.Register(sched.Registration{
-		Scheduler:     mcftsaRunner{},
+		Scheduler:     sched.Func("mcftsa", mcftsa),
 		Aliases:       []string{"mc-ftsa"},
 		Description:   "Minimum-Communications FTSA (Section 4.2): identical mapping, but each precedence edge keeps exactly ε+1 messages via a robust bipartite matching",
 		FaultTolerant: true,
@@ -84,7 +24,7 @@ func init() {
 		Deadlines:     true,
 	})
 	sched.Register(sched.Registration{
-		Scheduler:     ftsaInsRunner{},
+		Scheduler:     sched.Func("ftsa-ins", ftsaIns),
 		Aliases:       []string{"ftsains"},
 		Description:   "registry-only variant: FTSA's selection with HEFT-style insertion-based placement — optimistic windows fill earliest timeline gaps via the shared kernel",
 		FaultTolerant: true,

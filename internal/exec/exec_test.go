@@ -8,10 +8,10 @@ import (
 	"sync"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -79,7 +79,7 @@ func checkOutputs(t *testing.T, g *dag.Graph, rep *Report) {
 
 func TestExecutorFailureFree(t *testing.T) {
 	inst := buildInstance(t, 1, 6)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestExecutorSurvivesCrashAtStart(t *testing.T) {
 	// the sequential reference.
 	inst := buildInstance(t, 2, 5)
 	const eps = 2
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExecutorMidQueueCrashes(t *testing.T) {
 	// delivered, later work is lost; outputs must still be complete with
 	// ε=2 and two failed processors.
 	inst := buildInstance(t, 3, 6)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,7 @@ func TestExecutorMidQueueCrashes(t *testing.T) {
 
 func TestExecutorMatchedPatternFailureFree(t *testing.T) {
 	inst := buildInstance(t, 4, 6)
-	s, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: 2}})
+	s, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +168,11 @@ func TestExecutorDemonstratesStrictStarvation(t *testing.T) {
 	// deadlock) either way, thanks to sender retraction.
 	inst := buildInstance(t, 5, 6)
 	const eps = 2
-	mc, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: eps}})
+	mc, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftsa, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	ftsa, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestExecutorTaskErrorIsReplicaFault(t *testing.T) {
 	// One replica's function fails (simulated transient fault); the other
 	// replicas still deliver the result.
 	inst := buildInstance(t, 6, 6)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +231,7 @@ func TestExecutorTaskErrorIsReplicaFault(t *testing.T) {
 
 func TestExecutorConfigValidation(t *testing.T) {
 	inst := buildInstance(t, 7, 4)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +256,7 @@ func TestExecutorConfigValidation(t *testing.T) {
 
 func TestExecutorAllProcessorsDead(t *testing.T) {
 	inst := buildInstance(t, 8, 3)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +276,7 @@ func TestExecutorAllProcessorsDead(t *testing.T) {
 func TestExecutorCrashEveryPrefix(t *testing.T) {
 	inst := buildInstance(t, 9, 5)
 	const m, eps = 5, 2
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +319,7 @@ func TestExecutorCrashEveryPrefix(t *testing.T) {
 func TestExecutorAgreesWithSimReplay(t *testing.T) {
 	inst := buildInstance(t, 10, 5)
 	const m, eps = 5, 1
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

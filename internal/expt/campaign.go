@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strconv"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/sched"
 	_ "ftsched/internal/schedulers" // register every built-in scheduler
@@ -488,8 +487,8 @@ func (c Campaign) prepare(cell Cell, rng *rand.Rand) (*prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	ff, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.Options{Epsilon: 0, Rng: reseeded(rng, c.faultFreeSeed(cell)), BottomLevels: bl})
+	ff, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs,
+		sched.RunOptions{Epsilon: 0, Rng: reseeded(rng, c.faultFreeSeed(cell)), BottomLevels: bl})
 	if err != nil {
 		return nil, fmt.Errorf("expt: cell %d fault-free baseline: %w", cell.Index, err)
 	}

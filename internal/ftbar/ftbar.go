@@ -1,9 +1,7 @@
 package ftbar
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"ftsched/internal/dag"
@@ -12,28 +10,14 @@ import (
 	"ftsched/internal/sched"
 )
 
-// Options configures an FTBAR run.
-type Options struct {
-	// Npf is the number of fail-stop processor failures to tolerate; every
-	// task is scheduled on Npf+1 distinct processors (plus any duplicates
-	// added by Minimize-Start-Time).
-	Npf int
-	// Rng breaks urgency ties randomly (the paper: "ties are broken
-	// randomly"); nil makes tie-breaking deterministic by task ID.
-	Rng *rand.Rand
-	// DisableDuplication turns off the Minimize-Start-Time procedure
-	// (ablation knob; the faithful baseline keeps it on).
-	DisableDuplication bool
-	// BottomLevels, when non-nil, supplies the precomputed static bottom
-	// levels (sched.AvgBottomLevels) used as s(ti) instead of recomputing
-	// them; callers scheduling one instance under several schedulers share
-	// the slice. Read-only to the scheduler.
-	BottomLevels []float64
-}
-
-// Schedule runs FTBAR and returns a fault-tolerant schedule with the full
-// communication pattern.
-func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
+// schedule runs FTBAR and returns a fault-tolerant schedule with the full
+// communication pattern. opt.Epsilon is FTBAR's Npf, the number of fail-stop
+// processor failures to tolerate: every task is scheduled on Npf+1 distinct
+// processors, plus any duplicates Minimize-Start-Time adds. Policy
+// "noduplication" turns that procedure off (an ablation; the faithful
+// baseline keeps it on). opt.Rng breaks urgency ties randomly (the paper:
+// "ties are broken randomly"); nil breaks them by task ID.
+func schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
 	st, err := newState(g, p, cm, opt)
 	if err != nil {
 		return nil, err
@@ -50,16 +34,12 @@ func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	return st.s, nil
 }
 
-func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*state, error) {
-	m := p.NumProcs()
-	if opt.Npf < 0 || opt.Npf+1 > m {
-		return nil, fmt.Errorf("ftbar: Npf=%d needs %d processors, platform has %d", opt.Npf, opt.Npf+1, m)
-	}
+func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*state, error) {
 	f, err := g.Freeze()
 	if err != nil {
 		return nil, err
 	}
-	s, err := sched.New(g, p, cm, opt.Npf, sched.PatternAll, "FTBAR")
+	s, err := sched.New(g, p, cm, opt.Epsilon, sched.PatternAll, "FTBAR")
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +50,7 @@ func newState(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	if err != nil {
 		return nil, err
 	}
-	v := g.NumTasks()
+	m, v := p.NumProcs(), g.NumTasks()
 	ws := scratchPool.Get().(*scratch)
 	ws.unsched = kernel.Grow(ws.unsched, v)
 	ws.arr = kernel.Grow(ws.arr, v*m)
@@ -107,7 +87,7 @@ type state struct {
 	f   *dag.Flat // frozen CSR view; all adjacency walks go through it
 	p   *platform.Platform
 	cm  *platform.CostModel
-	opt Options
+	opt sched.RunOptions
 	s   *sched.Schedule
 
 	bl []float64
@@ -163,7 +143,7 @@ func (st *state) arrivalRow(t dag.TaskID) []float64 {
 // R(n−1), which move each step — but takes arrivals from the memo, so it
 // costs m comparisons per free task instead of an arrival-window fold.
 func (st *state) step() error {
-	k := st.opt.Npf + 1
+	k := st.opt.Epsilon + 1
 	// Most urgent pair: maximum, over the free tasks, of the largest pressure
 	// within the task's Npf+1 minimum-pressure processors.
 	t, urgency := dag.TaskID(-1), 0.0
@@ -193,7 +173,7 @@ func (st *state) step() error {
 	}
 	st.cand, st.best = cand, best
 
-	if !st.opt.DisableDuplication {
+	if st.opt.Policy != "noduplication" {
 		for _, c := range best {
 			st.minimizeStartTime(t, c.Proc)
 		}

@@ -4,9 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
+	_ "ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -28,7 +29,7 @@ func TestFTBARValidates(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, npf := range []int{0, 1, 2, 5} {
 			inst := instance(t, seed, 20)
-			s, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: npf})
+			s, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: npf})
 			if err != nil {
 				t.Fatalf("seed %d Npf=%d: %v", seed, npf, err)
 			}
@@ -50,7 +51,7 @@ func TestFTBARValidates(t *testing.T) {
 func TestFTBARSurvivesAllCrashSets(t *testing.T) {
 	inst := instance(t, 4, 6)
 	const npf = 2
-	s, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: npf})
+	s, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: npf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestFTBARSurvivesAllCrashSets(t *testing.T) {
 
 func TestFTBARDuplicationOnlyAddsReplicas(t *testing.T) {
 	inst := instance(t, 7, 10)
-	with, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: 2})
+	with, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: 2, DisableDuplication: true})
+	without, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2, Policy: "noduplication"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestFTSAOutperformsFTBAROnAverage(t *testing.T) {
 	const trials = 20
 	for seed := int64(1); seed <= trials; seed++ {
 		inst := instance(t, seed, 20)
-		a, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+		a, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: 2})
+		b, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,18 +134,18 @@ func TestFTSAOutperformsFTBAROnAverage(t *testing.T) {
 
 func TestFTBARNpfTooLarge(t *testing.T) {
 	inst := instance(t, 1, 4)
-	if _, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: 4}); err == nil {
+	if _, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 4}); err == nil {
 		t.Fatal("want error for Npf+1 > m")
 	}
 }
 
 func TestFTBARDeterministicWithoutRng(t *testing.T) {
 	inst := instance(t, 9, 8)
-	a, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: 1})
+	a, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{Npf: 1})
+	b, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ import (
 	"ftsched/internal/workload"
 )
 
-// scheduleLiteral is Schedule driven by literalStep: the reference the
+// scheduleLiteral is schedule driven by literalStep: the reference the
 // memoised step must reproduce bit for bit.
-func scheduleLiteral(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
+func scheduleLiteral(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
 	st, err := newState(g, p, cm, opt)
 	if err != nil {
 		return nil, err
@@ -48,7 +48,7 @@ func (st *state) literalStep() error {
 		chosen  []procChoice // Npf+1 minimum-pressure processors
 		urgency float64      // max pressure within chosen
 	}
-	k := st.opt.Npf + 1
+	k := st.opt.Epsilon + 1
 	m := st.p.NumProcs()
 	evals := make([]taskEval, 0, st.free.Len())
 	for _, t := range st.free.Tasks() {
@@ -87,7 +87,7 @@ func (st *state) literalStep() error {
 	sel := evals[best]
 	t := sel.task
 
-	if !st.opt.DisableDuplication {
+	if st.opt.Policy != "noduplication" {
 		for _, c := range sel.chosen {
 			st.minimizeStartTime(t, c.proc)
 		}
@@ -229,13 +229,16 @@ func TestScheduleMatchesLiteralStep(t *testing.T) {
 					for _, seeded := range []bool{false, true} {
 						for _, noDup := range []bool{false, true} {
 							label := fmt.Sprintf("seed %d %s m=%d Npf=%d seeded=%v noDup=%v", seed, inst.name, m, npf, seeded, noDup)
-							opt := Options{Npf: npf, DisableDuplication: noDup}
+							opt := sched.RunOptions{Epsilon: npf}
+							if noDup {
+								opt.Policy = "noduplication"
+							}
 							litOpt := opt
 							if seeded {
 								opt.Rng = rand.New(rand.NewSource(seed))
 								litOpt.Rng = rand.New(rand.NewSource(seed))
 							}
-							got, err := Schedule(inst.Graph, inst.Platform, inst.Costs, opt)
+							got, err := schedule(inst.Graph, inst.Platform, inst.Costs, opt)
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
@@ -308,7 +311,7 @@ func TestDuplicateInvalidatesOtherFreeTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Schedule(g, p, cm, Options{})
+	got, err := schedule(g, p, cm, sched.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +328,7 @@ func TestDuplicateInvalidatesOtherFreeTasks(t *testing.T) {
 	if c := got.Replicas(2); len(c) != 1 || c[0].Proc != 2 || c[0].StartMin != 3.625 {
 		t.Fatalf("C placed as %+v, want one replica on P2 starting at 3.625 (fed by A's duplicate)", c)
 	}
-	want, err := scheduleLiteral(g, p, cm, Options{})
+	want, err := scheduleLiteral(g, p, cm, sched.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,10 @@
 package ftbar
 
-import (
-	"ftsched/internal/dag"
-	"ftsched/internal/platform"
-	"ftsched/internal/sched"
-)
-
-// runner adapts this package to the sched registry's uniform interface.
-type runner struct{}
-
-func (runner) Name() string { return "ftbar" }
-
-func (runner) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
-	o := Options{Npf: opt.Epsilon, Rng: opt.Rng, BottomLevels: opt.BottomLevels}
-	if opt.Policy == "noduplication" {
-		o.DisableDuplication = true
-	}
-	return Schedule(g, p, cm, o)
-}
+import "ftsched/internal/sched"
 
 func init() {
 	sched.Register(sched.Registration{
-		Scheduler:     runner{},
+		Scheduler:     sched.Func("ftbar", schedule),
 		Description:   "re-implemented comparison baseline of Girault et al. (Section 5): most-urgent-pair selection with Minimize-Start-Time duplication",
 		FaultTolerant: true,
 		Policies:      []string{"noduplication"},

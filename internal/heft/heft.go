@@ -11,22 +11,12 @@ import (
 	"ftsched/internal/sched"
 )
 
-// Options configures a HEFT run.
-type Options struct {
-	// NoInsertion disables the insertion policy, reducing HEFT to plain
-	// append-only EFT list scheduling (ablation knob).
-	NoInsertion bool
-	// BottomLevels, when non-nil, supplies the precomputed upward ranks
-	// (sched.AvgBottomLevels) instead of recomputing them; callers
-	// scheduling one instance under several schedulers share the slice.
-	// Read-only to the scheduler.
-	BottomLevels []float64
-}
-
-// Schedule runs HEFT and returns an ε=0 schedule. Placement goes through
+// schedule runs HEFT and returns an ε=0 schedule. Placement goes through
 // the shared kernel: per-processor busy timelines with insertion-based
-// earliest-slot search (or append-only under NoInsertion).
-func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Options) (*sched.Schedule, error) {
+// earliest-slot search, or append-only under policy "noinsertion" (an
+// ablation that reduces HEFT to plain EFT list scheduling). The upward ranks
+// are opt.BottomLevels when given.
+func schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
 	f, err := g.Freeze()
 	if err != nil {
 		return nil, err
@@ -53,7 +43,7 @@ func Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt Op
 	})
 
 	m := p.NumProcs()
-	b := kernel.NewBoard(m, !opt.NoInsertion)
+	b := kernel.NewBoard(m, opt.Policy != "noinsertion")
 	defer b.Release()
 
 	for _, t := range order {

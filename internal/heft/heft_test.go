@@ -4,9 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
+	_ "ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
 	"ftsched/internal/workload"
 )
 
@@ -26,7 +27,7 @@ func instance(t *testing.T, seed int64, procs int) *workload.Instance {
 func TestHEFTValidates(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		inst := instance(t, seed, 10)
-		s, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{})
+		s, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -64,7 +65,7 @@ func TestHEFTChainIsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Schedule(g, p, cm, Options{})
+	s, err := schedule(g, p, cm, sched.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func TestHEFTInsertionHelpsOnAverage(t *testing.T) {
 	const trials = 25
 	for seed := int64(1); seed <= trials; seed++ {
 		inst := instance(t, seed, 8)
-		a, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{})
+		a, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{NoInsertion: true})
+		b, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Policy: "noinsertion"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,11 +107,11 @@ func TestHEFTComparableToFaultFreeFTSA(t *testing.T) {
 	const trials = 20
 	for seed := int64(1); seed <= trials; seed++ {
 		inst := instance(t, seed, 10)
-		h, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{})
+		h, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 0})
+		f, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,14 +144,14 @@ func TestHEFTGapFilling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Schedule(g, p, cm, Options{})
+	s, err := schedule(g, p, cm, sched.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ni, err := Schedule(g, p, cm, Options{NoInsertion: true})
+	ni, err := schedule(g, p, cm, sched.RunOptions{Policy: "noinsertion"})
 	if err != nil {
 		t.Fatal(err)
 	}

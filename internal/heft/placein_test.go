@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftsched/internal/sched"
 	"ftsched/internal/workload"
 )
 
@@ -21,11 +22,11 @@ func TestInsertionHelpsInAggregate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ins, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{})
+		ins, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		app, err := Schedule(inst.Graph, inst.Platform, inst.Costs, Options{NoInsertion: true})
+		app, err := schedule(inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Policy: "noinsertion"})
 		if err != nil {
 			t.Fatalf("seed %d (no insertion): %v", seed, err)
 		}

@@ -1,26 +1,10 @@
 package heft
 
-import (
-	"ftsched/internal/dag"
-	"ftsched/internal/platform"
-	"ftsched/internal/sched"
-)
-
-// runner adapts this package to the sched registry's uniform interface.
-type runner struct{}
-
-func (runner) Name() string { return "heft" }
-
-func (runner) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt sched.RunOptions) (*sched.Schedule, error) {
-	return Schedule(g, p, cm, Options{
-		NoInsertion:  opt.Policy == "noinsertion",
-		BottomLevels: opt.BottomLevels,
-	})
-}
+import "ftsched/internal/sched"
 
 func init() {
 	sched.Register(sched.Registration{
-		Scheduler:   runner{},
+		Scheduler:   sched.Func("heft", schedule),
 		Description: "non-fault-tolerant reference (Topcuoglu et al.): upward-rank list scheduling with insertion-based earliest-finish-time placement",
 		Policies:    []string{"noinsertion"},
 		IgnoresRng:  true,

@@ -20,5 +20,5 @@
 // (Exponential, Weibull) bridges to a sim.ScenarioGenerator via Generator(),
 // and MonteCarlo delegates to sim.Evaluate, so MonteCarlo(seed, ...) agrees
 // trial for trial with Evaluate at the same seed — one sampling loop for the
-// whole system (see examples/reliability and the /evaluate endpoint).
+// whole system (see Example_reliability in the root package and the /evaluate endpoint).
 package reliability

@@ -6,7 +6,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -89,7 +90,7 @@ func TestMonteCarloAgreesWithBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const eps = 2
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +125,11 @@ func TestMonteCarlohigherEpsilonMoreReliable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 0})
+	s0, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 3})
+	s3, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestMonteCarloAgreesWithEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,4 +13,9 @@
 // communication volume, utilization), ASCII Gantt rendering, deadline
 // assignment (Section 4.3), and a validating JSON wire format that binds a
 // loaded schedule back to its problem instance.
+//
+// The scheduler registry is the only way to run a scheduler: Run resolves a
+// name, checks RunOptions against the registration and calls the
+// scheduler's registered function (see Func). MaxToleratedFailures, the
+// ε search of Section 4.3 under a latency budget, probes through Run.
 package sched

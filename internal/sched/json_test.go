@@ -9,10 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
-	"ftsched/internal/ftbar"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -66,7 +65,7 @@ func assertSame(t *testing.T, a, b *sched.Schedule) {
 
 func TestScheduleRoundTripFTSA(t *testing.T) {
 	inst := persistInstance(t)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +91,7 @@ func TestScheduleRoundTripFTSA(t *testing.T) {
 
 func TestScheduleRoundTripMCFTSA(t *testing.T) {
 	inst := persistInstance(t)
-	s, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: 2}})
+	s, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +120,7 @@ func TestScheduleRoundTripMCFTSA(t *testing.T) {
 
 func TestScheduleRoundTripFTBARWithDuplicates(t *testing.T) {
 	inst := persistInstance(t)
-	s, err := ftbar.Schedule(inst.Graph, inst.Platform, inst.Costs, ftbar.Options{Npf: 2})
+	s, err := sched.Run("ftbar", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestScheduleRoundTripFTBARWithDuplicates(t *testing.T) {
 
 func TestReadScheduleRejectsWrongInstance(t *testing.T) {
 	inst := persistInstance(t)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/workload"
 )
 
@@ -47,7 +47,7 @@ func TestValidateCatchesMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,7 @@ func TestValidateCatchesMatchingMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: 2}})
+	s, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

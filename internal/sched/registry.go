@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -13,9 +14,9 @@ import (
 	"ftsched/internal/platform"
 )
 
-// RunOptions is the scheduler-independent option set of the registry's
-// uniform entry point. Every registered scheduler maps it onto its own
-// native options; fields a scheduler does not support are rejected by
+// RunOptions is the one option set of every scheduler: each registered
+// scheduling function reads it directly, and no scheduler has options of its
+// own. Fields a scheduler does not support are rejected by
 // Registration.Check (and by Run) instead of being silently ignored.
 type RunOptions struct {
 	// Epsilon is ε, the number of fail-stop processor failures to tolerate;
@@ -41,7 +42,7 @@ type RunOptions struct {
 	// Latency, when positive, requests the deadline-checked bi-criteria
 	// variant (Section 4.3): scheduling fails as soon as some task cannot
 	// meet its derived deadline. Only valid for schedulers registered with
-	// Deadlines support.
+	// Deadlines support, and never NaN or infinite.
 	Latency float64
 }
 
@@ -51,6 +52,23 @@ type RunOptions struct {
 type Scheduler interface {
 	Name() string
 	Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt RunOptions) (*Schedule, error)
+}
+
+// Func returns the Scheduler named name that runs fn, the form in which
+// every built-in registers its scheduling function.
+func Func(name string, fn func(*dag.Graph, *platform.Platform, *platform.CostModel, RunOptions) (*Schedule, error)) Scheduler {
+	return funcScheduler{name, fn}
+}
+
+type funcScheduler struct {
+	name string
+	fn   func(*dag.Graph, *platform.Platform, *platform.CostModel, RunOptions) (*Schedule, error)
+}
+
+func (f funcScheduler) Name() string { return f.name }
+
+func (f funcScheduler) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt RunOptions) (*Schedule, error) {
+	return f.fn(g, p, cm, opt)
 }
 
 // Registration describes one registry entry: the scheduler plus the
@@ -244,8 +262,8 @@ func (r Registration) Check(opt RunOptions) error {
 	if opt.Latency != 0 && !r.Deadlines {
 		return fmt.Errorf("sched: scheduler %q has no deadline-checked variant (-latency)", name)
 	}
-	if opt.Latency < 0 {
-		return fmt.Errorf("sched: latency must be >= 0, got %g", opt.Latency)
+	if opt.Latency < 0 || math.IsNaN(opt.Latency) || math.IsInf(opt.Latency, 0) {
+		return fmt.Errorf("sched: latency must be finite and >= 0, got %g", opt.Latency)
 	}
 	return nil
 }
@@ -262,6 +280,50 @@ func Run(name string, g *dag.Graph, p *platform.Platform, cm *platform.CostModel
 		return nil, err
 	}
 	return r.Scheduler.Schedule(g, p, cm, opt)
+}
+
+// ErrLatencyUnachievable is returned by MaxToleratedFailures when even the
+// ε=0 schedule exceeds the latency budget.
+var ErrLatencyUnachievable = errors.New("sched: latency budget unachievable even without replication")
+
+// MaxToleratedFailures implements the first bi-criteria driver of Section
+// 4.3: given a fixed latency budget, find the maximum number of processor
+// failures ε the named scheduler tolerates while the schedule's guaranteed
+// latency (upper bound M, equation 4) stays within the budget. As the paper
+// suggests, a binary search on ε replaces the naive ε = 1, 2, 3, ...
+// iteration; every probe is Run with opt, its Epsilon set to the probed ε.
+// It returns the best ε and its schedule; for a scheduler that is not
+// fault-tolerant the search is ε=0 alone. Only an upper bound above the
+// budget shrinks the search: a probe that fails returns its error as is.
+//
+// Latency is not perfectly monotone in ε for a greedy heuristic, so the
+// binary search (like the paper's) returns a maximal feasible ε under the
+// monotonicity assumption, not a certified global maximum.
+func MaxToleratedFailures(name string, g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt RunOptions, budget float64) (int, *Schedule, error) {
+	if !(budget > 0) || math.IsInf(budget, 1) {
+		return 0, nil, fmt.Errorf("sched: latency budget must be finite and positive, got %g", budget)
+	}
+	hi := p.NumProcs() - 1
+	if r, ok := LookupInfo(name); ok && !r.FaultTolerant {
+		hi = 0 // a scheduler that does not replicate tolerates no failure
+	}
+	var best *Schedule
+	for lo := 0; lo <= hi; {
+		opt.Epsilon = (lo + hi) / 2
+		s, err := Run(name, g, p, cm, opt)
+		if err != nil {
+			return 0, nil, err
+		}
+		if s.UpperBound() <= budget {
+			best, lo = s, opt.Epsilon+1
+		} else {
+			hi = opt.Epsilon - 1
+		}
+	}
+	if best == nil {
+		return 0, nil, ErrLatencyUnachievable
+	}
+	return best.Epsilon, best, nil
 }
 
 // WriteSchedulerList writes the registry one scheduler per line — canonical

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -117,6 +118,17 @@ func TestRegistrationCheck(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
 	}
+	// A latency must be a finite non-negative number: NaN fails both
+	// comparisons of a plain range check.
+	dl := Registration{Scheduler: &fakeSched{name: "fake-dl"}, Deadlines: true}
+	for _, lat := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := dl.Check(RunOptions{Latency: lat}); err == nil || !strings.Contains(err.Error(), "latency must be finite and >= 0") {
+			t.Errorf("latency %g: err = %v", lat, err)
+		}
+	}
+	if err := dl.Check(RunOptions{Latency: 5}); err != nil {
+		t.Errorf("latency 5: %v", err)
+	}
 	// A scheduler with no policies reports that, rather than listing nothing.
 	noPol := Registration{Scheduler: &fakeSched{name: "fake-d"}}
 	if err := noPol.Check(RunOptions{Policy: "x"}); err == nil || !strings.Contains(err.Error(), "accepts no policy") {
@@ -182,6 +194,67 @@ func TestSweepPolicies(t *testing.T) {
 				t.Errorf("SweepPolicies(%+v) = %q, want %q", c.reg, got, c.want)
 				break
 			}
+		}
+	}
+}
+
+// TestMaxToleratedFailures drives the ε search with a fake whose guaranteed
+// latency is 10·(ε+1): only an upper bound above the budget shrinks the
+// search, and a probe that fails ends it with that probe's error.
+func TestMaxToleratedFailures(t *testing.T) {
+	g := dag.NewWithTasks("one", 1)
+	p, err := platform.New(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := platform.NewCostModelFromMatrix([][]float64{{10, 10, 10, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errProbe := errors.New("fake: probe failed")
+	failAt := -1
+	fake := func(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt RunOptions) (*Schedule, error) {
+		if opt.Epsilon == failAt {
+			return nil, errProbe
+		}
+		s, err := New(g, p, cm, opt.Epsilon, PatternAll, "fake")
+		if err != nil {
+			return nil, err
+		}
+		reps := make([]Replica, opt.Epsilon+1)
+		for i := range reps {
+			end := 10 * float64(opt.Epsilon+1)
+			reps[i] = Replica{Task: 0, Copy: i, Proc: platform.ProcID(i), FinishMin: 10, StartMax: end - 10, FinishMax: end}
+		}
+		return s, s.Place(0, reps)
+	}
+	Register(Registration{FaultTolerant: true, Scheduler: Func("fake-maxeps", fake)})
+	// A scheduler that does not replicate answers ε=0 instead of refusing
+	// the search's first probe.
+	Register(Registration{Scheduler: Func("fake-maxeps-noft", fake)})
+	if eps, _, err := MaxToleratedFailures("fake-maxeps-noft", g, p, cm, RunOptions{}, 1e9); err != nil || eps != 0 {
+		t.Errorf("not fault-tolerant: ε = %d, %v; want 0", eps, err)
+	}
+
+	for budget, want := range map[float64]int{10: 0, 25: 1, 40: 3, 1e9: 3} {
+		eps, s, err := MaxToleratedFailures("fake-maxeps", g, p, cm, RunOptions{}, budget)
+		if err != nil || eps != want || s.Epsilon != want {
+			t.Errorf("budget %g: ε = %d, %v; want %d", budget, eps, err, want)
+		}
+	}
+	if _, _, err := MaxToleratedFailures("fake-maxeps", g, p, cm, RunOptions{}, 5); !errors.Is(err, ErrLatencyUnachievable) {
+		t.Errorf("budget 5: %v, want ErrLatencyUnachievable", err)
+	}
+	// The first probe is ε=1; it fails, and the search must not read the
+	// failure as "ε=1 is too slow" and settle on ε=0.
+	failAt = 1
+	if _, _, err := MaxToleratedFailures("fake-maxeps", g, p, cm, RunOptions{}, 1e9); !errors.Is(err, errProbe) {
+		t.Errorf("failing probe: %v, want %v", err, errProbe)
+	}
+	for _, budget := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, _, err := MaxToleratedFailures("fake-maxeps", g, p, cm, RunOptions{}, budget); err == nil ||
+			!strings.Contains(err.Error(), "latency budget must be finite and positive") {
+			t.Errorf("budget %g: %v", budget, err)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"ftsched/internal/dag"
@@ -31,6 +32,17 @@ func TestNewSchedule(t *testing.T) {
 	}
 	if _, err := New(g, p, cm, 3, PatternAll, "x"); !errors.Is(err, ErrEpsilon) {
 		t.Errorf("ε=m: %v", err)
+	}
+	// The cost model has one row per task: a matrix with rows to spare is
+	// refused like one that is short of a row.
+	for _, rows := range [][][]float64{{{4, 4, 4}}, {{4, 4, 4}, {6, 6, 6}, {5, 5, 5}}} {
+		other, err := platform.NewCostModelFromMatrix(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(g, p, other, 1, PatternAll, "x"); err == nil || !strings.Contains(err.Error(), "does not match graph (2 tasks)") {
+			t.Errorf("%d-row cost model: %v", len(rows), err)
+		}
 	}
 	s, err := New(g, p, cm, 1, PatternAll, "FTSA")
 	if err != nil {

@@ -103,13 +103,16 @@ var (
 	ErrNotScheduled = errors.New("sched: task not scheduled")
 )
 
-// New creates an empty schedule for the given problem.
+// New creates an empty schedule for the given problem. Every scheduler
+// starts here, so this is the one place that checks ε's range (ErrEpsilon:
+// active replication needs ε+1 distinct processors) and that the cost model
+// has exactly one row per task and one column per processor.
 func New(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, epsilon int, pattern Pattern, algorithm string) (*Schedule, error) {
 	if epsilon < 0 || epsilon >= p.NumProcs() {
 		return nil, fmt.Errorf("%w: ε=%d, m=%d", ErrEpsilon, epsilon, p.NumProcs())
 	}
-	if cm.NumTasks() < g.NumTasks() || cm.NumProcs() != p.NumProcs() {
-		return nil, fmt.Errorf("sched: cost model %dx%d does not cover graph (%d tasks) and platform (%d procs)",
+	if cm.NumTasks() != g.NumTasks() || cm.NumProcs() != p.NumProcs() {
+		return nil, fmt.Errorf("sched: cost model %dx%d does not match graph (%d tasks) and platform (%d procs)",
 			cm.NumTasks(), cm.NumProcs(), g.NumTasks(), p.NumProcs())
 	}
 	s := &Schedule{

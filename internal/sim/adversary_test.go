@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/workload"
 )
 
@@ -29,7 +29,7 @@ func instanceTB(tb testing.TB, seed int64, procs int) *workload.Instance {
 func adversarySchedule(t testing.TB, seed int64, procs, eps int) *sched.Schedule {
 	t.Helper()
 	inst := instanceTB(t, seed, procs)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,8 +8,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -26,7 +26,7 @@ func evalSchedule(t testing.TB, procs, eps int) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,10 @@ import (
 	"log"
 	"math"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
 )
 
@@ -25,7 +26,7 @@ func ExampleRun() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, err := core.FTSA(g, p, cm, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

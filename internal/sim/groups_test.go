@@ -6,8 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 )
 
 // groupCrash crashes an entire group of processors (e.g. a rack) at the
@@ -123,7 +124,7 @@ func TestExponentialCrashes(t *testing.T) {
 func TestScheduleSurvivesGroupCrashWithinEpsilon(t *testing.T) {
 	// A rack of 2 dies at time zero; ε=2 must absorb it.
 	inst := instance(t, 6, 8)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestStaggeredCrashesLateFailuresCheaper(t *testing.T) {
 	// average: compare the same schedule under both.
 	inst := instance(t, 7, 10)
 	const eps = 3
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

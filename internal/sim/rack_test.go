@@ -4,8 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/workload"
 )
 
@@ -49,7 +50,7 @@ func TestRackFailureOnClusteredPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ε = perRack: losing one whole rack stays within the guarantee.
-	s, err := core.FTSA(g, p, cm, core.Options{Epsilon: perRack})
+	s, err := sched.Run("ftsa", g, p, cm, sched.RunOptions{Epsilon: perRack})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		b.Fatal(err)
 	}

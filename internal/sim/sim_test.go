@@ -5,9 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/workload"
 )
 
@@ -28,7 +29,7 @@ func TestNoFailureReproducesLowerBound(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		inst := instance(t, seed, 10)
 		for _, eps := range []int{0, 1, 3} {
-			s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+			s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,7 +51,7 @@ func TestFTSASurvivesAllCrashSets(t *testing.T) {
 	// platform and verify the simulation completes within the upper bound.
 	inst := instance(t, 3, 6)
 	const eps = 2
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,7 @@ func TestMCFTSASurvivesAllCrashSets(t *testing.T) {
 	// Proposition 4.3: the matched communication set resists any ε crashes.
 	inst := instance(t, 5, 6)
 	const eps = 2
-	s, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: eps}})
+	s, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMCFTSASurvivesAllCrashSets(t *testing.T) {
 func TestTooManyCrashesCanFail(t *testing.T) {
 	// Crashing every processor must fail: no exit task can complete.
 	inst := instance(t, 1, 4)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestCrashLatencyWithinBoundsFTSA(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		inst := instance(t, seed, 12)
 		const eps = 3
-		s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+		s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestMidExecutionCrashDeliversEarlierWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.FTSA(g, p, cm, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCommModelsOrdering(t *testing.T) {
 	// the contention-free model; bounded multi-port with large K matches
 	// contention-free.
 	inst := instance(t, 8, 8)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,9 @@ import (
 	"errors"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 )
 
 // TestStrictMatchedStarvation documents a reproduction finding about
@@ -22,8 +23,7 @@ import (
 func TestStrictMatchedStarvation(t *testing.T) {
 	inst := instance(t, 5, 6)
 	const eps = 2
-	s, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: eps}})
+	s, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,7 @@ func TestStrictMatchedStarvation(t *testing.T) {
 // optimistic schedule when nothing fails.
 func TestStrictMatchedNoFailure(t *testing.T) {
 	inst := instance(t, 2, 8)
-	s, err := core.MCFTSA(inst.Graph, inst.Platform, inst.Costs,
-		core.MCFTSAOptions{Options: core.Options{Epsilon: 2}})
+	s, err := sched.Run("mcftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

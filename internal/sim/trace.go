@@ -88,17 +88,6 @@ func (tr *Trace) sortByTime() {
 	})
 }
 
-// Filter returns the events of one kind.
-func (tr *Trace) Filter(kind EventKind) []Event {
-	var out []Event
-	for _, e := range tr.Events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // Write renders the trace, one line per event.
 func (tr *Trace) Write(w io.Writer) error {
 	for _, e := range tr.Events {

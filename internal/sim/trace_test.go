@@ -5,11 +5,22 @@ import (
 	"strings"
 	"testing"
 
-	"ftsched/internal/core"
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 )
+
+// Filter returns the events of one kind.
+func (tr *Trace) Filter(kind EventKind) []Event {
+	var out []Event
+	for _, e := range tr.Events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // buildChainSchedule returns the ε=1 FTSA schedule of the hand-computable
 // two-task chain (costs 5 and 7, volume 10, two processors, unit delay).
@@ -25,7 +36,7 @@ func buildChainSchedule(t *testing.T) *sched.Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := core.FTSA(g, p, cm, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", g, p, cm, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +46,7 @@ func buildChainSchedule(t *testing.T) *sched.Schedule {
 func TestTraceRecordsFullExecution(t *testing.T) {
 	inst := instance(t, 1, 6)
 	const eps = 1
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: eps})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +83,7 @@ func TestTraceRecordsFullExecution(t *testing.T) {
 
 func TestTraceRecordsCrashes(t *testing.T) {
 	inst := instance(t, 2, 6)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 2})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

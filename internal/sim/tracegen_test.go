@@ -9,7 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"ftsched/internal/core"
+	"ftsched/internal/sched"
+	_ "ftsched/internal/schedulers"
 	"ftsched/internal/trace"
 )
 
@@ -213,7 +214,7 @@ func TestParseTraceFlagForm(t *testing.T) {
 
 func TestTraceGenThroughEvaluateDeterministic(t *testing.T) {
 	inst := instance(t, 8, 8)
-	s, err := core.FTSA(inst.Graph, inst.Platform, inst.Costs, core.Options{Epsilon: 1})
+	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
