@@ -15,7 +15,7 @@ import (
 func twoTaskProblem() (*ftsched.Graph, *ftsched.Platform, *ftsched.CostModel) {
 	g := dag.NewWithTasks("chain2", 2)
 	g.MustAddEdge(0, 1, 10)
-	p, err := platform.New(2, 1.0)
+	p, err := platform.NewFromDelays([][]float64{{0, 1}, {1, 0}})
 	if err != nil {
 		log.Fatal(err)
 	}

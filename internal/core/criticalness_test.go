@@ -26,7 +26,7 @@ func TestCriticalnessOrderingHandComputed(t *testing.T) {
 	g := dag.NewWithTasks("twochains", 4)
 	g.MustAddEdge(0, 1, 10)
 	g.MustAddEdge(2, 3, 100)
-	p, err := platform.New(3, 1)
+	p, err := uniformPlatform(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestWorstCaseOutgoingDelayInTopLevel(t *testing.T) {
 // EFT-minimal one.
 func TestEFTSelectionPrefersFasterProcessor(t *testing.T) {
 	g := dag.NewWithTasks("single", 1)
-	p, err := platform.New(3, 1)
+	p, err := uniformPlatform(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

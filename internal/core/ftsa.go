@@ -235,9 +235,7 @@ func (st *state) commit(t dag.TaskID, reps []sched.Replica, matched [][]int) err
 	if st.deadlines != nil {
 		worst := 0.0
 		for _, r := range reps {
-			if r.FinishMin > worst {
-				worst = r.FinishMin
-			}
+			worst = max(worst, r.FinishMin)
 		}
 		if worst > st.deadlines[t]+1e-9 {
 			return fmt.Errorf("%w: task %d finishes at %.4g after deadline %.4g",
@@ -263,14 +261,9 @@ func (st *state) commit(t dag.TaskID, reps []sched.Replica, matched [][]int) err
 		se := dag.TaskID(sRaw)
 		contrib := math.Inf(1)
 		for _, r := range reps {
-			c := r.FinishMin + vols[i]*st.maxFrom[r.Proc]
-			if c < contrib {
-				contrib = c
-			}
+			contrib = min(contrib, r.FinishMin+vols[i]*st.maxFrom[r.Proc])
 		}
-		if contrib > st.tl[se] {
-			st.tl[se] = contrib
-		}
+		st.tl[se] = max(st.tl[se], contrib)
 		st.unschedPreds[se]--
 		if st.unschedPreds[se] == 0 {
 			st.push(se)

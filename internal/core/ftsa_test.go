@@ -31,7 +31,7 @@ func TestFTSASmallHandComputed(t *testing.T) {
 	// Two tasks in a chain, two identical processors, ε=1.
 	g := dag.NewWithTasks("chain2", 2)
 	g.MustAddEdge(0, 1, 10)
-	p, err := platform.New(2, 1.0) // d = 1 between distinct procs
+	p, err := uniformPlatform(2, 1.0) // d = 1 between distinct procs
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestScheduleOnSingleProcessor(t *testing.T) {
 	g.MustAddEdge(0, 2, 5)
 	g.MustAddEdge(1, 3, 5)
 	g.MustAddEdge(2, 3, 5)
-	p, err := platform.New(1, 0)
+	p, err := uniformPlatform(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFTSAEntryAndExitHeavyGraphs(t *testing.T) {
 	g.MustAddEdge(2, 3, 10)
 	g.MustAddEdge(2, 4, 10)
 	g.MustAddEdge(1, 5, 10)
-	p, err := platform.New(3, 1)
+	p, err := uniformPlatform(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
 	cyc.MustAddEdge(0, 1, 1)
 	cyc.MustAddEdge(1, 2, 1)
 	cyc.MustAddEdge(2, 1, 1)
-	cp, err := platform.New(3, 1.0)
+	cp, err := uniformPlatform(3, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,4 +310,19 @@ func TestAbortedRunLeavesNoStaleTask(t *testing.T) {
 		t.Fatalf("cyclic graph, MC-FTSA: want dag.ErrCycle, got %v", err)
 	}
 	requireRef("dag.ErrCycle")
+}
+
+// uniformPlatform is m processors with unit delay d between every two of
+// them.
+func uniformPlatform(m int, d float64) (*platform.Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return platform.NewFromDelays(delay)
 }

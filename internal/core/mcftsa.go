@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"ftsched/internal/bipartite"
 	"ftsched/internal/dag"
@@ -148,7 +147,7 @@ func (st *state) matchCommunications(t dag.TaskID, reps []sched.Replica, bottlen
 // max(F(t′,Pi) + W(t′,t), r(Pj)) + E(t,Pj), with W = 0 when Pi = Pj.
 func (st *state) edgeWeight(t dag.TaskID, sr sched.Replica, volume float64, pj platform.ProcID) float64 {
 	arr := sr.FinishMin + volume*st.p.Delay(sr.Proc, pj)
-	return math.Max(arr, st.board.ReadyMin[pj]) + st.cm.Cost(t, pj)
+	return max(arr, st.board.ReadyMin[pj]) + st.cm.Cost(t, pj)
 }
 
 // edgeKey is what the greedy policy orders one edge of a replica graph by,
@@ -203,17 +202,13 @@ func recomputeMatchedWindows(st *state, t dag.TaskID, reps []sched.Replica, matc
 		for predIdx, predRaw := range preds {
 			sr := st.s.Replicas(dag.TaskID(predRaw))[matched[c][predIdx]]
 			d := st.p.Delay(sr.Proc, r.Proc)
-			if a := sr.FinishMin + vols[predIdx]*d; a > arrMin {
-				arrMin = a
-			}
-			if a := sr.FinishMax + vols[predIdx]*d; a > arrMax {
-				arrMax = a
-			}
+			arrMin = max(arrMin, sr.FinishMin+vols[predIdx]*d)
+			arrMax = max(arrMax, sr.FinishMax+vols[predIdx]*d)
 		}
 		e := st.cm.Cost(t, r.Proc)
-		r.StartMin = math.Max(arrMin, st.board.ReadyMin[r.Proc])
+		r.StartMin = max(arrMin, st.board.ReadyMin[r.Proc])
 		r.FinishMin = r.StartMin + e
-		r.StartMax = math.Max(arrMax, st.board.ReadyMax[r.Proc])
+		r.StartMax = max(arrMax, st.board.ReadyMax[r.Proc])
 		r.FinishMax = r.StartMax + e
 	}
 }

@@ -75,7 +75,7 @@ func (g *Graph) rebuild(name string, tasks int, edges []edgeJSON) error {
 		if ed.Src == ed.Dst {
 			return fmt.Errorf("%w: task %d", ErrSelfLoop, ed.Src)
 		}
-		if ed.Volume < 0 {
+		if !validVolume(ed.Volume) {
 			return fmt.Errorf("%w: edge (%d,%d) volume %g", ErrNegVolume, ed.Src, ed.Dst, ed.Volume)
 		}
 		outdeg[ed.Src]++

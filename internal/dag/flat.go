@@ -205,10 +205,7 @@ func (f *Flat) BottomLevels(node, edge []float64, out []float64) []float64 {
 		}
 		best := 0.0
 		for i := lo; i < hi; i++ {
-			v := node[t] + edge[i] + bl[f.succTo[i]]
-			if v > best {
-				best = v
-			}
+			best = max(best, node[t]+edge[i]+bl[f.succTo[i]])
 		}
 		bl[t] = best
 	}

@@ -3,6 +3,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -53,8 +54,14 @@ var (
 	ErrSelfLoop      = errors.New("dag: self loop")
 	ErrDuplicateEdge = errors.New("dag: duplicate edge")
 	ErrNoSuchTask    = errors.New("dag: no such task")
-	ErrNegVolume     = errors.New("dag: negative edge volume")
+	ErrNegVolume     = errors.New("dag: edge volume is negative or not finite")
 )
+
+// validVolume reports whether v is a finite non-negative edge volume. NaN
+// passes a "v < 0" check (every comparison with it is false), and an
+// infinite volume times a zero delay is NaN; the schedulers' built-in min/max
+// folds are exact only on numbers (see package kernel).
+func validVolume(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // New returns an empty graph with the given human-readable name.
 func New(name string) *Graph { return &Graph{name: name} }
@@ -98,7 +105,7 @@ func (g *Graph) AddEdge(src, dst TaskID, volume float64) error {
 	if src == dst {
 		return fmt.Errorf("%w: task %d", ErrSelfLoop, src)
 	}
-	if volume < 0 {
+	if !validVolume(volume) {
 		return fmt.Errorf("%w: edge (%d,%d) volume %g", ErrNegVolume, src, dst, volume)
 	}
 	for _, a := range g.succs[src] {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -62,6 +63,24 @@ func TestAddEdgeErrors(t *testing.T) {
 	}
 	if err := g.AddEdge(0, 1, 2); !errors.Is(err, ErrDuplicateEdge) {
 		t.Errorf("duplicate: %v", err)
+	}
+}
+
+// TestNonFiniteVolumeRefused pins that AddEdge and the decoder's rebuild
+// refuse NaN and ±Inf volumes with ErrNegVolume, as they refuse negative
+// ones, and leave the graph without the edge.
+func TestNonFiniteVolumeRefused(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		g := NewWithTasks("g", 2)
+		if err := g.AddEdge(0, 1, v); !errors.Is(err, ErrNegVolume) {
+			t.Errorf("AddEdge volume %g: %v", v, err)
+		}
+		if g.NumEdges() != 0 {
+			t.Errorf("AddEdge volume %g: %d edges kept", v, g.NumEdges())
+		}
+		if err := g.rebuild("g", 2, []edgeJSON{{Src: 0, Dst: 1, Volume: v}}); !errors.Is(err, ErrNegVolume) {
+			t.Errorf("rebuild volume %g: %v", v, err)
+		}
 	}
 }
 

@@ -152,11 +152,8 @@ func (st *state) step() error {
 	for _, ft := range st.free.Tasks() {
 		cand = cand[:0]
 		s, r := st.bl[ft], st.makespan
-		for j, est := range st.arrivalRow(ft) {
-			if ready[j] > est {
-				est = ready[j] // S(n)(t,p) = max(arrival, r(p))
-			}
-			sigma := est + s - r
+		for j, arr := range st.arrivalRow(ft) {
+			sigma := max(arr, ready[j]) + s - r // S(n)(t,p) = max(arrival, r(p))
 			// Offered in ascending index: a pressure that does not beat the
 			// k-th smallest cannot enter.
 			if len(cand) == k && sigma >= cand[k-1].Value {
@@ -200,9 +197,7 @@ func (st *state) step() error {
 	}
 	st.board.Commit(reps)
 	for _, r := range reps {
-		if r.FinishMin > st.makespan {
-			st.makespan = r.FinishMin
-		}
+		st.makespan = max(st.makespan, r.FinishMin)
 	}
 	// Release successors and remove t from the free list.
 	st.free.Remove(t)
@@ -241,18 +236,14 @@ func (st *state) delaysTo(proc platform.ProcID) []float64 {
 }
 
 // arrivalsFrom is sched.ArrivalWindow for one destination, to being that
-// processor's delaysTo. Same sums, same comparisons, so the same bits.
+// processor's delaysTo. Same sums, same folds, so the same bits.
 func arrivalsFrom(to []float64, srcReps []sched.Replica, volume float64) (earliest, latest float64) {
 	earliest = math.Inf(1)
 	for i := range srcReps {
 		sr := &srcReps[i]
 		d := to[sr.Proc]
-		if a := sr.FinishMin + volume*d; a < earliest {
-			earliest = a
-		}
-		if a := sr.FinishMax + volume*d; a > latest {
-			latest = a
-		}
+		earliest = min(earliest, sr.FinishMin+volume*d)
+		latest = max(latest, sr.FinishMax+volume*d)
 	}
 	return earliest, latest
 }
@@ -264,12 +255,7 @@ func (st *state) windowOn(t dag.TaskID, to []float64) (arrMin, arrMax float64) {
 	vols := st.f.PredVolumes(t)
 	for i, predRaw := range st.f.PredIDs(t) {
 		eMin, eMax := arrivalsFrom(to, st.s.Replicas(dag.TaskID(predRaw)), vols[i])
-		if eMin > arrMin {
-			arrMin = eMin
-		}
-		if eMax > arrMax {
-			arrMax = eMax
-		}
+		arrMin, arrMax = max(arrMin, eMin), max(arrMax, eMax)
 	}
 	return arrMin, arrMax
 }
@@ -333,13 +319,13 @@ func (st *state) reduceArrival(t dag.TaskID, proc platform.ProcID, depth int) {
 			_, dupArrMin = st.criticalPred(critical, proc, to)
 		}
 		e := st.cm.Cost(critical, proc)
-		dupStartMin := math.Max(dupArrMin, st.board.ReadyMin[proc])
+		dupStartMin := max(dupArrMin, st.board.ReadyMin[proc])
 		dupFinishMin := dupStartMin + e
 		if dupFinishMin >= criticalArr {
 			return // duplication does not help
 		}
 		_, dupArrMax := st.windowOn(critical, to)
-		dupStartMax := math.Max(dupArrMax, st.board.ReadyMax[proc])
+		dupStartMax := max(dupArrMax, st.board.ReadyMax[proc])
 		if err := st.s.AddDuplicate(critical, sched.Replica{
 			Task: critical, Proc: proc,
 			StartMin: dupStartMin, FinishMin: dupFinishMin,
@@ -353,8 +339,6 @@ func (st *state) reduceArrival(t dag.TaskID, proc platform.ProcID, depth int) {
 		}
 		st.board.ReadyMin[proc] = dupFinishMin
 		st.board.ReadyMax[proc] = dupStartMax + e
-		if dupFinishMin > st.makespan {
-			st.makespan = dupFinishMin
-		}
+		st.makespan = max(st.makespan, dupFinishMin)
 	}
 }

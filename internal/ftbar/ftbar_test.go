@@ -153,3 +153,18 @@ func TestFTBARDeterministicWithoutRng(t *testing.T) {
 		t.Errorf("non-deterministic: (%g,%g) vs (%g,%g)", a.LowerBound(), a.UpperBound(), b.LowerBound(), b.UpperBound())
 	}
 }
+
+// uniformPlatform is m processors with unit delay d between every two of
+// them.
+func uniformPlatform(m int, d float64) (*platform.Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return platform.NewFromDelays(delay)
+}

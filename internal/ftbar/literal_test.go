@@ -188,7 +188,7 @@ func literalCases(t *testing.T, seed int64, m int) []literalCase {
 			t.Fatal(err)
 		}
 		if seed%3 == 0 {
-			if inst.Platform, err = platform.New(m, 0.75); err != nil {
+			if inst.Platform, err = uniformPlatform(m, 0.75); err != nil {
 				t.Fatal(err)
 			}
 			cost := make([][]float64, g.NumTasks())

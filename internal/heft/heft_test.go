@@ -55,7 +55,7 @@ func TestHEFTChainIsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := platform.New(3, 1)
+	p, err := uniformPlatform(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestHEFTGapFilling(t *testing.T) {
 	// insertion, task 3 (light, ready at 0) slips into P0's idle gap.
 	g := dag.NewWithTasks("gap", 4)
 	g.MustAddEdge(0, 2, 100)
-	p, err := platform.New(2, 1)
+	p, err := uniformPlatform(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,4 +158,19 @@ func TestHEFTGapFilling(t *testing.T) {
 	if s.LowerBound() > ni.LowerBound() {
 		t.Errorf("insertion %g worse than append %g", s.LowerBound(), ni.LowerBound())
 	}
+}
+
+// uniformPlatform is m processors with unit delay d between every two of
+// them.
+func uniformPlatform(m int, d float64) (*platform.Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return platform.NewFromDelays(delay)
 }

@@ -83,9 +83,10 @@ func (b *Board) Arrivals(f *dag.Flat, p *platform.Platform, s *sched.Schedule, t
 // of the replica's processor: FinishMin + V·d, minimised over the replicas
 // (the first one initialises the row, and a predecessor with a single replica
 // needs no row at all), then maximised over the predecessors into dst. These
-// are the additions and comparisons of sched.ArrivalWindow per (predecessor,
-// processor) in another loop order, and min and max do not depend on order:
-// the result is bit-equal to that fold.
+// are the additions of sched.ArrivalWindow per (predecessor, processor) in
+// another loop order, folded by the built-in min and max (branch-free; see
+// the package doc for why that is bit-equal to compare-and-assign), and min
+// and max do not depend on order: the result is bit-equal to that fold.
 func (b *Board) ArrivalsInto(dst []float64, f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID) {
 	// Resliced to one length so the loops below run without bounds checks.
 	predMin := b.predMin[:len(dst)]
@@ -105,9 +106,7 @@ func (b *Board) ArrivalsInto(dst []float64, f *dag.Flat, p *platform.Platform, s
 		case 1:
 			sr := &srcReps[0]
 			for j, d := range p.DelayRow(sr.Proc)[:len(dst)] {
-				if a := sr.FinishMin + v*d; a > dst[j] {
-					dst[j] = a
-				}
+				dst[j] = max(dst[j], sr.FinishMin+v*d)
 			}
 			continue
 		}
@@ -118,23 +117,19 @@ func (b *Board) ArrivalsInto(dst []float64, f *dag.Flat, p *platform.Platform, s
 		for c := 1; c < len(srcReps); c++ {
 			sr := &srcReps[c]
 			for j, d := range p.DelayRow(sr.Proc)[:len(predMin)] {
-				if a := sr.FinishMin + v*d; a < predMin[j] {
-					predMin[j] = a
-				}
+				predMin[j] = min(predMin[j], sr.FinishMin+v*d)
 			}
 		}
 		for j, eMin := range predMin {
-			if eMin > dst[j] {
-				dst[j] = eMin
-			}
+			dst[j] = max(dst[j], eMin)
 		}
 	}
 }
 
 // ArrivalMaxOn returns the latest time (equation 3) the data of every
 // predecessor of t can be available on proc: FinishMax + V·d maximised over
-// every replica of every predecessor, the sums and comparisons of
-// sched.ArrivalWindow's second result folded over the predecessors.
+// every replica of every predecessor, the sums of sched.ArrivalWindow's
+// second result folded by the built-in max over the predecessors.
 func (b *Board) ArrivalMaxOn(f *dag.Flat, p *platform.Platform, s *sched.Schedule, t dag.TaskID, proc platform.ProcID) float64 {
 	latest := 0.0
 	vols := f.PredVolumes(t)
@@ -143,9 +138,7 @@ func (b *Board) ArrivalMaxOn(f *dag.Flat, p *platform.Platform, s *sched.Schedul
 		srcReps := s.Replicas(dag.TaskID(pt))
 		for c := range srcReps {
 			sr := &srcReps[c]
-			if a := sr.FinishMax + v*p.Delay(sr.Proc, proc); a > latest {
-				latest = a
-			}
+			latest = max(latest, sr.FinishMax+v*p.Delay(sr.Proc, proc))
 		}
 	}
 	return latest
@@ -158,10 +151,7 @@ func (b *Board) StartMin(j int, arr, dur float64) float64 {
 	if b.insertion {
 		return b.Lines[j].EarliestFit(arr, dur)
 	}
-	if r := b.ReadyMin[j]; r > arr {
-		return r
-	}
-	return arr
+	return max(arr, b.ReadyMin[j])
 }
 
 // StartMax returns the earliest pessimistic start on processor j for inputs
@@ -169,10 +159,7 @@ func (b *Board) StartMin(j int, arr, dur float64) float64 {
 // append-only: under failures the gap structure of the optimistic timeline
 // is not guaranteed, so insertion never applies here.
 func (b *Board) StartMax(j int, arr float64) float64 {
-	if r := b.ReadyMax[j]; r > arr {
-		return r
-	}
-	return arr
+	return max(arr, b.ReadyMax[j])
 }
 
 // Commit advances the board past the given replicas: ready times move to
@@ -182,12 +169,8 @@ func (b *Board) StartMax(j int, arr float64) float64 {
 func (b *Board) Commit(reps []sched.Replica) {
 	for i := range reps {
 		r := &reps[i]
-		if r.FinishMin > b.ReadyMin[r.Proc] {
-			b.ReadyMin[r.Proc] = r.FinishMin
-		}
-		if r.FinishMax > b.ReadyMax[r.Proc] {
-			b.ReadyMax[r.Proc] = r.FinishMax
-		}
+		b.ReadyMin[r.Proc] = max(b.ReadyMin[r.Proc], r.FinishMin)
+		b.ReadyMax[r.Proc] = max(b.ReadyMax[r.Proc], r.FinishMax)
 		if b.insertion {
 			b.Lines[r.Proc].Add(r.StartMin, r.FinishMin)
 		}

@@ -18,8 +18,8 @@
 //     (platform.DelayRow, contiguous) and folds finish + V·d into the row,
 //     instead of asking sched.ArrivalWindow once per (predecessor,
 //     processor) with a doubly indexed delay lookup inside. Same additions,
-//     same comparisons, another loop order — bit-equal to that fold (pinned
-//     by test against the two-sided m-wide fold it replaced).
+//     same min/max folds, another loop order — bit-equal to that fold
+//     (pinned by test against the two-sided m-wide fold it replaced).
 //
 //     Only the half of the arrival window a scheduler reads is computed.
 //     Every scheduler selects processors on equation (1) alone, so the
@@ -58,6 +58,20 @@
 //     that are dropped. Both callers offer processors in ascending index, so
 //     once k are held an offer whose value is not below the k-th cannot
 //     enter; they test that themselves and call only for offers that do.
+//
+// Folds are written with the built-in min and max, never as
+// "if a < x { x = a }": on amd64 they compile to branch-free MINSD/MAXSD
+// sequences, where the comparison branch depended on the data and was the
+// hottest line of every scheduler. The two forms differ only when a value is
+// NaN or on a tie between +0 and -0, so they give the same bits under the
+// precondition the inputs are held to: every delay, cost and volume is
+// finite and non-negative (platform's constructors, CostModel.Scale and
+// dag.Graph.AddEdge refuse NaN and ±Inf), and every fold starts from +0, a
+// finite sum or the +Inf "no replica" sentinel, so no -0 arises. Selection,
+// which has to branch (KeepSmallest, the callers' skip test,
+// Timeline.EarliestFit), keeps its comparisons. The replayer in
+// sim/replay.go is the exception that still folds by comparison until the
+// replay order is settled (ROADMAP item 1).
 //
 // The kernel is deliberately policy-free: what value a processor is ranked
 // by (finish time, pressure) and how many are kept stays in the schedulers.

@@ -64,35 +64,115 @@ func literalArrivals(arrMin, arrMax []float64, f *dag.Flat, p *platform.Platform
 	}
 }
 
+// literalStart is Board.StartMin (append mode) and StartMax as they were
+// written before the built-in max: the ready time when it is later than the
+// arrival, the arrival otherwise.
+func literalStart(ready, arr float64) float64 {
+	if ready > arr {
+		return ready
+	}
+	return arr
+}
+
+// literalCommit is Board.Commit's ready-time advance as it was written before
+// the built-in max.
+func literalCommit(readyMin, readyMax []float64, reps []sched.Replica) {
+	for _, r := range reps {
+		if r.FinishMin > readyMin[r.Proc] {
+			readyMin[r.Proc] = r.FinishMin
+		}
+		if r.FinishMax > readyMax[r.Proc] {
+			readyMax[r.Proc] = r.FinishMax
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns, so
+// that +0 and -0, or two NaNs, are told apart where == would not.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // TestBoardArrivalsMatchesDirect builds a schedule task by task and requires
 // the board's ArrMin row and ArrivalMaxOn, for every (task, processor), to
 // equal bit for bit both literalArrivals and the fold of sched.ArrivalWindow
-// over the predecessors: with one and with several replicas per predecessor,
-// with duplicates appended to placed predecessors (FTBAR's
-// Minimize-Start-Time), on a single processor, and with zero-volume edges.
+// over the predecessors, and StartMin, StartMax and Commit to equal their
+// compare-and-assign forms (literalStart, literalCommit) bit for bit: with
+// one and with several replicas per predecessor, with duplicates appended to
+// placed predecessors (FTBAR's Minimize-Start-Time), on a single processor,
+// with zero-volume edges, with zero volumes, delays and costs at once (every
+// fold meets +0 ties), and with equal delays and per-task equal costs (exact
+// ties across processors). Before anything is placed every predecessor is
+// without a sender and the row must read +Inf (HEFT can meet that row).
 // Entry tasks must read zero everywhere, and ArrivalsInto must write the same
-// row into storage of the caller's.
+// row into storage of the caller's. The board folds with the built-in min and
+// max; these cases are where those could differ from the comparisons they
+// replaced if a -0 or a NaN ever reached them.
 func TestBoardArrivalsMatchesDirect(t *testing.T) {
 	for _, tc := range []struct {
 		name                string
 		m, replicas         int
 		duplicates, zeroVol bool
+		zeroDelay, zeroCost bool
+		ties                bool
 	}{
 		{name: "one replica", m: 20, replicas: 1},
 		{name: "three replicas", m: 20, replicas: 3},
 		{name: "duplicated predecessors", m: 8, replicas: 2, duplicates: true},
 		{name: "single processor", m: 1, replicas: 1},
 		{name: "zero-volume edges", m: 5, replicas: 2, zeroVol: true},
+		{name: "zero volumes delays and costs", m: 5, replicas: 2, duplicates: true, zeroVol: true, zeroDelay: true, zeroCost: true},
+		{name: "ties across processors", m: 6, replicas: 3, duplicates: true, ties: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inst := testInstance(t, 3, tc.m)
 			g, p, cm := inst.Graph, inst.Platform, inst.Costs
-			if tc.zeroVol {
-				zero := dag.NewWithTasks(g.Name(), g.NumTasks())
+			if tc.zeroVol || tc.ties {
+				// Integral volumes under ties, so that sums of volume·delay
+				// and costs collide exactly.
+				flat := dag.NewWithTasks(g.Name(), g.NumTasks())
 				for _, e := range g.Edges() {
-					zero.MustAddEdge(e.Src, e.Dst, 0)
+					v := 0.0
+					if !tc.zeroVol {
+						v = float64(1 + int(e.Volume)%4)
+					}
+					flat.MustAddEdge(e.Src, e.Dst, v)
 				}
-				g = zero
+				g = flat
+			}
+			if tc.zeroDelay || tc.ties {
+				d := 0.0
+				if tc.ties {
+					d = 1
+				}
+				delay := make([][]float64, tc.m)
+				for k := range delay {
+					delay[k] = make([]float64, tc.m)
+					for h := range delay[k] {
+						if h != k {
+							delay[k][h] = d
+						}
+					}
+				}
+				var err error
+				if p, err = platform.NewFromDelays(delay); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.zeroCost || tc.ties {
+				cost := make([][]float64, g.NumTasks())
+				for task := range cost {
+					cost[task] = make([]float64, tc.m)
+					if tc.ties {
+						for j := range cost[task] {
+							cost[task][j] = float64(1 + task%3)
+						}
+					}
+				}
+				var err error
+				if cm, err = platform.NewCostModelFromMatrix(cost); err != nil {
+					t.Fatal(err)
+				}
 			}
 			s, err := sched.New(g, p, cm, tc.replicas-1, sched.PatternAll, "test")
 			if err != nil {
@@ -106,16 +186,32 @@ func TestBoardArrivalsMatchesDirect(t *testing.T) {
 			}
 			order := f.TopologicalOrder()
 			refMin, refMax, into := make([]float64, tc.m), make([]float64, tc.m), make([]float64, tc.m)
+			readyMin, readyMax := make([]float64, tc.m), make([]float64, tc.m)
 			// replicaOn is where the board can run task on processor j, given
-			// the arrivals it has just computed for task.
+			// the arrivals it has just computed for task; its starts must be
+			// literalStart's.
 			replicaOn := func(task dag.TaskID, j int) sched.Replica {
 				e := cm.Cost(task, platform.ProcID(j))
+				arrMax := b.ArrivalMaxOn(f, p, s, task, platform.ProcID(j))
 				sMin := b.StartMin(j, b.ArrMin[j], e)
-				sMax := b.StartMax(j, b.ArrivalMaxOn(f, p, s, task, platform.ProcID(j)))
+				sMax := b.StartMax(j, arrMax)
+				if want := literalStart(readyMin[j], b.ArrMin[j]); math.Float64bits(sMin) != math.Float64bits(want) {
+					t.Fatalf("task %d proc %d: StartMin %g, literal %g", task, j, sMin, want)
+				}
+				if want := literalStart(readyMax[j], arrMax); math.Float64bits(sMax) != math.Float64bits(want) {
+					t.Fatalf("task %d proc %d: StartMax %g, literal %g", task, j, sMax, want)
+				}
 				return sched.Replica{
 					Task: task, Proc: platform.ProcID(j),
 					StartMin: sMin, FinishMin: sMin + e,
 					StartMax: sMax, FinishMax: sMax + e,
+				}
+			}
+			commit := func(reps []sched.Replica) {
+				b.Commit(reps)
+				literalCommit(readyMin, readyMax, reps)
+				if !sameBits(b.ReadyMin, readyMin) || !sameBits(b.ReadyMax, readyMax) {
+					t.Fatalf("Commit: board ready (%v, %v), literal (%v, %v)", b.ReadyMin, b.ReadyMax, readyMin, readyMax)
 				}
 			}
 			// With nothing placed yet no predecessor has a sender: the minimum
@@ -123,20 +219,28 @@ func TestBoardArrivalsMatchesDirect(t *testing.T) {
 			for _, task := range order {
 				b.Arrivals(f, p, s, task)
 				literalArrivals(refMin, refMax, f, p, s, task)
-				if !slices.Equal(b.ArrMin, refMin) {
+				if !sameBits(b.ArrMin, refMin) {
 					t.Fatalf("task %d before any placement: board %v, literal %v", task, b.ArrMin, refMin)
+				}
+				if f.InDegree(task) > 0 && !math.IsInf(b.ArrMin[0], 1) {
+					t.Fatalf("task %d before any placement: arrival %g, want +Inf", task, b.ArrMin[0])
+				}
+				for j := 0; j < tc.m; j++ {
+					if got := b.ArrivalMaxOn(f, p, s, task, platform.ProcID(j)); math.Float64bits(got) != math.Float64bits(refMax[j]) {
+						t.Fatalf("task %d proc %d before any placement: ArrivalMaxOn %g, literal %g", task, j, got, refMax[j])
+					}
 				}
 			}
 			for n, task := range order {
 				b.Arrivals(f, p, s, task)
 				literalArrivals(refMin, refMax, f, p, s, task)
 				b.ArrivalsInto(into, f, p, s, task)
-				if !slices.Equal(into, b.ArrMin) {
+				if !sameBits(into, b.ArrMin) {
 					t.Fatalf("task %d: ArrivalsInto wrote %v, Arrivals %v", task, into, b.ArrMin)
 				}
 				for j := 0; j < tc.m; j++ {
 					gotMin, gotMax := b.ArrMin[j], b.ArrivalMaxOn(f, p, s, task, platform.ProcID(j))
-					if gotMin != refMin[j] || gotMax != refMax[j] {
+					if !sameBits([]float64{gotMin, gotMax}, []float64{refMin[j], refMax[j]}) {
 						t.Fatalf("task %d proc %d: board (%g,%g), literal (%g,%g)",
 							task, j, gotMin, gotMax, refMin[j], refMax[j])
 					}
@@ -146,7 +250,7 @@ func TestBoardArrivalsMatchesDirect(t *testing.T) {
 						wantMin = math.Max(wantMin, eMin)
 						wantMax = math.Max(wantMax, eMax)
 					}
-					if gotMin != wantMin || gotMax != wantMax {
+					if !sameBits([]float64{gotMin, gotMax}, []float64{wantMin, wantMax}) {
 						t.Fatalf("task %d proc %d: board (%g,%g), direct (%g,%g)",
 							task, j, gotMin, gotMax, wantMin, wantMax)
 					}
@@ -163,13 +267,13 @@ func TestBoardArrivalsMatchesDirect(t *testing.T) {
 				if err := s.Place(task, reps); err != nil {
 					t.Fatal(err)
 				}
-				b.Commit(reps)
+				commit(reps)
 				if tc.duplicates && n%2 == 0 {
 					dup := replicaOn(task, (n+tc.replicas)%tc.m)
 					if err := s.AddDuplicate(task, dup); err != nil {
 						t.Fatal(err)
 					}
-					b.Commit([]sched.Replica{dup})
+					commit([]sched.Replica{dup})
 				}
 			}
 			if err := s.Validate(); err != nil {

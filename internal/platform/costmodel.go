@@ -31,7 +31,7 @@ func NewCostModel(v, m int) (*CostModel, error) {
 }
 
 // NewCostModelFromMatrix wraps an explicit matrix (copied; rows must be equal
-// length and entries non-negative).
+// length and entries finite and non-negative).
 func NewCostModelFromMatrix(cost [][]float64) (*CostModel, error) {
 	if len(cost) == 0 {
 		return nil, fmt.Errorf("platform: empty cost matrix")
@@ -46,8 +46,8 @@ func NewCostModelFromMatrix(cost [][]float64) (*CostModel, error) {
 			return nil, fmt.Errorf("%w: cost row %d has %d entries, want %d", ErrDimension, t, len(cost[t]), m)
 		}
 		for k, c := range cost[t] {
-			if c < 0 {
-				return nil, fmt.Errorf("platform: negative cost E(%d,P%d)=%g", t, k, c)
+			if !finiteNonNeg(c) {
+				return nil, fmt.Errorf("platform: cost E(%d,P%d)=%g is negative or not finite", t, k, c)
 			}
 		}
 		cm.cost[t] = append([]float64(nil), cost[t]...)
@@ -59,7 +59,7 @@ func NewCostModelFromMatrix(cost [][]float64) (*CostModel, error) {
 // every task/processor pair — the unrelated-machines model used by the
 // paper's experiments.
 func NewRandomCostModel(rng *rand.Rand, v, m int, minCost, maxCost float64) (*CostModel, error) {
-	if minCost < 0 || maxCost < minCost {
+	if !finiteNonNeg(minCost) || !finiteNonNeg(maxCost) || maxCost < minCost {
 		return nil, fmt.Errorf("platform: invalid cost range [%g,%g)", minCost, maxCost)
 	}
 	cm, err := NewCostModel(v, m)
@@ -158,11 +158,20 @@ func (cm *CostModel) MeanOverTasks() float64 {
 	return sum / float64(len(cm.cost))
 }
 
-// Scale multiplies every execution cost by factor (>= 0); used by the
-// workload generator to hit a target granularity.
+// Scale multiplies every execution cost by factor (finite, >= 0); used by
+// the workload generator to hit a target granularity.
 func (cm *CostModel) Scale(factor float64) error {
-	if factor < 0 {
-		return fmt.Errorf("platform: negative scale factor %g", factor)
+	if !finiteNonNeg(factor) {
+		return fmt.Errorf("platform: scale factor %g is negative or not finite", factor)
+	}
+	// Checked before anything is written, so a refused factor leaves the
+	// model as it was.
+	for t := range cm.cost {
+		for k, c := range cm.cost[t] {
+			if !finiteNonNeg(c * factor) {
+				return fmt.Errorf("platform: scaling E(%d,P%d)=%g by %g overflows", t, k, c, factor)
+			}
+		}
 	}
 	for t := range cm.cost {
 		for k := range cm.cost[t] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -29,29 +30,15 @@ var (
 	ErrDimension = errors.New("platform: dimension mismatch")
 )
 
-// New creates a platform with m processors and all inter-processor unit
-// delays set to delay (intra-processor delays are 0).
-func New(m int, delay float64) (*Platform, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadSize, m)
-	}
-	if delay < 0 {
-		return nil, fmt.Errorf("%w: %g", ErrBadDelay, delay)
-	}
-	p := &Platform{m: m, delay: make([][]float64, m)}
-	for k := 0; k < m; k++ {
-		p.delay[k] = make([]float64, m)
-		for h := 0; h < m; h++ {
-			if h != k {
-				p.delay[k][h] = delay
-			}
-		}
-	}
-	return p, nil
-}
+// finiteNonNeg reports whether x is a finite non-negative number. A "x < 0"
+// check lets NaN through (every comparison with it is false), and an
+// infinite delay or cost turns into NaN as soon as it meets a zero (∞·0,
+// ∞−∞); the schedulers' built-in min/max folds are exact only on numbers
+// (see package kernel), so the constructors refuse both.
+func finiteNonNeg(x float64) bool { return x >= 0 && x <= math.MaxFloat64 }
 
 // NewFromDelays builds a platform from an explicit delay matrix. The diagonal
-// must be zero and all entries non-negative.
+// must be zero and all entries finite and non-negative.
 func NewFromDelays(delay [][]float64) (*Platform, error) {
 	m := len(delay)
 	if m == 0 {
@@ -63,7 +50,7 @@ func NewFromDelays(delay [][]float64) (*Platform, error) {
 			return nil, fmt.Errorf("%w: row %d has %d entries, want %d", ErrDimension, k, len(delay[k]), m)
 		}
 		for h, d := range delay[k] {
-			if d < 0 {
+			if !finiteNonNeg(d) {
 				return nil, fmt.Errorf("%w: d(P%d,P%d)=%g", ErrBadDelay, k, h, d)
 			}
 			if h == k && d != 0 {
@@ -82,7 +69,7 @@ func NewRandom(rng *rand.Rand, m int, minDelay, maxDelay float64) (*Platform, er
 	if m <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadSize, m)
 	}
-	if minDelay < 0 || maxDelay < minDelay {
+	if !finiteNonNeg(minDelay) || !finiteNonNeg(maxDelay) || maxDelay < minDelay {
 		return nil, fmt.Errorf("%w: range [%g,%g)", ErrBadDelay, minDelay, maxDelay)
 	}
 	p := &Platform{m: m, delay: make([][]float64, m)}

@@ -11,8 +11,64 @@ import (
 	"ftsched/internal/dag"
 )
 
+// uniform is m processors with unit delay d between every two of them.
+func uniform(m int, d float64) (*Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return NewFromDelays(delay)
+}
+
+// TestNonFiniteRefused pins that every constructor refuses NaN and ±Inf as
+// well as negatives: a "< 0" check lets NaN through, and ∞ turns into NaN
+// next to a zero, which the schedulers' built-in min/max folds would carry
+// into a schedule instead of ignoring.
+func TestNonFiniteRefused(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		name string
+		err  func() error
+	}{
+		{"delay NaN", func() error { _, err := NewFromDelays([][]float64{{0, nan}, {1, 0}}); return err }},
+		{"delay +Inf", func() error { _, err := NewFromDelays([][]float64{{0, 1}, {inf, 0}}); return err }},
+		{"delay -Inf", func() error { _, err := NewFromDelays([][]float64{{0, math.Inf(-1)}, {1, 0}}); return err }},
+		{"random delay min NaN", func() error { _, err := NewRandom(rng, 3, nan, 1); return err }},
+		{"random delay max NaN", func() error { _, err := NewRandom(rng, 3, 0.5, nan); return err }},
+		{"random delay max +Inf", func() error { _, err := NewRandom(rng, 3, 0.5, inf); return err }},
+		{"cost NaN", func() error { _, err := NewCostModelFromMatrix([][]float64{{nan, 1}}); return err }},
+		{"cost +Inf", func() error { _, err := NewCostModelFromMatrix([][]float64{{1, inf}}); return err }},
+		{"random cost min NaN", func() error { _, err := NewRandomCostModel(rng, 2, 2, nan, 1); return err }},
+		{"random cost max +Inf", func() error { _, err := NewRandomCostModel(rng, 2, 2, 1, inf); return err }},
+		{"scale NaN", func() error { cm, _ := NewCostModel(2, 2); return cm.Scale(nan) }},
+		{"scale +Inf", func() error { cm, _ := NewCostModel(2, 2); return cm.Scale(inf) }},
+		{"scale overflows", func() error {
+			cm, _ := NewCostModelFromMatrix([][]float64{{1, 1e300}})
+			return cm.Scale(1e10)
+		}},
+	} {
+		if tc.err() == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// A refused scale leaves the model as it was.
+	cm, err := NewCostModelFromMatrix([][]float64{{1, 1e300}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cm.Scale(1e10) == nil || cm.Cost(0, 0) != 1 || cm.Cost(0, 1) != 1e300 {
+		t.Errorf("overflowing scale: costs now %g, %g", cm.Cost(0, 0), cm.Cost(0, 1))
+	}
+}
+
 func TestNewUniformPlatform(t *testing.T) {
-	p, err := New(4, 2.5)
+	p, err := uniform(4, 2.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +97,10 @@ func TestNewUniformPlatform(t *testing.T) {
 }
 
 func TestNewErrors(t *testing.T) {
-	if _, err := New(0, 1); err == nil {
+	if _, err := uniform(0, 1); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := New(2, -1); err == nil {
+	if _, err := uniform(2, -1); err == nil {
 		t.Error("negative delay accepted")
 	}
 	if _, err := NewFromDelays([][]float64{{0, 1}, {1}}); err == nil {
@@ -95,7 +151,7 @@ func TestNewRandomInRangeAndSymmetric(t *testing.T) {
 }
 
 func TestMeanDelaySingleProc(t *testing.T) {
-	p, err := New(1, 0)
+	p, err := uniform(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +282,7 @@ func TestGranularityDefinition(t *testing.T) {
 	// slowest computations are 6 and 8: g = (6+8)/(10*2) = 0.7.
 	g := dag.NewWithTasks("g", 2)
 	g.MustAddEdge(0, 1, 10)
-	p, err := New(2, 2)
+	p, err := uniform(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +301,7 @@ func TestGranularityDefinition(t *testing.T) {
 
 func TestGranularityNoEdges(t *testing.T) {
 	g := dag.NewWithTasks("g", 2)
-	p, _ := New(2, 1)
+	p, _ := uniform(2, 1)
 	cm, _ := NewCostModelFromMatrix([][]float64{{1, 1}, {1, 1}})
 	if _, err := Granularity(g, cm, p); err == nil {
 		t.Error("granularity of edgeless graph accepted")

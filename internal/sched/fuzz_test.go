@@ -25,7 +25,7 @@ func fuzzInstance(tb testing.TB) (*dag.Graph, *platform.Platform, *platform.Cost
 			tb.Fatal(err)
 		}
 	}
-	p, err := platform.New(3, 0.5)
+	p, err := uniformPlatform(3, 0.5)
 	if err != nil {
 		tb.Fatal(err)
 	}

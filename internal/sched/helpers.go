@@ -21,12 +21,8 @@ func ArrivalWindow(p *platform.Platform, srcReps []Replica, volume float64, proc
 	earliest = math.Inf(1)
 	for _, sr := range srcReps {
 		d := p.Delay(sr.Proc, proc)
-		if a := sr.FinishMin + volume*d; a < earliest {
-			earliest = a
-		}
-		if a := sr.FinishMax + volume*d; a > latest {
-			latest = a
-		}
+		earliest = min(earliest, sr.FinishMin+volume*d)
+		latest = max(latest, sr.FinishMax+volume*d)
 	}
 	return earliest, latest
 }

@@ -203,7 +203,7 @@ func TestSweepPolicies(t *testing.T) {
 // search, and a probe that fails ends it with that probe's error.
 func TestMaxToleratedFailures(t *testing.T) {
 	g := dag.NewWithTasks("one", 1)
-	p, err := platform.New(4, 1)
+	p, err := uniformPlatform(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ func fixture(t *testing.T) (*dag.Graph, *platform.Platform, *platform.CostModel)
 	t.Helper()
 	g := dag.NewWithTasks("pair", 2)
 	g.MustAddEdge(0, 1, 10)
-	p, err := platform.New(3, 1)
+	p, err := uniformPlatform(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestDeadlines(t *testing.T) {
 	g := dag.NewWithTasks("chain3", 3)
 	g.MustAddEdge(0, 1, 10)
 	g.MustAddEdge(1, 2, 10)
-	p, err := platform.New(2, 1)
+	p, err := uniformPlatform(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestDeadlines(t *testing.T) {
 }
 
 func TestArrivalWindow(t *testing.T) {
-	p, err := platform.New(3, 2)
+	p, err := uniformPlatform(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,4 +347,19 @@ func TestMappingOrderIsCopied(t *testing.T) {
 	if s.MappingOrder()[0] == 99 {
 		t.Error("MappingOrder leaked internal slice")
 	}
+}
+
+// uniformPlatform is m processors with unit delay d between every two of
+// them.
+func uniformPlatform(m int, d float64) (*platform.Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return platform.NewFromDelays(delay)
 }

@@ -14,7 +14,7 @@ func TestTheoreticalBoundsHandComputed(t *testing.T) {
 	g := dag.NewWithTasks("chain3", 3)
 	g.MustAddEdge(0, 1, 10)
 	g.MustAddEdge(1, 2, 10)
-	p, err := platform.New(2, 1)
+	p, err := uniformPlatform(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

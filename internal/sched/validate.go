@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -117,9 +116,12 @@ func (s *Schedule) validateArrivals(t dag.TaskID, used []bool) error {
 		switch s.CommPattern {
 		case PatternAll:
 			for _, dr := range s.replicas[t] {
-				earliest, latest := ArrivalWindow(s.Platform, srcReps, pe.Volume, dr.Proc)
-				if len(baseReps) < len(srcReps) {
-					_, latest = ArrivalWindow(s.Platform, baseReps, pe.Volume, dr.Proc)
+				// One pass over the copies: the window of the base replicas,
+				// then the duplicates' optimistic arrivals folded into its
+				// earliest end.
+				earliest, latest := ArrivalWindow(s.Platform, baseReps, pe.Volume, dr.Proc)
+				for _, sr := range srcReps[len(baseReps):] {
+					earliest = min(earliest, sr.FinishMin+pe.Volume*s.Platform.Delay(sr.Proc, dr.Proc))
 				}
 				if dr.StartMin < earliest-timeEps {
 					return fmt.Errorf("%w: task %d copy %d starts at %g before earliest arrival %g from pred %d",
@@ -179,7 +181,9 @@ func (s *Schedule) validateTimelines() error {
 		copy          int
 	}
 	// One flat buffer bucketed by processor, filled once per window in
-	// (task, copy) order: spans[lo[p]:lo[p+1]] is what runs on Pp.
+	// (mapping position, copy) order: spans[lo[p]:lo[p+1]] is what runs on
+	// Pp. A processor's replicas mostly start in the order they were mapped,
+	// so the sort below mostly finds its bucket already in order.
 	m := s.Platform.NumProcs()
 	lo := make([]int, m+1)
 	for t := range s.replicas {
@@ -194,9 +198,9 @@ func (s *Schedule) validateTimelines() error {
 	next := make([]int, m)
 	for pass, kind := range [...]string{"Min", "Max"} {
 		copy(next, lo)
-		for t := range s.replicas {
+		for _, t := range s.mappingOrder {
 			for _, r := range s.replicas[t] {
-				sp := span{r.StartMin, r.FinishMin, dag.TaskID(t), r.Copy}
+				sp := span{r.StartMin, r.FinishMin, t, r.Copy}
 				if pass == 1 {
 					sp.start, sp.finish = r.StartMax, r.FinishMax
 				}
@@ -206,7 +210,17 @@ func (s *Schedule) validateTimelines() error {
 		}
 		for p := 0; p < m; p++ {
 			ss := spans[lo[p]:lo[p+1]]
-			slices.SortFunc(ss, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+			slices.SortFunc(ss, func(a, b span) int {
+				// Starts are finite: the plain comparisons order them as
+				// cmp.Compare would, without its NaN cases.
+				switch {
+				case a.start < b.start:
+					return -1
+				case a.start > b.start:
+					return 1
+				}
+				return 0
+			})
 			for i := 1; i < len(ss); i++ {
 				if ss[i].start < ss[i-1].finish-timeEps {
 					return fmt.Errorf("%w: P%d %s window: task %d copy %d [%g,%g) overlaps task %d copy %d [%g,%g)",

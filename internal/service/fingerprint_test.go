@@ -21,7 +21,7 @@ func testInstance(t *testing.T, name string) (*dag.Graph, *platform.Platform, *p
 			t.Fatal(err)
 		}
 	}
-	p, err := platform.New(3, 0.5)
+	p, err := uniformPlatform(3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,4 +199,19 @@ func BenchmarkRequestFingerprint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkFingerprint = RequestFingerprint(req)
 	}
+}
+
+// uniformPlatform is m processors with unit delay d between every two of
+// them.
+func uniformPlatform(m int, d float64) (*platform.Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return platform.NewFromDelays(delay)
 }

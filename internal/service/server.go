@@ -593,9 +593,9 @@ func buildResponse(req *ScheduleRequest, schedule *sched.Schedule) ([]byte, erro
 		Tasks:      req.Graph.NumTasks(),
 		Procs:      req.Platform.NumProcs(),
 		Pattern:    schedule.CommPattern.String(),
-		LowerBound: schedule.LowerBound(),
-		UpperBound: schedule.UpperBound(),
-		Messages:   schedule.MessageCount(),
+		LowerBound: m.LowerBound,
+		UpperBound: m.UpperBound,
+		Messages:   m.Messages,
 		Metrics: ResponseMetrics{
 			TotalWork:         m.TotalWork,
 			Replicas:          m.Replicas,
@@ -608,7 +608,7 @@ func buildResponse(req *ScheduleRequest, schedule *sched.Schedule) ([]byte, erro
 		},
 	}
 	if req.Lambda > 0 {
-		mission := schedule.UpperBound()
+		mission := m.UpperBound
 		surv, err := reliability.SurvivalLowerBound(
 			reliability.Exponential{Lambda: req.Lambda},
 			req.Platform.NumProcs(), schedule.Epsilon, mission)

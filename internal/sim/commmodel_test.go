@@ -9,7 +9,7 @@ import (
 
 func testPlatform(t *testing.T) *platform.Platform {
 	t.Helper()
-	p, err := platform.New(3, 2.0) // d = 2 between distinct processors
+	p, err := uniformPlatform(3, 2.0) // d = 2 between distinct processors
 	if err != nil {
 		t.Fatal(err)
 	}

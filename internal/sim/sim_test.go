@@ -160,7 +160,7 @@ func TestMidExecutionCrashDeliversEarlierWork(t *testing.T) {
 	// P0 are usable.
 	g := dag.NewWithTasks("chain2", 2)
 	g.MustAddEdge(0, 1, 10)
-	p, err := platform.New(2, 1.0)
+	p, err := uniformPlatform(2, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,4 +249,19 @@ func TestScenarioValidation(t *testing.T) {
 	if got := sc.NumFailedBefore(math.Inf(1)); got != 1 {
 		t.Errorf("%d failed, want 1", got)
 	}
+}
+
+// uniformPlatform is m processors with unit delay d between every two of
+// them.
+func uniformPlatform(m int, d float64) (*platform.Platform, error) {
+	delay := make([][]float64, m)
+	for k := range delay {
+		delay[k] = make([]float64, m)
+		for h := range delay[k] {
+			if h != k {
+				delay[k][h] = d
+			}
+		}
+	}
+	return platform.NewFromDelays(delay)
 }

@@ -28,7 +28,7 @@ func buildChainSchedule(t *testing.T) *sched.Schedule {
 	t.Helper()
 	g := dag.NewWithTasks("chain2", 2)
 	g.MustAddEdge(0, 1, 10)
-	p, err := platform.New(2, 1.0)
+	p, err := uniformPlatform(2, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
