@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 
 	"ftsched/internal/dag"
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/workload"
 )
 
@@ -68,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rng := rand.New(rand.NewSource(*seed))
+	rng := lazyrand.New(*seed)
 	g, err := buildGraph(rng, *family, *tasks, *n, *vol)
 	var inst *workload.Instance
 	if err == nil {

@@ -64,7 +64,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -73,6 +72,7 @@ import (
 
 	"ftsched/internal/cli"
 	"ftsched/internal/dag"
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/mission"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
@@ -254,7 +254,7 @@ func (o *options) run() error {
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(o.seed))
+	rng := lazyrand.New(o.seed)
 	switch {
 	case o.maxEps:
 		best, s, err := sched.MaxToleratedFailures("ftsa", g, p, cm, sched.RunOptions{Rng: rng}, o.latency)
@@ -512,7 +512,7 @@ func (o *options) runCompare(g *dag.Graph, p *platform.Platform, cm *platform.Co
 		}
 		start := time.Now()
 		s, err := sched.Run(r.Name(), g, p, cm, sched.RunOptions{
-			Epsilon: runEps, Rng: rand.New(rand.NewSource(o.seed)),
+			Epsilon: runEps, Rng: lazyrand.New(o.seed),
 		})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"ftsched/internal/dag"
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/sched"
 	_ "ftsched/internal/schedulers" // register every built-in scheduler
 	"ftsched/internal/sim"
@@ -411,7 +412,7 @@ func reseeded(rng *rand.Rand, seed int64) *rand.Rand {
 }
 
 // newRng returns a generator for reseeded; its initial stream is never read.
-func newRng() *rand.Rand { return rand.New(rand.NewSource(0)) }
+func newRng() *rand.Rand { return lazyrand.New(0) }
 
 // instance materializes the cell's problem instance from its deterministic
 // seed.

@@ -2,8 +2,8 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/stats"
@@ -56,7 +56,7 @@ func RunCommModels(cfg CommModelsConfig) (*Figure, error) {
 	if len(cfg.Granularities) == 0 || cfg.GraphsPerPoint < 1 {
 		return nil, fmt.Errorf("expt: empty X6 sweep")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 	fig := &Figure{
 		Title:  fmt.Sprintf("X6: latency under contention-limited links, ε=%d, m=%d", cfg.Epsilon, cfg.Procs),
 		XLabel: "Granularity", YLabel: "Normalized Latency",

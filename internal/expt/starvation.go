@@ -2,8 +2,8 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
@@ -52,7 +52,7 @@ func RunStarvation(cfg StarvationConfig) (*Figure, error) {
 	if cfg.GraphsPerPoint < 1 || len(cfg.TaskCounts) == 0 {
 		return nil, fmt.Errorf("expt: empty starvation sweep")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 	fig := &Figure{
 		Title:  fmt.Sprintf("X4: single-crash starvation under strict matched semantics, ε=%d, m=%d", cfg.Epsilon, cfg.Procs),
 		XLabel: "Tasks", YLabel: "Rate (%)",

@@ -2,9 +2,9 @@ package expt
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/sched"
 	"ftsched/internal/workload"
 )
@@ -51,7 +51,7 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	if cfg.Procs < cfg.Epsilon+1 {
 		return nil, fmt.Errorf("expt: ε=%d needs more than %d processors", cfg.Epsilon, cfg.Procs)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := lazyrand.New(cfg.Seed)
 	rows := make([]Table1Row, 0, len(cfg.TaskCounts))
 	for _, v := range cfg.TaskCounts {
 		inst, err := workload.NewInstance(rng, paperWorkload(1, cfg.Procs, v, v))

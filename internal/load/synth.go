@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/sim"
 )
 
@@ -113,7 +114,7 @@ type tuneParams struct {
 
 // Request synthesizes the request at the given stream index.
 func (sy *Synthesizer) Request(index uint64) (*Request, error) {
-	rng := rand.New(rand.NewSource(requestSeed(sy.seed, index)))
+	rng := lazyrand.New(requestSeed(sy.seed, index))
 	u := rng.Float64()
 	rank := sy.zipf.Sample(rng)
 	item := &sy.corpus.items[rank]

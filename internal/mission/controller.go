@@ -9,6 +9,7 @@ import (
 
 	"ftsched/internal/dag"
 	"ftsched/internal/kernel"
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
@@ -183,9 +184,9 @@ func (c *Controller) rngFor(seg int) *rand.Rand {
 		return nil
 	}
 	if seg == 0 {
-		return rand.New(rand.NewSource(c.spec.Seed))
+		return lazyrand.New(c.spec.Seed)
 	}
-	return rand.New(rand.NewSource(sim.TrialSeed(c.spec.Seed, seg)))
+	return lazyrand.New(sim.TrialSeed(c.spec.Seed, seg))
 }
 
 // Run executes one mission under the failure scenario, streaming events to

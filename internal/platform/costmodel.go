@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/wire"
@@ -129,17 +129,18 @@ func (cm *CostModel) Min(t dag.TaskID) float64 {
 // processors for t, the E̅(ti) of the deadline computation (Section 4.3,
 // with n = ε+1).
 func (cm *CostModel) MeanFastest(t dag.TaskID, n int) float64 {
-	row := append([]float64(nil), cm.cost[t]...)
-	sort.Float64s(row)
 	if n <= 0 {
 		return 0
 	}
-	if n > len(row) {
-		n = len(row)
-	}
+	// The row is sorted in a copy on the stack up to 64 processors, so the
+	// call allocates nothing on the platforms this system schedules.
+	var buf [64]float64
+	row := append(buf[:0], cm.cost[t]...)
+	slices.Sort(row)
+	n = min(n, len(row))
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += row[i]
+	for _, c := range row[:n] {
+		sum += c
 	}
 	return sum / float64(n)
 }

@@ -107,6 +107,11 @@ func Deadlines(g *dag.Graph, cm *platform.CostModel, p *platform.Platform, epsil
 		return nil, err
 	}
 	fastD := p.MeanDelayFastestLinks(epsilon + 1)
+	// E̅ once per task, not once per edge into it.
+	meanFast := make([]float64, f.NumTasks())
+	for t := range meanFast {
+		meanFast[t] = cm.MeanFastest(dag.TaskID(t), epsilon+1)
+	}
 	d := make([]float64, f.NumTasks())
 	for _, t := range f.ReverseTopologicalOrder() {
 		succs := f.SuccIDs(t)
@@ -117,7 +122,7 @@ func Deadlines(g *dag.Graph, cm *platform.CostModel, p *platform.Platform, epsil
 		best := math.Inf(1)
 		vols := f.SuccVolumes(t)
 		for i, s := range succs {
-			v := d[s] - cm.MeanFastest(dag.TaskID(s), epsilon+1) - vols[i]*fastD
+			v := d[s] - meanFast[s] - vols[i]*fastD
 			if v < best {
 				best = v
 			}

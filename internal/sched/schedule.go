@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"ftsched/internal/dag"
@@ -255,7 +256,7 @@ func (s *Schedule) Complete() bool {
 // fails — the maximum over exit tasks of the earliest replica finish time.
 func (s *Schedule) LowerBound() float64 {
 	bound := 0.0
-	for _, t := range s.Graph.Exits() {
+	for _, t := range s.exits() {
 		reps := s.replicas[t]
 		if len(reps) == 0 {
 			return math.Inf(1)
@@ -278,7 +279,7 @@ func (s *Schedule) LowerBound() float64 {
 // with finish times computed pessimistically (equation 3).
 func (s *Schedule) UpperBound() float64 {
 	bound := 0.0
-	for _, t := range s.Graph.Exits() {
+	for _, t := range s.exits() {
 		reps := s.replicas[t]
 		if len(reps) == 0 {
 			return math.Inf(1)
@@ -290,6 +291,15 @@ func (s *Schedule) UpperBound() float64 {
 		}
 	}
 	return bound
+}
+
+// exits returns the graph's exit tasks: the frozen view's memoised list, so a
+// bound allocates nothing, or a fresh walk of a graph that does not freeze.
+func (s *Schedule) exits() []dag.TaskID {
+	if f, err := s.Graph.Freeze(); err == nil {
+		return f.Exits()
+	}
+	return s.Graph.Exits()
 }
 
 // ProcTimelines returns, for each processor, its replicas ordered by
@@ -317,6 +327,11 @@ func (s *Schedule) ProcTimelines() [][]Replica {
 // requires (intra-processor transfers are free and not counted, matching the
 // paper's remark that e(ε+1)² is only an upper bound for FTSA).
 func (s *Schedule) MessageCount() int {
+	if s.CommPattern == PatternAll {
+		if n, ok := s.allPairsMessages(); ok {
+			return n
+		}
+	}
 	n := 0
 	for t := 0; t < s.Graph.NumTasks(); t++ {
 		tid := dag.TaskID(t)
@@ -346,4 +361,42 @@ func (s *Schedule) MessageCount() int {
 		}
 	}
 	return n
+}
+
+// allPairsMessages counts PatternAll's messages in O(E): an edge from S's
+// replicas to D's sends |S|·|D| messages less one per processor both use.
+// ok is false when a processor mask cannot say that — more than 64
+// processors, or a task with two replicas on one processor — and the pair
+// loop must count.
+func (s *Schedule) allPairsMessages() (n int, ok bool) {
+	if s.Platform.NumProcs() > 64 {
+		return 0, false
+	}
+	for t, reps := range s.replicas {
+		dst, ok := procMask(reps)
+		if !ok {
+			return 0, false
+		}
+		for _, pe := range s.Graph.Preds(dag.TaskID(t)) {
+			src, ok := procMask(s.replicas[pe.To])
+			if !ok {
+				return 0, false
+			}
+			n += len(s.replicas[pe.To])*len(reps) - bits.OnesCount64(src&dst)
+		}
+	}
+	return n, true
+}
+
+// procMask is the set of processors reps run on; ok is false when two of
+// them share one.
+func procMask(reps []Replica) (mask uint64, ok bool) {
+	for _, r := range reps {
+		bit := uint64(1) << r.Proc
+		if mask&bit != 0 {
+			return 0, false
+		}
+		mask |= bit
+	}
+	return mask, true
 }

@@ -30,6 +30,7 @@ var keptExports = map[string]string{
 	"platform.Platform.UnmarshalJSON":  "encoding/json calls it (json.Unmarshaler)",
 	"platform.CostModel.MarshalJSON":   "encoding/json calls it (json.Marshaler)",
 	"platform.CostModel.UnmarshalJSON": "encoding/json calls it (json.Unmarshaler)",
+	"lazyrand.Source.Int63":            "math/rand calls it (rand.Source)",
 }
 
 // exportDecl is one exported top-level function or method.

@@ -135,7 +135,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, items []*ScheduleRequest) (st
 	first := make(map[Fingerprint]int)
 	for i, it := range items {
 		fps[i] = RequestFingerprint(it)
-		if v, hit := s.cache.Get(fps[i]); hit {
+		if v, hit := s.cacheGet(fps[i]); hit {
 			bodies[i] = v
 		} else if _, dup := first[fps[i]]; !dup {
 			first[fps[i]] = i
@@ -215,7 +215,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, items []*ScheduleRequest) (st
 		return "", false
 	}
 	for fp, i := range first {
-		s.cache.Put(fp, bodies[i])
+		s.cachePut(fp, bodies[i])
 	}
 	s.hits.Add(uint64(resp.CacheHits))
 	s.misses.Add(uint64(resp.CacheMisses))

@@ -228,7 +228,7 @@ func (s *Server) serveFront(w http.ResponseWriter, r *http.Request, ep *Endpoint
 	if !ok {
 		return false
 	}
-	v, hit := s.cache.Get(alias.fp)
+	v, hit := s.cacheGet(alias.fp)
 	if !hit {
 		// The entry was evicted; the alias is dead weight until the body is
 		// decoded, recomputed and seen again.

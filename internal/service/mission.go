@@ -4,10 +4,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"sync"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/mission"
 	"ftsched/internal/sim"
 )
@@ -308,7 +308,7 @@ func (s *Server) executeMission(req *MissionRequest, pol mission.Policy, st *mis
 	m := req.Platform.NumProcs()
 	sc := sim.NewScenario(m)
 	var scratch sim.ScenarioScratch
-	rng := rand.New(rand.NewSource(sim.TrialSeed(req.ScenarioSeed, 0)))
+	rng := lazyrand.New(sim.TrialSeed(req.ScenarioSeed, 0))
 	if err := gen.FillScenario(rng, &sc, &scratch); err != nil {
 		return mission.Outcome{}, nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/mission"
 	"ftsched/internal/platform"
 	"ftsched/internal/reliability"
@@ -122,7 +123,7 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	pool  *Pool
-	cache *Cache[Fingerprint, []byte] // serialized responses
+	cache *Cache[Fingerprint, []byte] // serialized responses, the large ones deflated
 	// front aliases the digests of bodies already served as hits to their
 	// entries in cache, so a byte-identical repeat is answered without a
 	// decode. Bounded by cfg.CacheEntries: an alias is only useful while its
@@ -285,7 +286,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 			cleanup()
 		}
 	}
-	if v, hit := s.cache.Get(fp); hit {
+	if v, hit := s.cacheGet(fp); hit {
 		release()
 		s.hits.Add(1)
 		s.writeCachedResponse(w, v, "hit")
@@ -332,7 +333,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 	// bytes (finish puts into the cache before retiring the flight), so this
 	// second look closes the window — absent eviction, one fingerprint can
 	// never be computed twice.
-	if v, hit := s.cache.Get(fp); hit {
+	if v, hit := s.cacheGet(fp); hit {
 		s.flightMu.Unlock()
 		release()
 		s.hits.Add(1)
@@ -350,7 +351,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 	finish := func(body []byte, err error, status int) {
 		f.body, f.err, f.status = body, err, status
 		if err == nil {
-			s.cache.Put(fp, body)
+			s.cachePut(fp, body)
 		}
 		s.flightMu.Lock()
 		delete(s.flights, fp)
@@ -480,7 +481,7 @@ func (s *Server) solve(req *ScheduleRequest) (*sched.Schedule, error) {
 	g, p, cm := req.Graph, req.Platform, req.Costs
 	var rng *rand.Rand
 	if req.Seed != 0 {
-		rng = rand.New(rand.NewSource(req.Seed))
+		rng = lazyrand.New(req.Seed)
 	}
 	schedule, err := sched.Run(req.Scheduler, g, p, cm, sched.RunOptions{
 		Epsilon: req.Epsilon,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/par"
 	"ftsched/internal/sched"
 	"ftsched/internal/stats"
@@ -178,7 +179,6 @@ func Evaluate(s *sched.Schedule, gen ScenarioGenerator, trials int, opt EvalOpti
 // from (opt.Seed, trial)) and its scenario scratch.
 type evalWorker struct {
 	run     TrialFunc
-	src     rand.Source
 	rng     *rand.Rand
 	sc      Scenario
 	scratch ScenarioScratch
@@ -221,8 +221,7 @@ func EvaluateScenarios(m int, missionWindow, baseline float64, gen ScenarioGener
 		if closeRunner != nil {
 			defer closeRunner()
 		}
-		src := rand.NewSource(0)
-		workers[w] = evalWorker{run: run, src: src, rng: rand.New(src), sc: NewScenario(m)}
+		workers[w] = evalWorker{run: run, rng: lazyrand.New(0), sc: NewScenario(m)}
 	}
 
 	var (
@@ -237,7 +236,7 @@ func EvaluateScenarios(m int, missionWindow, baseline float64, gen ScenarioGener
 	// nothing per chunk.
 	trial := func(w, k int) error {
 		wk, o, i := &workers[w], &chunk[k], base+k
-		wk.src.Seed(TrialSeed(opt.Seed, i))
+		wk.rng.Seed(TrialSeed(opt.Seed, i))
 		err := gen.FillScenario(wk.rng, &wk.sc, &wk.scratch)
 		if err == nil {
 			o.failed = wk.sc.NumFailedBefore(missionWindow)

@@ -3,11 +3,11 @@ package tune
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 
 	"ftsched/internal/dag"
+	"ftsched/internal/lazyrand"
 	"ftsched/internal/par"
 	"ftsched/internal/platform"
 	"ftsched/internal/sched"
@@ -299,7 +299,7 @@ func Run(spec Spec) (*Result, error) {
 		s, err := sched.Run(c.Scheduler, g, p, cm, sched.RunOptions{
 			Epsilon:      c.Epsilon,
 			Policy:       c.Policy,
-			Rng:          rand.New(rand.NewSource(candSeed(spec.Seed, c))),
+			Rng:          lazyrand.New(candSeed(spec.Seed, c)),
 			BottomLevels: bl,
 		})
 		if err != nil {
