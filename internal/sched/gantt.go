@@ -38,13 +38,8 @@ func (s *Schedule) WriteGantt(w io.Writer, opt GanttOptions) error {
 	// the true maximum finish for scaling.
 	for _, reps := range s.replicas {
 		for _, r := range reps {
-			f := r.FinishMin
-			if opt.Pessimistic {
-				f = r.FinishMax
-			}
-			if f > horizon {
-				horizon = f
-			}
+			_, f := r.window(opt.Pessimistic)
+			horizon = max(horizon, f)
 		}
 	}
 	if math.IsInf(horizon, 1) || horizon <= 0 {
@@ -58,15 +53,9 @@ func (s *Schedule) WriteGantt(w io.Writer, opt GanttOptions) error {
 		return err
 	}
 	for p, line := range timelines {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
+		row := []byte(strings.Repeat(" ", width))
 		for _, r := range line {
-			start, finish := r.StartMin, r.FinishMin
-			if opt.Pessimistic {
-				start, finish = r.StartMax, r.FinishMax
-			}
+			start, finish := r.window(opt.Pessimistic)
 			lo := int(start * scale)
 			hi := int(finish * scale)
 			if hi >= width {

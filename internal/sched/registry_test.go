@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"ftsched/internal/dag"
@@ -26,16 +27,57 @@ func (f *fakeSched) Schedule(g *dag.Graph, p *platform.Platform, cm *platform.Co
 	return nil, errors.New("fake: not implemented")
 }
 
-func TestRegistryLookupAndAliases(t *testing.T) {
-	var got RunOptions
-	Register(Registration{
-		Scheduler:     &fakeSched{name: "fake-a", got: &got},
-		Aliases:       []string{"FAKE-ALPHA", "fa"},
-		Description:   "test double",
-		FaultTolerant: true,
-		Policies:      []string{"p1"},
-		Deadlines:     true,
+// The fakes go into the process-wide registry, which refuses a name twice,
+// so they are registered once per test binary however often -count reruns
+// the tests. What they record lives here too: a fake registered on an
+// earlier pass reports to the pass that calls it now.
+var (
+	registerFakesOnce sync.Once
+	fakeAGot          RunOptions // the options fake-a was last run with
+	maxEpsFailAt      = -1       // the ε at which fake-maxeps fails
+)
+
+func registerFakes() {
+	registerFakesOnce.Do(func() {
+		Register(Registration{
+			Scheduler:     &fakeSched{name: "fake-a", got: &fakeAGot},
+			Aliases:       []string{"FAKE-ALPHA", "fa"},
+			Description:   "test double",
+			FaultTolerant: true,
+			Policies:      []string{"p1"},
+			Deadlines:     true,
+		})
+		Register(Registration{Scheduler: &fakeSched{name: "fake-b"}, Description: "test double"})
+		Register(Registration{Scheduler: &fakeSched{name: "fake-e"}})
+		Register(Registration{FaultTolerant: true, Scheduler: Func("fake-maxeps", fakeMaxEps)})
+		// A scheduler that does not replicate answers ε=0 instead of
+		// refusing the search's first probe.
+		Register(Registration{Scheduler: Func("fake-maxeps-noft", fakeMaxEps)})
 	})
+}
+
+var errProbe = errors.New("fake: probe failed")
+
+// fakeMaxEps guarantees a latency of 10·(ε+1), and fails at maxEpsFailAt.
+func fakeMaxEps(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt RunOptions) (*Schedule, error) {
+	if opt.Epsilon == maxEpsFailAt {
+		return nil, errProbe
+	}
+	s, err := New(g, p, cm, opt.Epsilon, PatternAll, "fake")
+	if err != nil {
+		return nil, err
+	}
+	reps := make([]Replica, opt.Epsilon+1)
+	for i := range reps {
+		end := 10 * float64(opt.Epsilon+1)
+		reps[i] = Replica{Task: 0, Copy: i, Proc: platform.ProcID(i), FinishMin: 10, StartMax: end - 10, FinishMax: end}
+	}
+	return s, s.Place(0, reps)
+}
+
+func TestRegistryLookupAndAliases(t *testing.T) {
+	registerFakes()
+	fakeAGot = RunOptions{}
 
 	for _, name := range []string{"fake-a", "FAKE-A", "fake-alpha", "FA"} {
 		if _, ok := LookupInfo(name); !ok {
@@ -69,13 +111,13 @@ func TestRegistryLookupAndAliases(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "fake: not implemented") {
 		t.Fatalf("Run did not reach the scheduler: %v", err)
 	}
-	if got.Epsilon != 2 || got.Policy != "p1" || got.Latency != 10 {
+	if got := fakeAGot; got.Epsilon != 2 || got.Policy != "p1" || got.Latency != 10 {
 		t.Fatalf("options not forwarded: %+v", got)
 	}
 }
 
 func TestRegistryUnknownErrorListsNames(t *testing.T) {
-	Register(Registration{Scheduler: &fakeSched{name: "fake-b"}, Description: "test double"})
+	registerFakes()
 	err := UnknownSchedulerError("bogus")
 	if !errors.Is(err, ErrUnknownScheduler) {
 		t.Fatalf("err = %v, want ErrUnknownScheduler", err)
@@ -149,7 +191,7 @@ func TestRegistryTableContainsEveryEntry(t *testing.T) {
 }
 
 func TestRegisterCollisionPanics(t *testing.T) {
-	Register(Registration{Scheduler: &fakeSched{name: "fake-e"}})
+	registerFakes()
 	for _, bad := range []Registration{
 		{Scheduler: &fakeSched{name: "fake-e"}},                              // duplicate name
 		{Scheduler: &fakeSched{name: "fake-f"}, Aliases: []string{"FAKE-E"}}, // alias collides with name
@@ -211,27 +253,8 @@ func TestMaxToleratedFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errProbe := errors.New("fake: probe failed")
-	failAt := -1
-	fake := func(g *dag.Graph, p *platform.Platform, cm *platform.CostModel, opt RunOptions) (*Schedule, error) {
-		if opt.Epsilon == failAt {
-			return nil, errProbe
-		}
-		s, err := New(g, p, cm, opt.Epsilon, PatternAll, "fake")
-		if err != nil {
-			return nil, err
-		}
-		reps := make([]Replica, opt.Epsilon+1)
-		for i := range reps {
-			end := 10 * float64(opt.Epsilon+1)
-			reps[i] = Replica{Task: 0, Copy: i, Proc: platform.ProcID(i), FinishMin: 10, StartMax: end - 10, FinishMax: end}
-		}
-		return s, s.Place(0, reps)
-	}
-	Register(Registration{FaultTolerant: true, Scheduler: Func("fake-maxeps", fake)})
-	// A scheduler that does not replicate answers ε=0 instead of refusing
-	// the search's first probe.
-	Register(Registration{Scheduler: Func("fake-maxeps-noft", fake)})
+	registerFakes()
+	defer func() { maxEpsFailAt = -1 }()
 	if eps, _, err := MaxToleratedFailures("fake-maxeps-noft", g, p, cm, RunOptions{}, 1e9); err != nil || eps != 0 {
 		t.Errorf("not fault-tolerant: ε = %d, %v; want 0", eps, err)
 	}
@@ -247,7 +270,7 @@ func TestMaxToleratedFailures(t *testing.T) {
 	}
 	// The first probe is ε=1; it fails, and the search must not read the
 	// failure as "ε=1 is too slow" and settle on ε=0.
-	failAt = 1
+	maxEpsFailAt = 1
 	if _, _, err := MaxToleratedFailures("fake-maxeps", g, p, cm, RunOptions{}, 1e9); !errors.Is(err, errProbe) {
 		t.Errorf("failing probe: %v, want %v", err, errProbe)
 	}

@@ -107,6 +107,52 @@ func TestScheduleValidateAccepts(t *testing.T) {
 	}
 }
 
+// TestProcOrderZeroCostChain maps the chain 2→1→0 in that order, with zero
+// costs and volumes, so all three replicas start together on P0: the one
+// processor order must run them as mapped, not by task id.
+func TestProcOrderZeroCostChain(t *testing.T) {
+	g := dag.NewWithTasks("chain", 3)
+	g.MustAddEdge(2, 1, 0)
+	g.MustAddEdge(1, 0, 0)
+	p, err := uniformPlatform(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := platform.NewCostModelFromMatrix([][]float64{{0}, {0}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(g, p, cm, 0, PatternAll, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Starting at 1 rather than 0 gives the Gantt chart a horizon.
+	for _, task := range []dag.TaskID{2, 1, 0} {
+		if err := s.Place(task, []Replica{{Task: task, StartMin: 1, FinishMin: 1, StartMax: 1, FinishMax: 1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	var got []dag.TaskID
+	for _, r := range s.ProcTimelines()[0] {
+		got = append(got, r.Task)
+	}
+	if len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 0 {
+		t.Fatalf("ProcTimelines()[0] runs tasks %v, want [2 1 0]", got)
+	}
+	// The three spans have no width and share the last column, so the row
+	// shows the one drawn last: task 0, which P0 runs last.
+	var b strings.Builder
+	if err := s.WriteGantt(&b, GanttOptions{Width: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if row := strings.Split(b.String(), "\n")[1]; row != "P0   |   0|" {
+		t.Fatalf("P0 row %q, want %q", row, "P0   |   0|")
+	}
+}
+
 func TestPlaceErrors(t *testing.T) {
 	g, p, cm := fixture(t)
 	s, _ := New(g, p, cm, 1, PatternAll, "x")

@@ -1,11 +1,12 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
@@ -302,25 +303,61 @@ func (s *Schedule) exits() []dag.TaskID {
 	return s.Graph.Exits()
 }
 
-// ProcTimelines returns, for each processor, its replicas ordered by
-// optimistic start time (the order the processor executes them; duplicates
-// added out of mapping order are interleaved correctly).
-func (s *Schedule) ProcTimelines() [][]Replica {
-	out := make([][]Replica, s.Platform.NumProcs())
+// ProcOrder is the one order in which every processor runs its replicas, as
+// the Gantt chart, /schedule's gantt rows and Validate read it:
+// order[lo[p]:lo[p+1]] is processor p's, by optimistic start (equation 1),
+// then by mapping position and copy, so a zero-cost chain runs as mapped. It
+// is computed per call and owned by the caller: schedules are read concurrently.
+func (s *Schedule) ProcOrder() (order []Replica, lo []int) {
+	m := s.Platform.NumProcs()
+	lo = make([]int, m+1)
 	for _, t := range s.mappingOrder {
 		for _, r := range s.replicas[t] {
-			out[r.Proc] = append(out[r.Proc], r)
+			lo[r.Proc]++
 		}
 	}
-	for p := range out {
-		sort.Slice(out[p], func(i, j int) bool {
-			if out[p][i].StartMin != out[p][j].StartMin {
-				return out[p][i].StartMin < out[p][j].StartMin
+	for p := 1; p <= m; p++ {
+		lo[p] += lo[p-1]
+	}
+	// lo[p] is where bucket p ends; filling the buckets back to front, in
+	// reverse (mapping position, copy) order, moves it to where bucket p starts.
+	order = make([]Replica, lo[m])
+	for _, t := range slices.Backward(s.mappingOrder) {
+		for _, r := range slices.Backward(s.replicas[t]) {
+			lo[r.Proc]--
+			order[lo[r.Proc]] = r
+		}
+	}
+	// Replicas are mostly mapped in start order: sort only a bucket that is not.
+	for p := 0; p < m; p++ {
+		b := order[lo[p]:lo[p+1]]
+		for i := 1; i < len(b); i++ {
+			if b[i].StartMin < b[i-1].StartMin {
+				slices.SortStableFunc(b, func(a, b Replica) int { return cmp.Compare(a.StartMin, b.StartMin) })
+				break
 			}
-			return out[p][i].Task < out[p][j].Task
-		})
+		}
+	}
+	return order, lo
+}
+
+// ProcTimelines returns ProcOrder's buckets, one per processor, as views
+// into one slice.
+func (s *Schedule) ProcTimelines() [][]Replica {
+	order, lo := s.ProcOrder()
+	out := make([][]Replica, len(lo)-1)
+	for p := range out {
+		out[p] = order[lo[p]:lo[p+1]:lo[p+1]]
 	}
 	return out
+}
+
+// window is r's optimistic (equation 1) or pessimistic (equation 3) window.
+func (r Replica) window(pessimistic bool) (start, finish float64) {
+	if pessimistic {
+		return r.StartMax, r.FinishMax
+	}
+	return r.StartMin, r.FinishMin
 }
 
 // MessageCount returns the number of *inter-processor* messages the schedule

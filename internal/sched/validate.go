@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,11 +27,9 @@ const timeEps = 1e-7
 //     replica-to-replica matching that routes shared processors to
 //     themselves (Proposition 4.3).
 func (s *Schedule) Validate() error {
-	if !s.Complete() {
-		for t := range s.replicas {
-			if s.replicas[t] == nil {
-				return fmt.Errorf("%w: task %d", ErrIncomplete, t)
-			}
+	for t := range s.replicas {
+		if s.replicas[t] == nil {
+			return fmt.Errorf("%w: task %d", ErrIncomplete, t)
 		}
 	}
 	if !s.Graph.IsTopologicalOrder(s.mappingOrder) {
@@ -50,10 +49,7 @@ func (s *Schedule) Validate() error {
 			return err
 		}
 	}
-	if err := s.validateTimelines(); err != nil {
-		return err
-	}
-	return nil
+	return s.validateTimelines()
 }
 
 // validateTask checks one task's replicas and their arrivals. seen is
@@ -174,59 +170,28 @@ func (s *Schedule) validateArrivals(t dag.TaskID, used []bool) error {
 	return nil
 }
 
+// validateTimelines checks that no two executions overlap on a processor.
+// The optimistic windows are checked in ProcOrder, the order the processor
+// runs them. The pessimistic ones are sorted by their own start: ftsa-ins
+// inserts a replica into a gap of the optimistic timeline but still appends
+// its pessimistic window, so those need not follow ProcOrder.
 func (s *Schedule) validateTimelines() error {
-	type span struct {
-		start, finish float64
-		task          dag.TaskID
-		copy          int
-	}
-	// One flat buffer bucketed by processor, filled once per window in
-	// (mapping position, copy) order: spans[lo[p]:lo[p+1]] is what runs on
-	// Pp. A processor's replicas mostly start in the order they were mapped,
-	// so the sort below mostly finds its bucket already in order.
-	m := s.Platform.NumProcs()
-	lo := make([]int, m+1)
-	for t := range s.replicas {
-		for _, r := range s.replicas[t] {
-			lo[r.Proc+1]++
-		}
-	}
-	for p := 0; p < m; p++ {
-		lo[p+1] += lo[p]
-	}
-	spans := make([]span, lo[m])
-	next := make([]int, m)
+	order, lo := s.ProcOrder()
 	for pass, kind := range [...]string{"Min", "Max"} {
-		copy(next, lo)
-		for _, t := range s.mappingOrder {
-			for _, r := range s.replicas[t] {
-				sp := span{r.StartMin, r.FinishMin, t, r.Copy}
-				if pass == 1 {
-					sp.start, sp.finish = r.StartMax, r.FinishMax
-				}
-				spans[next[r.Proc]] = sp
-				next[r.Proc]++
+		pessimistic := pass == 1
+		for p := 0; p+1 < len(lo); p++ {
+			ss := order[lo[p]:lo[p+1]]
+			if pessimistic {
+				slices.SortStableFunc(ss, func(a, b Replica) int { return cmp.Compare(a.StartMax, b.StartMax) })
 			}
-		}
-		for p := 0; p < m; p++ {
-			ss := spans[lo[p]:lo[p+1]]
-			slices.SortFunc(ss, func(a, b span) int {
-				// Starts are finite: the plain comparisons order them as
-				// cmp.Compare would, without its NaN cases.
-				switch {
-				case a.start < b.start:
-					return -1
-				case a.start > b.start:
-					return 1
-				}
-				return 0
-			})
 			for i := 1; i < len(ss); i++ {
-				if ss[i].start < ss[i-1].finish-timeEps {
+				prevStart, prevFinish := ss[i-1].window(pessimistic)
+				start, finish := ss[i].window(pessimistic)
+				if start < prevFinish-timeEps {
 					return fmt.Errorf("%w: P%d %s window: task %d copy %d [%g,%g) overlaps task %d copy %d [%g,%g)",
 						ErrOverlap, p, kind,
-						ss[i-1].task, ss[i-1].copy, ss[i-1].start, ss[i-1].finish,
-						ss[i].task, ss[i].copy, ss[i].start, ss[i].finish)
+						ss[i-1].Task, ss[i-1].Copy, prevStart, prevFinish,
+						ss[i].Task, ss[i].Copy, start, finish)
 				}
 			}
 		}

@@ -16,6 +16,7 @@ var numberTable = []string{
 	"1e0", "0e0", "0.0e-0", "1e309", "-1e309", "1e-400", "99999999999999999999", "9223372036854775807",
 	"9223372036854775808", "-9223372036854775808", "-9223372036854775809", "0.1234567890123456789",
 	"123456789012345678901234567890", "4.9e-324", "1.7976931348623157e308", "1.7976931348623159e308",
+	"999999999999999999", "-999999999999999999", "1000000000000000000",
 	// Not numbers.
 	"", "-", "+1", "01", "-01", "00", ".5", "1.", "1.e1", "1e", "1e+", "1e-", "1ee1", "1e1.5", "0x10",
 	"1_000", "Infinity", "NaN", "-Infinity", "1 2", "--1", "1-", "1.2.3", "١",
