@@ -47,14 +47,17 @@ func (s *Schedule) WriteGantt(w io.Writer, opt GanttOptions) error {
 	}
 	scale := float64(width) / horizon
 
-	timelines := s.ProcTimelines()
+	order, first := s.ProcOrder()
 	if _, err := fmt.Fprintf(w, "%s schedule, ε=%d, horizon %.4g (1 column = %.4g)\n",
 		s.Algorithm, s.Epsilon, horizon, horizon/float64(width)); err != nil {
 		return err
 	}
-	for p, line := range timelines {
-		row := []byte(strings.Repeat(" ", width))
-		for _, r := range line {
+	for p := 0; p+1 < len(first); p++ {
+		row := make([]byte, width)
+		for i := range row {
+			row[i] = ' '
+		}
+		for _, r := range order[first[p]:first[p+1]] {
 			start, finish := r.window(opt.Pessimistic)
 			lo := int(start * scale)
 			hi := int(finish * scale)

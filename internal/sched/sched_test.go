@@ -98,12 +98,12 @@ func TestScheduleValidateAccepts(t *testing.T) {
 		// P0->P1 and P1->P0 are the only inter-processor messages.
 		t.Errorf("MessageCount = %d, want 2", mc)
 	}
-	tl := s.ProcTimelines()
-	if len(tl[0]) != 2 || len(tl[1]) != 2 || len(tl[2]) != 0 {
-		t.Errorf("timelines %v", tl)
+	order, lo := s.ProcOrder()
+	if len(lo) != 4 || lo[1]-lo[0] != 2 || lo[2]-lo[1] != 2 || lo[3]-lo[2] != 0 {
+		t.Errorf("buckets %v of %v", lo, order)
 	}
-	if tl[0][0].Task != 0 || tl[0][1].Task != 1 {
-		t.Errorf("P0 order wrong: %v", tl[0])
+	if order[0].Task != 0 || order[1].Task != 1 {
+		t.Errorf("P0 order wrong: %v", order[lo[0]:lo[1]])
 	}
 }
 
@@ -136,11 +136,12 @@ func TestProcOrderZeroCostChain(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	var got []dag.TaskID
-	for _, r := range s.ProcTimelines()[0] {
+	order, lo := s.ProcOrder()
+	for _, r := range order[lo[0]:lo[1]] {
 		got = append(got, r.Task)
 	}
 	if len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 0 {
-		t.Fatalf("ProcTimelines()[0] runs tasks %v, want [2 1 0]", got)
+		t.Fatalf("ProcOrder's P0 bucket runs tasks %v, want [2 1 0]", got)
 	}
 	// The three spans have no width and share the last column, so the row
 	// shows the one drawn last: task 0, which P0 runs last.

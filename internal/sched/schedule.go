@@ -328,28 +328,10 @@ func (s *Schedule) ProcOrder() (order []Replica, lo []int) {
 			order[lo[r.Proc]] = r
 		}
 	}
-	// Replicas are mostly mapped in start order: sort only a bucket that is not.
 	for p := 0; p < m; p++ {
-		b := order[lo[p]:lo[p+1]]
-		for i := 1; i < len(b); i++ {
-			if b[i].StartMin < b[i-1].StartMin {
-				slices.SortStableFunc(b, func(a, b Replica) int { return cmp.Compare(a.StartMin, b.StartMin) })
-				break
-			}
-		}
+		slices.SortStableFunc(order[lo[p]:lo[p+1]], func(a, b Replica) int { return cmp.Compare(a.StartMin, b.StartMin) })
 	}
 	return order, lo
-}
-
-// ProcTimelines returns ProcOrder's buckets, one per processor, as views
-// into one slice.
-func (s *Schedule) ProcTimelines() [][]Replica {
-	order, lo := s.ProcOrder()
-	out := make([][]Replica, len(lo)-1)
-	for p := range out {
-		out[p] = order[lo[p]:lo[p+1]:lo[p+1]]
-	}
-	return out
 }
 
 // window is r's optimistic (equation 1) or pessimistic (equation 3) window.

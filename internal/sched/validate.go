@@ -182,7 +182,7 @@ func (s *Schedule) validateTimelines() error {
 		for p := 0; p+1 < len(lo); p++ {
 			ss := order[lo[p]:lo[p+1]]
 			if pessimistic {
-				slices.SortStableFunc(ss, func(a, b Replica) int { return cmp.Compare(a.StartMax, b.StartMax) })
+				slices.SortFunc(ss, func(a, b Replica) int { return cmp.Compare(a.StartMax, b.StartMax) })
 			}
 			for i := 1; i < len(ss); i++ {
 				prevStart, prevFinish := ss[i-1].window(pessimistic)

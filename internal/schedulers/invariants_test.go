@@ -31,8 +31,7 @@ import (
 //     the pessimistic window alike;
 //   - replica windows are consistent (start >= 0, duration == cost);
 //   - ProcOrder lists every replica once, each processor's bucket ordered
-//     by (StartMin, mapping position, copy) with no optimistic overlap, and
-//     ProcTimelines is those buckets;
+//     by (StartMin, mapping position, copy) with no optimistic overlap;
 //   - for schedulers registered with Deadlines support, a run under a
 //     latency budget that succeeds honors it: UpperBound <= budget.
 //
@@ -180,8 +179,7 @@ func TestSchedulerCapabilityChecks(t *testing.T) {
 	}
 }
 
-// checkProcOrder checks ProcOrder against the schedule's replicas and
-// ProcTimelines, and counts the processors whose pessimistic windows do not
+// checkProcOrder checks ProcOrder against the schedule's replicas, and counts the processors whose pessimistic windows do not
 // start in ProcOrder.
 func checkProcOrder(s *sched.Schedule) (reordered int, err error) {
 	pos := make(map[dag.TaskID]int)
@@ -189,9 +187,8 @@ func checkProcOrder(s *sched.Schedule) (reordered int, err error) {
 		pos[t] = i
 	}
 	order, lo := s.ProcOrder()
-	tl := s.ProcTimelines()
-	if len(lo) != s.Platform.NumProcs()+1 || len(tl) != s.Platform.NumProcs() {
-		return 0, fmt.Errorf("ProcOrder has %d buckets and ProcTimelines %d rows, want %d", len(lo)-1, len(tl), s.Platform.NumProcs())
+	if len(lo) != s.Platform.NumProcs()+1 || lo[0] != 0 || lo[len(lo)-1] != len(order) {
+		return 0, fmt.Errorf("ProcOrder has %d buckets over %v, want %d over [0, %d]", len(lo)-1, lo, s.Platform.NumProcs(), len(order))
 	}
 	type key struct {
 		task dag.TaskID
@@ -200,9 +197,6 @@ func checkProcOrder(s *sched.Schedule) (reordered int, err error) {
 	listed := make(map[key]bool)
 	for p := 0; p < s.Platform.NumProcs(); p++ {
 		bucket := order[lo[p]:lo[p+1]]
-		if !slices.Equal(tl[p], bucket) {
-			return 0, fmt.Errorf("ProcTimelines()[%d] is not ProcOrder's bucket", p)
-		}
 		for i, r := range bucket {
 			k := key{r.Task, r.Copy}
 			if listed[k] || r.Proc != platform.ProcID(p) || r.Copy >= len(s.Replicas(r.Task)) || s.Replicas(r.Task)[r.Copy] != r {

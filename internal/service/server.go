@@ -634,9 +634,10 @@ func buildResponse(req *ScheduleRequest, schedule *sched.Schedule) ([]byte, erro
 		resp.Schedule = json.RawMessage(compact.Bytes())
 	}
 	if req.IncludeGantt {
-		timelines := schedule.ProcTimelines()
-		resp.Gantt = make([]ProcTimeline, len(timelines))
-		for proc, line := range timelines {
+		order, lo := schedule.ProcOrder()
+		resp.Gantt = make([]ProcTimeline, len(lo)-1)
+		for proc := range resp.Gantt {
+			line := order[lo[proc]:lo[proc+1]]
 			row := ProcTimeline{Proc: platform.ProcID(proc), Spans: make([]GanttSpan, 0, len(line))}
 			for _, r := range line {
 				row.Spans = append(row.Spans, GanttSpan{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -238,27 +237,19 @@ func (s *Scanner) Float(dst *float64) error {
 }
 
 // Int reads a number into dst, refusing a fraction, an exponent or a value
-// an int cannot hold. A plain integer of at most 18 digits is number's
-// mantissa, exact; every other token is parsed again.
+// an int cannot hold.
 func (s *Scanner) Int(dst *int) error {
 	if s.Null() {
 		return nil
 	}
-	tok, d, err := s.number()
+	tok, _, err := s.number()
 	if err != nil {
 		return err
 	}
-	n := int64(d.man)
-	if d.neg {
-		n = -n
-	}
-	// A fraction or an exponent makes the unsigned token longer than its
-	// significant digits; only the lone 0 has fewer.
-	if k := len(bytes.TrimPrefix(tok, []byte("-"))); k > 18 || (d.sig != k && k != 1) || d.man > math.MaxInt {
-		// ParseInt knows no fraction and no exponent, so it refuses both.
-		if n, err = strconv.ParseInt(string(tok), 10, strconv.IntSize); err != nil {
-			return errAt(s.pos-len(tok), "number is not an integer in range")
-		}
+	// ParseInt knows no fraction and no exponent, so it refuses both.
+	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	if err != nil {
+		return errAt(s.pos-len(tok), "number is not an integer in range")
 	}
 	*dst = int(n)
 	return nil
