@@ -203,7 +203,8 @@ func SurvivalLowerBound(e Exponential, m, epsilon int, mission float64) (float64
 
 // MonteCarloReliability estimates the survival probability by sampling crash
 // scenarios and replaying the schedule. It is deterministic in the seed:
-// equal seeds agree trial-for-trial with Evaluate under e.Generator().
+// equal seeds agree trial-for-trial with Evaluate under the generator of
+// the spec {Kind: "exp", Lambda: e.Lambda}, which e.Generator() returns.
 func MonteCarloReliability(seed int64, s *Schedule, e Exponential, trials int) (*MonteCarloResult, error) {
 	return reliability.MonteCarlo(seed, s, e, trials)
 }

@@ -12,6 +12,16 @@ import (
 	"ftsched/internal/workload"
 )
 
+// mustGen materializes a scenario spec's generator.
+func mustGen(t testing.TB, sp sim.ScenarioSpec) sim.ScenarioGenerator {
+	t.Helper()
+	gen, err := sp.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
 func missionSpec(t testing.TB, procs, eps int, policy mission.Policy) mission.Spec {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -143,7 +153,7 @@ func TestEvaluatePolicyStaticMatchesEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := sim.UniformGen{N: 2}
+	gen := mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 2})
 	want, err := sim.Evaluate(c.InitialPlan(), gen, 250, sim.EvalOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +172,7 @@ func TestEvaluatePolicyStaticMatchesEvaluate(t *testing.T) {
 // EvaluatePolicy must be worker-count independent, like sim.Evaluate.
 func TestEvaluatePolicyDeterministicAcrossWorkers(t *testing.T) {
 	spec := missionSpec(t, 6, 1, mission.PolicyReschedule)
-	gen := sim.ExponentialGen{Lambda: 0.02}
+	gen := mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 0.02})
 	var want []byte
 	for _, workers := range []int{1, 4} {
 		res, err := mission.EvaluatePolicy(spec, gen, 200, sim.EvalOptions{Seed: 3, Workers: workers})
@@ -186,8 +196,8 @@ func TestReschedulePolicyBeatsStatic(t *testing.T) {
 	resched := static
 	resched.Policy = mission.PolicyReschedule
 	for _, gen := range []sim.ScenarioGenerator{
-		sim.UniformGen{N: 3},
-		sim.ExponentialGen{Lambda: 0.05},
+		mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 3}),
+		mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 0.05}),
 	} {
 		t.Run(gen.Spec().Kind, func(t *testing.T) {
 			opt := sim.EvalOptions{Seed: 17}

@@ -16,9 +16,10 @@
 //
 // The combinatorial bound is what the serving layer reports per /schedule
 // request (cheap, deterministic, cacheable). The Monte-Carlo estimator is a
-// seed-deterministic view over the batch evaluation engine: each law
-// (Exponential, Weibull) bridges to a sim.ScenarioGenerator via Generator(),
-// and MonteCarlo delegates to sim.Evaluate, so MonteCarlo(seed, ...) agrees
-// trial for trial with Evaluate at the same seed — one sampling loop for the
-// whole system (see Example_reliability in the root package and the /evaluate endpoint).
+// seed-deterministic view over the batch evaluation engine:
+// Exponential.Generator() is the exp scenario spec's sim.ScenarioGenerator
+// (an error for a non-positive rate), and MonteCarlo delegates to
+// sim.Evaluate with it, so MonteCarlo(seed, ...) agrees trial for trial with
+// Evaluate at the same seed — one sampling loop for the whole system (see
+// Example_reliability in the root package and the /evaluate endpoint).
 package reliability

@@ -18,11 +18,11 @@ type Exponential struct {
 // ErrBadRate reports a non-positive failure rate.
 var ErrBadRate = errors.New("reliability: failure rate must be positive")
 
-// Generator bridges the law to the simulator's batch evaluation engine:
-// sim.Evaluate with this generator draws exactly the scenarios MonteCarlo
-// scores.
-func (e Exponential) Generator() sim.ScenarioGenerator {
-	return sim.ExponentialGen{Lambda: e.Lambda}
+// Generator bridges the law to the simulator's batch evaluation engine: it
+// is the exp scenario spec's generator, so sim.Evaluate with it draws
+// exactly the scenarios MonteCarlo scores. A non-positive rate is an error.
+func (e Exponential) Generator() (sim.ScenarioGenerator, error) {
+	return sim.ScenarioSpec{Kind: "exp", Lambda: e.Lambda}.Generator()
 }
 
 // Weibull describes i.i.d. Weibull processor lifetimes — the hardware-aging
@@ -107,7 +107,8 @@ func MonteCarlo(seed int64, s *sched.Schedule, e Exponential, trials int) (*Mont
 	if e.Lambda <= 0 {
 		return nil, ErrBadRate
 	}
-	res, err := sim.Evaluate(s, e.Generator(), trials, sim.EvalOptions{Seed: seed})
+	gen, _ := e.Generator() // the rate is checked above
+	res, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: seed})
 	if err != nil {
 		return nil, fmt.Errorf("reliability: %w", err)
 	}

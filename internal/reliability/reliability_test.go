@@ -175,7 +175,11 @@ func TestMonteCarloAgreesWithEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := sim.Evaluate(s, e.Generator(), trials, sim.EvalOptions{Seed: seed})
+	gen, err := e.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,11 @@ func TestWeibullLaw(t *testing.T) {
 	// The law's sampler and its sim generator agree draw for draw.
 	a, b = rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
 	sc := sim.NewScenario(4)
-	if err := w.Generator().FillScenario(b, &sc, &sim.ScenarioScratch{}); err != nil {
+	gen, err := sim.ScenarioSpec{Kind: "weibull", Shape: w.Shape, Scale: w.Scale}.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gen.FillScenario(b, &sc, &sim.ScenarioScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	for p := range sc.CrashTime {
@@ -231,13 +239,8 @@ func (w Weibull) Validate() error {
 }
 
 // Sample draws one crash time by inverse transform: λ·E^(1/k) with E
-// standard exponential — the same draw sim.WeibullGen makes, so a seeded
+// standard exponential — the same draw the weibull scenario kind makes, so a seeded
 // stream here reproduces the generator's scenarios.
 func (w Weibull) Sample(rng *rand.Rand) float64 {
 	return w.Scale * math.Pow(rng.ExpFloat64(), 1/w.Shape)
-}
-
-// Generator bridges the law to the simulator's batch evaluation engine.
-func (w Weibull) Generator() sim.ScenarioGenerator {
-	return sim.WeibullGen{Shape: w.Shape, Scale: w.Scale}
 }

@@ -42,10 +42,15 @@ func (s *Schedule) WriteGantt(w io.Writer, opt GanttOptions) error {
 			horizon = max(horizon, f)
 		}
 	}
-	if math.IsInf(horizon, 1) || horizon <= 0 {
+	if math.IsInf(horizon, 1) {
 		return fmt.Errorf("sched: cannot render an incomplete schedule")
 	}
-	scale := float64(width) / horizon
+	// A schedule whose replicas all finish at 0 has no time axis: every
+	// span lands in column 0.
+	scale := 0.0
+	if horizon > 0 {
+		scale = float64(width) / horizon
+	}
 
 	order, first := s.ProcOrder()
 	if _, err := fmt.Fprintf(w, "%s schedule, ε=%d, horizon %.4g (1 column = %.4g)\n",

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"ftsched/internal/dag"
+	"ftsched/internal/platform"
 )
 
 func ganttFixture(t *testing.T) *Schedule {
@@ -66,6 +69,40 @@ func TestWriteGanttIncomplete(t *testing.T) {
 	var buf bytes.Buffer
 	if err := s.WriteGantt(&buf, GanttOptions{}); err == nil {
 		t.Error("incomplete schedule rendered")
+	}
+}
+
+// A complete schedule whose replicas all finish at 0 renders, every span in
+// column 0, instead of reading its zero horizon as incompleteness.
+func TestWriteGanttZeroHorizon(t *testing.T) {
+	g := dag.NewWithTasks("zero", 2)
+	p, err := uniformPlatform(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := platform.NewCostModelFromMatrix([][]float64{{0}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(g, p, cm, 0, PatternAll, "zero")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []dag.TaskID{0, 1} {
+		if err := s.Place(task, []Replica{{Task: task}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	var b strings.Builder
+	if err := s.WriteGantt(&b, GanttOptions{Width: 4}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "zero schedule, ε=0, horizon 0 (1 column = 0)\nP0   |1   |\n"
+	if b.String() != want {
+		t.Fatalf("Gantt\n%q, want\n%q", b.String(), want)
 	}
 }
 

@@ -54,7 +54,11 @@ func TestWorstCaseDominatesMonteCarlo(t *testing.T) {
 			if wc.Evals > budget {
 				t.Fatalf("search spent %d evals over the budget %d", wc.Evals, budget)
 			}
-			res, err := sim.Evaluate(s, sim.UniformGen{N: k}, budget, sim.EvalOptions{Seed: 9, Workers: 1})
+			gen, err := sim.ScenarioSpec{Kind: "uniform", Crashes: k}.Generator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Evaluate(s, gen, budget, sim.EvalOptions{Seed: 9, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ftsched/internal/sim"
+	"ftsched/internal/trace"
 )
 
 func testEvaluateRequest(t *testing.T) *EvaluateRequest {
@@ -173,6 +174,30 @@ func TestEvaluateRejects(t *testing.T) {
 	resp, _ := postEvaluate(t, ts.URL, []byte(`{"trails": 10}`))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("typo field: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// A scenario that does not fit the platform is a 400 whose body carries the
+// kind's platform-fit text, pinned byte for byte.
+func TestEvaluatePlatformFitBodies(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	for _, tc := range []struct {
+		spec sim.ScenarioSpec
+		err  string
+	}{
+		{sim.ScenarioSpec{Kind: "uniform", Crashes: 9}, "sim: cannot crash 9 of 3 processors"},
+		{sim.ScenarioSpec{Kind: "burst", Crashes: 9, Lambda: 0.1}, "sim: cannot crash 9 of 3 processors"},
+		{sim.ScenarioSpec{Kind: "staggered", Crashes: 9, Horizon: 10}, "sim: cannot crash 9 of 3 processors"},
+		{sim.ScenarioSpec{Kind: "group", GroupSize: 9, Lambda: 0.1}, "sim: group size 9 exceeds platform of 3 processors"},
+		{sim.ScenarioSpec{Kind: "trace", Trace: &sim.TraceSpec{Events: []trace.Event{{Proc: 9, Time: 1}}}}, "sim: trace names processor 9, platform has 3"},
+	} {
+		req := testEvaluateRequest(t)
+		req.Scenario = tc.spec
+		resp, data := postEvaluate(t, ts.URL, marshalJSON(t, req))
+		want := `{"error":"scenario: ` + tc.err + `"}` + "\n"
+		if resp.StatusCode != http.StatusBadRequest || string(data) != want {
+			t.Errorf("%s: status %d, body %q, want 400 %q", tc.spec, resp.StatusCode, data, want)
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func TestWorstCaseDominatesUniformDraws(t *testing.T) {
 	if !wc.Exhaustive {
 		t.Fatalf("C(7,2)=21 should be exhaustive: %+v", wc)
 	}
-	gen := UniformGen{N: k}
+	gen := mustGen(t, ScenarioSpec{Kind: "uniform", Crashes: k})
 	var scratch ScenarioScratch
 	sc := NewScenario(7)
 	rp, err := newReplayer(s, Options{})

@@ -17,13 +17,17 @@
 //   - Evaluate is the batch fault-injection engine: it replays a schedule
 //     under thousands of scenarios drawn from a ScenarioGenerator (uniform,
 //     exponential, Weibull, correlated rack groups, bursts, rolling
-//     outages), in chunks on par.For's workers with deterministic per-trial
-//     seeding (TrialSeed), and streams the outcomes into an EvalResult —
-//     success rate with a Wilson interval, latency mean/p50/p99, and a
-//     degradation-vs-failure-count histogram — in O(1) memory per trial.
+//     outages, recorded traces), in chunks on par.For's workers with
+//     deterministic per-trial seeding (TrialSeed), and streams the outcomes
+//     into an EvalResult — success rate with a Wilson interval, latency
+//     mean/p50/p99, and a degradation-vs-failure-count histogram — in O(1)
+//     memory per trial.
 //
 // ScenarioSpec is the serializable description of a generator shared by the
 // /evaluate service endpoint, the ftexp campaign axis and ftsched -scenario.
+// Its Generator() is the only way to a generator: each kind is one row of
+// the scenario-kind table (registry.go), whose check validates a spec and
+// whose fill draws one scenario; only trace builds a generator of its own.
 //
 // The replay core freezes the schedule's graph once (dag.Flat) and walks the
 // CSR predecessor arrays per replica; combined with pooled replayer scratch,

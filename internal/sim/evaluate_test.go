@@ -14,6 +14,16 @@ import (
 	"ftsched/internal/workload"
 )
 
+// mustGen materializes a scenario spec's generator.
+func mustGen(t testing.TB, sp sim.ScenarioSpec) sim.ScenarioGenerator {
+	t.Helper()
+	gen, err := sp.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
 // evalSchedule builds a deterministic mid-size FTSA schedule for evaluation
 // tests.
 func evalSchedule(t testing.TB, procs, eps int) *sched.Schedule {
@@ -45,18 +55,18 @@ func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var runs []run
 	for _, gen := range []sim.ScenarioGenerator{
-		sim.UniformGen{N: 2},
-		sim.ExponentialGen{Lambda: 1.0 / s.UpperBound()},
-		sim.WeibullGen{Shape: 1.5, Scale: s.UpperBound()},
-		sim.GroupGen{Size: 3, Lambda: 1.0 / s.UpperBound()},
-		sim.BurstGen{N: 3, Lambda: 2.0 / s.UpperBound(), Spread: s.UpperBound() / 10},
-		sim.StaggeredGen{N: 2, Horizon: s.UpperBound()},
+		mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 2}),
+		mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 1.0 / s.UpperBound()}),
+		mustGen(t, sim.ScenarioSpec{Kind: "weibull", Shape: 1.5, Scale: s.UpperBound()}),
+		mustGen(t, sim.ScenarioSpec{Kind: "group", GroupSize: 3, Lambda: 1.0 / s.UpperBound()}),
+		mustGen(t, sim.ScenarioSpec{Kind: "burst", Crashes: 3, Lambda: 2.0 / s.UpperBound(), Spread: s.UpperBound() / 10}),
+		mustGen(t, sim.ScenarioSpec{Kind: "staggered", Crashes: 2, Horizon: s.UpperBound()}),
 	} {
 		runs = append(runs, run{gen.Spec().Kind, gen, 300})
 	}
 	for _, trials := range []int{1, 1023, 1024, 1025, 2049} {
 		runs = append(runs, run{fmt.Sprintf("trials=%d", trials),
-			sim.ExponentialGen{Lambda: 2.0 / s.UpperBound()}, trials})
+			mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 2.0 / s.UpperBound()}), trials})
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -85,7 +95,7 @@ func TestEvaluateDeterministicAcrossWorkers(t *testing.T) {
 // Distinct seeds must explore distinct scenario streams.
 func TestEvaluateSeedMatters(t *testing.T) {
 	s := evalSchedule(t, 8, 1)
-	gen := sim.ExponentialGen{Lambda: 2.0 / s.UpperBound()}
+	gen := mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 2.0 / s.UpperBound()})
 	a, err := sim.Evaluate(s, gen, 200, sim.EvalOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +113,7 @@ func TestEvaluateSeedMatters(t *testing.T) {
 // time zero — Evaluate over the guarantee region reports 100% success.
 func TestEvaluateWithinGuarantee(t *testing.T) {
 	s := evalSchedule(t, 8, 2)
-	res, err := sim.Evaluate(s, sim.UniformGen{N: 2}, 250, sim.EvalOptions{Seed: 3})
+	res, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 2}), 250, sim.EvalOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +142,7 @@ func TestEvaluateWithinGuarantee(t *testing.T) {
 // consistent with the histogram decomposition.
 func TestEvaluateHistogramConserves(t *testing.T) {
 	s := evalSchedule(t, 8, 1)
-	res, err := sim.Evaluate(s, sim.ExponentialGen{Lambda: 2.0 / s.UpperBound()}, 400, sim.EvalOptions{Seed: 11})
+	res, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 2.0 / s.UpperBound()}), 400, sim.EvalOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +172,7 @@ func TestEvaluateHistogramConserves(t *testing.T) {
 // same seeded scenario through Run must reproduce each trial's outcome.
 func TestEvaluateAgreesWithRun(t *testing.T) {
 	s := evalSchedule(t, 8, 1)
-	gen := sim.ExponentialGen{Lambda: 1.5 / s.UpperBound()}
+	gen := mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 1.5 / s.UpperBound()})
 	const trials = 64
 	res, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: 5, Workers: 4})
 	if err != nil {
@@ -198,7 +208,7 @@ func TestEvaluateAgreesWithRun(t *testing.T) {
 // meaningfully more allocations per Evaluate call.
 func TestEvaluateMemoryFlatInTrials(t *testing.T) {
 	s := evalSchedule(t, 8, 1)
-	gen := sim.ExponentialGen{Lambda: 1.0 / s.UpperBound()}
+	gen := mustGen(t, sim.ScenarioSpec{Kind: "exp", Lambda: 1.0 / s.UpperBound()})
 	measure := func(trials int) float64 {
 		return testing.AllocsPerRun(3, func() {
 			if _, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: 1, Workers: 2}); err != nil {
@@ -220,13 +230,13 @@ func TestEvaluateErrors(t *testing.T) {
 	if _, err := sim.Evaluate(s, nil, 10, sim.EvalOptions{}); err == nil {
 		t.Error("want error for nil generator")
 	}
-	if _, err := sim.Evaluate(s, sim.UniformGen{N: 1}, 0, sim.EvalOptions{}); err == nil {
+	if _, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 1}), 0, sim.EvalOptions{}); err == nil {
 		t.Error("want error for zero trials")
 	}
-	if _, err := sim.Evaluate(s, sim.UniformGen{N: 99}, 10, sim.EvalOptions{}); err == nil {
+	if _, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 99}), 10, sim.EvalOptions{}); err == nil {
 		t.Error("want error for more crashes than processors")
 	}
-	if _, err := sim.Evaluate(s, sim.ExponentialGen{Lambda: -1}, 10, sim.EvalOptions{}); err == nil {
+	if _, err := (sim.ScenarioSpec{Kind: "exp", Lambda: -1}).Generator(); err == nil {
 		t.Error("want error for negative rate")
 	}
 }
@@ -234,7 +244,7 @@ func TestEvaluateErrors(t *testing.T) {
 // One worker is plenty to saturate a single-trial evaluation.
 func TestEvaluateSingleTrial(t *testing.T) {
 	s := evalSchedule(t, 8, 1)
-	res, err := sim.Evaluate(s, sim.UniformGen{N: 1}, 1, sim.EvalOptions{Seed: 9, Workers: 16})
+	res, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 1}), 1, sim.EvalOptions{Seed: 9, Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +257,7 @@ func TestEvaluateSingleTrial(t *testing.T) {
 // allocs/op must be essentially identical across the trial counts.
 func BenchmarkEvaluate(b *testing.B) {
 	s := evalSchedule(b, 8, 1)
-	gen := sim.ExponentialGen{Lambda: 1.0 / s.UpperBound()}
+	gen := mustGen(b, sim.ScenarioSpec{Kind: "exp", Lambda: 1.0 / s.UpperBound()})
 	for _, trials := range []int{64, 512, 4096} {
 		b.Run(itoa(trials), func(b *testing.B) {
 			b.ReportAllocs()
@@ -267,7 +277,7 @@ func itoa(v int) string {
 
 func TestLatencyMeanInterval(t *testing.T) {
 	s := evalSchedule(t, 8, 2)
-	res, err := sim.Evaluate(s, sim.UniformGen{N: 1}, 200, sim.EvalOptions{Seed: 3})
+	res, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 1}), 200, sim.EvalOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +297,7 @@ func TestLatencyMeanInterval(t *testing.T) {
 	}
 
 	// All processors dead at t=0: nothing can succeed, interval must report !ok.
-	dead, err := sim.Evaluate(s, sim.UniformGen{N: 8}, 10, sim.EvalOptions{Seed: 3})
+	dead, err := sim.Evaluate(s, mustGen(t, sim.ScenarioSpec{Kind: "uniform", Crashes: 8}), 10, sim.EvalOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

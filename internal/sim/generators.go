@@ -55,233 +55,27 @@ func resetAlive(sc *Scenario) {
 	}
 }
 
-// UniformGen crashes N distinct uniformly drawn processors at time 0 — the
-// paper's adversarial crash experiments ("processors that fail during the
-// schedule process are chosen uniformly"), batch form of UniformCrashes.
-type UniformGen struct {
-	N int
+// kindGen is a numeric kind's row bound to one spec, Kind canonical: the
+// generator ScenarioSpec.Generator returns for every kind but trace.
+type kindGen struct {
+	kind *ScenarioKindReg
+	spec ScenarioSpec
 }
 
 // Check implements ScenarioGenerator.
-func (g UniformGen) Check(m int) error {
-	if g.N < 0 || g.N > m {
-		return fmt.Errorf("sim: cannot crash %d of %d processors", g.N, m)
-	}
-	return nil
-}
+func (g *kindGen) Check(m int) error { return g.kind.check(g.spec, m) }
 
 // FillScenario implements ScenarioGenerator.
-func (g UniformGen) FillScenario(rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) error {
-	m := len(sc.CrashTime)
-	if err := g.Check(m); err != nil {
-		return err
-	}
-	resetAlive(sc)
-	for _, p := range drawDistinct(rng, scratch, m, g.N) {
-		sc.CrashTime[p] = 0
-	}
-	return nil
-}
-
-// Spec implements ScenarioGenerator.
-func (g UniformGen) Spec() ScenarioSpec { return ScenarioSpec{Kind: "uniform", Crashes: g.N} }
-
-// ExponentialGen draws an independent exponential lifetime with rate Lambda
-// for every processor — the reliability package's failure law. It is the
-// generator reliability.MonteCarlo runs on, so both agree trial-for-trial at
-// equal seeds.
-type ExponentialGen struct {
-	Lambda float64
-}
-
-// Check implements ScenarioGenerator.
-func (g ExponentialGen) Check(int) error {
-	if g.Lambda <= 0 {
-		return fmt.Errorf("sim: non-positive failure rate %g", g.Lambda)
-	}
-	return nil
-}
-
-// FillScenario implements ScenarioGenerator.
-func (g ExponentialGen) FillScenario(rng *rand.Rand, sc *Scenario, _ *ScenarioScratch) error {
+func (g *kindGen) FillScenario(rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) error {
 	if err := g.Check(len(sc.CrashTime)); err != nil {
 		return err
 	}
-	for p := range sc.CrashTime {
-		sc.CrashTime[p] = rng.ExpFloat64() / g.Lambda
-	}
+	g.kind.fill(g.spec, rng, sc, scratch)
 	return nil
 }
 
 // Spec implements ScenarioGenerator.
-func (g ExponentialGen) Spec() ScenarioSpec { return ScenarioSpec{Kind: "exp", Lambda: g.Lambda} }
-
-// WeibullGen draws independent Weibull(Shape, Scale) lifetimes — the classic
-// hardware-aging law: Shape < 1 models infant mortality, Shape > 1 wear-out,
-// Shape = 1 degenerates to exponential with rate 1/Scale. Sampling is by
-// inverse transform: Scale · E^(1/Shape) with E standard exponential.
-type WeibullGen struct {
-	Shape, Scale float64
-}
-
-// Check implements ScenarioGenerator.
-func (g WeibullGen) Check(int) error {
-	if g.Shape <= 0 || g.Scale <= 0 {
-		return fmt.Errorf("sim: Weibull shape and scale must be positive, got k=%g λ=%g", g.Shape, g.Scale)
-	}
-	return nil
-}
-
-// FillScenario implements ScenarioGenerator.
-func (g WeibullGen) FillScenario(rng *rand.Rand, sc *Scenario, _ *ScenarioScratch) error {
-	if err := g.Check(len(sc.CrashTime)); err != nil {
-		return err
-	}
-	inv := 1 / g.Shape
-	for p := range sc.CrashTime {
-		sc.CrashTime[p] = g.Scale * math.Pow(rng.ExpFloat64(), inv)
-	}
-	return nil
-}
-
-// Spec implements ScenarioGenerator.
-func (g WeibullGen) Spec() ScenarioSpec {
-	return ScenarioSpec{Kind: "weibull", Shape: g.Shape, Scale: g.Scale}
-}
-
-// GroupGen crashes one uniformly drawn group of Size consecutive processors
-// (a rack: group g covers [g·Size, (g+1)·Size)) at
-// a single exponential time with rate Lambda — correlated failures the way
-// real clusters fail: a power feed or top-of-rack switch takes the whole
-// rack down at once.
-type GroupGen struct {
-	Size   int
-	Lambda float64
-}
-
-// Check implements ScenarioGenerator.
-func (g GroupGen) Check(m int) error {
-	if g.Size < 1 {
-		return fmt.Errorf("sim: group size %d", g.Size)
-	}
-	if g.Size > m {
-		return fmt.Errorf("sim: group size %d exceeds platform of %d processors", g.Size, m)
-	}
-	if g.Lambda <= 0 {
-		return fmt.Errorf("sim: non-positive failure rate %g", g.Lambda)
-	}
-	return nil
-}
-
-// FillScenario implements ScenarioGenerator.
-func (g GroupGen) FillScenario(rng *rand.Rand, sc *Scenario, _ *ScenarioScratch) error {
-	m := len(sc.CrashTime)
-	if err := g.Check(m); err != nil {
-		return err
-	}
-	resetAlive(sc)
-	groups := (m + g.Size - 1) / g.Size
-	grp := rng.Intn(groups)
-	at := rng.ExpFloat64() / g.Lambda
-	hi := (grp + 1) * g.Size
-	if hi > m {
-		hi = m
-	}
-	for p := grp * g.Size; p < hi; p++ {
-		sc.CrashTime[p] = at
-	}
-	return nil
-}
-
-// Spec implements ScenarioGenerator.
-func (g GroupGen) Spec() ScenarioSpec {
-	return ScenarioSpec{Kind: "group", GroupSize: g.Size, Lambda: g.Lambda}
-}
-
-// BurstGen crashes N distinct uniformly drawn processors in a burst: the
-// burst onset is exponential with rate Lambda, and each crash lands at the
-// onset plus an independent uniform jitter in [0, Spread) — a cascading
-// outage (thermal event, bad rollout) rather than independent attrition.
-// Spread 0 crashes all N at the same instant.
-type BurstGen struct {
-	N      int
-	Lambda float64
-	Spread float64
-}
-
-// Check implements ScenarioGenerator.
-func (g BurstGen) Check(m int) error {
-	if g.N < 0 || g.N > m {
-		return fmt.Errorf("sim: cannot crash %d of %d processors", g.N, m)
-	}
-	if g.Lambda <= 0 {
-		return fmt.Errorf("sim: non-positive failure rate %g", g.Lambda)
-	}
-	if g.Spread < 0 {
-		return fmt.Errorf("sim: negative burst spread %g", g.Spread)
-	}
-	return nil
-}
-
-// FillScenario implements ScenarioGenerator.
-func (g BurstGen) FillScenario(rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) error {
-	m := len(sc.CrashTime)
-	if err := g.Check(m); err != nil {
-		return err
-	}
-	resetAlive(sc)
-	onset := rng.ExpFloat64() / g.Lambda
-	for _, p := range drawDistinct(rng, scratch, m, g.N) {
-		at := onset
-		if g.Spread > 0 {
-			at += rng.Float64() * g.Spread
-		}
-		sc.CrashTime[p] = at
-	}
-	return nil
-}
-
-// Spec implements ScenarioGenerator.
-func (g BurstGen) Spec() ScenarioSpec {
-	return ScenarioSpec{Kind: "burst", Crashes: g.N, Lambda: g.Lambda, Spread: g.Spread}
-}
-
-// StaggeredGen crashes N distinct uniformly drawn processors at evenly
-// spaced times across [0, Horizon] — a rolling outage: crash i happens at
-// (i+1)·Horizon/(N+1), so no processor is dead at time zero.
-type StaggeredGen struct {
-	N       int
-	Horizon float64
-}
-
-// Check implements ScenarioGenerator.
-func (g StaggeredGen) Check(m int) error {
-	if g.N < 0 || g.N > m {
-		return fmt.Errorf("sim: cannot crash %d of %d processors", g.N, m)
-	}
-	if g.Horizon <= 0 && g.N > 0 {
-		return fmt.Errorf("sim: non-positive horizon %g", g.Horizon)
-	}
-	return nil
-}
-
-// FillScenario implements ScenarioGenerator.
-func (g StaggeredGen) FillScenario(rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) error {
-	m := len(sc.CrashTime)
-	if err := g.Check(m); err != nil {
-		return err
-	}
-	resetAlive(sc)
-	for i, p := range drawDistinct(rng, scratch, m, g.N) {
-		sc.CrashTime[p] = g.Horizon * float64(i+1) / float64(g.N+1)
-	}
-	return nil
-}
-
-// Spec implements ScenarioGenerator.
-func (g StaggeredGen) Spec() ScenarioSpec {
-	return ScenarioSpec{Kind: "staggered", Crashes: g.N, Horizon: g.Horizon}
-}
+func (g *kindGen) Spec() ScenarioSpec { return g.spec }
 
 // ScenarioSpec is the wire/flag description of a scenario generator — the
 // shape the /evaluate endpoint, the ftexp campaign axis and ftsched
@@ -311,7 +105,8 @@ type ScenarioSpec struct {
 }
 
 // Generator materializes the spec, validating its platform-independent
-// parameters (counts are validated against m by the generator's Check).
+// parameters (counts are validated against m by the generator's Check). The
+// kind is looked up here, once, so no trial reads the table.
 func (sp ScenarioSpec) Generator() (ScenarioGenerator, error) {
 	if sp.Kind == "" {
 		return nil, fmt.Errorf("sim: scenario spec missing kind (known: %s)", strings.Join(ScenarioKinds(), ", "))
@@ -320,7 +115,14 @@ func (sp ScenarioSpec) Generator() (ScenarioGenerator, error) {
 	if k == nil {
 		return nil, unknownScenarioKind(sp.Kind)
 	}
-	return k.build(sp)
+	if k.build != nil {
+		return k.build(sp)
+	}
+	if err := k.check(sp, 0); err != nil {
+		return nil, err
+	}
+	sp.Kind = k.Name
+	return &kindGen{kind: k, spec: sp}, nil
 }
 
 // String renders the spec in the kind's canonical colon-separated form, with

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// mustGen materializes a scenario spec's generator.
+func mustGen(t testing.TB, sp ScenarioSpec) ScenarioGenerator {
+	t.Helper()
+	gen, err := sp.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen
+}
+
 func TestDrawDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var scratch ScenarioScratch
@@ -35,12 +45,12 @@ func TestGeneratorsFillShape(t *testing.T) {
 		gen        ScenarioGenerator
 		wantFailed int // -1: any
 	}{
-		{UniformGen{N: 3}, 3},
-		{ExponentialGen{Lambda: 0.01}, m}, // every lifetime finite
-		{WeibullGen{Shape: 2, Scale: 100}, m},
-		{GroupGen{Size: 4, Lambda: 0.01}, 4},
-		{BurstGen{N: 5, Lambda: 0.01, Spread: 10}, 5},
-		{StaggeredGen{N: 2, Horizon: 100}, 2},
+		{mustGen(t, ScenarioSpec{Kind: "uniform", Crashes: 3}), 3},
+		{mustGen(t, ScenarioSpec{Kind: "exp", Lambda: 0.01}), m}, // every lifetime finite
+		{mustGen(t, ScenarioSpec{Kind: "weibull", Shape: 2, Scale: 100}), m},
+		{mustGen(t, ScenarioSpec{Kind: "group", GroupSize: 4, Lambda: 0.01}), 4},
+		{mustGen(t, ScenarioSpec{Kind: "burst", Crashes: 5, Lambda: 0.01, Spread: 10}), 5},
+		{mustGen(t, ScenarioSpec{Kind: "staggered", Crashes: 2, Horizon: 100}), 2},
 	} {
 		t.Run(tc.gen.Spec().Kind, func(t *testing.T) {
 			if err := tc.gen.Check(m); err != nil {
@@ -66,7 +76,7 @@ func TestGeneratorsFillShape(t *testing.T) {
 func TestGroupGenCorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var scratch ScenarioScratch
-	gen := GroupGen{Size: 4, Lambda: 0.01}
+	gen := mustGen(t, ScenarioSpec{Kind: "group", GroupSize: 4, Lambda: 0.01})
 	for trial := 0; trial < 30; trial++ {
 		sc := NewScenario(10) // racks: [0..3], [4..7], [8..9]
 		if err := gen.FillScenario(rng, &sc, &scratch); err != nil {
@@ -103,7 +113,7 @@ func TestGroupGenCorrelated(t *testing.T) {
 func TestBurstGenSpread(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	var scratch ScenarioScratch
-	gen := BurstGen{N: 4, Lambda: 0.01, Spread: 5}
+	gen := mustGen(t, ScenarioSpec{Kind: "burst", Crashes: 4, Lambda: 0.01, Spread: 5})
 	sc := NewScenario(8)
 	if err := gen.FillScenario(rng, &sc, &scratch); err != nil {
 		t.Fatal(err)
@@ -127,10 +137,10 @@ func TestWeibullShapeOneIsExponential(t *testing.T) {
 	a, b := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
 	var scratch ScenarioScratch
 	scW, scE := NewScenario(6), NewScenario(6)
-	if err := (WeibullGen{Shape: 1, Scale: 50}).FillScenario(a, &scW, &scratch); err != nil {
+	if err := mustGen(t, ScenarioSpec{Kind: "weibull", Shape: 1, Scale: 50}).FillScenario(a, &scW, &scratch); err != nil {
 		t.Fatal(err)
 	}
-	if err := (ExponentialGen{Lambda: 1.0 / 50}).FillScenario(b, &scE, &scratch); err != nil {
+	if err := mustGen(t, ScenarioSpec{Kind: "exp", Lambda: 1.0 / 50}).FillScenario(b, &scE, &scratch); err != nil {
 		t.Fatal(err)
 	}
 	for p := range scW.CrashTime {

@@ -73,7 +73,7 @@ func TestGroupCrash(t *testing.T) {
 
 func TestStaggeredCrashes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	sc, err := draw(StaggeredGen{N: 3, Horizon: 100}, rng, 8)
+	sc, err := draw(mustGen(t, ScenarioSpec{Kind: "staggered", Crashes: 3, Horizon: 100}), rng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +89,17 @@ func TestStaggeredCrashes(t *testing.T) {
 			t.Errorf("P%d crash at %g outside (0,100)", p, ct)
 		}
 	}
-	if _, err := draw(StaggeredGen{N: 5, Horizon: 100}, rng, 4); err == nil {
+	if _, err := draw(mustGen(t, ScenarioSpec{Kind: "staggered", Crashes: 5, Horizon: 100}), rng, 4); err == nil {
 		t.Error("too many crashes accepted")
 	}
-	if _, err := draw(StaggeredGen{N: 2}, rng, 4); err == nil {
+	if _, err := (ScenarioSpec{Kind: "staggered", Crashes: 2}).Generator(); err == nil {
 		t.Error("zero horizon accepted")
 	}
 }
 
 func TestExponentialCrashes(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	sc, err := draw(ExponentialGen{Lambda: 0.1}, rng, 50)
+	sc, err := draw(mustGen(t, ScenarioSpec{Kind: "exp", Lambda: 0.1}), rng, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestExponentialCrashes(t *testing.T) {
 	if mean < 5 || mean > 20 {
 		t.Errorf("sample mean %g far from 10", mean)
 	}
-	if _, err := draw(ExponentialGen{}, rng, 5); err == nil {
+	if _, err := (ScenarioSpec{Kind: "exp"}).Generator(); err == nil {
 		t.Error("λ=0 accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestStaggeredCrashesLateFailuresCheaper(t *testing.T) {
 		}
 		early += resE.Latency
 		rngL := rand.New(rand.NewSource(int64(100 + i)))
-		scL, err := draw(StaggeredGen{N: eps, Horizon: s.UpperBound() * 2}, rngL, 10)
+		scL, err := draw(mustGen(t, ScenarioSpec{Kind: "staggered", Crashes: eps, Horizon: s.UpperBound() * 2}), rngL, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

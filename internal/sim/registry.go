@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
@@ -24,7 +25,7 @@ type ScenarioParam struct {
 // and documentation, served as-is by GET /scenarios, plus the behaviors every
 // dispatch site needs — parsing the colon-separated flag form, rendering the
 // canonical string (which response caches key on, so it must be
-// deterministic), and materializing a generator from a spec.
+// deterministic), checking a spec and drawing its scenarios.
 type ScenarioKindReg struct {
 	// Name is the canonical lower-case kind name ("uniform", "trace", ...).
 	Name string `json:"name"`
@@ -42,8 +43,14 @@ type ScenarioKindReg struct {
 	// string; only a kind whose parameters are not numbers sets them.
 	parse  func(spec string, args []string) (ScenarioSpec, error)
 	format func(sp ScenarioSpec) string
-	// build materializes the generator, validating platform-independent
-	// parameters (counts against m are validated by the generator's Check).
+	// check validates the spec's parameters and, when m > 0, that they fit
+	// a platform of m processors; fill overwrites sc, whose length has
+	// passed check, with one drawn scenario. ScenarioSpec.Generator binds a
+	// numeric kind's pair to the spec.
+	check func(sp ScenarioSpec, m int) error
+	fill  func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch)
+	// build replaces check and fill with a generator of the kind's own:
+	// trace sets it to group its incidents once, not per trial.
 	build func(sp ScenarioSpec) (ScenarioGenerator, error)
 }
 
@@ -194,6 +201,22 @@ func specAtof(spec, arg string) (float64, error) {
 // specs share (the property the response cache keys on).
 func fg(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
+// fitCrashes is the platform fit of a kind crashing n distinct processors.
+func fitCrashes(n, m int) error {
+	if m > 0 && n > m {
+		return fmt.Errorf("sim: cannot crash %d of %d processors", n, m)
+	}
+	return nil
+}
+
+// positiveRate refuses a failure rate that would mean "no failures".
+func positiveRate(lambda float64) error {
+	if lambda <= 0 {
+		return fmt.Errorf("sim: non-positive failure rate %g", lambda)
+	}
+	return nil
+}
+
 func init() {
 	scenarioKinds = []ScenarioKindReg{{
 		Name:     "uniform",
@@ -202,11 +225,19 @@ func init() {
 		Params: []ScenarioParam{
 			{Name: "crashes", Type: "int", Doc: "number of processors crashed at time 0"},
 		},
-		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		check: func(sp ScenarioSpec, m int) error {
 			if sp.Crashes < 0 {
-				return nil, fmt.Errorf("sim: uniform scenario needs crashes >= 0, got %d", sp.Crashes)
+				return fmt.Errorf("sim: uniform scenario needs crashes >= 0, got %d", sp.Crashes)
 			}
-			return UniformGen{N: sp.Crashes}, nil
+			return fitCrashes(sp.Crashes, m)
+		},
+		// The paper: "processors that fail during the schedule process are
+		// chosen uniformly"; the batch form of UniformCrashes.
+		fill: func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) {
+			resetAlive(sc)
+			for _, p := range drawDistinct(rng, scratch, len(sc.CrashTime), sp.Crashes) {
+				sc.CrashTime[p] = 0
+			}
 		},
 	}, {
 		Name:     "exp",
@@ -216,12 +247,11 @@ func init() {
 		Params: []ScenarioParam{
 			{Name: "lambda", Type: "float", Doc: "failure rate; mean lifetime is 1/lambda"},
 		},
-		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
-			g := ExponentialGen{Lambda: sp.Lambda}
-			if err := g.Check(0); err != nil {
-				return nil, err
+		check: func(sp ScenarioSpec, _ int) error { return positiveRate(sp.Lambda) },
+		fill: func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, _ *ScenarioScratch) {
+			for p := range sc.CrashTime {
+				sc.CrashTime[p] = rng.ExpFloat64() / sp.Lambda
 			}
-			return g, nil
 		},
 	}, {
 		Name:     "weibull",
@@ -231,12 +261,19 @@ func init() {
 			{Name: "shape", Type: "float", Doc: "Weibull shape k; 1 degenerates to exponential"},
 			{Name: "scale", Type: "float", Doc: "Weibull scale (characteristic lifetime)"},
 		},
-		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
-			g := WeibullGen{Shape: sp.Shape, Scale: sp.Scale}
-			if err := g.Check(0); err != nil {
-				return nil, err
+		check: func(sp ScenarioSpec, _ int) error {
+			if sp.Shape <= 0 || sp.Scale <= 0 {
+				return fmt.Errorf("sim: Weibull shape and scale must be positive, got k=%g λ=%g", sp.Shape, sp.Scale)
 			}
-			return g, nil
+			return nil
+		},
+		// Inverse transform: Scale · E^(1/Shape) with E standard
+		// exponential, so shape 1 draws exactly what exp:1/Scale draws.
+		fill: func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, _ *ScenarioScratch) {
+			inv := 1 / sp.Shape
+			for p := range sc.CrashTime {
+				sc.CrashTime[p] = sp.Scale * math.Pow(rng.ExpFloat64(), inv)
+			}
 		},
 	}, {
 		Name:     "group",
@@ -246,14 +283,33 @@ func init() {
 			{Name: "group_size", Type: "int", Doc: "rack size; group g covers processors [g*size, (g+1)*size)"},
 			{Name: "lambda", Type: "float", Doc: "failure rate of the rack's crash time"},
 		},
-		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		check: func(sp ScenarioSpec, m int) error {
 			if sp.GroupSize < 1 {
-				return nil, fmt.Errorf("sim: group scenario needs group_size >= 1, got %d", sp.GroupSize)
+				return fmt.Errorf("sim: group scenario needs group_size >= 1, got %d", sp.GroupSize)
 			}
-			if sp.Lambda <= 0 {
-				return nil, fmt.Errorf("sim: non-positive failure rate %g", sp.Lambda)
+			if err := positiveRate(sp.Lambda); err != nil {
+				return err
 			}
-			return GroupGen{Size: sp.GroupSize, Lambda: sp.Lambda}, nil
+			if m > 0 && sp.GroupSize > m {
+				return fmt.Errorf("sim: group size %d exceeds platform of %d processors", sp.GroupSize, m)
+			}
+			return nil
+		},
+		// A power feed or top-of-rack switch takes the whole rack down at
+		// once; the last rack may be short.
+		fill: func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, _ *ScenarioScratch) {
+			m := len(sc.CrashTime)
+			resetAlive(sc)
+			groups := (m + sp.GroupSize - 1) / sp.GroupSize
+			grp := rng.Intn(groups)
+			at := rng.ExpFloat64() / sp.Lambda
+			hi := (grp + 1) * sp.GroupSize
+			if hi > m {
+				hi = m
+			}
+			for p := grp * sp.GroupSize; p < hi; p++ {
+				sc.CrashTime[p] = at
+			}
 		},
 	}, {
 		Name:     "burst",
@@ -264,17 +320,30 @@ func init() {
 			{Name: "lambda", Type: "float", Doc: "failure rate of the burst onset"},
 			{Name: "spread", Type: "float", Doc: "per-crash jitter width; 0 crashes all at one instant", Optional: true},
 		},
-		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		check: func(sp ScenarioSpec, m int) error {
 			if sp.Crashes < 0 {
-				return nil, fmt.Errorf("sim: burst scenario needs crashes >= 0, got %d", sp.Crashes)
+				return fmt.Errorf("sim: burst scenario needs crashes >= 0, got %d", sp.Crashes)
 			}
-			if sp.Lambda <= 0 {
-				return nil, fmt.Errorf("sim: non-positive failure rate %g", sp.Lambda)
+			if err := positiveRate(sp.Lambda); err != nil {
+				return err
 			}
 			if sp.Spread < 0 {
-				return nil, fmt.Errorf("sim: negative burst spread %g", sp.Spread)
+				return fmt.Errorf("sim: negative burst spread %g", sp.Spread)
 			}
-			return BurstGen{N: sp.Crashes, Lambda: sp.Lambda, Spread: sp.Spread}, nil
+			return fitCrashes(sp.Crashes, m)
+		},
+		// A cascading outage (thermal event, bad rollout) rather than
+		// independent attrition.
+		fill: func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) {
+			resetAlive(sc)
+			onset := rng.ExpFloat64() / sp.Lambda
+			for _, p := range drawDistinct(rng, scratch, len(sc.CrashTime), sp.Crashes) {
+				at := onset
+				if sp.Spread > 0 {
+					at += rng.Float64() * sp.Spread
+				}
+				sc.CrashTime[p] = at
+			}
 		},
 	}, {
 		Name:     "staggered",
@@ -284,14 +353,21 @@ func init() {
 			{Name: "crashes", Type: "int", Doc: "number of processors crashed across the window"},
 			{Name: "horizon", Type: "float", Doc: "rolling-outage window; crash i lands at (i+1)*horizon/(n+1)"},
 		},
-		build: func(sp ScenarioSpec) (ScenarioGenerator, error) {
+		check: func(sp ScenarioSpec, m int) error {
 			if sp.Crashes < 0 {
-				return nil, fmt.Errorf("sim: staggered scenario needs crashes >= 0, got %d", sp.Crashes)
+				return fmt.Errorf("sim: staggered scenario needs crashes >= 0, got %d", sp.Crashes)
 			}
 			if sp.Horizon <= 0 && sp.Crashes > 0 {
-				return nil, fmt.Errorf("sim: non-positive horizon %g", sp.Horizon)
+				return fmt.Errorf("sim: non-positive horizon %g", sp.Horizon)
 			}
-			return StaggeredGen{N: sp.Crashes, Horizon: sp.Horizon}, nil
+			return fitCrashes(sp.Crashes, m)
+		},
+		// No processor is dead at time zero.
+		fill: func(sp ScenarioSpec, rng *rand.Rand, sc *Scenario, scratch *ScenarioScratch) {
+			resetAlive(sc)
+			for i, p := range drawDistinct(rng, scratch, len(sc.CrashTime), sp.Crashes) {
+				sc.CrashTime[p] = sp.Horizon * float64(i+1) / float64(sp.Crashes+1)
+			}
 		},
 	}, traceScenarioKind()}
 }

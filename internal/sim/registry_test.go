@@ -6,16 +6,20 @@ import (
 )
 
 // The kind table stands in for the checks a registration API would make:
-// lower-case unique names, unique aliases, every numeric parameter bound to
-// a ScenarioSpec field of its documented type, optional parameters last.
+// lower-case unique names, unique aliases, either a build or a check and fill
+// pair, every numeric parameter bound to a ScenarioSpec field of its
+// documented type, optional parameters last.
 func TestScenarioKindTable(t *testing.T) {
 	seen := map[string]string{}
 	for _, k := range scenarioKinds {
 		if k.Name == "" || k.Name != strings.ToLower(k.Name) {
 			t.Errorf("kind name %q must be non-empty lower-case", k.Name)
 		}
-		if k.build == nil {
-			t.Errorf("kind %q has no build", k.Name)
+		if (k.check == nil) != (k.fill == nil) {
+			t.Errorf("kind %q sets only one of check and fill", k.Name)
+		}
+		if (k.build == nil) == (k.check == nil) {
+			t.Errorf("kind %q must set either build or check and fill", k.Name)
 		}
 		if (k.parse == nil) != (k.format == nil) {
 			t.Errorf("kind %q overrides only one of parse and format", k.Name)
