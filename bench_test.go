@@ -14,7 +14,6 @@ import (
 	"ftsched"
 	"ftsched/internal/exec"
 	"ftsched/internal/expt"
-	"ftsched/internal/reliability"
 	"ftsched/internal/sched"
 	_ "ftsched/internal/schedulers"
 	"ftsched/internal/sim"
@@ -215,17 +214,21 @@ func BenchmarkAblationCommModels(b *testing.B) {
 	}
 }
 
-// BenchmarkReliability (X3) measures the Monte-Carlo reliability estimator.
+// BenchmarkReliability (X3) measures the Monte-Carlo reliability estimator:
+// sim.Evaluate under the exp scenario kind.
 func BenchmarkReliability(b *testing.B) {
 	inst := benchInstance(b, 7, 16)
 	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	law := reliability.Exponential{Lambda: 0.5 / s.UpperBound()}
+	gen, err := sim.ScenarioSpec{Kind: "exp", Lambda: 0.5 / s.UpperBound()}.Generator()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := reliability.MonteCarlo(8, s, law, 50); err != nil {
+		if _, err := sim.Evaluate(s, gen, 50, sim.EvalOptions{Seed: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}

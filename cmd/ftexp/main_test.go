@@ -204,6 +204,8 @@ func TestRejectedInvocations(t *testing.T) {
 		{"-table 1 -format csv", 1, "-table 1 supports -format ascii"},
 		{"-table 1 -instances 3", 1, "-instances does not apply to -table 1"},
 		{"-table 2", 1, "-table 2"},
+		// -maxtasks below every row used to print a header-only table.
+		{"-table 1 -maxtasks 50", 1, "expt: empty Table 1 sweep"},
 		{"-x4 -parallel 2", 1, "-parallel does not apply to -x4"},
 		{"-x6 -format svg", 1, "-x6 supports -format ascii, csv"},
 		{"-resume -fig 1 -instances 1 -gran 1", 1, "-resume needs a checkpoint path"},

@@ -178,6 +178,12 @@ func Example_reliability() {
 		log.Fatal(err)
 	}
 	law := ftsched.Exponential{Lambda: 0.1 / base.LowerBound()}
+	// The sampled estimate replays the schedule under crash times drawn
+	// from the same law: the exp scenario kind.
+	gen, err := ftsched.ScenarioSpec{Kind: "exp", Lambda: law.Lambda}.Generator()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%4s %12s %12s %16s %14s\n",
 		"ε", "latency", "guarantee", "P(survive) ≥", "Monte-Carlo")
@@ -191,12 +197,12 @@ func Example_reliability() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mc, err := ftsched.MonteCarloReliability(99, s, law, 2000)
+		mc, err := ftsched.Evaluate(s, gen, 2000, ftsched.EvalOptions{Seed: 99})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%4d %12.1f %12.1f %16.4f %14.4f\n",
-			eps, s.LowerBound(), s.UpperBound(), bound, mc.Success)
+			eps, s.LowerBound(), s.UpperBound(), bound, mc.SuccessRate)
 	}
 	fmt.Println("\nreplication buys reliability; the latency column shows its price.")
 	// Output:

@@ -109,15 +109,10 @@ type (
 	EvalResult = sim.EvalResult
 )
 
-// Reliability (see internal/reliability).
-type (
-	// Exponential models i.i.d. exponential processor lifetimes.
-	Exponential = reliability.Exponential
-	// Weibull models i.i.d. Weibull processor lifetimes (aging hardware).
-	Weibull = reliability.Weibull
-	// MonteCarloResult summarizes a sampled reliability estimate.
-	MonteCarloResult = reliability.MonteCarloResult
-)
+// Exponential models i.i.d. exponential processor lifetimes (see
+// internal/reliability); its sampled counterpart is Evaluate under the
+// ScenarioSpec{Kind: "exp", Lambda: λ}.
+type Exponential = reliability.Exponential
 
 // Scheduler registry (see internal/sched). Every scheduling algorithm is
 // also reachable by name — the same dispatch the ftserved HTTP API, the
@@ -199,14 +194,6 @@ func UniformCrashes(rng *rand.Rand, m, n int) (Scenario, error) {
 // failures survives the mission (at most ε of m processors fail).
 func SurvivalLowerBound(e Exponential, m, epsilon int, mission float64) (float64, error) {
 	return reliability.SurvivalLowerBound(e, m, epsilon, mission)
-}
-
-// MonteCarloReliability estimates the survival probability by sampling crash
-// scenarios and replaying the schedule. It is deterministic in the seed:
-// equal seeds agree trial-for-trial with Evaluate under the generator of
-// the spec {Kind: "exp", Lambda: e.Lambda}, which e.Generator() returns.
-func MonteCarloReliability(seed int64, s *Schedule, e Exponential, trials int) (*MonteCarloResult, error) {
-	return reliability.MonteCarlo(seed, s, e, trials)
 }
 
 // Evaluate replays the schedule under trials failure scenarios drawn from

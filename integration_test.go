@@ -227,12 +227,16 @@ func TestPublicFacadeCoversWorkflow(t *testing.T) {
 	if err := bar.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	mcr, err := ftsched.MonteCarloReliability(4, s, ftsched.Exponential{Lambda: 0.1 / s.UpperBound()}, 100)
+	gen, err := ftsched.ScenarioSpec{Kind: "exp", Lambda: 0.1 / s.UpperBound()}.Generator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mcr.Success <= 0 || mcr.Success > 1 {
-		t.Errorf("MC success %g", mcr.Success)
+	mcr, err := ftsched.Evaluate(s, gen, 100, ftsched.EvalOptions{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mcr.SuccessRate <= 0 || mcr.SuccessRate > 1 {
+		t.Errorf("MC success %g", mcr.SuccessRate)
 	}
 	sd, err := ftsched.ScheduleByName("ftsa", inst.Graph, inst.Platform, inst.Costs,
 		ftsched.RunOptions{Epsilon: 1, Latency: s.UpperBound() * 4})

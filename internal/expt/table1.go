@@ -51,6 +51,9 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	if cfg.Procs < cfg.Epsilon+1 {
 		return nil, fmt.Errorf("expt: ε=%d needs more than %d processors", cfg.Epsilon, cfg.Procs)
 	}
+	if len(cfg.TaskCounts) == 0 {
+		return nil, fmt.Errorf("expt: empty Table 1 sweep")
+	}
 	rng := lazyrand.New(cfg.Seed)
 	rows := make([]Table1Row, 0, len(cfg.TaskCounts))
 	for _, v := range cfg.TaskCounts {

@@ -5,21 +5,16 @@
 // and we quantify the probability that a fault-tolerant schedule delivers a
 // result.
 //
-// Two estimators are provided:
+// The package holds the closed-form estimate: a schedule tolerating ε
+// crash-at-start failures survives every scenario with at most ε failed
+// processors (Theorem 4.1), so P(survival) >= P(at most ε of m processors
+// fail during the mission). SurvivalLowerBound computes that binomial tail;
+// the serving layer reports it per /schedule request (cheap, deterministic,
+// cacheable).
 //
-//   - an exact combinatorial bound: a schedule tolerating ε crash-at-start
-//     failures survives every scenario with at most ε failed processors, so
-//     P(survival) >= P(at most ε of m processors fail during the mission);
-//   - a Monte-Carlo estimator that samples crash times and replays the
-//     schedule through the simulator, capturing mid-execution crashes and
-//     the exact communication pattern.
-//
-// The combinatorial bound is what the serving layer reports per /schedule
-// request (cheap, deterministic, cacheable). The Monte-Carlo estimator is a
-// seed-deterministic view over the batch evaluation engine:
-// Exponential.Generator() is the exp scenario spec's sim.ScenarioGenerator
-// (an error for a non-positive rate), and MonteCarlo delegates to
-// sim.Evaluate with it, so MonteCarlo(seed, ...) agrees trial for trial with
-// Evaluate at the same seed — one sampling loop for the whole system (see
-// Example_reliability in the root package and the /evaluate endpoint).
+// The sampled estimate is sim.Evaluate under the exp:λ scenario kind
+// (sim.ScenarioSpec{Kind: "exp", Lambda: λ}): it draws crash times from the
+// same law and replays the schedule, capturing mid-execution crashes and the
+// exact communication pattern. See Example_reliability in the root package
+// and the /evaluate endpoint.
 package reliability

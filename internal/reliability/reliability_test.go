@@ -1,7 +1,6 @@
 package reliability
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,6 +79,21 @@ func TestSurvivalLowerBoundErrors(t *testing.T) {
 	}
 }
 
+// sampled estimates the schedule's survival probability the one sampled
+// way: sim.Evaluate under the exp scenario kind at rate e.Lambda.
+func sampled(t *testing.T, seed int64, s *sched.Schedule, e Exponential, trials int) *sim.EvalResult {
+	t.Helper()
+	gen, err := sim.ScenarioSpec{Kind: "exp", Lambda: e.Lambda}.Generator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestMonteCarloAgreesWithBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := workload.DefaultPaperConfig(1.0)
@@ -97,10 +111,7 @@ func TestMonteCarloAgreesWithBound(t *testing.T) {
 	// Failure rate chosen so failures during the mission are common enough
 	// to exercise both outcomes.
 	e := Exponential{Lambda: 0.5 / s.UpperBound()}
-	mc, err := MonteCarlo(17, s, e, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mc := sampled(t, 17, s, e, 400)
 	lower, err := SurvivalLowerBound(e, 8, eps, s.UpperBound())
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +119,11 @@ func TestMonteCarloAgreesWithBound(t *testing.T) {
 	// Monte-Carlo success can only exceed the combinatorial lower bound
 	// (mid-run crashes after useful work still succeed); allow sampling
 	// noise of a few percent.
-	if mc.Success < lower-0.06 {
-		t.Errorf("Monte-Carlo success %g below lower bound %g", mc.Success, lower)
+	if mc.SuccessRate < lower-0.06 {
+		t.Errorf("Monte-Carlo success %g below lower bound %g", mc.SuccessRate, lower)
 	}
-	if mc.Success > 0 && mc.MeanLatency <= 0 {
-		t.Errorf("successful runs must report positive latency, got %g", mc.MeanLatency)
+	if mc.SuccessRate > 0 && mc.Latency.Mean <= 0 {
+		t.Errorf("successful runs must report positive latency, got %g", mc.Latency.Mean)
 	}
 }
 
@@ -134,113 +145,8 @@ func TestMonteCarlohigherEpsilonMoreReliable(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := Exponential{Lambda: 1.0 / s3.UpperBound()}
-	mc0, err := MonteCarlo(7, s0, e, 400)
-	if err != nil {
-		t.Fatal(err)
+	mc0, mc3 := sampled(t, 7, s0, e, 400), sampled(t, 7, s3, e, 400)
+	if mc3.SuccessRate <= mc0.SuccessRate {
+		t.Errorf("ε=3 success %g should beat ε=0 success %g", mc3.SuccessRate, mc0.SuccessRate)
 	}
-	mc3, err := MonteCarlo(7, s3, e, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc3.Success <= mc0.Success {
-		t.Errorf("ε=3 success %g should beat ε=0 success %g", mc3.Success, mc0.Success)
-	}
-}
-
-func TestMonteCarloErrors(t *testing.T) {
-	if _, err := MonteCarlo(1, nil, Exponential{Lambda: 0}, 10); err == nil {
-		t.Error("want error for λ=0")
-	}
-}
-
-// The refactor's contract: MonteCarlo is sim.Evaluate under the law's
-// generator, so at equal seeds the two agree trial for trial — not just in
-// expectation.
-func TestMonteCarloAgreesWithEvaluate(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cfg := workload.DefaultPaperConfig(1.0)
-	cfg.Procs = 8
-	cfg.DAG.MinTasks, cfg.DAG.MaxTasks = 25, 35
-	inst, err := workload.NewInstance(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.Run("ftsa", inst.Graph, inst.Platform, inst.Costs, sched.RunOptions{Epsilon: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := Exponential{Lambda: 1.0 / s.UpperBound()}
-	const seed, trials = 23, 300
-	mc, err := MonteCarlo(seed, s, e, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := e.Generator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := sim.Evaluate(s, gen, trials, sim.EvalOptions{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Success != ev.SuccessRate || mc.MeanLatency != ev.Latency.Mean || mc.Trials != ev.Trials {
-		t.Fatalf("MonteCarlo %+v disagrees with Evaluate (rate %g, mean %g, trials %d)",
-			mc, ev.SuccessRate, ev.Latency.Mean, ev.Trials)
-	}
-	// Both should exercise successes and failures at this rate.
-	if ev.Successes == 0 || ev.Successes == trials {
-		t.Fatalf("degenerate sample: %d/%d successes", ev.Successes, trials)
-	}
-}
-
-func TestWeibullLaw(t *testing.T) {
-	w := Weibull{Shape: 2, Scale: 100}
-	if err := w.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Weibull{Shape: 0, Scale: 1}).Validate(); err == nil {
-		t.Error("want error for shape 0")
-	}
-	// Shape 1 degenerates to exponential: equal seeds, equal draws.
-	a, b := rand.New(rand.NewSource(2)), rand.New(rand.NewSource(2))
-	wd := Weibull{Shape: 1, Scale: 40}.Sample(a)
-	ed := Exponential{Lambda: 1.0 / 40}.Sample(b)
-	if math.Abs(wd-ed) > 1e-9*ed {
-		t.Errorf("Weibull(1,40) drew %g, Exponential(1/40) drew %g", wd, ed)
-	}
-	// The law's sampler and its sim generator agree draw for draw.
-	a, b = rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	sc := sim.NewScenario(4)
-	gen, err := sim.ScenarioSpec{Kind: "weibull", Shape: w.Shape, Scale: w.Scale}.Generator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gen.FillScenario(b, &sc, &sim.ScenarioScratch{}); err != nil {
-		t.Fatal(err)
-	}
-	for p := range sc.CrashTime {
-		if got, want := sc.CrashTime[p], w.Sample(a); got != want {
-			t.Fatalf("processor %d: generator drew %g, law drew %g", p, got, want)
-		}
-	}
-}
-
-// Sample draws one crash time.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	return rng.ExpFloat64() / e.Lambda
-}
-
-// Validate checks the law's parameters.
-func (w Weibull) Validate() error {
-	if w.Shape <= 0 || w.Scale <= 0 {
-		return fmt.Errorf("reliability: Weibull shape and scale must be positive, got k=%g λ=%g", w.Shape, w.Scale)
-	}
-	return nil
-}
-
-// Sample draws one crash time by inverse transform: λ·E^(1/k) with E
-// standard exponential — the same draw the weibull scenario kind makes, so a seeded
-// stream here reproduces the generator's scenarios.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	return w.Scale * math.Pow(rng.ExpFloat64(), 1/w.Shape)
 }

@@ -163,26 +163,15 @@ func (s *Server) serveBatch(w http.ResponseWriter, items []*ScheduleRequest) (st
 				return nil
 			}()
 		})
-		switch submitErr {
-		case nil:
-		case ErrBusy:
-			// All len(items) requests are rejected; writeError adds the final
-			// client error, the other len-1 are added here.
-			s.rejected.Add(uint64(len(items)))
-			s.clientErrors.Add(uint64(len(items)) - 1)
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusTooManyRequests, ErrBusy)
-			return "", false
-		default: // ErrClosed during shutdown
-			s.internalErrors.Add(uint64(len(items)) - 1)
-			s.writeError(w, http.StatusServiceUnavailable, submitErr)
+		if submitErr != nil {
+			// A refusal refuses all len(items) requests.
+			s.writeError(w, refusedStatus(submitErr), submitErr, len(items))
 			return "", false
 		}
 		if err := <-done; err != nil {
 			// One failed item fails the batch: all its requests end as
-			// internal errors (writeError adds the last one).
-			s.internalErrors.Add(uint64(len(items)) - 1)
-			s.writeError(w, http.StatusInternalServerError, err)
+			// internal errors.
+			s.writeError(w, http.StatusInternalServerError, err, len(items))
 			return "", false
 		}
 	}
@@ -210,8 +199,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, items []*ScheduleRequest) (st
 	}
 	body, err := Encode(resp)
 	if err != nil {
-		s.internalErrors.Add(uint64(len(items)) - 1)
-		s.writeError(w, http.StatusInternalServerError, err)
+		s.writeError(w, http.StatusInternalServerError, err, len(items))
 		return "", false
 	}
 	for fp, i := range first {

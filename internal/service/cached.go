@@ -200,7 +200,7 @@ func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
 		start := time.Now()
 		buf, status, err := ReadBody(w, r, s.cfg.MaxBodyBytes)
 		if err != nil {
-			s.writeError(w, status, err)
+			s.writeError(w, status, err, 1)
 			return
 		}
 		defer ReleaseBody(buf)
@@ -210,7 +210,7 @@ func (s *Server) handleCached(ep *Endpoint) http.HandlerFunc {
 		}
 		d, err := ep.Decode(buf.Bytes())
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
+			s.writeError(w, http.StatusBadRequest, err, 1)
 			return
 		}
 		s.serveDecoded(w, r, d, digest, start)
@@ -274,7 +274,7 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, d *Decoded
 	}
 	if err != nil {
 		d.Release()
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, http.StatusBadRequest, err, 1)
 		return
 	}
 	var scheds schedSet

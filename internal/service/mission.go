@@ -203,27 +203,17 @@ func (s *Server) createMission(w http.ResponseWriter, req *MissionRequest, id st
 	}
 	if len(s.missions) >= s.cfg.MaxMissions && !s.evictOldestFinishedLocked() {
 		s.missionMu.Unlock()
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
 		s.writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("all %d retained missions are still running", s.cfg.MaxMissions))
+			fmt.Errorf("all %d retained missions are still running", s.cfg.MaxMissions), 1)
 		return "", false
 	}
 	st := newMissionState(id)
 	// Submit before inserting: a failed submit must not leave a phantom
 	// mission that would make a retry a no-op "hit". missionMu spans both,
 	// and TrySubmit never blocks, so the hold is brief.
-	switch err := s.pool.TrySubmit(func() { s.runMission(req, st) }); err {
-	case nil:
-	case ErrBusy:
+	if err := s.pool.TrySubmit(func() { s.runMission(req, st) }); err != nil {
 		s.missionMu.Unlock()
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, ErrBusy)
-		return "", false
-	default: // ErrClosed during shutdown
-		s.missionMu.Unlock()
-		s.writeError(w, http.StatusServiceUnavailable, err)
+		s.writeError(w, refusedStatus(err), err, 1)
 		return "", false
 	}
 	s.missions[id] = st

@@ -232,15 +232,30 @@ func (s *Server) Workers() int { return s.pool.Workers() }
 // QueueCapacity returns the effective request-queue bound after defaulting.
 func (s *Server) QueueCapacity() int { return s.pool.QueueCapacity() }
 
-// writeError emits the uniform JSON error body and counts it toward the
-// conservation invariant's error buckets.
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	if status >= 500 {
-		s.internalErrors.Add(1)
-	} else {
-		s.clientErrors.Add(1)
+// writeError emits the uniform JSON error body for n logical requests and
+// counts them toward the conservation invariant's error buckets. A 429 also
+// counts them as rejected and asks the client to retry in a second.
+func (s *Server) writeError(w http.ResponseWriter, status int, err error, n int) {
+	switch {
+	case status >= 500:
+		s.internalErrors.Add(uint64(n))
+	case status == http.StatusTooManyRequests:
+		s.rejected.Add(uint64(n))
+		w.Header().Set("Retry-After", "1")
+		fallthrough
+	default:
+		s.clientErrors.Add(uint64(n))
 	}
 	WriteError(w, status, err)
+}
+
+// refusedStatus is the status of a pool refusal: 429 for a full queue
+// (ErrBusy), 503 otherwise (ErrClosed during shutdown).
+func refusedStatus(err error) int {
+	if errors.Is(err, ErrBusy) {
+		return http.StatusTooManyRequests
+	}
+	return http.StatusServiceUnavailable
 }
 
 // flight is one in-flight cache-miss computation. The first request for a
@@ -313,11 +328,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 			return "", false
 		}
 		if f.err != nil {
-			if f.status == http.StatusTooManyRequests {
-				s.rejected.Add(1)
-				w.Header().Set("Retry-After", "1")
-			}
-			s.writeError(w, f.status, f.err)
+			s.writeError(w, f.status, f.err, 1)
 			return "", false
 		}
 		// A follower is observably a cache hit: it is served bytes another
@@ -384,19 +395,11 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 		}
 		finish(body, nil, 0)
 	})
-	switch submitErr {
-	case nil:
-	case ErrBusy:
+	if submitErr != nil {
 		release()
-		finish(nil, ErrBusy, http.StatusTooManyRequests)
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusTooManyRequests, ErrBusy)
-		return "", false
-	default: // ErrClosed during shutdown
-		release()
-		finish(nil, submitErr, http.StatusServiceUnavailable)
-		s.writeError(w, http.StatusServiceUnavailable, submitErr)
+		status := refusedStatus(submitErr)
+		finish(nil, submitErr, status)
+		s.writeError(w, status, submitErr, 1)
 		return "", false
 	}
 	select {
@@ -414,7 +417,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, fp Fingerpr
 		return "", false
 	}
 	if f.err != nil {
-		s.writeError(w, f.status, f.err)
+		s.writeError(w, f.status, f.err, 1)
 		return "", false
 	}
 	s.misses.Add(1)

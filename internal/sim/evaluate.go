@@ -21,9 +21,6 @@ type EvalOptions struct {
 	Seed int64
 	// Workers is the replay worker count; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// StrictMatched disables degraded-mode rerouting for PatternMatched
-	// schedules, as in Options.StrictMatched.
-	StrictMatched bool
 	// OnTrial, when non-nil, observes every trial's outcome in strict trial
 	// order (latency is meaningful only when ok is true). Because trial
 	// seeds derive from (Seed, trial), two evaluations at one seed see the
@@ -156,7 +153,7 @@ type TrialFunc func(trial int, sc Scenario) (ok bool, latency float64, err error
 // evaluation deterministically (first error in trial order wins).
 func Evaluate(s *sched.Schedule, gen ScenarioGenerator, trials int, opt EvalOptions) (*EvalResult, error) {
 	newRunner := func() (TrialFunc, func(), error) {
-		rp, err := newReplayer(s, Options{StrictMatched: opt.StrictMatched})
+		rp, err := newReplayer(s, Options{})
 		if err != nil {
 			return nil, nil, err
 		}

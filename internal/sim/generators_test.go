@@ -151,6 +151,34 @@ func TestWeibullShapeOneIsExponential(t *testing.T) {
 	}
 }
 
+// weibullLaw is the Weibull lifetime law written independently of the
+// scenario-kind table: inverse transform λ·E^(1/k), E standard exponential.
+type weibullLaw struct{ Shape, Scale float64 }
+
+func (w weibullLaw) sample(rng *rand.Rand) float64 {
+	return w.Scale * math.Pow(rng.ExpFloat64(), 1/w.Shape)
+}
+
+// TestWeibullLaw holds the weibull kind to the law, draw for draw, and
+// checks that a non-positive shape is refused.
+func TestWeibullLaw(t *testing.T) {
+	if _, err := (ScenarioSpec{Kind: "weibull", Shape: 0, Scale: 1}).Generator(); err == nil {
+		t.Error("want error for shape 0")
+	}
+	w := weibullLaw{Shape: 2, Scale: 100}
+	a, b := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	sc := NewScenario(4)
+	gen := mustGen(t, ScenarioSpec{Kind: "weibull", Shape: w.Shape, Scale: w.Scale})
+	if err := gen.FillScenario(b, &sc, &ScenarioScratch{}); err != nil {
+		t.Fatal(err)
+	}
+	for p := range sc.CrashTime {
+		if got, want := sc.CrashTime[p], w.sample(a); got != want {
+			t.Fatalf("processor %d: generator drew %g, law drew %g", p, got, want)
+		}
+	}
+}
+
 func TestScenarioSpecRoundTrip(t *testing.T) {
 	for _, in := range []string{
 		"uniform:2",

@@ -45,9 +45,8 @@ func (g literalUniform) FillScenario(rng *rand.Rand, sc *Scenario, scratch *Scen
 func (g literalUniform) Spec() ScenarioSpec { return ScenarioSpec{Kind: "uniform", Crashes: g.N} }
 
 // literalExponential draws an independent exponential lifetime with rate Lambda
-// for every processor — the reliability package's failure law. It is the
-// generator reliability.MonteCarlo runs on, so both agree trial-for-trial at
-// equal seeds.
+// for every processor — the reliability package's failure law, whose
+// sampled survival estimate is Evaluate under this kind.
 type literalExponential struct {
 	Lambda float64
 }
