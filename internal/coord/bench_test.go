@@ -13,8 +13,10 @@ import (
 )
 
 // BenchmarkDoorSchedule times a paper-sized /schedule through the door and
-// two in-process shards: a byte-identical repeat (no decode anywhere) and a
-// never-seen seed (one decode, at the door).
+// two in-process shards: a byte-identical repeat (no decode anywhere), a
+// never-seen seed on the same instance (one decode, at the door, from pooled
+// storage) and a never-seen instance — the last edge's volume changed, so
+// that the graph decodes again.
 func BenchmarkDoorSchedule(b *testing.B) {
 	inst, err := workload.NewInstance(rand.New(rand.NewSource(5)), workload.DefaultPaperConfig(1.0))
 	if err != nil {
@@ -59,6 +61,17 @@ func BenchmarkDoorSchedule(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			post(c, fmt.Appendf(nil, `%s,"seed":%d}`, head, i+1), "miss")
+		}
+	})
+	b.Run("miss-new-instance", func(b *testing.B) {
+		c := deploy(b)
+		key := []byte(`"volume":`)
+		at := bytes.LastIndex(body, key) + len(key)
+		end := at + bytes.IndexAny(body[at:], ",}")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(c, fmt.Appendf(nil, "%s%d%s", body[:at], i+1, body[end:]), "miss")
 		}
 	})
 }

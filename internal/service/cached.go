@@ -113,7 +113,7 @@ func decodeSchedule(body []byte) (*Decoded, error) {
 	// response cache stores bytes), but the compute itself may outlive the
 	// handler when the client disconnects — serveCached owns the release via
 	// its cleanup hook.
-	req := AcquireScheduleRequest()
+	req := acquireScheduleRequest(body)
 	if err := decodeScheduleInto(req, body); err != nil {
 		ReleaseScheduleRequest(req)
 		return nil, err

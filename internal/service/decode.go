@@ -40,26 +40,45 @@ var instanceFields = wire.Fields{"graph", "platform", "costs"}
 // member is decoded again from nothing; the last one stands. A refused body
 // hands the storage back — req then holds capacity for the next decode and
 // nothing to read.
+//
+// A pooled request's storage also remembers the bytes it was decoded from
+// (instanceMemo): a member whose bytes repeat them exactly is not decoded
+// again but taken as the storage holds it — the graph only while the body
+// still has room for its task count. Bodies past maxPooledBody leave nothing
+// remembered, and a refused body forgets what it had.
 func decodeBody(body []byte, req request) error {
 	in := req.instance()
-	storage := *in
-	*in = Instance{}
+	storage, memo := *in, in.memo
+	*in = Instance{memo: memo}
+	if len(body) > maxPooledBody {
+		memo.forget()
+		memo = nil
+	}
 
 	s := wire.NewScanner(body)
 	rest := body // a body that is not an object is encoding/json's to refuse
 	var err error
 	if s.Peek() == '{' {
-		rest = append(make([]byte, 0, 256), '{')
+		if memo != nil {
+			rest = append(memo.rest[:0], '{')
+		} else {
+			rest = append(make([]byte, 0, 256), '{')
+		}
+		// Every task needs a cost row, "[0]," at the least, in this same
+		// body.
+		maxTasks := len(body) / 4
 		err = s.Object(func(key []byte) error {
 			switch instanceFields.Index(key) {
 			case 0:
-				// Every task needs a cost row, "[0]," at the least, in this
-				// same body.
-				return scanMember(s, &in.Graph, &storage.Graph, func(g *dag.Graph) error { return g.ScanJSONMax(s, len(body)/4) })
+				return scanMember(s, body, memo, 0, &in.Graph, &storage.Graph,
+					func(g *dag.Graph) bool { return g.NumTasks() <= maxTasks },
+					func(g *dag.Graph) error { return g.ScanJSONMax(s, maxTasks) })
 			case 1:
-				return scanMember(s, &in.Platform, &storage.Platform, func(p *platform.Platform) error { return p.ScanJSON(s) })
+				return scanMember(s, body, memo, 1, &in.Platform, &storage.Platform, nil,
+					func(p *platform.Platform) error { return p.ScanJSON(s) })
 			case 2:
-				return scanMember(s, &in.Costs, &storage.Costs, func(cm *platform.CostModel) error { return cm.ScanJSON(s) })
+				return scanMember(s, body, memo, 2, &in.Costs, &storage.Costs, nil,
+					func(cm *platform.CostModel) error { return cm.ScanJSON(s) })
 			}
 			value, err := s.Raw()
 			if len(rest) > 1 {
@@ -69,6 +88,9 @@ func decodeBody(body []byte, req request) error {
 			return err
 		})
 		rest = append(rest, '}')
+		if memo != nil {
+			memo.rest = rest
+		}
 	} else {
 		err = s.Skip()
 	}
@@ -87,21 +109,9 @@ func decodeBody(body []byte, req request) error {
 	}
 	if err != nil {
 		*in = storage
+		memo.forget()
 	}
 	return err
-}
-
-// scanMember decodes one instance member into *storage, allocating it when
-// the request brought none, and points *dst at it; null leaves *dst nil.
-func scanMember[T any](s *wire.Scanner, dst, storage **T, scan func(*T) error) error {
-	if *dst = nil; s.Null() {
-		return nil
-	}
-	if *storage == nil {
-		*storage = new(T)
-	}
-	*dst = *storage
-	return scan(*dst)
 }
 
 // requestPtr is a request type T by its pointer, which has the methods.

@@ -13,6 +13,7 @@ import (
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/wire"
 )
 
 // The oracle of FuzzDecodeDifferential: the request decoders as they were
@@ -477,20 +478,105 @@ func FuzzDecodeDifferential(f *testing.F) {
 		if err := decodeScheduleInto(pooled, []byte(differentialBodies["schedule"])); err != nil {
 			t.Fatal(err)
 		}
-		fresh, freshErr := decodeNew[ScheduleRequest](body)
-		if pooledErr := decodeScheduleInto(pooled, body); fmt.Sprint(pooledErr) != fmt.Sprint(freshErr) {
-			t.Fatalf("warm pooled decode: %v, fresh: %v\nbody: %q", pooledErr, freshErr, body)
+		samePooled(t, pooled, body)
+		// Warm with the body itself, so its instance members are what the
+		// storage remembers, then decode it again, with one byte of a member
+		// changed and with its members reordered: a decode that skips a
+		// member must still read exactly what a fresh one reads.
+		_ = decodeScheduleInto(pooled, body)
+		samePooled(t, pooled, body)
+		if changed := changeMemberByte(body); changed != nil {
+			samePooled(t, pooled, changed)
 		}
-		if freshErr != nil {
-			return
-		}
-		if RequestFingerprint(pooled) != RequestFingerprint(fresh) {
-			t.Fatalf("warm pooled decode changed the fingerprint\nbody: %q", body)
-		}
-		if err := sameInstance(pooled, fresh); err != nil {
-			t.Fatalf("warm pooled decode: %v\nbody: %q", err, body)
+		if reordered := reorderMembers(body); reordered != nil {
+			samePooled(t, pooled, reordered)
 		}
 	})
+}
+
+// samePooled decodes body into the warm pooled request and checks it against
+// a fresh decode: the same error text or, on success, the same fingerprint
+// and instance.
+func samePooled(t *testing.T, pooled *ScheduleRequest, body []byte) {
+	t.Helper()
+	fresh, freshErr := decodeNew[ScheduleRequest](body)
+	if pooledErr := decodeScheduleInto(pooled, body); fmt.Sprint(pooledErr) != fmt.Sprint(freshErr) {
+		t.Fatalf("warm pooled decode: %v, fresh: %v\nbody: %q", pooledErr, freshErr, body)
+	}
+	if freshErr != nil {
+		return
+	}
+	if RequestFingerprint(pooled) != RequestFingerprint(fresh) {
+		t.Fatalf("warm pooled decode changed the fingerprint\nbody: %q", body)
+	}
+	if err := sameInstance(pooled, fresh); err != nil {
+		t.Fatalf("warm pooled decode: %v\nbody: %q", err, body)
+	}
+}
+
+// topMembers returns the spans of the top-level members of body, key through
+// value, and which of them are instance members; nil when body is not an
+// object the scanner can walk.
+func topMembers(body []byte) (spans [][2]int, instance []bool) {
+	s := wire.NewScanner(body)
+	if s.Peek() != '{' {
+		return nil, nil
+	}
+	err := s.Object(func(key []byte) error {
+		end := s.Offset() // behind the colon
+		start := bytes.LastIndex(body[:end], key)
+		err := s.Skip()
+		spans = append(spans, [2]int{start, s.Offset()})
+		instance = append(instance, instanceFields.Index(key) >= 0)
+		return err
+	})
+	if err != nil {
+		return nil, nil
+	}
+	return spans, instance
+}
+
+// changeMemberByte returns body with one byte inside an instance member's
+// value changed — a digit to the next digit, anything else to a byte one
+// bit away — or nil when body has no such member.
+func changeMemberByte(body []byte) []byte {
+	spans, instance := topMembers(body)
+	for i, span := range spans {
+		if !instance[i] {
+			continue
+		}
+		colon := span[0] + bytes.IndexByte(body[span[0]:span[1]], ':')
+		value := body[colon+1 : span[1]]
+		if len(value) < 2 {
+			continue
+		}
+		out := bytes.Clone(body)
+		at := colon + 1 + len(value)/2
+		if c := out[at]; '0' <= c && c <= '9' {
+			out[at] = '0' + (c-'0'+1)%10
+		} else {
+			out[at] ^= 1
+		}
+		return out
+	}
+	return nil
+}
+
+// reorderMembers returns body with its top-level members in reverse order,
+// or nil when there are fewer than two.
+func reorderMembers(body []byte) []byte {
+	spans, _ := topMembers(body)
+	if len(spans) < 2 {
+		return nil
+	}
+	out := []byte{'{'}
+	for i := len(spans) - 1; i >= 0; i-- {
+		out = append(out, body[spans[i][0]:spans[i][1]]...)
+		if i > 0 {
+			out = append(out, ',')
+		}
+	}
+	return append(out, '}')
 }
 
 // TestDecodeDivergences pins the two places decodeBody deliberately departs
@@ -535,6 +621,23 @@ func TestHugeTaskCountRefused(t *testing.T) {
 				t.Errorf("%s: %q: %v", c.name, body, err)
 			}
 		}
+	}
+	// Through the skip: pooled storage holding a graph of that shape, kept
+	// from a body padded with the cost rows that give it room, must not lend
+	// it to the bare body, which has none.
+	const graph, tasks = `{"tasks": 4096}`, 4096
+	padded := `{"graph": ` + graph + `, "platform": {"procs": 1, "delay": [[0]]}, "costs": {"cost": [` +
+		strings.Repeat("[1],", tasks-1) + `[1]]}, "scheduler": "heft", "epsilon": 0}`
+	bare := []byte(`{"graph": ` + graph + `}`)
+	pooled := AcquireScheduleRequest()
+	defer ReleaseScheduleRequest(pooled)
+	if err := decodeScheduleInto(pooled, []byte(padded)); err != nil {
+		t.Fatal(err)
+	}
+	_, want := decodeNew[ScheduleRequest](bare)
+	if err := decodeScheduleInto(pooled, bare); err == nil || err.Error() != fmt.Sprint(want) ||
+		!strings.Contains(err.Error(), "room for at most") {
+		t.Fatalf("bare body after the padded one: %v, fresh: %v", err, want)
 	}
 }
 

@@ -31,7 +31,7 @@
 //     counters, queue depth, and latency since start per endpoint × cache
 //     status (Latency).
 //
-// Four mechanisms make the service production-shaped:
+// Five mechanisms make the service production-shaped:
 //
 //   - A bounded worker pool (Pool): one scheduling goroutine per core by
 //     default, with a bounded queue in front. When the queue is full the
@@ -66,10 +66,20 @@
 //     scanner straight into the graph arena and the matrix blocks, the
 //     remaining members are spliced into a residual object that
 //     encoding/json decodes into the endpoint's struct with unknown fields
-//     refused, and nothing but whitespace may follow. 0.37 ms for a
-//     paper-sized body where encoding/json alone took 1.33 ms; a /schedule
-//     miss is 0.96 ms where it was 2.09 ms. The exported Decode*Request
-//     functions are this decoder behind an io.Reader.
+//     refused, and nothing but whitespace may follow. The exported
+//     Decode*Request functions are this decoder behind an io.Reader.
+//   - Pooled /schedule storage that remembers its instance. A /schedule
+//     request decodes into recycled storage that keeps a copy of the bytes
+//     each instance member was decoded from and the fingerprint state the
+//     instance hashed to, so a body repeating an instance under other
+//     parameters — the paper's evaluation sends each graph at several ε,
+//     to several schedulers — compares those bytes instead of decoding
+//     them and resumes the fingerprint instead of re-walking the instance.
+//     For the repeat to find that storage, the pools are a fixed table
+//     keyed on a process-keyed hash of the body's first 256 bytes (the
+//     opening of the graph); the key only chooses where to look, the byte
+//     comparison decides, and only instances seen shortly before are given
+//     storage of their own (requestpool.go).
 //
 // Responses are pure functions of the request: tie-breaking uses either the
 // deterministic task-ID order or the request's explicit seed, and the seed

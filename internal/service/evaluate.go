@@ -123,8 +123,7 @@ func (req *EvaluateRequest) Validate() error {
 // batch. The "evaluate" domain tag keeps the keyspace disjoint from
 // /schedule, so the two endpoints share one response cache safely.
 func EvaluateFingerprint(req *EvaluateRequest) Fingerprint {
-	f := newFingerprinter()
-	f.instance(req.Graph, req.Platform, req.Costs)
+	f := instanceOf(&req.Instance)
 	f.str("evaluate")
 	f.str(req.canonicalScheduler())
 	f.i64(int64(req.Epsilon))

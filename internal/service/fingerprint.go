@@ -3,9 +3,8 @@ package service
 import (
 	"cmp"
 	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"math"
+	"math/bits"
 	"slices"
 
 	"ftsched/internal/dag"
@@ -26,18 +25,41 @@ type Fingerprint [16]byte
 // paper-sized instance is 3 400 eight-byte fields, and FNV's own byte loop,
 // not a call per field, should be what hashing them costs.
 type fingerprinter struct {
-	h   hash.Hash
+	h   fnv128a
 	n   int
 	buf [512]byte
 	adj []dag.Adj // a successor run that had to be sorted
 }
 
-func newFingerprinter() *fingerprinter {
-	return &fingerprinter{h: fnv.New128a()}
+// fnv128a is hash/fnv's FNV-1a at 128 bits as a value: write keeps the state
+// in two registers over a whole buffer, and a state can be saved and resumed
+// by assignment. TestFNV128MatchesStdlib holds it to hash/fnv.New128a.
+type fnv128a struct{ hi, lo uint64 }
+
+func newFNV128a() fnv128a { return fnv128a{0x6c62272e07bb0142, 0x62b821756295c58d} }
+
+// write folds p into the state. The 128-bit FNV prime is 2^88 + 0x13b: the
+// product is lo × 0x13b in full, plus hi × 0x13b and lo << 24 in the high
+// word.
+func (h *fnv128a) write(p []byte) {
+	hi, lo := h.hi, h.lo
+	for _, c := range p {
+		lo ^= uint64(c)
+		carry, low := bits.Mul64(0x13b, lo)
+		hi = carry + lo<<24 + 0x13b*hi
+		lo = low
+	}
+	h.hi, h.lo = hi, lo
+}
+
+func (h fnv128a) sum() (fp Fingerprint) {
+	binary.BigEndian.PutUint64(fp[:8], h.hi)
+	binary.BigEndian.PutUint64(fp[8:], h.lo)
+	return fp
 }
 
 func (f *fingerprinter) flush() {
-	f.h.Write(f.buf[:f.n])
+	f.h.write(f.buf[:f.n])
 	f.n = 0
 }
 
@@ -69,9 +91,24 @@ func (f *fingerprinter) str(s string) {
 
 func (f *fingerprinter) sum() Fingerprint {
 	f.flush()
-	var fp Fingerprint
-	f.h.Sum(fp[:0])
-	return fp
+	return f.h.sum()
+}
+
+// instanceOf starts a fingerprint with in's instance section. A pooled
+// request whose instance storage still holds what it was last fingerprinted
+// from resumes from the state kept then (instanceMemo) instead of walking
+// the instance again; a fingerprint it computes in full it keeps for the
+// next request.
+func instanceOf(in *Instance) fingerprinter {
+	f := fingerprinter{h: newFNV128a()}
+	if in.memo.fingerprinted(in) {
+		f.h = in.memo.fp
+		return f
+	}
+	f.instance(in.Graph, in.Platform, in.Costs)
+	f.flush()
+	in.memo.keepFingerprint(in, f.h)
+	return f
 }
 
 // instance hashes the problem instance: DAG structure and volumes, the cost
@@ -121,8 +158,7 @@ func (f *fingerprinter) instance(g *dag.Graph, p *platform.Platform, cm *platfor
 // produce byte-identical responses, which is what lets the cache serve
 // stored bytes directly.
 func RequestFingerprint(req *ScheduleRequest) Fingerprint {
-	f := newFingerprinter()
-	f.instance(req.Graph, req.Platform, req.Costs)
+	f := instanceOf(&req.Instance)
 	f.str("params")
 	f.str(req.canonicalScheduler())
 	f.i64(int64(req.Epsilon))

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -214,4 +216,35 @@ func uniformPlatform(m int, d float64) (*platform.Platform, error) {
 		}
 	}
 	return platform.NewFromDelays(delay)
+}
+
+// TestFNV128MatchesStdlib holds the value-typed FNV-1a to hash/fnv's, on
+// every length up to 1 KiB and on an instance-sized input, written whole and
+// in uneven pieces.
+func TestFNV128MatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 27<<10)
+	rng.Read(data)
+	check := func(p []byte) {
+		t.Helper()
+		want := fnv.New128a()
+		want.Write(p)
+		whole, pieces := newFNV128a(), newFNV128a()
+		whole.write(p)
+		for rest := p; len(rest) > 0; {
+			n := min(len(rest), 1+rng.Intn(600))
+			pieces.write(rest[:n])
+			rest = rest[n:]
+		}
+		if got := whole.sum(); !bytes.Equal(got[:], want.Sum(nil)) {
+			t.Fatalf("%d bytes: %x, hash/fnv %x", len(p), got, want.Sum(nil))
+		}
+		if pieces != whole {
+			t.Fatalf("%d bytes: written in pieces, the state differs", len(p))
+		}
+	}
+	for n := 0; n <= 1024; n++ {
+		check(data[:n])
+	}
+	check(data)
 }

@@ -473,7 +473,9 @@ func TestBodyIndex(t *testing.T) {
 
 // BenchmarkHandleSchedule times the whole handler on a paper-sized body:
 // a byte-identical repeat (front index), a re-spelled repeat (decode, then a
-// canonical hit) and a never-seen seed (decode, solve, cache write).
+// canonical hit), a never-seen seed on the same instance (decode from pooled
+// storage, solve, cache write) and a never-seen instance — the last edge's
+// volume changed, so that the graph decodes again.
 func BenchmarkHandleSchedule(b *testing.B) {
 	body := benchBody(b)
 	post := func(srv *Server, body []byte, want string) {
@@ -520,4 +522,25 @@ func BenchmarkHandleSchedule(b *testing.B) {
 			post(srv, fmt.Appendf(nil, `%s,"seed":%d}`, head, i+1), "miss")
 		}
 	})
+	b.Run("miss-new-instance", func(b *testing.B) {
+		srv := New(Config{})
+		defer srv.Close()
+		before, after := splitLastVolume(b, body)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(srv, fmt.Appendf(nil, "%s%d%s", before, i+1, after), "miss")
+		}
+	})
+}
+
+// splitLastVolume cuts body around the value of its last edge volume.
+func splitLastVolume(b testing.TB, body []byte) (before, after []byte) {
+	key := []byte(`"volume":`)
+	at := bytes.LastIndex(body, key) + len(key)
+	end := bytes.IndexAny(body[at:], ",}")
+	if at < len(key) || end < 0 {
+		b.Fatal("no edge volume in the body")
+	}
+	return body[:at], body[at+end:]
 }

@@ -57,8 +57,7 @@ func (req *MissionRequest) Validate() error {
 // from the other endpoints; the policy is canonicalized so an omitted
 // mission_policy and an explicit "reschedule" name one mission.
 func MissionFingerprint(req *MissionRequest) Fingerprint {
-	f := newFingerprinter()
-	f.instance(req.Graph, req.Platform, req.Costs)
+	f := instanceOf(&req.Instance)
 	f.str("mission")
 	f.str(req.canonicalScheduler())
 	f.i64(int64(req.Epsilon))

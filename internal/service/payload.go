@@ -28,6 +28,10 @@ type Instance struct {
 	Platform *platform.Platform `json:"platform"`
 	// Costs is the task × processor execution-cost matrix.
 	Costs *platform.CostModel `json:"costs"`
+
+	// memo is what a pooled request's storage remembers between decodes;
+	// nil for every other request.
+	memo *instanceMemo
 }
 
 // validate reports a missing member and cross-checks the dimensions; the

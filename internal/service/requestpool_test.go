@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
 )
@@ -168,9 +172,12 @@ func benchBody(b testing.TB) []byte {
 	return data
 }
 
-func benchRequest(b testing.TB) *ScheduleRequest {
+func benchRequest(b testing.TB) *ScheduleRequest { return benchRequestFrom(b, 5) }
+
+// benchRequestFrom is benchRequest on the paper-sized instance seed draws.
+func benchRequestFrom(b testing.TB, seed int64) *ScheduleRequest {
 	b.Helper()
-	inst, err := workload.NewInstance(rand.New(rand.NewSource(5)), workload.DefaultPaperConfig(1.0))
+	inst, err := workload.NewInstance(rand.New(rand.NewSource(seed)), workload.DefaultPaperConfig(1.0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -182,9 +189,15 @@ func benchRequest(b testing.TB) *ScheduleRequest {
 
 // BenchmarkDecodeSchedule contrasts the per-request decode the service ran
 // before pooling (fresh allocations per body) with the pooled warm path the
-// handlers and the coordinator door use now.
+// handlers and the coordinator door use now: a full decode into recycled
+// storage (two instances in turn, so that neither repeats the last) and a
+// repeated instance, whose members are taken from storage undecoded.
 func BenchmarkDecodeSchedule(b *testing.B) {
 	body := benchBody(b)
+	other, err := json.Marshal(benchRequestFrom(b, 6))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -193,17 +206,26 @@ func BenchmarkDecodeSchedule(b *testing.B) {
 			}
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
-		req := AcquireScheduleRequest()
-		defer ReleaseScheduleRequest(req)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := DecodeScheduleRequestInto(req, bytes.NewReader(body)); err != nil {
-				b.Fatal(err)
+	pooled := func(bodies ...[]byte) func(*testing.B) {
+		return func(b *testing.B) {
+			req := AcquireScheduleRequest()
+			defer ReleaseScheduleRequest(req)
+			for _, body := range bodies { // grow the storage to the larger instance
+				if err := DecodeScheduleRequestInto(req, bytes.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := DecodeScheduleRequestInto(req, bytes.NewReader(bodies[i%len(bodies)])); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("pooled", pooled(body, other))
+	b.Run("pooled-repeat", pooled(body))
 }
 
 // BenchmarkDecodeEvaluate and BenchmarkDecodeTune decode benchBody's
@@ -230,5 +252,145 @@ func benchDecodeNew[T any, P requestPtr[T]](b *testing.B, req P) {
 		if _, err := readNew[T, P](bytes.NewReader(body)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRepeatedMembersSkipped: a pooled request decoding a body whose
+// instance members repeat, byte for byte, what its storage was decoded from
+// takes them as they are — the graph's frozen view survives, which a decode
+// would have dropped — and still fingerprints like a fresh decode. A body
+// with one edge volume changed is decoded again.
+func TestRepeatedMembersSkipped(t *testing.T) {
+	body := benchBody(t)
+	req := AcquireScheduleRequest()
+	defer ReleaseScheduleRequest(req)
+	if err := decodeScheduleInto(req, body); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := req.Graph.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := bytes.TrimSuffix(body, []byte("}"))
+	for i, b := range [][]byte{body, fmt.Appendf(nil, `%s,"seed":7}`, head), fmt.Appendf(nil, `%s,"scheduler":"heft","epsilon":0}`, head)} {
+		if err := decodeScheduleInto(req, b); err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		if again, _ := req.Graph.Freeze(); again != flat {
+			t.Fatalf("body %d: a repeated graph was decoded again", i)
+		}
+		want, err := decodeNew[ScheduleRequest](b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if RequestFingerprint(req) != RequestFingerprint(want) {
+			t.Fatalf("body %d: the resumed fingerprint differs from a fresh one", i)
+		}
+	}
+	changed := bytes.Replace(body, []byte(`"volume":`), []byte(`"volume":1`), 1)
+	if err := decodeScheduleInto(req, changed); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := req.Graph.Freeze(); again == flat {
+		t.Fatal("a changed graph was taken from storage")
+	}
+	want, err := decodeNew[ScheduleRequest](changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RequestFingerprint(req) != RequestFingerprint(want) {
+		t.Fatal("a changed graph kept the old fingerprint")
+	}
+	// A body past maxPooledBody is decoded, and nothing of it remembered.
+	padded := append(bytes.Clone(body), bytes.Repeat([]byte{' '}, maxPooledBody)...)
+	if err := decodeScheduleInto(req, padded); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range req.memo.members {
+		if k.obj != nil || len(k.src) != 0 {
+			t.Fatalf("member %d of an oversized body was remembered", i)
+		}
+	}
+}
+
+// TestSkippedInstanceUnchangedBySchedulers runs every registered scheduler
+// on one instance under three seeds through one server, so that every
+// request after the first takes the instance its predecessors were given
+// from pooled storage. Each response must be byte-identical to what a fresh
+// server computes from a fresh decode: no scheduler mutates its instance.
+func TestSkippedInstanceUnchangedBySchedulers(t *testing.T) {
+	srv := New(Config{})
+	t.Cleanup(srv.Close)
+	fresh := New(Config{})
+	t.Cleanup(fresh.Close)
+	for _, name := range sched.Names() {
+		info, _ := sched.LookupInfo(name)
+		for seed := int64(1); seed <= 3; seed++ {
+			req := benchRequest(t)
+			req.Scheduler, req.Seed, req.IncludeGantt, req.IncludeSchedule = name, seed, true, true
+			if !info.FaultTolerant {
+				req.Epsilon = 0
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := doServer(srv, http.MethodPost, "/schedule", body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s seed %d: %d %s", name, seed, rec.Code, rec.Body.String())
+			}
+			decoded, err := decodeNew[ScheduleRequest](body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.schedule(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("%s seed %d: the response differs from a fresh server's", name, seed)
+			}
+		}
+	}
+}
+
+// TestRequestPoolRouting: a first sighting's request is looked for in, and
+// goes back to, the spare pool, so that a stream of instances that never
+// repeat recycles one request's storage the way a single pool would; from
+// the second sighting on, the instance's own table pool comes first and
+// keeps the request. A refused body leaves nothing worth a table pool.
+func TestRequestPoolRouting(t *testing.T) {
+	body := benchBody(t)
+	name := []byte(`"name":"`)
+	at := bytes.Index(body, name) + len(name)
+	// A name no earlier run has used: the key is a first sighting.
+	body = slices.Concat(body[:at], fmt.Appendf(nil, "routing-%d-", rand.Int63()), body[at:])
+	key := requestKey(body)
+	table, spare := &scheduleRequestPools[key%requestPools], &spareScheduleRequests
+	if got := poolsFor(key); got != [2]*sync.Pool{spare, table} {
+		t.Fatal("a first sighting is not looked for in the spare pool first")
+	}
+	req := acquireScheduleRequest(body)
+	defer ReleaseScheduleRequest(req)
+	if err := decodeScheduleInto(req, body); err != nil {
+		t.Fatal(err)
+	}
+	if req.memo.home() != spare {
+		t.Fatal("a first sighting's request does not go back to the spare pool")
+	}
+	if got := poolsFor(key); got != [2]*sync.Pool{table, spare} {
+		t.Fatal("a seen instance is not looked for in its table pool first")
+	}
+	if err := decodeScheduleInto(req, body); err != nil {
+		t.Fatal(err)
+	}
+	if req.memo.home() != table {
+		t.Fatal("a repeated instance's request does not go back to its table pool")
+	}
+	if err := decodeScheduleInto(req, body[:len(body)-1]); err == nil {
+		t.Fatal("a truncated body was accepted")
+	}
+	if req.memo.home() != spare {
+		t.Fatal("a refused body's request goes back to a table pool")
 	}
 }

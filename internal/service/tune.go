@@ -126,8 +126,7 @@ func (req *TuneRequest) candidates() []tune.Candidate {
 // tag keeps the keyspace disjoint from /schedule and /evaluate inside the
 // shared response cache.
 func TuneFingerprint(req *TuneRequest) Fingerprint {
-	f := newFingerprinter()
-	f.instance(req.Graph, req.Platform, req.Costs)
+	f := instanceOf(&req.Instance)
 	f.str("tune")
 	cands := req.candidates()
 	f.u64(uint64(len(cands)))

@@ -38,7 +38,10 @@
 //   - whitespace is space, tab, CR and LF; a byte-order mark is an error;
 //   - numbers are -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?; Int further
 //     refuses a fraction, an exponent or a value outside int64, and Float a
-//     value outside float64 (1e309), as json does for those Go types;
+//     value outside float64 (1e309), as json does for those Go types. Int
+//     reads an integer of up to 18 digits from the mantissa number folded
+//     while checking it, and hands a longer one to strconv.ParseInt;
+//     FuzzScanInt holds the two against each other;
 //   - strings refuse raw control characters and unknown escapes; a token
 //     with an escape or a non-ASCII byte is unquoted by json.Unmarshal on
 //     that token alone, so invalid UTF-8 and lone surrogates become U+FFFD

@@ -18,11 +18,14 @@ import (
 // only while those fit a uint64: sig counts the significant ones (from the
 // first non-zero digit on), and beyond maxSig man has wrapped and means
 // nothing. number also sets sig past maxSig for an exponent it gave up on.
+// fraction reports a fraction or an exponent: a token that is not an integer
+// as written.
 type decimal struct {
-	man   uint64
-	exp10 int
-	sig   int
-	neg   bool
+	man      uint64
+	exp10    int
+	sig      int
+	neg      bool
+	fraction bool
 }
 
 // float64 converts d when the conversion can be decided here: at most 19

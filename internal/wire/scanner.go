@@ -38,6 +38,13 @@ func NewScanner(data []byte) *Scanner { return &Scanner{buf: data} }
 // Len returns the size of the document in bytes, read or not.
 func (s *Scanner) Len() int { return len(s.buf) }
 
+// Offset returns the cursor's byte offset into the document.
+func (s *Scanner) Offset() int { return s.pos }
+
+// Advance moves the cursor n bytes on, over a value the caller has checked
+// by other means — bytes it knows to be one whole value, say.
+func (s *Scanner) Advance(n int) { s.pos += n }
+
 // Unmarshal runs scan over data as one complete document: the value scan
 // consumes, then nothing but whitespace.
 func Unmarshal(data []byte, scan func(*Scanner) error) error {
@@ -61,14 +68,14 @@ func (s *Scanner) unexpected(want string) error {
 	return errAt(s.pos, "invalid character %q, want %s", rune(s.buf[s.pos]), want)
 }
 
+// space skips whitespace. Any byte above ' ' ends it on the first
+// comparison: that is every byte of a compact document.
 func (s *Scanner) space() {
 	for s.pos < len(s.buf) {
-		switch s.buf[s.pos] {
-		case ' ', '\t', '\r', '\n':
-			s.pos++
-		default:
+		if c := s.buf[s.pos]; c > ' ' || c != ' ' && c != '\t' && c != '\r' && c != '\n' {
 			return
 		}
+		s.pos++
 	}
 }
 
@@ -237,23 +244,36 @@ func (s *Scanner) Float(dst *float64) error {
 }
 
 // Int reads a number into dst, refusing a fraction, an exponent or a value
-// an int cannot hold.
+// an int cannot hold. An integer of up to maxIntSig digits is number's
+// mantissa; only a longer one is parsed again, by strconv.ParseInt.
 func (s *Scanner) Int(dst *int) error {
 	if s.Null() {
 		return nil
 	}
-	tok, _, err := s.number()
+	tok, d, err := s.number()
 	if err != nil {
 		return err
 	}
-	// ParseInt knows no fraction and no exponent, so it refuses both.
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	if err != nil {
-		return errAt(s.pos-len(tok), "number is not an integer in range")
+	if !d.fraction {
+		if d.sig <= maxIntSig {
+			n := int64(d.man)
+			if d.neg {
+				n = -n
+			}
+			if int64(int(n)) == n {
+				*dst = int(n)
+				return nil
+			}
+		} else if n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize); err == nil {
+			*dst = int(n)
+			return nil
+		}
 	}
-	*dst = int(n)
-	return nil
+	return errAt(s.pos-len(tok), "number is not an integer in range")
 }
+
+// maxIntSig is how many digits an int64 always holds.
+const maxIntSig = 18
 
 // String reads a string into dst.
 func (s *Scanner) String(dst *string) error {
@@ -321,6 +341,7 @@ func (s *Scanner) number() (tok []byte, d decimal, err error) {
 		}
 		d.exp10 = point + 1 - i
 		d.sig += i - point - 1
+		d.fraction = true
 	}
 	if b[first] == '0' {
 		// The integer part is the lone 0: it and the zeros that open the
@@ -331,6 +352,7 @@ func (s *Scanner) number() (tok []byte, d decimal, err error) {
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
+		d.fraction = true
 		i++
 		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {

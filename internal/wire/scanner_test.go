@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -234,6 +235,48 @@ func FuzzSkipMatchesJSONValid(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		if got, want := skipAll(doc) == nil, json.Valid(doc); got != want {
 			t.Fatalf("%q: scanner accepts = %v, json.Valid = %v", doc, got, want)
+		}
+	})
+}
+
+// FuzzScanInt is the differential behind Int's mantissa path: wherever the
+// next value is a number token, Int accepts it exactly when
+// strconv.ParseInt does, stores the same value, and refuses it with an
+// error at the token's first byte; anything else Int refuses as Skip does.
+func FuzzScanInt(f *testing.F) {
+	for _, tok := range numberTable {
+		f.Add([]byte(tok))
+		f.Add([]byte(" " + tok + ","))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		got := 7
+		s := NewScanner(doc)
+		err := s.Int(&got)
+		probe := NewScanner(doc)
+		if probe.Null() {
+			if err != nil || got != 7 || s.Offset() != probe.Offset() {
+				t.Fatalf("%q: null read as %d, %v", doc, got, err)
+			}
+			return
+		}
+		start := probe.Offset()
+		tok, rawErr := probe.Raw()
+		if c := probe.buf[start:]; rawErr != nil || len(c) == 0 || c[0] != '-' && !isDigit(c[0]) {
+			if err == nil || got != 7 {
+				t.Fatalf("%q: not a number token, Int read %d, %v", doc, got, err)
+			}
+			return
+		}
+		want, parseErr := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+		if parseErr == nil {
+			if err != nil || got != int(want) || s.Offset() != probe.Offset() {
+				t.Fatalf("%q: Int = %d, %v at %d; ParseInt = %d", doc, got, err, s.Offset(), want)
+			}
+			return
+		}
+		var syn *SyntaxError
+		if !errors.As(err, &syn) || syn.Offset != start || syn.Msg != "number is not an integer in range" || got != 7 {
+			t.Fatalf("%q: Int = %d, %v; ParseInt refuses: %v", doc, got, err, parseErr)
 		}
 	})
 }
