@@ -179,7 +179,13 @@ func FuzzRouteMission(f *testing.F) {
 			}
 			return n
 		}
-		req, decodeErr := service.ParseMissionRequest(body)
+		var missions *service.Endpoint
+		for _, ep := range service.Endpoints() {
+			if ep.Path() == "/missions" {
+				missions = ep
+			}
+		}
+		d, decodeErr := missions.Decode(body)
 		if decodeErr != nil {
 			if rec.Code != http.StatusBadRequest {
 				t.Fatalf("POST /missions: undecodable body got %d, want 400 (body %q)", rec.Code, body)
@@ -191,7 +197,8 @@ func FuzzRouteMission(f *testing.F) {
 			if rec.Code == http.StatusBadRequest {
 				t.Fatalf("POST /missions: decodable body rejected 400: %s", rec.Body.String())
 			}
-			fp := service.MissionFingerprint(req)
+			fp := d.Fingerprint()
+			d.Release()
 			want := RouteFingerprint(fp, len(shards))
 			if shards[want].calls.Load() != 1 || reached() != 1 {
 				t.Fatalf("POST /missions: %d shard calls, owner %d got %d; want exactly the owner",

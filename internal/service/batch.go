@@ -53,10 +53,11 @@ type BatchItemResult struct {
 
 // ParseBatchRequest reads and validates one batch body with the same
 // strictness as DecodeScheduleRequest (unknown fields and trailing documents
-// rejected). On success every item has passed full /schedule validation and
-// Items returns the expansion.
+// rejected), into pooled instance storage the envelope keeps. On success
+// every item has passed full /schedule validation and Items returns the
+// expansion.
 func ParseBatchRequest(body []byte) (*BatchRequest, error) {
-	return decodeNew[BatchRequest](body)
+	return decodeRequest[BatchRequest](body)
 }
 
 // Validate cross-checks the envelope and expands each item into a full
@@ -91,18 +92,14 @@ func (req *BatchRequest) Validate() error {
 // order. Populated by Validate (so always set after ParseBatchRequest).
 func (req *BatchRequest) Items() []*ScheduleRequest { return req.items }
 
-// decodeBatch is the /schedule/batch row's decode. Counter discipline: the
+// batchDecoded is the /schedule/batch row's Decoded. Counter discipline: the
 // envelope counts as ONE request on receipt, so a malformed or over-limit
 // one ends in one client error; a well-formed envelope counts as len(items)
 // logical requests, every one of which ends in exactly one of cache_hits,
 // cache_misses, client_errors (429 rejections) or internal_errors — so the
 // /stats conservation invariant holds exactly whether traffic is batched or
 // not.
-func decodeBatch(body []byte) (*Decoded, error) {
-	req, err := ParseBatchRequest(body)
-	if err != nil {
-		return nil, err
-	}
+func batchDecoded(req *BatchRequest) *Decoded {
 	items := req.Items()
 	schedulers := make([]string, len(items))
 	for i, it := range items {
@@ -112,11 +109,15 @@ func decodeBatch(body []byte) (*Decoded, error) {
 		tasks:      req.Graph.NumTasks(),
 		schedulers: schedulers,
 		guard:      func(cfg *Config) error { return cfg.CheckBatchItems(len(items)) },
-		serve:      func(s *Server, w http.ResponseWriter) (string, bool) { return s.serveBatch(w, items) },
+		// The items share the envelope's storage; serveBatch waits for its job.
+		serve: func(s *Server, w http.ResponseWriter) (string, bool) {
+			defer req.release()
+			return s.serveBatch(w, items)
+		},
 		describe: func() string {
 			return fmt.Sprintf("items=%d tasks=%d procs=%d", len(items), req.Graph.NumTasks(), req.Platform.NumProcs())
 		},
-	}, nil
+	}
 }
 
 // serveBatch serves a well-formed batch: one cache pass, one pool job for

@@ -25,22 +25,22 @@ type Endpoint struct {
 	// counter picks the endpoint's share of Stats.Requests; nil for
 	// /schedule, which has no counter of its own.
 	counter func(*Server) *atomic.Uint64
-	decode  func(body []byte) (*Decoded, error)
+	decode  func(body []byte) (*Decoded, error) // decodes(the row's Decoded)
 }
 
 var endpoints = []*Endpoint{
-	{path: "/schedule", domain: "schedule", opName: "scheduling", cached: true, decode: decodeSchedule,
+	{path: "/schedule", domain: "schedule", opName: "scheduling", cached: true, decode: decodes(scheduleDecoded),
 		description: "schedule an instance; returns latency bounds, metrics, optional reliability bound / Gantt / full schedule"},
-	{path: "/schedule/batch", domain: "schedule", decode: decodeBatch,
+	{path: "/schedule/batch", domain: "schedule", decode: decodes(batchDecoded),
 		counter:     func(s *Server) *atomic.Uint64 { return &s.batchRequests },
 		description: "schedule one instance under many parameter sets; decoded once, distinct misses computed in one worker job, items cached individually"},
-	{path: "/evaluate", domain: "evaluate", opName: "evaluation", cached: true, decode: decodeEvaluate,
+	{path: "/evaluate", domain: "evaluate", opName: "evaluation", cached: true, decode: decodes(evaluateDecoded),
 		counter:     func(s *Server) *atomic.Uint64 { return &s.evaluateRequests },
 		description: "schedule + Monte-Carlo failure injection; returns success rate (Wilson interval), latency p50/p99, degradation histogram"},
-	{path: "/tune", domain: "tune", opName: "tuning", cached: true, decode: decodeTune,
+	{path: "/tune", domain: "tune", opName: "tuning", cached: true, decode: decodes(tuneDecoded),
 		counter:     func(s *Server) *atomic.Uint64 { return &s.tuneRequests },
 		description: "search the registry × ε × policy grid; returns the (latency, success) Pareto frontier and a recommended point for a reliability target"},
-	{path: "/missions", domain: "mission", decode: decodeMission,
+	{path: "/missions", domain: "mission", decode: decodes(missionDecoded),
 		counter:     func(s *Server) *atomic.Uint64 { return &s.missionRequests },
 		description: "create an online mission (async, 202 + id): execute the schedule against one failure scenario, re-planning the surviving suffix per policy"},
 }
@@ -54,9 +54,10 @@ func (e *Endpoint) Path() string { return e.path }
 // Digest takes the body digest the endpoint's front index is keyed by.
 func (e *Endpoint) Digest(body []byte) BodyDigest { return digestBody(e.path, body) }
 
-// Decode reads, validates and fingerprints one request body. The error is
-// safe to echo to the client. A successful result owns pooled storage: pass
-// it to a Server's ServeDecoded, or call Release.
+// Decode reads, validates and fingerprints one request body, into pooled
+// instance storage. The error is safe to echo to the client. A successful
+// result owns that storage: pass it to a Server's ServeDecoded, or call
+// Release.
 func (e *Endpoint) Decode(body []byte) (*Decoded, error) {
 	d, err := e.decode(body)
 	if err != nil {
@@ -85,7 +86,7 @@ type Decoded struct {
 	// fingerprint-cached. It reports the cache status, or false when it
 	// wrote an error.
 	serve func(*Server, http.ResponseWriter) (cacheStatus string, ok bool)
-	// release returns pooled request storage; nil when nothing is pooled.
+	// release returns the request's pooled instance storage (decodes).
 	release func()
 	// describe renders the verbose log's request summary. It reads the
 	// request, so it must run before release.
@@ -100,39 +101,19 @@ func (d *Decoded) Tasks() int { return d.tasks }
 
 // Release returns the request's pooled storage. Call it only for a Decoded
 // that is not handed to ServeDecoded, which takes the ownership over.
-func (d *Decoded) Release() {
-	if d.release != nil {
-		d.release()
-	}
-}
+func (d *Decoded) Release() { d.release() }
 
-func decodeSchedule(body []byte) (*Decoded, error) {
-	// Decode into a pooled request: the graph lands in a recycled adjacency
-	// arena, so the warm decode path allocates nothing proportional to the
-	// instance. Nothing built from the request outlives its compute (the
-	// response cache stores bytes), but the compute itself may outlive the
-	// handler when the client disconnects — serveCached owns the release via
-	// its cleanup hook.
-	req := acquireScheduleRequest(body)
-	if err := decodeScheduleInto(req, body); err != nil {
-		ReleaseScheduleRequest(req)
-		return nil, err
-	}
+func scheduleDecoded(req *ScheduleRequest) *Decoded {
 	return &Decoded{
 		fp:         RequestFingerprint(req),
 		tasks:      req.Graph.NumTasks(),
 		schedulers: []string{req.canonicalScheduler()},
 		compute:    func(s *Server) ([]byte, error) { return s.schedule(req) },
-		release:    func() { ReleaseScheduleRequest(req) },
 		describe:   req.describe,
-	}, nil
+	}
 }
 
-func decodeEvaluate(body []byte) (*Decoded, error) {
-	req, err := decodeNew[EvaluateRequest](body)
-	if err != nil {
-		return nil, err
-	}
+func evaluateDecoded(req *EvaluateRequest) *Decoded {
 	return &Decoded{
 		fp:         EvaluateFingerprint(req),
 		tasks:      req.Graph.NumTasks(),
@@ -145,14 +126,10 @@ func decodeEvaluate(body []byte) (*Decoded, error) {
 		},
 		compute:  func(s *Server) ([]byte, error) { return s.evaluate(req) },
 		describe: req.describe,
-	}, nil
+	}
 }
 
-func decodeTune(body []byte) (*Decoded, error) {
-	req, err := decodeNew[TuneRequest](body)
-	if err != nil {
-		return nil, err
-	}
+func tuneDecoded(req *TuneRequest) *Decoded {
 	// A tune request sweeps the registry: attribute it to every scheduler in
 	// its grid, so the /stats table shows which schedulers the search
 	// traffic exercises.
@@ -181,7 +158,7 @@ func decodeTune(body []byte) (*Decoded, error) {
 			return fmt.Sprintf("candidates=%d trials=%d tasks=%d procs=%d",
 				len(cands), req.Trials, req.Graph.NumTasks(), req.Platform.NumProcs())
 		},
-	}, nil
+	}
 }
 
 // bodyAlias is what the front index retains per admitted body: the

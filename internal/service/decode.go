@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
@@ -41,11 +40,12 @@ var instanceFields = wire.Fields{"graph", "platform", "costs"}
 // hands the storage back — req then holds capacity for the next decode and
 // nothing to read.
 //
-// A pooled request's storage also remembers the bytes it was decoded from
+// Pooled storage also remembers the bytes it was decoded from
 // (instanceMemo): a member whose bytes repeat them exactly is not decoded
 // again but taken as the storage holds it — the graph only while the body
 // still has room for its task count. Bodies past maxPooledBody leave nothing
-// remembered, and a refused body forgets what it had.
+// remembered, and a refused body forgets what it had. Only a zero request,
+// the reference of the decode tests, decodes without pooled storage.
 func decodeBody(body []byte, req request) error {
 	in := req.instance()
 	storage, memo := *in, in.memo
@@ -112,30 +112,4 @@ func decodeBody(body []byte, req request) error {
 		memo.forget()
 	}
 	return err
-}
-
-// requestPtr is a request type T by its pointer, which has the methods.
-type requestPtr[T any] interface {
-	*T
-	request
-}
-
-// decodeNew decodes body into a new request.
-func decodeNew[T any, P requestPtr[T]](body []byte) (P, error) {
-	req := P(new(T))
-	if err := decodeBody(body, req); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// readNew is decodeNew for a body still to be read. The exported
-// Decode*Request functions are it, one per request type.
-func readNew[T any, P requestPtr[T]](r io.Reader) (P, error) {
-	buf, err := acquireBody(r, 0)
-	defer ReleaseBody(buf)
-	if err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
-	}
-	return decodeNew[T, P](buf.Bytes())
 }

@@ -135,10 +135,37 @@ func oracleDecode(body []byte, wire any, inst *oracleInstance, req request) (off
 	return dec.InputOffset(), req.Validate()
 }
 
+// decodeFresh decodes body into a zero request of type T: storage of its
+// own and nothing remembered, the reference every pooled decode is held to.
+func decodeFresh[T any, P requestPtr[T]](body []byte) (P, error) {
+	req := P(new(T))
+	if err := decodeBody(body, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodeOn decodes body into a new request of type T on the pooled instance
+// storage *on holds, or on storage from the pools when it holds none
+// (decodeInto), and leaves *on holding that storage for the next decode.
+func decodeOn[T any, P requestPtr[T]](on *Instance, body []byte) (P, error) {
+	req := P(new(T))
+	*req.instance() = *on
+	err := decodeInto(req, body)
+	*on = *req.instance()
+	if err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
 // differentialCase is one request type under FuzzDecodeDifferential.
 type differentialCase struct {
-	name   string
+	name string
+	// decode is the decode into a zero request, pooled a decode on the
+	// storage its first argument holds (decodeOn).
 	decode func(body []byte) (request, error)
+	pooled func(on *Instance, body []byte) (request, error)
 	oracle func(body []byte) (request, int64, error)
 	// fingerprints are the cache keys the request produces; params is
 	// everything in it but the instance, in a form reflect.DeepEqual can
@@ -150,7 +177,8 @@ type differentialCase struct {
 var differentialCases = []differentialCase{
 	{
 		name:   "schedule",
-		decode: func(b []byte) (request, error) { return decodeNew[ScheduleRequest](b) },
+		decode: func(b []byte) (request, error) { return decodeFresh[ScheduleRequest](b) },
+		pooled: func(on *Instance, b []byte) (request, error) { return decodeOn[ScheduleRequest](on, b) },
 		oracle: func(b []byte) (request, int64, error) {
 			var v struct {
 				oracleInstance
@@ -162,13 +190,14 @@ var differentialCases = []differentialCase{
 		fingerprints: func(r request) []Fingerprint { return []Fingerprint{RequestFingerprint(r.(*ScheduleRequest))} },
 		params: func(r request) any {
 			c := *r.(*ScheduleRequest)
-			c.Graph, c.Platform, c.Costs = nil, nil, nil
+			c.Instance = Instance{}
 			return c
 		},
 	},
 	{
 		name:   "evaluate",
-		decode: func(b []byte) (request, error) { return decodeNew[EvaluateRequest](b) },
+		decode: func(b []byte) (request, error) { return decodeFresh[EvaluateRequest](b) },
+		pooled: func(on *Instance, b []byte) (request, error) { return decodeOn[EvaluateRequest](on, b) },
 		oracle: func(b []byte) (request, int64, error) {
 			var v struct {
 				oracleInstance
@@ -180,13 +209,14 @@ var differentialCases = []differentialCase{
 		fingerprints: func(r request) []Fingerprint { return []Fingerprint{EvaluateFingerprint(r.(*EvaluateRequest))} },
 		params: func(r request) any {
 			c := *r.(*EvaluateRequest)
-			c.Graph, c.Platform, c.Costs = nil, nil, nil
+			c.Instance = Instance{}
 			return c
 		},
 	},
 	{
 		name:   "tune",
-		decode: func(b []byte) (request, error) { return decodeNew[TuneRequest](b) },
+		decode: func(b []byte) (request, error) { return decodeFresh[TuneRequest](b) },
+		pooled: func(on *Instance, b []byte) (request, error) { return decodeOn[TuneRequest](on, b) },
 		oracle: func(b []byte) (request, int64, error) {
 			var v struct {
 				oracleInstance
@@ -198,13 +228,14 @@ var differentialCases = []differentialCase{
 		fingerprints: func(r request) []Fingerprint { return []Fingerprint{TuneFingerprint(r.(*TuneRequest))} },
 		params: func(r request) any {
 			c := *r.(*TuneRequest)
-			c.Graph, c.Platform, c.Costs, c.cands = nil, nil, nil, nil
+			c.Instance, c.cands = Instance{}, nil
 			return c
 		},
 	},
 	{
 		name:   "batch",
-		decode: func(b []byte) (request, error) { return decodeNew[BatchRequest](b) },
+		decode: func(b []byte) (request, error) { return decodeFresh[BatchRequest](b) },
+		pooled: func(on *Instance, b []byte) (request, error) { return decodeOn[BatchRequest](on, b) },
 		oracle: func(b []byte) (request, int64, error) {
 			var v struct {
 				oracleInstance
@@ -224,7 +255,8 @@ var differentialCases = []differentialCase{
 	},
 	{
 		name:   "mission",
-		decode: func(b []byte) (request, error) { return decodeNew[MissionRequest](b) },
+		decode: func(b []byte) (request, error) { return decodeFresh[MissionRequest](b) },
+		pooled: func(on *Instance, b []byte) (request, error) { return decodeOn[MissionRequest](on, b) },
 		oracle: func(b []byte) (request, int64, error) {
 			var v struct {
 				oracleInstance
@@ -236,7 +268,7 @@ var differentialCases = []differentialCase{
 		fingerprints: func(r request) []Fingerprint { return []Fingerprint{MissionFingerprint(r.(*MissionRequest))} },
 		params: func(r request) any {
 			c := *r.(*MissionRequest)
-			c.Graph, c.Platform, c.Costs = nil, nil, nil
+			c.Instance = Instance{}
 			return c
 		},
 	},
@@ -437,8 +469,8 @@ func differentialSeeds() [][]byte {
 // parent allocated first and then refused the cost matrix's row count (or ran
 // out of memory) — the comparison ignores refusal texts, and the oracle skips
 // such bodies above 65 536 tasks (TestHugeTaskCountRefused pins them). And for
-// every body, a decode into a pooled request another body warmed equals the
-// decode into a fresh one.
+// every body and every request type, a decode into pooled storage another
+// body warmed equals the decode into a zero request.
 func FuzzDecodeDifferential(f *testing.F) {
 	for _, seed := range differentialSeeds() {
 		f.Add(seed)
@@ -473,44 +505,50 @@ func FuzzDecodeDifferential(f *testing.F) {
 				t.Fatalf("%s: %s\nbody: %q", c.name, mismatch, body)
 			}
 		}
-		pooled := AcquireScheduleRequest()
-		defer ReleaseScheduleRequest(pooled)
-		if err := decodeScheduleInto(pooled, []byte(differentialBodies["schedule"])); err != nil {
-			t.Fatal(err)
-		}
-		samePooled(t, pooled, body)
-		// Warm with the body itself, so its instance members are what the
-		// storage remembers, then decode it again, with one byte of a member
-		// changed and with its members reordered: a decode that skips a
-		// member must still read exactly what a fresh one reads.
-		_ = decodeScheduleInto(pooled, body)
-		samePooled(t, pooled, body)
-		if changed := changeMemberByte(body); changed != nil {
-			samePooled(t, pooled, changed)
-		}
-		if reordered := reorderMembers(body); reordered != nil {
-			samePooled(t, pooled, reordered)
+		for _, c := range differentialCases {
+			var on Instance
+			if _, err := c.pooled(&on, []byte(differentialBodies[c.name])); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			samePooled(t, c, &on, body)
+			// Warm with the body itself, so its instance members are what the
+			// storage remembers, then decode it again, with one byte of a
+			// member changed and with its members reordered: a decode that
+			// skips a member must still read exactly what a fresh one reads.
+			_, _ = c.pooled(&on, body)
+			samePooled(t, c, &on, body)
+			if changed := changeMemberByte(body); changed != nil {
+				samePooled(t, c, &on, changed)
+			}
+			if reordered := reorderMembers(body); reordered != nil {
+				samePooled(t, c, &on, reordered)
+			}
+			on.release()
 		}
 	})
 }
 
-// samePooled decodes body into the warm pooled request and checks it against
-// a fresh decode: the same error text or, on success, the same fingerprint
-// and instance.
-func samePooled(t *testing.T, pooled *ScheduleRequest, body []byte) {
+// samePooled decodes body as c's request type on the warm storage on holds
+// and checks it against a decode into a zero request: the same error text
+// or, on success, the same cache keys, parameters and instance.
+func samePooled(t *testing.T, c differentialCase, on *Instance, body []byte) {
 	t.Helper()
-	fresh, freshErr := decodeNew[ScheduleRequest](body)
-	if pooledErr := decodeScheduleInto(pooled, body); fmt.Sprint(pooledErr) != fmt.Sprint(freshErr) {
-		t.Fatalf("warm pooled decode: %v, fresh: %v\nbody: %q", pooledErr, freshErr, body)
+	fresh, freshErr := c.decode(body)
+	pooled, pooledErr := c.pooled(on, body)
+	if fmt.Sprint(pooledErr) != fmt.Sprint(freshErr) {
+		t.Fatalf("%s: warm pooled decode: %v, fresh: %v\nbody: %q", c.name, pooledErr, freshErr, body)
 	}
 	if freshErr != nil {
 		return
 	}
-	if RequestFingerprint(pooled) != RequestFingerprint(fresh) {
-		t.Fatalf("warm pooled decode changed the fingerprint\nbody: %q", body)
+	if !reflect.DeepEqual(c.fingerprints(pooled), c.fingerprints(fresh)) {
+		t.Fatalf("%s: warm pooled decode changed the fingerprint\nbody: %q", c.name, body)
+	}
+	if !reflect.DeepEqual(c.params(pooled), c.params(fresh)) {
+		t.Fatalf("%s: warm pooled decode: parameters %+v, fresh %+v\nbody: %q", c.name, c.params(pooled), c.params(fresh), body)
 	}
 	if err := sameInstance(pooled, fresh); err != nil {
-		t.Fatalf("warm pooled decode: %v\nbody: %q", err, body)
+		t.Fatalf("%s: warm pooled decode: %v\nbody: %q", c.name, err, body)
 	}
 }
 
@@ -631,11 +669,11 @@ func TestHugeTaskCountRefused(t *testing.T) {
 	bare := []byte(`{"graph": ` + graph + `}`)
 	pooled := AcquireScheduleRequest()
 	defer ReleaseScheduleRequest(pooled)
-	if err := decodeScheduleInto(pooled, []byte(padded)); err != nil {
+	if err := DecodeScheduleRequestInto(pooled, strings.NewReader(padded)); err != nil {
 		t.Fatal(err)
 	}
-	_, want := decodeNew[ScheduleRequest](bare)
-	if err := decodeScheduleInto(pooled, bare); err == nil || err.Error() != fmt.Sprint(want) ||
+	_, want := decodeFresh[ScheduleRequest](bare)
+	if err := DecodeScheduleRequestInto(pooled, bytes.NewReader(bare)); err == nil || err.Error() != fmt.Sprint(want) ||
 		!strings.Contains(err.Error(), "room for at most") {
 		t.Fatalf("bare body after the padded one: %v, fresh: %v", err, want)
 	}

@@ -66,20 +66,19 @@
 //     scanner straight into the graph arena and the matrix blocks, the
 //     remaining members are spliced into a residual object that
 //     encoding/json decodes into the endpoint's struct with unknown fields
-//     refused, and nothing but whitespace may follow. The exported
-//     Decode*Request functions are this decoder behind an io.Reader.
-//   - Pooled /schedule storage that remembers its instance. A /schedule
-//     request decodes into recycled storage that keeps a copy of the bytes
-//     each instance member was decoded from and the fingerprint state the
-//     instance hashed to, so a body repeating an instance under other
-//     parameters — the paper's evaluation sends each graph at several ε,
-//     to several schedulers — compares those bytes instead of decoding
-//     them and resumes the fingerprint instead of re-walking the instance.
-//     For the repeat to find that storage, the pools are a fixed table
-//     keyed on a process-keyed hash of the body's first 256 bytes (the
-//     opening of the graph); the key only chooses where to look, the byte
-//     comparison decides, and only instances seen shortly before are given
-//     storage of their own (requestpool.go).
+//     refused, and nothing but whitespace may follow.
+//   - Pooled instance storage that remembers its instance. Every endpoint's
+//     body decodes into recycled storage (decodeInto) that keeps a copy of
+//     the bytes each instance member was decoded from and the fingerprint
+//     state the instance hashed to, so a body repeating an instance under
+//     other parameters or at another endpoint — the paper's evaluation
+//     sends each graph at several ε, to several schedulers — compares those
+//     bytes instead of decoding them and resumes the fingerprint. For the
+//     repeat to find that storage, the pools are a fixed table keyed on a
+//     process-keyed hash of the body's first 256 bytes (the opening of the
+//     graph); the key only chooses where to look, the byte comparison
+//     decides, and only instances seen shortly before are given storage of
+//     their own. A mission keeps its storage (requestpool.go).
 //
 // Responses are pure functions of the request: tie-breaking uses either the
 // deterministic task-ID order or the request's explicit seed, and the seed

@@ -74,7 +74,7 @@ type EvaluateResponse struct {
 // the same strictness as DecodeScheduleRequest (unknown fields rejected, one
 // JSON document only).
 func DecodeEvaluateRequest(r io.Reader) (*EvaluateRequest, error) {
-	return readNew[EvaluateRequest](r)
+	return readInto(new(EvaluateRequest), r)
 }
 
 // Validate cross-checks the decoded request: the scheduling part first, then

@@ -22,7 +22,7 @@ func testEvaluateRequest(t *testing.T) *EvaluateRequest {
 	}
 }
 
-func marshalJSON(t *testing.T, v any) []byte {
+func marshalJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	data, err := json.Marshal(v)
 	if err != nil {

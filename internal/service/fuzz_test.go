@@ -46,6 +46,11 @@ var fuzzSeedBodies = []string{
 	  "costs": {"cost": [[1, 2], [2, 1]]},
 	  "scheduler": "ftsa", "epsilon": 1,
 	  "trials": 100, "scenario": {"kind": "uniform", "crashes": 1}, "eval_seed": 7}`,
+	// docs/API.md: the /tune example shape.
+	`{"graph": {"name": "d", "tasks": 2, "edges": [{"src": 0, "dst": 1, "volume": 1}]},
+	  "platform": {"procs": 2, "delay": [[0, 1], [1, 0]]},
+	  "costs": {"cost": [[1, 2], [2, 1]]},
+	  "scenario": {"kind": "uniform", "crashes": 1}, "trials": 40, "target": 0.9, "eval_seed": 7}`,
 	// The 400-table shapes.
 	"",
 	"epsilon=1",
@@ -127,6 +132,12 @@ func FuzzDecodePayload(f *testing.F) {
 				t.Fatalf("validated request carries an unusable scenario: %v", err)
 			}
 		}
+		if req, err := DecodeTuneRequest(bytes.NewReader(body)); err == nil {
+			if req == nil {
+				t.Fatal("DecodeTuneRequest returned nil, nil")
+			}
+			_ = TuneFingerprint(req)
+		}
 		if req, err := ParseBatchRequest(body); err == nil {
 			if req == nil {
 				t.Fatal("ParseBatchRequest returned nil, nil")
@@ -138,9 +149,9 @@ func FuzzDecodePayload(f *testing.F) {
 				_ = RequestFingerprint(it)
 			}
 		}
-		if req, err := ParseMissionRequest(body); err == nil {
+		if req, err := decodeRequest[MissionRequest](body); err == nil {
 			if req == nil {
-				t.Fatal("ParseMissionRequest returned nil, nil")
+				t.Fatal("the /missions decode returned nil, nil")
 			}
 			// The fingerprint is the mission id, and the scenario drives the
 			// controller — both must be usable for any accepted request.
@@ -159,13 +170,14 @@ func FuzzDecodePayload(f *testing.F) {
 // well-formed seeds must decode, the malformed ones must error — all without
 // panicking, which is the property the fuzzer then stretches.
 func TestDecodeSeedCorpus(t *testing.T) {
-	wantOK := map[int]string{0: "schedule", 1: "schedule", 2: "evaluate",
+	wantOK := map[int]string{0: "schedule", 1: "schedule", 2: "evaluate", 3: "tune",
 		len(fuzzSeedBodies) - 5: "batch", len(fuzzSeedBodies) - 2: "mission"}
 	for i, seed := range fuzzSeedBodies {
 		_, serr := DecodeScheduleRequest(strings.NewReader(seed))
 		_, eerr := DecodeEvaluateRequest(strings.NewReader(seed))
+		_, terr := DecodeTuneRequest(strings.NewReader(seed))
 		_, berr := ParseBatchRequest([]byte(seed))
-		_, merr := ParseMissionRequest([]byte(seed))
+		_, merr := decodeRequest[MissionRequest]([]byte(seed))
 		switch wantOK[i] {
 		case "schedule":
 			if serr != nil {
@@ -174,6 +186,10 @@ func TestDecodeSeedCorpus(t *testing.T) {
 		case "evaluate":
 			if eerr != nil {
 				t.Errorf("seed %d: evaluate decode failed: %v", i, eerr)
+			}
+		case "tune":
+			if terr != nil {
+				t.Errorf("seed %d: tune decode failed: %v", i, terr)
 			}
 		case "batch":
 			if berr != nil {
@@ -184,7 +200,7 @@ func TestDecodeSeedCorpus(t *testing.T) {
 				t.Errorf("seed %d: mission decode failed: %v", i, merr)
 			}
 		default:
-			if serr == nil && eerr == nil && berr == nil && merr == nil {
+			if serr == nil && eerr == nil && terr == nil && berr == nil && merr == nil {
 				t.Errorf("seed %d: malformed body accepted by every decoder", i)
 			}
 		}

@@ -30,13 +30,6 @@ type MissionRequest struct {
 	TaskEvents bool `json:"task_events,omitempty"`
 }
 
-// ParseMissionRequest reads and validates one /missions request body with
-// the same strictness as DecodeScheduleRequest (unknown fields rejected, one
-// JSON document only).
-func ParseMissionRequest(body []byte) (*MissionRequest, error) {
-	return decodeNew[MissionRequest](body)
-}
-
 // Validate cross-checks the decoded request: the scheduling part first, then
 // the mission parameters.
 func (req *MissionRequest) Validate() error {
@@ -172,12 +165,9 @@ func (st *missionState) snapshot(from int) (lines [][]byte, state string, notify
 	return st.lines[from:], st.state, st.notify
 }
 
-// decodeMission is the /missions row's decode.
-func decodeMission(body []byte) (*Decoded, error) {
-	req, err := ParseMissionRequest(body)
-	if err != nil {
-		return nil, err
-	}
+// missionDecoded is the /missions row's Decoded. A served mission outlives
+// its response, so it keeps its pooled storage for the collector.
+func missionDecoded(req *MissionRequest) *Decoded {
 	fp := MissionFingerprint(req)
 	return &Decoded{
 		fp:         fp,
@@ -187,7 +177,7 @@ func decodeMission(body []byte) (*Decoded, error) {
 			return s.createMission(w, req, MissionID(fp))
 		},
 		describe: req.describe,
-	}, nil
+	}
 }
 
 // createMission admits a mission and starts it on the pool. The mission id

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ftsched/internal/dag"
+	"ftsched/internal/platform"
 	"ftsched/internal/sim"
 )
 
@@ -390,5 +394,95 @@ func TestMissionPostLoggedAndTimed(t *testing.T) {
 	if len(lines) != 2 || !strings.Contains(lines[0], "/missions") || !strings.Contains(lines[0], "cache=miss") ||
 		!strings.Contains(lines[1], "cache=hit") {
 		t.Fatalf("verbose log:\n%s", logged.String())
+	}
+}
+
+// TestMissionStorageNotRecycled: a mission outlives its response, so it
+// keeps the pooled storage its body was decoded into. While it waits in the
+// queue, 1 000 /schedule and /evaluate bodies that open with its graph — so
+// that they take its pool key — but carry other costs are decoded through
+// the same pools, each overwriting whatever storage it is given. The
+// mission's event log and final report must still be byte-identical to a
+// solo run's.
+func TestMissionStorageNotRecycled(t *testing.T) {
+	const tasks, procs = 24, 4
+	g := dag.NewWithTasks("storage", tasks)
+	for i := 0; i+1 < tasks; i++ {
+		for j := i + 1; j < min(i+3, tasks); j++ {
+			if err := g.AddEdge(dag.TaskID(i), dag.TaskID(j), float64(1+i%3)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p, err := uniformPlatform(procs, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instance := func(seed int64) Instance {
+		cm, err := platform.NewRandomCostModel(rand.New(rand.NewSource(seed)), tasks, procs, 1, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Instance{Graph: g, Platform: p, Costs: cm}
+	}
+	body := marshalJSON(t, &MissionRequest{
+		ScheduleRequest: ScheduleRequest{Instance: instance(7), Scheduler: "ftsa", Epsilon: 1},
+		Scenario:        sim.ScenarioSpec{Kind: "uniform", Crashes: 1},
+		ScenarioSeed:    5,
+		TaskEvents:      true,
+	})
+	post := func(s *Server) string {
+		rec := doServer(s, http.MethodPost, "/missions", body)
+		var acc struct {
+			ID string `json:"id"`
+		}
+		if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &acc) != nil {
+			t.Fatalf("POST /missions: %d %s", rec.Code, rec.Body.String())
+		}
+		return acc.ID
+	}
+	finished := func(s *Server, id string) (report, events []byte) {
+		report = awaitMissionDone(t, s, id)
+		return report, doServer(s, http.MethodGet, "/missions/"+id+"/events", nil).Body.Bytes()
+	}
+
+	solo := New(Config{Workers: 1})
+	t.Cleanup(solo.Close)
+	wantReport, wantEvents := finished(solo, post(solo))
+
+	// One worker, held by a gate, and a queue of one that the mission fills:
+	// every later request is decoded, refused with 429 and its storage given
+	// back, while the mission has not started.
+	srv := New(Config{Workers: 1, Queue: 1})
+	t.Cleanup(srv.Close)
+	started, gate := make(chan struct{}), make(chan struct{})
+	var open sync.Once
+	t.Cleanup(func() { open.Do(func() { close(gate) }) })
+	if err := srv.pool.TrySubmit(func() { close(started); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	id := post(srv)
+	for i := range 1000 {
+		req := ScheduleRequest{Instance: instance(int64(100 + i)), Scheduler: "ftsa", Epsilon: 1, Seed: int64(i + 1)}
+		path, v := "/schedule", any(&req)
+		if i%2 == 1 {
+			path, v = "/evaluate", &EvaluateRequest{ScheduleRequest: req, Trials: 4,
+				Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, EvalSeed: int64(i)}
+		}
+		if rec := doServer(srv, http.MethodPost, path, marshalJSON(t, v)); rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("request %d: %d %s; want 429 behind the queued mission", i, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := doServer(srv, http.MethodGet, "/missions/"+id, nil); !strings.Contains(rec.Body.String(), `"state":"running"`) {
+		t.Fatalf("the mission ran before the gate opened: %s", rec.Body.String())
+	}
+	open.Do(func() { close(gate) })
+	report, events := finished(srv, id)
+	if !bytes.Equal(report, wantReport) {
+		t.Fatalf("report differs from a solo run's:\n%s\nvs\n%s", report, wantReport)
+	}
+	if !bytes.Equal(events, wantEvents) {
+		t.Fatalf("event log differs from a solo run's:\n%s\nvs\n%s", events, wantEvents)
 	}
 }

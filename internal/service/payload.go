@@ -29,8 +29,8 @@ type Instance struct {
 	// Costs is the task × processor execution-cost matrix.
 	Costs *platform.CostModel `json:"costs"`
 
-	// memo is what a pooled request's storage remembers between decodes;
-	// nil for every other request.
+	// memo is the pooled storage the three members point into, and what it
+	// remembers between decodes (decodeInto).
 	memo *instanceMemo
 }
 
@@ -198,12 +198,13 @@ func Encode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeScheduleRequest reads and validates one request body (decodeBody).
-// Unknown top-level fields are rejected so typos ("epsilom") fail loudly
-// instead of silently scheduling with defaults. The returned error is safe
-// to echo to the client.
+// DecodeScheduleRequest reads and validates one request body (decodeBody)
+// into pooled instance storage (decodeInto), which ReleaseScheduleRequest
+// may return. Unknown top-level fields are rejected so typos ("epsilom")
+// fail loudly instead of silently scheduling with defaults. The returned
+// error is safe to echo to the client.
 func DecodeScheduleRequest(r io.Reader) (*ScheduleRequest, error) {
-	return readNew[ScheduleRequest](r)
+	return readInto(new(ScheduleRequest), r)
 }
 
 // Validate cross-checks the decoded request.

@@ -13,36 +13,42 @@ import (
 	"ftsched/internal/wire"
 )
 
-// The decode pools recycle the request struct together with its payload
-// storage: the graph's adjacency arena (dag.Graph.ScanJSON rebuilds in
-// place) and the platform and cost-model matrices (their ScanJSON decodes
-// into the previous backing block). A warm decode of a same-shaped request
-// performs no payload-sized allocations.
+// The decode pools recycle instance storage: the graph's adjacency arena
+// (dag.Graph.ScanJSON rebuilds in place) and the platform and cost-model
+// matrices (their ScanJSON decodes into the previous backing block). Every
+// endpoint's request embeds Instance, and every decode acquires the storage
+// into it (decodeInto), so a warm decode of a same-shaped instance performs
+// no payload-sized allocations, whichever endpoint the body was posted to.
 //
 // The storage also remembers what it holds (instanceMemo), so that a body
-// repeating an instance member byte for byte skips decoding it. For a repeat
-// to find that storage, the pools are a fixed table keyed on a hash of the
-// body's first poolKeyBytes — the opening of the graph in every body this
-// repository writes, and so in effect a name for the instance. The key only
-// chooses where to look: the byte comparison in decodeBody decides what is
-// reused, so a collision costs a full decode and nothing else.
+// repeating an instance member byte for byte skips decoding it — a /schedule
+// and an /evaluate of one instance find the same remembered bytes. For a
+// repeat to find that storage, the pools are a fixed table keyed on a hash
+// of the body's first poolKeyBytes — the opening of the graph in every body
+// this repository writes, and so in effect a name for the instance. The key
+// only chooses where to look: the byte comparison in decodeBody decides what
+// is reused, so a collision costs a full decode and nothing else.
 //
-// Only an instance that repeats is worth storage of its own. A request goes
+// Only an instance that repeats is worth storage of its own. Storage goes
 // back to its key's table pool when that key had been seen shortly before
-// (recentKeys); a first sighting's request, or one that remembers nothing,
-// goes to one spare pool. A request is taken from the spare pool before
-// anything is allocated, so a stream of instances that never repeat recycles
-// as tightly as a single pool would; a repeating instance whose table pool is
-// empty is given new storage rather than another repeating instance's.
+// (recentKeys); a first sighting's storage, or storage that remembers
+// nothing, goes to one spare pool. Storage is taken from the spare pool
+// before anything is allocated, so a stream of instances that never repeat
+// recycles as tightly as a single pool would; a repeating instance whose
+// table pool is empty is given new storage rather than another repeating
+// instance's.
+// Storage goes back once its compute can no longer run (serveCached's
+// cleanup, or serveBatch's return); a mission, which outlives its response,
+// keeps it, and the collector takes it with the request.
 const (
 	requestPools = 64
 	poolKeyBytes = 256
 )
 
 var (
-	scheduleRequestPools  [requestPools]sync.Pool
-	spareScheduleRequests sync.Pool
-	requestPoolSeed       = maphash.MakeSeed()
+	instancePools   [requestPools]sync.Pool
+	spareInstances  sync.Pool
+	requestPoolSeed = maphash.MakeSeed()
 	// recentKeys remembers the latest request keys, direct-mapped: whether
 	// a body's key is in it is whether its instance was seen shortly before.
 	recentKeys [1024]atomic.Uint64
@@ -57,107 +63,156 @@ func recentKey(key uint64) *atomic.Uint64 {
 	return &recentKeys[key/requestPools%uint64(len(recentKeys))]
 }
 
-// acquireScheduleRequest returns a pooled request for body, from the pools
-// poolsFor names, or a new one.
-func acquireScheduleRequest(body []byte) *ScheduleRequest {
-	pools := poolsFor(requestKey(body))
-	req, _ := pools[0].Get().(*ScheduleRequest)
-	if req == nil {
-		req, _ = pools[1].Get().(*ScheduleRequest)
-	}
-	return furnish(req)
-}
-
-// poolsFor returns where a request for key is looked for, in order. For an
-// instance seen before, the first place is its key's table pool, where a
-// request last decoded from it waits; for a first sighting it is the spare
+// poolsFor returns where storage for key is looked for, in order. For an
+// instance seen before, the first place is its key's table pool, where the
+// storage last decoded from it waits; for a first sighting it is the spare
 // pool, so that the stored instances are left to their repeats.
 func poolsFor(key uint64) [2]*sync.Pool {
 	if recentKey(key).Load() != key {
-		return [2]*sync.Pool{&spareScheduleRequests, &scheduleRequestPools[key%requestPools]}
+		return [2]*sync.Pool{&spareInstances, &instancePools[key%requestPools]}
 	}
-	return [2]*sync.Pool{&scheduleRequestPools[key%requestPools], &spareScheduleRequests}
+	return [2]*sync.Pool{&instancePools[key%requestPools], &spareInstances}
 }
 
-// furnish gives a request, new when req is nil, the storage a pooled decode
-// needs.
-func furnish(req *ScheduleRequest) *ScheduleRequest {
-	if req == nil {
-		req = new(ScheduleRequest)
-	}
-	if req.Graph == nil {
-		req.Graph = new(dag.Graph)
-	}
-	if req.Platform == nil {
-		req.Platform = new(platform.Platform)
-	}
-	if req.Costs == nil {
-		req.Costs = new(platform.CostModel)
-	}
-	if req.memo == nil {
-		req.memo = new(instanceMemo)
-	}
-	return req
+// pooled returns the storage waiting in p, or nil.
+func pooled(p *sync.Pool) *instanceMemo {
+	m, _ := p.Get().(*instanceMemo)
+	return m
 }
 
-// AcquireScheduleRequest returns a pooled request for use with
-// DecodeScheduleRequestInto: a spare one, else any the table holds, so it
-// allocates only when no pooled request is left. Pass it to
+// acquire gives in the instance storage m holds, or new storage when m is
+// nil.
+func (in *Instance) acquire(m *instanceMemo) {
+	if m == nil {
+		m = &instanceMemo{storage: Instance{Graph: new(dag.Graph), Platform: new(platform.Platform), Costs: new(platform.CostModel)}}
+	}
+	*in = m.storage
+	in.memo = m
+}
+
+// release returns in's pooled instance storage, keeping its payload storage
+// for the next decode, and leaves in empty. Safe only once nothing aliases
+// the graph, platform or costs: schedules, frozen views, responses under
+// construction. A no-op when in holds no pooled storage.
+func (in *Instance) release() {
+	if m := in.memo; m != nil {
+		*in = Instance{}
+		m.home().Put(m)
+	}
+}
+
+// decodeInto is the one path from a body to a request: it decodes body into
+// req (decodeBody) on the instance storage req holds or, when it holds none,
+// on storage from the pools body's key names. The storage stays with req,
+// whether the body is refused or not, until req's release.
+func decodeInto(req request, body []byte) error {
+	in := req.instance()
+	key := requestKey(body)
+	if in.memo == nil {
+		pools := poolsFor(key)
+		m := pooled(pools[0])
+		if m == nil {
+			m = pooled(pools[1])
+		}
+		in.acquire(m)
+	}
+	in.memo.key, in.memo.repeats = key, recentKey(key).Swap(key) == key
+	return decodeBody(body, req)
+}
+
+// requestPtr is a request type T by its pointer, which has the methods.
+type requestPtr[T any] interface {
+	*T
+	request
+}
+
+// decodeRequest decodes body into a new request of type T (decodeInto). A
+// refused body's storage goes straight back to the pools.
+func decodeRequest[T any, P requestPtr[T]](body []byte) (P, error) {
+	req := P(new(T))
+	if err := decodeInto(req, body); err != nil {
+		req.instance().release()
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodes makes an endpoint's decode out of its row's Decoded for a request
+// of type T: a body decodes into a new request (decodeRequest), and the
+// Decoded owns its storage.
+func decodes[T any, P requestPtr[T]](decoded func(P) *Decoded) func([]byte) (*Decoded, error) {
+	return func(body []byte) (*Decoded, error) {
+		req, err := decodeRequest[T, P](body)
+		if err != nil {
+			return nil, err
+		}
+		d := decoded(req)
+		d.release = req.instance().release
+		return d, nil
+	}
+}
+
+// readInto reads r to the end and decodes it into req (decodeInto), which
+// it returns, or nil with the error: the exported decoders.
+func readInto[P request](req P, r io.Reader) (P, error) {
+	buf, err := acquireBody(r, 0)
+	defer ReleaseBody(buf)
+	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else if err = decodeInto(req, buf.Bytes()); err == nil {
+		return req, nil
+	}
+	var none P
+	return none, err
+}
+
+// AcquireScheduleRequest returns a request holding pooled instance storage,
+// for use with DecodeScheduleRequestInto: spare storage, else any the table
+// holds, so it allocates only when no pooled storage is left. Pass it to
 // ReleaseScheduleRequest once the request — and everything aliasing its
 // graph, platform or costs: schedules, frozen views, responses under
 // construction — is no longer referenced. The graph, platform and costs are
 // read-only: a later decode of the same bytes takes them as they are.
 func AcquireScheduleRequest() *ScheduleRequest {
-	req, _ := spareScheduleRequests.Get().(*ScheduleRequest)
-	for k := 0; req == nil && k < requestPools; k++ {
-		req, _ = scheduleRequestPools[k].Get().(*ScheduleRequest)
+	m := pooled(&spareInstances)
+	for k := 0; m == nil && k < requestPools; k++ {
+		m = pooled(&instancePools[k])
 	}
-	return furnish(req)
+	req := new(ScheduleRequest)
+	req.acquire(m)
+	return req
 }
 
-// ReleaseScheduleRequest recycles a request obtained from
-// AcquireScheduleRequest, keeping its payload storage for the next decode.
-// Safe only once nothing aliases the request's sub-objects.
+// ReleaseScheduleRequest returns a decoded or acquired request's instance
+// storage to the pools and leaves the request empty. Safe only once nothing
+// aliases the request's graph, platform or costs.
 func ReleaseScheduleRequest(req *ScheduleRequest) {
-	if req == nil {
-		return
+	if req != nil {
+		req.release()
 	}
-	*req = ScheduleRequest{Instance: req.Instance}
-	req.memo.home().Put(req)
 }
 
 // DecodeScheduleRequestInto is DecodeScheduleRequest decoding into req's
-// existing graph, platform and cost-model storage — with a request from
-// AcquireScheduleRequest, the graph decodes through its adjacency arena and
-// the matrices into their previous rows, so the warm path allocates nothing
-// proportional to the instance, and a member repeated byte for byte is not
-// decoded at all. Whatever req held before is overwritten.
+// existing instance storage — with a request from AcquireScheduleRequest,
+// the graph decodes through its adjacency arena and the matrices into their
+// previous rows, so the warm path allocates nothing proportional to the
+// instance, and a member repeated byte for byte is not decoded at all.
+// Whatever req held before is overwritten.
 func DecodeScheduleRequestInto(req *ScheduleRequest, r io.Reader) error {
-	buf, err := acquireBody(r, 0)
-	defer ReleaseBody(buf)
-	if err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return decodeScheduleInto(req, buf.Bytes())
-}
-
-func decodeScheduleInto(req *ScheduleRequest, body []byte) error {
 	*req = ScheduleRequest{Instance: req.Instance}
-	if m := req.memo; m != nil {
-		m.key = requestKey(body)
-		m.repeats = recentKey(m.key).Swap(m.key) == m.key
-	}
-	return decodeBody(body, req)
+	_, err := readInto(req, r)
+	return err
 }
 
-// instanceMemo is what a pooled request remembers of its instance storage
-// from one decode to the next: the exact bytes each member was last decoded
-// from, which decodeBody compares a body's member against before decoding
-// it, and the fingerprint state the instance section hashed to, which
-// instanceOf resumes from. Only pooled requests have one; every method is a
-// no-op on nil. The bytes are pool memory, dropped with the request by a
+// instanceMemo is pooled instance storage, and what it remembers from one
+// decode to the next: the exact bytes each member was last decoded from,
+// which decodeBody compares a body's member against before decoding it, and
+// the fingerprint state the instance section hashed to, which instanceOf
+// resumes from. Every method is a no-op on nil, the memo of a request
+// decoded into storage of its own. The bytes are pool memory, dropped by a
 // collection like the arenas beside them.
 type instanceMemo struct {
+	storage Instance // the graph, platform and costs decoded into
 	// members are, in instanceFields order, the storage each member was
 	// last decoded into and the bytes it was decoded from; an entry with no
 	// obj remembers nothing.
@@ -169,18 +224,18 @@ type instanceMemo struct {
 	// rest is the residual object decodeBody splices the parameters into.
 	rest []byte
 	// key is the last body's request key, and repeats whether that key had
-	// been seen before: together they say where the request goes back to.
+	// been seen before: together they say where the storage goes back to.
 	key     uint64
 	repeats bool
 }
 
-// home returns the pool the request goes back to: its key's table pool
+// home returns the pool the storage goes back to: its key's table pool
 // when it remembers an instance seen before, the spare pool otherwise.
 func (m *instanceMemo) home() *sync.Pool {
 	if m == nil || !m.repeats || m.members[0].obj == nil {
-		return &spareScheduleRequests
+		return &spareInstances
 	}
-	return &scheduleRequestPools[m.key%requestPools]
+	return &instancePools[m.key%requestPools]
 }
 
 type keptMember struct {

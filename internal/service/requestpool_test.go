@@ -187,11 +187,12 @@ func benchRequestFrom(b testing.TB, seed int64) *ScheduleRequest {
 	}
 }
 
-// BenchmarkDecodeSchedule contrasts the per-request decode the service ran
-// before pooling (fresh allocations per body) with the pooled warm path the
-// handlers and the coordinator door use now: a full decode into recycled
-// storage (two instances in turn, so that neither repeats the last) and a
-// repeated instance, whose members are taken from storage undecoded.
+// BenchmarkDecodeSchedule contrasts a decode into new storage (fresh:
+// DecodeScheduleRequest keeps the storage with the request, so every body
+// gets storage of its own) with the pooled warm path the handlers and the
+// coordinator door use: a full decode into recycled storage (two instances
+// in turn, so that neither repeats the last) and a repeated instance, whose
+// members are taken from storage undecoded.
 func BenchmarkDecodeSchedule(b *testing.B) {
 	body := benchBody(b)
 	other, err := json.Marshal(benchRequestFrom(b, 6))
@@ -229,30 +230,79 @@ func BenchmarkDecodeSchedule(b *testing.B) {
 }
 
 // BenchmarkDecodeEvaluate and BenchmarkDecodeTune decode benchBody's
-// instance as the two endpoints that decode into a fresh request per body.
+// instance through the exported decoders, which keep the pooled storage with
+// the request they return: every decode is a full one, into new storage.
 func BenchmarkDecodeEvaluate(b *testing.B) {
-	benchDecodeNew[EvaluateRequest](b, &EvaluateRequest{ScheduleRequest: *benchRequest(b),
-		Trials: 50, Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, EvalSeed: 7})
+	body := marshalJSON(b, benchEvaluateRequest(b))
+	benchDecode(b, func() error { _, err := DecodeEvaluateRequest(bytes.NewReader(body)); return err })
 }
 
 func BenchmarkDecodeTune(b *testing.B) {
-	inst := benchRequest(b)
-	benchDecodeNew[TuneRequest](b, &TuneRequest{Instance: inst.Instance,
-		Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, Trials: 40, Target: 0.9, EvalSeed: 7})
+	body := marshalJSON(b, benchTuneRequest(b))
+	benchDecode(b, func() error { _, err := DecodeTuneRequest(bytes.NewReader(body)); return err })
 }
 
-func benchDecodeNew[T any, P requestPtr[T]](b *testing.B, req P) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchEvaluateRequest(b testing.TB) *EvaluateRequest {
+	return &EvaluateRequest{ScheduleRequest: *benchRequest(b),
+		Trials: 50, Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, EvalSeed: 7}
+}
+
+func benchTuneRequest(b testing.TB) *TuneRequest {
+	return &TuneRequest{Instance: benchRequest(b).Instance,
+		Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, Trials: 40, Target: 0.9, EvalSeed: 7}
+}
+
+func benchDecode(b *testing.B, decode func() error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := readNew[T, P](bytes.NewReader(body)); err != nil {
+		if err := decode(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDecodeRepeat is DecodeSchedule/pooled-repeat for the other four
+// endpoints: one paper-sized body decoded again and again through its
+// Endpoint.Decode and Release, so that every decode after the first takes
+// the instance from the storage the last one gave back.
+func BenchmarkDecodeRepeat(b *testing.B) {
+	inst := benchRequest(b)
+	for _, row := range []struct {
+		name, path string
+		req        any
+	}{
+		{"evaluate", "/evaluate", benchEvaluateRequest(b)},
+		{"tune", "/tune", benchTuneRequest(b)},
+		{"batch", "/schedule/batch", &BatchRequest{Instance: inst.Instance,
+			Requests: []BatchItem{{Scheduler: "ftsa", Epsilon: 1}, {Scheduler: "heft"}}}},
+		{"missions", "/missions", &MissionRequest{ScheduleRequest: *inst,
+			Scenario: sim.ScenarioSpec{Kind: "uniform", Crashes: 1}, ScenarioSeed: 5}},
+	} {
+		body := marshalJSON(b, row.req)
+		ep := endpointAt(b, row.path)
+		b.Run(row.name, func(b *testing.B) {
+			benchDecode(b, func() error {
+				d, err := ep.Decode(body)
+				if err == nil {
+					d.Release()
+				}
+				return err
+			})
+		})
+	}
+}
+
+// endpointAt returns the POST endpoint mounted at path.
+func endpointAt(t testing.TB, path string) *Endpoint {
+	t.Helper()
+	for _, ep := range endpoints {
+		if ep.path == path {
+			return ep
+		}
+	}
+	t.Fatalf("no endpoint at %s", path)
+	return nil
 }
 
 // TestRepeatedMembersSkipped: a pooled request decoding a body whose
@@ -264,7 +314,7 @@ func TestRepeatedMembersSkipped(t *testing.T) {
 	body := benchBody(t)
 	req := AcquireScheduleRequest()
 	defer ReleaseScheduleRequest(req)
-	if err := decodeScheduleInto(req, body); err != nil {
+	if err := DecodeScheduleRequestInto(req, bytes.NewReader(body)); err != nil {
 		t.Fatal(err)
 	}
 	flat, err := req.Graph.Freeze()
@@ -273,13 +323,13 @@ func TestRepeatedMembersSkipped(t *testing.T) {
 	}
 	head := bytes.TrimSuffix(body, []byte("}"))
 	for i, b := range [][]byte{body, fmt.Appendf(nil, `%s,"seed":7}`, head), fmt.Appendf(nil, `%s,"scheduler":"heft","epsilon":0}`, head)} {
-		if err := decodeScheduleInto(req, b); err != nil {
+		if err := DecodeScheduleRequestInto(req, bytes.NewReader(b)); err != nil {
 			t.Fatalf("body %d: %v", i, err)
 		}
 		if again, _ := req.Graph.Freeze(); again != flat {
 			t.Fatalf("body %d: a repeated graph was decoded again", i)
 		}
-		want, err := decodeNew[ScheduleRequest](b)
+		want, err := decodeFresh[ScheduleRequest](b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,13 +338,13 @@ func TestRepeatedMembersSkipped(t *testing.T) {
 		}
 	}
 	changed := bytes.Replace(body, []byte(`"volume":`), []byte(`"volume":1`), 1)
-	if err := decodeScheduleInto(req, changed); err != nil {
+	if err := DecodeScheduleRequestInto(req, bytes.NewReader(changed)); err != nil {
 		t.Fatal(err)
 	}
 	if again, _ := req.Graph.Freeze(); again == flat {
 		t.Fatal("a changed graph was taken from storage")
 	}
-	want, err := decodeNew[ScheduleRequest](changed)
+	want, err := decodeFresh[ScheduleRequest](changed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +353,7 @@ func TestRepeatedMembersSkipped(t *testing.T) {
 	}
 	// A body past maxPooledBody is decoded, and nothing of it remembered.
 	padded := append(bytes.Clone(body), bytes.Repeat([]byte{' '}, maxPooledBody)...)
-	if err := decodeScheduleInto(req, padded); err != nil {
+	if err := DecodeScheduleRequestInto(req, bytes.NewReader(padded)); err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range req.memo.members {
@@ -313,16 +363,66 @@ func TestRepeatedMembersSkipped(t *testing.T) {
 	}
 }
 
+// TestInstanceSharedAcrossEndpoints: the storage a /schedule body left is
+// what an /evaluate body of the same instance takes, as it stands — the
+// graph's frozen view survives — and the evaluate request still
+// fingerprints like a decode into a zero request.
+func TestInstanceSharedAcrossEndpoints(t *testing.T) {
+	var on Instance
+	defer on.release()
+	sr, err := decodeOn[ScheduleRequest](&on, benchBody(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := sr.Graph.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := marshalJSON(t, benchEvaluateRequest(t))
+	er, err := decodeOn[EvaluateRequest](&on, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := er.Graph.Freeze(); again != flat {
+		t.Fatal("an /evaluate body decoded again the graph a /schedule body left")
+	}
+	want, err := decodeFresh[EvaluateRequest](body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if EvaluateFingerprint(er) != EvaluateFingerprint(want) {
+		t.Fatal("the resumed /evaluate fingerprint differs from a fresh one")
+	}
+}
+
 // TestSkippedInstanceUnchangedBySchedulers runs every registered scheduler
 // on one instance under three seeds through one server, so that every
 // request after the first takes the instance its predecessors were given
-// from pooled storage. Each response must be byte-identical to what a fresh
-// server computes from a fresh decode: no scheduler mutates its instance.
+// from pooled storage, then an /evaluate per scheduler and a /tune on the
+// same instance, which take it from the storage /schedule left. Each
+// response must be byte-identical to what a fresh server computes from a
+// decode into a zero request: no scheduler, replay or tuning run mutates
+// its instance, and the storage the endpoints share carries nothing over.
 func TestSkippedInstanceUnchangedBySchedulers(t *testing.T) {
 	srv := New(Config{})
 	t.Cleanup(srv.Close)
 	fresh := New(Config{})
 	t.Cleanup(fresh.Close)
+	check := func(path, what string, req any, want func([]byte) ([]byte, error)) {
+		t.Helper()
+		body := marshalJSON(t, req)
+		rec := doServer(srv, http.MethodPost, path, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", path, what, rec.Code, rec.Body.String())
+		}
+		wantBody, err := want(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), wantBody) {
+			t.Fatalf("%s %s: the response differs from a fresh server's", path, what)
+		}
+	}
 	for _, name := range sched.Names() {
 		info, _ := sched.LookupInfo(name)
 		for seed := int64(1); seed <= 3; seed++ {
@@ -331,27 +431,38 @@ func TestSkippedInstanceUnchangedBySchedulers(t *testing.T) {
 			if !info.FaultTolerant {
 				req.Epsilon = 0
 			}
-			body, err := json.Marshal(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := doServer(srv, http.MethodPost, "/schedule", body)
-			if rec.Code != http.StatusOK {
-				t.Fatalf("%s seed %d: %d %s", name, seed, rec.Code, rec.Body.String())
-			}
-			decoded, err := decodeNew[ScheduleRequest](body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.schedule(decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rec.Body.Bytes(), want) {
-				t.Fatalf("%s seed %d: the response differs from a fresh server's", name, seed)
-			}
+			check("/schedule", fmt.Sprintf("%s seed %d", name, seed), req, func(body []byte) ([]byte, error) {
+				decoded, err := decodeFresh[ScheduleRequest](body)
+				if err != nil {
+					return nil, err
+				}
+				return fresh.schedule(decoded)
+			})
 		}
 	}
+	for _, name := range sched.Names() {
+		req := benchEvaluateRequest(t)
+		req.Scheduler, req.Trials = name, 20
+		if info, _ := sched.LookupInfo(name); !info.FaultTolerant {
+			req.Epsilon = 0
+		}
+		check("/evaluate", name, req, func(body []byte) ([]byte, error) {
+			decoded, err := decodeFresh[EvaluateRequest](body)
+			if err != nil {
+				return nil, err
+			}
+			return fresh.evaluate(decoded)
+		})
+	}
+	tr := benchTuneRequest(t)
+	tr.Trials, tr.Epsilons = 16, []int{1}
+	check("/tune", "eps 1", tr, func(body []byte) ([]byte, error) {
+		decoded, err := decodeFresh[TuneRequest](body)
+		if err != nil {
+			return nil, err
+		}
+		return fresh.tuneFn(decoded)
+	})
 }
 
 // TestRequestPoolRouting: a first sighting's request is looked for in, and
@@ -366,13 +477,13 @@ func TestRequestPoolRouting(t *testing.T) {
 	// A name no earlier run has used: the key is a first sighting.
 	body = slices.Concat(body[:at], fmt.Appendf(nil, "routing-%d-", rand.Int63()), body[at:])
 	key := requestKey(body)
-	table, spare := &scheduleRequestPools[key%requestPools], &spareScheduleRequests
+	table, spare := &instancePools[key%requestPools], &spareInstances
 	if got := poolsFor(key); got != [2]*sync.Pool{spare, table} {
 		t.Fatal("a first sighting is not looked for in the spare pool first")
 	}
-	req := acquireScheduleRequest(body)
+	req := new(ScheduleRequest)
 	defer ReleaseScheduleRequest(req)
-	if err := decodeScheduleInto(req, body); err != nil {
+	if err := decodeInto(req, body); err != nil {
 		t.Fatal(err)
 	}
 	if req.memo.home() != spare {
@@ -381,13 +492,13 @@ func TestRequestPoolRouting(t *testing.T) {
 	if got := poolsFor(key); got != [2]*sync.Pool{table, spare} {
 		t.Fatal("a seen instance is not looked for in its table pool first")
 	}
-	if err := decodeScheduleInto(req, body); err != nil {
+	if err := decodeInto(req, body); err != nil {
 		t.Fatal(err)
 	}
 	if req.memo.home() != table {
 		t.Fatal("a repeated instance's request does not go back to its table pool")
 	}
-	if err := decodeScheduleInto(req, body[:len(body)-1]); err == nil {
+	if err := decodeInto(req, body[:len(body)-1]); err == nil {
 		t.Fatal("a truncated body was accepted")
 	}
 	if req.memo.home() != spare {

@@ -64,7 +64,7 @@ type TuneResponse struct {
 // strictness as the other endpoints (unknown fields rejected, one JSON
 // document only).
 func DecodeTuneRequest(r io.Reader) (*TuneRequest, error) {
-	return readNew[TuneRequest](r)
+	return readInto(new(TuneRequest), r)
 }
 
 // Validate cross-checks the decoded request; tune.Run re-validates the
