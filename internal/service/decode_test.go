@@ -366,7 +366,7 @@ var differentialBodies = func() map[string]string {
 
 func differentialSeeds() [][]byte {
 	var seeds [][]byte
-	for _, s := range fuzzSeedBodies {
+	for _, s := range fuzzSeedBodies[:differentialFirstSeeds] {
 		seeds = append(seeds, []byte(s))
 	}
 	for _, s := range differentialBodies {
@@ -455,8 +455,15 @@ func differentialSeeds() [][]byte {
 		seeds = append(seeds, []byte(head+valid))
 	}
 	seeds = append(seeds, []byte("null"), []byte(" null "), []byte("nul"), []byte("[]"), []byte("7"), []byte(`"x"`), []byte("{}"))
+	for _, s := range fuzzSeedBodies[differentialFirstSeeds:] {
+		seeds = append(seeds, []byte(s))
+	}
 	return seeds
 }
+
+// differentialFirstSeeds is how many fuzzSeedBodies open differentialSeeds;
+// the ones appended since close it, so each seed#N keeps its body.
+const differentialFirstSeeds = 21
 
 // FuzzDecodeDifferential holds decodeBody to the decoders it replaced: for
 // every body and every request type, the same accept or reject and, when
