@@ -23,16 +23,27 @@ func (tl *Timeline) Reset() { tl.slots = tl.slots[:0] }
 // duration dur fits: the first inter-slot gap that can hold it, or after the
 // last slot when no gap can. This is the insertion policy of HEFT and of the
 // ftsa-ins registry variant.
+//
+// A gap ending at a slot that starts before ready+dur cannot hold the task:
+// the gap starts at ready or later, and float addition is monotone. So the
+// walk starts at the first slot starting at or after ready+dur, found by
+// bisection, and returns what a walk from the first gap would.
 func (tl *Timeline) EarliestFit(ready, dur float64) float64 {
 	busy := tl.slots
-	if len(busy) == 0 {
+	end := ready + dur
+	lo, hi := 0, len(busy)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); busy[mid].Start < end {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
+		// The gap before the first slot, or an empty timeline.
 		return ready
 	}
-	// Gap before the first slot.
-	if ready+dur <= busy[0].Start {
-		return ready
-	}
-	for i := 0; i+1 < len(busy); i++ {
+	for i := lo - 1; i+1 < len(busy); i++ {
 		gapStart := ready
 		if busy[i].Finish > gapStart {
 			gapStart = busy[i].Finish

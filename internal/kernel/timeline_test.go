@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math/rand"
 	"testing"
 
 	"ftsched/internal/sched"
@@ -88,5 +89,57 @@ func TestAddKeepsOrder(t *testing.T) {
 	tl.Reset()
 	if tl.Len() != 0 {
 		t.Fatalf("len after reset = %d", tl.Len())
+	}
+}
+
+// earliestFitLinear is EarliestFit as a walk over every gap from the first:
+// the reference the bisecting search must agree with.
+func earliestFitLinear(busy []Slot, ready, dur float64) float64 {
+	if len(busy) == 0 || ready+dur <= busy[0].Start {
+		return ready
+	}
+	for i := 0; i+1 < len(busy); i++ {
+		gapStart := max(ready, busy[i].Finish)
+		if gapStart+dur <= busy[i+1].Start {
+			return gapStart
+		}
+	}
+	return max(ready, busy[len(busy)-1].Finish)
+}
+
+// TestEarliestFitMatchesLinearScan compares the bisecting search with the
+// linear walk, bit for bit, on random sorted timelines: touching slots,
+// zero-length slots and tasks, ready times on slot boundaries, and
+// fractional times whose sums round.
+func TestEarliestFitMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return 0
+		case 1:
+			return float64(rng.Intn(4))
+		}
+		return rng.Float64() * 3
+	}
+	for trial := 0; trial < 20000; trial++ {
+		var tl Timeline
+		at := draw()
+		for n := rng.Intn(12); n > 0; n-- {
+			start := at + draw()*float64(rng.Intn(2)) // touching when the gap draws 0
+			at = start + draw()                       // zero-length when the length draws 0
+			tl.Add(start, at)
+		}
+		for q := 0; q < 8; q++ {
+			ready, dur := draw()*4, draw()
+			if q%2 == 1 && tl.Len() > 0 { // a ready time on a slot boundary
+				s := tl.slots[rng.Intn(tl.Len())]
+				ready = []float64{s.Start, s.Finish}[rng.Intn(2)]
+			}
+			got, want := tl.EarliestFit(ready, dur), earliestFitLinear(tl.slots, ready, dur)
+			if got != want {
+				t.Fatalf("slots %v ready %g dur %g: EarliestFit %g, linear walk %g", tl.slots, ready, dur, got, want)
+			}
+		}
 	}
 }

@@ -2,7 +2,9 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -409,4 +411,58 @@ func uniformPlatform(m int, d float64) (*platform.Platform, error) {
 		}
 	}
 	return platform.NewFromDelays(delay)
+}
+
+// TestValidateErrorsOnPooledOrder: Validate orders each processor's
+// replicas in a pooled buffer, so an error must name the replicas of its
+// own schedule however the buffer is reused after it, and an order built
+// into a dirty, longer buffer must equal a fresh ProcOrder.
+func TestValidateErrorsOnPooledOrder(t *testing.T) {
+	g := dag.NewWithTasks("two", 2)
+	p, err := uniformPlatform(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := platform.NewCostModelFromMatrix([][]float64{{4, 4, 4}, {6, 6, 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// overlapping places both independent tasks on proc, task 1 from start1.
+	overlapping := func(proc platform.ProcID, start1 float64) *Schedule {
+		s, _ := New(g, p, cm, 0, PatternAll, "bad")
+		for _, r := range []Replica{
+			{Task: 0, Proc: proc, StartMin: 0, FinishMin: 4, StartMax: 0, FinishMax: 4},
+			{Task: 1, Proc: proc, StartMin: start1, FinishMin: start1 + 6, StartMax: start1, FinishMax: start1 + 6},
+		} {
+			if err := s.Place(r.Task, []Replica{r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	first := overlapping(0, 2).Validate()
+	const want = "P0 Min window: task 0 copy 0 [0,4) overlaps task 1 copy 0 [2,8)"
+	if !errors.Is(first, ErrOverlap) || !strings.HasSuffix(first.Error(), want) {
+		t.Fatalf("first schedule: %v, want %q", first, want)
+	}
+	second := overlapping(2, 3).Validate()
+	if want := "P2 Min window: task 0 copy 0 [0,4) overlaps task 1 copy 0 [3,9)"; !strings.HasSuffix(fmt.Sprint(second), want) {
+		t.Fatalf("second schedule: %v, want %q", second, want)
+	}
+	if err := overlapping(1, 4).Validate(); err != nil {
+		t.Fatalf("a touching pair on P1: %v", err)
+	}
+	if !strings.HasSuffix(first.Error(), want) {
+		t.Fatalf("the first error changed as the buffer was reused: %v", first)
+	}
+	s := overlapping(1, 5)
+	wantOrder, wantLo := s.ProcOrder()
+	dirty := make([]Replica, 9)
+	for i := range dirty {
+		dirty[i] = Replica{Task: 7, Copy: 7, Proc: 2, StartMin: 99}
+	}
+	order, lo := s.procOrderInto(dirty, []int{5, 5, 5, 5, 5, 5})
+	if !slices.Equal(order, wantOrder) || !slices.Equal(lo, wantLo) {
+		t.Fatalf("order into a dirty buffer %v %v, fresh %v %v", order, lo, wantOrder, wantLo)
+	}
 }

@@ -308,9 +308,14 @@ func (s *Schedule) exits() []dag.TaskID {
 // order[lo[p]:lo[p+1]] is processor p's, by optimistic start (equation 1),
 // then by mapping position and copy, so a zero-cost chain runs as mapped. It
 // is computed per call and owned by the caller: schedules are read concurrently.
-func (s *Schedule) ProcOrder() (order []Replica, lo []int) {
+func (s *Schedule) ProcOrder() (order []Replica, lo []int) { return s.procOrderInto(nil, nil) }
+
+// procOrderInto is ProcOrder into the storage of order and lo, grown when
+// it is short; what they held is overwritten.
+func (s *Schedule) procOrderInto(order []Replica, lo []int) ([]Replica, []int) {
 	m := s.Platform.NumProcs()
-	lo = make([]int, m+1)
+	lo = slices.Grow(lo[:0], m+1)[:m+1]
+	clear(lo)
 	for _, t := range s.mappingOrder {
 		for _, r := range s.replicas[t] {
 			lo[r.Proc]++
@@ -321,7 +326,7 @@ func (s *Schedule) ProcOrder() (order []Replica, lo []int) {
 	}
 	// lo[p] is where bucket p ends; filling the buckets back to front, in
 	// reverse (mapping position, copy) order, moves it to where bucket p starts.
-	order = make([]Replica, lo[m])
+	order = slices.Grow(order[:0], lo[m])[:lo[m]]
 	for _, t := range slices.Backward(s.mappingOrder) {
 		for _, r := range slices.Backward(s.replicas[t]) {
 			lo[r.Proc]--

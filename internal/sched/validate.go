@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"ftsched/internal/dag"
 )
@@ -170,13 +171,29 @@ func (s *Schedule) validateArrivals(t dag.TaskID, used []bool) error {
 	return nil
 }
 
+// procOrders recycles validateTimelines' processor order: a Replica holds
+// no pointers, so a pooled buffer keeps nothing of the schedule alive, and
+// an error copies the replicas it names.
+var procOrders sync.Pool
+
+type procOrderBuf struct {
+	order []Replica
+	lo    []int
+}
+
 // validateTimelines checks that no two executions overlap on a processor.
 // The optimistic windows are checked in ProcOrder, the order the processor
 // runs them. The pessimistic ones are sorted by their own start: ftsa-ins
 // inserts a replica into a gap of the optimistic timeline but still appends
 // its pessimistic window, so those need not follow ProcOrder.
 func (s *Schedule) validateTimelines() error {
-	order, lo := s.ProcOrder()
+	buf, _ := procOrders.Get().(*procOrderBuf)
+	if buf == nil {
+		buf = new(procOrderBuf)
+	}
+	defer procOrders.Put(buf)
+	buf.order, buf.lo = s.procOrderInto(buf.order, buf.lo)
+	order, lo := buf.order, buf.lo
 	for pass, kind := range [...]string{"Min", "Max"} {
 		pessimistic := pass == 1
 		for p := 0; p+1 < len(lo); p++ {

@@ -10,6 +10,7 @@ import (
 
 	"ftsched/internal/dag"
 	"ftsched/internal/platform"
+	"ftsched/internal/sched"
 	"ftsched/internal/wire"
 )
 
@@ -23,55 +24,92 @@ import (
 // The storage also remembers what it holds (instanceMemo), so that a body
 // repeating an instance member byte for byte skips decoding it — a /schedule
 // and an /evaluate of one instance find the same remembered bytes. For a
-// repeat to find that storage, the pools are a fixed table keyed on a hash
-// of the body's first poolKeyBytes — the opening of the graph in every body
-// this repository writes, and so in effect a name for the instance. The key
-// only chooses where to look: the byte comparison in decodeBody decides what
-// is reused, so a collision costs a full decode and nothing else.
+// repeat to find that storage, each recently seen instance has a table pool
+// of its own, a slot, named by a hash of the body's first poolKeyBytes — the
+// opening of the graph in every body this repository writes, and so in
+// effect a name for the instance. routes maps every recent key to its slot
+// exactly, so two instances never share one; a key seen for the first time
+// takes the next slot in ring order, and the key that held it stops being
+// recent. The key only chooses where to look: the byte comparison in
+// decodeBody decides what is reused, so two instances that share a key cost
+// a full decode and nothing else.
 //
 // Only an instance that repeats is worth storage of its own. Storage goes
-// back to its key's table pool when that key had been seen shortly before
-// (recentKeys); a first sighting's storage, or storage that remembers
-// nothing, goes to one spare pool. Storage is taken from the spare pool
-// before anything is allocated, so a stream of instances that never repeat
-// recycles as tightly as a single pool would; a repeating instance whose
-// table pool is empty is given new storage rather than another repeating
-// instance's.
+// back to its key's slot when that key was recent when the body arrived
+// and still owns the slot; a first sighting's storage, storage that
+// remembers nothing, or storage whose key lost its slot meanwhile goes to
+// one spare pool. A first sighting takes storage from the spare pool, then
+// from its new slot (what the key that held it left), before anything is
+// allocated, so a stream of instances that never repeat recycles as
+// tightly as a single pool would; a repeating instance whose slot is empty
+// takes spare storage, or new, rather than another repeating instance's.
 // Storage goes back once its compute can no longer run (serveCached's
 // cleanup, or serveBatch's return); a mission, which outlives its response,
 // keeps it, and the collector takes it with the request.
 const (
-	requestPools = 64
+	requestPools = 1024
 	poolKeyBytes = 256
 )
 
+// poolSlot is one recent instance's table pool, and the key that owns it.
+type poolSlot struct {
+	owner atomic.Uint64
+	pool  sync.Pool
+}
+
 var (
-	instancePools   [requestPools]sync.Pool
+	instancePools   [requestPools]poolSlot
 	spareInstances  sync.Pool
 	requestPoolSeed = maphash.MakeSeed()
-	// recentKeys remembers the latest request keys, direct-mapped: whether
-	// a body's key is in it is whether its instance was seen shortly before.
-	recentKeys [1024]atomic.Uint64
+	// routes maps each recent key to its slot; next is the slot the next
+	// first sighting takes, and used how many slots have ever been taken.
+	routes = struct {
+		sync.Mutex
+		slot       map[uint64]int
+		next, used int
+	}{slot: make(map[uint64]int, requestPools)}
 )
 
-// requestKey hashes the start of body: its table pool is key % requestPools.
+// requestKey hashes the start of body: the name its slot is found by.
 func requestKey(body []byte) uint64 {
 	return maphash.Bytes(requestPoolSeed, body[:min(len(body), poolKeyBytes)])
 }
 
-func recentKey(key uint64) *atomic.Uint64 {
-	return &recentKeys[key/requestPools%uint64(len(recentKeys))]
+// route returns key's slot, and whether key was recent: a first sighting
+// takes the next slot in ring order from the key that held it.
+func route(key uint64) (slot int, seen bool) {
+	routes.Lock()
+	defer routes.Unlock()
+	if slot, seen = routes.slot[key]; seen {
+		return slot, true
+	}
+	slot = routes.next
+	routes.next = (slot + 1) % requestPools
+	routes.used = max(routes.used, slot+1)
+	if old := instancePools[slot].owner.Load(); routes.slot[old] == slot {
+		delete(routes.slot, old)
+	}
+	routes.slot[key] = slot
+	instancePools[slot].owner.Store(key)
+	return slot, false
 }
 
-// poolsFor returns where storage for key is looked for, in order. For an
-// instance seen before, the first place is its key's table pool, where the
-// storage last decoded from it waits; for a first sighting it is the spare
-// pool, so that the stored instances are left to their repeats.
-func poolsFor(key uint64) [2]*sync.Pool {
-	if recentKey(key).Load() != key {
-		return [2]*sync.Pool{&spareInstances, &instancePools[key%requestPools]}
+// usedSlots returns the slots any key has been routed to.
+func usedSlots() []poolSlot {
+	routes.Lock()
+	defer routes.Unlock()
+	return instancePools[:routes.used]
+}
+
+// poolsFor returns where storage for a body routed to slot is looked for,
+// in order. For an instance seen before, the first place is its slot, where
+// the storage last decoded from it waits; for a first sighting it is the
+// spare pool, so that the stored instances are left to their repeats.
+func poolsFor(slot int, seen bool) [2]*sync.Pool {
+	if !seen {
+		return [2]*sync.Pool{&spareInstances, &instancePools[slot].pool}
 	}
-	return [2]*sync.Pool{&instancePools[key%requestPools], &spareInstances}
+	return [2]*sync.Pool{&instancePools[slot].pool, &spareInstances}
 }
 
 // pooled returns the storage waiting in p, or nil.
@@ -108,15 +146,16 @@ func (in *Instance) release() {
 func decodeInto(req request, body []byte) error {
 	in := req.instance()
 	key := requestKey(body)
+	slot, seen := route(key)
 	if in.memo == nil {
-		pools := poolsFor(key)
+		pools := poolsFor(slot, seen)
 		m := pooled(pools[0])
 		if m == nil {
 			m = pooled(pools[1])
 		}
 		in.acquire(m)
 	}
-	in.memo.key, in.memo.repeats = key, recentKey(key).Swap(key) == key
+	in.memo.key, in.memo.slot, in.memo.repeats = key, slot, seen
 	return decodeBody(body, req)
 }
 
@@ -175,8 +214,8 @@ func readInto[P request](req P, r io.Reader) (P, error) {
 // read-only: a later decode of the same bytes takes them as they are.
 func AcquireScheduleRequest() *ScheduleRequest {
 	m := pooled(&spareInstances)
-	for k := 0; m == nil && k < requestPools; k++ {
-		m = pooled(&instancePools[k])
+	for slots, k := usedSlots(), 0; m == nil && k < len(slots); k++ {
+		m = pooled(&slots[k].pool)
 	}
 	req := new(ScheduleRequest)
 	req.acquire(m)
@@ -206,11 +245,13 @@ func DecodeScheduleRequestInto(req *ScheduleRequest, r io.Reader) error {
 
 // instanceMemo is pooled instance storage, and what it remembers from one
 // decode to the next: the exact bytes each member was last decoded from,
-// which decodeBody compares a body's member against before decoding it, and
-// the fingerprint state the instance section hashed to, which instanceOf
-// resumes from. Every method is a no-op on nil, the memo of a request
-// decoded into storage of its own. The bytes are pool memory, dropped by a
-// collection like the arenas beside them.
+// which decodeBody compares a body's member against before decoding it; the
+// fingerprint state the instance section hashed to, which instanceOf
+// resumes from; and the instance's average-cost bottom levels, which every
+// scheduler ranks its tasks by (Instance.bottomLevels). Decoding any member
+// again forgets the last two (keep). Every method is a no-op on nil, the
+// memo of a request decoded into storage of its own. The bytes are pool
+// memory, dropped by a collection like the arenas beside them.
 type instanceMemo struct {
 	storage Instance // the graph, platform and costs decoded into
 	// members are, in instanceFields order, the storage each member was
@@ -221,21 +262,29 @@ type instanceMemo struct {
 	// members' objects, valid while fpOK.
 	fp   fnv128a
 	fpOK bool
+	// bl is the instance's sched.AvgBottomLevels, valid while non-nil.
+	bl []float64
 	// rest is the residual object decodeBody splices the parameters into.
 	rest []byte
-	// key is the last body's request key, and repeats whether that key had
-	// been seen before: together they say where the storage goes back to.
+	// key is the last body's request key, slot the slot it was routed to,
+	// and repeats whether that key was recent: together they say where the
+	// storage goes back to.
 	key     uint64
+	slot    int
 	repeats bool
 }
 
-// home returns the pool the storage goes back to: its key's table pool
-// when it remembers an instance seen before, the spare pool otherwise.
+// home returns the pool the storage goes back to: its key's slot when it
+// remembers an instance seen before whose key still owns that slot, the
+// spare pool otherwise.
 func (m *instanceMemo) home() *sync.Pool {
 	if m == nil || !m.repeats || m.members[0].obj == nil {
 		return &spareInstances
 	}
-	return &instancePools[m.key%requestPools]
+	if s := &instancePools[m.slot]; s.owner.Load() == m.key {
+		return &s.pool
+	}
+	return &spareInstances
 }
 
 type keptMember struct {
@@ -263,7 +312,7 @@ func (m *instanceMemo) keep(i int, obj any, src []byte) {
 	}
 	k := &m.members[i]
 	k.obj, k.src = obj, append(k.src[:0], src...)
-	m.fpOK = false
+	m.fpOK, m.bl = false, nil
 }
 
 // forget drops everything the storage was remembered to hold.
@@ -292,6 +341,26 @@ func (m *instanceMemo) keepFingerprint(in *Instance, h fnv128a) {
 	if m != nil && m.holds(in) {
 		m.fp, m.fpOK = h, true
 	}
+}
+
+// bottomLevels returns in's average-cost bottom levels (sched.AvgBottomLevels)
+// for RunOptions.BottomLevels and the specs that take them, or nil when they
+// cannot be computed, which leaves the error to the scheduler's own attempt.
+// Pooled storage computes them once per instance it holds: the memo keeps
+// them until a member is decoded again. The slice is read-only.
+func (in *Instance) bottomLevels() []float64 {
+	m := in.memo
+	if m != nil && m.bl != nil && m.holds(in) {
+		return m.bl
+	}
+	bl, err := sched.AvgBottomLevels(in.Graph, in.Costs, in.Platform)
+	if err != nil {
+		return nil
+	}
+	if m != nil && m.holds(in) {
+		m.bl = bl
+	}
+	return bl
 }
 
 // scanMember decodes one instance member into *storage, allocating it when

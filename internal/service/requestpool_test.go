@@ -6,11 +6,16 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"ftsched/internal/dag"
+	"ftsched/internal/lazyrand"
+	"ftsched/internal/platform"
 	"ftsched/internal/sched"
 	"ftsched/internal/sim"
 	"ftsched/internal/workload"
@@ -191,8 +196,9 @@ func benchRequestFrom(b testing.TB, seed int64) *ScheduleRequest {
 // DecodeScheduleRequest keeps the storage with the request, so every body
 // gets storage of its own) with the pooled warm path the handlers and the
 // coordinator door use: a full decode into recycled storage (two instances
-// in turn, so that neither repeats the last) and a repeated instance, whose
-// members are taken from storage undecoded.
+// in turn, so that neither repeats the last), a repeated instance, whose
+// members are taken from storage undecoded, and a rotating corpus, whose
+// instances each find their own storage in the pools.
 func BenchmarkDecodeSchedule(b *testing.B) {
 	body := benchBody(b)
 	other, err := json.Marshal(benchRequestFrom(b, 6))
@@ -227,6 +233,47 @@ func BenchmarkDecodeSchedule(b *testing.B) {
 	}
 	b.Run("pooled", pooled(body, other))
 	b.Run("pooled-repeat", pooled(body))
+	// pooled-rotating is the handlers' path under a corpus: 32 instances in
+	// turn, each decoded into storage from the pools, its graph frozen as a
+	// scheduler would, and released. Every instance has a slot of its own,
+	// so after two warm rounds (a first sighting, then the repeat that takes
+	// a slot) no decode is a full one and no frozen view is rebuilt,
+	// whatever the hash seed; full-decodes/op counts those that were.
+	b.Run("pooled-rotating", func(b *testing.B) {
+		bodies := make([][]byte, 32)
+		for i := range bodies {
+			bodies[i] = marshalJSON(b, benchRequestFrom(b, int64(100+i)))
+		}
+		views := make([]*dag.Flat, len(bodies))
+		full := 0
+		decode := func(i int) {
+			req, err := decodeRequest[ScheduleRequest](bodies[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer req.release()
+			view, err := req.Graph.Freeze()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if view != views[i] {
+				views[i] = view
+				full++
+			}
+		}
+		for range 2 {
+			for i := range bodies {
+				decode(i)
+			}
+		}
+		full = 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			decode(i % len(bodies))
+		}
+		b.ReportMetric(float64(full)/float64(b.N), "full-decodes/op")
+	})
 }
 
 // BenchmarkDecodeEvaluate and BenchmarkDecodeTune decode benchBody's
@@ -463,45 +510,304 @@ func TestSkippedInstanceUnchangedBySchedulers(t *testing.T) {
 		}
 		return fresh.tuneFn(decoded)
 	})
+	// Three bodies decoded into one storage: the instance, then only its
+	// costs changed, then only its platform. Each time the members that
+	// repeat are taken from storage and the changed one is decoded, and
+	// nothing the storage remembered of the instance before — fingerprint
+	// state, bottom levels — may rank the new one.
+	var on Instance
+	defer on.release()
+	req := benchRequest(t)
+	req.Scheduler, req.Seed, req.IncludeGantt = "ftsa", 4, true
+	for _, row := range []struct {
+		what   string
+		change func()
+	}{
+		{"instance", func() {}},
+		{"costs changed", func() { req.Costs = skewedCosts(t, req.Costs) }},
+		{"platform changed", func() { req.Platform = skewedPlatform(t, req.Platform) }},
+	} {
+		row.change()
+		body := marshalJSON(t, req)
+		pooled, err := decodeOn[ScheduleRequest](&on, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.schedule(pooled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := decodeFresh[ScheduleRequest](body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.schedule(decoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("/schedule %s: the response differs from a fresh server's", row.what)
+		}
+	}
+}
+
+// skewedCosts returns cm with every task's costs scaled by 1, 2 or 3, so
+// that the average costs rank the tasks differently.
+func skewedCosts(t *testing.T, cm *platform.CostModel) *platform.CostModel {
+	t.Helper()
+	rows := make([][]float64, cm.NumTasks())
+	for task := range rows {
+		rows[task] = make([]float64, cm.NumProcs())
+		for k := range rows[task] {
+			rows[task][k] = cm.Cost(dag.TaskID(task), platform.ProcID(k)) * float64(1+task%3)
+		}
+	}
+	out, err := platform.NewCostModelFromMatrix(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// skewedPlatform returns p with every delay tripled: the average
+// communication cost, and with it every bottom level, changes.
+func skewedPlatform(t *testing.T, p *platform.Platform) *platform.Platform {
+	t.Helper()
+	rows := make([][]float64, p.NumProcs())
+	for k := range rows {
+		rows[k] = make([]float64, p.NumProcs())
+		for h := range rows[k] {
+			rows[k][h] = 3 * p.Delay(platform.ProcID(k), platform.ProcID(h))
+		}
+	}
+	out, err := platform.NewFromDelays(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestRequestPoolRouting: a first sighting's request is looked for in, and
 // goes back to, the spare pool, so that a stream of instances that never
 // repeat recycles one request's storage the way a single pool would; from
-// the second sighting on, the instance's own table pool comes first and
-// keeps the request. A refused body leaves nothing worth a table pool.
+// the second sighting on, the instance's own slot comes first and keeps the
+// request. A refused body leaves nothing worth a slot.
 func TestRequestPoolRouting(t *testing.T) {
-	body := benchBody(t)
-	name := []byte(`"name":"`)
-	at := bytes.Index(body, name) + len(name)
-	// A name no earlier run has used: the key is a first sighting.
-	body = slices.Concat(body[:at], fmt.Appendf(nil, "routing-%d-", rand.Int63()), body[at:])
-	key := requestKey(body)
-	table, spare := &instancePools[key%requestPools], &spareInstances
-	if got := poolsFor(key); got != [2]*sync.Pool{spare, table} {
-		t.Fatal("a first sighting is not looked for in the spare pool first")
-	}
+	body := uniqueBody(t, benchBody(t), "routing")
 	req := new(ScheduleRequest)
 	defer ReleaseScheduleRequest(req)
 	if err := decodeInto(req, body); err != nil {
 		t.Fatal(err)
 	}
+	slot, spare := &instancePools[req.memo.slot].pool, &spareInstances
+	if req.memo.repeats || req.memo.key != requestKey(body) {
+		t.Fatal("a first sighting was routed as a repeat")
+	}
+	if got := poolsFor(req.memo.slot, false); got != [2]*sync.Pool{spare, slot} {
+		t.Fatal("a first sighting is not looked for in the spare pool first")
+	}
 	if req.memo.home() != spare {
 		t.Fatal("a first sighting's request does not go back to the spare pool")
 	}
-	if got := poolsFor(key); got != [2]*sync.Pool{table, spare} {
-		t.Fatal("a seen instance is not looked for in its table pool first")
+	if got := poolsFor(req.memo.slot, true); got != [2]*sync.Pool{slot, spare} {
+		t.Fatal("a seen instance is not looked for in its slot first")
 	}
 	if err := decodeInto(req, body); err != nil {
 		t.Fatal(err)
 	}
-	if req.memo.home() != table {
-		t.Fatal("a repeated instance's request does not go back to its table pool")
+	if !req.memo.repeats || &instancePools[req.memo.slot].pool != slot {
+		t.Fatal("a repeated instance was not routed to the slot its first sighting took")
+	}
+	if req.memo.home() != slot {
+		t.Fatal("a repeated instance's request does not go back to its slot")
 	}
 	if err := decodeInto(req, body[:len(body)-1]); err == nil {
 		t.Fatal("a truncated body was accepted")
 	}
 	if req.memo.home() != spare {
-		t.Fatal("a refused body's request goes back to a table pool")
+		t.Fatal("a refused body's request goes back to a slot")
+	}
+}
+
+// uniqueBody returns body with a graph name no other body, in this run or
+// an earlier one, has used: its key is a first sighting.
+func uniqueBody(t testing.TB, body []byte, what string) []byte {
+	t.Helper()
+	name := []byte(`"name":"`)
+	at := bytes.Index(body, name) + len(name)
+	if at < len(name) {
+		t.Fatal("the body names no graph")
+	}
+	return slices.Concat(body[:at], fmt.Appendf(nil, "%s-%d-", what, rand.Int63()), body[at:])
+}
+
+// TestRequestPoolRoutingExact serves more distinct instances than 64, in
+// turn, each body decoded and its storage released as a handler does. Every
+// instance keeps a slot of its own, so after the repeat that gives it one it
+// is never fully decoded again: the graph's frozen view survives every later
+// decode. A collection or another processor would move storage out of reach
+// of the pools, so the test runs on one processor with collection off; the
+// race detector drops pooled items at random, so it does not run there.
+func TestRequestPoolRoutingExact(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a random share of pooled items")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := marshalJSON(t, testRequest(t))
+	bodies := make([][]byte, 65)
+	for i := range bodies {
+		bodies[i] = uniqueBody(t, base, fmt.Sprintf("exact-%d", i))
+	}
+	views := make([]*dag.Flat, len(bodies))
+	for round := 0; round < 5; round++ {
+		for i, body := range bodies {
+			req, err := decodeRequest[ScheduleRequest](body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := req.Graph.Freeze()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round >= 2 && view != views[i] {
+				t.Fatalf("round %d: instance %d was decoded again", round, i)
+			}
+			views[i] = view
+			req.release()
+		}
+	}
+}
+
+// TestRequestPoolSlotEviction: once requestPools later first sightings have
+// taken every slot in turn, a key is no longer recent, and storage decoded
+// for it while it held its slot goes back to the spare pool, not to the
+// slot's new owner.
+func TestRequestPoolSlotEviction(t *testing.T) {
+	body := uniqueBody(t, benchBody(t), "eviction")
+	req := new(ScheduleRequest)
+	defer ReleaseScheduleRequest(req)
+	for range 2 {
+		if err := decodeInto(req, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if req.memo.home() != &instancePools[req.memo.slot].pool {
+		t.Fatal("a repeated instance's request does not go back to its slot")
+	}
+	tag := rand.Int63()
+	for k := range requestPools {
+		if _, seen := route(requestKey(fmt.Appendf(nil, "eviction-%d-%d", tag, k))); seen {
+			t.Fatal("a new key was routed as a repeat")
+		}
+	}
+	if req.memo.home() != &spareInstances {
+		t.Fatal("storage whose key lost its slot goes back to the slot's new owner")
+	}
+	if _, seen := route(req.memo.key); seen {
+		t.Fatal("a key whose slot was taken is still recent")
+	}
+}
+
+// TestSeededSolvesMatchNewGenerator: solve takes its tie-breaking generator
+// from a pool and reseeds it, so seeds s1, s2, s1 on one instance must each
+// schedule as sched.Run does with a new lazyrand.New(seed). The instance is
+// a fork-join of equal tasks on identical processors, so ties decide the
+// mapping and the two seeds schedule differently.
+func TestSeededSolvesMatchNewGenerator(t *testing.T) {
+	srv := New(Config{})
+	t.Cleanup(srv.Close)
+	const width, procs = 8, 4
+	g := dag.NewWithTasks("fork-join", width+2)
+	rows := make([][]float64, width+2)
+	for i := range rows {
+		rows[i] = slices.Repeat([]float64{1}, procs)
+	}
+	for i := 1; i <= width; i++ {
+		g.MustAddEdge(0, dag.TaskID(i), 1)
+		g.MustAddEdge(dag.TaskID(i), width+1, 1)
+	}
+	delays := make([][]float64, procs)
+	for k := range delays {
+		delays[k] = slices.Repeat([]float64{1}, procs)
+		delays[k][k] = 0
+	}
+	p, err := platform.NewFromDelays(delays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := platform.NewCostModelFromMatrix(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var on Instance
+	defer on.release()
+	for _, name := range sched.Names() {
+		if info, _ := sched.LookupInfo(name); info.IgnoresRng || !info.FaultTolerant {
+			continue
+		}
+		got := map[int64][]byte{}
+		for _, seed := range []int64{11, 12, 11} {
+			body := marshalJSON(t, &ScheduleRequest{Instance: Instance{Graph: g, Platform: p, Costs: cm},
+				Scheduler: name, Epsilon: 1, Seed: seed, IncludeSchedule: true})
+			req, err := decodeOn[ScheduleRequest](&on, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := srv.schedule(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			schedule, err := sched.Run(name, req.Graph, req.Platform, req.Costs, sched.RunOptions{Epsilon: 1, Rng: lazyrand.New(seed)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := buildResponse(req, schedule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(resp, want) {
+				t.Fatalf("%s seed %d: the pooled generator scheduled differently from lazyrand.New", name, seed)
+			}
+			got[seed] = resp
+		}
+		if name == "ftsa" && bytes.Equal(got[11], got[12]) {
+			t.Fatal("ftsa: seeds 11 and 12 schedule alike, so the instance tests no reseeding")
+		}
+	}
+}
+
+// TestBottomLevelsRemembered: storage that holds an instance computes its
+// bottom levels once — a body repeating the instance gets the same slice —
+// and a changed member makes it compute them again, equal to
+// sched.AvgBottomLevels of the new instance.
+func TestBottomLevelsRemembered(t *testing.T) {
+	var on Instance
+	defer on.release()
+	req := benchRequest(t)
+	levels := func() []float64 {
+		t.Helper()
+		decoded, err := decodeOn[ScheduleRequest](&on, marshalJSON(t, req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl := decoded.bottomLevels()
+		want, err := sched.AvgBottomLevels(decoded.Graph, decoded.Costs, decoded.Platform)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(bl, want) {
+			t.Fatal("the bottom levels differ from sched.AvgBottomLevels")
+		}
+		return bl
+	}
+	first := levels()
+	req.Seed = 3
+	if again := levels(); &again[0] != &first[0] {
+		t.Fatal("a repeated instance computed its bottom levels again")
+	}
+	req.Costs = skewedCosts(t, req.Costs)
+	if changed := levels(); &changed[0] == &first[0] {
+		t.Fatal("changed costs kept the old bottom levels")
 	}
 }

@@ -478,18 +478,29 @@ func (s *Server) protect(fp Fingerprint, compute func() ([]byte, error)) (body [
 	return compute()
 }
 
+// seededRands recycles solve's tie-breaking generators: a lazyrand source
+// restarts at a request's seed in O(1), drawing what lazyrand.New(seed) would.
+var seededRands sync.Pool
+
 // solve runs the scheduling part shared by /schedule and /evaluate: run the
-// requested heuristic through the scheduler registry and validate the result.
+// requested heuristic through the scheduler registry, on the instance's
+// remembered bottom levels, and validate the result.
 func (s *Server) solve(req *ScheduleRequest) (*sched.Schedule, error) {
 	g, p, cm := req.Graph, req.Platform, req.Costs
 	var rng *rand.Rand
 	if req.Seed != 0 {
-		rng = lazyrand.New(req.Seed)
+		if rng, _ = seededRands.Get().(*rand.Rand); rng != nil {
+			rng.Seed(req.Seed)
+		} else {
+			rng = lazyrand.New(req.Seed)
+		}
+		defer seededRands.Put(rng)
 	}
 	schedule, err := sched.Run(req.Scheduler, g, p, cm, sched.RunOptions{
-		Epsilon: req.Epsilon,
-		Rng:     rng,
-		Policy:  req.Policy,
+		Epsilon:      req.Epsilon,
+		Rng:          rng,
+		BottomLevels: req.bottomLevels(),
+		Policy:       req.Policy,
 	})
 	if err != nil {
 		return nil, err
@@ -545,10 +556,6 @@ func (s *Server) runEvaluate(req *EvaluateRequest) ([]byte, error) {
 	// draws (same generator, same per-trial seeds), so static and
 	// re-scheduling are compared trial for trial.
 	if len(req.Policies) > 0 {
-		bl, err := sched.AvgBottomLevels(req.Graph, req.Costs, req.Platform)
-		if err != nil {
-			return nil, err
-		}
 		spec := mission.Spec{
 			Graph:        req.Graph,
 			Platform:     req.Platform,
@@ -557,7 +564,7 @@ func (s *Server) runEvaluate(req *EvaluateRequest) ([]byte, error) {
 			Epsilon:      req.Epsilon,
 			SchedPolicy:  req.Policy,
 			Seed:         req.Seed,
-			BottomLevels: bl,
+			BottomLevels: req.bottomLevels(),
 		}
 		resp.PolicyEval = make([]PolicyEvalResult, 0, len(req.Policies))
 		for _, p := range req.Policies {

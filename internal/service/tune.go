@@ -161,6 +161,7 @@ func (s *Server) runTune(req *TuneRequest) ([]byte, error) {
 		Graph:        req.Graph,
 		Platform:     req.Platform,
 		Costs:        req.Costs,
+		BottomLevels: req.bottomLevels(),
 		Candidates:   req.candidates(),
 		Scenario:     req.Scenario,
 		Trials:       req.Trials,
